@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-check race-goldens bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
+.PHONY: all build vet fmt-check test race bench bench-check fp16-exhaustive race-goldens bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
 
 all: build vet test
 
@@ -21,17 +21,31 @@ race:
 	$(GO) test -race ./...
 
 # bench measures the simulator's own hot paths (not simulated performance)
-# and records ns/op, MB/s and allocs/op in BENCH_gemv.json. The README's
+# and records ns/op, MB/s and allocs/op in BENCH_gemv.json: the Gemv
+# benchmarks of the root package and fp16's BenchmarkMACVec, one PIM MAC
+# instruction's datapath work on realistic operands. The README's
 # "Simulator performance" table is regenerated from this file.
 bench:
-	$(GO) test -run '^$$' -bench 'Gemv$$' -benchmem . | $(GO) run ./tools/benchjson -out BENCH_gemv.json
+	$(GO) test -run '^$$' -bench 'Gemv$$|^BenchmarkMACVec$$' -benchmem . ./internal/fp16 \
+	| $(GO) run ./tools/benchjson -out BENCH_gemv.json
 
-# bench-check re-runs the Gemv benchmarks and fails if any regressed past
+# bench-check re-runs the same benchmarks and fails if any regressed past
 # 2.5x the checked-in BENCH_gemv.json baseline (time or bytes/op). The
 # factor absorbs machine-to-machine noise; it exists to catch a dropped
-# fast path or an allocation blow-up, not percent-level drift.
+# fast path or an allocation blow-up, not percent-level drift. The Gemv
+# benchmarks run two iterations each; MACVec is a ~100 ns operation, so
+# it keeps the default benchtime (two iterations would time a cold cache).
 bench-check:
-	$(GO) test -run '^$$' -bench 'Gemv$$' -benchtime 2x -benchmem . | $(GO) run ./tools/benchjson -check BENCH_gemv.json
+	@{ $(GO) test -run '^$$' -bench 'Gemv$$' -benchtime 2x -benchmem . && \
+	   $(GO) test -run '^$$' -bench '^BenchmarkMACVec$$' -benchmem ./internal/fp16; } \
+	| $(GO) run ./tools/benchjson -check BENCH_gemv.json
+
+# fp16-exhaustive runs the 2^32-pair equivalence tests of the fused FP16
+# MAC kernel's two rounding stages against the reference arithmetic
+# (about a minute on two cores). `go test ./...` runs them too;
+# `go test -short ./...` skips them and is the quick loop.
+fp16-exhaustive:
+	$(GO) test -count=1 -run 'Exhaustive' ./internal/fp16
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

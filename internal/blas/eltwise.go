@@ -2,7 +2,6 @@ package blas
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"pimsim/internal/fp16"
@@ -166,61 +165,59 @@ func (p *eltPlan) locate(idx int) (ch, u, visit int, col uint32, lane int) {
 	return
 }
 
-// layout writes the operand vectors into the banks.
+// blockOf is locate's inverse for whole blocks: the index of the block of
+// perVisit consecutive elements that row visit `visit` of (ch, u) holds.
+func (p *eltPlan) blockOf(ch, u, visit int) int { return (visit*p.U+u)*p.C + ch }
+
+// layout writes the operand vectors into the banks: one full-row SB write
+// per (channel, bank, visit) that holds data, in ascending order. The
+// order is part of the kernels' timing: each write leaves residual state
+// in the bank timers, so reordering them moves the cycle counts of
+// everything that follows.
 func (p *eltPlan) layout(rt *runtime.Runtime, a, b fp16.Vector) error {
 	banksPerUnit := rt.Cfg.Banks() / rt.Cfg.PIMUnits
 	rowWidth := rt.Cfg.ColumnsPerRow()
-	// Accumulate per (ch, bank, visit) rows then flush row-wise.
-	type rowKey struct{ ch, bank, visit int }
-	rows := make(map[rowKey][]fp16.Vector)
-	fill := func(src fp16.Vector, sel int, colOff uint32) {
-		for idx := 0; idx < p.N && idx < len(src); idx++ {
-			ch, u, visit, col, lane := p.locate(idx)
-			bank := u*banksPerUnit + sel*(banksPerUnit-1)
-			key := rowKey{ch, bank, visit}
-			vecs := rows[key]
-			if vecs == nil {
-				vecs = make([]fp16.Vector, rowWidth)
-				for i := range vecs {
-					vecs[i] = fp16.NewVector(p.lanes)
+	blockBytes := 2 * p.lanes
+	// One row buffer serves every write: WriteBankRowSB copies into bank
+	// storage before it returns.
+	row := make([]byte, rowWidth*blockBytes)
+	cols := make([]uint32, rowWidth)
+	data := make([][]byte, rowWidth)
+	for i := range cols {
+		cols[i] = uint32(i)
+		data[i] = row[i*blockBytes : (i+1)*blockBytes]
+	}
+	// a goes to each unit's first bank (sel 0). b goes to its last (sel 1),
+	// or, with one bank per unit, beside a in the same row.
+	selB, offB := p.srcB()
+	for ch := 0; ch < p.C; ch++ {
+		for u := 0; u < p.U; u++ {
+			for sel := 0; sel < 2; sel++ {
+				hasA, hasB := sel == 0, b != nil && sel == selB
+				if !hasA && !hasB {
+					continue
 				}
-				rows[key] = vecs
+				bank := u*banksPerUnit + sel*(banksPerUnit-1)
+				for visit := 0; visit < p.visits; visit++ {
+					start := p.blockOf(ch, u, visit) * p.perVisit
+					if start >= p.N {
+						break // later visits hold later blocks
+					}
+					end := min(start+p.perVisit, p.N)
+					// A block's elements are consecutive lanes of consecutive
+					// columns: one contiguous run of bytes.
+					clear(row)
+					if hasA {
+						a[start:end].PutBytes(row)
+					}
+					if hasB {
+						b[start:end].PutBytes(row[int(offB)*blockBytes:])
+					}
+					if err := rt.WriteBankRowSB(ch, bank, p.baseRow+uint32(visit), cols, data); err != nil {
+						return err
+					}
+				}
 			}
-			vecs[colOff+col][lane] = src[idx]
-		}
-	}
-	fill(a, 0, 0)
-	if b != nil {
-		sel, off := p.srcB()
-		fill(b, sel, off)
-	}
-	// Deterministic write order: map iteration order would otherwise leak
-	// into the banks' residual timing state and make kernel cycle counts
-	// vary run to run.
-	keys := make([]rowKey, 0, len(rows))
-	for key := range rows {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.ch != b.ch {
-			return a.ch < b.ch
-		}
-		if a.bank != b.bank {
-			return a.bank < b.bank
-		}
-		return a.visit < b.visit
-	})
-	for _, key := range keys {
-		vecs := rows[key]
-		cols := make([]uint32, len(vecs))
-		data := make([][]byte, len(vecs))
-		for i := range vecs {
-			cols[i] = uint32(i)
-			data[i] = vecs[i].Bytes()
-		}
-		if err := rt.WriteBankRowSB(key.ch, key.bank, p.baseRow+uint32(key.visit), cols, data); err != nil {
-			return err
 		}
 	}
 	return nil

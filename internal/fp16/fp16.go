@@ -4,12 +4,35 @@
 // (Section III-C chooses FP16 over BFLOAT16 for compatibility with legacy
 // FP16 libraries).
 //
-// Arithmetic is performed by converting to float32, operating, and rounding
-// back once. Because binary32 carries p' = 24 significand bits and binary16
-// needs p = 11, p' >= 2p+2 holds, so the double rounding is innocuous
+// Scalar arithmetic converts to float32, operates, and rounds back once.
+// Because binary32 carries p' = 24 significand bits and binary16 needs
+// p = 11, p' >= 2p+2 holds, so the double rounding is innocuous
 // (Figueroa's theorem): every Add, Sub, Mul and Div below is correctly
 // rounded to nearest-even in binary16. Mul is additionally exact in the
 // intermediate (22-bit product in a 24-bit significand).
+//
+// The multiply-accumulate of the PIM pipeline (MAC, MAD, MACVec, MADVec)
+// rounds twice, after the multiplier and after the adder, and is by far
+// the hottest code of a functional simulation. All four run one fused
+// kernel, MAC, which keeps both roundings but never leaves the float32
+// domain in between: because the float32 product is exact, rounding its
+// bit pattern to 11 significand bits in place gives the float32 image of
+// Mul(a, b) without narrowing to bits and widening again, and the sum is
+// narrowed once, by a branch-free round-to-nearest-even (lut.go). A lane
+// whose sum is Inf or NaN is recomputed by macRef, the composition
+// Add(acc, Mul(a, b)) the kernel replaced. NaN lanes must be: when both
+// operands of a float operation are NaN the hardware keeps the first
+// one's payload and the compiler may commute them, so NaN payloads are
+// bit-stable only through one compiled expression, and macRef is that
+// expression.
+//
+// What pins it: for all 2^32 operand pairs the kernel's product stage
+// equals the reference product (TestExhaustiveMulStage) and the sum stage
+// equals the reference narrowing on every sum of two binary16 values
+// (TestExhaustiveAddStage); since a rounded product is a binary16, the
+// two together cover every value the kernel can produce. A seeded
+// differential over 12 M triples, a directed table and FuzzMACVec check
+// the assembled kernel, NaN lanes included, against macRef.
 package fp16
 
 import "math"
@@ -201,10 +224,51 @@ func Div(a, b F16) F16 { return FromFloat32(a.Float32() / b.Float32()) }
 // stage rounds the product to binary16, then the ADD stage rounds the sum
 // to binary16 (two rounding steps, matching a multiplier feeding an adder
 // through a 16-bit pipeline register, Section IV-B).
-func MAC(acc, a, b F16) F16 { return Add(acc, Mul(a, b)) }
+//
+// This is the fused kernel every MAD, MACVec and MADVec lane also runs.
+// The float32 product of two binary16 values is exact (22 significand
+// bits in 24), so one rounding of its bit pattern to 11 significand bits
+// is the correctly rounded product. For unbiased exponents -14..14 that
+// result is a normal binary16, whose float32 image keeps the exponent and
+// the top 10 fraction bits: round-to-nearest-even on the low 13 bits, in
+// place, with no trip through binary16 bits and the widening table. A
+// carry out of the fraction increments the exponent field, which is the
+// right answer (at most 2^15, still finite in binary16). An exactly zero
+// product (a zero operand: padding, a fresh LSTM state) is its own
+// binary16 image, sign included. The products left over, which may round
+// to a subnormal, to zero or to Inf, or are Inf or NaN, narrow and widen
+// through the tables as Mul does.
+func MAC(acc, a, b F16) F16 {
+	p := f16to32[a] * f16to32[b]
+	pb := math.Float32bits(p)
+	// Biased float32 exponents 113..141 are unbiased -14..14.
+	if (pb>>23)&0xFF-113 <= 141-113 {
+		p = math.Float32frombits((pb + 0xFFF + (pb>>13)&1) &^ 0x1FFF)
+	} else if pb<<1 != 0 {
+		p = f16to32[FromFloat32(p)]
+	}
+	sb := math.Float32bits(f16to32[acc] + p)
+	if sb>>23&0xFF == 0xFF {
+		// Inf or NaN. A NaN must come from macRef: see there.
+		return macRef(acc, a, b)
+	}
+	return roundFinite(sb)
+}
 
 // MAD returns a*b + c with the same two-step rounding as MAC.
-func MAD(a, b, c F16) F16 { return Add(Mul(a, b), c) }
+func MAD(a, b, c F16) F16 { return MAC(c, a, b) }
+
+// macRef is the two-rounding MAC spelled as the composition of the scalar
+// operations: the oracle the fused kernel is tested against, and the path
+// of every lane whose sum is not finite. When both operands of a float
+// add or multiply are NaN the hardware keeps the first one's payload, and
+// the compiler is free to commute the operands, so which payload a NaN
+// result carries is stable only within one compiled expression. Never
+// inlined, this is that expression: every NaN MAC result in the program
+// is computed here, whatever the kernel's own add made of the operands.
+//
+//go:noinline
+func macRef(acc, a, b F16) F16 { return Add(acc, Mul(a, b)) }
 
 // ReLU returns max(h, 0), implemented exactly as the hardware does: a
 // 2-to-1 multiplexer controlled by the sign bit (Section III-C). Negative

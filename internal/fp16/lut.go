@@ -3,21 +3,29 @@ package fp16
 import "math"
 
 // Table-driven conversions. The simulator converts between binary16 and
-// float32 on every lane of every ALU operation, so these two functions
-// dominate the functional-mode profile. Both are exact replacements for
-// the branchy reference implementations in fp16.go:
+// float32 on every lane of every ALU operation, so these functions and
+// the fused MAC kernel built on them (MAC, fp16.go) are the functional-mode
+// profile. Both are exact replacements for the branchy reference
+// implementations in fp16.go:
 //
 //   - F16 -> float32 is a single load from a 65,536-entry table built at
 //     init by float32Ref, so it is bit-identical by construction.
 //   - float32 -> F16 uses a 512-entry table indexed by the float32 sign and
 //     exponent bits (Fabian Giesen's float-to-half trick): each exponent
 //     class maps to a base bit pattern plus a right-shift applied to the
-//     24-bit significand with round-to-nearest-even. Only the Inf/NaN
-//     class stays on a branch because its result depends on the fraction
-//     payload, not just the exponent.
+//     24-bit significand with round-to-nearest-even (roundFinite). The
+//     rounding itself is arithmetic, not a compare: whether a value rounds
+//     up is close to a coin flip on real data, and a branch on it was the
+//     one the predictor could not learn. Only the Inf/NaN class stays on
+//     a branch, a predictable one, because its result depends on the
+//     fraction payload and not just the exponent. The fused kernel hoists
+//     that branch (an Inf or NaN sum leaves the kernel altogether) and
+//     calls roundFinite directly.
 //
 // The equivalence of both paths with the reference is enforced by an
-// exhaustive 2^16 test plus a directed float32 sweep in fp16_test.go.
+// exhaustive 2^16 test plus a directed float32 sweep in lut_test.go, and
+// for every float32 the MAC pipeline can hand to the narrowing (all 2^32
+// sums of two binary16 values) by TestExhaustiveAddStage in mac_test.go.
 
 // Concurrency: all three tables are written only by this package's
 // init() and are read-only afterwards. The Go runtime completes every
@@ -32,7 +40,7 @@ var f16to32 [1 << 16]float32
 // f32to16base/f32to16shift are indexed by the top 9 bits of a float32
 // (sign + biased exponent). The conversion of a finite float32 b is
 //
-//	base[se] + roundShift(significand(b), shift[se])
+//	base[se] + roundToNearestEven(significand(b) >> shift[se])
 //
 // where significand includes the hidden bit. Overflow-to-infinity on
 // rounding works out arithmetically: in the largest normal class the base
@@ -80,8 +88,7 @@ func init() {
 // subnormal. NaN payloads are quieted. Bit-identical to fromFloat32Ref.
 func FromFloat32(f float32) F16 {
 	b := math.Float32bits(f)
-	se := b >> 23 // sign + exponent, 9 bits
-	if se&0xFF == 0xFF {
+	if b>>23&0xFF == 0xFF {
 		// Inf or NaN: the result depends on the fraction payload.
 		sign := uint16(b>>16) & signMask
 		if frac := b & 0x7FFFFF; frac != 0 {
@@ -89,8 +96,21 @@ func FromFloat32(f float32) F16 {
 		}
 		return F16(sign | expMask)
 	}
-	sig := uint64(b&0x7FFFFF | 0x800000)
-	return F16(f32to16base[se] + uint16(roundShift(sig, uint32(f32to16shift[se]))))
+	return roundFinite(b)
+}
+
+// roundFinite narrows the finite float32 with bits b to binary16: the
+// class base plus the 24-bit significand shifted right by the class shift
+// s with round-to-nearest-even. Adding half-1 plus the quotient's own low
+// bit carries into the quotient exactly when the remainder exceeds half,
+// or equals half with an odd quotient. s <= 26 and sig < 2^24, so nothing
+// overflows uint32 and the deep-underflow classes (s = 26) still come out
+// as zero.
+func roundFinite(b uint32) F16 {
+	se := b >> 23
+	sig := b&0x7FFFFF | 0x800000
+	s := uint32(f32to16shift[se]) & 31 // 13..26; the mask spares the >= 32 shift fix-ups
+	return F16(f32to16base[se] + uint16((sig+(1<<(s-1)-1)+(sig>>s)&1)>>s))
 }
 
 // Float32 converts a binary16 value to float32 exactly (binary16 is a

@@ -109,13 +109,3 @@ func BenchmarkFloat32(b *testing.B) {
 	}
 	_ = acc
 }
-
-func BenchmarkMAC(b *testing.B) {
-	x := FromFloat32(1.5)
-	y := FromFloat32(0.25)
-	acc := Zero
-	for i := 0; i < b.N; i++ {
-		acc = MAC(acc, x, y)
-	}
-	_ = acc
-}

@@ -38,18 +38,20 @@ func (v Vector) Float32s() []float32 {
 // AddVec computes dst[i] = a[i] + b[i] over the shortest common length and
 // returns dst.
 func AddVec(dst, a, b Vector) Vector {
-	n := min(len(dst), min(len(a), len(b)))
-	for i := 0; i < n; i++ {
-		dst[i] = Add(a[i], b[i])
+	n := min(len(dst), len(a), len(b))
+	d, a, b := dst[:n], a[:n], b[:n]
+	for i := range d {
+		d[i] = Add(a[i], b[i])
 	}
 	return dst
 }
 
 // MulVec computes dst[i] = a[i] * b[i].
 func MulVec(dst, a, b Vector) Vector {
-	n := min(len(dst), min(len(a), len(b)))
-	for i := 0; i < n; i++ {
-		dst[i] = Mul(a[i], b[i])
+	n := min(len(dst), len(a), len(b))
+	d, a, b := dst[:n], a[:n], b[:n]
+	for i := range d {
+		d[i] = Mul(a[i], b[i])
 	}
 	return dst
 }
@@ -57,9 +59,22 @@ func MulVec(dst, a, b Vector) Vector {
 // MACVec computes dst[i] += a[i] * b[i] with the PIM pipeline's two-step
 // rounding.
 func MACVec(dst, a, b Vector) Vector {
-	n := min(len(dst), min(len(a), len(b)))
-	for i := 0; i < n; i++ {
-		dst[i] = MAC(dst[i], a[i], b[i])
+	n := min(len(dst), len(a), len(b))
+	d, a, b := dst[:n], a[:n], b[:n]
+	for i := range d {
+		d[i] = MAC(d[i], a[i], b[i])
+	}
+	return dst
+}
+
+// MADVec computes dst[i] = a[i]*b[i] + c with the same two-step rounding,
+// the scalar addend feeding every lane (the PIM unit's MAD takes it from
+// the scalar register file).
+func MADVec(dst, a, b Vector, c F16) Vector {
+	n := min(len(dst), len(a), len(b))
+	d, a, b := dst[:n], a[:n], b[:n]
+	for i := range d {
+		d[i] = MAC(c, a[i], b[i])
 	}
 	return dst
 }

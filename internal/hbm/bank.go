@@ -25,6 +25,16 @@ type bank struct {
 
 	rows   map[uint32][]byte // functional storage, row -> RowBytes
 	parity map[uint32][]byte // on-die ECC check bits, row -> RowBytes/8
+
+	// The row the last row() call returned. Column accesses arrive in long
+	// runs on one open row, and the map lookup per 32-byte access was the
+	// second-largest share of the functional profile. The memo aliases
+	// the map's slice (same backing array, so writes through either are
+	// seen by both), and rows are never deleted or reallocated, so an
+	// entry can only go out of date by naming another row than the one
+	// asked for, which row() checks.
+	lastRow  uint32
+	lastData []byte
 }
 
 // parityRow returns the parity storage for a row, allocated on first
@@ -43,6 +53,9 @@ func (b *bank) parityRow(r uint32, rowBytes int) []byte {
 
 // row returns the storage for a row, allocating it zeroed on first touch.
 func (b *bank) row(r uint32, rowBytes int) []byte {
+	if b.lastData != nil && b.lastRow == r {
+		return b.lastData
+	}
 	if b.rows == nil {
 		b.rows = make(map[uint32][]byte)
 	}
@@ -51,6 +64,7 @@ func (b *bank) row(r uint32, rowBytes int) []byte {
 		data = make([]byte, rowBytes)
 		b.rows[r] = data
 	}
+	b.lastRow, b.lastData = r, data
 	return data
 }
 

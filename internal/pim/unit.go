@@ -392,10 +392,7 @@ func (u *Unit) execute(in *isa.Instruction, ctx *stepContext) error {
 		// dst = a*b + SRF_A[s1Idx] (the addend shares SRC1's index in a
 		// different register file, Section III-C). The scalar feeds every
 		// lane directly; no broadcast staging needed.
-		addend := u.srfA[s1Idx%isa.SRFEntries]
-		for i := range dst {
-			dst[i] = fp16.MAD(a[i], b[i], addend)
-		}
+		fp16.MADVec(dst, a, b, u.srfA[s1Idx%isa.SRFEntries])
 	}
 	return nil
 }
