@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-check fp16-exhaustive race-goldens bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
+.PHONY: all build vet fmt-check test race bench bench-check fp16-exhaustive purego race-goldens bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
 
 all: build vet test
 
@@ -23,8 +23,10 @@ race:
 # bench measures the simulator's own hot paths (not simulated performance)
 # and records ns/op, MB/s and allocs/op in BENCH_gemv.json: the Gemv
 # benchmarks of the root package and fp16's BenchmarkMACVec, one PIM MAC
-# instruction's datapath work on realistic operands. The README's
-# "Simulator performance" table is regenerated from this file.
+# instruction's datapath work on realistic operands, once per path
+# (sub-benchmarks portable and simd). Record it on a host with AVX + F16C,
+# or the simd row is missing. The README's "Simulator performance" table
+# is regenerated from this file.
 bench:
 	$(GO) test -run '^$$' -bench 'Gemv$$|^BenchmarkMACVec$$' -benchmem . ./internal/fp16 \
 	| $(GO) run ./tools/benchjson -out BENCH_gemv.json
@@ -33,19 +35,31 @@ bench:
 # 2.5x the checked-in BENCH_gemv.json baseline (time or bytes/op). The
 # factor absorbs machine-to-machine noise; it exists to catch a dropped
 # fast path or an allocation blow-up, not percent-level drift. The Gemv
-# benchmarks run two iterations each; MACVec is a ~100 ns operation, so
+# benchmarks run two iterations each; MACVec is a ~20-100 ns operation, so
 # it keeps the default benchtime (two iterations would time a cold cache).
+# MACVec runs under -v so that a runner without F16C prints
+# `--- SKIP: BenchmarkMACVec/simd`, which benchjson passes over; a
+# portable run is never held against the SIMD baseline.
 bench-check:
 	@{ $(GO) test -run '^$$' -bench 'Gemv$$' -benchtime 2x -benchmem . && \
-	   $(GO) test -run '^$$' -bench '^BenchmarkMACVec$$' -benchmem ./internal/fp16; } \
+	   $(GO) test -v -run '^$$' -bench '^BenchmarkMACVec$$' -benchmem ./internal/fp16; } \
 	| $(GO) run ./tools/benchjson -check BENCH_gemv.json
 
-# fp16-exhaustive runs the 2^32-pair equivalence tests of the fused FP16
-# MAC kernel's two rounding stages against the reference arithmetic
-# (about a minute on two cores). `go test ./...` runs them too;
-# `go test -short ./...` skips them and is the quick loop.
+# fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
+# two rounding stages against the reference arithmetic: the fused portable
+# kernel lane by lane, then the SIMD block kernels through the 16-lane
+# entry points (skipped where the CPU has none). About two minutes on two
+# cores. `go test ./...` runs them too; `go test -short ./...` skips them
+# and is the quick loop.
 fp16-exhaustive:
 	$(GO) test -count=1 -run 'Exhaustive' ./internal/fp16
+
+# purego builds the fp16 package without its amd64 assembly and runs the
+# kernels' tests and every golden that depends on them on the portable
+# path, the one a CI runner with F16C never selects by itself.
+purego:
+	$(GO) vet -tags purego ./internal/fp16
+	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

@@ -6,6 +6,7 @@
 package blas
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pimsim/internal/fp16"
@@ -67,13 +68,39 @@ func grfDepth(rt *runtime.Runtime) int {
 // package need it to reproduce device accumulation order exactly.
 func GRFDepth(rt *runtime.Runtime) int { return grfDepth(rt) }
 
-// splat replicates a scalar across the 16 lanes and serializes it.
-func splat(v fp16.F16) []byte {
-	vec := fp16.NewVector(fp16.Lanes)
-	for i := range vec {
-		vec[i] = v
+// splats builds the write-datapath payloads of one GEMV launch on one
+// channel: payload k is x[k] replicated across the 16 lanes and
+// serialized, zero from len(x) up to kp (the padded K). All kp payloads
+// share one backing array, so a launch costs two allocations whatever K
+// is; TriggerWRRun has issued every command by the time it returns and
+// nothing downstream keeps a payload.
+func splats(x fp16.Vector, kp int) [][]byte {
+	const size = 2 * fp16.Lanes
+	buf := make([]byte, kp*size)
+	out := make([][]byte, kp)
+	for k := range out {
+		out[k] = buf[k*size : (k+1)*size : (k+1)*size]
+		if k < len(x) {
+			for l := 0; l < size; l += 2 {
+				binary.LittleEndian.PutUint16(out[k][l:], uint16(x[k]))
+			}
+		}
 	}
-	return vec.Bytes()
+	return out
+}
+
+// foldGRFB folds one unit's G partial-sum registers into the outputs they
+// hold, y[o:] (clipped at len(y): the last block of a ragged M): lane by
+// lane, left to right from zero, the order RefGemvPIMOrder folds in.
+func foldGRFB(y fp16.Vector, o int, regs []fp16.Vector) {
+	if o >= len(y) {
+		return
+	}
+	var acc [fp16.Lanes]fp16.F16
+	for _, r := range regs {
+		fp16.AddVec(acc[:], acc[:], r)
+	}
+	copy(y[o:], acc[:])
 }
 
 // ceilDiv is integer ceiling division.

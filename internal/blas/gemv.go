@@ -236,17 +236,10 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 		}
 	}
 
-	// Pre-build the splat payloads once.
+	// Pre-build the splat payloads once: every channel sends the same x.
 	var xdata [][]byte
 	if functional {
-		xdata = make([][]byte, plan.Kp)
-		for k := range xdata {
-			if k < K {
-				xdata[k] = splat(x[k])
-			} else {
-				xdata[k] = splat(fp16.Zero)
-			}
-		}
+		xdata = splats(x, plan.Kp)
 	}
 
 	var y fp16.Vector
@@ -340,17 +333,7 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 					if b < 0 {
 						continue
 					}
-					for lane := 0; lane < plan.lanes; lane++ {
-						o := b*plan.lanes + lane
-						if o >= M {
-							continue
-						}
-						acc := fp16.Zero
-						for i := 0; i < plan.G; i++ {
-							acc = fp16.Add(acc, regs[u][i][lane])
-						}
-						y[o] = acc
-					}
+					foldGRFB(y, b*plan.lanes, regs[u])
 				}
 			}
 			if m+1 < plan.macros {
@@ -371,11 +354,16 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 
 // RefGemvPIMOrder computes y = W*x with exactly the PIM datapath's
 // rounding order: per output, G interleaved FP16 accumulators folded left
-// to right at the end. It is the oracle for PimGemv in functional tests.
+// to right at the end. It is the oracle for PimGemv in functional tests,
+// and an independent one: scalar MAC and Add, none of the vector kernels
+// the device model runs. g is a device's GRF depth, at most
+// 2*isa.GRFEntries.
 func RefGemvPIMOrder(W fp16.Vector, M, K int, x fp16.Vector, g int) fp16.Vector {
 	y := fp16.NewVector(M)
+	var buf [2 * isa.GRFEntries]fp16.F16 // the deepest GRF half of any device variant
+	accs := buf[:g]
 	for o := 0; o < M; o++ {
-		accs := make([]fp16.F16, g)
+		clear(accs)
 		for k := 0; k < K; k++ {
 			i := k % g
 			accs[i] = fp16.MAC(accs[i], x[k], W[o*K+k])

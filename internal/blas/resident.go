@@ -157,14 +157,7 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 			return nil // idle channel: no commands, clock untouched
 		}
 		x := xs[ch]
-		xdata := make([][]byte, plan.Kp)
-		for k := range xdata {
-			if k < g.K {
-				xdata[k] = splat(x[k])
-			} else {
-				xdata[k] = splat(fp16.Zero)
-			}
-		}
+		xdata := splats(x, plan.Kp)
 		y := fp16.NewVector(g.M)
 		ys[ch] = y
 		var chTriggers int64
@@ -245,17 +238,7 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 				if b < 0 {
 					continue
 				}
-				for lane := 0; lane < plan.lanes; lane++ {
-					o := b*plan.lanes + lane
-					if o >= g.M {
-						continue
-					}
-					acc := fp16.Zero
-					for i := 0; i < plan.G; i++ {
-						acc = fp16.Add(acc, regs[u][i][lane])
-					}
-					y[o] = acc
-				}
+				foldGRFB(y, b*plan.lanes, regs[u])
 			}
 			if m+1 < plan.macros {
 				if err := rt.EnterAB(ch); err != nil {

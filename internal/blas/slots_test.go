@@ -96,3 +96,29 @@ func TestRunSlotsRejects(t *testing.T) {
 		t.Error("wrong-length input accepted")
 	}
 }
+
+// TestRunSlotsAllocsIndependentOfK: the input splats are one backing
+// array per channel per launch, so at 256 rows a launch at K = 256 costs
+// about the allocations of one at K = 64; they used to be 2K+1 more
+// (+387 here). The few that remain follow simulated time, not K: a longer
+// kernel crosses more refresh intervals, and each refresh allocates.
+func TestRunSlotsAllocsIndependentOfK(t *testing.T) {
+	const M = 256
+	allocs := func(K int) float64 {
+		rt := newSlotsRT(t, 1)
+		rng := rand.New(rand.NewSource(9))
+		g, err := LoadGemv(rt, randVec(rng, M*K), M, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := []fp16.Vector{randVec(rng, K)}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := g.RunSlots(rt, xs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(256); large > small+16 {
+		t.Errorf("RunSlots allocates %v times at K=64 and %v at K=256; want no growth with K", small, large)
+	}
+}

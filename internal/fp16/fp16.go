@@ -12,27 +12,61 @@
 // intermediate (22-bit product in a 24-bit significand).
 //
 // The multiply-accumulate of the PIM pipeline (MAC, MAD, MACVec, MADVec)
-// rounds twice, after the multiplier and after the adder, and is by far
-// the hottest code of a functional simulation. All four run one fused
-// kernel, MAC, which keeps both roundings but never leaves the float32
-// domain in between: because the float32 product is exact, rounding its
-// bit pattern to 11 significand bits in place gives the float32 image of
-// Mul(a, b) without narrowing to bits and widening again, and the sum is
-// narrowed once, by a branch-free round-to-nearest-even (lut.go). A lane
-// whose sum is Inf or NaN is recomputed by macRef, the composition
-// Add(acc, Mul(a, b)) the kernel replaced. NaN lanes must be: when both
-// operands of a float operation are NaN the hardware keeps the first
-// one's payload and the compiler may commute them, so NaN payloads are
-// bit-stable only through one compiled expression, and macRef is that
-// expression.
+// rounds twice, after the multiplier and after the adder, and with the
+// elementwise AddVec and MulVec is by far the hottest code of a
+// functional simulation. It exists in three tiers, each checked against
+// the one before:
 //
-// What pins it: for all 2^32 operand pairs the kernel's product stage
-// equals the reference product (TestExhaustiveMulStage) and the sum stage
-// equals the reference narrowing on every sum of two binary16 values
+//  1. The reference, macRef: the composition Add(acc, Mul(a, b)) of the
+//     scalar operations above, themselves checked against fromFloat32Ref.
+//     It is every other tier's oracle. The GEMV oracle above this
+//     package, blas.RefGemvPIMOrder, calls the scalar MAC and Add only,
+//     so tier 3 never checks a GEMV it computed itself.
+//  2. The fused portable kernel, MAC: both roundings, but never leaving
+//     the float32 domain in between. Because the float32 product is
+//     exact, rounding its bit pattern to 11 significand bits in place
+//     gives the float32 image of Mul(a, b) without narrowing to bits and
+//     widening again, and the sum is narrowed once, by a branch-free
+//     round-to-nearest-even (lut.go). It is the scalar MAC and MAD, every
+//     lane of a vector tail, the whole of the vector operations where
+//     tier 3 is absent, and tier 3's differential reference.
+//  3. The SIMD block kernels (block_amd64.s): the PIM unit's 16-lane FPU
+//     as 16 host lanes. One block of MACVec, MADVec, AddVec or MulVec is
+//     widened to 2x8 float32 lanes (VCVTPH2PS), multiplied, narrowed to
+//     binary16 with round-to-nearest-even and widened again (the 16-bit
+//     pipeline register), added, and narrowed once more: the instructions
+//     whose scalar forms tier 1 spells out, so the same exact product and
+//     the same innocuous double rounding, bit for bit.
+//
+// Which tier runs is decided once, at init, from CPUID alone: tier 3 on
+// amd64 when the CPU reports AVX and F16C and the operating system saves
+// the YMM registers (OSXSAVE, XCR0 bits 1 and 2); tier 2 otherwise, on
+// other architectures, and in a build with -tags purego, which compiles
+// no assembly. No flag, environment variable or configuration reaches
+// the choice, and no result depends on it.
+//
+// NaN results are what makes that last claim need care. When both
+// operands of a float operation are NaN the hardware keeps the first
+// one's payload, and the compiler may commute the operands, so a NaN's
+// payload is stable only through one compiled expression. For the MAC
+// that expression is macRef: a lane of tier 2 whose sum is Inf or NaN is
+// recomputed there, and a block of tier 3 whose result has a NaN lane is
+// not stored but recomputed whole by tier 2's loop. Inf results do not
+// depend on operand order, so a block that merely saturates stays in
+// tier 3 (tier 2 sends its Inf lanes to macRef only because one exponent
+// test is cheaper than two).
+//
+// What pins it: for all 2^32 operand pairs tier 2's product stage equals
+// the reference product (TestExhaustiveMulStage) and its sum stage equals
+// the reference narrowing on every sum of two binary16 values
 // (TestExhaustiveAddStage); since a rounded product is a binary16, the
-// two together cover every value the kernel can produce. A seeded
-// differential over 12 M triples, a directed table and FuzzMACVec check
-// the assembled kernel, NaN lanes included, against macRef.
+// two together cover every value the kernel can produce. The same 2^32
+// pairs of both stages go through the 16-lane entry points on tier 3
+// (TestExhaustive*StageVec: MACVec, MADVec, and MulVec or AddVec). A
+// seeded differential over 12 M triples, a directed table, ragged and
+// aliased lengths, a block mixing NaN, Inf, subnormal and normal lanes
+// and FuzzMACVec check the assembled operations against macRef on both
+// tiers in one binary, NaN payloads included.
 package fp16
 
 import "math"
@@ -225,7 +259,8 @@ func Div(a, b F16) F16 { return FromFloat32(a.Float32() / b.Float32()) }
 // to binary16 (two rounding steps, matching a multiplier feeding an adder
 // through a 16-bit pipeline register, Section IV-B).
 //
-// This is the fused kernel every MAD, MACVec and MADVec lane also runs.
+// This is the fused portable kernel (tier 2 of the package comment): MAD,
+// and every MACVec and MADVec lane the SIMD block kernels do not take.
 // The float32 product of two binary16 values is exact (22 significand
 // bits in 24), so one rounding of its bit pattern to 11 significand bits
 // is the correctly rounded product. For unbiased exponents -14..14 that
@@ -259,8 +294,8 @@ func MAC(acc, a, b F16) F16 {
 func MAD(a, b, c F16) F16 { return MAC(c, a, b) }
 
 // macRef is the two-rounding MAC spelled as the composition of the scalar
-// operations: the oracle the fused kernel is tested against, and the path
-// of every lane whose sum is not finite. When both operands of a float
+// operations: the oracle the fused kernel and the SIMD block kernels are
+// tested against, and the path of every lane whose sum is not finite. When both operands of a float
 // add or multiply are NaN the hardware keeps the first one's payload, and
 // the compiler is free to commute the operands, so which payload a NaN
 // result carries is stable only within one compiled expression. Never

@@ -3,9 +3,22 @@ package fp16
 import "math"
 
 // Table-driven conversions. The simulator converts between binary16 and
-// float32 on every lane of every ALU operation, so these functions and
-// the fused MAC kernel built on them (MAC, fp16.go) are the functional-mode
-// profile. Both are exact replacements for the branchy reference
+// float32 on every lane the portable kernel computes, so these functions
+// and the fused MAC built on them (MAC, fp16.go) are the functional-mode
+// profile wherever the SIMD block kernels are absent, and the scalar
+// oracles' everywhere. The package's arithmetic comes in three tiers
+// (package comment): the reference macRef, which goes through FromFloat32
+// and Float32 below twice per MAC; the fused portable kernel, which goes
+// through them once and calls roundFinite directly; and the SIMD block
+// kernels (block_amd64.s), which use none of this file, since VCVTPH2PS
+// and VCVTPS2PH are the hardware's own widening and narrowing. Each tier
+// is tested against the one before; tier 3 is selected at init from
+// CPUID (AVX, F16C, OS-saved YMM state) and by nothing else. A NaN result
+// leaves tier 3 for tier 2 and tier 2 for macRef, because its payload
+// depends on the operand order of the instruction that made it; an Inf
+// result carries no payload and stays in tier 3.
+//
+// Both conversions are exact replacements for the branchy reference
 // implementations in fp16.go:
 //
 //   - F16 -> float32 is a single load from a 65,536-entry table built at

@@ -52,40 +52,145 @@ func TestPutBytesMatchesBytes(t *testing.T) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randVec(rng, Lanes)
-	b := randVec(rng, Lanes)
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		a := randVec(rng, Lanes)
+		b := randVec(rng, Lanes)
 
-	sum := AddVec(NewVector(Lanes), a, b)
-	prod := MulVec(NewVector(Lanes), a, b)
-	for i := 0; i < Lanes; i++ {
-		if sum[i] != Add(a[i], b[i]) {
-			t.Errorf("AddVec lane %d mismatch", i)
+		sum := AddVec(NewVector(Lanes), a, b)
+		prod := MulVec(NewVector(Lanes), a, b)
+		for i := 0; i < Lanes; i++ {
+			if sum[i] != Add(a[i], b[i]) {
+				t.Errorf("AddVec lane %d mismatch", i)
+			}
+			if prod[i] != Mul(a[i], b[i]) {
+				t.Errorf("MulVec lane %d mismatch", i)
+			}
 		}
-		if prod[i] != Mul(a[i], b[i]) {
-			t.Errorf("MulVec lane %d mismatch", i)
-		}
-	}
 
-	acc := randVec(rng, Lanes)
-	want := make(Vector, Lanes)
-	copy(want, acc)
-	for i := range want {
-		want[i] = MAC(want[i], a[i], b[i])
-	}
-	MACVec(acc, a, b)
-	for i := range acc {
-		if acc[i] != want[i] {
-			t.Errorf("MACVec lane %d mismatch", i)
+		acc := randVec(rng, Lanes)
+		want := make(Vector, Lanes)
+		copy(want, acc)
+		for i := range want {
+			want[i] = MAC(want[i], a[i], b[i])
 		}
-	}
+		MACVec(acc, a, b)
+		for i := range acc {
+			if acc[i] != want[i] {
+				t.Errorf("MACVec lane %d mismatch", i)
+			}
+		}
 
-	r := ReLUVec(NewVector(Lanes), a)
-	for i := range r {
-		if r[i] != ReLU(a[i]) {
-			t.Errorf("ReLUVec lane %d mismatch", i)
+		r := ReLUVec(NewVector(Lanes), a)
+		for i := range r {
+			if r[i] != ReLU(a[i]) {
+				t.Errorf("ReLUVec lane %d mismatch", i)
+			}
+		}
+	})
+}
+
+// vecOps is the four block-kernel operations behind one signature, each
+// beside its scalar reference: acc is MACVec's accumulator on the way in
+// (dst starts as a copy of it) and its first lane is MADVec's addend.
+var vecOps = []struct {
+	name string
+	vec  func(dst, a, b Vector, c F16)
+	ref  func(acc, a, b, c F16) F16
+}{
+	{"AddVec", func(dst, a, b Vector, _ F16) { AddVec(dst, a, b) }, func(_, a, b, _ F16) F16 { return Add(a, b) }},
+	{"MulVec", func(dst, a, b Vector, _ F16) { MulVec(dst, a, b) }, func(_, a, b, _ F16) F16 { return Mul(a, b) }},
+	{"MACVec", func(dst, a, b Vector, _ F16) { MACVec(dst, a, b) }, func(acc, a, b, _ F16) F16 { return macRef(acc, a, b) }},
+	{"MADVec", func(dst, a, b Vector, c F16) { MADVec(dst, a, b, c) }, func(_, a, b, c F16) F16 { return macRef(c, a, b) }},
+}
+
+// TestVecRaggedAndAliased runs the four operations at every common length
+// 0..40 (no block, blocks, blocks and a tail), with dst apart from its
+// operands, dst being a and dst being b, against the scalar operation on
+// copies taken beforehand; dst is longer than the common length and must
+// keep what it held past it.
+func TestVecRaggedAndAliased(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		const extra = 3
+		for n := 0; n <= 40; n++ {
+			for _, op := range vecOps {
+				for _, alias := range []string{"none", "a", "b"} {
+					a, b, dst := randVec(rng, n+extra), randVec(rng, n+extra), randVec(rng, n+extra)
+					switch alias {
+					case "a":
+						dst = a
+					case "b":
+						dst = b
+					}
+					a0, b0, d0 := append(Vector(nil), a...), append(Vector(nil), b...), append(Vector(nil), dst...)
+					c := d0[0]
+					op.vec(dst, a[:n], b[:n+1], c)
+					for i := range dst {
+						want := d0[i]
+						if i < n {
+							want = op.ref(d0[i], a0[i], b0[i], c)
+						}
+						if dst[i] != want {
+							t.Fatalf("%s n=%d dst=%s lane %d: 0x%04x, want 0x%04x",
+								op.name, n, alias, i, uint16(dst[i]), uint16(want))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestVecMixedBlock pins the rule for a block the SIMD kernel gives up
+// on: with NaN lanes next to Inf, subnormal and normal ones, every lane,
+// the untouched-looking ones included, is what the portable path returns.
+// The second block has no NaN (its Inf and overflowing lanes stay in the
+// kernel); the third is a tail.
+func TestVecMixedBlock(t *testing.T) {
+	needSIMD(t, simd)
+	defer func() { simd = true }()
+	special := Vector{0x7E01, PosInf, 0x0001, One, 0xFE02, NegInf, 0x83FF, 0x3555,
+		Zero, 0x7C01, MaxVal, NegZero, 0x0400, 0xFBFF, 0x7F03, 0x4200}
+	rng := rand.New(rand.NewSource(13))
+	a, b, acc := randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5)
+	for i, h := range special {
+		a[i], b[(i+5)%Lanes], acc[(i+11)%Lanes] = h, h, h
+		a[Lanes+i], acc[Lanes+i] = finite(h), finite(special[(i+3)%Lanes])
+	}
+	a[Lanes+1], b[Lanes+1] = MaxVal, MaxVal // overflows to Inf in the kernel
+	acc[Lanes+2], a[Lanes+2], b[Lanes+2] = PosInf, One, One
+	for _, op := range vecOps {
+		var got [2]Vector
+		for path, on := range []bool{false, true} {
+			simd = on
+			got[path] = append(Vector(nil), acc...)
+			op.vec(got[path], a, b, One)
+		}
+		for i := range acc {
+			if got[0][i] != got[1][i] {
+				t.Errorf("%s lane %d (acc=0x%04x, a=0x%04x, b=0x%04x): SIMD path 0x%04x, portable 0x%04x",
+					op.name, i, uint16(acc[i]), uint16(a[i]), uint16(b[i]), uint16(got[1][i]), uint16(got[0][i]))
+			}
+			if i >= Lanes && i < 2*Lanes && got[1][i].IsNaN() {
+				t.Errorf("%s lane %d: the NaN-free block has a NaN result; fix the operands", op.name, i)
+			}
 		}
 	}
+}
+
+// TestVecNoAllocs: the four operations allocate nothing on either path.
+func TestVecNoAllocs(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		a, b, dst := randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5)
+		a[3] = NaN // one block through the fallback
+		for _, op := range vecOps {
+			if n := testing.AllocsPerRun(100, func() { op.vec(dst, a, b, One) }); n != 0 {
+				t.Errorf("%s: %v allocations per call, want 0", op.name, n)
+			}
+		}
+	})
 }
 
 func TestReduceAddOrder(t *testing.T) {

@@ -487,10 +487,14 @@ func (r *Runtime) ReadGRFSB(ch, unit, half, idx int) (fp16.Vector, error) {
 }
 
 // ReadGRFRowSB reads several GRF registers of consecutive units with one
-// row activation per unit, returning vectors indexed [unit][reg].
+// row activation per unit, returning vectors indexed [unit][reg]. The
+// vectors are cut from one backing array (a GEMV unloads its partial sums
+// through here once per macro tile, on every channel of every launch).
 func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) {
 	units := r.Cfg.PIMUnits
 	out := make([][]fp16.Vector, units)
+	vecs := make([]fp16.Vector, units*regs)
+	lanes := fp16.NewVector(units * regs * fp16.Lanes)
 	banksPerUnit := r.Cfg.Banks() / units
 	grfEntries := isa.GRFEntries
 	if r.Cfg.Variant == hbm.Variant2X {
@@ -502,17 +506,15 @@ func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) 
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}); err != nil {
 			return nil, err
 		}
-		out[u] = make([]fp16.Vector, regs)
+		out[u] = vecs[u*regs : (u+1)*regs : (u+1)*regs]
 		for i := 0; i < regs; i++ {
 			res, err := r.issue(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: uint32(half*grfEntries + i)})
 			if err != nil {
 				return nil, err
 			}
-			if res.Data == nil {
-				out[u][i] = fp16.NewVector(fp16.Lanes)
-			} else {
-				out[u][i] = fp16.VectorFromBytes(res.Data)
-			}
+			o := (u*regs + i) * fp16.Lanes
+			// Timing-only devices return no data: the lanes stay zero.
+			out[u][i] = lanes[o : o+fp16.Lanes : o+fp16.Lanes].DecodeBytes(res.Data)
 		}
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
 			return nil, err

@@ -42,6 +42,7 @@ func main() {
 	flag.Parse()
 
 	var rep report
+	skipped := make(map[string]bool) // benchmarks the run reported as skipped (go test -v)
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -57,6 +58,8 @@ func main() {
 			if r, ok := parseBench(line); ok {
 				rep.Benchmarks = append(rep.Benchmarks, r)
 			}
+		case strings.HasPrefix(line, "--- SKIP: Benchmark"):
+			skipped[strings.Fields(line)[2]] = true
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -74,7 +77,7 @@ func main() {
 		if err := json.Unmarshal(data, &base); err != nil {
 			fatal(fmt.Errorf("parsing baseline %s: %w", *check, err))
 		}
-		failures := checkBaseline(base, rep, *maxRatio)
+		failures := checkBaseline(base, rep, skipped, *maxRatio)
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchjson:", f)
 		}
@@ -151,8 +154,11 @@ func parseBench(line string) (result, bool) {
 // catches order-of-magnitude regressions (a dropped fast path, an
 // allocation blow-up), not percent-level drift. Benchmarks absent from
 // the baseline pass; a baseline entry with no current result fails, so a
-// renamed or deleted benchmark can't silently drop out of the gate.
-func checkBaseline(base, cur report, ratio float64) []string {
+// renamed or deleted benchmark can't silently drop out of the gate,
+// unless the run itself reported the benchmark as skipped (a `--- SKIP:`
+// line of `go test -v`: a kernel this machine's CPU cannot run has no
+// number to compare, and another path's number is not it).
+func checkBaseline(base, cur report, skipped map[string]bool, ratio float64) []string {
 	var failures []string
 	current := make(map[string]result, len(cur.Benchmarks))
 	for _, r := range cur.Benchmarks {
@@ -160,6 +166,10 @@ func checkBaseline(base, cur report, ratio float64) []string {
 	}
 	for _, b := range base.Benchmarks {
 		r, ok := current[b.Name]
+		if !ok && skipped[b.Name] {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: skipped by this run, not compared\n", b.Name)
+			continue
+		}
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: in baseline but not in this run", b.Name))
 			continue

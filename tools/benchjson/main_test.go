@@ -48,7 +48,7 @@ func TestCheckBaseline(t *testing.T) {
 		{Name: "BenchmarkA", NsPerOp: 2400, BytesPerOp: 1200},
 		{Name: "BenchmarkNew", NsPerOp: 1},
 	}}
-	fails := checkBaseline(base, cur, 2.5)
+	fails := checkBaseline(base, cur, nil, 2.5)
 	if len(fails) != 1 {
 		t.Fatalf("got %d failures, want 1 (missing BenchmarkGone): %v", len(fails), fails)
 	}
@@ -58,9 +58,25 @@ func TestCheckBaseline(t *testing.T) {
 		{Name: "BenchmarkA", NsPerOp: 2600, BytesPerOp: 1300},
 		{Name: "BenchmarkGone", NsPerOp: 10},
 	}}
-	fails = checkBaseline(base, cur, 2.5)
+	fails = checkBaseline(base, cur, nil, 2.5)
 	if len(fails) != 2 {
 		t.Fatalf("got %d failures, want 2 (ns/op and B/op): %v", len(fails), fails)
+	}
+}
+
+// A baseline entry the run reported as skipped is passed over; one that
+// is merely absent still fails.
+func TestCheckBaselineSkipped(t *testing.T) {
+	base := report{Benchmarks: []result{
+		{Name: "BenchmarkK/simd", NsPerOp: 20},
+		{Name: "BenchmarkK/portable", NsPerOp: 120},
+	}}
+	cur := report{Benchmarks: []result{{Name: "BenchmarkK/portable", NsPerOp: 130}}}
+	if fails := checkBaseline(base, cur, map[string]bool{"BenchmarkK/simd": true}, 2.5); len(fails) != 0 {
+		t.Errorf("skipped benchmark failed the check: %v", fails)
+	}
+	if fails := checkBaseline(base, cur, nil, 2.5); len(fails) != 1 {
+		t.Errorf("got %d failures, want 1 (BenchmarkK/simd missing, not skipped): %v", len(fails), fails)
 	}
 }
 
