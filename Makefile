@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-check fp16-exhaustive purego race-goldens bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
+.PHONY: all build vet fmt-check test race bench bench-check benchmark-check fp16-exhaustive purego race-goldens bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
 
 all: build vet test
 
@@ -45,6 +45,19 @@ bench-check:
 	   $(GO) test -v -run '^$$' -bench '^BenchmarkMACVec$$' -benchmem ./internal/fp16; } \
 	| $(GO) run ./tools/benchjson -check BENCH_gemv.json
 
+# benchmark-check runs the serving workloads of BENCHMARK.json (bench/)
+# for three seconds each and fails unless every operation completed and
+# matched its host oracle bit for bit. bench/ is an independent client of
+# internal/serve's exported API, so a serve refactor that breaks what the
+# benchmark checks fails here, not in the benchmark pipeline.
+benchmark-check:
+	@for w in gemv_closed seq_closed nano_open; do \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+		echo "$$w $$out"; \
+		case "$$out" in *'"correct":true'*'"failed":0'*) ;; \
+			*) echo "FAIL: $$w: want correct true and failed 0"; exit 1;; esac; \
+	done
+
 # fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
 # two rounding stages against the reference arithmetic: the fused portable
 # kernel lane by lane, then the SIMD block kernels through the 16-lane
@@ -71,10 +84,12 @@ race-goldens:
 	$(GO) test -race -count=2 -run 'TestGolden' .
 	$(GO) test -race -run 'TestAggregateEarliestMatchesBruteForce' ./internal/hbm/
 
-# bench-serve runs both serving A/Bs through cmd/pimload and records
+# bench-serve runs both serving A/Bs through cmd/pimload (the one driver
+# of internal/loadgen on its GEMV and its sequence source) and records
 # throughput, latency quantiles and the gains in BENCH_serve.json: the
 # GEMV batching A/B (dynamic batching vs batch-size-1) and the sequence
-# A/B (continuous batching vs one-sequence-at-a-time on the same pool).
+# A/B (continuous batching vs one-sequence-at-a-time on the same pool);
+# both baselines are serve.Config.MaxBatch=1.
 # The README's "Serving" tables are regenerated from this file. Fails if
 # either gain ever drops below 2x, or if the batched run violates the
 # (generous) SLO gate — the machine-readable verdict line documents the

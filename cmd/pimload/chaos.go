@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"time"
 
 	"pimsim/internal/fault"
+	"pimsim/internal/loadgen"
 	"pimsim/internal/metrics"
 	"pimsim/internal/obs"
 	"pimsim/internal/serve"
@@ -18,10 +18,7 @@ import (
 type chaosOpts struct {
 	profile     string
 	seed        int64
-	model       string
-	mode        string
-	conc, reqs  int
-	rate        float64
+	reqs        int     // requests per phase, for the phase banners
 	recoverFrac float64 // recovery throughput floor, fraction of baseline
 	maxErrFrac  float64 // tolerated non-OK fraction during the chaos phase
 }
@@ -38,7 +35,7 @@ type chaosOpts struct {
 //  3. Recovery: the same faulted server again, after waiting for every
 //     shard to revive. Throughput must be back to recoverFrac of the
 //     baseline — eviction is a transient, not a ratchet.
-func runChaos(o chaosOpts, base serve.Config, verify bool) error {
+func runChaos(o chaosOpts, base serve.Config, drive driver) error {
 	base.ECC = true
 	// Both servers run with the flight recorder armed — the recovery
 	// verdict compares throughput against the baseline, so the baseline
@@ -46,7 +43,7 @@ func runChaos(o chaosOpts, base serve.Config, verify bool) error {
 	base.Tracer = obs.NewTracer(1 << 14)
 
 	log.Printf("pimload: chaos phase 1/3: fault-free ECC-on baseline (%d requests)", o.reqs)
-	baseline, err := runAgainst(base, o.model, o.mode, o.conc, o.reqs, o.rate, verify)
+	baseline, err := runAgainst(base, drive)
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
@@ -64,28 +61,14 @@ func runChaos(o chaosOpts, base serve.Config, verify bool) error {
 	tracer := obs.NewTracer(1 << 14)
 	cfg.Tracer = tracer
 
-	s, err := serve.New(cfg)
+	url, stop, err := serveInProcess(cfg)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	defer func() {
-		ctx, cancel := ctxTimeout(30 * time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
-		if err := s.Close(ctx); err != nil {
-			log.Printf("pimload: chaos drain: %v", err)
-		}
-	}()
-	url := "http://" + ln.Addr().String()
+	defer stop()
 
 	log.Printf("pimload: chaos phase 2/3: profile %s, seed %d (%d requests)", o.profile, o.seed, o.reqs)
-	chaos, err := runRemote(url, o.model, o.mode, o.conc, o.reqs, o.rate, verify)
+	chaos, err := drive(url)
 	if err != nil {
 		return fmt.Errorf("chaos run: %w", err)
 	}
@@ -100,7 +83,7 @@ func runChaos(o chaosOpts, base serve.Config, verify bool) error {
 	}
 
 	log.Printf("pimload: chaos phase 3/3: post-recovery (%d requests)", o.reqs)
-	recovered, err := runRemote(url, o.model, o.mode, o.conc, o.reqs, o.rate, verify)
+	recovered, err := drive(url)
 	if err != nil {
 		return fmt.Errorf("recovery run: %w", err)
 	}
@@ -108,7 +91,7 @@ func runChaos(o chaosOpts, base serve.Config, verify bool) error {
 
 	// The verdicts. Wrong data is a hard zero across every phase.
 	var fails []string
-	for phase, r := range map[string]*serve.Report{"baseline": baseline, "chaos": chaos, "recovery": recovered} {
+	for phase, r := range map[string]*loadgen.Report{"baseline": baseline, "chaos": chaos, "recovery": recovered} {
 		if r.BadOutputs != 0 {
 			fails = append(fails, fmt.Sprintf("%s: %d responses carried wrong data", phase, r.BadOutputs))
 		}

@@ -159,14 +159,14 @@ func resolveSeqModels(spec string) ([]models.Config, error) {
 		name = strings.TrimSpace(name)
 		cfg, ok := models.ServingConfigByName(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown sequence model %q (have %s)", name, seqModelNames())
+			return nil, fmt.Errorf("unknown sequence model %q (have %s)", name, servingModelNames())
 		}
 		out = append(out, cfg)
 	}
 	return out, nil
 }
 
-func seqModelNames() string {
+func servingModelNames() string {
 	var names []string
 	for _, c := range models.ServingConfigs() {
 		names = append(names, c.Name)
@@ -181,7 +181,7 @@ func main() {
 		channels   = flag.Int("channels", 4, "pseudo channels per shard (= max batch)")
 		mhz        = flag.Int("mhz", 1200, "memory clock in MHz")
 		engineName = flag.String("engine", "parallel", "channel execution engine per shard: serial or parallel")
-		maxBatch   = flag.Int("max-batch", 0, "batch bound (0 = channel count)")
+		maxBatch   = flag.Int("max-batch", 0, "requests per device launch: GEMV batch bound and sequences a stepper runs concurrently (0 = channel count; 1 = one at a time)")
 		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "dynamic batcher flush timeout")
 		queueDepth = flag.Int("queue-depth", 64, "per-model admission queue depth")
 		timeout    = flag.Duration("timeout", 2*time.Second, "per-request deadline (queue + execute)")
@@ -195,8 +195,7 @@ func main() {
 		evictAfter = flag.Int("evict-after", 2, "consecutive failures before a shard is evicted")
 		probeEvery = flag.Duration("probe-interval", 20*time.Millisecond, "probation probe cadence for evicted shards")
 
-		seqModels = flag.String("seq-models", "", "sequence models served with continuous batching: comma-separated names or \"all\" (see GET /v1/models)")
-		seqAdmit  = flag.Int("seq-admit", 0, "max sequences a stepper runs concurrently (0 = every channel; 1 = sequential baseline)")
+		seqNames  = flag.String("seq-models", "", "sequence models served with continuous batching: comma-separated names or \"all\" (see GET /v1/models)")
 		maxSeqLen = flag.Int("max-seqlen", 0, "frames-per-sequence cap on /v1/infer (0 = default 256)")
 
 		traceOn   = flag.Bool("trace", false, "arm the request flight recorder (GET /debug/trace)")
@@ -225,7 +224,7 @@ func main() {
 		fatal(logger, err)
 	}
 
-	seqCfgs, err := resolveSeqModels(*seqModels)
+	seqCfgs, err := resolveSeqModels(*seqNames)
 	if err != nil {
 		fatal(logger, err)
 	}
@@ -242,7 +241,6 @@ func main() {
 		Tenants:        tenants,
 		HedgeDelay:     *hedgeDelay,
 		SeqModels:      seqCfgs,
-		SeqAdmit:       *seqAdmit,
 		MaxSeqLen:      *maxSeqLen,
 		ECC:            *ecc,
 		MaxRetries:     *maxRetries,

@@ -7,7 +7,9 @@ package pimsim
 
 import (
 	"context"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -392,14 +394,14 @@ func TestModelServingDocNamesSurface(t *testing.T) {
 	}
 
 	design := readDoc(t, "DESIGN.md")
-	for _, surface := range []string{"internal/nn", "SeqAdmit", "/v1/models", "HostOracle"} {
+	for _, surface := range []string{"internal/nn", "MaxBatch", "/v1/models", "HostOracle"} {
 		if !strings.Contains(design, surface) {
 			t.Errorf("DESIGN.md model serving section does not mention %s", surface)
 		}
 	}
 
 	pimserve := readDoc(t, "cmd/pimserve/main.go")
-	for _, flagName := range []string{`"seq-models"`, `"seq-admit"`, `"max-seqlen"`, `"model-batch-wait"`} {
+	for _, flagName := range []string{`"seq-models"`, `"max-batch"`, `"max-seqlen"`, `"model-batch-wait"`} {
 		if !strings.Contains(pimserve, flagName) {
 			t.Errorf("cmd/pimserve does not define flag %s named by the docs", flagName)
 		}
@@ -510,5 +512,98 @@ func TestReadmeLinksSLODoc(t *testing.T) {
 	readme := readDoc(t, "README.md")
 	if !strings.Contains(readme, "docs/SLO.md") {
 		t.Error("README.md does not link docs/SLO.md")
+	}
+}
+
+// TestMetricCatalogueIsRead is the reverse of the doc tests above, which
+// only check doc -> registry: every serve_/slo_/fault_ series a fully
+// configured server registers (both model kinds, two tenants, SLO engine,
+// a fault profile) must be named by something that reads it — a page
+// under docs/, a drill (scripts/, cmd/pimload, the QoS scenario matrix),
+// cmd/pimtop or bench/. A series nothing names is either undocumented or
+// dead: document it or delete it (never one bench/ reads).
+func TestMetricCatalogueIsRead(t *testing.T) {
+	fc, err := fault.Profile("chaos-mild", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqCfg, ok := models.ServingConfigByName("ds2-small")
+	if !ok {
+		t.Fatal("ds2-small missing from models.ServingConfigs")
+	}
+	s, err := serve.New(serve.Config{
+		Shards: 1, Channels: 2,
+		Models:    []serve.ModelSpec{{Name: "tiny", M: 16, K: 32, Seed: 1}},
+		SeqModels: []models.Config{seqCfg},
+		Tenants:   []serve.TenantSpec{{Name: "gold", Weight: 4, Priority: 10}, {Name: "free", Weight: 1}},
+		Fault:     &fc,
+		SLO: &slo.Config{
+			Objectives: []slo.Objective{{LatencyP99: 10 * time.Millisecond, Availability: 0.99}},
+			EvalEvery:  -1,
+			Hedge:      &slo.HedgeConfig{Initial: 2 * time.Millisecond},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+
+	// serve_slo_ series are created on first record; one request through
+	// the HTTP front door creates them the way production does.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"model":"tiny","tenant":"gold","input":[` + strings.Repeat("0.5,", 31) + `0.5]}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("warm-up request: status %d", resp.StatusCode)
+	}
+
+	var readers strings.Builder
+	for _, pattern := range []string{
+		"docs/*.md", "scripts/*.sh", "cmd/pimload/*.go", "internal/serve/qosload.go",
+		"cmd/pimtop/*.go", "bench/*.go", "bench/*.md",
+	} {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no reader files match %s (%v)", pattern, err)
+		}
+		for _, f := range files {
+			readers.WriteString(readDoc(t, f))
+		}
+	}
+	read := readers.String()
+
+	snap := s.Metrics().Snapshot()
+	series := map[string]bool{}
+	add := func(name string) {
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name = name[:i]
+		}
+		for _, prefix := range []string{"serve_", "slo_", "fault_"} {
+			if strings.HasPrefix(name, prefix) {
+				series[name] = true
+			}
+		}
+	}
+	for name := range snap.Counters {
+		add(name)
+	}
+	for name := range snap.Gauges {
+		add(name)
+	}
+	for name := range snap.Histograms {
+		add(name)
+	}
+	if len(series) < 40 {
+		t.Fatalf("only %d serve_/slo_/fault_ series registered; is the server fully configured?", len(series))
+	}
+	for name := range series {
+		if !strings.Contains(read, name) {
+			t.Errorf("series %s is registered but no doc, drill, pimtop pane or bench reads it: document it or delete it", name)
+		}
 	}
 }

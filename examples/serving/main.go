@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"time"
 
+	"pimsim/internal/loadgen"
 	"pimsim/internal/serve"
 )
 
@@ -63,10 +64,10 @@ func main() {
 	// Now a burst: the closed-loop generator keeps 8 requests in flight,
 	// so the batcher packs them 4-per-kernel (one per channel) and the
 	// simulated device retires ~4x the requests per busy cycle.
-	rep, err := serve.RunLoad(serve.LoadConfig{
-		BaseURL: base, Model: spec.Name, K: spec.K,
+	rep, err := loadgen.Run(loadgen.Config{
+		BaseURL:     base,
+		Source:      loadgen.GemvSource(spec, 8, true), // check every output against the software oracle
 		Concurrency: 8, Requests: 64,
-		Verify: &spec, // check every output against the software oracle
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -248,108 +248,120 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 	}
 
 	reg := beginRegion(rt)
-	var triggers int64
+	var triggers atomic.Int64
 	chErr := rt.ForEachChannel(func(ch int) error {
-		var chTriggers int64
-		defer func() { atomic.AddInt64(&triggers, chTriggers) }()
-		if err := rt.EnterAB(ch); err != nil {
-			return err
-		}
-		for m := 0; m < plan.macros; m++ {
-			if err := rt.ZeroGRF(ch); err != nil {
-				return err
-			}
-			pass := 0
-			lastProg := -1
-			for pass < plan.passes {
-				chunk := plan.passes - pass
-				if chunk > maxPassesPerInvocation {
-					chunk = maxPassesPerInvocation
-				}
-				srw := rt.Cfg.Variant == hbm.VariantSRW
-				if chunk != lastProg {
-					if err := rt.ProgramCRF(ch, gemvProgram(plan.G, chunk, srw)); err != nil {
-						return err
-					}
-					lastProg = chunk
-				}
-				if err := rt.SetPIMMode(ch, true); err != nil {
-					return err
-				}
-				openRow := uint32(0)
-				rowOpen := false
-				for e := 0; e < chunk; e++ {
-					p := pass + e
-					row, _ := plan.passRowCol(m, p, 0)
-					if !rowOpen || row != openRow {
-						if rowOpen {
-							if err := rt.CloseRows(ch); err != nil {
-								return err
-							}
-						}
-						if err := rt.OpenRow(ch, row); err != nil {
-							return err
-						}
-						openRow, rowOpen = row, true
-					}
-					_, col0 := plan.passRowCol(m, p, 0)
-					var data [][]byte
-					if functional {
-						data = xdata[p*plan.G : (p+1)*plan.G]
-					}
-					if err := rt.TriggerWRRun(ch, 0, col0, plan.G, data); err != nil {
-						return err
-					}
-					chTriggers += int64(plan.G)
-					rt.Fence(ch)
-					if !srw {
-						if err := rt.TriggerRDRun(ch, 0, col0, plan.G); err != nil {
-							return err
-						}
-						chTriggers += int64(plan.G)
-						rt.Fence(ch)
-					}
-				}
-				if err := rt.CloseRows(ch); err != nil {
-					return err
-				}
-				if err := rt.SetPIMMode(ch, false); err != nil {
-					return err
-				}
-				pass += chunk
-			}
-
-			// Unload GRF_B through the SB register space and fold.
-			if err := rt.ExitToSB(ch); err != nil {
-				return err
-			}
-			regs, err := rt.ReadGRFRowSB(ch, 1, plan.G)
-			if err != nil {
-				return err
-			}
-			if functional {
-				for u := 0; u < plan.U; u++ {
-					b := plan.block(m, u, ch)
-					if b < 0 {
-						continue
-					}
-					foldGRFB(y, b*plan.lanes, regs[u])
-				}
-			}
-			if m+1 < plan.macros {
-				if err := rt.EnterAB(ch); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		n, err := plan.runChannel(rt, ch, xdata, y)
+		triggers.Add(n)
+		return err
 	})
 	if chErr != nil {
 		return nil, KernelStats{}, chErr
 	}
 	ks := reg.end()
-	ks.Triggers = triggers
+	ks.Triggers = triggers.Load()
 	return y, ks, nil
+}
+
+// runChannel is one pseudo channel's GEMV command stream, the body both
+// PimGemv (every channel, the same x, disjoint output blocks of one y)
+// and ResidentGemv.RunSlots (each occupied channel its own x and y) run:
+// per macro, zero the accumulators, then per invocation of at most
+// maxPassesPerInvocation passes program the CRF, enter PIM mode and walk
+// the weight rows issuing the WR (input splat) and RD (MAC) trigger runs;
+// after the last pass unload GRF_B through the SB register space and fold
+// the G partial sums into y. xdata holds the splat payloads, G per pass;
+// on a timing-only device xdata and y are nil and only the commands
+// issue. Returns the column triggers issued.
+func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp16.Vector) (int64, error) {
+	srw := rt.Cfg.Variant == hbm.VariantSRW
+	var triggers int64
+	if err := rt.EnterAB(ch); err != nil {
+		return triggers, err
+	}
+	for m := 0; m < p.macros; m++ {
+		if err := rt.ZeroGRF(ch); err != nil {
+			return triggers, err
+		}
+		pass := 0
+		lastProg := -1
+		for pass < p.passes {
+			chunk := p.passes - pass
+			if chunk > maxPassesPerInvocation {
+				chunk = maxPassesPerInvocation
+			}
+			if chunk != lastProg {
+				if err := rt.ProgramCRF(ch, gemvProgram(p.G, chunk, srw)); err != nil {
+					return triggers, err
+				}
+				lastProg = chunk
+			}
+			if err := rt.SetPIMMode(ch, true); err != nil {
+				return triggers, err
+			}
+			openRow := uint32(0)
+			rowOpen := false
+			for e := 0; e < chunk; e++ {
+				ps := pass + e
+				row, col0 := p.passRowCol(m, ps, 0)
+				if !rowOpen || row != openRow {
+					if rowOpen {
+						if err := rt.CloseRows(ch); err != nil {
+							return triggers, err
+						}
+					}
+					if err := rt.OpenRow(ch, row); err != nil {
+						return triggers, err
+					}
+					openRow, rowOpen = row, true
+				}
+				var data [][]byte
+				if xdata != nil {
+					data = xdata[ps*p.G : (ps+1)*p.G]
+				}
+				if err := rt.TriggerWRRun(ch, 0, col0, p.G, data); err != nil {
+					return triggers, err
+				}
+				triggers += int64(p.G)
+				rt.Fence(ch)
+				if !srw {
+					if err := rt.TriggerRDRun(ch, 0, col0, p.G); err != nil {
+						return triggers, err
+					}
+					triggers += int64(p.G)
+					rt.Fence(ch)
+				}
+			}
+			if err := rt.CloseRows(ch); err != nil {
+				return triggers, err
+			}
+			if err := rt.SetPIMMode(ch, false); err != nil {
+				return triggers, err
+			}
+			pass += chunk
+		}
+
+		// Unload GRF_B through the SB register space and fold.
+		if err := rt.ExitToSB(ch); err != nil {
+			return triggers, err
+		}
+		regs, err := rt.ReadGRFRowSB(ch, 1, p.G)
+		if err != nil {
+			return triggers, err
+		}
+		if y != nil {
+			for u := 0; u < p.U; u++ {
+				if b := p.block(m, u, ch); b >= 0 {
+					foldGRFB(y, b*p.lanes, regs[u])
+				}
+			}
+		}
+		if m+1 < p.macros {
+			if err := rt.EnterAB(ch); err != nil {
+				return triggers, err
+			}
+		}
+	}
+	return triggers, nil
 }
 
 // RefGemvPIMOrder computes y = W*x with exactly the PIM datapath's

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pimsim/internal/fp16"
-	"pimsim/internal/hbm"
 	"pimsim/internal/runtime"
 )
 
@@ -151,102 +150,15 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 	ys := make([]fp16.Vector, len(xs))
 
 	reg := beginRegion(rt)
-	var triggers int64
+	var triggers atomic.Int64
 	chErr := rt.ForEachChannel(func(ch int) error {
 		if ch >= len(xs) || xs[ch] == nil {
 			return nil // idle channel: no commands, clock untouched
 		}
-		x := xs[ch]
-		xdata := splats(x, plan.Kp)
-		y := fp16.NewVector(g.M)
-		ys[ch] = y
-		var chTriggers int64
-		defer func() { atomic.AddInt64(&triggers, chTriggers) }()
-
-		if err := rt.EnterAB(ch); err != nil {
-			return err
-		}
-		for m := 0; m < plan.macros; m++ {
-			if err := rt.ZeroGRF(ch); err != nil {
-				return err
-			}
-			pass := 0
-			lastProg := -1
-			for pass < plan.passes {
-				chunk := plan.passes - pass
-				if chunk > maxPassesPerInvocation {
-					chunk = maxPassesPerInvocation
-				}
-				srw := rt.Cfg.Variant == hbm.VariantSRW
-				if chunk != lastProg {
-					if err := rt.ProgramCRF(ch, gemvProgram(plan.G, chunk, srw)); err != nil {
-						return err
-					}
-					lastProg = chunk
-				}
-				if err := rt.SetPIMMode(ch, true); err != nil {
-					return err
-				}
-				openRow := uint32(0)
-				rowOpen := false
-				for e := 0; e < chunk; e++ {
-					p := pass + e
-					row, _ := plan.passRowCol(m, p, 0)
-					if !rowOpen || row != openRow {
-						if rowOpen {
-							if err := rt.CloseRows(ch); err != nil {
-								return err
-							}
-						}
-						if err := rt.OpenRow(ch, row); err != nil {
-							return err
-						}
-						openRow, rowOpen = row, true
-					}
-					_, col0 := plan.passRowCol(m, p, 0)
-					if err := rt.TriggerWRRun(ch, 0, col0, plan.G, xdata[p*plan.G:(p+1)*plan.G]); err != nil {
-						return err
-					}
-					chTriggers += int64(plan.G)
-					rt.Fence(ch)
-					if !srw {
-						if err := rt.TriggerRDRun(ch, 0, col0, plan.G); err != nil {
-							return err
-						}
-						chTriggers += int64(plan.G)
-						rt.Fence(ch)
-					}
-				}
-				if err := rt.CloseRows(ch); err != nil {
-					return err
-				}
-				if err := rt.SetPIMMode(ch, false); err != nil {
-					return err
-				}
-				pass += chunk
-			}
-
-			if err := rt.ExitToSB(ch); err != nil {
-				return err
-			}
-			regs, err := rt.ReadGRFRowSB(ch, 1, plan.G)
-			if err != nil {
-				return err
-			}
-			for u := 0; u < plan.U; u++ {
-				b := plan.block(m, u, ch)
-				if b < 0 {
-					continue
-				}
-				foldGRFB(y, b*plan.lanes, regs[u])
-			}
-			if m+1 < plan.macros {
-				if err := rt.EnterAB(ch); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		ys[ch] = fp16.NewVector(g.M)
+		n, err := plan.runChannel(rt, ch, splats(xs[ch], plan.Kp), ys[ch])
+		triggers.Add(n)
+		return err
 	})
 	if chErr != nil {
 		// %w keeps typed device errors (hbm.UncorrectableError) visible
@@ -254,6 +166,6 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 		return nil, KernelStats{}, fmt.Errorf("blas: resident gemv batch: %w", chErr)
 	}
 	ks := reg.end()
-	ks.Triggers = triggers
+	ks.Triggers = triggers.Load()
 	return ys, ks, nil
 }

@@ -8,18 +8,19 @@ import (
 	"pimsim/internal/blas"
 	"pimsim/internal/fp16"
 	"pimsim/internal/obs"
+	"pimsim/internal/runtime"
 )
 
-// batcher is the per-model pipeline stage between admission and the shard
-// pool. It blocks on the model's fair queue (WFQ across tenant lanes, EDF
-// within a lane — see qos.go), then collects followers until the batch is
-// full (maxBatch, itself clamped to the channel count — the PIM kernel
-// carries one request per pseudo channel) or BatchWait elapses, whichever
-// first. It then leases a shard — blocking here is what turns a busy pool
-// into queue growth and, at QueueDepth, into 429s — and hands the batch
-// to a worker goroutine so the next batch can form while the kernel runs.
-// Exits when the queue is closed AND drained, which is how Close
-// guarantees zero dropped accepted requests.
+// batcher is a GEMV model's pipeline stage between admission and the
+// shard pool. It blocks on the model's fair queue (WFQ across tenant
+// lanes, EDF within a lane — see qos.go), then collects followers until
+// the batch is full (maxBatch, itself clamped to the channel count — the
+// PIM kernel carries one request per pseudo channel) or BatchWait
+// elapses, whichever first. It then leases a shard — blocking here is
+// what turns a busy pool into queue growth and, at QueueDepth, into 429s
+// — and hands the batch to a worker goroutine so the next batch can form
+// while the kernel runs. Exits when the queue is closed AND drained,
+// which is how Close guarantees zero dropped accepted requests.
 //
 // Concurrency contract: this goroutine is the queue's only consumer; the
 // fairQueue notify protocol (qos.go) depends on that.
@@ -30,12 +31,10 @@ func (s *Server) batcher(m *model) {
 	// leaned on GC to collect still-armed timers.
 	var ft flushTimer
 	for {
-		first, ok := m.q.popWait()
+		first, ok := s.take(m, true)
 		if !ok {
 			return
 		}
-		s.queueDepth.Add(0, -1)
-		first.qspan.End()
 		batch := s.collect(m, first, &ft)
 		sh := s.lease()
 		if sh == nil {
@@ -162,9 +161,7 @@ func (s *Server) collect(m *model, first *request, ft *flushTimer) []*request {
 	tick := ft.arm(s.newTimer, m.wait)
 	defer ft.disarm()
 	for len(batch) < m.maxBatch {
-		if r, ok := m.q.tryPop(); ok {
-			s.queueDepth.Add(0, -1)
-			r.qspan.End()
+		if r, ok := s.take(m, false); ok {
 			batch = append(batch, r)
 			continue
 		}
@@ -200,10 +197,7 @@ func (s *Server) runBatch(m *model, sh *shard, batch []*request) {
 		kept := live[:0]
 		for _, r := range live {
 			if r.ctx.Err() != nil {
-				r.ten.shed[ShedDeadlineExpired].Inc(0)
-				s.shedTotal.Inc(0)
-				r.resp <- response{status: http.StatusGatewayTimeout,
-					err: &ShedError{Reason: ShedDeadlineExpired, Detail: r.ctx.Err().Error()}}
+				s.expire(r)
 				continue
 			}
 			kept = append(kept, r)
@@ -218,7 +212,6 @@ func (s *Server) runBatch(m *model, sh *shard, batch []*request) {
 		ys, ks, winner, err := s.dispatch(m, sh, live, attempt)
 		if err == nil {
 			kernelNs := winner.rt.Cfg.Timing.CyclesToNs(ks.Cycles)
-			s.noteSuccess(m, winner, ks.Cycles)
 			s.pool <- winner
 			s.reply(winner.id, live, ys, ks, kernelNs, now)
 			return
@@ -301,7 +294,7 @@ func (s *Server) dispatch(m *model, sh *shard, live []*request, attempt int) ([]
 					s.hedgeWins.Inc(0)
 				}
 				if launched > 0 {
-					s.reapLoser(m, results)
+					s.reapLoser(results)
 				}
 				if firstFail != nil {
 					// The other attempt already failed; its shard goes
@@ -340,13 +333,12 @@ func (s *Server) dispatch(m *model, sh *shard, live []*request, attempt int) ([]
 // reapLoser waits (in the background, tracked by the drain WaitGroup)
 // for the losing hedge attempt and routes its shard home: to the pool on
 // success, through the health machine on failure.
-func (s *Server) reapLoser(m *model, results chan dispatchResult) {
+func (s *Server) reapLoser(results chan dispatchResult) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		r := <-results
 		if r.err == nil {
-			s.noteSuccess(m, r.sh, r.ks.Cycles)
 			s.pool <- r.sh
 			return
 		}
@@ -379,20 +371,35 @@ func (s *Server) attemptTraced(m *model, sh *shard, live []*request, attempt int
 	return ys, ks, err
 }
 
-// attempt runs one kernel launch for the batch on one shard, folding
-// the shard's ECC counter movement into the serving metrics either way.
+// attempt runs one kernel launch for the batch on one shard.
 func (s *Server) attempt(m *model, sh *shard, live []*request) ([]fp16.Vector, blas.KernelStats, error) {
+	xs := make([]fp16.Vector, len(live))
+	for i, r := range live {
+		xs[i] = r.xs[0]
+	}
+	return s.launch(m, sh, sh.loaded[m.name].RunBatch, xs)
+}
+
+// launch is the one call a lease holder makes into its shard's device,
+// for a GEMV batch (ResidentGemv.RunBatch) and a sequence timestep
+// (nn.Resident.StepSlots) alike: arm the fault injector, run the kernel,
+// fold the shard's ECC counter movement into the serving metrics either
+// way, and report a clean launch to the health machine. A failed launch
+// is reported by the caller (recoverShard + noteFailure) once it has
+// taken what it needs from the shard: noteFailure hands the shard away.
+func (s *Server) launch(m *model, sh *shard,
+	kernel func(*runtime.Runtime, []fp16.Vector) ([]fp16.Vector, blas.KernelStats, error),
+	xs []fp16.Vector) ([]fp16.Vector, blas.KernelStats, error) {
 	if sh.inj != nil {
 		if err := sh.inj.BatchErr(); err != nil {
 			return nil, blas.KernelStats{}, err
 		}
 	}
-	xs := make([]fp16.Vector, len(live))
-	for i, r := range live {
-		xs[i] = r.x
-	}
-	ys, ks, err := sh.loaded[m.spec.Name].RunBatch(sh.rt, xs)
+	ys, ks, err := kernel(sh.rt, xs)
 	s.collectShardECC(sh)
+	if err == nil {
+		s.noteSuccess(m, sh, ks.Cycles)
+	}
 	return ys, ks, err
 }
 
@@ -410,13 +417,13 @@ func (s *Server) reply(shardID int, live []*request, ys []fp16.Vector, ks blas.K
 		r.ten.served.Inc(0)
 		r.ten.queueWait.Observe(0, waitUs)
 		r.resp <- response{
-			y:            ys[i],
-			status:       http.StatusOK,
-			batch:        len(live),
-			shard:        shardID,
-			kernelCycles: ks.Cycles,
-			kernelNs:     kernelNs,
-			queueUs:      waitUs,
+			ys:      ys[i : i+1],
+			status:  http.StatusOK,
+			batch:   len(live),
+			shard:   shardID,
+			cycles:  ks.Cycles,
+			ns:      kernelNs,
+			queueUs: waitUs,
 		}
 	}
 }

@@ -89,10 +89,11 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// noteSuccess records a clean batch: resets the failure streak, updates
-// the model's best-case latency baseline, and moves the shard along the
-// suspect/healthy axis. cycles is the batch kernel's slowest channel —
-// one request per channel, so it is also the per-request latency.
+// noteSuccess records a clean launch (a batch or a sequence timestep):
+// resets the failure streak, updates the model's best-case latency
+// baseline, and moves the shard along the suspect/healthy axis. cycles is
+// the kernel's slowest channel — one request per channel, so it is also
+// the per-request latency.
 func (s *Server) noteSuccess(m *model, sh *shard, cycles int64) {
 	base := m.minCycles.Load()
 	for base == 0 || cycles < base {
@@ -246,9 +247,12 @@ func (s *Server) probeShard(sh *shard) bool {
 	return false
 }
 
-// runProbe replays a known-answer batch for every resident model, one
-// request per channel so every channel's weight copy is exercised, and
-// compares bit-for-bit against the precomputed oracle.
+// runProbe replays a known-answer batch for every resident GEMV model,
+// one request per channel so every channel's weight copy is exercised,
+// and compares bit-for-bit against the precomputed oracle. Sequence
+// models' weights are not probed (docs/FAULTS.md): ECC and mid-sequence
+// migration protect their answers, but a poisoned row under one is found
+// by traffic, not here.
 func (s *Server) runProbe(sh *shard) error {
 	if sh.inj != nil {
 		if err := sh.inj.ProbeErr(); err != nil {
@@ -256,8 +260,8 @@ func (s *Server) runProbe(sh *shard) error {
 		}
 	}
 	B := sh.rt.NumChannels()
-	for name, m := range s.mods {
-		g := sh.loaded[name]
+	for name, g := range sh.loaded {
+		m := s.mods[name]
 		xs := make([]fp16.Vector, B)
 		for i := range xs {
 			xs[i] = m.probeX

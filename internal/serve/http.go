@@ -162,55 +162,61 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// doInfer runs the request through admit -> wait -> respond and reports
-// the outcome. It always writes exactly one HTTP response.
+// doInfer runs the request through parse -> admit -> wait -> respond and
+// reports the outcome. It always writes exactly one HTTP response.
 func (s *Server) doInfer(w http.ResponseWriter, r *http.Request, start time.Time, id string, root obs.SpanHandle) inferOutcome {
 	o := inferOutcome{status: http.StatusOK, shard: -1}
-	if r.Method != http.MethodPost {
-		o.status, o.err = http.StatusMethodNotAllowed, fmt.Errorf("use POST")
-		s.fail(w, start, o.status, o.err)
+	reject := func(status int, err error) inferOutcome {
+		o.status, o.err = status, err
+		s.fail(w, start, status, err)
 		return o
+	}
+	if r.Method != http.MethodPost {
+		return reject(http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req InferRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		// Oversized bodies surface here as http.MaxBytesError; both
 		// malformed JSON and too-large are client errors.
-		o.status, o.err = http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
-		s.fail(w, start, o.status, o.err)
-		return o
+		return reject(http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
 	}
 	o.model = req.Model
 	o.tenant = reqTenant(&req, r)
 
+	// The three body forms, as requests over one vector list: `input` is
+	// one request of one vector, `inputs` one such request per vector
+	// (each batches on its own), `frames` one request of all T vectors.
 	forms := 0
 	for _, set := range []bool{req.Input != nil, req.Inputs != nil, req.Frames != nil} {
 		if set {
 			forms++
 		}
 	}
-	if forms > 1 {
-		o.status, o.err = http.StatusBadRequest, fmt.Errorf("set exactly one of input, inputs or frames")
-		s.fail(w, start, o.status, o.err)
-		return o
-	}
-	if req.Frames != nil {
-		return s.doInferSeq(w, r, &req, start, id, root, o)
-	}
-
-	var inputs [][]float64
-	single := false
+	var vecs []fp16.Vector
+	per, eos := 1, -1 // vectors per request; EOS class
 	switch {
+	case forms > 1:
+		return reject(http.StatusBadRequest, fmt.Errorf("set exactly one of input, inputs or frames"))
+	case req.Frames != nil:
+		if len(req.Frames) == 0 {
+			return reject(http.StatusBadRequest, fmt.Errorf("empty frames"))
+		}
+		if req.EOS != nil {
+			if eos = *req.EOS; eos < 0 {
+				return reject(http.StatusBadRequest, fmt.Errorf("negative eos class"))
+			}
+		}
+		vecs = toF16s(req.Frames)
+		per = len(vecs)
 	case req.Input != nil:
-		inputs, single = [][]float64{req.Input}, true
+		vecs = []fp16.Vector{toF16(req.Input)}
 	case len(req.Inputs) > 0:
-		inputs = req.Inputs
+		vecs = toF16s(req.Inputs)
 	default:
-		o.status, o.err = http.StatusBadRequest, fmt.Errorf("missing input")
-		s.fail(w, start, o.status, o.err)
-		return o
+		return reject(http.StatusBadRequest, fmt.Errorf("missing input"))
 	}
-	o.inputs = len(inputs)
+	o.inputs = len(vecs)
 
 	timeout := s.cfg.RequestTimeout
 	if req.TimeoutMs > 0 {
@@ -222,18 +228,14 @@ func (s *Server) doInfer(w http.ResponseWriter, r *http.Request, start time.Time
 	defer cancel()
 
 	// Admit everything first; a rejection mid-way still waits for the
-	// vectors already admitted (they each get a terminal response).
-	reqs := make([]*request, 0, len(inputs))
+	// requests already admitted (they each get a terminal response).
+	reqs := make([]*request, 0, len(vecs)/per)
 	rejStatus := 0
 	var rejErr error
-	for _, in := range inputs {
-		x := fp16.NewVector(len(in))
-		for i, v := range in {
-			x[i] = fp16.FromFloat32(float32(v))
-		}
-		q, status, err := s.enqueue(ctx, req.Model, o.tenant, x, start, id, root)
-		if err != nil {
-			rejStatus, rejErr = status, err
+	for i := 0; i < len(vecs); i += per {
+		q := &request{ctx: ctx, xs: vecs[i : i+per], frames: req.Frames != nil, eos: eos,
+			enq: start, resp: make(chan response, 1), id: id, root: root}
+		if rejStatus, rejErr = s.admit(req.Model, o.tenant, q); rejErr != nil {
 			break
 		}
 		reqs = append(reqs, q)
@@ -252,31 +254,37 @@ func (s *Server) doInfer(w http.ResponseWriter, r *http.Request, start time.Time
 	}
 
 	if rejErr != nil {
-		o.status, o.err = rejStatus, rejErr
-		s.fail(w, start, o.status, o.err)
-		return o
+		return reject(rejStatus, rejErr)
 	}
 	for _, rp := range resps {
 		if rp.status != http.StatusOK {
-			o.status, o.err = rp.status, rp.err
-			s.fail(w, start, o.status, o.err)
-			return o
+			return reject(rp.status, rp.err)
 		}
 	}
 
 	out := InferResponse{Model: req.Model}
-	if single {
-		rp := resps[0]
-		out.Output = toF64(rp.y)
+	rp := resps[0]
+	switch {
+	case req.Frames != nil:
+		out.Steps = len(rp.ys)
+		out.StepOutputs = toF64s(rp.ys)
+		out.Output = out.StepOutputs[out.Steps-1] // final-step logits, for convenience
+		out.Shard, out.QueueUs = rp.shard, rp.queueUs
+		out.DeviceCycles, out.DeviceNs, out.Migrations = rp.cycles, rp.ns, rp.migrations
+		if rp.eosAt >= 0 {
+			out.EOSStep = &rp.eosAt
+		}
+	case req.Input != nil:
+		out.Output = toF64(rp.ys[0])
 		out.BatchSize, out.Shard = rp.batch, rp.shard
-		out.KernelCycles, out.KernelNs, out.QueueUs = rp.kernelCycles, rp.kernelNs, rp.queueUs
-	} else {
+		out.KernelCycles, out.KernelNs, out.QueueUs = rp.cycles, rp.ns, rp.queueUs
+	default:
 		for _, rp := range resps {
-			out.Outputs = append(out.Outputs, toF64(rp.y))
+			out.Outputs = append(out.Outputs, toF64(rp.ys[0]))
 			out.BatchSizes = append(out.BatchSizes, rp.batch)
 			out.Shards = append(out.Shards, rp.shard)
-			out.KernelCycled = append(out.KernelCycled, rp.kernelCycles)
-			out.KernelNsEach = append(out.KernelNsEach, rp.kernelNs)
+			out.KernelCycled = append(out.KernelCycled, rp.cycles)
+			out.KernelNsEach = append(out.KernelNsEach, rp.ns)
 			out.QueueUsEach = append(out.QueueUsEach, rp.queueUs)
 		}
 	}
@@ -284,83 +292,28 @@ func (s *Server) doInfer(w http.ResponseWriter, r *http.Request, start time.Time
 	return o
 }
 
-// doInferSeq is the sequence branch of doInfer: convert the frames,
-// admit into the model's continuous-batching queue, and wait for the
-// stepper's terminal response.
-func (s *Server) doInferSeq(w http.ResponseWriter, r *http.Request, req *InferRequest, start time.Time, id string, root obs.SpanHandle, o inferOutcome) inferOutcome {
-	if len(req.Frames) == 0 {
-		o.status, o.err = http.StatusBadRequest, fmt.Errorf("empty frames")
-		s.fail(w, start, o.status, o.err)
-		return o
+func toF16(in []float64) fp16.Vector {
+	x := fp16.NewVector(len(in))
+	for i, v := range in {
+		x[i] = fp16.FromFloat32(float32(v))
 	}
-	o.inputs = len(req.Frames)
-	frames := make([]fp16.Vector, len(req.Frames))
-	for t, f := range req.Frames {
-		x := fp16.NewVector(len(f))
-		for i, v := range f {
-			x[i] = fp16.FromFloat32(float32(v))
-		}
-		frames[t] = x
-	}
-	eos := -1
-	if req.EOS != nil {
-		if *req.EOS < 0 {
-			o.status, o.err = http.StatusBadRequest, fmt.Errorf("negative eos class")
-			s.fail(w, start, o.status, o.err)
-			return o
-		}
-		eos = *req.EOS
-	}
+	return x
+}
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMs > 0 {
-		if d := time.Duration(req.TimeoutMs) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+func toF16s(in [][]float64) []fp16.Vector {
+	out := make([]fp16.Vector, len(in))
+	for i, v := range in {
+		out[i] = toF16(v)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
+	return out
+}
 
-	q, status, err := s.enqueueSeq(ctx, req.Model, o.tenant, frames, eos, start, id, root)
-	if err != nil {
-		o.status, o.err = status, err
-		s.fail(w, start, o.status, o.err)
-		return o
+func toF64s(ys []fp16.Vector) [][]float64 {
+	out := make([][]float64, len(ys))
+	for i, y := range ys {
+		out[i] = toF64(y)
 	}
-	var rp seqResponse
-	select {
-	case rp = <-q.resp:
-	case <-ctx.Done():
-		rp = seqResponse{status: http.StatusGatewayTimeout, err: ctx.Err()}
-	}
-	o.shard, o.queueUs = rp.shard, rp.queueUs
-	if rp.status != http.StatusOK {
-		o.status, o.err = rp.status, rp.err
-		s.fail(w, start, o.status, o.err)
-		return o
-	}
-
-	out := InferResponse{
-		Model:        req.Model,
-		Steps:        len(rp.steps),
-		Shard:        rp.shard,
-		QueueUs:      rp.queueUs,
-		DeviceCycles: rp.cycles,
-		DeviceNs:     rp.ns,
-		Migrations:   rp.migrations,
-	}
-	for _, step := range rp.steps {
-		out.StepOutputs = append(out.StepOutputs, toF64(step))
-	}
-	if n := len(rp.steps); n > 0 {
-		out.Output = toF64(rp.steps[n-1]) // final-step logits, for convenience
-	}
-	if rp.eosAt >= 0 {
-		e := rp.eosAt
-		out.EOSStep = &e
-	}
-	s.respond(w, start, http.StatusOK, out)
-	return o
+	return out
 }
 
 func toF64(y fp16.Vector) []float64 {
@@ -395,17 +348,18 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		BatchWaitNs   int64          `json:"batch_wait_ns,omitempty"`
 		Placement     map[string]int `json:"placement"`
 	}
-	list := make([]modelInfo, 0, len(s.mods)+len(s.seqMods))
+	list := make([]modelInfo, 0, len(s.mods))
 	for name, m := range s.mods {
-		list = append(list, modelInfo{
-			Name: name, Type: "gemv",
-			M: m.spec.M, K: m.spec.K,
-			ResidentBytes: 2 * int64(m.spec.M) * int64(m.spec.K),
-			BatchWaitNs:   m.wait.Nanoseconds(),
-			Placement:     map[string]int{"pim": 1, "host": 0},
-		})
-	}
-	for name, m := range s.seqMods {
+		if m.plan == nil {
+			list = append(list, modelInfo{
+				Name: name, Type: "gemv",
+				M: m.spec.M, K: m.spec.K,
+				ResidentBytes: 2 * int64(m.spec.M) * int64(m.spec.K),
+				BatchWaitNs:   m.wait.Nanoseconds(),
+				Placement:     map[string]int{"pim": 1, "host": 0},
+			})
+			continue
+		}
 		res := s.shards[0].seq[name]
 		list = append(list, modelInfo{
 			Name: name, Type: "sequence",

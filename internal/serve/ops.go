@@ -104,9 +104,6 @@ func (s *Server) opsReport() OpsReport {
 	for name, m := range s.mods {
 		rep.Queues = append(rep.Queues, OpsQueue{Model: name, Depth: m.q.len(), Bound: m.depth})
 	}
-	for name, m := range s.seqMods {
-		rep.Queues = append(rep.Queues, OpsQueue{Model: name, Depth: m.q.len(), Bound: m.depth})
-	}
 	sort.Slice(rep.Queues, func(i, j int) bool { return rep.Queues[i].Model < rep.Queues[j].Model })
 	if s.slo != nil {
 		sl := &OpsSLO{
@@ -179,7 +176,7 @@ func (s *Server) recordSLO(o *inferOutcome, wall time.Duration, id string) {
 	if s.slo == nil || o.model == "" {
 		return
 	}
-	if s.mods[o.model] == nil && s.seqMods[o.model] == nil {
+	if s.mods[o.model] == nil {
 		return
 	}
 	var out slo.Outcome

@@ -33,7 +33,6 @@ package serve
 // responses go to the request's buffered resp channel).
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -142,16 +141,16 @@ func normalizeTenants(specs []TenantSpec) ([]TenantSpec, error) {
 }
 
 // laneItem is one queued request with its deadline resolved at push time.
-type laneItem[T any] struct {
-	item     T
+type laneItem struct {
+	item     *request
 	deadline time.Time
 }
 
 // tenantLane is one tenant's per-queue state: its EDF-ordered backlog
 // and its WFQ virtual finish time.
-type tenantLane[T any] struct {
+type tenantLane struct {
 	ten   *tenant
-	items []laneItem[T] // sorted by deadline, earliest first
+	items []laneItem // sorted by deadline, earliest first
 	// vfinish is the virtual time at which the lane's head item finishes
 	// service. Valid only while the lane is non-empty; an emptied lane
 	// re-enters at the queue's virtual time, so idle tenants bank no
@@ -167,17 +166,16 @@ type tenantLane[T any] struct {
 // fairQueue is the WFQ admission queue in front of one model's batcher
 // or stepper. See the package comment at the top of this file for the
 // scheduling discipline and the single-consumer concurrency contract.
-type fairQueue[T any] struct {
+type fairQueue struct {
 	mu     sync.Mutex
-	lanes  map[string]*tenantLane[T]
-	order  []*tenantLane[T] // stable tenant-name order: deterministic ties
+	lanes  map[string]*tenantLane
+	order  []*tenantLane // stable tenant-name order: deterministic ties
 	size   int
 	vtime  float64
 	closed bool
 	notify chan struct{} // cap 1; a token means "state changed, re-check"
 
-	ctxOf  func(T) context.Context
-	onShed func(item T, reason string) // terminal response; runs unlocked
+	onShed func(r *request, reason string) // terminal response; runs unlocked
 }
 
 // newFairQueue builds a queue with one lane per tenant. depth is the
@@ -186,11 +184,10 @@ type fairQueue[T any] struct {
 // each lane is bounded at 3/2 of its weight-proportional share (capped
 // at depth-1) — enough slack to absorb bursts, but never the whole
 // queue.
-func newFairQueue[T any](tenants map[string]*tenant, depth int, ctxOf func(T) context.Context, onShed func(T, string)) *fairQueue[T] {
-	q := &fairQueue[T]{
-		lanes:  make(map[string]*tenantLane[T], len(tenants)),
+func newFairQueue(tenants map[string]*tenant, depth int, onShed func(*request, string)) *fairQueue {
+	q := &fairQueue{
+		lanes:  make(map[string]*tenantLane, len(tenants)),
 		notify: make(chan struct{}, 1),
-		ctxOf:  ctxOf,
 		onShed: onShed,
 	}
 	sumW := 0
@@ -198,7 +195,7 @@ func newFairQueue[T any](tenants map[string]*tenant, depth int, ctxOf func(T) co
 		sumW += t.spec.Weight
 	}
 	for name, t := range tenants {
-		lane := &tenantLane[T]{ten: t}
+		lane := &tenantLane{ten: t}
 		if len(tenants) > 1 {
 			c := depth * 3 * t.spec.Weight / (2 * sumW)
 			if c < 1 {
@@ -218,7 +215,7 @@ func newFairQueue[T any](tenants map[string]*tenant, depth int, ctxOf func(T) co
 	return q
 }
 
-func (q *fairQueue[T]) wake() {
+func (q *fairQueue) wake() {
 	select {
 	case q.notify <- struct{}{}:
 	default:
@@ -231,8 +228,8 @@ func (q *fairQueue[T]) wake() {
 // most-deferrable item of the lowest-priority non-empty lane whose
 // priority is strictly below the pusher's. Returns ok=false with the
 // shed reason when the item itself could not be queued.
-func (q *fairQueue[T]) push(item T, ten *tenant, depth int) (bool, string) {
-	var shedItem T
+func (q *fairQueue) push(item *request, ten *tenant, depth int) (bool, string) {
+	var shedItem *request
 	shed := false
 
 	q.mu.Lock()
@@ -259,7 +256,7 @@ func (q *fairQueue[T]) push(item T, ten *tenant, depth int) (bool, string) {
 		q.size--
 	}
 	deadline := time.Time{}
-	if d, ok := q.ctxOf(item).Deadline(); ok {
+	if d, ok := item.ctx.Deadline(); ok {
 		deadline = d
 	} else {
 		deadline = time.Unix(math.MaxInt32, 0) // effectively never
@@ -267,9 +264,9 @@ func (q *fairQueue[T]) push(item T, ten *tenant, depth int) (bool, string) {
 	idx := sort.Search(len(lane.items), func(i int) bool {
 		return lane.items[i].deadline.After(deadline)
 	})
-	lane.items = append(lane.items, laneItem[T]{})
+	lane.items = append(lane.items, laneItem{})
 	copy(lane.items[idx+1:], lane.items[idx:])
-	lane.items[idx] = laneItem[T]{item: item, deadline: deadline}
+	lane.items[idx] = laneItem{item: item, deadline: deadline}
 	if len(lane.items) == 1 {
 		// Lane (re)activates at the current virtual time: no credit for
 		// having been idle.
@@ -288,8 +285,8 @@ func (q *fairQueue[T]) push(item T, ten *tenant, depth int) (bool, string) {
 // victimLocked finds the shedding victim for an arrival at the given
 // priority: the non-empty lane with the lowest priority strictly below
 // it (ties broken by tenant-name order, so the choice is deterministic).
-func (q *fairQueue[T]) victimLocked(priority int) *tenantLane[T] {
-	var victim *tenantLane[T]
+func (q *fairQueue) victimLocked(priority int) *tenantLane {
+	var victim *tenantLane
 	for _, lane := range q.order {
 		if len(lane.items) == 0 || lane.ten.spec.Priority >= priority {
 			continue
@@ -306,13 +303,12 @@ func (q *fairQueue[T]) victimLocked(priority int) *tenantLane[T] {
 // are shed (reason deadline-expired) instead of returned, so an expired
 // request never occupies a batch slot. Returns ok=false when the queue
 // is empty.
-func (q *fairQueue[T]) tryPop() (T, bool) {
-	var zero T
-	var expired []T
+func (q *fairQueue) tryPop() (*request, bool) {
+	var expired []*request
 
 	q.mu.Lock()
 	for {
-		var best *tenantLane[T]
+		var best *tenantLane
 		for _, lane := range q.order {
 			if len(lane.items) == 0 {
 				continue
@@ -326,7 +322,7 @@ func (q *fairQueue[T]) tryPop() (T, bool) {
 			for _, it := range expired {
 				q.onShed(it, ShedDeadlineExpired)
 			}
-			return zero, false
+			return nil, false
 		}
 		head := best.items[0]
 		copy(best.items, best.items[1:])
@@ -336,7 +332,7 @@ func (q *fairQueue[T]) tryPop() (T, bool) {
 		if len(best.items) > 0 {
 			best.vfinish += 1.0 / float64(best.ten.spec.Weight)
 		}
-		if q.ctxOf(head.item).Err() != nil {
+		if head.item.ctx.Err() != nil {
 			expired = append(expired, head.item)
 			continue
 		}
@@ -352,17 +348,13 @@ func (q *fairQueue[T]) tryPop() (T, bool) {
 // queue is closed and fully drained (returning ok=false). This is the
 // batcher/stepper's blocking receive; Close's zero-drop drain relies on
 // the closed-but-nonempty case still handing out work.
-func (q *fairQueue[T]) popWait() (T, bool) {
+func (q *fairQueue) popWait() (*request, bool) {
 	for {
 		if it, ok := q.tryPop(); ok {
 			return it, true
 		}
-		q.mu.Lock()
-		done := q.closed && q.size == 0
-		q.mu.Unlock()
-		if done {
-			var zero T
-			return zero, false
+		if q.drained() {
+			return nil, false
 		}
 		<-q.notify
 	}
@@ -370,7 +362,7 @@ func (q *fairQueue[T]) popWait() (T, bool) {
 
 // close stops admission. Queued work remains poppable; popWait returns
 // ok=false only once the backlog is drained.
-func (q *fairQueue[T]) close() {
+func (q *fairQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
@@ -379,14 +371,14 @@ func (q *fairQueue[T]) close() {
 
 // drained reports whether the queue is closed with no backlog left —
 // the batcher/stepper's signal to flush what it has and exit.
-func (q *fairQueue[T]) drained() bool {
+func (q *fairQueue) drained() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.closed && q.size == 0
 }
 
 // len reports the total queued across lanes.
-func (q *fairQueue[T]) len() int {
+func (q *fairQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.size

@@ -47,7 +47,9 @@ func TestNormalizeTenants(t *testing.T) {
 	}
 }
 
-func bgCtx[T any](T) context.Context { return context.Background() }
+// queued builds a bare request for the queue unit tests: the id names it,
+// the context carries its deadline.
+func queued(id string, ctx context.Context) *request { return &request{id: id, ctx: ctx} }
 
 // TestFairQueueWeightedShare: the deterministic heart of the QoS story.
 // With both lanes saturated and weights 3:1, WFQ must serve exactly
@@ -55,14 +57,15 @@ func bgCtx[T any](T) context.Context { return context.Background() }
 func TestFairQueueWeightedShare(t *testing.T) {
 	ta := &tenant{spec: TenantSpec{Name: "a", Weight: 3}}
 	tb := &tenant{spec: TenantSpec{Name: "b", Weight: 1}}
-	q := newFairQueue(map[string]*tenant{"a": ta, "b": tb}, 1000, bgCtx[string],
-		func(item, reason string) { t.Fatalf("unexpected shed of %q (%s)", item, reason) })
+	q := newFairQueue(map[string]*tenant{"a": ta, "b": tb}, 1000,
+		func(r *request, reason string) { t.Fatalf("unexpected shed of %q (%s)", r.id, reason) })
 
+	bg := context.Background()
 	for i := 0; i < 80; i++ {
-		if ok, reason := q.push("a", ta, 1000); !ok {
+		if ok, reason := q.push(queued("a", bg), ta, 1000); !ok {
 			t.Fatalf("push a#%d rejected: %s", i, reason)
 		}
-		if ok, reason := q.push("b", tb, 1000); !ok {
+		if ok, reason := q.push(queued("b", bg), tb, 1000); !ok {
 			t.Fatalf("push b#%d rejected: %s", i, reason)
 		}
 	}
@@ -74,8 +77,8 @@ func TestFairQueueWeightedShare(t *testing.T) {
 		if !ok {
 			t.Fatalf("pop %d: queue empty early", i)
 		}
-		popped = append(popped, it)
-		counts[it]++
+		popped = append(popped, it.id)
+		counts[it.id]++
 	}
 	if counts["a"] != 60 || counts["b"] != 20 {
 		t.Fatalf("3:1 weights served %d:%d over 80 pops, want exactly 60:20", counts["a"], counts["b"])
@@ -97,44 +100,44 @@ func TestFairQueuePriorityDisplacement(t *testing.T) {
 	free := &tenant{spec: TenantSpec{Name: "free", Weight: 1, Priority: 0}}
 	const depth = 4 // lane caps: 4*3*1/(2*2) = 3 each
 
-	type shedRec struct {
-		item   int
-		reason string
-	}
+	type shedRec struct{ item, reason string }
 	var sheds []shedRec
-	q := newFairQueue(map[string]*tenant{"gold": gold, "free": free}, depth, bgCtx[int],
-		func(item int, reason string) { sheds = append(sheds, shedRec{item, reason}) })
+	q := newFairQueue(map[string]*tenant{"gold": gold, "free": free}, depth,
+		func(r *request, reason string) { sheds = append(sheds, shedRec{r.id, reason}) })
+	push := func(id string, ten *tenant) (bool, string) {
+		return q.push(queued(id, context.Background()), ten, depth)
+	}
 
-	for i := 1; i <= 3; i++ {
-		if ok, _ := q.push(i, free, depth); !ok {
-			t.Fatalf("free push %d rejected below cap", i)
+	for _, id := range []string{"1", "2", "3"} {
+		if ok, _ := push(id, free); !ok {
+			t.Fatalf("free push %s rejected below cap", id)
 		}
 	}
 	// Lane cap: the flooding tenant is bounded before the queue is full.
-	if ok, reason := q.push(4, free, depth); ok || reason != ShedQueueFull {
+	if ok, reason := push("4", free); ok || reason != ShedQueueFull {
 		t.Fatalf("free push over lane cap: ok=%v reason=%q, want queue-full", ok, reason)
 	}
 
-	if ok, _ := q.push(10, gold, depth); !ok {
+	if ok, _ := push("10", gold); !ok {
 		t.Fatal("gold push into free queue space rejected")
 	}
 	// Queue now full (3 free + 1 gold). Gold arrivals displace free's
 	// EDF tail — the most recently pushed no-deadline item.
-	if ok, _ := q.push(11, gold, depth); !ok {
+	if ok, _ := push("11", gold); !ok {
 		t.Fatal("gold push under overflow rejected; should displace free")
 	}
-	if len(sheds) != 1 || sheds[0] != (shedRec{3, ShedByPriority}) {
+	if len(sheds) != 1 || sheds[0] != (shedRec{"3", ShedByPriority}) {
 		t.Fatalf("sheds = %+v, want free item 3 shed-by-priority", sheds)
 	}
-	if ok, _ := q.push(12, gold, depth); !ok {
+	if ok, _ := push("12", gold); !ok {
 		t.Fatal("second displacing gold push rejected")
 	}
-	if len(sheds) != 2 || sheds[1] != (shedRec{2, ShedByPriority}) {
+	if len(sheds) != 2 || sheds[1] != (shedRec{"2", ShedByPriority}) {
 		t.Fatalf("sheds = %+v, want free item 2 next", sheds)
 	}
 
 	// Equal priority never displaces: free cannot push out free or gold.
-	if ok, reason := q.push(5, free, depth); ok || reason != ShedQueueFull {
+	if ok, reason := push("5", free); ok || reason != ShedQueueFull {
 		t.Fatalf("equal-priority push under overflow: ok=%v reason=%q, want queue-full rejection", ok, reason)
 	}
 	if q.len() != depth {
@@ -157,38 +160,37 @@ func TestFairQueueDeadlineOrder(t *testing.T) {
 	cancel() // expired before it is ever popped
 	ctxs[3] = dead
 
-	var sheds []int
+	var sheds []string
 	q := newFairQueue(map[string]*tenant{"a": ta}, 10,
-		func(i int) context.Context { return ctxs[i] },
-		func(item int, reason string) {
+		func(r *request, reason string) {
 			if reason != ShedDeadlineExpired {
 				t.Errorf("shed reason %q, want deadline-expired", reason)
 			}
-			sheds = append(sheds, item)
+			sheds = append(sheds, r.id)
 		})
 
-	for i := 0; i < 4; i++ {
-		if ok, _ := q.push(i, ta, 10); !ok {
+	for i, ctx := range ctxs {
+		if ok, _ := q.push(queued(fmt.Sprint(i), ctx), ta, 10); !ok {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
 
-	var got []int
+	var got []string
 	for {
 		it, ok := q.tryPop()
 		if !ok {
 			break
 		}
-		got = append(got, it)
+		got = append(got, it.id)
 	}
 	// Item 3 (canceled) sorts first — a canceled ctx reports deadline in
 	// the past via Err(), not Deadline(); it was pushed last with no
 	// deadline, so it pops last and is shed there. Items 0..2 pop in
 	// deadline order: 1 (1h), 2 (2h), 0 (3h).
-	if fmt.Sprint(got) != fmt.Sprint([]int{1, 2, 0}) {
+	if fmt.Sprint(got) != fmt.Sprint([]string{"1", "2", "0"}) {
 		t.Fatalf("pop order %v, want [1 2 0] (EDF)", got)
 	}
-	if fmt.Sprint(sheds) != fmt.Sprint([]int{3}) {
+	if fmt.Sprint(sheds) != fmt.Sprint([]string{"3"}) {
 		t.Fatalf("sheds %v, want [3] (expired item shed at pop)", sheds)
 	}
 }
@@ -349,7 +351,7 @@ func TestHedgedDispatchZeroDrop(t *testing.T) {
 		if err := json.Unmarshal(raw, &ir); err != nil {
 			return err
 		}
-		if !outputsMatch(ir.Output, want) {
+		if !vecEq(toF16(ir.Output), want) {
 			return fmt.Errorf("hedged result mismatch")
 		}
 		return nil

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"time"
 
-	"pimsim/internal/blas"
 	"pimsim/internal/fp16"
-	"pimsim/internal/models"
 	"pimsim/internal/nn"
-	"pimsim/internal/obs"
 )
 
 // Continuous batching for sequence models.
@@ -37,45 +33,9 @@ import (
 // migration the client only sees as latency (and a migrations count in
 // the response).
 
-// seqModel is one continuously batched sequence workload.
-type seqModel struct {
-	cfg   models.Config
-	plan  *nn.Plan
-	q     *fairQueue[*seqRequest] // WFQ admission queue (qos.go)
-	depth int                     // configured queue bound
-	admit int                     // max concurrently active slots (Config.SeqAdmit)
-}
-
-// seqRequest is one admitted sequence on its way through the step loop.
-type seqRequest struct {
-	ctx    context.Context
-	frames []fp16.Vector
-	eos    int // class index that retires the sequence early; -1 disables
-	ten    *tenant
-	enq    time.Time
-	resp   chan seqResponse
-
-	id    string
-	root  obs.SpanHandle
-	qspan obs.SpanHandle
-}
-
-// seqResponse is the terminal outcome of one sequence request.
-type seqResponse struct {
-	steps      []fp16.Vector // logits per executed step
-	err        error
-	status     int
-	shard      int
-	cycles     int64   // device cycles attributed to this sequence (share of each step)
-	ns         float64 // the same, in nanoseconds
-	queueUs    int64
-	migrations int
-	eosAt      int // step index that hit EOS, -1 otherwise
-}
-
 // seqSlot is one occupied slot of the running step loop.
 type seqSlot struct {
-	req        *seqRequest
+	req        *request
 	admitted   time.Time // when the sequence entered a slot (queue wait ends)
 	pos        int       // frames consumed
 	out        []fp16.Vector
@@ -83,93 +43,36 @@ type seqSlot struct {
 	migrations int
 }
 
-// enqueueSeq admits one sequence into its model's fair queue, mirroring
-// enqueue's taxonomy: 404 unknown model, 400 wrong shape, 429 full
-// queue (*ShedError with reason), 503 draining or no healthy shards.
-func (s *Server) enqueueSeq(ctx context.Context, name, tenantName string, frames []fp16.Vector, eos int, enq time.Time, id string, root obs.SpanHandle) (*seqRequest, int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.draining {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("server draining")
-	}
-	m := s.seqMods[name]
-	if m == nil {
-		if s.mods[name] != nil {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("model %q is a gemv model: post input, not frames", name)
-		}
-		return nil, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
-	}
-	if len(frames) > s.cfg.MaxSeqLen {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("sequence of %d frames exceeds the %d-frame cap", len(frames), s.cfg.MaxSeqLen)
-	}
-	for t, f := range frames {
-		if len(f) != m.cfg.Input {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("model %s takes %d-element frames, frame %d has %d", name, m.cfg.Input, t, len(f))
-		}
-	}
-	if eos >= m.cfg.Output {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("eos class %d out of range (model %s has %d outputs)", eos, name, m.cfg.Output)
-	}
-	healthy := int(s.healthy.Load())
-	if healthy <= 0 {
-		return nil, http.StatusServiceUnavailable,
-			fmt.Errorf("no healthy shards (probation probes running)")
-	}
-	ten := s.tenantFor(tenantName)
-	req := &seqRequest{ctx: ctx, frames: frames, eos: eos, ten: ten, enq: enq,
-		resp: make(chan seqResponse, 1), id: id, root: root}
-	req.qspan = root.Child("queue")
-	if ok, reason := m.q.push(req, ten, m.depth); !ok {
-		ten.shed[reason].Inc(0)
-		s.shedTotal.Inc(0)
-		return nil, http.StatusTooManyRequests, &ShedError{
-			Reason: reason,
-			Detail: fmt.Sprintf("model %s admission queue full for tenant %s (%d deep)", name, ten.spec.Name, m.depth),
-		}
-	}
-	s.seqAdmitted.Inc(0)
-	ten.admitted.Inc(0)
-	s.queueDepth.Add(0, 1)
-	s.winAdmit.Inc()
-	s.slo.RecordAdmit(ten.spec.Name, name)
-	return req, http.StatusOK, nil
-}
-
 // stepper is the per-sequence-model pipeline stage: each blocking
 // receive starts one continuous-batching episode (runSeq), which owns a
 // shard until every admitted sequence has retired. Exits when the queue
 // is closed and drained — the zero-drop contract, same as batcher. Like
 // the batcher, the stepper is its fair queue's only consumer.
-func (s *Server) stepper(m *seqModel) {
+func (s *Server) stepper(m *model) {
 	defer s.wg.Done()
 	for {
-		first, ok := m.q.popWait()
+		first, ok := s.take(m, true)
 		if !ok {
 			return
 		}
-		s.queueDepth.Add(0, -1)
-		first.qspan.End()
 		s.runSeq(m, first)
 	}
 }
 
 // runSeq drives the step loop for one episode.
-func (s *Server) runSeq(m *seqModel, first *seqRequest) {
+func (s *Server) runSeq(m *model, first *request) {
 	sh := s.lease()
 	if sh == nil {
-		first.resp <- seqResponse{status: http.StatusServiceUnavailable, err: errDrainNoShards}
+		first.resp <- response{status: http.StatusServiceUnavailable, err: errDrainNoShards}
 		return
 	}
-	r := sh.seq[m.cfg.Name]
+	r := sh.seq[m.name]
 	slots := make([]*seqSlot, r.Slots())
 	active := 0
 
-	reply := func(i int, resp seqResponse) {
+	reply := func(i int, resp response) {
 		sl := slots[i]
+		resp.ys = sl.out
 		resp.shard = sh.id
 		resp.cycles = sl.cycles
 		resp.ns = sh.rt.Cfg.Timing.CyclesToNs(sl.cycles)
@@ -180,14 +83,11 @@ func (s *Server) runSeq(m *seqModel, first *seqRequest) {
 		active--
 	}
 
-	admitOne := func(req *seqRequest) {
+	admitOne := func(req *request) {
 		if req.ctx.Err() != nil {
 			// Shed before the sequence ever touches a slot: the deadline
 			// expired while queued.
-			req.ten.shed[ShedDeadlineExpired].Inc(0)
-			s.shedTotal.Inc(0)
-			req.resp <- seqResponse{status: http.StatusGatewayTimeout, eosAt: -1,
-				err: &ShedError{Reason: ShedDeadlineExpired, Detail: req.ctx.Err().Error()}}
+			s.expire(req)
 			return
 		}
 		for i := range slots {
@@ -208,21 +108,17 @@ func (s *Server) runSeq(m *seqModel, first *seqRequest) {
 	stepRetries := 0
 	for {
 		// Admission window: between timesteps, fill free slots (bounded by
-		// SeqAdmit) from the fair queue without blocking the running loop.
+		// MaxBatch) from the fair queue without blocking the running loop.
 		// Pops arrive in WFQ/EDF order, so slots go to the tenant whose
 		// turn it is and, within a tenant, to the tightest deadline.
-		for active < m.admit {
-			var req *seqRequest
-			if pending != nil {
-				req, pending = pending, nil
-			} else {
-				q, ok := m.q.tryPop()
-				if !ok {
+		for active < m.maxBatch {
+			req := pending
+			pending = nil
+			if req == nil {
+				var ok bool
+				if req, ok = s.take(m, false); !ok {
 					break // empty (or closed and drained): run what's here
 				}
-				s.queueDepth.Add(0, -1)
-				q.qspan.End()
-				req = q
 			}
 			admitOne(req)
 		}
@@ -230,8 +126,7 @@ func (s *Server) runSeq(m *seqModel, first *seqRequest) {
 		// answered 504 now; its remaining steps never touch the device.
 		for i, sl := range slots {
 			if sl != nil && sl.req.ctx.Err() != nil {
-				reply(i, seqResponse{status: http.StatusGatewayTimeout, err: sl.req.ctx.Err(),
-					steps: sl.out, eosAt: -1})
+				reply(i, response{status: http.StatusGatewayTimeout, err: sl.req.ctx.Err()})
 			}
 		}
 		if active == 0 {
@@ -241,10 +136,10 @@ func (s *Server) runSeq(m *seqModel, first *seqRequest) {
 		xs := make([]fp16.Vector, len(slots))
 		for i, sl := range slots {
 			if sl != nil {
-				xs[i] = sl.req.frames[sl.pos]
+				xs[i] = sl.req.xs[sl.pos]
 			}
 		}
-		logits, ks, err := s.attemptStep(m, sh, r, xs)
+		logits, ks, err := s.launch(m, sh, r.StepSlots, xs)
 		if err != nil {
 			sh, r = s.migrateSeq(m, sh, slots, &active, err, stepRetries)
 			if sh == nil {
@@ -268,7 +163,7 @@ func (s *Server) runSeq(m *seqModel, first *seqRequest) {
 			sl.cycles += share
 			sl.pos++
 			eosHit := sl.req.eos >= 0 && nn.Argmax(logits[i]) == sl.req.eos
-			if eosHit || sl.pos == len(sl.req.frames) {
+			if eosHit || sl.pos == len(sl.req.xs) {
 				eosAt := -1
 				if eosHit {
 					eosAt = sl.pos - 1
@@ -277,24 +172,11 @@ func (s *Server) runSeq(m *seqModel, first *seqRequest) {
 				s.seqCompleted.Inc(0)
 				s.served.Inc(0)
 				sl.req.ten.served.Inc(0)
-				reply(i, seqResponse{steps: sl.out, status: http.StatusOK, eosAt: eosAt})
+				reply(i, response{status: http.StatusOK, eosAt: eosAt})
 			}
 		}
 	}
 	s.pool <- sh
-}
-
-// attemptStep runs one timestep on the leased shard, arming the fault
-// injector and folding ECC counters exactly like the batch path.
-func (s *Server) attemptStep(m *seqModel, sh *shard, r *nn.Resident, xs []fp16.Vector) ([]fp16.Vector, blas.KernelStats, error) {
-	if sh.inj != nil {
-		if err := sh.inj.BatchErr(); err != nil {
-			return nil, blas.KernelStats{}, err
-		}
-	}
-	logits, ks, err := r.StepSlots(sh.rt, xs)
-	s.collectShardECC(sh)
-	return logits, ks, err
 }
 
 // migrateSeq handles a failed step: dispose of the faulted shard via the
@@ -303,14 +185,14 @@ func (s *Server) attemptStep(m *seqModel, sh *shard, r *nn.Resident, xs []fp16.V
 // shard so the step can re-execute there. Returns the new shard and
 // resident, or (nil, nil) after answering every live slot with a
 // terminal error. Either way the old shard has been handed away.
-func (s *Server) migrateSeq(m *seqModel, sh *shard, slots []*seqSlot, active *int, stepErr error, attempt int) (*shard, *nn.Resident) {
+func (s *Server) migrateSeq(m *model, sh *shard, slots []*seqSlot, active *int, stepErr error, attempt int) (*shard, *nn.Resident) {
 	fail := func(status int, err error) {
 		for i, sl := range slots {
 			if sl == nil {
 				continue
 			}
-			sl.req.resp <- seqResponse{status: status, err: err, steps: sl.out,
-				shard: sh.id, cycles: sl.cycles, migrations: sl.migrations, eosAt: -1}
+			sl.req.resp <- response{status: status, err: err,
+				shard: sh.id, cycles: sl.cycles, migrations: sl.migrations}
 			slots[i] = nil
 			*active -= 1
 		}
@@ -320,7 +202,7 @@ func (s *Server) migrateSeq(m *seqModel, sh *shard, slots []*seqSlot, active *in
 	if canRetry {
 		// Export before the shard leaves our hands: after noteFailure the
 		// prober may own it.
-		r := sh.seq[m.cfg.Name]
+		r := sh.seq[m.name]
 		states = make(map[int]*nn.SlotState, *active)
 		for i, sl := range slots {
 			if sl == nil {
@@ -356,7 +238,7 @@ func (s *Server) migrateSeq(m *seqModel, sh *shard, slots []*seqSlot, active *in
 		fail(http.StatusServiceUnavailable, stepErr)
 		return nil, nil
 	}
-	r := next.seq[m.cfg.Name]
+	r := next.seq[m.name]
 	migrated := int64(0)
 	for i, sl := range slots {
 		if sl == nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -71,7 +72,7 @@ func checkSeqResponse(t *testing.T, body []byte, want []fp16.Vector) *InferRespo
 		t.Fatalf("steps = %d (%d outputs), want %d", ir.Steps, len(ir.StepOutputs), len(want))
 	}
 	for step := range want {
-		if !outputsMatch(ir.StepOutputs[step], want[step]) {
+		if !vecEq(toF16(ir.StepOutputs[step]), want[step]) {
 			t.Fatalf("step %d output mismatch: got %v, want oracle", step, ir.StepOutputs[step])
 		}
 	}
@@ -215,6 +216,68 @@ func TestSeqTaxonomy(t *testing.T) {
 	if resp, body := postInfer(t, ts, seqBody(t, "tinyseq", f64, &eosBig)); resp.StatusCode != 400 {
 		t.Errorf("eos out of range: status %d (%s), want 400", resp.StatusCode, body)
 	}
+
+	t.Run("queue bound follows surviving capacity", testSeqHalfCapacity429)
+}
+
+// testSeqHalfCapacity429: admission applies the capacity-aware queue
+// bound to sequence models as it does to GEMV models — with one of two
+// shards evicted, a 4-deep queue bounces the third waiting sequence with
+// 429 queue-full and Retry-After.
+func testSeqHalfCapacity429(t *testing.T) {
+	const depth = 4
+	s := newTestServer(t, Config{
+		Shards: 2, Channels: 1, QueueDepth: depth,
+		Models:     []ModelSpec{},
+		SeqModels:  []models.Config{tinySeq},
+		Fault:      &fault.Config{Seed: 5, DeadShard: 0, DieAfterBatches: 1},
+		EvictAfter: 1, RetryBackoff: time.Millisecond, ProbeInterval: 5 * time.Millisecond,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The first sequence starts on shard 0, which dies under it: shard 0
+	// is evicted for good and the sequence finishes on shard 1.
+	_, f64 := seqFrames(3, 2, tinySeq.Input)
+	if resp, body := postInfer(t, ts, seqBody(t, "tinyseq", f64, nil)); resp.StatusCode != 200 {
+		t.Fatalf("status %d (%s) — sequence lost to the outage", resp.StatusCode, body)
+	}
+	if s.HealthyShards() != 1 {
+		t.Fatalf("healthy shards = %d, want 1 of 2", s.HealthyShards())
+	}
+
+	sh := <-s.pool // withhold the survivor so a backlog builds
+	var wg sync.WaitGroup
+	send := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, body := postInfer(t, ts, seqBody(t, "tinyseq", f64, nil)); resp.StatusCode != 200 {
+				t.Errorf("accepted sequence finished %d (%s), want 200", resp.StatusCode, body)
+			}
+		}()
+	}
+	send() // popped by the stepper, which blocks on the lease
+	waitFor(t, func() bool { return s.queueDepth.Value() == 0 && s.seqAdmitted.Value() == 2 })
+	for i := 0; i < depth/2; i++ {
+		send()
+	}
+	waitFor(t, func() bool { return s.queueDepth.Value() == depth/2 })
+
+	// Half the capacity, half the bound. The short timeout only matters
+	// where the bound is not applied: the request then queues and expires.
+	body := mustJSON(InferRequest{Model: "tinyseq", Frames: f64, TimeoutMs: 300})
+	resp, raw := postInfer(t, ts, body)
+	var er ErrorResponse
+	_ = json.Unmarshal(raw, &er)
+	if resp.StatusCode != http.StatusTooManyRequests || er.Reason != ShedQueueFull {
+		t.Errorf("status %d reason %q (%s), want 429 queue-full at depth %d of %d", resp.StatusCode, er.Reason, raw, depth/2, depth)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+	s.pool <- sh
+	wg.Wait()
 }
 
 // TestModelsEndpoint: GET /v1/models lists both model kinds with shape,
@@ -328,58 +391,6 @@ func TestPerModelBatchWait(t *testing.T) {
 	}
 }
 
-// TestParseSeqLenDist pins the -seqlen-dist grammar.
-func TestParseSeqLenDist(t *testing.T) {
-	good := map[string]SeqLenDist{
-		"fixed:8":      {Kind: "fixed", A: 8, B: 8},
-		"uniform:2:10": {Kind: "uniform", A: 2, B: 10},
-	}
-	for in, want := range good {
-		got, err := ParseSeqLenDist(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSeqLenDist(%q) = %+v, %v; want %+v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "fixed", "fixed:0", "fixed:x", "uniform:5:2", "uniform:0:3", "poisson:4"} {
-		if _, err := ParseSeqLenDist(bad); err == nil {
-			t.Errorf("ParseSeqLenDist(%q) accepted", bad)
-		}
-	}
-}
-
-// TestRunSeqLoad: the sequence load generator end to end with client-side
-// oracle verification on — every response re-checked against the host
-// session, zero drops, sane latency aggregation.
-func TestRunSeqLoad(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 1, Channels: 4, SeqModels: []models.Config{tinySeq}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	rep, err := RunSeqLoad(SeqLoadConfig{
-		BaseURL: ts.URL,
-		Model:   tinySeq,
-		Seqs:    12, Concurrency: 4,
-		LenDist: SeqLenDist{Kind: "uniform", A: 2, B: 6},
-		EOS:     -1,
-		Verify:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != 12 || rep.BadOutputs != 0 || rep.Failures != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if rep.Steps < 2*12 || rep.Steps > 6*12 {
-		t.Errorf("steps = %d, outside [24, 72] for uniform:2:6 lengths", rep.Steps)
-	}
-	if rep.SeqPerSec <= 0 || rep.SimStepPerSec <= 0 || rep.SeqP50Us <= 0 || rep.StepP50Us <= 0 {
-		t.Errorf("throughput/latency not aggregated: %+v", rep)
-	}
-	if rep.String() == "" {
-		t.Error("empty report string")
-	}
-}
-
 // TestChaosSeqMigration is the chaos-matrix case for continuous
 // batching: the shard serving a sequence dies mid-flight; the sequence
 // must migrate (state and all) to the survivor and finish with
@@ -412,5 +423,75 @@ func TestChaosSeqMigration(t *testing.T) {
 	}
 	if st := s.ShardStates(); st[0] != "evicted" {
 		t.Errorf("shard states = %v, want shard 0 evicted", st)
+	}
+}
+
+// TestChaosSeqShardEarnsHealthBack: sequence steps feed the shard health
+// machine like batches do. One faulted step makes the shard suspect;
+// okProbation clean steps later it is healthy again with its failure
+// streak cleared, so a second fault much later is again a first failure
+// (suspect), not the second consecutive one that evicts at EvictAfter=2.
+func TestChaosSeqShardEarnsHealthBack(t *testing.T) {
+	s := newTestServer(t, Config{
+		Shards: 2, Channels: 2,
+		Models:       []ModelSpec{},
+		SeqModels:    []models.Config{tinySeq},
+		RetryBackoff: time.Millisecond,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// arm leases both shards (the pool hand-off orders the writes against
+	// the stepper), gives shard 0 an injector that fails its next launch
+	// — or none — and returns shard 0 first so the next episode leases
+	// it. With other withheld, shard 0 is the only device.
+	arm := func(inj *fault.Injector, withholdOther bool) (other *shard) {
+		a, b := <-s.pool, <-s.pool
+		if a.id != 0 {
+			a, b = b, a
+		}
+		a.inj = inj
+		s.pool <- a
+		if withholdOther {
+			return b
+		}
+		s.pool <- b
+		return nil
+	}
+	oneFault := func() *fault.Injector { return fault.New(fault.Config{DieAfterBatches: 1}) }
+	run := func(seed int64, wantMigrations int) {
+		t.Helper()
+		f16, f64 := seqFrames(seed, 2, tinySeq.Input)
+		resp, body := postInfer(t, ts, seqBody(t, "tinyseq", f64, nil))
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d (%s)", resp.StatusCode, body)
+		}
+		if ir := checkSeqResponse(t, body, seqOracle(t, tinySeq, f16)); ir.Migrations != wantMigrations {
+			t.Fatalf("migrations = %d, want %d", ir.Migrations, wantMigrations)
+		}
+	}
+
+	arm(oneFault(), false)
+	run(41, 1) // first step faults on shard 0, the sequence moves to shard 1
+	if st := s.ShardStates(); st[0] != "suspect" {
+		t.Fatalf("after one faulted step: shard states %v, want shard 0 suspect", st)
+	}
+
+	other := arm(nil, true)
+	for i := 0; i < okProbation; i++ {
+		run(int64(50+i), 0)
+	}
+	if st := s.ShardStates(); st[0] != "healthy" {
+		t.Fatalf("after %d clean sequences: shard states %v, want shard 0 healthy again", okProbation, st)
+	}
+	s.pool <- other
+
+	arm(oneFault(), false)
+	run(61, 1)
+	if st := s.ShardStates(); st[0] != "suspect" {
+		t.Errorf("after a second, non-consecutive fault: shard states %v, want shard 0 suspect (not evicted)", st)
+	}
+	if got := s.evictions.Value(); got != 0 {
+		t.Errorf("evictions = %d, want 0: the faults were not consecutive", got)
 	}
 }

@@ -1,34 +1,48 @@
 // Package serve is the online inference layer over the simulated PIM
 // system: an HTTP server that owns a pool of independent simulated
-// PIM-HBM shards (one runtime.Runtime + driver.Driver each, with model
-// weights resident in the banks via blas.LoadGemv) and pushes requests
-// through an admission -> batch -> shard pipeline:
+// PIM-HBM shards (one runtime.Runtime + driver.Driver each, with every
+// model's weights resident in the banks) and takes every request, of
+// either model kind, down one path:
 //
-//	POST /v1/infer   bounded admission queue per model (429 + Retry-After
-//	                 on overflow), per-request deadline (504 on expiry; an
-//	                 expired request never reaches a shard), a dynamic
-//	                 batcher that flushes on max-batch-size or max-wait —
-//	                 whichever first — and packs compatible GEMV requests
-//	                 into one PIM kernel launch, worker goroutines that
-//	                 lease shards from the pool
+//	POST /v1/infer
+//	  doInfer   parse the body into requests: `input` is one request of one
+//	            vector, `inputs` one such request per vector, `frames` one
+//	            request of T vectors (with an optional EOS class); one
+//	            deadline over all of them (http.go)
+//	  admit     draining? -> model lookup (404) -> shape check for the
+//	            model's kind (400) -> any healthy shard? (503) -> queue
+//	            bound scaled by surviving capacity -> tenant lane -> push
+//	            (429 + Retry-After + shed reason on overflow)
+//	  fairQueue per model: WFQ across tenants, EDF within a lane, expired
+//	            requests shed at pop (504) before they reach a device (qos.go)
+//	  consumer  by model kind, see below; both go through launch, the one
+//	            leased-shard call (injector arm -> kernel -> ECC fold ->
+//	            health note)
+//	  response  exactly one per admitted request, through the request's
+//	            buffered channel; doInfer waits once and encodes
+//	GET  /v1/models  the servable inventory
 //	GET  /healthz    liveness + loaded-model inventory
 //	GET  /metrics    Prometheus text exposition of the serving metrics
 //	GET  /metrics.json  the same snapshot as JSON (metrics.Snapshot)
 //
-// Batching is bounded by the PIM kernel's shape: a batch maps one request
-// per pseudo channel (blas.ResidentGemv), because the input splats ride
-// the per-channel write datapath that all of a channel's execution units
-// share. Close drains in-flight work without dropping any accepted
-// request.
+// The two queue consumers differ in scheduling policy only. A GEMV
+// model's batcher (batcher.go) waits up to BatchWait for followers, packs
+// up to MaxBatch requests into one kernel launch — one request per pseudo
+// channel (blas.ResidentGemv), because the input splats ride the
+// per-channel write datapath that all of a channel's execution units
+// share — and hands the batch to a worker so the next one forms while the
+// kernel runs; a worker re-dispatches on a device fault and may hedge a
+// straggler onto an idle shard (Config.HedgeDelay). A sequence model's
+// stepper (seq.go) holds one shard per episode, binds each request to a
+// slot whose recurrent state is device-resident, lets requests join and
+// leave between timesteps (continuous batching), and on a device fault
+// migrates the live slots' state to another shard. Close drains in-flight
+// work without dropping any accepted request.
 //
 // Admission is multi-tenant (see qos.go and docs/SERVING.md): each model
-// queue is a weighted fair queue with one lane per configured tenant
-// (request `tenant` field or X-Tenant header), EDF deadline order within
-// a lane, graduated load shedding that displaces the lowest-priority
-// queued work first (429/504 responses carry Retry-After and a
-// machine-readable shed reason), and optional hedged re-dispatch of
-// straggling batches onto an idle shard (Config.HedgeDelay) for the
-// p99.9 tail.
+// queue has one lane per configured tenant (request `tenant` field or
+// X-Tenant header) and graduated load shedding that displaces the
+// lowest-priority queued work first.
 //
 // Concurrency contracts a maintainer must preserve: every model queue
 // has exactly one consumer goroutine (its batcher or stepper) — the
@@ -42,10 +56,10 @@
 //
 // The layer is fault-tolerant: device faults (uncorrectable ECC errors,
 // whole-shard outages — see internal/fault) surface as typed errors that
-// classify as retryable, and a failed batch is re-dispatched onto a
-// freshly leased shard with exponential backoff, up to Config.MaxRetries.
+// classify as retryable, and the failed launch is re-run on a freshly
+// leased shard with exponential backoff, up to Config.MaxRetries.
 // Shards move through a health machine (healthy -> suspect -> evicted ->
-// probation, see health.go) driven by batch outcomes; evicted shards are
+// probation, see health.go) driven by launch outcomes; evicted shards are
 // owned by a prober goroutine that replays known-answer batches,
 // quarantines persistently poisoned weight rows (relocating the model to
 // clean rows), and revives shards only after a fully clean probe. With
@@ -150,16 +164,14 @@ type Config struct {
 	// serving-scale DS2/RNN-T/GNMT stacks.
 	SeqModels []models.Config
 
-	// SeqAdmit caps how many sequences a stepper runs concurrently
-	// (default 0 = every slot, i.e. Channels). SeqAdmit=1 degenerates to
-	// sequential per-request execution — the continuous-batching A/B
-	// baseline.
-	SeqAdmit int
-
 	// MaxSeqLen bounds frames per sequence request (default 256).
 	MaxSeqLen int
 
-	MaxBatch       int           // batch bound; clamped to Channels (default Channels)
+	// MaxBatch bounds the requests one device launch carries — a GEMV
+	// batch, or the sequences a stepper runs concurrently — clamped to
+	// Channels (default Channels). MaxBatch=1 is sequential per-request
+	// execution, the baseline of both batching A/Bs.
+	MaxBatch       int
 	BatchWait      time.Duration // batcher flush timeout (default 2ms; ModelSpec.BatchWait overrides per model)
 	QueueDepth     int           // per-model admission queue (default 64)
 	RequestTimeout time.Duration // deadline incl. queueing (default 2s)
@@ -246,9 +258,6 @@ func (c *Config) applyDefaults() {
 	if c.BatchWait <= 0 {
 		c.BatchWait = 2 * time.Millisecond
 	}
-	if c.SeqAdmit <= 0 || c.SeqAdmit > c.Channels {
-		c.SeqAdmit = c.Channels
-	}
 	if c.MaxSeqLen <= 0 {
 		c.MaxSeqLen = 256
 	}
@@ -314,41 +323,52 @@ type shard struct {
 	eccCorr, eccUncorr int64 // cumulative device counts already folded into metrics
 }
 
-// model is one served workload: its weights, admission queue, and the
-// known-answer probe the prober replays on evicted shards.
+// model is one served workload of either kind, with its admission queue.
+// A GEMV model is y = W*x over spec's matrix; a sequence model (plan !=
+// nil) is an LSTM stack compiled by internal/nn. The kind selects the
+// shape check at admission and the queue's consumer, nothing else.
 type model struct {
-	spec     ModelSpec
-	W        fp16.Vector
-	q        *fairQueue[*request] // WFQ admission queue (qos.go); depth is Config.QueueDepth
-	depth    int                  // configured queue bound (pre-capacity-scaling)
-	maxBatch int
-	wait     time.Duration // straggler-flush deadline (spec override or Config.BatchWait)
+	name string
+	spec ModelSpec   // GEMV shape and weight seed
+	W    fp16.Vector // GEMV weights
+	cfg  models.Config
+	plan *nn.Plan // sequence models only; immutable, shared by every shard's Resident
 
+	q        *fairQueue    // WFQ admission queue (qos.go)
+	depth    int           // configured queue bound (pre-capacity-scaling)
+	maxBatch int           // requests per device launch (Config.MaxBatch)
+	wait     time.Duration // batcher's straggler-flush deadline (spec override or Config.BatchWait)
+
+	// The known-answer probe the prober replays on evicted shards (GEMV
+	// models only, see docs/FAULTS.md).
 	probeX fp16.Vector // fixed probe input
 	probeY fp16.Vector // oracle output (device accumulation order)
 
-	// minCycles is the best per-request kernel cycle count observed: the
+	// minCycles is the best per-launch kernel cycle count observed: the
 	// latency baseline that SuspectCycleFactor multiplies.
 	minCycles atomic.Int64
 
-	// hedgeNs is the live hedge delay for this model's dispatches,
+	// hedgeNs is the live hedge delay for a GEMV model's dispatches,
 	// seeded from Config.HedgeDelay and retargeted by the SLO engine's
 	// hedge controller when Config.SLO.Hedge is armed. Read by dispatch
 	// on every batch; <= 0 disables hedging for the model.
 	hedgeNs atomic.Int64
 }
 
-// request is one admitted input vector on its way to a shard.
+// request is one admitted unit of work on its way to a shard: a GEMV
+// input is a request of one vector, a sequence a request of T frames.
 type request struct {
-	ctx  context.Context
-	x    fp16.Vector
-	ten  *tenant
-	enq  time.Time
-	resp chan response // buffered; the pipeline never blocks on a reply
+	ctx    context.Context
+	xs     []fp16.Vector
+	frames bool // posted as `frames`: must name a sequence model
+	eos    int  // class whose argmax retires a sequence early; -1 disables
+	ten    *tenant
+	enq    time.Time
+	resp   chan response // buffered; the pipeline never blocks on a reply
 
 	// Tracing context (zero valued when tracing is off): the request ID,
 	// the HTTP root span the pipeline hangs children off, and the open
-	// queue span the batcher ends when it pops the request.
+	// queue span the consumer ends when it pops the request.
 	id    string
 	root  obs.SpanHandle
 	qspan obs.SpanHandle
@@ -357,29 +377,30 @@ type request struct {
 // response is the terminal outcome of one request. Exactly one response
 // is delivered for every admitted request — the zero-drop contract.
 type response struct {
-	y            fp16.Vector
-	err          error
-	status       int
-	batch        int
-	shard        int
-	kernelCycles int64
-	kernelNs     float64
-	queueUs      int64
+	ys         []fp16.Vector // one output per executed launch: y, or the logits of each step
+	err        error
+	status     int
+	batch      int     // GEMV: size of the device batch the request rode in
+	shard      int     // shard that answered
+	cycles     int64   // device cycles attributed to the request (its kernel, or its share of each step)
+	ns         float64 // the same, in nanoseconds
+	queueUs    int64
+	migrations int // sequence: shard migrations mid-flight
+	eosAt      int // sequence: step index that hit EOS, -1 otherwise
 }
 
 // Server is the inference service.
 type Server struct {
 	cfg     Config
-	mods    map[string]*model
-	seqMods map[string]*seqModel
+	mods    map[string]*model // every served model, both kinds
 	tenants map[string]*tenant
 	shards  []*shard
 	pool    chan *shard
 
-	mu       sync.RWMutex // guards draining vs. enqueue/close(queue)
+	mu       sync.RWMutex // guards draining vs. admit/close(queue)
 	draining bool
 
-	wg sync.WaitGroup // batchers + in-flight batch workers + prober
+	wg sync.WaitGroup // batchers, steppers, in-flight batch workers, prober
 
 	hmu     sync.Mutex   // guards shard health fields + healthy transitions
 	healthy atomic.Int64 // shards not currently evicted
@@ -543,39 +564,33 @@ func New(cfg Config) (*Server, error) {
 		s.tenants[sp.Name] = t
 	}
 
+	// One table for both kinds: a name is served once.
+	add := func(m *model) error {
+		if _, dup := s.mods[m.name]; dup {
+			return fmt.Errorf("serve: duplicate model %q", m.name)
+		}
+		m.q = newFairQueue(s.tenants, cfg.QueueDepth, s.shed)
+		m.depth, m.maxBatch = cfg.QueueDepth, cfg.MaxBatch
+		m.hedgeNs.Store(int64(cfg.HedgeDelay))
+		s.mods[m.name] = m
+		return nil
+	}
 	for _, spec := range cfg.Models {
 		if spec.Name == "" || spec.M <= 0 || spec.K <= 0 {
 			return nil, fmt.Errorf("serve: invalid model spec %+v", spec)
-		}
-		if _, dup := s.mods[spec.Name]; dup {
-			return nil, fmt.Errorf("serve: duplicate model %q", spec.Name)
 		}
 		wait := spec.BatchWait
 		if wait <= 0 {
 			wait = cfg.BatchWait
 		}
-		m := &model{
-			spec:     spec,
-			W:        spec.Weights(),
-			q:        newFairQueue(s.tenants, cfg.QueueDepth, func(r *request) context.Context { return r.ctx }, s.shedRequest),
-			depth:    cfg.QueueDepth,
-			maxBatch: cfg.MaxBatch,
-			wait:     wait,
+		if err := add(&model{name: spec.Name, spec: spec, W: spec.Weights(), wait: wait}); err != nil {
+			return nil, err
 		}
-		m.hedgeNs.Store(int64(cfg.HedgeDelay))
-		s.mods[spec.Name] = m
 	}
 
 	// Sequence models: validate + compile once (the Plan is immutable and
 	// shared by every shard's Resident and by the host oracle).
-	s.seqMods = make(map[string]*seqModel, len(cfg.SeqModels))
 	for _, mc := range cfg.SeqModels {
-		if _, dup := s.mods[mc.Name]; dup {
-			return nil, fmt.Errorf("serve: model %q declared as both gemv and sequence", mc.Name)
-		}
-		if _, dup := s.seqMods[mc.Name]; dup {
-			return nil, fmt.Errorf("serve: duplicate sequence model %q", mc.Name)
-		}
 		w, err := nn.GenWeights(mc)
 		if err != nil {
 			return nil, fmt.Errorf("serve: sequence model %q: %w", mc.Name, err)
@@ -584,12 +599,8 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: sequence model %q: %w", mc.Name, err)
 		}
-		s.seqMods[mc.Name] = &seqModel{
-			cfg:   mc,
-			plan:  plan,
-			q:     newFairQueue(s.tenants, cfg.QueueDepth, func(r *seqRequest) context.Context { return r.ctx }, s.shedSeqRequest),
-			depth: cfg.QueueDepth,
-			admit: cfg.SeqAdmit,
+		if err := add(&model{name: mc.Name, cfg: mc, plan: plan}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -624,8 +635,8 @@ func New(cfg Config) (*Server, error) {
 		sh := &shard{
 			id:     i,
 			rt:     rt,
-			loaded: make(map[string]*blas.ResidentGemv, len(s.mods)),
-			seq:    make(map[string]*nn.Resident, len(s.seqMods)),
+			loaded: make(map[string]*blas.ResidentGemv, len(cfg.Models)),
+			seq:    make(map[string]*nn.Resident, len(cfg.SeqModels)),
 		}
 		if cfg.Fault != nil {
 			sh.inj = fault.New(fc)
@@ -640,18 +651,15 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		for name, m := range s.mods {
-			g, err := blas.LoadGemv(rt, m.W, m.spec.M, m.spec.K)
+			var err error
+			if m.plan != nil {
+				sh.seq[name], err = nn.Load(rt, m.plan)
+			} else {
+				sh.loaded[name], err = blas.LoadGemv(rt, m.W, m.spec.M, m.spec.K)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d: load %s: %w", i, name, err)
 			}
-			sh.loaded[name] = g
-		}
-		for name, m := range s.seqMods {
-			r, err := nn.Load(rt, m.plan)
-			if err != nil {
-				return nil, fmt.Errorf("serve: shard %d: load %s: %w", i, name, err)
-			}
-			sh.seq[name] = r
 		}
 		s.shards = append(s.shards, sh)
 		s.pool <- sh
@@ -663,6 +671,9 @@ func New(cfg Config) (*Server, error) {
 	// in the device's exact accumulation order. Computed once; replayed
 	// by the prober on every channel of an evicted shard.
 	for name, m := range s.mods {
+		if m.plan != nil {
+			continue
+		}
 		rng := rand.New(rand.NewSource(m.spec.Seed ^ 0x70726f6265)) // "probe"
 		m.probeX = fp16.NewVector(m.spec.K)
 		for i := range m.probeX {
@@ -677,11 +688,11 @@ func New(cfg Config) (*Server, error) {
 
 	for _, m := range s.mods {
 		s.wg.Add(1)
-		go s.batcher(m)
-	}
-	for _, m := range s.seqMods {
-		s.wg.Add(1)
-		go s.stepper(m)
+		if m.plan != nil {
+			go s.stepper(m)
+		} else {
+			go s.batcher(m)
+		}
 	}
 	s.wg.Add(1)
 	go s.prober()
@@ -727,11 +738,14 @@ func linearBuckets(start, n int) []int64 {
 // only the worker holding a shard lease can guarantee.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// Models returns the served specs (stable order not guaranteed).
+// Models returns the served GEMV specs (stable order not guaranteed);
+// GET /v1/models lists both kinds.
 func (s *Server) Models() []ModelSpec {
-	out := make([]ModelSpec, 0, len(s.mods))
+	out := make([]ModelSpec, 0, len(s.cfg.Models))
 	for _, m := range s.mods {
-		out = append(out, m.spec)
+		if m.plan == nil {
+			out = append(out, m.spec)
+		}
 	}
 	return out
 }
@@ -740,32 +754,26 @@ func (s *Server) Models() []ModelSpec {
 // tracing is disabled).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// enqueue admits one input vector into its model's fair queue. On
-// rejection it returns the HTTP status the caller should surface
-// (400/429/503; 429s carry a *ShedError with the machine-readable
-// reason). id and root are the request's tracing context (zero valued
-// when tracing is off); an admitted request carries an open queue span
-// that the batcher ends when it pops the request.
-func (s *Server) enqueue(ctx context.Context, name, tenantName string, x fp16.Vector, enq time.Time, id string, root obs.SpanHandle) (*request, int, error) {
+// admit pushes one request into its model's fair queue. On rejection it
+// returns the HTTP status the caller should surface (400/404/429/503;
+// 429s carry a *ShedError with the machine-readable reason). An admitted
+// request carries an open queue span that the consumer ends when it pops
+// the request, and is owed exactly one response on req.resp.
+func (s *Server) admit(name, tenantName string, req *request) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.draining {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("server draining")
+		return http.StatusServiceUnavailable, fmt.Errorf("server draining")
 	}
+	// A name the server has never heard of is a 404 — the resource does
+	// not exist; a wrong request *shape* for a loaded model stays a 400.
+	// GET /v1/models lists what is servable.
 	m := s.mods[name]
 	if m == nil {
-		// A name the server has never heard of is a 404 — the resource
-		// does not exist; a wrong request *shape* for a loaded model stays
-		// a 400. GET /v1/models lists what is servable.
-		if s.seqMods[name] != nil {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("model %q is a sequence model: post frames, not input", name)
-		}
-		return nil, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
+		return http.StatusNotFound, fmt.Errorf("unknown model %q", name)
 	}
-	if len(x) != m.spec.K {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("model %s takes %d inputs, got %d", name, m.spec.K, len(x))
+	if err := m.checkShape(req, s.cfg.MaxSeqLen); err != nil {
+		return http.StatusBadRequest, err
 	}
 	// Capacity-aware degradation: with every shard evicted there is no
 	// device to run on — fail fast (503) instead of queueing work that
@@ -774,8 +782,7 @@ func (s *Server) enqueue(ctx context.Context, name, tenantName string, x fp16.Ve
 	// arrives before the queue outgrows the surviving capacity.
 	healthy := int(s.healthy.Load())
 	if healthy <= 0 {
-		return nil, http.StatusServiceUnavailable,
-			fmt.Errorf("no healthy shards (probation probes running)")
+		return http.StatusServiceUnavailable, fmt.Errorf("no healthy shards (probation probes running)")
 	}
 	depth := m.depth
 	if healthy < s.cfg.Shards {
@@ -784,58 +791,101 @@ func (s *Server) enqueue(ctx context.Context, name, tenantName string, x fp16.Ve
 		}
 	}
 	ten := s.tenantFor(tenantName)
-	req := &request{ctx: ctx, x: x, ten: ten, enq: enq, resp: make(chan response, 1), id: id, root: root}
-	// The queue span must exist before the push: the batcher may pop the
+	req.ten = ten
+	// The queue span must exist before the push: the consumer may pop the
 	// request (and end the span) the moment it lands in the queue. On
 	// the rejection path below the unstarted span is simply never
 	// recorded — handles only reach the ring when ended.
-	req.qspan = root.Child("queue")
+	req.qspan = req.root.Child("queue")
 	if ok, reason := m.q.push(req, ten, depth); !ok {
 		ten.shed[reason].Inc(0)
 		s.shedTotal.Inc(0)
-		return nil, http.StatusTooManyRequests, &ShedError{
+		return http.StatusTooManyRequests, &ShedError{
 			Reason: reason,
 			Detail: fmt.Sprintf("model %s admission queue full for tenant %s (%d deep, %d/%d shards healthy)",
 				name, ten.spec.Name, depth, healthy, s.cfg.Shards),
 		}
 	}
-	s.admitted.Inc(0)
+	if m.plan != nil {
+		s.seqAdmitted.Inc(0)
+	} else {
+		s.admitted.Inc(0)
+	}
 	ten.admitted.Inc(0)
 	s.queueDepth.Add(0, 1)
 	s.winAdmit.Inc()
 	s.slo.RecordAdmit(ten.spec.Name, name)
-	return req, http.StatusOK, nil
+	return http.StatusOK, nil
 }
 
-// shedRequest is the fair queue's shed callback for GEMV requests: it
-// delivers the terminal shed response (429 for priority displacement,
-// 504 for an expired deadline) and keeps the queue accounting honest.
-// Runs outside the queue lock; the buffered resp channel never blocks.
-func (s *Server) shedRequest(r *request, reason string) {
+// checkShape is admission's per-kind check: the body form must match the
+// model's kind and every vector its input width.
+func (m *model) checkShape(req *request, maxSeqLen int) error {
+	if m.plan == nil {
+		if req.frames {
+			return fmt.Errorf("model %q is a gemv model: post input, not frames", m.name)
+		}
+		if len(req.xs[0]) != m.spec.K {
+			return fmt.Errorf("model %s takes %d inputs, got %d", m.name, m.spec.K, len(req.xs[0]))
+		}
+		return nil
+	}
+	if !req.frames {
+		return fmt.Errorf("model %q is a sequence model: post frames, not input", m.name)
+	}
+	if len(req.xs) > maxSeqLen {
+		return fmt.Errorf("sequence of %d frames exceeds the %d-frame cap", len(req.xs), maxSeqLen)
+	}
+	for t, f := range req.xs {
+		if len(f) != m.cfg.Input {
+			return fmt.Errorf("model %s takes %d-element frames, frame %d has %d", m.name, m.cfg.Input, t, len(f))
+		}
+	}
+	if req.eos >= m.cfg.Output {
+		return fmt.Errorf("eos class %d out of range (model %s has %d outputs)", req.eos, m.name, m.cfg.Output)
+	}
+	return nil
+}
+
+// take pops the model's next request — blocking when wait is set, until
+// the queue is closed and drained — and closes its queue accounting.
+func (s *Server) take(m *model, wait bool) (*request, bool) {
+	pop := m.q.tryPop
+	if wait {
+		pop = m.q.popWait
+	}
+	r, ok := pop()
+	if ok {
+		s.queueDepth.Add(0, -1)
+		r.qspan.End()
+	}
+	return r, ok
+}
+
+// shed is the fair queue's shed callback: it delivers the terminal shed
+// response (429 for priority displacement, 504 for an expired deadline)
+// and keeps the queue accounting honest. Runs outside the queue lock; the
+// buffered resp channel never blocks.
+func (s *Server) shed(r *request, reason string) {
 	s.queueDepth.Add(0, -1)
 	r.qspan.End()
+	if reason == ShedDeadlineExpired {
+		s.expire(r)
+		return
+	}
 	r.ten.shed[reason].Inc(0)
 	s.shedTotal.Inc(0)
-	status := http.StatusTooManyRequests
-	if reason == ShedDeadlineExpired {
-		status = http.StatusGatewayTimeout
-	}
-	r.resp <- response{status: status, err: &ShedError{Reason: reason,
+	r.resp <- response{status: http.StatusTooManyRequests, err: &ShedError{Reason: reason,
 		Detail: fmt.Sprintf("request shed from queue: %s", reason)}}
 }
 
-// shedSeqRequest mirrors shedRequest for sequence requests.
-func (s *Server) shedSeqRequest(r *seqRequest, reason string) {
-	s.queueDepth.Add(0, -1)
-	r.qspan.End()
-	r.ten.shed[reason].Inc(0)
+// expire answers a request whose deadline passed before it reached a
+// device: 504, counted as a deadline-expired shed.
+func (s *Server) expire(r *request) {
+	r.ten.shed[ShedDeadlineExpired].Inc(0)
 	s.shedTotal.Inc(0)
-	status := http.StatusTooManyRequests
-	if reason == ShedDeadlineExpired {
-		status = http.StatusGatewayTimeout
-	}
-	r.resp <- seqResponse{status: status, eosAt: -1, err: &ShedError{Reason: reason,
-		Detail: fmt.Sprintf("sequence shed from queue: %s", reason)}}
+	r.resp <- response{status: http.StatusGatewayTimeout,
+		err: &ShedError{Reason: ShedDeadlineExpired, Detail: r.ctx.Err().Error()}}
 }
 
 // Close stops admission and drains: every already-accepted request still
@@ -848,9 +898,6 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 	s.draining = true
 	for _, m := range s.mods {
-		m.q.close()
-	}
-	for _, m := range s.seqMods {
 		m.q.close()
 	}
 	s.mu.Unlock()

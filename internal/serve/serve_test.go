@@ -86,7 +86,7 @@ func TestInferCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := blas.RefGemvPIMOrder(tiny.Weights(), tiny.M, tiny.K, x16, 8)
-	if !outputsMatch(ir.Output, want) {
+	if !vecEq(toF16(ir.Output), want) {
 		t.Fatalf("served output mismatch: got %v", ir.Output)
 	}
 	if ir.BatchSize < 1 || ir.KernelCycles <= 0 {
@@ -314,7 +314,7 @@ func TestBatchedInfer(t *testing.T) {
 		t.Fatalf("%d outputs, want 3", len(ir.Outputs))
 	}
 	for i := range ins {
-		if !outputsMatch(ir.Outputs[i], wants[i]) {
+		if !vecEq(toF16(ir.Outputs[i]), wants[i]) {
 			t.Errorf("batched output %d mismatch", i)
 		}
 	}
