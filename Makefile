@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-check benchmark-check fp16-exhaustive purego race-goldens bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
+.PHONY: all build vet fmt-check test race bench bench-check benchmark-check fp16-exhaustive purego race-goldens serve_bench.txt bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
 
 all: build vet test
 
@@ -84,35 +84,37 @@ race-goldens:
 	$(GO) test -race -count=2 -run 'TestGolden' .
 	$(GO) test -race -run 'TestAggregateEarliestMatchesBruteForce' ./internal/hbm/
 
-# bench-serve runs both serving A/Bs through cmd/pimload (the one driver
-# of internal/loadgen on its GEMV and its sequence source) and records
-# throughput, latency quantiles and the gains in BENCH_serve.json: the
+# serve_bench.txt is one run of both serving A/Bs through cmd/pimload (the
+# one driver of internal/loadgen on its GEMV and its sequence source): the
 # GEMV batching A/B (dynamic batching vs batch-size-1) and the sequence
 # A/B (continuous batching vs one-sequence-at-a-time on the same pool);
-# both baselines are serve.Config.MaxBatch=1.
-# The README's "Serving" tables are regenerated from this file. Fails if
-# either gain ever drops below 2x, or if the batched run violates the
-# (generous) SLO gate — the machine-readable verdict line documents the
-# margin in CI logs either way.
-bench-serve:
+# both baselines are serve.Config.MaxBatch=1. The run fails if either gain
+# drops below 2x, or if the batched run violates the (generous) SLO gate —
+# the machine-readable verdict line documents the margin either way.
+# Phony, so a file left by an earlier run is never trusted, and made once
+# per invocation: `make bench-serve-check bench-serve` (CI) gates and
+# records the same run.
+serve_bench.txt:
 	$(GO) run ./cmd/pimload -compare -bench -requests 192 -conc 8 -min-gain 2 \
-	    -slo 'p99=500ms,avail=0.99' > serve_bench.txt
+	    -slo 'p99=500ms,avail=0.99' > $@
 	$(GO) run ./cmd/pimload -seq -compare -bench -model ds2-small \
-	    -seqs 24 -conc 8 -seqlen-dist uniform:8:16 -verify=false -min-gain 2 >> serve_bench.txt
-	$(GO) run ./tools/benchjson -out BENCH_serve.json < serve_bench.txt
-	@rm -f serve_bench.txt
+	    -seqs 24 -conc 8 -seqlen-dist uniform:8:16 -verify=false -min-gain 2 >> $@
 
-# bench-serve-check re-runs both serving A/Bs and fails if throughput
-# (req/s, seq/s), a latency quantile (*_us) or ns/op regressed past 2.5x
-# the checked-in BENCH_serve.json baseline. Rates gate downward,
-# latencies upward; counts and gain factors are not gated here (each gain
-# has its own hard -min-gain floor inside cmd/pimload). Both A/Bs must
-# run: benchjson -check fails on baseline entries missing from the run.
-bench-serve-check:
-	@{ $(GO) run ./cmd/pimload -compare -bench -requests 192 -conc 8 -min-gain 2 && \
-	   $(GO) run ./cmd/pimload -seq -compare -bench -model ds2-small \
-	       -seqs 24 -conc 8 -seqlen-dist uniform:8:16 -verify=false -min-gain 2; } \
-	| $(GO) run ./tools/benchjson -check BENCH_serve.json
+# bench-serve records the A/Bs' throughput, latency quantiles and gains in
+# BENCH_serve.json. The README's "Serving" tables are regenerated from
+# this file.
+bench-serve: serve_bench.txt
+	$(GO) run ./tools/benchjson -out BENCH_serve.json < serve_bench.txt
+
+# bench-serve-check fails if throughput (req/s, seq/s), a latency quantile
+# (*_us) or ns/op regressed past 2.5x the checked-in BENCH_serve.json
+# baseline. Rates gate downward, latencies upward; counts and gain factors
+# are not gated here (each gain has its own hard -min-gain floor inside
+# cmd/pimload). Both A/Bs must have run: benchjson -check fails on
+# baseline entries missing from the run. Listed before bench-serve it
+# checks against the baseline that bench-serve then overwrites.
+bench-serve-check: serve_bench.txt
+	$(GO) run ./tools/benchjson -check BENCH_serve.json < serve_bench.txt
 
 # serve-smoke boots the real pimserve binary on a random port and checks
 # the HTTP taxonomy, backpressure and graceful shutdown over TCP.
@@ -127,8 +129,9 @@ serve-smoke:
 model-smoke:
 	bash scripts/model_smoke.sh
 
-# trace-smoke exercises the observability stack end to end: a pimsim
-# -timeline export, a traced pimserve under load (live /debug/trace,
+# trace-smoke exercises the observability stack end to end: pimsim
+# -functional verifying a multi-tile GEMV on every functional variant, a
+# pimsim -timeline export, a traced pimserve under load (live /debug/trace,
 # X-Request-ID, structured access logs, spans.json and slow-request
 # dumps), with every artifact schema-validated by tools/tracecheck.
 # Set OUT_DIR to keep the artifacts (CI uploads them).

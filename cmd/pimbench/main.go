@@ -145,9 +145,8 @@ func table4() error {
 	fmt.Printf("%-28s %d MHz (tCK/4)\n", "Operating frequency", pimClockMHz)
 	fmt.Printf("%-28s %.1f GFLOPS (paper: 9.6 at 300 MHz)\n", "Throughput per unit", gflops)
 	fmt.Printf("%-28s 32b x %d (CRF)\n", "Instruction registers", isa.CRFEntries)
-	fmt.Printf("%-28s 256b x %d (GRF), 16b x %d (SRF)\n", "Vector/scalar registers", 2*isa.GRFEntries, 2*isa.SRFEntries)
+	fmt.Printf("%-28s 256b x %d (GRF), 16b x %d (SRF)\n", "Vector/scalar registers", 2*cfg.GRFDepth(), 2*isa.SRFEntries)
 	fmt.Printf("%-28s %d\n", "Pipeline stages", pim.PipelineStages)
-	_ = cfg
 	return nil
 }
 

@@ -62,34 +62,16 @@ func main() {
 		}
 	}()
 
-	variant, ok := map[string]hbm.Variant{
-		"base": hbm.VariantBase, "2x": hbm.Variant2X,
-		"2ba": hbm.Variant2BA, "srw": hbm.VariantSRW,
-	}[strings.ToLower(*variantName)]
-	if !ok {
-		fatal(fmt.Errorf("unknown variant %q", *variantName))
-	}
-
-	cfg := hbm.PIMHBMConfig(*mhz)
-	cfg.Functional = *functional
-	cfg.Variant = variant
-	if variant == hbm.Variant2X {
-		cfg.PIMUnits = 16
-	}
-	devs := make([]*hbm.Device, *devices)
-	for i := range devs {
-		d, err := hbm.NewDevice(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		devs[i] = d
-	}
-	rt, err := runtime.New(devs)
+	variant, err := hbm.ParseVariant(*variantName)
 	if err != nil {
 		fatal(err)
 	}
-	if !*functional {
-		rt.SimChannels = 1
+
+	cfg := hbm.PIMHBMVariantConfig(variant, *mhz)
+	cfg.Functional = *functional
+	rt, devs, err := runtime.NewStack(cfg, *devices)
+	if err != nil {
+		fatal(err)
 	}
 	eng, err := engine.New(*engineName, rt.NumChannels())
 	if err != nil {
@@ -126,7 +108,7 @@ func main() {
 		var y fp16.Vector
 		y, ks, err = blas.PimGemv(rt, W, *m, *k, x)
 		if err == nil && *functional {
-			want := blas.RefGemvPIMOrder(W, *m, *k, x, 8)
+			want := blas.RefGemvPIMOrder(W, *m, *k, x, cfg.GRFDepth())
 			for i := range want {
 				if y[i] != want[i] {
 					mismatch++

@@ -19,6 +19,7 @@ import (
 	"pimsim/internal/hbm"
 	"pimsim/internal/memctrl"
 	"pimsim/internal/runtime"
+	"pimsim/internal/sim"
 )
 
 // TestGoldenFunctionalGemv runs a bit-exact GEMV through the device model
@@ -241,6 +242,84 @@ func TestGoldenSchedulerReplay(t *testing.T) {
 	for _, g := range golden {
 		if g.got != g.want {
 			t.Errorf("scheduler stat %s = %d, want %d", g.name, g.got, g.want)
+		}
+	}
+}
+
+// TestGoldenPerVariantTiming pins, per device description, what a
+// timing-only kernel costs and which commands it issues: GEMV 1024x4096
+// and ADD/BN over 1M elements on each Fig. 14 variant (the paper's
+// four-stack system, one simulated channel), and the GEMV on the GDDR6
+// and LPDDR5 presets. Values recorded at PR 14; a refactor of how a
+// variant or preset is described must not move any of them.
+func TestGoldenPerVariantTiming(t *testing.T) {
+	variant := func(v hbm.Variant) func() (*runtime.Runtime, []*hbm.Device, error) {
+		return func() (*runtime.Runtime, []*hbm.Device, error) {
+			p, err := sim.NewPIMSystem(v)
+			if err != nil {
+				return nil, nil, err
+			}
+			return p.RT, p.Devices, nil
+		}
+	}
+	preset := func(cfg hbm.Config) func() (*runtime.Runtime, []*hbm.Device, error) {
+		cfg.Functional = false
+		return func() (*runtime.Runtime, []*hbm.Device, error) { return runtime.NewStack(cfg, 1) }
+	}
+	base, v2x := variant(hbm.VariantBase), variant(hbm.Variant2X)
+	v2ba, srw := variant(hbm.Variant2BA), variant(hbm.VariantSRW)
+	gddr6, lpddr5 := preset(hbm.GDDR6PIMConfig(1250)), preset(hbm.LPDDR5PIMConfig(800))
+
+	for _, g := range []struct {
+		device, kernel string
+		build          func() (*runtime.Runtime, []*hbm.Device, error)
+
+		cycles, triggers, fences int64
+		// ACT, PRE, RD, WR, ABRD, ABWR, REF, PIMInstr summed over devices.
+		census [8]int64
+	}{
+		{"PIM-HBM", "gemv", base, 87510, 8192, 1024, [8]int64{18, 1362, 64, 8, 4096, 4113, 18, 135200}},
+		{"PIM-HBM", "add", base, 4143, 384, 48, [8]int64{4, 84, 0, 2, 256, 130, 0, 6312}},
+		{"PIM-HBM", "bn", base, 2818, 256, 32, [8]int64{4, 68, 0, 2, 128, 130, 0, 4248}},
+		{"PIM-HBM-2x", "gemv", v2x, 63925, 8192, 512, [8]int64{22, 1286, 256, 4, 4096, 4113, 13, 266272}},
+		{"PIM-HBM-2x", "add", v2x, 1719, 192, 12, [8]int64{4, 84, 0, 2, 128, 66, 0, 6288}},
+		{"PIM-HBM-2x", "bn", v2x, 1250, 128, 8, [8]int64{4, 68, 0, 2, 64, 66, 0, 4208}},
+		{"PIM-HBM-2BA", "gemv", v2ba, 87510, 8192, 1024, [8]int64{18, 1362, 64, 8, 4096, 4113, 18, 135200}},
+		{"PIM-HBM-2BA", "add", v2ba, 2827, 256, 32, [8]int64{4, 84, 0, 2, 128, 129, 0, 4264}},
+		{"PIM-HBM-2BA", "bn", v2ba, 2818, 256, 32, [8]int64{4, 68, 0, 2, 128, 130, 0, 4248}},
+		{"PIM-HBM-SRW", "gemv", srw, 42037, 4096, 512, [8]int64{18, 1202, 64, 8, 0, 4113, 8, 69664}},
+		{"PIM-HBM-SRW", "add", srw, 4143, 384, 48, [8]int64{4, 84, 0, 2, 256, 130, 0, 6312}},
+		{"PIM-HBM-SRW", "bn", srw, 2818, 256, 32, [8]int64{4, 68, 0, 2, 128, 130, 0, 4248}},
+		{"GDDR6", "gemv", gddr6, 203664, 16384, 2048, [8]int64{52, 2820, 256, 16, 8192, 8226, 41, 540800}},
+		{"LPDDR5", "gemv", lpddr5, 2021859, 131072, 16384, [8]int64{224, 27376, 512, 128, 65536, 65808, 641, 1081600}},
+	} {
+		rt, devs, err := g.build()
+		if err != nil {
+			t.Fatalf("%s: %v", g.device, err)
+		}
+		var ks blas.KernelStats
+		switch g.kernel {
+		case "gemv":
+			_, ks, err = blas.PimGemv(rt, nil, 1024, 4096, nil)
+		case "add":
+			_, ks, err = blas.PimAdd(rt, nil, nil, 1<<20)
+		case "bn":
+			_, ks, err = blas.PimBN(rt, nil, 1<<20, 0, 0)
+		}
+		if err != nil {
+			t.Fatalf("%s %s: %v", g.device, g.kernel, err)
+		}
+		if ks.Cycles != g.cycles || ks.Triggers != g.triggers || ks.Fences != g.fences {
+			t.Errorf("%s %s: cycles %d triggers %d fences %d, want %d/%d/%d", g.device, g.kernel,
+				ks.Cycles, ks.Triggers, ks.Fences, g.cycles, g.triggers, g.fences)
+		}
+		var st hbm.Stats
+		for _, d := range devs {
+			st.Add(d.Stats())
+		}
+		got := [8]int64{st.ACT, st.PRE, st.RD, st.WR, st.ABRD, st.ABWR, st.REF, st.PIMInstr}
+		if got != g.census {
+			t.Errorf("%s %s: ACT/PRE/RD/WR/ABRD/ABWR/REF/PIMInstr = %v, want %v", g.device, g.kernel, got, g.census)
 		}
 	}
 }

@@ -7,9 +7,11 @@ package pimsim
 
 import (
 	"context"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -435,7 +437,6 @@ func TestSLODocMetricsExist(t *testing.T) {
 		EvalEvery:  -1,
 		Hedge:      &slo.HedgeConfig{Initial: 2 * time.Millisecond},
 	}, reg)
-	eng.RecordAdmit("default", "tiny")
 	eng.RecordRequest("default", "tiny", time.Millisecond, slo.OutcomeOK, "req-1")
 	eng.Evaluate()
 
@@ -605,5 +606,51 @@ func TestMetricCatalogueIsRead(t *testing.T) {
 		if !strings.Contains(read, name) {
 			t.Errorf("series %s is registered but no doc, drill, pimtop pane or bench reads it: document it or delete it", name)
 		}
+	}
+}
+
+// TestOneDeviceDescription guards the single source of device facts:
+// internal/hbm's variant table says what a Fig. 14 variant is, and the
+// other packages read it through hbm.Config's accessors. A non-test file
+// outside internal/hbm and internal/isa that compares an hbm.Variant, or
+// doubles isa.GRFEntries to re-derive a GRF depth, is a second copy of the
+// table.
+// Two fixed sizes are not derivations and may stay: the oracle's
+// accumulator buffer and ZeroGRF's command count.
+func TestOneDeviceDescription(t *testing.T) {
+	variantCompare := regexp.MustCompile(`(==|!=)\s*hbm\.Variant|hbm\.Variant\w+\s*(==|!=)|case\s+hbm\.Variant`)
+	grfDoubled := regexp.MustCompile(`2\s*\*\s*isa\.GRFEntries`)
+	fixedSize := map[string]string{
+		"internal/blas/gemv.go":       "var buf [2 * isa.GRFEntries]fp16.F16",
+		"internal/runtime/runtime.go": "col := end - 2*isa.GRFEntries",
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			switch path {
+			case "bench", ".bench_build", ".git", "internal/hbm", "internal/isa":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		for i, line := range strings.Split(readDoc(t, path), "\n") {
+			if variantCompare.MatchString(line) {
+				t.Errorf("%s:%d compares an hbm.Variant; read the fact from hbm.Config: %s", path, i+1, strings.TrimSpace(line))
+			}
+			fixed, ok := fixedSize[path]
+			if grfDoubled.MatchString(line) && !(ok && strings.Contains(line, fixed)) {
+				t.Errorf("%s:%d doubles isa.GRFEntries; use hbm.Config.GRFDepth: %s", path, i+1, strings.TrimSpace(line))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

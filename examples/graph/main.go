@@ -47,11 +47,7 @@ func main() {
 	cfg := hbm.PIMHBMConfig(1200)
 	cfg.PseudoChannels = 4
 	cfg.Functional = true
-	dev, err := hbm.NewDevice(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt, err := runtime.New([]*hbm.Device{dev})
+	rt, _, err := runtime.NewStack(cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

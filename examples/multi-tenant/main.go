@@ -28,11 +28,7 @@ func main() {
 	cfg := hbm.PIMHBMConfig(1200)
 	cfg.PseudoChannels = 8
 	cfg.Functional = true
-	dev, err := hbm.NewDevice(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt, err := runtime.New([]*hbm.Device{dev})
+	rt, _, err := runtime.NewStack(cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +63,7 @@ func main() {
 		N, ksB.Ns(tenants[1])/1000, ksB.Triggers)
 
 	// Verify both against host references.
-	wantY := blas.RefGemvPIMOrder(W, M, K, x, 8)
+	wantY := blas.RefGemvPIMOrder(W, M, K, x, cfg.GRFDepth())
 	wantC := blas.RefAdd(a, b)
 	for i := range wantY {
 		if y[i] != wantY[i] {

@@ -20,11 +20,7 @@ func main() {
 	cfg := hbm.PIMHBMConfig(1200)
 	cfg.PseudoChannels = 4
 	cfg.Functional = true
-	dev, err := hbm.NewDevice(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt, err := runtime.New([]*hbm.Device{dev})
+	rt, _, err := runtime.NewStack(cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	want := blas.RefGemvPIMOrder(W, M, K, x, 8)
+	want := blas.RefGemvPIMOrder(W, M, K, x, cfg.GRFDepth())
 	for i := range want {
 		if y[i] != want[i] {
 			log.Fatalf("y[%d] = %v, want %v", i, y[i], want[i])

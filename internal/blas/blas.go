@@ -10,8 +10,6 @@ import (
 	"fmt"
 
 	"pimsim/internal/fp16"
-	"pimsim/internal/hbm"
-	"pimsim/internal/isa"
 	"pimsim/internal/runtime"
 )
 
@@ -54,19 +52,10 @@ func (r *region) end() KernelStats {
 	return ks
 }
 
-// grfDepth returns the number of GRF registers per half for the runtime's
-// device variant. It equals the AAM reorder window (fence granularity).
-func grfDepth(rt *runtime.Runtime) int {
-	if rt.Cfg.Variant == hbm.Variant2X {
-		return 2 * isa.GRFEntries
-	}
-	return isa.GRFEntries
-}
-
-// GRFDepth exposes the runtime's GRF accumulator depth (the g that
-// RefGemvPIMOrder interleaves over): oracle builders outside this
-// package need it to reproduce device accumulation order exactly.
-func GRFDepth(rt *runtime.Runtime) int { return grfDepth(rt) }
+// GRFDepth is the GRF accumulator depth of the runtime's device (the g
+// that RefGemvPIMOrder interleaves over): oracle builders need it to
+// reproduce device accumulation order exactly.
+func GRFDepth(rt *runtime.Runtime) int { return rt.Cfg.GRFDepth() }
 
 // splats builds the write-datapath payloads of one GEMV launch on one
 // channel: payload k is x[k] replicated across the 16 lanes and

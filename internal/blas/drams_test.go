@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/runtime"
 )
@@ -95,37 +96,60 @@ func TestEltwiseAcrossDRAMFamilies(t *testing.T) {
 
 // TestGemv2XVariantFunctional verifies the PIM-HBM-2x DSE variant is not
 // just a timing model: with one unit per bank and a 16-deep GRF (the AAM
-// window doubles), the GEMV kernel still produces bit-exact results.
+// window doubles), the GEMV kernel still produces bit-exact results —
+// also across macro tiles, where the accumulators in GRF_B[0..15] must be
+// cleared between one tile's outputs and the next.
 func TestGemv2XVariantFunctional(t *testing.T) {
-	cfg := hbm.PIMHBMConfig(1000)
-	cfg.PseudoChannels = 2
-	cfg.Variant = hbm.Variant2X
-	cfg.PIMUnits = 16
-	cfg.Functional = true
-	dev, err := hbm.NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := runtime.New([]*hbm.Device{dev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(88))
-	const M, K = 160, 208 // K pads to a multiple of 16
-	W := randVec(rng, M*K)
-	x := randVec(rng, K)
-	got, ks, err := PimGemv(rt, W, M, K, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RefGemvPIMOrder(W, M, K, x, 16) // 16 interleaved accumulators
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("y[%d] = %v, want %v", i, got[i], want[i])
+	for _, tc := range []struct {
+		pchs, M, K int
+		resident   bool
+	}{
+		{2, 160, 208, false},  // one macro tile; K pads to a multiple of 16
+		{1, 1024, 256, false}, // 4 tiles
+		{2, 2048, 512, false}, // 4 tiles per channel
+		{2, 288, 64, true},    // resident layout: 2 tiles in every channel
+	} {
+		cfg := hbm.PIMHBMVariantConfig(hbm.Variant2X, 1000)
+		cfg.PseudoChannels = tc.pchs
+		rt, _, err := runtime.NewStack(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if ks.Fences == 0 {
-		t.Error("no fences")
+		rng := rand.New(rand.NewSource(88))
+		W := randVec(rng, tc.M*tc.K)
+		x := randVec(rng, tc.K)
+		var got fp16.Vector
+		var ks KernelStats
+		if tc.resident {
+			g, err := LoadGemv(rt, W, tc.M, tc.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ys []fp16.Vector
+			ys, ks, err = g.RunSlots(rt, []fp16.Vector{nil, x})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = ys[1]
+		} else {
+			got, ks, err = PimGemv(rt, W, tc.M, tc.K, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := RefGemvPIMOrder(W, tc.M, tc.K, x, cfg.GRFDepth()) // 16 interleaved accumulators
+		bad := 0
+		for i := range want {
+			if got[i] != want[i] {
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%dx%d on %d pCH (resident %v): %d of %d outputs wrong", tc.M, tc.K, tc.pchs, tc.resident, bad, tc.M)
+		}
+		if ks.Fences == 0 {
+			t.Error("no fences")
+		}
 	}
 }
 
@@ -133,15 +157,9 @@ func TestGemv2XVariantFunctional(t *testing.T) {
 // must also be bit-exact, at roughly half the triggers of the baseline.
 func TestGemvSRWVariantFunctional(t *testing.T) {
 	mk := func(variant hbm.Variant) *runtime.Runtime {
-		cfg := hbm.PIMHBMConfig(1000)
+		cfg := hbm.PIMHBMVariantConfig(variant, 1000)
 		cfg.PseudoChannels = 2
-		cfg.Variant = variant
-		cfg.Functional = true
-		dev, err := hbm.NewDevice(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := runtime.New([]*hbm.Device{dev})
+		rt, _, err := runtime.NewStack(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

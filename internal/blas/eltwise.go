@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pimsim/internal/fp16"
-	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
 	"pimsim/internal/runtime"
 )
@@ -106,9 +105,9 @@ func planElt(rt *runtime.Runtime, op eltOp, n int) (*eltPlan, error) {
 	p := &eltPlan{
 		op: op, N: n,
 		C: rt.NumChannels(), U: rt.Cfg.PIMUnits,
-		G: grfDepth(rt), lanes: fp16.Lanes,
+		G: rt.Cfg.GRFDepth(), lanes: fp16.Lanes,
 	}
-	p.sameBank = rt.Cfg.Banks()/rt.Cfg.PIMUnits == 1
+	p.sameBank = rt.Cfg.BanksPerUnit() == 1
 	cols := rt.Cfg.ColumnsPerRow()
 	switch {
 	case op.binary() && p.sameBank:
@@ -175,7 +174,7 @@ func (p *eltPlan) blockOf(ch, u, visit int) int { return (visit*p.U+u)*p.C + ch 
 // in the bank timers, so reordering them moves the cycle counts of
 // everything that follows.
 func (p *eltPlan) layout(rt *runtime.Runtime, a, b fp16.Vector) error {
-	banksPerUnit := rt.Cfg.Banks() / rt.Cfg.PIMUnits
+	banksPerUnit := rt.Cfg.BanksPerUnit()
 	rowWidth := rt.Cfg.ColumnsPerRow()
 	blockBytes := 2 * p.lanes
 	// One row buffer serves every write: WriteBankRowSB copies into bank
@@ -227,7 +226,7 @@ func (p *eltPlan) layout(rt *runtime.Runtime, a, b fp16.Vector) error {
 // (functional mode) and kernel stats.
 func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta fp16.F16) (fp16.Vector, KernelStats, error) {
 	functional := rt.Cfg.Functional
-	twoBank := rt.Cfg.Variant == hbm.Variant2BA && op.binary()
+	twoBank := rt.Cfg.TriggerBanks() == 2 && op.binary()
 	if twoBank && functional {
 		return nil, KernelStats{}, fmt.Errorf("blas: the 2BA variant is timing-only (set Config.Functional=false)")
 	}
@@ -354,7 +353,7 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 
 	// Read the results back from the destination stripe.
 	out := fp16.NewVector(n)
-	banksPerUnit := rt.Cfg.Banks() / rt.Cfg.PIMUnits
+	banksPerUnit := rt.Cfg.BanksPerUnit()
 	selD, colOff := plan.dst()
 	cols := make([]uint32, plan.inCols)
 	for i := range cols {

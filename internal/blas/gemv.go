@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pimsim/internal/fp16"
-	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
 	"pimsim/internal/runtime"
 )
@@ -66,7 +65,7 @@ func planGemvLayout(rt *runtime.Runtime, M, K int, replicated bool) (*gemvPlan, 
 		M: M, K: K,
 		C:          rt.NumChannels(),
 		U:          rt.Cfg.PIMUnits,
-		G:          grfDepth(rt),
+		G:          rt.Cfg.GRFDepth(),
 		lanes:      fp16.Lanes,
 		replicated: replicated,
 	}
@@ -115,7 +114,7 @@ func (p *gemvPlan) passRowCol(macro, pass, i int) (uint32, uint32) {
 // layoutWeights writes W into the banks (functional mode setup; the PIM
 // BLAS does this once when the host loads the model, Section VIII).
 func (p *gemvPlan) layoutWeights(rt *runtime.Runtime, W fp16.Vector) error {
-	banksPerUnit := rt.Cfg.Banks() / rt.Cfg.PIMUnits
+	banksPerUnit := rt.Cfg.BanksPerUnit()
 	cols := make([]uint32, 0, rt.Cfg.ColumnsPerRow())
 	data := make([][]byte, 0, rt.Cfg.ColumnsPerRow())
 	// Reusable payload buffers: WriteBankRowSB copies into bank storage, so
@@ -273,7 +272,7 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 // on a timing-only device xdata and y are nil and only the commands
 // issue. Returns the column triggers issued.
 func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp16.Vector) (int64, error) {
-	srw := rt.Cfg.Variant == hbm.VariantSRW
+	srw := rt.Cfg.WROperand()
 	var triggers int64
 	if err := rt.EnterAB(ch); err != nil {
 		return triggers, err
@@ -368,8 +367,8 @@ func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp1
 // rounding order: per output, G interleaved FP16 accumulators folded left
 // to right at the end. It is the oracle for PimGemv in functional tests,
 // and an independent one: scalar MAC and Add, none of the vector kernels
-// the device model runs. g is a device's GRF depth, at most
-// 2*isa.GRFEntries.
+// the device model runs. g is a device's GRF depth (hbm.Config.GRFDepth),
+// at most the fixed buffer below.
 func RefGemvPIMOrder(W fp16.Vector, M, K int, x fp16.Vector, g int) fp16.Vector {
 	y := fp16.NewVector(M)
 	var buf [2 * isa.GRFEntries]fp16.F16 // the deepest GRF half of any device variant

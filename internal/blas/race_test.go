@@ -59,7 +59,7 @@ func TestConcurrentShardsGemv(t *testing.T) {
 					return
 				}
 				for bi, x := range xs {
-					want := RefGemvPIMOrder(sh.W, M, K, x, grfDepth(sh.rt))
+					want := RefGemvPIMOrder(sh.W, M, K, x, GRFDepth(sh.rt))
 					for o := range want {
 						if ys[bi][o] != want[o] {
 							t.Errorf("shard %d iter %d: lane %d output %d mismatch", i, it, bi, o)
@@ -73,7 +73,7 @@ func TestConcurrentShardsGemv(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				want := RefGemvPIMOrder(sh.W, M, K, x, grfDepth(sh.rt))
+				want := RefGemvPIMOrder(sh.W, M, K, x, GRFDepth(sh.rt))
 				for o := range want {
 					if y[o] != want[o] {
 						t.Errorf("shard %d iter %d: ad-hoc output %d mismatch", i, it, o)

@@ -90,7 +90,7 @@ func (g *ResidentGemv) MaxBatch(rt *runtime.Runtime) int { return rt.NumChannels
 // callers can verify RunBatch results bit-for-bit. W must be the matrix
 // the handle was loaded with — the banks hold it, the handle does not.
 func (g *ResidentGemv) Oracle(rt *runtime.Runtime, W fp16.Vector, x fp16.Vector) fp16.Vector {
-	return RefGemvPIMOrder(W, g.M, g.K, x, grfDepth(rt))
+	return RefGemvPIMOrder(W, g.M, g.K, x, rt.Cfg.GRFDepth())
 }
 
 // Unload releases the weight rows. The handle is dead afterwards.

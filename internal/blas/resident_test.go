@@ -41,7 +41,7 @@ func TestResidentGemvMatchesReference(t *testing.T) {
 			t.Fatalf("%dx%d: %d outputs for batch %d", c.M, c.K, len(ys), c.batch)
 		}
 		for i, x := range xs {
-			want := RefGemvPIMOrder(W, c.M, c.K, x, grfDepth(rt))
+			want := RefGemvPIMOrder(W, c.M, c.K, x, GRFDepth(rt))
 			for o := range want {
 				if ys[i][o] != want[o] {
 					t.Fatalf("%dx%d batch %d: y[%d][%d] = %v, want %v",
@@ -74,7 +74,7 @@ func TestResidentGemvRepeatedRuns(t *testing.T) {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		for i, x := range xs {
-			want := RefGemvPIMOrder(W, M, K, x, grfDepth(rt))
+			want := RefGemvPIMOrder(W, M, K, x, GRFDepth(rt))
 			for o := range want {
 				if ys[i][o] != want[o] {
 					t.Fatalf("run %d lane %d drifted at output %d", run, i, o)
@@ -97,7 +97,7 @@ func TestResidentGemvCoexistsWithAdHocKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randVec(rng, K)
-	want := RefGemvPIMOrder(W, M, K, x, grfDepth(rt))
+	want := RefGemvPIMOrder(W, M, K, x, GRFDepth(rt))
 
 	check := func(tag string) {
 		ys, _, err := g.RunBatch(rt, []fp16.Vector{x})

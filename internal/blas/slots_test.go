@@ -51,7 +51,7 @@ func TestRunSlotsSparseBitExact(t *testing.T) {
 			x[i] = fp16.FromFloat32(float32(rng.NormFloat64()))
 		}
 		xs[ch] = x
-		want[ch] = RefGemvPIMOrder(W, M, K, x, grfDepth(rt))
+		want[ch] = RefGemvPIMOrder(W, M, K, x, GRFDepth(rt))
 	}
 	ys, ks, err := g.RunSlots(rt, xs)
 	if err != nil {

@@ -32,12 +32,12 @@ type Result struct {
 	GeomeanOverBase float64
 }
 
-// Run evaluates the baseline and all three variants at batch 1.
+// Run evaluates the baseline and all three variants at batch 1. The
+// baseline comes first: the other rows' GeomeanOverBase divide by it.
 func Run() ([]Result, error) {
 	hostSys := sim.NewHostSystem(1)
 	variants := []hbm.Variant{hbm.VariantBase, hbm.Variant2X, hbm.Variant2BA, hbm.VariantSRW}
 	out := make([]Result, 0, len(variants))
-	var baseGeo float64
 
 	for _, v := range variants {
 		pimSys, err := sim.NewPIMSystem(v)
@@ -56,12 +56,11 @@ func Run() ([]Result, error) {
 			n++
 		}
 		r.Geomean = math.Exp(logSum / float64(n))
-		if v == hbm.VariantBase {
-			baseGeo = r.Geomean
-			r.GeomeanOverBase = 1
-		} else {
-			r.GeomeanOverBase = r.Geomean / baseGeo
+		baseGeo := r.Geomean
+		if len(out) > 0 {
+			baseGeo = out[0].Geomean
 		}
+		r.GeomeanOverBase = r.Geomean / baseGeo
 		out = append(out, r)
 	}
 	return out, nil

@@ -66,9 +66,8 @@ func (c Command) String() string {
 // across commands must copy it first. This keeps the column hot path free
 // of per-command allocation.
 type IssueResult struct {
-	Cycle    int64  // the cycle the command issued at
-	Data     []byte // data returned by an SB-mode RD (functional mode)
-	PIMSteps int    // PIM instructions executed by this command (AB-PIM mode)
+	Cycle int64  // the cycle the command issued at
+	Data  []byte // data returned by an SB-mode RD (functional mode)
 }
 
 // Stats counts issued commands and data movement for one pseudo channel.

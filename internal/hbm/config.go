@@ -1,9 +1,16 @@
 package hbm
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+
+	"pimsim/internal/isa"
+)
 
 // Variant selects the PIM microarchitecture evaluated in Fig. 14's design
-// space exploration on top of the baseline product configuration.
+// space exploration on top of the baseline product configuration. What a
+// variant means is one row of the variants table below; every other
+// package reads it through Config's accessors.
 type Variant uint8
 
 const (
@@ -24,16 +31,68 @@ const (
 	VariantSRW
 )
 
-var variantNames = [...]string{"PIM-HBM", "PIM-HBM-2x", "PIM-HBM-2BA", "PIM-HBM-SRW"}
+// variants is the one statement of what each Fig. 14 variant is.
+var variants = [...]struct {
+	name         string // Variant.String: system names, DSE tables
+	cli          string // ParseVariant: pimsim -variant
+	pimUnits     int    // PIMHBMVariantConfig: PIM units per pseudo channel
+	grfDepth     int    // Config.GRFDepth: registers per GRF half = AAM window
+	triggerBanks int    // Config.TriggerBanks: bank operands one trigger may read
+	wrOperand    bool   // Config.WROperand: a WR trigger may feed an arithmetic instruction
+}{
+	VariantBase: {
+		name:         "PIM-HBM",
+		cli:          "base",
+		pimUnits:     8,
+		grfDepth:     isa.GRFEntries,
+		triggerBanks: 1,
+	},
+	Variant2X: {
+		name:         "PIM-HBM-2x",
+		cli:          "2x",
+		pimUnits:     16,
+		grfDepth:     2 * isa.GRFEntries,
+		triggerBanks: 1,
+	},
+	Variant2BA: {
+		name:         "PIM-HBM-2BA",
+		cli:          "2ba",
+		pimUnits:     8,
+		grfDepth:     isa.GRFEntries,
+		triggerBanks: 2,
+	},
+	VariantSRW: {
+		name:         "PIM-HBM-SRW",
+		cli:          "srw",
+		pimUnits:     8,
+		grfDepth:     isa.GRFEntries,
+		triggerBanks: 1,
+		wrOperand:    true,
+	},
+}
 
 func (v Variant) String() string {
-	if int(v) < len(variantNames) {
-		return variantNames[v]
+	if int(v) < len(variants) {
+		return variants[v].name
 	}
 	return fmt.Sprintf("Variant(%d)", uint8(v))
 }
 
-// Config describes one HBM2 or PIM-HBM device (stack).
+// ParseVariant resolves a command-line variant name (base, 2x, 2ba, srw;
+// case-insensitive).
+func ParseVariant(name string) (Variant, error) {
+	for v := range variants {
+		if strings.EqualFold(name, variants[v].cli) {
+			return Variant(v), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q", name)
+}
+
+// Config describes one HBM2 or PIM-HBM device (stack). Build one with a
+// preset (HBM2Config, PIMHBMConfig, PIMHBMVariantConfig, GDDR6PIMConfig,
+// LPDDR5PIMConfig), then adjust fields; facts that follow from the
+// fields are methods.
 type Config struct {
 	PseudoChannels int // per device (16 for HBM2)
 	BankGroups     int // per pseudo channel (4)
@@ -46,7 +105,8 @@ type Config struct {
 
 	// PIM configuration. PIMUnits is the number of PIM execution units per
 	// pseudo channel (8 in the product: one per two banks); 0 models a
-	// plain HBM2 device. Variant selects a Fig. 14 DSE microarchitecture.
+	// plain HBM2 device. Variant selects the Fig. 14 microarchitecture the
+	// units implement: GRFDepth, TriggerBanks and WROperand follow from it.
 	PIMUnits int
 	Variant  Variant
 
@@ -71,8 +131,7 @@ func HBM2Config(mhz int) Config {
 		Rows:           8192, // 16MB banks: 4 x 8Gb dies = 4 GiB per stack
 		RowBytes:       2048,
 		AccessBytes:    32,
-		Timing:         HBM2Timing(mhz),
-		PIMUnits:       0,
+		Timing:         hbm2Ns.atClock(mhz),
 		Functional:     true,
 	}
 }
@@ -81,10 +140,16 @@ func HBM2Config(mhz int) Config {
 // external behaviour to HBM2 (a drop-in replacement), with 8 PIM units per
 // pseudo channel and half the sub-arrays (half the rows) to make floorplan
 // room for them (Section VI).
-func PIMHBMConfig(mhz int) Config {
+func PIMHBMConfig(mhz int) Config { return PIMHBMVariantConfig(VariantBase, mhz) }
+
+// PIMHBMVariantConfig returns the complete PIM-HBM device of a Fig. 14
+// variant: the product's organisation and timing with the variant's row
+// of the table applied.
+func PIMHBMVariantConfig(v Variant, mhz int) Config {
 	c := HBM2Config(mhz)
 	c.Rows = 4096 // half the sub-arrays make room for the PIM units
-	c.PIMUnits = 8
+	c.Variant = v
+	c.PIMUnits = variants[v].pimUnits
 	return c
 }
 
@@ -94,12 +159,35 @@ func (c Config) Banks() int { return c.BankGroups * c.BanksPerGroup }
 // ColumnsPerRow returns the number of column addresses per row.
 func (c Config) ColumnsPerRow() int { return c.RowBytes / c.AccessBytes }
 
-// BankBytes returns the capacity of one bank.
-func (c Config) BankBytes() int64 { return int64(c.Rows) * int64(c.RowBytes) }
+// BankOf splits a flat bank index (bg*BanksPerGroup + bank, the order PIM
+// units own banks in) into its bank group and bank-in-group.
+func (c Config) BankOf(flat int) (bg, bank int) {
+	return flat / c.BanksPerGroup, flat % c.BanksPerGroup
+}
+
+// BanksPerUnit returns how many consecutive flat banks one PIM unit owns:
+// unit u sits between banks u*BanksPerUnit (its even bank) and
+// (u+1)*BanksPerUnit-1 (its odd bank). PIM devices only.
+func (c Config) BanksPerUnit() int { return c.Banks() / c.PIMUnits }
+
+// GRFDepth returns the registers per GRF half of each PIM unit. It is also
+// the AAM window: the arithmetic instructions that may execute between
+// ordering fences, and the number of interleaved partial sums a GEMV
+// accumulates (Section VII-B).
+func (c Config) GRFDepth() int { return variants[c.Variant].grfDepth }
+
+// TriggerBanks returns how many bank operands one triggering column
+// command may read: 1, or 2 when even and odd banks are driven together.
+func (c Config) TriggerBanks() int { return variants[c.Variant].triggerBanks }
+
+// WROperand reports whether a WR trigger may feed an arithmetic
+// instruction: the payload goes to the GRF while the overlapped RD
+// datapath supplies the bank operand.
+func (c Config) WROperand() bool { return variants[c.Variant].wrOperand }
 
 // DeviceBytes returns the capacity of the whole device.
 func (c Config) DeviceBytes() int64 {
-	return c.BankBytes() * int64(c.Banks()) * int64(c.PseudoChannels)
+	return int64(c.Rows) * int64(c.RowBytes) * int64(c.Banks()) * int64(c.PseudoChannels)
 }
 
 // OffChipGBps returns the peak off-chip I/O bandwidth of the device in
@@ -111,28 +199,15 @@ func (c Config) OffChipGBps() float64 {
 }
 
 // OnChipGBps returns the peak on-chip compute bandwidth exposed to the PIM
-// units: each column command moves AccessBytes per operating bank (one
-// bank per PIM unit) every tCCD_L.
+// units: each column command moves AccessBytes per operating bank
+// (TriggerBanks banks per PIM unit) every tCCD_L.
 func (c Config) OnChipGBps() float64 {
 	if c.PIMUnits == 0 {
 		return 0
 	}
-	units := c.PIMUnits
-	bytesPerCmd := float64(units * c.AccessBytes)
-	if c.Variant == Variant2BA {
-		bytesPerCmd *= 2
-	}
+	bytesPerCmd := float64(c.PIMUnits * c.AccessBytes * c.TriggerBanks())
 	secPerCmd := float64(c.Timing.CCDL) * float64(c.Timing.TCKps) * 1e-12
 	return bytesPerCmd / secPerCmd * float64(c.PseudoChannels) / 1e9
-}
-
-// AAMWindow is the number of arithmetic PIM instructions that may execute
-// between ordering fences: limited by the GRF depth (Section VII-B).
-func (c Config) AAMWindow() int {
-	if c.Variant == Variant2X {
-		return 2 * 8
-	}
-	return 8
 }
 
 // Validate checks structural consistency.
@@ -141,6 +216,8 @@ func (c Config) Validate() error {
 		return err
 	}
 	switch {
+	case int(c.Variant) >= len(variants):
+		return fmt.Errorf("hbm: unknown %s", c.Variant)
 	case c.PseudoChannels <= 0 || c.BankGroups <= 0 || c.BanksPerGroup <= 0:
 		return fmt.Errorf("hbm: non-positive geometry")
 	case c.RowBytes <= 0 || c.AccessBytes <= 0 || c.RowBytes%c.AccessBytes != 0:

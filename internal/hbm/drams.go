@@ -8,65 +8,54 @@ package hbm
 // (ISA, execution units, runtime, BLAS) is geometry-agnostic and runs on
 // them unchanged — which is the point.
 
-// GDDR6Timing returns representative GDDR6 timing at the given command
-// clock in MHz (the CA clock; data runs much faster on WCK). Values
-// follow JESD250-class parts.
-func GDDR6Timing(mhz int) Timing {
-	t := Timing{
-		TCKps: 1000000 / mhz,
-		BL:    16, // BL16 on a 16-bit channel moves 32 bytes
-		RCD:   epsRound(18, mhz),
-		RP:    epsRound(18, mhz),
-		RAS:   epsRound(32, mhz),
-		RC:    epsRound(50, mhz),
-		RL:    epsRound(18, mhz),
-		WL:    epsRound(6, mhz),
-		CCDS:  2,
-		CCDL:  4,
-		RRDS:  epsRound(5, mhz),
-		RRDL:  epsRound(7, mhz),
-		FAW:   epsRound(22, mhz),
-		WR:    epsRound(15, mhz),
-		RTP:   epsRound(6, mhz),
-		WTRS:  epsRound(4, mhz),
-		WTRL:  epsRound(8, mhz),
-		RTW:   epsRound(9, mhz),
-		REFI:  epsRound(3900, mhz),
-		RFC:   epsRound(280, mhz),
-	}
-	return t
+// gddr6Ns is representative GDDR6 timing (JESD250-class parts) in
+// nanoseconds; the clock it is converted at is the command (CA) clock,
+// data runs much faster on WCK.
+var gddr6Ns = Timing{
+	BL:   16, // BL16 on a 16-bit channel moves 32 bytes
+	RCD:  18,
+	RP:   18,
+	RAS:  32,
+	RC:   50,
+	RL:   18,
+	WL:   6,
+	CCDS: 2,
+	CCDL: 4,
+	RRDS: 5,
+	RRDL: 7,
+	FAW:  22,
+	WR:   15,
+	RTP:  6,
+	WTRS: 4,
+	WTRL: 8,
+	RTW:  9,
+	REFI: 3900,
+	RFC:  280,
 }
 
-// LPDDR5Timing returns representative LPDDR5 timing at the given command
-// clock in MHz (JESD209-5-class).
-func LPDDR5Timing(mhz int) Timing {
-	t := Timing{
-		TCKps: 1000000 / mhz,
-		BL:    8, // BL16 on x16 halves; modeled as 8 beats of 32 bits
-		RCD:   epsRound(18, mhz),
-		RP:    epsRound(21, mhz),
-		RAS:   epsRound(42, mhz),
-		RC:    epsRound(63, mhz),
-		RL:    epsRound(20, mhz),
-		WL:    epsRound(10, mhz),
-		CCDS:  4,
-		CCDL:  8,
-		RRDS:  epsRound(7, mhz),
-		RRDL:  epsRound(10, mhz),
-		FAW:   epsRound(30, mhz),
-		WR:    epsRound(18, mhz),
-		RTP:   epsRound(7, mhz),
-		WTRS:  epsRound(6, mhz),
-		WTRL:  epsRound(12, mhz),
-		RTW:   epsRound(12, mhz),
-		REFI:  epsRound(3900, mhz),
-		RFC:   epsRound(380, mhz),
-	}
-	return t
+// lpddr5Ns is representative LPDDR5 timing (JESD209-5-class) in
+// nanoseconds.
+var lpddr5Ns = Timing{
+	BL:   8, // BL16 on x16 halves; modeled as 8 beats of 32 bits
+	RCD:  18,
+	RP:   21,
+	RAS:  42,
+	RC:   63,
+	RL:   20,
+	WL:   10,
+	CCDS: 4,
+	CCDL: 8,
+	RRDS: 7,
+	RRDL: 10,
+	FAW:  30,
+	WR:   18,
+	RTP:  7,
+	WTRS: 6,
+	WTRL: 12,
+	RTW:  12,
+	REFI: 3900,
+	RFC:  380,
 }
-
-// epsRound converts nanoseconds to cycles at mhz, rounding up.
-func epsRound(ns, mhz int) int { return (ns*mhz + 999) / 1000 }
 
 // GDDR6PIMConfig models a GDDR6 accelerator-in-memory part (the class
 // the paper's related work calls Newton/AiM): two channels per device,
@@ -79,7 +68,7 @@ func GDDR6PIMConfig(mhz int) Config {
 		Rows:           8192,
 		RowBytes:       2048,
 		AccessBytes:    32,
-		Timing:         GDDR6Timing(mhz),
+		Timing:         gddr6Ns.atClock(mhz),
 		PIMUnits:       16, // one per bank
 		Functional:     true,
 	}
@@ -95,7 +84,7 @@ func LPDDR5PIMConfig(mhz int) Config {
 		Rows:           16384,
 		RowBytes:       2048,
 		AccessBytes:    32,
-		Timing:         LPDDR5Timing(mhz),
+		Timing:         lpddr5Ns.atClock(mhz),
 		PIMUnits:       4,
 		Functional:     true,
 	}

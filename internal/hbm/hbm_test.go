@@ -46,24 +46,28 @@ func newTestPCH(t *testing.T, cfg Config) *seq {
 }
 
 func TestTimingPresets(t *testing.T) {
-	for _, mhz := range []int{1000, 1200} {
-		tm := HBM2Timing(mhz)
-		if err := tm.Validate(); err != nil {
-			t.Errorf("HBM2Timing(%d): %v", mhz, err)
+	// Every preset row through the one rounding function, pinned in
+	// cycles: the values the rest of the suite's cycle goldens stand on.
+	for _, tc := range []struct {
+		name string
+		got  Timing
+		want Timing
+	}{
+		{"HBM2@1000", HBM2Config(1000).Timing, Timing{TCKps: 1000, BL: 4, RCD: 14, RP: 14, RAS: 33, RC: 47, RL: 14, WL: 4,
+			CCDS: 2, CCDL: 4, RRDS: 4, RRDL: 6, FAW: 16, WR: 15, RTP: 5, WTRS: 3, WTRL: 8, RTW: 8, REFI: 3900, RFC: 260}},
+		{"HBM2@1200", PIMHBMConfig(1200).Timing, Timing{TCKps: 833, BL: 4, RCD: 17, RP: 17, RAS: 40, RC: 57, RL: 17, WL: 5,
+			CCDS: 2, CCDL: 4, RRDS: 5, RRDL: 8, FAW: 20, WR: 18, RTP: 6, WTRS: 4, WTRL: 10, RTW: 10, REFI: 4680, RFC: 312}},
+		{"GDDR6@1250", GDDR6PIMConfig(1250).Timing, Timing{TCKps: 800, BL: 16, RCD: 23, RP: 23, RAS: 40, RC: 63, RL: 23, WL: 8,
+			CCDS: 2, CCDL: 4, RRDS: 7, RRDL: 9, FAW: 28, WR: 19, RTP: 8, WTRS: 5, WTRL: 10, RTW: 12, REFI: 4875, RFC: 350}},
+		{"LPDDR5@800", LPDDR5PIMConfig(800).Timing, Timing{TCKps: 1250, BL: 8, RCD: 15, RP: 17, RAS: 34, RC: 51, RL: 16, WL: 8,
+			CCDS: 4, CCDL: 8, RRDS: 6, RRDL: 8, FAW: 24, WR: 15, RTP: 6, WTRS: 5, WTRL: 10, RTW: 10, REFI: 3120, RFC: 304}},
+	} {
+		if err := tc.got.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
-	}
-	t1000 := HBM2Timing(1000)
-	t1200 := HBM2Timing(1200)
-	if t1000.TCKps != 1000 || t1200.TCKps != 833 {
-		t.Errorf("tCK: %d, %d", t1000.TCKps, t1200.TCKps)
-	}
-	// Nanosecond-class parameters scale up in cycles at higher frequency.
-	if t1200.RCD <= t1000.RCD {
-		t.Errorf("tRCD did not scale: %d vs %d", t1200.RCD, t1000.RCD)
-	}
-	// Cycle-class parameters do not scale.
-	if t1200.CCDL != t1000.CCDL || t1200.BL != t1000.BL {
-		t.Error("tCCD_L/BL must be frequency independent")
+		if tc.got != tc.want {
+			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

@@ -113,12 +113,7 @@ type TriggerContext struct {
 	Col     uint32  // the triggering column address
 	WrData  []byte  // host payload on the write datapath (CmdWR only)
 	Access  BankAccess
-	Variant Variant
 	Cycle   int64 // issue cycle of the triggering command (observability)
-	// Functional mirrors Config.Functional: when false the executor should
-	// sequence instructions (and touch banks for the stat counters) but
-	// skip the FP16 math.
-	Functional bool
 }
 
 // TriggerInfo reports what the executor did for one trigger.
@@ -227,7 +222,7 @@ type PseudoChannel struct {
 
 	// trig is the reusable per-trigger context handed to the PIM executor
 	// (by pointer, so the per-command hot path copies no structs). Its
-	// constant fields (Access, Variant, Functional) are filled once.
+	// constant field (Access) is filled once.
 	trig TriggerContext
 
 	// Address-range limits precomputed off Config so the per-command
@@ -263,8 +258,6 @@ func newPCH(cfg *Config, id int) *PseudoChannel {
 		p.allBanks[i] = i
 	}
 	p.trig.Access = (*pchBankAccess)(p)
-	p.trig.Variant = cfg.Variant
-	p.trig.Functional = cfg.Functional
 	p.numRows = uint32(cfg.Rows)
 	p.numCols = uint32(cfg.RowBytes / cfg.AccessBytes)
 	// Seed the four-activate window in the distant past so the first four
@@ -368,8 +361,7 @@ func (p *PseudoChannel) addrCheck(cmd *Command) error {
 
 // unitFor maps a flat bank index to its PIM unit.
 func (p *PseudoChannel) unitFor(bankIdx int) int {
-	banksPerUnit := p.cfg.Banks() / p.cfg.PIMUnits
-	return bankIdx / banksPerUnit
+	return bankIdx / p.cfg.BanksPerUnit()
 }
 
 // EarliestIssue returns the earliest cycle >= now at which cmd may legally
@@ -948,8 +940,7 @@ func (p *PseudoChannel) issueBroadcastColumn(cmd *Command, res *IssueResult) err
 		if p.exec == nil {
 			return fmt.Errorf("hbm: AB-PIM column with no PIM executor attached")
 		}
-		// The reusable context's constant fields (Access, Variant,
-		// Functional) were filled at construction.
+		// The reusable context's Access was filled at construction.
 		p.trig.Kind = cmd.Kind
 		p.trig.BankSel = cmd.Bank & 1
 		p.trig.Row = openRow
@@ -965,7 +956,6 @@ func (p *PseudoChannel) issueBroadcastColumn(cmd *Command, res *IssueResult) err
 			// PHY (operand loading); an RD trigger moves nothing off chip.
 			p.stats.OffChipBytes += int64(p.cfg.AccessBytes)
 		}
-		res.PIMSteps = info.Instructions
 		p.stats.PIMInstr += int64(info.Instructions)
 		p.stats.PIMArith += int64(info.Arithmetic)
 		p.stats.PIMMove += int64(info.DataMoves)

@@ -7,14 +7,22 @@
 // legal issue cycle of a command and then issue it at (or after) that
 // cycle; there is no per-cycle tick loop, which keeps multi-million-command
 // simulations fast while enforcing every inter-command constraint.
+//
+// The package is also the one description of a device: Config is the
+// organisation, the timing in cycles and the PIM microarchitecture; the
+// variants table (config.go) says what each Fig. 14 variant is, the
+// preset rows (hbm2Ns here, drams.go) what each DRAM family's timing is
+// in nanoseconds. The other packages read facts through Config's
+// accessors (GRFDepth, BanksPerUnit, BankOf, TriggerBanks, WROperand)
+// and build stacks with runtime.NewStack; none re-derives one.
 package hbm
 
 import "fmt"
 
 // Timing holds JEDEC-style DRAM timing parameters in memory-clock cycles
-// (tCK). Values follow the HBM2 generation the paper builds on (JESD235,
-// Sohn et al. 20nm 307 GB/s HBM DRAM) at 1.0 GHz; Scale derives other
-// frequencies.
+// (tCK). A device family's preset is a Timing row written in nanoseconds
+// (hbm2Ns here, gddr6Ns and lpddr5Ns in drams.go); atClock turns a row
+// into cycles at a memory clock.
 type Timing struct {
 	TCKps int // clock period in picoseconds
 
@@ -39,41 +47,39 @@ type Timing struct {
 	RFC  int // refresh cycle time (all-bank)
 }
 
-// HBM2Timing returns HBM2 timing at the given memory clock in MHz
-// (1000-1200 for the paper's parts). Fixed-nanosecond parameters are
-// rescaled; fixed-cycle parameters (BL, CCD) are not.
-func HBM2Timing(mhz int) Timing {
-	// Base values at 1000 MHz (1 ns per cycle).
-	t := Timing{
-		TCKps: 1000000 / mhz,
-		BL:    4,
-		RCD:   14,
-		RP:    14,
-		RAS:   33,
-		RC:    47,
-		RL:    14,
-		WL:    4,
-		CCDS:  2,
-		CCDL:  4,
-		RRDS:  4,
-		RRDL:  6,
-		FAW:   16,
-		WR:    15,
-		RTP:   5,
-		WTRS:  3,
-		WTRL:  8,
-		RTW:   8,
-		REFI:  3900,
-		RFC:   260,
-	}
-	if mhz != 1000 {
-		s := func(ns int) int { return (ns*mhz + 999) / 1000 }
-		t.RCD, t.RP, t.RAS, t.RC = s(t.RCD), s(t.RP), s(t.RAS), s(t.RC)
-		t.RL, t.WL = s(t.RL), s(t.WL)
-		t.RRDS, t.RRDL, t.FAW = s(t.RRDS), s(t.RRDL), s(t.FAW)
-		t.WR, t.RTP = s(t.WR), s(t.RTP)
-		t.WTRS, t.WTRL, t.RTW = s(t.WTRS), s(t.WTRL), s(t.RTW)
-		t.REFI, t.RFC = s(t.REFI), s(t.RFC)
+// hbm2Ns is the HBM2 generation the paper builds on (JESD235, Sohn et al.
+// 20nm 307 GB/s HBM DRAM; 1000-1200 MHz parts), in nanoseconds.
+var hbm2Ns = Timing{
+	BL:   4,
+	RCD:  14,
+	RP:   14,
+	RAS:  33,
+	RC:   47,
+	RL:   14,
+	WL:   4,
+	CCDS: 2,
+	CCDL: 4,
+	RRDS: 4,
+	RRDL: 6,
+	FAW:  16,
+	WR:   15,
+	RTP:  5,
+	WTRS: 3,
+	WTRL: 8,
+	RTW:  8,
+	REFI: 3900,
+	RFC:  260,
+}
+
+// atClock converts a preset row to cycles at the given memory clock in
+// MHz: the fixed-nanosecond parameters round up to whole cycles, the
+// fixed-cycle ones (BL, tCCD_S, tCCD_L) are taken as written.
+func (ns Timing) atClock(mhz int) Timing {
+	t := ns
+	t.TCKps = 1000000 / mhz
+	for _, p := range []*int{&t.RCD, &t.RP, &t.RAS, &t.RC, &t.RL, &t.WL, &t.RRDS, &t.RRDL, &t.FAW,
+		&t.WR, &t.RTP, &t.WTRS, &t.WTRL, &t.RTW, &t.REFI, &t.RFC} {
+		*p = (*p*mhz + 999) / 1000
 	}
 	return t
 }

@@ -28,6 +28,7 @@ import (
 
 	"pimsim/internal/blas"
 	"pimsim/internal/fp16"
+	"pimsim/internal/isa"
 	"pimsim/internal/metrics"
 	"pimsim/internal/models"
 	"pimsim/internal/nn"
@@ -48,9 +49,9 @@ type Source struct {
 	Check func(i int, ir *serve.InferResponse) bool
 }
 
-// grfDepth is the GRF depth of the PIM-HBM part pimserve simulates: the
-// oracles accumulate in its order.
-const grfDepth = 8
+// grfDepth is the GRF depth of the PIM-HBM part pimserve simulates (a
+// remote server cannot be asked): the oracles accumulate in its order.
+const grfDepth = isa.GRFEntries
 
 // GemvSource builds n deterministic K-element input vectors for a GEMV
 // model (data does not affect timing, and fixed inputs let the oracle be

@@ -30,7 +30,9 @@ type Executor struct {
 	desync bool
 	// cnt is the reusable access-counting adapter for the fast path, and
 	// sc the reusable step context (both keep per-trigger state off the
-	// stack so nothing is copied per command).
+	// stack so nothing is copied per command). sc's device facts
+	// (functional, twoBank, wrOperand) are filled once, from the
+	// configuration.
 	cnt countingAccess
 	sc  stepContext
 
@@ -66,16 +68,15 @@ func NewExecutor(cfg hbm.Config) (*Executor, error) {
 	if cfg.Banks()%cfg.PIMUnits != 0 {
 		return nil, fmt.Errorf("pim: %d units do not divide %d banks", cfg.PIMUnits, cfg.Banks())
 	}
-	grfEntries := isa.GRFEntries
-	if cfg.Variant == hbm.Variant2X {
-		grfEntries = 2 * isa.GRFEntries
-	}
 	e := &Executor{
 		units:        make([]*Unit, cfg.PIMUnits),
-		banksPerUnit: cfg.Banks() / cfg.PIMUnits,
+		banksPerUnit: cfg.BanksPerUnit(),
 	}
+	e.sc.functional = cfg.Functional
+	e.sc.twoBank = cfg.TriggerBanks() == 2
+	e.sc.wrOperand = cfg.WROperand()
 	for i := range e.units {
-		e.units[i] = newUnit(grfEntries)
+		e.units[i] = newUnit(cfg.GRFDepth())
 	}
 	return e, nil
 }
@@ -132,9 +133,7 @@ func (e *Executor) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 	sc.col = ctx.Col
 	sc.wrData = ctx.WrData
 	sc.access = ctx.Access
-	sc.variant = ctx.Variant
-	sc.functional = ctx.Functional
-	if !ctx.Functional && len(e.units) > 1 {
+	if !sc.functional && len(e.units) > 1 {
 		if rep, ok := ctx.Access.(hbm.BankAccessReplicator); ok {
 			return e.triggerLockstep(sc, rep, ctx.Cycle)
 		}

@@ -453,9 +453,7 @@ func TestPPCResetOnReentry(t *testing.T) {
 // TestSRWForwarding: under the SRW variant one WR command loads the GRF
 // operand and executes the MAC against the bank in the same slot.
 func TestSRWForwarding(t *testing.T) {
-	cfg := hbm.PIMHBMConfig(1000)
-	cfg.Variant = hbm.VariantSRW
-	d, exec := newDriver(t, cfg)
+	d, exec := newDriver(t, hbm.PIMHBMVariantConfig(hbm.VariantSRW, 1000))
 	rng := rand.New(rand.NewSource(3))
 
 	const row = 30
@@ -492,9 +490,7 @@ func TestSRWForwarding(t *testing.T) {
 
 // Test2XVariantDepth: the 2x DSE variant has 16 units with 16-deep GRFs.
 func Test2XVariantDepth(t *testing.T) {
-	cfg := hbm.PIMHBMConfig(1000)
-	cfg.Variant = hbm.Variant2X
-	cfg.PIMUnits = 16
+	cfg := hbm.PIMHBMVariantConfig(hbm.Variant2X, 1000)
 	exec, err := NewExecutor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -505,8 +501,8 @@ func Test2XVariantDepth(t *testing.T) {
 	if got := len(exec.Unit(0).grfA); got != 16 {
 		t.Fatalf("GRF depth = %d, want 16", got)
 	}
-	if cfg.AAMWindow() != 16 {
-		t.Fatalf("AAM window = %d, want 16", cfg.AAMWindow())
+	if cfg.GRFDepth() != 16 {
+		t.Fatalf("AAM window = %d, want 16", cfg.GRFDepth())
 	}
 }
 

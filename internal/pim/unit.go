@@ -40,7 +40,7 @@ type Unit struct {
 	decErr  [isa.CRFEntries]error
 	decOK   [isa.CRFEntries]bool
 
-	grfEntries int // 8, or 16 for the 2x DSE variant
+	grfEntries int // registers per GRF half (hbm.Config.GRFDepth)
 
 	opRetired  [isa.NumOpcodes]int64 // instructions retired, indexed by isa.Opcode
 	aamRetired int64                 // of which address-aligned (AAM) instructions
@@ -266,13 +266,16 @@ func (u *Unit) resolveControl() (int, error) {
 
 // stepContext carries per-trigger information into instruction execution.
 type stepContext struct {
-	kind       hbm.CmdKind
-	bankSel    int
-	row, col   uint32
-	wrData     []byte
-	access     hbm.BankAccess
-	variant    hbm.Variant
-	functional bool
+	kind     hbm.CmdKind
+	bankSel  int
+	row, col uint32
+	wrData   []byte
+	access   hbm.BankAccess
+
+	// Device facts, constant per executor: hbm.Config.Functional (false:
+	// sequence instructions and touch banks for the stat counters, skip
+	// the FP16 math), TriggerBanks == 2, WROperand.
+	functional, twoBank, wrOperand bool
 
 	evenBank, oddBank int // flat bank indices for this unit
 }
@@ -304,17 +307,17 @@ func (u *Unit) execute(in *isa.Instruction, ctx *stepContext) error {
 		return fmt.Errorf("pim: DST index %d exceeds GRF depth %d", dstIdx, u.grfEntries)
 	}
 
-	// SRW variant: a WR trigger forwards the host payload into the GRF
-	// write port while the bank read proceeds, so a single command both
-	// loads the vector operand and executes the arithmetic (Fig. 14).
-	if in.Op.IsArith() && ctx.variant == hbm.VariantSRW && ctx.kind == hbm.CmdWR &&
+	// Simultaneous read/write: a WR trigger forwards the host payload into
+	// the GRF write port while the bank read proceeds, so a single command
+	// both loads the vector operand and executes the arithmetic (Fig. 14).
+	if in.Op.IsArith() && ctx.wrOperand && ctx.kind == hbm.CmdWR &&
 		in.Src0.IsGRF() && ctx.functional && len(ctx.wrData) >= 2*fp16.Lanes {
 		u.grf(in.Src0)[s0Idx].DecodeBytes(ctx.wrData[:2*fp16.Lanes])
 	}
 
 	// Only data-movement instructions may capture the write datapath as
 	// their bank operand; an arithmetic bank operand needs a real array
-	// read, which a WR trigger supplies only in the SRW variant.
+	// read, which a WR trigger supplies only on a wrOperand device.
 	allowCapture := in.Op.IsData()
 
 	switch in.Op {
@@ -475,13 +478,13 @@ func (u *Unit) bankIndex(s isa.Src, ctx *stepContext, need hbm.CmdKind) (int, er
 		want = 1
 		idx = ctx.oddBank
 	}
-	if ctx.variant != hbm.Variant2BA && ctx.bankSel != want {
+	if !ctx.twoBank && ctx.bankSel != want {
 		return 0, fmt.Errorf("pim: instruction reads %s but the command drives the %s banks",
 			s, []string{"even", "odd"}[ctx.bankSel])
 	}
-	if need == hbm.CmdRD && ctx.kind == hbm.CmdWR && ctx.variant != hbm.VariantSRW {
-		// A WR trigger cannot supply a bank read operand except in the SRW
-		// variant, where the overlapping RD datapath is available.
+	if need == hbm.CmdRD && ctx.kind == hbm.CmdWR && !ctx.wrOperand {
+		// A WR trigger cannot supply a bank read operand unless the
+		// overlapping RD datapath is available.
 		return 0, fmt.Errorf("pim: bank read operand on a WR trigger")
 	}
 	if need == hbm.CmdWR && ctx.kind == hbm.CmdRD {

@@ -69,14 +69,6 @@ func (r *Runtime) UseEngine(e engine.Engine) {
 	r.eng = e
 }
 
-// EngineName reports the installed engine ("serial" when none is).
-func (r *Runtime) EngineName() string {
-	if r.eng == nil {
-		return engine.Serial{}.Name()
-	}
-	return r.eng.Name()
-}
-
 // CloseEngine releases the installed engine's workers (idempotent).
 func (r *Runtime) CloseEngine() {
 	if r.eng != nil {
@@ -149,6 +141,28 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 	r.pm = newPhaseMetrics(r.Metrics)
 	r.Metrics.RegisterCollector(r.collectDeviceMetrics)
 	return r, nil
+}
+
+// NewStack builds a whole PIM stack from one device description: n
+// devices of cfg, a PIM executor on every pseudo channel, and the runtime
+// (channels, driver, metrics) over them. Channels are symmetric and
+// channel 0 carries the maximum load, so the stack simulates that one
+// channel; EffectiveChannels applies this to timing-only devices only.
+func NewStack(cfg hbm.Config, n int) (*Runtime, []*hbm.Device, error) {
+	devs := make([]*hbm.Device, n)
+	for i := range devs {
+		d, err := hbm.NewDevice(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		devs[i] = d
+	}
+	rt, err := New(devs)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt.SimChannels = 1
+	return rt, devs, nil
 }
 
 // NumChannels returns the number of pseudo channels.
@@ -268,16 +282,20 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 	return nil
 }
 
-// ZeroGRF broadcasts zeros into GRF_B[0..7] of every unit (accumulator
-// reset between macro passes). AB mode, banks precharged.
+// ZeroGRF broadcasts zeros into all of GRF_B of every unit (accumulator
+// reset between macro passes). AB mode, banks precharged. It always
+// issues as many writes as the product's GRF has registers, to the
+// register columns that end where GRF_B ends: both halves of the
+// product's GRF, GRF_B alone when the halves are twice as deep.
 func (r *Runtime) ZeroGRF(ch int) error {
 	start := r.Chans[ch].Now()
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()}); err != nil {
 		return err
 	}
 	zero := make([]byte, r.Cfg.AccessBytes)
-	for i := 0; i < 2*isa.GRFEntries; i++ {
-		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(i), Data: zero}); err != nil {
+	end := 2 * r.Cfg.GRFDepth()
+	for col := end - 2*isa.GRFEntries; col < end; col++ {
+		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(col), Data: zero}); err != nil {
 			return err
 		}
 	}
@@ -385,7 +403,7 @@ func (r *Runtime) Fence(ch int) { r.Chans[ch].Fence() }
 
 // WriteBankSB writes one 32-byte block to a specific bank in SB mode.
 func (r *Runtime) WriteBankSB(ch, flatBank int, row, col uint32, data []byte) error {
-	bg, b := flatBank/r.Cfg.BanksPerGroup, flatBank%r.Cfg.BanksPerGroup
+	bg, b := r.Cfg.BankOf(flatBank)
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
 		return err
 	}
@@ -402,7 +420,7 @@ func (r *Runtime) WriteBankRowSB(ch, flatBank int, row uint32, cols []uint32, da
 	if len(cols) != len(data) {
 		return fmt.Errorf("runtime: cols/data length mismatch")
 	}
-	bg, b := flatBank/r.Cfg.BanksPerGroup, flatBank%r.Cfg.BanksPerGroup
+	bg, b := r.Cfg.BankOf(flatBank)
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
 		return err
 	}
@@ -418,7 +436,7 @@ func (r *Runtime) WriteBankRowSB(ch, flatBank int, row uint32, cols []uint32, da
 // ReadBankRowSB reads several columns of one bank row with a single
 // activate, returning one 32-byte block per requested column.
 func (r *Runtime) ReadBankRowSB(ch, flatBank int, row uint32, cols []uint32) ([][]byte, error) {
-	bg, b := flatBank/r.Cfg.BanksPerGroup, flatBank%r.Cfg.BanksPerGroup
+	bg, b := r.Cfg.BankOf(flatBank)
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
 		return nil, err
 	}
@@ -440,7 +458,7 @@ func (r *Runtime) ReadBankRowSB(ch, flatBank int, row uint32, cols []uint32) ([]
 
 // ReadBankSB reads one 32-byte block from a specific bank in SB mode.
 func (r *Runtime) ReadBankSB(ch, flatBank int, row, col uint32) ([]byte, error) {
-	bg, b := flatBank/r.Cfg.BanksPerGroup, flatBank%r.Cfg.BanksPerGroup
+	bg, b := r.Cfg.BankOf(flatBank)
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
 		return nil, err
 	}
@@ -455,39 +473,9 @@ func (r *Runtime) ReadBankSB(ch, flatBank int, row, col uint32) ([]byte, error) 
 	return data, nil
 }
 
-// ReadGRFSB reads one GRF register of one unit through the SB register
-// space (half 0 = GRF_A, 1 = GRF_B). The register column index is
-// half*GRFEntries + idx.
-func (r *Runtime) ReadGRFSB(ch, unit, half, idx int) (fp16.Vector, error) {
-	banksPerUnit := r.Cfg.Banks() / r.Cfg.PIMUnits
-	flat := unit * banksPerUnit
-	bg, b := flat/r.Cfg.BanksPerGroup, flat%r.Cfg.BanksPerGroup
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}); err != nil {
-		return nil, err
-	}
-	grfEntries := isa.GRFEntries
-	if r.Cfg.Variant == hbm.Variant2X {
-		grfEntries = 2 * isa.GRFEntries
-	}
-	col := uint32(half*grfEntries + idx)
-	res, err := r.issue(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: col})
-	if err != nil {
-		return nil, err
-	}
-	// Decode before the PRE: res.Data is scratch that the next Issue may
-	// reuse.
-	v := fp16.NewVector(fp16.Lanes)
-	if res.Data != nil {
-		v.DecodeBytes(res.Data)
-	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// ReadGRFRowSB reads several GRF registers of consecutive units with one
-// row activation per unit, returning vectors indexed [unit][reg]. The
+// ReadGRFRowSB reads the first regs GRF registers of one half (0 = GRF_A,
+// 1 = GRF_B) of every unit through the SB register space, with one row
+// activation per unit, returning vectors indexed [unit][reg]. The
 // vectors are cut from one backing array (a GEMV unloads its partial sums
 // through here once per macro tile, on every channel of every launch).
 func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) {
@@ -495,14 +483,10 @@ func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) 
 	out := make([][]fp16.Vector, units)
 	vecs := make([]fp16.Vector, units*regs)
 	lanes := fp16.NewVector(units * regs * fp16.Lanes)
-	banksPerUnit := r.Cfg.Banks() / units
-	grfEntries := isa.GRFEntries
-	if r.Cfg.Variant == hbm.Variant2X {
-		grfEntries = 2 * isa.GRFEntries
-	}
+	banksPerUnit := r.Cfg.BanksPerUnit()
+	grfEntries := r.Cfg.GRFDepth()
 	for u := 0; u < units; u++ {
-		flat := u * banksPerUnit
-		bg, b := flat/r.Cfg.BanksPerGroup, flat%r.Cfg.BanksPerGroup
+		bg, b := r.Cfg.BankOf(u * banksPerUnit)
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}); err != nil {
 			return nil, err
 		}

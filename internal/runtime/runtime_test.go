@@ -187,15 +187,6 @@ func TestGRFReadback(t *testing.T) {
 	if err := rt.ExitToSB(0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rt.ReadGRFSB(0, 3, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := range v {
-		if got[l] != v[l] {
-			t.Fatalf("lane %d: %v != %v", l, got[l], v[l])
-		}
-	}
 	all, err := rt.ReadGRFRowSB(0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +194,12 @@ func TestGRFReadback(t *testing.T) {
 	if len(all) != rt.Cfg.PIMUnits || len(all[0]) != 4 {
 		t.Fatalf("shape %dx%d", len(all), len(all[0]))
 	}
-	if all[5][2][0] != v[0] {
-		t.Errorf("unit 5 GRF_B[2][0] = %v", all[5][2][0])
+	for _, u := range []int{3, 5} {
+		for l := range v {
+			if got := all[u][2][l]; got != v[l] {
+				t.Fatalf("unit %d GRF_B[2] lane %d: %v != %v", u, l, got, v[l])
+			}
+		}
 	}
 }
 
@@ -406,9 +401,9 @@ func TestProgramCRFOverflow(t *testing.T) {
 	}
 }
 
-func TestReadGRFSBBadColumn(t *testing.T) {
+func TestReadGRFRowSBBadHalf(t *testing.T) {
 	rt := newRT(t, 1)
-	if _, err := rt.ReadGRFSB(0, 0, 2, 0); err == nil {
+	if _, err := rt.ReadGRFRowSB(0, 2, 1); err == nil {
 		t.Error("GRF half 2 accepted")
 	}
 }

@@ -230,7 +230,7 @@ func newQoSEnv(scenario string, cfg Config, seed int64) (*qosEnv, error) {
 		base:     "http://" + ln.Addr().String(),
 		client:   &http.Client{Timeout: 30 * time.Second},
 		input:    in,
-		oracle:   blas.RefGemvPIMOrder(qosModel.Weights(), qosModel.M, qosModel.K, x16, 8),
+		oracle:   blas.RefGemvPIMOrder(qosModel.Weights(), qosModel.M, qosModel.K, x16, blas.GRFDepth(s.shards[0].rt)),
 		reg:      metrics.New(1),
 		stats:    make(map[string]*qosStat),
 		rep:      &QoSReport{Scenario: scenario, Seed: seed, Violations: []string{}},

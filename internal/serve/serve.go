@@ -615,11 +615,7 @@ func New(cfg Config) (*Server, error) {
 		// Data-corrupting profiles force ECC: without it flips would
 		// silently rot served outputs instead of being corrected/detected.
 		hcfg.ECC = cfg.ECC || fc.CorruptsData()
-		dev, err := hbm.NewDevice(hcfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		rt, err := runtime.New([]*hbm.Device{dev})
+		rt, devs, err := runtime.NewStack(hcfg, 1)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
@@ -641,7 +637,7 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Fault != nil {
 			sh.inj = fault.New(fc)
 			if fc.CorruptsData() {
-				dev.AttachFault(sh.inj)
+				devs[0].AttachFault(sh.inj)
 			}
 			for j, ch := range rt.Chans {
 				ch.ChannelID = j
@@ -814,7 +810,6 @@ func (s *Server) admit(name, tenantName string, req *request) (int, error) {
 	ten.admitted.Inc(0)
 	s.queueDepth.Add(0, 1)
 	s.winAdmit.Inc()
-	s.slo.RecordAdmit(ten.spec.Name, name)
 	return http.StatusOK, nil
 }
 

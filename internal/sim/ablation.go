@@ -6,7 +6,6 @@ import (
 	"pimsim/internal/blas"
 	"pimsim/internal/hbm"
 	"pimsim/internal/memctrl"
-	"pimsim/internal/runtime"
 )
 
 // Ablations of the design choices DESIGN.md calls out. Each returns a
@@ -26,7 +25,7 @@ type AblationPoint struct {
 func AblateFenceCost() ([]AblationPoint, error) {
 	out := []AblationPoint{}
 	for _, cost := range []int{0, 10, 20, 35, 60, 100} {
-		rt, err := freshPIMRuntime()
+		rt, _, err := timingStack(hbm.PIMHBMConfig(MemClockMHz))
 		if err != nil {
 			return nil, err
 		}
@@ -53,22 +52,12 @@ func AblateRefreshRate() ([]AblationPoint, error) {
 	out := []AblationPoint{}
 	for _, div := range []int{1, 2, 4, 8} {
 		cfg := hbm.PIMHBMConfig(MemClockMHz)
-		cfg.Functional = false
 		cfg.Timing.REFI /= div
-		devs := make([]*hbm.Device, DeviceCount)
-		for i := range devs {
-			d, err := hbm.NewDevice(cfg)
-			if err != nil {
-				return nil, err
-			}
-			devs[i] = d
-		}
-		rt2, err := runtime.New(devs)
+		rt, _, err := timingStack(cfg)
 		if err != nil {
 			return nil, err
 		}
-		rt2.SimChannels = 1
-		_, ks, err := blas.PimGemv(rt2, nil, 8192, 8192, nil)
+		_, ks, err := blas.PimGemv(rt, nil, 8192, 8192, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -117,26 +106,6 @@ func AblateActivateAhead() ([]AblationPoint, error) {
 		})
 	}
 	return out, nil
-}
-
-// freshPIMRuntime builds a timing-only default system runtime.
-func freshPIMRuntime() (*runtime.Runtime, error) {
-	cfg := hbm.PIMHBMConfig(MemClockMHz)
-	cfg.Functional = false
-	devs := make([]*hbm.Device, DeviceCount)
-	for i := range devs {
-		d, err := hbm.NewDevice(cfg)
-		if err != nil {
-			return nil, err
-		}
-		devs[i] = d
-	}
-	rt, err := runtime.New(devs)
-	if err != nil {
-		return nil, err
-	}
-	rt.SimChannels = 1
-	return rt, nil
 }
 
 // streamBandwidth measures one channel's delivered bandwidth on a 2048-
@@ -222,20 +191,10 @@ func RunClockCorners() ([]ClockCorner, error) {
 	out := []ClockCorner{}
 	for _, mhz := range []int{1000, 1200} {
 		cfg := hbm.PIMHBMConfig(mhz)
-		cfg.Functional = false
-		devs := make([]*hbm.Device, DeviceCount)
-		for i := range devs {
-			d, err := hbm.NewDevice(cfg)
-			if err != nil {
-				return nil, err
-			}
-			devs[i] = d
-		}
-		rt, err := runtime.New(devs)
+		rt, _, err := timingStack(cfg)
 		if err != nil {
 			return nil, err
 		}
-		rt.SimChannels = 1
 		_, ks, err := blas.PimGemv(rt, nil, 8192, 8192, nil)
 		if err != nil {
 			return nil, err

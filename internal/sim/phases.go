@@ -44,15 +44,10 @@ var phaseCounters = []struct {
 func RunPhaseBreakdown() ([]PhaseRow, error) {
 	cfg := hbm.PIMHBMConfig(MemClockMHz)
 	cfg.Functional = false
-	dev, err := hbm.NewDevice(cfg)
+	rt, _, err := runtime.NewStack(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := runtime.New([]*hbm.Device{dev})
-	if err != nil {
-		return nil, err
-	}
-	rt.SimChannels = 1
 
 	gamma, beta := fp16.FromFloat32(1.25), fp16.FromFloat32(-0.5)
 	kernels := []struct {

@@ -55,29 +55,21 @@ type PimCost struct {
 	Triggers int64
 }
 
+// timingStack builds the SiP's memory side, DeviceCount stacks of cfg, as
+// a timing-only stack: experiments are timing runs, tests use blas
+// directly.
+func timingStack(cfg hbm.Config) (*runtime.Runtime, []*hbm.Device, error) {
+	cfg.Functional = false
+	return runtime.NewStack(cfg, DeviceCount)
+}
+
 // NewPIMSystem builds the processor-with-PIM-HBM system. Variant selects
 // a Fig. 14 microarchitecture; use hbm.VariantBase for the product.
 func NewPIMSystem(variant hbm.Variant) (*System, error) {
-	cfg := hbm.PIMHBMConfig(MemClockMHz)
-	cfg.Functional = false // experiments are timing runs; tests use blas directly
-	cfg.Variant = variant
-	if variant == hbm.Variant2X {
-		cfg.PIMUnits = 16
-	}
-	devs := make([]*hbm.Device, DeviceCount)
-	for i := range devs {
-		d, err := hbm.NewDevice(cfg)
-		if err != nil {
-			return nil, err
-		}
-		devs[i] = d
-	}
-	rt, err := runtime.New(devs)
+	rt, devs, err := timingStack(hbm.PIMHBMVariantConfig(variant, MemClockMHz))
 	if err != nil {
 		return nil, err
 	}
-	// Channels are symmetric; simulate the maximally loaded one.
-	rt.SimChannels = 1
 	return &System{
 		Name:          variant.String(),
 		Proc:          host.Default(),

@@ -46,9 +46,7 @@ func newDrillEngine(clk *fakeClock) *Engine {
 // 10 gold requests at goldLat, 10 bronze requests at a healthy 2ms.
 func tick(clk *fakeClock, e *Engine, goldLat time.Duration) []Transition {
 	for i := 0; i < 10; i++ {
-		e.RecordAdmit(drillTenant, drillModel)
 		e.RecordRequest(drillTenant, drillModel, goldLat, OutcomeOK, "gold-req")
-		e.RecordAdmit(drillQuiet, drillModel)
 		e.RecordRequest(drillQuiet, drillModel, 2*time.Millisecond, OutcomeOK, "bronze-req")
 	}
 	tr := e.Evaluate()

@@ -284,7 +284,6 @@ type series struct {
 	obj           *Objective // nil: recorded but not evaluated
 
 	outcomes [4]*metrics.WindowCounter // indexed by Outcome
-	admits   *metrics.WindowCounter
 	lat      *metrics.WindowHistogram
 
 	stateGauge *metrics.Gauge
@@ -387,7 +386,6 @@ func (e *Engine) getSeries(tenant, model string) *series {
 		tenant: tenant,
 		model:  model,
 		obj:    e.matchObjective(tenant, model),
-		admits: e.reg.WindowCounter(metrics.Labels("serve_slo_admitted_window", "tenant", tenant, "model", model), o),
 		lat:    e.reg.WindowHistogram(metrics.Labels("serve_slo_latency_us_window", "tenant", tenant, "model", model), latBounds(), o),
 	}
 	for out := OutcomeOK; out <= OutcomeShed; out++ {
@@ -427,15 +425,6 @@ func (e *Engine) getModel(model string) *modelCtl {
 	}
 	e.models[model] = m
 	return m
-}
-
-// RecordAdmit notes one admitted request (tenant canonicalized by the
-// caller). Feeds the ops surface's admission rate, not the burn math.
-func (e *Engine) RecordAdmit(tenant, model string) {
-	if e == nil {
-		return
-	}
-	e.getSeries(tenant, model).admits.Inc()
 }
 
 // RecordRequest records one finished (or refused) request. OutcomeOK is

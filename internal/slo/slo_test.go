@@ -143,7 +143,6 @@ func TestUnmatchedSeriesRecordedNotEvaluated(t *testing.T) {
 // TestNilEngineSafe: every hook is a no-op on a nil engine.
 func TestNilEngineSafe(t *testing.T) {
 	var e *Engine
-	e.RecordAdmit("t", "m")
 	e.RecordRequest("t", "m", time.Millisecond, OutcomeOK, "r")
 	if tr := e.Evaluate(); tr != nil {
 		t.Fatal("nil Evaluate returned transitions")
@@ -171,7 +170,6 @@ func TestNilEngineSafe(t *testing.T) {
 func TestDisabledPathAllocs(t *testing.T) {
 	var e *Engine
 	if n := testing.AllocsPerRun(1000, func() {
-		e.RecordAdmit("gold", "m1")
 		e.RecordRequest("gold", "m1", 5*time.Millisecond, OutcomeOK, "req-1")
 	}); n != 0 {
 		t.Fatalf("disabled SLO hooks allocate %.1f/op, want 0", n)
@@ -194,7 +192,6 @@ func TestEngineConcurrent(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", g%2)
 			for i := 0; i < 2000; i++ {
-				e.RecordAdmit(tenant, "m")
 				out := Outcome(i % 4)
 				e.RecordRequest(tenant, "m", time.Duration(i)*time.Microsecond, out, "r")
 			}

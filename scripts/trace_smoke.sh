@@ -27,6 +27,18 @@ grep -q '^timeline: ' "$tmp/simout" || { echo "FAIL: pimsim reported no timeline
 # not an empty envelope.
 "$tmp/tracecheck" -min-events 1000 "$out/timeline.json"
 
+# --- Every functional variant verifies a GEMV of several macro tiles
+# against the oracle at its own GRF depth; 2BA's two-bank datapath is
+# timing-only and must say so.
+for v in base 2x srw; do
+    "$tmp/pimsim" -functional -variant "$v" -devices 1 -m 1024 -k 256 | grep 'verify:   PASS' ||
+        { echo "FAIL: pimsim -functional -variant $v did not verify"; exit 1; }
+done
+if "$tmp/pimsim" -functional -variant 2ba -kernel add -n 4096 -devices 1 >"$tmp/2ba" 2>&1 ||
+    ! grep -q 'the 2BA variant is timing-only' "$tmp/2ba"; then
+    echo "FAIL: functional 2BA ADD was not refused as timing-only"; cat "$tmp/2ba"; exit 1
+fi
+
 # --- Traced serving: boot with the flight recorder armed.
 "$tmp/pimserve" -addr 127.0.0.1:0 -shards 1 -channels 2 \
     -trace -trace-dir "$out" -slow-request 1ns \
