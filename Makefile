@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-check benchmark-check fp16-exhaustive purego race-goldens serve_bench.txt bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
+.PHONY: all build vet fmt-check test race bench bench-check benchmark-check fuzz-smoke fp16-exhaustive purego race-goldens serve_bench.txt bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
 
 all: build vet test
 
@@ -22,41 +22,54 @@ race:
 
 # bench measures the simulator's own hot paths (not simulated performance)
 # and records ns/op, MB/s and allocs/op in BENCH_gemv.json: the Gemv
-# benchmarks of the root package and fp16's BenchmarkMACVec, one PIM MAC
+# benchmarks of the root package, fp16's BenchmarkMACVec, one PIM MAC
 # instruction's datapath work on realistic operands, once per path
-# (sub-benchmarks portable and simd). Record it on a host with AVX + F16C,
-# or the simd row is missing. The README's "Simulator performance" table
-# is regenerated from this file.
+# (sub-benchmarks portable and simd), and nn's BenchmarkStepSlots, one
+# ds2-small timestep at 1, 2 and 4 occupied slots on the serial and the
+# parallel engine (the op of bench/'s seq_closed without the server).
+# -p 1: the packages run one after another, so none times the others.
+# Record it on a quiet host with AVX + F16C, or the simd row is missing.
+# The README's "Simulator performance" table is regenerated from this file.
 bench:
-	$(GO) test -run '^$$' -bench 'Gemv$$|^BenchmarkMACVec$$' -benchmem . ./internal/fp16 \
+	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVec$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/nn \
 	| $(GO) run ./tools/benchjson -out BENCH_gemv.json
 
 # bench-check re-runs the same benchmarks and fails if any regressed past
 # 2.5x the checked-in BENCH_gemv.json baseline (time or bytes/op). The
 # factor absorbs machine-to-machine noise; it exists to catch a dropped
 # fast path or an allocation blow-up, not percent-level drift. The Gemv
-# benchmarks run two iterations each; MACVec is a ~20-100 ns operation, so
-# it keeps the default benchtime (two iterations would time a cold cache).
-# MACVec runs under -v so that a runner without F16C prints
-# `--- SKIP: BenchmarkMACVec/simd`, which benchjson passes over; a
-# portable run is never held against the SIMD baseline.
+# benchmarks run two iterations each and StepSlots ten; MACVec is a
+# ~20-100 ns operation, so it keeps the default benchtime (two iterations
+# would time a cold cache). MACVec runs under -v so that a runner without
+# F16C prints `--- SKIP: BenchmarkMACVec/simd`, which benchjson passes
+# over; a portable run is never held against the SIMD baseline.
 bench-check:
 	@{ $(GO) test -run '^$$' -bench 'Gemv$$' -benchtime 2x -benchmem . && \
+	   $(GO) test -run '^$$' -bench '^BenchmarkStepSlots$$' -benchtime 10x -benchmem ./internal/nn && \
 	   $(GO) test -v -run '^$$' -bench '^BenchmarkMACVec$$' -benchmem ./internal/fp16; } \
 	| $(GO) run ./tools/benchjson -check BENCH_gemv.json
 
 # benchmark-check runs the serving workloads of BENCHMARK.json (bench/)
-# for three seconds each and fails unless every operation completed and
-# matched its host oracle bit for bit. bench/ is an independent client of
-# internal/serve's exported API, so a serve refactor that breaks what the
-# benchmark checks fails here, not in the benchmark pipeline.
+# and kernels_direct for three seconds each and fails unless every
+# operation completed and matched its host oracle bit for bit. bench/ is
+# an independent client of internal/serve's exported API, so a serve
+# refactor that breaks what the benchmark checks fails here, not in the
+# benchmark pipeline; kernels_direct is the only workload that drives ADD,
+# MAD, MOV-to-bank and the LSTM cell through the PIM executor.
 benchmark-check:
-	@for w in gemv_closed seq_closed nano_open; do \
+	@for w in gemv_closed seq_closed nano_open kernels_direct; do \
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
 		echo "$$w $$out"; \
 		case "$$out" in *'"correct":true'*'"failed":0'*) ;; \
 			*) echo "FAIL: $$w: want correct true and failed 0"; exit 1;; esac; \
 	done
+
+# fuzz-smoke fuzzes the PIM executor against the reference interpreter
+# (internal/pim: random CRF words and trigger streams on every device kind,
+# compared after every trigger) for ten seconds. -fuzzminimizetime 1s: the
+# default minute of minimising would leave the ten seconds no executions.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzTriggerDifferential -fuzztime 10s -fuzzminimizetime 1s ./internal/pim
 
 # fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
 # two rounding stages against the reference arithmetic: the fused portable
@@ -72,7 +85,7 @@ fp16-exhaustive:
 # path, the one a CI runner with F16C never selects by itself.
 purego:
 	$(GO) vet -tags purego ./internal/fp16
-	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step'
+	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

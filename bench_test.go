@@ -346,8 +346,8 @@ func BenchmarkTimingOnlyGemv(b *testing.B) {
 	b.SetBytes(2 * 4096 * 8192)
 }
 
-// BenchmarkMixedStreamGemv measures the timing core on the workload the
-// lockstep broadcast fast path cannot collapse: interleaved SB demand
+// BenchmarkMixedStreamGemv measures the timing core on a mixed command
+// stream, not one uniform broadcast kernel: interleaved SB demand
 // traffic (random FR-FCFS transactions through the host scheduler) and
 // AB-PIM GEMV kernel bursts on the same channel, the paper's mixed
 // host/PIM serving shape (the DS2/RNN-T/GNMT layer split). Each round is

@@ -112,7 +112,10 @@ func (p *gemvPlan) passRowCol(macro, pass, i int) (uint32, uint32) {
 }
 
 // layoutWeights writes W into the banks (functional mode setup; the PIM
-// BLAS does this once when the host loads the model, Section VIII).
+// BLAS does this once when the host loads the model, Section VIII). A
+// replicated layout holds the same block set in every channel, so each
+// row's payload is gathered and serialised once and the same write goes
+// down every channel's own command stream.
 func (p *gemvPlan) layoutWeights(rt *runtime.Runtime, W fp16.Vector) error {
 	banksPerUnit := rt.Cfg.BanksPerUnit()
 	cols := make([]uint32, 0, rt.Cfg.ColumnsPerRow())
@@ -125,7 +128,12 @@ func (p *gemvPlan) layoutWeights(rt *runtime.Runtime, W fp16.Vector) error {
 		bufs[i] = make([]byte, 2*p.lanes)
 	}
 	vec := fp16.NewVector(p.lanes)
-	for ch := 0; ch < p.C; ch++ {
+	// built counts the distinct layouts, dests the channels each goes to.
+	built, dests := p.C, 1
+	if p.replicated {
+		built, dests = 1, p.C
+	}
+	for ch := 0; ch < built; ch++ {
 		for u := 0; u < p.U; u++ {
 			evenBank := u * banksPerUnit
 			for m := 0; m < p.macros; m++ {
@@ -139,9 +147,13 @@ func (p *gemvPlan) layoutWeights(rt *runtime.Runtime, W fp16.Vector) error {
 					if len(cols) == 0 {
 						return nil
 					}
-					err := rt.WriteBankRowSB(ch, evenBank, curRow, cols, data)
+					for c := ch; c < ch+dests; c++ {
+						if err := rt.WriteBankRowSB(c, evenBank, curRow, cols, data); err != nil {
+							return err
+						}
+					}
 					cols, data = cols[:0], data[:0]
-					return err
+					return nil
 				}
 				for pass := 0; pass < p.passes; pass++ {
 					row, _ := p.passRowCol(m, pass, 0)

@@ -89,19 +89,12 @@ type BankAccess interface {
 	ReadBank(bankIdx int, col uint32, buf []byte) error
 	// WriteBank stores data at the open row's column col of bank bankIdx.
 	WriteBank(bankIdx int, col uint32, data []byte) error
-}
-
-// BankAccessReplicator is the bulk-accounting extension of BankAccess.
-// In timing-only mode every PIM unit of a channel executes the same
-// microkernel slot against banks in the same state (broadcast column
-// commands require all banks active, and register broadcasts give every
-// unit identical control state), so an executor may step one
-// representative unit and account the remaining units' identical bank
-// traffic in one call instead of replaying it. Implementations bump the
-// same counters ReadBank/WriteBank would have.
-type BankAccessReplicator interface {
-	// ReplicateBankAccess accounts `times` further copies of an access
-	// pattern of `reads` bank reads and `writes` bank writes.
+	// ReplicateBankAccess accounts `times` copies of an access pattern of
+	// `reads` bank reads and `writes` bank writes without moving data: it
+	// bumps the counters ReadBank/WriteBank would have. On a timing-only
+	// device that is all an access is, and every PIM unit of a channel
+	// makes the same ones (broadcast column commands require all banks
+	// active), so the executor accounts its units' traffic in one call.
 	ReplicateBankAccess(reads, writes, times int64)
 }
 
@@ -225,10 +218,12 @@ type PseudoChannel struct {
 	// constant field (Access) is filled once.
 	trig TriggerContext
 
-	// Address-range limits precomputed off Config so the per-command
-	// addrCheck performs no division (RowBytes/AccessBytes).
-	numRows uint32
-	numCols uint32
+	// Limits and ratios precomputed off Config so the per-command addrCheck
+	// and the per-unit register routing (unitFor) perform no division on,
+	// and make no copy of, the Config: RowBytes/AccessBytes, BanksPerUnit.
+	numRows      uint32
+	numCols      uint32
+	banksPerUnit int // 0 on a device without PIM units, which routes no register access
 }
 
 // BankOps counts the commands one bank observed: its demand profile for
@@ -260,6 +255,9 @@ func newPCH(cfg *Config, id int) *PseudoChannel {
 	p.trig.Access = (*pchBankAccess)(p)
 	p.numRows = uint32(cfg.Rows)
 	p.numCols = uint32(cfg.RowBytes / cfg.AccessBytes)
+	if cfg.PIMUnits > 0 {
+		p.banksPerUnit = cfg.BanksPerUnit()
+	}
 	// Seed the four-activate window in the distant past so the first four
 	// ACTs are unconstrained.
 	for i := range p.actWindow.times {
@@ -360,9 +358,7 @@ func (p *PseudoChannel) addrCheck(cmd *Command) error {
 }
 
 // unitFor maps a flat bank index to its PIM unit.
-func (p *PseudoChannel) unitFor(bankIdx int) int {
-	return bankIdx / p.cfg.BanksPerUnit()
-}
+func (p *PseudoChannel) unitFor(bankIdx int) int { return bankIdx / p.banksPerUnit }
 
 // EarliestIssue returns the earliest cycle >= now at which cmd may legally
 // issue. It does not change state and returns an error for commands that
@@ -1084,10 +1080,6 @@ func (a *pchBankAccess) ReadBank(bankIdx int, col uint32, buf []byte) error {
 	return nil
 }
 
-// ReplicateBankAccess implements BankAccessReplicator: in timing-only
-// mode a bank access is exactly one counter bump (the data path is
-// skipped), so replicating units [1, n) of a lockstep executor is pure
-// arithmetic on the same counters.
 func (a *pchBankAccess) ReplicateBankAccess(reads, writes, times int64) {
 	p := (*PseudoChannel)(a)
 	p.stats.BankReads += reads * times

@@ -85,8 +85,9 @@ func (ns Timing) atClock(mhz int) Timing {
 }
 
 // DataCycles is the data-bus occupancy of one column access: BL beats at
-// double data rate.
-func (t Timing) DataCycles() int { return t.BL / 2 }
+// double data rate. Pointer receiver: the controllers call it once per
+// column command, and the table is too large to copy each time.
+func (t *Timing) DataCycles() int { return t.BL / 2 }
 
 // Validate sanity-checks parameter relationships.
 func (t Timing) Validate() error {

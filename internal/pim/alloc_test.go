@@ -34,3 +34,24 @@ func TestTriggerZeroAlloc(t *testing.T) {
 		t.Errorf("AB-PIM MAC trigger allocates %v objects per command, want 0", avg)
 	}
 }
+
+// TestWRTriggerZeroAlloc pins the other trigger kind: a WR trigger whose
+// payload the sequencer decodes once and every unit captures into its GRF
+// (how a kernel's input vector is loaded) allocates nothing either.
+func TestWRTriggerZeroAlloc(t *testing.T) {
+	d, _ := newDriver(t, hbm.PIMHBMConfig(1000))
+	d.enterAB()
+	d.programCRF(mustAssemble(t, `
+		MOV(AAM) GRF_A, EVEN_BANK
+		JUMP -1, 127
+		EXIT
+	`))
+	d.setPIMOp(true)
+	d.issue(hbm.Command{Kind: hbm.CmdACT, Row: 7})
+
+	trig := hbm.Command{Kind: hbm.CmdWR, Bank: 0, Col: 3, Data: splat(0x3c00)}
+	d.issue(trig)
+	if avg := testing.AllocsPerRun(64, func() { d.issue(trig) }); avg != 0 {
+		t.Errorf("AB-PIM MOV capture trigger allocates %v objects per command, want 0", avg)
+	}
+}

@@ -123,7 +123,7 @@ func splat(v fp16.F16) []byte {
 	return vec.Bytes()
 }
 
-func mustAssemble(t *testing.T, src string) []isa.Instruction {
+func mustAssemble(t testing.TB, src string) []isa.Instruction {
 	t.Helper()
 	prog, err := isa.Assemble(src)
 	if err != nil {
