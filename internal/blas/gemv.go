@@ -51,6 +51,12 @@ type gemvPlan struct {
 	// every output block, so each channel can compute a complete y for its
 	// own input vector and a batch maps one request per channel.
 	replicated bool
+
+	// crf is the encoded microkernel, by invocation length: [0] for the
+	// invocations of min(passes, maxPassesPerInvocation) passes, [1] for a
+	// shorter last one when passes is not a multiple. Every tile of every
+	// channel of every launch programs these same words.
+	crf [2][]uint32
 }
 
 func planGemv(rt *runtime.Runtime, M, K int) (*gemvPlan, error) {
@@ -82,6 +88,16 @@ func planGemvLayout(rt *runtime.Runtime, M, K int, replicated bool) (*gemvPlan, 
 	p.passes = p.Kp / p.G
 	p.passesPerRow = rt.Cfg.ColumnsPerRow() / p.G
 	p.rowsPerMacro = ceilDiv(p.passes, p.passesPerRow)
+	srw := rt.Cfg.WROperand()
+	var err error
+	if p.crf[0], err = isa.EncodeProgram(gemvProgram(p.G, min(p.passes, maxPassesPerInvocation), srw)); err != nil {
+		return nil, err
+	}
+	if tail := p.passes % maxPassesPerInvocation; tail != 0 && p.passes > maxPassesPerInvocation {
+		if p.crf[1], err = isa.EncodeProgram(gemvProgram(p.G, tail, srw)); err != nil {
+			return nil, err
+		}
+	}
 	base, err := rt.Drv.AllocPIMRows(p.macros * p.rowsPerMacro)
 	if err != nil {
 		return nil, err
@@ -112,82 +128,92 @@ func (p *gemvPlan) passRowCol(macro, pass, i int) (uint32, uint32) {
 }
 
 // layoutWeights writes W into the banks (functional mode setup; the PIM
-// BLAS does this once when the host loads the model, Section VIII). A
-// replicated layout holds the same block set in every channel, so each
-// row's payload is gathered and serialised once and the same write goes
-// down every channel's own command stream.
+// BLAS does this once when the host loads the model, Section VIII), one
+// bank row per write. A distributed layout differs per channel: each row
+// is serialised into one reused buffer and written, channel after channel.
+// A replicated layout holds the same block set in every channel, so its
+// rows are serialised once, into one buffer the size of the padded
+// matrix, and every channel writes them down its own command stream, side
+// by side through the installed engine.
 func (p *gemvPlan) layoutWeights(rt *runtime.Runtime, W fp16.Vector) error {
+	colBytes := 2 * p.lanes
+	if !p.replicated {
+		buf := make([]byte, p.passesPerRow*p.G*colBytes)
+		for ch := 0; ch < p.C; ch++ {
+			err := p.eachRow(rt, ch, func(bank int, row uint32, b, lo, hi int) error {
+				data := buf[:(hi-lo)*p.G*colBytes]
+				p.rowPayload(W, b, lo, hi, data)
+				return rt.WriteBankRunSB(ch, bank, row, 0, data)
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	type rowWrite struct {
+		bank int
+		row  uint32
+		data []byte
+	}
+	writes := make([]rowWrite, 0, p.blocks*p.rowsPerMacro)
+	buf := make([]byte, p.blocks*p.passes*p.G*colBytes)
+	_ = p.eachRow(rt, 0, func(bank int, row uint32, b, lo, hi int) error { // returns only fn's error: none
+		n := (hi - lo) * p.G * colBytes
+		p.rowPayload(W, b, lo, hi, buf[:n])
+		writes = append(writes, rowWrite{bank, row, buf[:n:n]})
+		buf = buf[n:]
+		return nil
+	})
+	return rt.ForEachChannel(func(ch int) error {
+		for _, w := range writes {
+			if err := rt.WriteBankRunSB(ch, w.bank, w.row, 0, w.data); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// eachRow calls fn once per bank row of channel ch's weight layout, in
+// command order: the owning unit's even bank, the row, the block stored
+// there and the passes [lo, hi) the row holds, from column 0 on.
+func (p *gemvPlan) eachRow(rt *runtime.Runtime, ch int, fn func(bank int, row uint32, b, lo, hi int) error) error {
 	banksPerUnit := rt.Cfg.BanksPerUnit()
-	cols := make([]uint32, 0, rt.Cfg.ColumnsPerRow())
-	data := make([][]byte, 0, rt.Cfg.ColumnsPerRow())
-	// Reusable payload buffers: WriteBankRowSB copies into bank storage, so
-	// the entries pending between flushes (at most one row's worth) can
-	// share one set of buffers instead of allocating two objects per column.
-	bufs := make([][]byte, rt.Cfg.ColumnsPerRow())
-	for i := range bufs {
-		bufs[i] = make([]byte, 2*p.lanes)
-	}
-	vec := fp16.NewVector(p.lanes)
-	// built counts the distinct layouts, dests the channels each goes to.
-	built, dests := p.C, 1
-	if p.replicated {
-		built, dests = 1, p.C
-	}
-	for ch := 0; ch < built; ch++ {
-		for u := 0; u < p.U; u++ {
-			evenBank := u * banksPerUnit
-			for m := 0; m < p.macros; m++ {
-				b := p.block(m, u, ch)
-				if b < 0 {
-					continue
-				}
-				var curRow uint32
-				cols, data = cols[:0], data[:0]
-				flush := func() error {
-					if len(cols) == 0 {
-						return nil
-					}
-					for c := ch; c < ch+dests; c++ {
-						if err := rt.WriteBankRowSB(c, evenBank, curRow, cols, data); err != nil {
-							return err
-						}
-					}
-					cols, data = cols[:0], data[:0]
-					return nil
-				}
-				for pass := 0; pass < p.passes; pass++ {
-					row, _ := p.passRowCol(m, pass, 0)
-					if len(cols) > 0 && row != curRow {
-						if err := flush(); err != nil {
-							return err
-						}
-					}
-					curRow = row
-					for i := 0; i < p.G; i++ {
-						_, col := p.passRowCol(m, pass, i)
-						k := pass*p.G + i
-						for lane := 0; lane < p.lanes; lane++ {
-							var w fp16.F16
-							if k < p.K {
-								if o := b*p.lanes + lane; o < p.M {
-									w = W[o*p.K+k]
-								}
-							}
-							vec[lane] = w
-						}
-						buf := bufs[len(data)]
-						vec.PutBytes(buf)
-						cols = append(cols, col)
-						data = append(data, buf)
-					}
-				}
-				if err := flush(); err != nil {
+	for u := 0; u < p.U; u++ {
+		for m := 0; m < p.macros; m++ {
+			b := p.block(m, u, ch)
+			if b < 0 {
+				continue
+			}
+			for lo := 0; lo < p.passes; lo += p.passesPerRow {
+				row, _ := p.passRowCol(m, lo, 0)
+				if err := fn(u*banksPerUnit, row, b, lo, min(lo+p.passesPerRow, p.passes)); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// rowPayload serialises passes [lo, hi) of block b into dst: per input k,
+// the 16 lane weights W[b*16+lane][k], zero beyond M and K.
+func (p *gemvPlan) rowPayload(W fp16.Vector, b, lo, hi int, dst []byte) {
+	var vec [fp16.Lanes]fp16.F16
+	for k := lo * p.G; k < hi*p.G; k++ {
+		for lane := range vec {
+			var w fp16.F16
+			if k < p.K {
+				if o := b*p.lanes + lane; o < p.M {
+					w = W[o*p.K+k]
+				}
+			}
+			vec[lane] = w
+		}
+		fp16.Vector(vec[:]).PutBytes(dst)
+		dst = dst[2*p.lanes:]
+	}
 }
 
 // gemvProgram builds the microkernel for an invocation of n passes. The
@@ -301,7 +327,11 @@ func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp1
 				chunk = maxPassesPerInvocation
 			}
 			if chunk != lastProg {
-				if err := rt.ProgramCRF(ch, gemvProgram(p.G, chunk, srw)); err != nil {
+				words := p.crf[0]
+				if chunk != min(p.passes, maxPassesPerInvocation) {
+					words = p.crf[1] // the shorter last invocation
+				}
+				if err := rt.ProgramCRFWords(ch, words); err != nil {
 					return triggers, err
 				}
 				lastProg = chunk

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pimsim/internal/engine"
 	"pimsim/internal/fp16"
 )
 
@@ -184,5 +185,55 @@ func TestResidentGemvBatchValidation(t *testing.T) {
 	}
 	if _, err := LoadGemv(testRuntime(t, 2, false), randVec(rng, M*K), M, K); err == nil {
 		t.Error("LoadGemv accepted a timing-only device")
+	}
+}
+
+// TestLoadGemvChannelParallel: a replicated layout written by every
+// channel at once through the parallel engine leaves each channel where
+// the one-channel-after-another load leaves it (clock, command census,
+// refreshes) and holding the same weights: a full batch is bit-exact
+// against the oracle on both.
+func TestLoadGemvChannelParallel(t *testing.T) {
+	const M, K = 160, 520 // two macros a channel, rows that switch mid-macro
+	rng := rand.New(rand.NewSource(24))
+	W := randVec(rng, M*K)
+	xs := []fp16.Vector{randVec(rng, K), randVec(rng, K), randVec(rng, K), randVec(rng, K)}
+
+	serial, parallel := testRuntime(t, 4, true), testRuntime(t, 4, true)
+	parallel.UseEngine(engine.NewParallel(4))
+	defer parallel.CloseEngine()
+	gs, err := LoadGemv(serial, W, M, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := LoadGemv(parallel, W, M, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ch := range serial.Chans {
+		cs, cp := serial.Chans[ch], parallel.Chans[ch]
+		if cs.Now() != cp.Now() || cs.PCH().Stats() != cp.PCH().Stats() || cs.Refreshes() != cp.Refreshes() {
+			t.Errorf("ch%d after load: serial cycle %d %+v, parallel cycle %d %+v",
+				ch, cs.Now(), cs.PCH().Stats(), cp.Now(), cp.PCH().Stats())
+		}
+		if cs.PCH().Stats().WR == 0 {
+			t.Errorf("ch%d: the load wrote nothing", ch)
+		}
+	}
+	ys, _, err := gs.RunBatch(serial, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yp, _, err := gp.RunBatch(parallel, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		want := RefGemvPIMOrder(W, M, K, x, GRFDepth(serial))
+		for o := range want {
+			if ys[i][o] != want[o] || yp[i][o] != want[o] {
+				t.Fatalf("y[%d][%d]: serial %v, parallel %v, want %v", i, o, ys[i][o], yp[i][o], want[o])
+			}
+		}
 	}
 }

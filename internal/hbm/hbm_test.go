@@ -251,6 +251,30 @@ func TestRefreshBlocksBank(t *testing.T) {
 	}
 }
 
+// TestRefreshLegalIsTheREFVerdict: the controller's yes/no probe must
+// agree with the legality verdict EarliestIssue gives a REF, in every bank
+// state it is asked in.
+func TestRefreshLegalIsTheREFVerdict(t *testing.T) {
+	s := newTestPCH(t, HBM2Config(1000))
+	check := func(when string) {
+		t.Helper()
+		_, err := s.p.EarliestIssue(Command{Kind: CmdREF}, s.now)
+		if got := s.p.RefreshLegal(); got != (err == nil) {
+			t.Errorf("%s: RefreshLegal = %v, EarliestIssue(REF) error = %v", when, got, err)
+		}
+	}
+	check("all banks idle")
+	s.issue(Command{Kind: CmdACT, BG: 1, Bank: 2, Row: 9})
+	check("one bank open")
+	s.issue(Command{Kind: CmdACT, BG: 3, Bank: 0, Row: 4})
+	s.issue(Command{Kind: CmdPRE, BG: 1, Bank: 2})
+	check("another bank still open")
+	s.issue(Command{Kind: CmdPREA})
+	check("after PREA")
+	s.issue(Command{Kind: CmdREF})
+	check("after a refresh")
+}
+
 func TestStatsCounting(t *testing.T) {
 	s := newTestPCH(t, HBM2Config(1000))
 	s.issue(Command{Kind: CmdACT, BG: 0, Bank: 0, Row: 1})

@@ -288,6 +288,12 @@ func (p *PseudoChannel) OpenRow(bg, bank int) (row uint32, ok bool) {
 	return b.openRow, true
 }
 
+// RefreshLegal reports whether a REF may issue: every bank precharged, the
+// one legality rule EarliestIssue applies to CmdREF. The controller asks
+// before every command once a refresh is due, mostly with a row open, and
+// a yes/no costs no error value.
+func (p *PseudoChannel) RefreshLegal() bool { return p.activeBanks == 0 }
+
 // Stats returns the accumulated counters.
 func (p *PseudoChannel) Stats() Stats { return p.stats }
 

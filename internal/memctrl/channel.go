@@ -306,8 +306,7 @@ func (c *Channel) maybeRefresh() error {
 				}
 			}
 		}
-		_, refErr := c.pch.EarliestIssue(hbm.Command{Kind: hbm.CmdREF}, c.now)
-		if refErr != nil { // banks open
+		if !c.pch.RefreshLegal() { // banks open
 			if c.pch.Mode() == hbm.ModeSB && !force {
 				// Postpone rather than yank rows out from under the
 				// transaction scheduler.

@@ -8,7 +8,9 @@
 //   - Compile builds the single-timestep tensor graph (tensor.BuildLSTMStep
 //     per layer plus the output projection), topologically schedules it,
 //     and assigns the paper's placement split: GEMV-shaped ops on PIM,
-//     eltwise/activation gate math on the host.
+//     eltwise/activation gate math on the host. A layer is one fused GEMV,
+//     [Wx|Wh]*[x;h]: the compiler chooses the launch granularity, L+1
+//     PIM launches a timestep for an L-layer stack.
 //   - Load lays every MatVec layer's weights out once per shard through
 //     the driver free-list (blas.LoadGemv, replicated across channels)
 //     and reserves device rows for the recurrent state, which stays
@@ -16,7 +18,7 @@
 //     through the serving tier.
 //   - StepSlots advances one timestep for a sparse slot map (slot =
 //     pseudo channel, the continuous-batching unit): each layer runs its
-//     Wx and Wh GEMVs as batched PIM kernels across every occupied slot,
+//     GEMV over [x;h] as one batched PIM kernel across every occupied slot,
 //     then the host gate math — composed from exactly the tensor graph's
 //     primitive semantics, so a host session over the same graph (with
 //     Session.MatVecGRF set) reproduces served outputs bit for bit.
@@ -36,18 +38,27 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pimsim/internal/blas"
 	"pimsim/internal/fp16"
 	"pimsim/internal/models"
 )
 
+// Layer is one LSTM layer's parameters. W is the fused gate matrix, 4H
+// rows of X+H, row r = [Wx row r | Wh row r], so the layer's
+// pre-activations are one GEMV over [x;h]; it is the only copy, shared by
+// the graph, the device layout and the oracle.
+type Layer struct {
+	X, H int
+	W    fp16.Vector // 4H x (X+H), row-major
+	B    fp16.Vector // 4H
+}
+
 // Weights holds a config's deterministically generated parameters: one
-// blas.LSTMWeights per layer and the output projection matrix. The repo
-// has no trained checkpoints; serving exercises the system, and the
-// generator is shared by server and verifier so outputs stay checkable.
+// Layer per LSTM layer and the output projection matrix. The repo has no
+// trained checkpoints; serving exercises the system, and the generator is
+// shared by server and verifier so outputs stay checkable.
 type Weights struct {
 	Cfg    models.Config
-	Layers []blas.LSTMWeights
+	Layers []Layer
 	WOut   fp16.Vector // Cfg.Output x Cfg.Hidden[last], row-major
 }
 
@@ -59,8 +70,7 @@ func GenWeights(cfg models.Config) (*Weights, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	gen := func(n int, scale float64) fp16.Vector {
-		v := fp16.NewVector(n)
+	fill := func(v fp16.Vector, scale float64) fp16.Vector {
 		for i := range v {
 			v[i] = fp16.FromFloat32(float32(rng.NormFloat64() * scale))
 		}
@@ -69,16 +79,20 @@ func GenWeights(cfg models.Config) (*Weights, error) {
 	w := &Weights{Cfg: cfg}
 	in := cfg.Input
 	for _, h := range cfg.Hidden {
-		w.Layers = append(w.Layers, blas.LSTMWeights{
-			X:  in,
-			H:  h,
-			Wx: gen(4*h*in, 0.25),
-			Wh: gen(4*h*h, 0.25),
-			B:  gen(4*h, 0.1),
-		})
+		// The seed's draws go to all of Wx, then all of Wh, then the bias:
+		// the order the two matrices had apart, so a seed means the same
+		// parameters and fusing moved only where each one is stored.
+		k := in + h
+		fused := fp16.NewVector(4 * h * k)
+		for _, band := range [][2]int{{0, in}, {in, k}} {
+			for r := 0; r < 4*h; r++ {
+				fill(fused[r*k+band[0]:r*k+band[1]], 0.25)
+			}
+		}
+		w.Layers = append(w.Layers, Layer{X: in, H: h, W: fused, B: fill(fp16.NewVector(4*h), 0.1)})
 		in = h
 	}
-	w.WOut = gen(cfg.Output*in, 0.25)
+	w.WOut = fill(fp16.NewVector(cfg.Output*in), 0.25)
 	return w, nil
 }
 

@@ -52,8 +52,8 @@ func TestCompileSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two GEMVs per LSTM layer plus the output projection, all on PIM.
-	if want := 2*p.Layers() + 1; p.PIMOps != want {
+	// One fused GEMV per LSTM layer plus the output projection, all on PIM.
+	if want := p.Layers() + 1; p.PIMOps != want {
 		t.Errorf("PIMOps = %d, want %d", p.PIMOps, want)
 	}
 	if p.HostOps == 0 {

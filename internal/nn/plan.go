@@ -61,8 +61,7 @@ func Compile(w *Weights) (*Plan, error) {
 		p.hIn = append(p.hIn, h)
 		p.cIn = append(p.cIn, c)
 		hOut, cOut, err := tensor.BuildLSTMStep(g, fmt.Sprintf("l%d", l),
-			&tensor.Tensor{Shape: []int{4 * lw.H, lw.X}, Data: lw.Wx},
-			&tensor.Tensor{Shape: []int{4 * lw.H, lw.H}, Data: lw.Wh},
+			&tensor.Tensor{Shape: []int{4 * lw.H, lw.X + lw.H}, Data: lw.W},
 			&tensor.Tensor{Shape: []int{4 * lw.H}, Data: lw.B},
 			cur, h, c)
 		if err != nil {

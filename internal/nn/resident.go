@@ -9,12 +9,13 @@ import (
 	"pimsim/internal/runtime"
 )
 
-// Resident is a Plan loaded onto one shard: every MatVec layer's weights
-// laid out once through the driver free-list (replicated into each
-// pseudo channel by blas.LoadGemv), plus a reserved row span for the
-// recurrent state. Slot s (= pseudo channel s) holds one in-flight
-// sequence; its h/c persist in the Resident across timesteps, so a
-// sequence costs one input frame in and one logit vector out per step.
+// Resident is a Plan loaded onto one shard: every MatVec's weights (one
+// fused matrix per LSTM layer and the output projection) laid out once
+// through the driver free-list (replicated into each pseudo channel by
+// blas.LoadGemv), plus a reserved row span for the recurrent state. Slot
+// s (= pseudo channel s) holds one in-flight sequence; its h/c persist in
+// the Resident across timesteps, so a sequence costs one input frame in
+// and one logit vector out per step.
 //
 // Like blas.ResidentGemv, methods must not run concurrently on the same
 // Runtime — the serving stepper guarantees that by holding the shard
@@ -23,8 +24,7 @@ type Resident struct {
 	Plan *Plan
 
 	slots     int
-	wx, wh    []*blas.ResidentGemv // per layer
-	out       *blas.ResidentGemv
+	gemv      []*blas.ResidentGemv // one per layer, then the output projection
 	stateBase uint32
 	stateRows int
 
@@ -49,34 +49,23 @@ type SlotState struct {
 func Load(rt *runtime.Runtime, p *Plan) (*Resident, error) {
 	r := &Resident{Plan: p, slots: rt.NumChannels()}
 	fail := func(err error) (*Resident, error) {
-		for _, g := range r.wx {
+		for _, g := range r.gemv {
 			_ = g.Unload(rt)
-		}
-		for _, g := range r.wh {
-			_ = g.Unload(rt)
-		}
-		if r.out != nil {
-			_ = r.out.Unload(rt)
 		}
 		return nil, err
 	}
 	for l, lw := range p.W.Layers {
-		gx, err := blas.LoadGemv(rt, lw.Wx, 4*lw.H, lw.X)
+		g, err := blas.LoadGemv(rt, lw.W, 4*lw.H, lw.X+lw.H)
 		if err != nil {
-			return fail(fmt.Errorf("nn: load %s layer %d Wx: %w", p.Cfg.Name, l, err))
+			return fail(fmt.Errorf("nn: load %s layer %d: %w", p.Cfg.Name, l, err))
 		}
-		r.wx = append(r.wx, gx)
-		gh, err := blas.LoadGemv(rt, lw.Wh, 4*lw.H, lw.H)
-		if err != nil {
-			return fail(fmt.Errorf("nn: load %s layer %d Wh: %w", p.Cfg.Name, l, err))
-		}
-		r.wh = append(r.wh, gh)
+		r.gemv = append(r.gemv, g)
 	}
 	gout, err := blas.LoadGemv(rt, p.W.WOut, p.Cfg.Output, p.W.lastHidden())
 	if err != nil {
 		return fail(fmt.Errorf("nn: load %s output projection: %w", p.Cfg.Name, err))
 	}
-	r.out = gout
+	r.gemv = append(r.gemv, gout)
 
 	r.stateRows = ceilDiv(r.slots*p.StateBytesPerSlot, rt.Cfg.RowBytes)
 	if r.stateRows < 1 {
@@ -107,10 +96,10 @@ func (r *Resident) Slots() int { return r.slots }
 // WeightRows returns the PIM rows the weight layouts occupy (per bank).
 func (r *Resident) WeightRows() int {
 	n := 0
-	for l := range r.wx {
-		n += r.wx[l].Rows() + r.wh[l].Rows()
+	for _, g := range r.gemv {
+		n += g.Rows()
 	}
-	return n + r.out.Rows()
+	return n
 }
 
 // StateRows returns the rows reserved for recurrent state.
@@ -129,16 +118,10 @@ func (r *Resident) OwnsRow(row uint32) bool {
 	span := func(base uint32, n int) bool {
 		return row >= base && row < base+uint32(n)
 	}
-	for l := range r.wx {
-		if b, n := r.wx[l].RowRange(); span(b, n) {
+	for _, g := range r.gemv {
+		if b, n := g.RowRange(); span(b, n) {
 			return true
 		}
-		if b, n := r.wh[l].RowRange(); span(b, n) {
-			return true
-		}
-	}
-	if b, n := r.out.RowRange(); span(b, n) {
-		return true
 	}
 	return span(r.stateBase, r.stateRows)
 }
@@ -245,22 +228,20 @@ func (r *Resident) StepSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.Vect
 	cur := make([]fp16.Vector, len(xs))
 	copy(cur, xs)
 
+	xh := make([]fp16.Vector, len(xs))
 	for l, lw := range r.Plan.W.Layers {
-		// Previous hidden state, masked to the occupied slots.
-		hIn := make([]fp16.Vector, len(xs))
+		// The layer's GEMV input is [x;h]: the layer below's output (the
+		// frame for layer 0) and this layer's previous hidden state, for
+		// the occupied slots only.
 		for s := range xs {
 			if xs[s] != nil {
-				hIn[s] = r.h[l][s]
+				xh[s] = fp16.NewVector(lw.X + lw.H)
+				copy(xh[s][copy(xh[s], cur[s]):], r.h[l][s])
 			}
 		}
-		zx, ks, err := r.wx[l].RunSlots(rt, cur)
+		zs, ks, err := r.gemv[l].RunSlots(rt, xh)
 		if err != nil {
-			return nil, total, fmt.Errorf("nn: %s layer %d Wx: %w", r.Plan.Cfg.Name, l, err)
-		}
-		add(ks)
-		zh, ks, err := r.wh[l].RunSlots(rt, hIn)
-		if err != nil {
-			return nil, total, fmt.Errorf("nn: %s layer %d Wh: %w", r.Plan.Cfg.Name, l, err)
+			return nil, total, fmt.Errorf("nn: %s layer %d: %w", r.Plan.Cfg.Name, l, err)
 		}
 		add(ks)
 
@@ -271,9 +252,7 @@ func (r *Resident) StepSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.Vect
 			if xs[s] == nil {
 				continue
 			}
-			z := fp16.NewVector(4 * H)
-			fp16.AddVec(z, zx[s], zh[s])
-			fp16.AddVec(z, z, lw.B)
+			z := fp16.AddVec(zs[s], zs[s], lw.B)
 			hN := fp16.NewVector(H)
 			cN := fp16.NewVector(H)
 			for j := 0; j < H; j++ {
@@ -290,7 +269,7 @@ func (r *Resident) StepSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.Vect
 		}
 	}
 
-	logits, ks, err := r.out.RunSlots(rt, cur)
+	logits, ks, err := r.gemv[L].RunSlots(rt, cur)
 	if err != nil {
 		return nil, total, fmt.Errorf("nn: %s output projection: %w", r.Plan.Cfg.Name, err)
 	}
@@ -322,11 +301,9 @@ func (r *Resident) Unload(rt *runtime.Runtime) error {
 			first = err
 		}
 	}
-	for l := range r.wx {
-		keep(r.wx[l].Unload(rt))
-		keep(r.wh[l].Unload(rt))
+	for _, g := range r.gemv {
+		keep(g.Unload(rt))
 	}
-	keep(r.out.Unload(rt))
 	keep(rt.Drv.FreePIMRows(r.stateBase))
 	return first
 }

@@ -35,6 +35,7 @@ func (r *Runtime) Restrict(channels []int) (*Runtime, error) {
 		seen[ch] = true
 		view.Chans = append(view.Chans, r.Chans[ch])
 		view.Execs = append(view.Execs, r.Execs[ch])
+		view.wr = append(view.wr, r.wr[ch])
 	}
 	return view, nil
 }

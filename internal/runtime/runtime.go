@@ -53,6 +53,12 @@ type Runtime struct {
 	// changes. New code should call UseEngine directly.
 	ParallelKernels bool
 
+	// wr is one AccessBytes payload buffer per channel (parent numbering)
+	// for the register-space writes the runtime builds itself: PIM_OP_MODE,
+	// accumulator zeros, CRF words. hbm has consumed a WR payload by the
+	// time Issue returns, so a channel's writes can share one buffer.
+	wr [][]byte
+
 	// eng dispatches per-channel kernel work. Nil runs channels
 	// sequentially on the caller's goroutine (engine.Serial semantics
 	// without the indirection).
@@ -131,6 +137,10 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 		return nil, err
 	}
 	r.Drv = drv
+	wr := make([]byte, len(r.Chans)*cfg.AccessBytes)
+	for i := range r.Chans {
+		r.wr = append(r.wr, wr[i*cfg.AccessBytes:(i+1)*cfg.AccessBytes])
+	}
 
 	// One registry shard per channel: kernels under ParallelKernels write
 	// contention free, and per-channel deltas stay separable.
@@ -206,7 +216,8 @@ func (r *Runtime) ExitToSB(ch int) error {
 // SetPIMMode writes PIM_OP_MODE through the mode row.
 func (r *Runtime) SetPIMMode(ch int, on bool) error {
 	start := r.Chans[ch].Now()
-	data := make([]byte, r.Cfg.AccessBytes)
+	data := r.wr[ch]
+	clear(data)
 	if on {
 		data[0] = 1
 	}
@@ -225,22 +236,30 @@ func (r *Runtime) SetPIMMode(ch int, on bool) error {
 
 // ProgramCRF broadcasts a microkernel into every unit of a channel. The
 // channel must be in AB mode with all banks precharged. Programs longer
-// than the CRF are rejected up front.
+// than the CRF are rejected up front (by the encoder).
 func (r *Runtime) ProgramCRF(ch int, prog []isa.Instruction) error {
-	if len(prog) > isa.CRFEntries {
-		return fmt.Errorf("runtime: program of %d instructions overflows the %d-entry CRF",
-			len(prog), isa.CRFEntries)
-	}
-	start := r.Chans[ch].Now()
 	words, err := isa.EncodeProgram(prog)
 	if err != nil {
 		return err
 	}
+	return r.ProgramCRFWords(ch, words)
+}
+
+// ProgramCRFWords is ProgramCRF for a microkernel encoded ahead of time
+// (isa.EncodeProgram): a kernel that launches the same program on every
+// tile of every channel encodes it once.
+func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
+	if len(words) > isa.CRFEntries {
+		return fmt.Errorf("runtime: program of %d words overflows the %d-entry CRF",
+			len(words), isa.CRFEntries)
+	}
+	start := r.Chans[ch].Now()
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.CRFRow()}); err != nil {
 		return err
 	}
+	buf := r.wr[ch]
 	for col := 0; col*8 < len(words); col++ {
-		buf := make([]byte, r.Cfg.AccessBytes)
+		clear(buf)
 		for i := 0; i < 8 && col*8+i < len(words); i++ {
 			w := words[col*8+i]
 			buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
@@ -292,7 +311,8 @@ func (r *Runtime) ZeroGRF(ch int) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()}); err != nil {
 		return err
 	}
-	zero := make([]byte, r.Cfg.AccessBytes)
+	zero := r.wr[ch]
+	clear(zero)
 	end := 2 * r.Cfg.GRFDepth()
 	for col := end - 2*isa.GRFEntries; col < end; col++ {
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(col), Data: zero}); err != nil {
@@ -426,6 +446,27 @@ func (r *Runtime) WriteBankRowSB(ch, flatBank int, row uint32, cols []uint32, da
 	}
 	for i, col := range cols {
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col, Data: data[i]}); err != nil {
+			return err
+		}
+	}
+	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
+	return err
+}
+
+// WriteBankRunSB writes consecutive columns col0, col0+1, ... of one bank
+// row with a single activate; data holds AccessBytes per column, end to
+// end.
+func (r *Runtime) WriteBankRunSB(ch, flatBank int, row, col0 uint32, data []byte) error {
+	size := r.Cfg.AccessBytes
+	if len(data)%size != 0 {
+		return fmt.Errorf("runtime: %d payload bytes are not whole %d-byte columns", len(data), size)
+	}
+	bg, b := r.Cfg.BankOf(flatBank)
+	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
+		return err
+	}
+	for i := 0; i*size < len(data); i++ {
+		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col0 + uint32(i), Data: data[i*size : (i+1)*size]}); err != nil {
 			return err
 		}
 	}

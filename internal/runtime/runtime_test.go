@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -398,6 +399,128 @@ func TestProgramCRFOverflow(t *testing.T) {
 	}
 	if rt.Chans[0].Now() != before {
 		t.Error("rejected CRF program still issued commands")
+	}
+}
+
+// TestProgramCRFWordsIsProgramCRF: a program encoded ahead of time lands in
+// the CRF as the same words, in the same cycles and commands, as the same
+// program handed over as instructions; and the payload buffer a channel's
+// register writes share carries nothing from one write into the next (a
+// mode write after a CRF write, zeros after a mode-on).
+func TestProgramCRFWordsIsProgramCRF(t *testing.T) {
+	prog, err := isa.Assemble(`
+		MOV(AAM) GRF_A, EVEN_BANK
+		JUMP -1, 7
+		MAC(AAM) GRF_B, GRF_A, EVEN_BANK
+		JUMP -1, 7
+		JUMP -4, 27
+		EXIT
+		NOP
+		NOP
+		NOP
+	`) // nine words: two CRF columns, the second mostly padding
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, err := isa.EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := newRT(t, 1), newRT(t, 1)
+	for _, rt := range []*Runtime{a, b} {
+		if err := rt.EnterAB(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.ProgramCRF(0, prog); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ProgramCRFWords(0, words); err != nil {
+		t.Fatal(err)
+	}
+	if a.Now(0) != b.Now(0) || a.Chans[0].PCH().Stats() != b.Chans[0].PCH().Stats() {
+		t.Errorf("instructions: cycle %d %+v; words: cycle %d %+v",
+			a.Now(0), a.Chans[0].PCH().Stats(), b.Now(0), b.Chans[0].PCH().Stats())
+	}
+	for col := uint32(0); col < 2; col++ {
+		bufA, bufB := make([]byte, 32), make([]byte, 32)
+		for u := 0; u < a.Cfg.PIMUnits; u++ {
+			if err := a.Execs[0].RegisterRead(u, hbm.RegCRF, col, bufA); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Execs[0].RegisterRead(u, hbm.RegCRF, col, bufB); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bufA, bufB) {
+				t.Fatalf("unit %d CRF column %d: %x != %x", u, col, bufA, bufB)
+			}
+		}
+		if col == 1 && !bytes.Equal(bufA[4:], make([]byte, 28)) {
+			t.Errorf("CRF column 1 carries column 0's words past the program: %x", bufA)
+		}
+	}
+	if err := b.ProgramCRFWords(0, make([]uint32, isa.CRFEntries+1)); err == nil {
+		t.Error("oversized word program accepted")
+	}
+
+	// The shared buffer now holds CRF words: the mode and zero payloads
+	// must not see them.
+	if err := b.SetPIMMode(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Chans[0].PCH().Mode(); got != hbm.ModeAB {
+		t.Fatalf("mode-off after a CRF write left the channel in %v", got)
+	}
+	if err := b.SetPIMMode(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Chans[0].PCH().Mode(); got != hbm.ModeABPIM {
+		t.Fatalf("mode-on left the channel in %v", got)
+	}
+	if err := b.SetPIMMode(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ZeroGRF(0); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < b.Cfg.PIMUnits; u++ {
+		for r := 0; r < isa.GRFEntries; r++ {
+			for l, v := range b.Execs[0].Unit(u).GRF(1, r) {
+				if v != fp16.Zero {
+					t.Fatalf("unit %d GRF_B[%d][%d] = %v after ZeroGRF", u, r, l, v)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteBankRunSB: a run of consecutive columns from one buffer stores
+// what the column-by-column form stores, in the same commands.
+func TestWriteBankRunSB(t *testing.T) {
+	a, b := newRT(t, 1), newRT(t, 1)
+	data := make([]byte, 3*32)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	if err := a.WriteBankRowSB(0, 6, 41, []uint32{4, 5, 6}, [][]byte{data[:32], data[32:64], data[64:]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteBankRunSB(0, 6, 41, 4, data); err != nil {
+		t.Fatal(err)
+	}
+	if a.Now(0) != b.Now(0) || a.Chans[0].PCH().Stats() != b.Chans[0].PCH().Stats() {
+		t.Errorf("column list: cycle %d %+v; run: cycle %d %+v",
+			a.Now(0), a.Chans[0].PCH().Stats(), b.Now(0), b.Chans[0].PCH().Stats())
+	}
+	back, err := b.ReadBankRowSB(0, 6, 41, []uint32{4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.Join(back, nil), data) {
+		t.Errorf("read back %x", back)
+	}
+	if err := b.WriteBankRunSB(0, 6, 41, 0, data[:40]); err == nil {
+		t.Error("a payload that is not whole columns was accepted")
 	}
 }
 

@@ -327,8 +327,8 @@ func TestModelsEndpoint(t *testing.T) {
 	if q.Type != "sequence" || q.Layers != 2 {
 		t.Errorf("sequence entry wrong: %+v", q)
 	}
-	if q.Placement["pim"] != 5 || q.Placement["host"] == 0 {
-		t.Errorf("placement split wrong: %+v (want 5 pim GEMVs: 2 per layer + output)", q.Placement)
+	if q.Placement["pim"] != 3 || q.Placement["host"] == 0 {
+		t.Errorf("placement split wrong: %+v (want 3 pim GEMVs: 1 per layer + output)", q.Placement)
 	}
 	if q.ResidentBytes <= 0 {
 		t.Errorf("sequence resident_bytes = %d", q.ResidentBytes)

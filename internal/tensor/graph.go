@@ -12,7 +12,7 @@ import (
 // OpKind enumerates the supported graph operations. MatVec, Add, Mul,
 // ReLU and BN have PIM implementations (the six custom ops of Section V-A
 // minus LSTM, which is composed from these); the activations are
-// host-only.
+// host-only, and Slice and Concat are host-side views.
 type OpKind int
 
 const (
@@ -26,9 +26,10 @@ const (
 	OpSigmoid
 	OpTanh
 	OpSlice
+	OpConcat
 )
 
-var opNames = [...]string{"Input", "Const", "MatVec", "Add", "Mul", "ReLU", "BN", "Sigmoid", "Tanh", "Slice"}
+var opNames = [...]string{"Input", "Const", "MatVec", "Add", "Mul", "ReLU", "BN", "Sigmoid", "Tanh", "Slice", "Concat"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opNames) {
@@ -317,6 +318,10 @@ func (s *Session) execute(n *Node, ins []*Tensor) (*Tensor, error) {
 		return &Tensor{Shape: ins[0].Shape, Data: blas.RefBN(ins[0].Data, n.Gamma, n.Beta)}, nil
 	case OpSlice:
 		return executeSlice(n, ins[0])
+	case OpConcat:
+		out := fp16.NewVector(ins[0].Numel() + ins[1].Numel())
+		copy(out[copy(out, ins[0].Data):], ins[1].Data)
+		return &Tensor{Shape: []int{len(out)}, Data: out}, nil
 	case OpSigmoid, OpTanh:
 		out := fp16.NewVector(ins[0].Numel())
 		for i, v := range ins[0].Data {

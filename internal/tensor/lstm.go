@@ -6,10 +6,10 @@ import (
 	"pimsim/internal/fp16"
 )
 
-// Slice support and the LSTM composition. The paper ships six PIM custom
-// ops — ADD, MUL, ReLU, LSTM, GEMV, BN (Section V-A); here LSTM is
-// composed from the primitive graph ops, with its two GEMVs eligible for
-// PIM placement and the gate math on host-only activation ops.
+// Slice and Concat support and the LSTM composition. The paper ships six
+// PIM custom ops — ADD, MUL, ReLU, LSTM, GEMV, BN (Section V-A); here LSTM
+// is composed from the primitive graph ops, with its one fused GEMV
+// eligible for PIM placement and the gate math on host-only activation ops.
 
 // Slice extracts elements [off, off+n) of a vector (a host-side view; it
 // moves no DRAM data).
@@ -17,27 +17,30 @@ func (g *Graph) Slice(name string, x *Node, off, n int) *Node {
 	return g.add(&Node{Kind: OpSlice, Name: name, Inputs: []*Node{x}, Off: off, Len: n})
 }
 
+// Concat joins two vectors end to end (a host-side view like Slice; it
+// moves no DRAM data).
+func (g *Graph) Concat(name string, a, b *Node) *Node {
+	return g.add(&Node{Kind: OpConcat, Name: name, Inputs: []*Node{a, b}})
+}
+
 // BuildLSTMStep wires one LSTM cell step from primitives:
 //
-//	z  = Wx*x + Wh*h + b
+//	z  = W*[x;h] + b
 //	i,f,g,o = sigmoid/tanh of the four H-wide bands of z
 //	c' = f*c + i*g ;  h' = o * tanh(c')
 //
-// Gate order matches blas.LSTMWeights: [input, forget, cell, output].
-// The two MatVecs are the memory-bound part the PIM session offloads.
-func BuildLSTMStep(g *Graph, name string, wx, wh, bias *Tensor, x, h, c *Node) (hOut, cOut *Node, err error) {
-	if len(wx.Shape) != 2 || len(wh.Shape) != 2 {
-		return nil, nil, fmt.Errorf("tensor: LSTM weights must be matrices")
+// w is the fused 4H x (X+H) gate matrix, row r = [Wx row r | Wh row r],
+// so Wx*x + Wh*h is one GEMV and its sum forms in the accumulators, not
+// in an fp16 add between two results. Gate order matches
+// blas.LSTMWeights: [input, forget, cell, output]. The MatVec is the
+// memory-bound part the PIM session offloads.
+func BuildLSTMStep(g *Graph, name string, w, bias *Tensor, x, h, c *Node) (hOut, cOut *Node, err error) {
+	if len(w.Shape) != 2 || w.Shape[0]%4 != 0 || w.Shape[1] <= w.Shape[0]/4 {
+		return nil, nil, fmt.Errorf("tensor: LSTM weights %v are not a 4H x (X+H) matrix", w.Shape)
 	}
-	fourH := wx.Shape[0]
-	if fourH%4 != 0 || wh.Shape[0] != fourH || wh.Shape[1] != fourH/4 {
-		return nil, nil, fmt.Errorf("tensor: inconsistent LSTM dims %v / %v", wx.Shape, wh.Shape)
-	}
-	H := fourH / 4
+	H := w.Shape[0] / 4
 
-	zx := g.MatVec(name+"/wx", wx, x)
-	zh := g.MatVec(name+"/wh", wh, h)
-	z := g.Add(name+"/z", zx, zh)
+	z := g.MatVec(name+"/w", w, g.Concat(name+"/xh", x, h))
 	if bias != nil {
 		z = g.Add(name+"/bias", z, g.Const(name+"/b", bias))
 	}

@@ -8,6 +8,18 @@ import (
 	"pimsim/internal/fp16"
 )
 
+// fuseGates lays a 4H x X input matrix and a 4H x H recurrent matrix out
+// as the one 4H x (X+H) matrix BuildLSTMStep takes: row r = [wx row r |
+// wh row r].
+func fuseGates(wx, wh fp16.Vector, X, H int) *Tensor {
+	w := New(4*H, X+H)
+	for r := 0; r < 4*H; r++ {
+		row := w.Data[r*(X+H) : (r+1)*(X+H)]
+		copy(row[copy(row, wx[r*X:(r+1)*X]):], wh[r*H:(r+1)*H])
+	}
+	return w
+}
+
 func TestBuildLSTMStepMatchesBLAS(t *testing.T) {
 	const H, X = 24, 32
 	rng := rand.New(rand.NewSource(41))
@@ -22,7 +34,7 @@ func TestBuildLSTMStepMatchesBLAS(t *testing.T) {
 	xn := g.Input("x")
 	hn := g.Input("h")
 	cn := g.Input("c")
-	hOut, cOut, err := BuildLSTMStep(&g, "cell", wx, wh, bias, xn, hn, cn)
+	hOut, cOut, err := BuildLSTMStep(&g, "cell", fuseGates(wx.Data, wh.Data, X, H), bias, xn, hn, cn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +50,8 @@ func TestBuildLSTMStepMatchesBLAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rounding orders differ (graph adds in fp16 between ops, blas sums
+	// Rounding orders differ (the graph accumulates [Wx|Wh]*[x;h] as one
+	// GEMV and adds the bias in fp16, blas runs two GEMVs and sums the
 	// pre-activations in float64); gates saturate so drift stays small.
 	if d := fp16.MaxAbsDiff(got[0].Data, wantH); d > 0.03 {
 		t.Errorf("h diverged by %v", d)
@@ -47,7 +60,7 @@ func TestBuildLSTMStepMatchesBLAS(t *testing.T) {
 		t.Errorf("c diverged by %v", d)
 	}
 
-	// The same graph on a PIM session: the two MatVecs offload.
+	// The same graph on a PIM session: the fused MatVec offloads.
 	sess := NewPIMSession(pimRT(t))
 	sess.OffloadThreshold = 1
 	pimOut, err := sess.Run(feeds, hOut, cOut)
@@ -62,12 +75,12 @@ func TestBuildLSTMStepMatchesBLAS(t *testing.T) {
 		if n.Kind == OpMatVec && where == "pim" {
 			offloadedMatVecs++
 		}
-		if (n.Kind == OpSigmoid || n.Kind == OpTanh || n.Kind == OpSlice) && where == "pim" {
+		if (n.Kind == OpSigmoid || n.Kind == OpTanh || n.Kind == OpSlice || n.Kind == OpConcat) && where == "pim" {
 			t.Errorf("host-only op %s placed on PIM", n.Kind)
 		}
 	}
-	if offloadedMatVecs != 2 {
-		t.Errorf("%d MatVecs offloaded, want 2 (Wx and Wh)", offloadedMatVecs)
+	if offloadedMatVecs != 1 {
+		t.Errorf("%d MatVecs offloaded, want 1 ([Wx|Wh] over [x;h])", offloadedMatVecs)
 	}
 }
 
@@ -76,11 +89,31 @@ func TestBuildLSTMStepValidation(t *testing.T) {
 	x := g.Input("x")
 	h := g.Input("h")
 	c := g.Input("c")
-	if _, _, err := BuildLSTMStep(&g, "bad", New(10), New(10, 10), nil, x, h, c); err == nil {
+	if _, _, err := BuildLSTMStep(&g, "bad", New(10), nil, x, h, c); err == nil {
 		t.Error("vector weights accepted")
 	}
-	if _, _, err := BuildLSTMStep(&g, "bad2", New(12, 4), New(12, 4), nil, x, h, c); err == nil {
-		t.Error("inconsistent Wh accepted (want 12x3)")
+	if _, _, err := BuildLSTMStep(&g, "bad2", New(10, 8), nil, x, h, c); err == nil {
+		t.Error("row count that is not 4H accepted")
+	}
+	if _, _, err := BuildLSTMStep(&g, "bad3", New(12, 3), nil, x, h, c); err == nil {
+		t.Error("12x3 accepted: H = 3 leaves no input columns (want more than H)")
+	}
+}
+
+func TestConcatOp(t *testing.T) {
+	a, _ := FromSlice([]float32{1, 2, 3}, 3)
+	b, _ := FromSlice([]float32{4, 5}, 2)
+	var g Graph
+	out, err := NewHostSession().Run(nil, g.Concat("ab", g.Const("a", a), g.Const("b", b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out[0].Float32s()
+	if len(got) != 5 || out[0].Shape[0] != 5 || got[0] != 1 || got[2] != 3 || got[3] != 4 || got[4] != 5 {
+		t.Fatalf("concat = %v shape %v, want [1 2 3 4 5]", got, out[0].Shape)
+	}
+	if a.Data[0].Float32() != 1 || len(a.Data) != 3 {
+		t.Error("concat wrote into its first operand")
 	}
 }
 

@@ -95,16 +95,24 @@ func TestSessionMatVecGRFMatchesDeviceOrder(t *testing.T) {
 }
 
 // lstmHostStep is an independent pure-host reference for one LSTM cell
-// step, mirroring the tensor graph's primitive semantics op by op:
-// float32-accumulated GEMVs, pairwise fp16 adds, per-element float64
-// activations, fp16 multiplies. It shares no code with BuildLSTMStep.
+// step, mirroring the tensor graph's primitive semantics op by op: one
+// float32 accumulation per gate row over x's columns and then h's (the
+// fused GEMV [Wx|Wh]*[x;h], computed here from the two matrices apart, so
+// the fused layout and the concat order are what is under test), an fp16
+// bias add, per-element float64 activations, fp16 multiplies. It shares
+// no code with BuildLSTMStep.
 func lstmHostStep(wx, wh, b fp16.Vector, X, H int, x, h, c fp16.Vector) (hOut, cOut fp16.Vector) {
 	fourH := 4 * H
 	z := fp16.NewVector(fourH)
-	zx := blas.HostGemvF32(wx, fourH, X, x)
-	zh := blas.HostGemvF32(wh, fourH, H, h)
 	for i := 0; i < fourH; i++ {
-		z[i] = fp16.Add(fp16.Add(zx[i], zh[i]), b[i])
+		var acc float32
+		for k := 0; k < X; k++ {
+			acc += wx[i*X+k].Float32() * x[k].Float32()
+		}
+		for k := 0; k < H; k++ {
+			acc += wh[i*H+k].Float32() * h[k].Float32()
+		}
+		z[i] = fp16.Add(fp16.FromFloat32(acc), b[i])
 	}
 	sig := func(v fp16.F16) fp16.F16 { return fp16.FromFloat64(1 / (1 + math.Exp(-v.Float64()))) }
 	tanh := func(v fp16.F16) fp16.F16 { return fp16.FromFloat64(math.Tanh(v.Float64())) }
@@ -141,8 +149,7 @@ func TestBuildLSTMStepMultiStepGolden(t *testing.T) {
 	var g Graph
 	xn, hn, cn := g.Input("x"), g.Input("h"), g.Input("c")
 	hOut, cOut, err := BuildLSTMStep(&g, "cell",
-		&Tensor{Shape: []int{4 * H, X}, Data: wx},
-		&Tensor{Shape: []int{4 * H, H}, Data: wh},
+		fuseGates(wx, wh, X, H),
 		&Tensor{Shape: []int{4 * H}, Data: bias},
 		xn, hn, cn)
 	if err != nil {
@@ -176,7 +183,7 @@ func TestBuildLSTMStepMultiStepGolden(t *testing.T) {
 	}
 	hash.Write(h.Bytes())
 	hash.Write(c.Bytes())
-	const golden = "d98094b98e7cd2c1"
+	const golden = "e6bcc9c01713095a"
 	if got := fmt.Sprintf("%016x", hash.Sum64()); got != golden {
 		t.Errorf("multi-step LSTM state hash %s, want golden %s", got, golden)
 	}

@@ -45,6 +45,8 @@ expect 200 "models listing" "$base/v1/models"
 grep -q '"name":"ds2-small"' "$tmp/body" || { echo "FAIL: ds2-small not listed"; exit 1; }
 grep -q '"type":"sequence"' "$tmp/body" || { echo "FAIL: no sequence entry"; exit 1; }
 grep -q '"layers":6' "$tmp/body" || { echo "FAIL: wrong layer count"; exit 1; }
+# One fused GEMV per LSTM layer plus the output head: L+1 PIM ops, not 2L+1.
+grep -q '"pim":7[,}]' "$tmp/body" || { echo "FAIL: ds2-small placement is not 7 PIM ops"; cat "$tmp/body"; echo; exit 1; }
 
 # Sequence-path taxonomy over real HTTP.
 expect 404 "unknown seq model" -X POST -d '{"model":"nope","frames":[[1]]}' "$base/v1/infer"
