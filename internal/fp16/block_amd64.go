@@ -32,3 +32,19 @@ func addBlock(dst, a, b *block) bool
 
 //go:noescape
 func mulBlock(dst, a, b *block) bool
+
+// The byte-operand kernels are the four above with the bank operand typed
+// as a burst: block_amd64.s jumps to the kernel, whose VCVTPH2PS reads the
+// burst's 32 bytes where they lie.
+
+//go:noescape
+func macBlockBytes(dst, a *block, b *burst) bool
+
+//go:noescape
+func madBlockBytes(dst *block, a *burst, b *block, c float32) bool
+
+//go:noescape
+func addBlockBytes(dst, a *block, b *burst) bool
+
+//go:noescape
+func mulBlockBytes(dst, a *block, b *burst) bool

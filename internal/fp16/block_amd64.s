@@ -109,3 +109,22 @@ TEXT ·mulBlock(SB), NOSPLIT, $0-25
 	VMULPS Y2, Y0, Y0
 	VMULPS Y3, Y1, Y1
 	FINISH(ret+24(FP))
+
+// The byte-operand kernels: the same arguments, one of them a burst of the
+// same 32 bytes, so each is its kernel above.
+
+// func macBlockBytes(dst, a *block, b *burst) bool
+TEXT ·macBlockBytes(SB), NOSPLIT, $0-25
+	JMP ·macBlock(SB)
+
+// func madBlockBytes(dst *block, a *burst, b *block, c float32) bool
+TEXT ·madBlockBytes(SB), NOSPLIT, $0-33
+	JMP ·madBlock(SB)
+
+// func addBlockBytes(dst, a *block, b *burst) bool
+TEXT ·addBlockBytes(SB), NOSPLIT, $0-25
+	JMP ·addBlock(SB)
+
+// func mulBlockBytes(dst, a *block, b *burst) bool
+TEXT ·mulBlockBytes(SB), NOSPLIT, $0-25
+	JMP ·mulBlock(SB)

@@ -9,3 +9,10 @@ func macBlock(dst, a, b *block) bool            { panic("fp16: no block kernel i
 func madBlock(dst, a, b *block, c float32) bool { panic("fp16: no block kernel in this build") }
 func addBlock(dst, a, b *block) bool            { panic("fp16: no block kernel in this build") }
 func mulBlock(dst, a, b *block) bool            { panic("fp16: no block kernel in this build") }
+
+func macBlockBytes(dst, a *block, b *burst) bool { panic("fp16: no block kernel in this build") }
+func madBlockBytes(dst *block, a *burst, b *block, c float32) bool {
+	panic("fp16: no block kernel in this build")
+}
+func addBlockBytes(dst, a *block, b *burst) bool { panic("fp16: no block kernel in this build") }
+func mulBlockBytes(dst, a *block, b *burst) bool { panic("fp16: no block kernel in this build") }

@@ -38,6 +38,15 @@
 //     whose scalar forms tier 1 spells out, so the same exact product and
 //     the same innocuous double rounding, bit for bit.
 //
+// The four vector operations also come in a byte form (MACVecBytes,
+// MADVecBytes, AddVecBytes, MulVecBytes) that takes the PIM unit's bank
+// operand as the 32-byte burst it reads, so the simulator neither copies
+// nor decodes a bank read to compute on it: tier 3 widens the burst where
+// it lies, tier 2 decodes each lane as it reaches it, and a NaN block goes
+// through tier 2 with the operands in the instruction's order. Each typed
+// form is its byte form's oracle, bit for bit on both tiers, as macRef is
+// the typed forms'.
+//
 // Which tier runs is decided once, at init, from CPUID alone: tier 3 on
 // amd64 when the CPU reports AVX and F16C and the operating system saves
 // the YMM registers (OSXSAVE, XCR0 bits 1 and 2); tier 2 otherwise, on
@@ -201,11 +210,24 @@ func (h F16) float32Ref() float32 {
 // Float64 converts to float64 exactly.
 func (h F16) Float64() float64 { return float64(h.Float32()) }
 
-// FromFloat64 converts a float64 to binary16. The conversion goes through
-// float32 first; since binary32 keeps >= 2p+2 bits of binary16 precision,
-// the result is still correctly rounded for all values representable in
-// float32 without intermediate overflow, which covers the binary16 range.
-func FromFloat64(f float64) F16 { return FromFloat32(float32(f)) }
+// FromFloat64 converts a float64 to binary16, correctly rounded (nearest,
+// ties to even). It narrows through float32 rounding to odd: truncate
+// toward zero and set the last bit when anything was cut off, so that the
+// second rounding, to binary16, still sees on which side of a binary16
+// midpoint the float64 lay (float32 keeps 13 bits beyond binary16's 11,
+// more than the 2 round-to-odd needs). A plain float32 narrowing rounds
+// twice: 1 + 2^-11 + 2^-40 would become the midpoint 1 + 2^-11 and then 1.
+func FromFloat64(f float64) F16 {
+	r := float32(f)
+	if float64(r) == f || f != f {
+		return FromFloat32(r)
+	}
+	b := math.Float32bits(r)
+	if math.Abs(float64(r)) > math.Abs(f) {
+		b-- // rounded away from zero: step back toward it
+	}
+	return FromFloat32(math.Float32frombits(b | 1))
+}
 
 // IsNaN reports whether h is a NaN.
 func (h F16) IsNaN() bool { return h&expMask == expMask && h&fracMask != 0 }

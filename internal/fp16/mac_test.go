@@ -190,6 +190,8 @@ func checkMACVec(t testing.TB, acc, a, b Vector) bool {
 	c := acc[0]
 	mac := MACVec(append(Vector(nil), acc...), a, b)
 	mad := MADVec(make(Vector, len(acc)), a, b, c)
+	macB := MACVecBytes(append(Vector(nil), acc...), a, b.Bytes())
+	madB := MADVecBytes(make(Vector, len(acc)), a.Bytes(), b, c)
 	for i := range acc {
 		want := macRef(acc[i], a[i], b[i])
 		for _, k := range []struct {
@@ -198,8 +200,10 @@ func checkMACVec(t testing.TB, acc, a, b Vector) bool {
 		}{
 			{"MAC", MAC(acc[i], a[i], b[i]), want},
 			{"MACVec", mac[i], want},
+			{"MACVecBytes", macB[i], want},
 			{"MAD", MAD(a[i], b[i], acc[i]), want},
 			{"MADVec", mad[i], macRef(c, a[i], b[i])},
+			{"MADVecBytes", madB[i], macRef(c, a[i], b[i])},
 		} {
 			if k.got != k.want {
 				t.Errorf("%s lane %d of %d (acc=0x%04x, a=0x%04x, b=0x%04x, MADVec addend 0x%04x) = 0x%04x, reference 0x%04x",

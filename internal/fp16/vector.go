@@ -151,6 +151,114 @@ func madLoop(d, a, b Vector, c F16) {
 	}
 }
 
+// burst is a bank operand as a PIM unit reads it: the 16 lanes of one
+// 32-byte column access, 2 bytes a lane, little-endian (what Bytes writes).
+type burst = [2 * Lanes]byte
+
+// lane decodes lane i of a burst.
+func lane(b []byte, i int) F16 { return F16(binary.LittleEndian.Uint16(b[2*i:])) }
+
+// The byte-operand forms of the four operations take the operand a PIM
+// unit reads from its bank as the burst itself, so it is never staged as
+// a Vector: on the SIMD path the block kernel widens the burst where it
+// lies, and the portable loop decodes each lane as it goes. Each returns
+// exactly what its typed form returns on the decoded burst, NaN payloads
+// included, because the operands keep their order: the burst is SRC1 of
+// ADD, MUL and MAC (b below) and SRC0 of MAD (a). A burst counts len/2
+// lanes towards the common length.
+
+// AddVecBytes is AddVec with b given as a burst.
+func AddVecBytes(dst, a Vector, b []byte) Vector {
+	n := min(len(dst), len(a), len(b)/2)
+	d, a, b := dst[:n], a[:n], b[:2*n]
+	i := 0
+	if simd {
+		for ; i+Lanes <= n; i += Lanes {
+			if !addBlockBytes((*block)(d[i:]), (*block)(a[i:]), (*burst)(b[2*i:])) {
+				addLoopBytes(d[i:i+Lanes], a[i:i+Lanes], b[2*i:])
+			}
+		}
+	}
+	addLoopBytes(d[i:], a[i:], b[2*i:])
+	return dst
+}
+
+func addLoopBytes(d, a Vector, b []byte) {
+	a, b = a[:len(d)], b[:2*len(d)]
+	for i := range d {
+		d[i] = Add(a[i], lane(b, i))
+	}
+}
+
+// MulVecBytes is MulVec with b given as a burst.
+func MulVecBytes(dst, a Vector, b []byte) Vector {
+	n := min(len(dst), len(a), len(b)/2)
+	d, a, b := dst[:n], a[:n], b[:2*n]
+	i := 0
+	if simd {
+		for ; i+Lanes <= n; i += Lanes {
+			if !mulBlockBytes((*block)(d[i:]), (*block)(a[i:]), (*burst)(b[2*i:])) {
+				mulLoopBytes(d[i:i+Lanes], a[i:i+Lanes], b[2*i:])
+			}
+		}
+	}
+	mulLoopBytes(d[i:], a[i:], b[2*i:])
+	return dst
+}
+
+func mulLoopBytes(d, a Vector, b []byte) {
+	a, b = a[:len(d)], b[:2*len(d)]
+	for i := range d {
+		d[i] = Mul(a[i], lane(b, i))
+	}
+}
+
+// MACVecBytes is MACVec with b given as a burst.
+func MACVecBytes(dst, a Vector, b []byte) Vector {
+	n := min(len(dst), len(a), len(b)/2)
+	d, a, b := dst[:n], a[:n], b[:2*n]
+	i := 0
+	if simd {
+		for ; i+Lanes <= n; i += Lanes {
+			if !macBlockBytes((*block)(d[i:]), (*block)(a[i:]), (*burst)(b[2*i:])) {
+				macLoopBytes(d[i:i+Lanes], a[i:i+Lanes], b[2*i:])
+			}
+		}
+	}
+	macLoopBytes(d[i:], a[i:], b[2*i:])
+	return dst
+}
+
+func macLoopBytes(d, a Vector, b []byte) {
+	a, b = a[:len(d)], b[:2*len(d)]
+	for i := range d {
+		d[i] = MAC(d[i], a[i], lane(b, i))
+	}
+}
+
+// MADVecBytes is MADVec with a given as a burst.
+func MADVecBytes(dst Vector, a []byte, b Vector, c F16) Vector {
+	n := min(len(dst), len(a)/2, len(b))
+	d, a, b := dst[:n], a[:2*n], b[:n]
+	i := 0
+	if simd {
+		for c32 := c.Float32(); i+Lanes <= n; i += Lanes {
+			if !madBlockBytes((*block)(d[i:]), (*burst)(a[2*i:]), (*block)(b[i:]), c32) {
+				madLoopBytes(d[i:i+Lanes], a[2*i:], b[i:i+Lanes], c)
+			}
+		}
+	}
+	madLoopBytes(d[i:], a[2*i:], b[i:], c)
+	return dst
+}
+
+func madLoopBytes(d Vector, a []byte, b Vector, c F16) {
+	a, b = a[:2*len(d)], b[:len(d)]
+	for i := range d {
+		d[i] = MAC(c, lane(a, i), b[i])
+	}
+}
+
 // ReLUVec computes dst[i] = ReLU(a[i]).
 func ReLUVec(dst, a Vector) Vector {
 	n := min(len(dst), len(a))

@@ -210,6 +210,10 @@ func (c Config) OnChipGBps() float64 {
 	return bytesPerCmd / secPerCmd * float64(c.PseudoChannels) / 1e9
 }
 
+// pimOperandBytes is what a PIM unit reads or writes per column command:
+// one 16-lane FP16 vector, the host's access granularity (Section IV).
+const pimOperandBytes = 32
+
 // Validate checks structural consistency.
 func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
@@ -226,6 +230,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hbm: %d rows leave no space beside the %d PIM_CONF rows", c.Rows, NumConfRows)
 	case c.PIMUnits < 0 || (c.PIMUnits > 0 && c.Banks()%c.PIMUnits != 0):
 		return fmt.Errorf("hbm: %d PIM units do not divide %d banks", c.PIMUnits, c.Banks())
+	case c.PIMUnits > 0 && c.AccessBytes != pimOperandBytes:
+		return fmt.Errorf("hbm: a PIM unit's operand is 16 FP16 lanes, %dB, but this device accesses %dB a column", pimOperandBytes, c.AccessBytes)
 	case c.PIMUnits == 0 && c.Variant != VariantBase:
 		return fmt.Errorf("hbm: DSE variant on a non-PIM device")
 	case c.ECC && !c.Functional:

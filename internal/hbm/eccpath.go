@@ -10,7 +10,9 @@ import (
 // access funnels through bankReadData / bankWriteData so the same engine
 // serves host reads, broadcast accesses and the PIM execution units —
 // possible precisely because PIM accesses memory at the host's
-// granularity.
+// granularity. The one exception is a PIM operand read with ECC off and no
+// fault injector attached: there is nothing to check or corrupt, so
+// ReadBanks hands the unit the open row's bytes in place.
 
 // UncorrectableError reports a multi-bit error the SEC-DED engine
 // detected but could not correct. The poisoned data is never forwarded;

@@ -82,16 +82,28 @@ const (
 
 // BankAccess lets an attached PIM executor move data to and from the row
 // buffers of the banks its units sit between. The row is implicit: the
-// currently open row of the addressed bank.
+// currently open row of the addressed bank; banks are flat indices,
+// bg*BanksPerGroup+bank.
 type BankAccess interface {
-	// ReadBank copies the 32-byte block at the open row's column col of
-	// bank bankIdx (a flat index, bg*BanksPerGroup+bank) into buf.
-	ReadBank(bankIdx int, col uint32, buf []byte) error
+	// ReadBanks is one trigger's bank operand: the 32-byte block at the
+	// open row's column col of the n banks first, first+stride, ..., one
+	// per PIM unit in unit order. Each bank is read as a lone read would
+	// be, in that order: its index and idle checks, BankReads counted, then
+	// (functional devices) the fault injector with that count as its
+	// sequence number, then the ECC decode and scrub. views[i] becomes bank
+	// i's burst, read-only and valid until the trigger returns: a window
+	// onto the open row when no fault injector is attached and ECC is off,
+	// otherwise scratch[32i:32i+32], the readout copy the injector
+	// corrupted or the engine corrected (so a corruption never reaches the
+	// cells). A timing-only device moves no data and leaves views alone.
+	// read is the number of banks read; an error is bank
+	// first+read*stride's, and the banks after it are not touched.
+	ReadBanks(first, stride, n int, col uint32, scratch []byte, views [][]byte) (read int, err error)
 	// WriteBank stores data at the open row's column col of bank bankIdx.
 	WriteBank(bankIdx int, col uint32, data []byte) error
 	// ReplicateBankAccess accounts `times` copies of an access pattern of
 	// `reads` bank reads and `writes` bank writes without moving data: it
-	// bumps the counters ReadBank/WriteBank would have. On a timing-only
+	// bumps the counters ReadBanks/WriteBank would have. On a timing-only
 	// device that is all an access is, and every PIM unit of a channel
 	// makes the same ones (broadcast column commands require all banks
 	// active), so the executor accounts its units' traffic in one call.
@@ -1070,20 +1082,35 @@ func (p *PseudoChannel) completeHandshake(bankAddr int, at int64) {
 // stat accounting for PIM-side row-buffer traffic.
 type pchBankAccess PseudoChannel
 
-func (a *pchBankAccess) ReadBank(bankIdx int, col uint32, buf []byte) error {
+func (a *pchBankAccess) ReadBanks(first, stride, n int, col uint32, scratch []byte, views [][]byte) (int, error) {
 	p := (*PseudoChannel)(a)
-	if bankIdx < 0 || bankIdx >= len(p.banks) {
-		return fmt.Errorf("hbm: bank index %d out of range", bankIdx)
+	size := p.cfg.AccessBytes
+	inPlace := p.fault == nil && !p.cfg.ECC
+	for i := 0; i < n; i++ {
+		idx := first + i*stride
+		if idx < 0 || idx >= len(p.banks) {
+			return i, fmt.Errorf("hbm: bank index %d out of range", idx)
+		}
+		b := &p.banks[idx]
+		if b.state != bankActive {
+			return i, fmt.Errorf("hbm: PIM read from idle bank %d", idx)
+		}
+		p.stats.BankReads++
+		if !p.cfg.Functional {
+			continue
+		}
+		if inPlace {
+			off := int(col) * size
+			views[i] = b.row(b.openRow, p.cfg.RowBytes)[off : off+size : off+size]
+			continue
+		}
+		buf := scratch[i*size : (i+1)*size : (i+1)*size]
+		if err := p.bankReadData(b, idx, col, buf); err != nil {
+			return i, err
+		}
+		views[i] = buf
 	}
-	b := &p.banks[bankIdx]
-	if b.state != bankActive {
-		return fmt.Errorf("hbm: PIM read from idle bank %d", bankIdx)
-	}
-	p.stats.BankReads++
-	if p.cfg.Functional {
-		return p.bankReadData(b, bankIdx, col, buf)
-	}
-	return nil
+	return n, nil
 }
 
 func (a *pchBankAccess) ReplicateBankAccess(reads, writes, times int64) {

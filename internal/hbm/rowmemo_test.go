@@ -14,11 +14,11 @@ import (
 // pimRead is the PIM unit's row-buffer read of the bank's open row.
 func (s *seq) pimRead(bank int, col uint32) []byte {
 	s.t.Helper()
-	buf := make([]byte, s.p.cfg.AccessBytes)
-	if err := (*pchBankAccess)(s.p).ReadBank(bank, col, buf); err != nil {
+	scratch, views := make([]byte, s.p.cfg.AccessBytes), make([][]byte, 1)
+	if _, err := (*pchBankAccess)(s.p).ReadBanks(bank, 1, 1, col, scratch, views); err != nil {
 		s.t.Fatal(err)
 	}
-	return buf
+	return append([]byte(nil), views[0]...)
 }
 
 func TestOpenRowMemoFollowsTheOpenRow(t *testing.T) {

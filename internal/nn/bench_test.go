@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkStepSlots is the steady-state wall cost of one ds2-small
-// timestep (13 resident GEMVs plus the host gate math) at 1, 2 and 4
+// timestep (7 resident GEMV launches plus the host gate math) at 1, 2 and 4
 // occupied slots, on the serial and on the parallel engine: the op of
 // bench/'s seq_closed workload without the server around it. The stack
 // (4 functional pCHs, as a serving shard has) is built and the model

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
 )
@@ -61,13 +62,17 @@ type bankEvent struct {
 }
 
 // tapExec wraps an executor and records what one trigger did: its
-// TriggerInfo, its error and its data-bearing bank accesses.
+// TriggerInfo, its error and its data-bearing bank accesses, one event per
+// bank read. Since it was attached it also counts ReadBanks calls and the
+// views that were a scratch copy rather than the row itself.
 type tapExec struct {
 	hbm.PIMExecutor
 	access hbm.BankAccess
 	info   hbm.TriggerInfo
 	err    error
 	log    []bankEvent
+	reads  int
+	copies int
 }
 
 func (t *tapExec) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
@@ -78,10 +83,19 @@ func (t *tapExec) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 	return t.info, t.err
 }
 
-func (t *tapExec) ReadBank(bank int, col uint32, buf []byte) error {
-	err := t.access.ReadBank(bank, col, buf)
-	t.log = append(t.log, bankEvent{false, bank, col, string(buf), fmt.Sprint(err)})
-	return err
+func (t *tapExec) ReadBanks(first, stride, n int, col uint32, scratch []byte, views [][]byte) (int, error) {
+	t.reads++
+	read, err := t.access.ReadBanks(first, stride, n, col, scratch, views)
+	for i := 0; i < read; i++ {
+		t.log = append(t.log, bankEvent{false, first + i*stride, col, string(views[i]), "<nil>"})
+		if len(views[i]) > 0 && &views[i][0] == &scratch[2*fp16.Lanes*i] {
+			t.copies++
+		}
+	}
+	if err != nil {
+		t.log = append(t.log, bankEvent{false, first + read*stride, col, "", err.Error()})
+	}
+	return read, err
 }
 
 func (t *tapExec) WriteBank(bank int, col uint32, data []byte) error {
@@ -340,7 +354,11 @@ func runDifferential(t testing.TB, cfg hbm.Config, seed int64, words []uint32, s
 	}()
 	for i := 0; i+3 <= len(stream); i += 3 {
 		cmd := d.trigger(stream[i], stream[i+1], stream[i+2])
+		reads := d.tap[0].reads
 		err := d.issue(cmd)
+		if d.tap[0].reads-reads > 1 {
+			fail(i/3, cmd, "%d ReadBanks calls in one trigger, want at most one", d.tap[0].reads-reads)
+		}
 		prodErr, refErr := fmt.Sprint(d.tap[0].err), fmt.Sprint(d.tap[1].err)
 		if prodErr != refErr {
 			fail(i/3, cmd, "production error %q, reference error %q", prodErr, refErr)

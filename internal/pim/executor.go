@@ -19,12 +19,17 @@ import (
 // bank data is decided here, once: the control walk (PPC, JUMP counters,
 // NOP countdown, EXIT), the instruction decode, the AAM register indices
 // and their range checks, which bank of each unit the command drives and
-// whether this command kind may, and the decoded WR payload. Only the data
-// operation runs per unit (Unit.execute), units 0..n-1 in order, each with
-// its own bank accesses, so bank statistics, ECC, the fault injector's read
-// sequence and the unit an error names are those of n units stepping one
-// after another. A timing-only device has no data to operate on: the same
-// sequencer runs and the units' bank traffic is accounted in one call.
+// whether this command kind may, and the decoded WR payload. A bank
+// operand is then read for all units in one hbm.BankAccess.ReadBanks call
+// that visits their banks in unit order, and the data operation runs per
+// unit (Unit.execute), units 0..n-1 in order, each on a view of its own
+// burst. A unit's operation touches no other unit's bank, so bank
+// statistics, ECC, the fault injector's read sequence and the unit an
+// error names are those of n units each reading and executing in turn: a
+// read that fails at unit k leaves units 0..k-1 executed and the banks of
+// the units after k unread. A timing-only device has no data to operate
+// on: the same sequencer runs and the units' bank traffic is accounted in
+// one call.
 //
 // Lock step is checked, not assumed. The units keep their own CRF words
 // (an SB-mode column write reaches one unit's register space alone), the
@@ -63,6 +68,12 @@ type Executor struct {
 
 	op dataOp // the current trigger's resolved instruction (reused: nothing is allocated per command)
 
+	// Functional executors only: each unit's bank operand of the current
+	// trigger (hbm.BankAccess.ReadBanks) and the scratch a view points into
+	// when the readout is a copy.
+	views   [][]byte
+	scratch []byte
+
 	// TL, when set, records per-trigger retired-instruction counts into
 	// the observability timeline (the Perfetto PIM-activity counter
 	// track). Nil costs one pointer compare per trigger.
@@ -87,6 +98,10 @@ func NewExecutor(cfg hbm.Config) (*Executor, error) {
 	}
 	for i := range e.units {
 		e.units[i] = newUnit(e.grfEntries)
+	}
+	if e.functional {
+		e.views = make([][]byte, cfg.PIMUnits)
+		e.scratch = make([]byte, cfg.PIMUnits*2*fp16.Lanes)
 	}
 	return e, nil
 }
@@ -225,10 +240,20 @@ func (e *Executor) step(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 		return c, unitErr(0, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
 	}
 	if e.functional {
-		for i, u := range e.units {
-			if err := u.execute(&e.op, i*e.banksPerUnit); err != nil {
+		n, err := len(e.units), error(nil)
+		if e.op.bank >= 0 && !in.Dst.IsBank() {
+			// Every unit's bank operand, read in unit order before any unit
+			// executes; a read that fails at unit n leaves units 0..n-1 to
+			// execute, as if each unit had read and executed in turn.
+			n, err = ctx.Access.ReadBanks(e.op.bank, e.banksPerUnit, n, e.op.col, e.scratch, e.views)
+		}
+		for i, u := range e.units[:n] {
+			if err := u.execute(&e.op, i*e.banksPerUnit, e.views[i]); err != nil {
 				return c, unitErr(i, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
 			}
+		}
+		if err != nil {
+			return c, unitErr(n, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
 		}
 	} else if e.op.bank >= 0 {
 		// Timing-only: register contents are never read and a bank access
@@ -305,6 +330,10 @@ type operand struct {
 	idx     int  // register index
 	payload bool // a bank operand captured from the write datapath: no array read
 }
+
+// fromBank reports whether o is read from each unit's bank: a bank operand
+// not captured from the write datapath.
+func (o *operand) fromBank() bool { return o.src.IsBank() && !o.payload }
 
 // dataOp is the consuming instruction of one trigger with everything
 // resolved that does not depend on the unit executing it.

@@ -35,6 +35,7 @@ type refUnit struct {
 	// production data path uses the Unit's buffers.
 	bankBuf []byte
 	bankVec fp16.Vector
+	view    [1][]byte // the one bank ReadBanks reads for this unit
 	srfVec  fp16.Vector
 	tmpVec  fp16.Vector
 	outBuf  []byte
@@ -370,12 +371,13 @@ func (u *refUnit) readBank(s isa.Src, ctx *refContext, allowCapture bool) (fp16.
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.access.ReadBank(idx, ctx.col, u.bankBuf); err != nil {
+	if _, err := ctx.access.ReadBanks(idx, 1, 1, ctx.col, u.bankBuf, u.view[:]); err != nil {
 		return nil, err
 	}
 	if !ctx.functional {
 		return u.bankVec, nil // contents are never read in timing-only mode
 	}
+	copy(u.bankBuf, u.view[0])
 	return u.bankVec.DecodeBytes(u.bankBuf), nil
 }
 

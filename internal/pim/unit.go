@@ -8,12 +8,15 @@
 // the Executor is the instruction sequencer (one copy of the control
 // state, the instruction's operands resolved once per trigger) and a Unit
 // is the data the instruction works on (register files, the unit's own CRF
-// words for register-space readback, operand staging).
+// words for register-space readback, staging for a broadcast and a bank
+// write; a bank operand is read where it lies).
 //
 // A trigger that returns an error has failed part way: the units before
 // the one the error names have executed the instruction, that one and the
 // later ones have not, and registers and banks hold what the ones that ran
-// left there. The control state (PPC, loop counters, done flag) is
+// left there. When a bank read failed, the later units' banks were not
+// read either: no read statistic, fault sequence number or scrub is
+// theirs. The control state (PPC, loop counters, done flag) is
 // unspecified from then until the next ResetPPC (AB-PIM re-entry, how a
 // host recovers), and the retirement counters may or may not include the
 // failed instruction.
@@ -49,14 +52,13 @@ type Unit struct {
 	grfEntries int // registers per GRF half (hbm.Config.GRFDepth)
 
 	// Operand-staging scratch, reused across instructions so the hot path
-	// performs no allocation. The ISA guarantees at most one bank operand
-	// and one scalar broadcast per instruction, so one buffer of each kind
-	// suffices; contents are dead once the instruction retires.
-	bankBuf []byte      // bank read burst (2*Lanes bytes)
-	bankVec fp16.Vector // decoded bank operand
-	srfVec  fp16.Vector // broadcast scalar operand
-	tmpVec  fp16.Vector // ReLU staging and register-space marshalling
-	outBuf  []byte      // bank write burst (2*Lanes bytes)
+	// performs no allocation; contents are dead once the instruction
+	// retires. A bank operand is not staged: the unit computes on its burst
+	// where ReadBanks left it. The ISA allows one bank operand and one
+	// scalar broadcast per instruction, so one buffer of each kind suffices.
+	srfVec fp16.Vector // broadcast scalar operand
+	tmpVec fp16.Vector // ReLU staging, a bank operand no byte form takes, register-space marshalling
+	outBuf []byte      // bank write burst (2*Lanes bytes)
 }
 
 // newUnit builds a unit with the given GRF depth per half.
@@ -70,8 +72,6 @@ func newUnit(grfEntries int) *Unit {
 	}
 	u.srfM = make([]fp16.F16, isa.SRFEntries)
 	u.srfA = make([]fp16.F16, isa.SRFEntries)
-	u.bankBuf = make([]byte, 2*fp16.Lanes)
-	u.bankVec = fp16.NewVector(fp16.Lanes)
 	u.srfVec = fp16.NewVector(fp16.Lanes)
 	u.tmpVec = fp16.NewVector(fp16.Lanes)
 	u.outBuf = make([]byte, 2*fp16.Lanes)
@@ -107,8 +107,10 @@ func (u *Unit) grf(s isa.Src) []fp16.Vector {
 
 // execute applies one resolved data or arithmetic instruction to this
 // unit's registers and banks; evenBank is the flat index of the unit's
-// first bank. Every index in op is already checked.
-func (u *Unit) execute(op *dataOp, evenBank int) error {
+// first bank, and burst the unit's bank operand when the instruction reads
+// one (its hbm.BankAccess.ReadBanks view: read-only, valid for this
+// trigger). Every index in op is already checked.
+func (u *Unit) execute(op *dataOp, evenBank int, burst []byte) error {
 	in := op.in
 	if in.Dst.IsBank() {
 		// MOV GRF -> bank.
@@ -122,51 +124,78 @@ func (u *Unit) execute(op *dataOp, evenBank int) error {
 	if op.forward {
 		copy(u.grf(op.a.src)[op.a.idx], op.payload[:])
 	}
-	if op.bank >= 0 {
-		// The one bank operand: 32 bytes from the unit's even or odd bank
-		// at the triggering column.
-		if err := op.access.ReadBank(evenBank+op.bank, op.col, u.bankBuf); err != nil {
-			return err
-		}
-		u.bankVec.DecodeBytes(u.bankBuf)
-	}
-	a := u.operand(&op.a, op)
 	switch in.Op {
 	case isa.MOV:
-		if dst := u.grf(in.Dst)[op.dst]; in.ReLU {
-			fp16.ReLUVec(dst, a)
-		} else {
-			copy(dst, a)
+		dst := u.grf(in.Dst)[op.dst]
+		u.load(dst, &op.a, op, burst, 0)
+		if in.ReLU {
+			fp16.ReLUVec(dst, dst)
 		}
+		return nil
 	case isa.FILL:
 		switch {
 		case in.Dst.IsGRF():
-			copy(u.grf(in.Dst)[op.dst], a)
+			u.load(u.grf(in.Dst)[op.dst], &op.a, op, burst, 0)
 		case in.Dst == isa.SRFM:
 			// The SRF halves mirror the memory-mapped layout: SRF_M takes
 			// lanes 0-7 of the block, SRF_A lanes 8-15.
-			copy(u.srfM, a[:isa.SRFEntries])
+			u.load(u.srfM, &op.a, op, burst, 0)
 		default: // SRF_A
-			copy(u.srfA, a[isa.SRFEntries:2*isa.SRFEntries])
+			u.load(u.srfA, &op.a, op, burst, isa.SRFEntries)
 		}
-	case isa.ADD:
-		fp16.AddVec(u.grf(in.Dst)[op.dst], a, u.operand(&op.b, op))
-	case isa.MUL:
-		fp16.MulVec(u.grf(in.Dst)[op.dst], a, u.operand(&op.b, op))
-	case isa.MAC:
-		fp16.MACVec(u.grf(in.Dst)[op.dst], a, u.operand(&op.b, op))
-	case isa.MAD:
+		return nil
+	}
+	// Arithmetic. A bank operand where the stack's kernels put it (SRC1 of
+	// ADD, MUL and MAC, SRC0 of MAD) goes to the operation's byte form as
+	// it lies; in the other position Table II allows, operand decodes it.
+	dst := u.grf(in.Dst)[op.dst]
+	switch {
+	case in.Op == isa.MAD && op.a.fromBank():
 		// The scalar addend feeds every lane directly; no broadcast
 		// staging needed.
-		fp16.MADVec(u.grf(in.Dst)[op.dst], a, u.operand(&op.b, op), u.srfA[op.addend])
+		fp16.MADVecBytes(dst, burst, u.operand(&op.b, op, burst), u.srfA[op.addend])
+		return nil
+	case in.Op != isa.MAD && op.b.fromBank():
+		a := u.operand(&op.a, op, burst)
+		switch in.Op {
+		case isa.ADD:
+			fp16.AddVecBytes(dst, a, burst)
+		case isa.MUL:
+			fp16.MulVecBytes(dst, a, burst)
+		default: // MAC
+			fp16.MACVecBytes(dst, a, burst)
+		}
+		return nil
+	}
+	a, b := u.operand(&op.a, op, burst), u.operand(&op.b, op, burst)
+	switch in.Op {
+	case isa.ADD:
+		fp16.AddVec(dst, a, b)
+	case isa.MUL:
+		fp16.MulVec(dst, a, b)
+	case isa.MAC:
+		fp16.MACVec(dst, a, b)
+	case isa.MAD:
+		fp16.MADVec(dst, a, b, u.srfA[op.addend])
 	}
 	return nil
 }
 
-// operand returns one source operand of this unit: a register, the
-// executor's decoded payload, the bank burst execute staged (none of them
-// to be written through) or a broadcast scalar.
-func (u *Unit) operand(o *operand, op *dataOp) fp16.Vector {
+// load writes source o into dst from lane lo on: decoded straight from the
+// unit's burst when o is its bank operand, copied otherwise.
+func (u *Unit) load(dst fp16.Vector, o *operand, op *dataOp, burst []byte, lo int) {
+	if o.fromBank() {
+		dst.DecodeBytes(burst[2*lo:])
+		return
+	}
+	copy(dst, u.operand(o, op, burst)[lo:])
+}
+
+// operand returns one source operand of this unit as a vector, not to be
+// written through: a register, the executor's decoded payload, a broadcast
+// scalar, or the unit's burst decoded into tmpVec (a bank operand in a
+// position no byte-form operation takes).
+func (u *Unit) operand(o *operand, op *dataOp, burst []byte) fp16.Vector {
 	switch o.src {
 	case isa.GRFA:
 		return u.grfA[o.idx]
@@ -178,7 +207,7 @@ func (u *Unit) operand(o *operand, op *dataOp) fp16.Vector {
 	if o.payload {
 		return op.payload[:]
 	}
-	return u.bankVec
+	return u.tmpVec.DecodeBytes(burst)
 }
 
 // broadcast splats a scalar register across the unit's reusable broadcast
