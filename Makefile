@@ -24,28 +24,31 @@ race:
 # and records ns/op, MB/s and allocs/op in BENCH_gemv.json: the Gemv
 # benchmarks of the root package, fp16's BenchmarkMACVec, one PIM MAC
 # instruction's datapath work on realistic operands, once per path
-# (sub-benchmarks portable and simd), and nn's BenchmarkStepSlots, one
-# ds2-small timestep at 1, 2 and 4 occupied slots on the serial and the
-# parallel engine (the op of bench/'s seq_closed without the server).
+# (sub-benchmarks portable and simd), pim's BenchmarkTrigger, one
+# functional MAC-from-bank trigger across a pseudo channel's 8 units on a
+# plain and an ECC device, and nn's BenchmarkStepSlots, one ds2-small
+# timestep at 1, 2 and 4 occupied slots on the serial and the parallel
+# engine (the op of bench/'s seq_closed without the server).
 # -p 1: the packages run one after another, so none times the others.
 # Record it on a quiet host with AVX + F16C, or the simd row is missing.
 # The README's "Simulator performance" table is regenerated from this file.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVec$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/nn \
+	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVec$$|^BenchmarkTrigger$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/pim ./internal/nn \
 	| $(GO) run ./tools/benchjson -out BENCH_gemv.json
 
 # bench-check re-runs the same benchmarks and fails if any regressed past
 # 2.5x the checked-in BENCH_gemv.json baseline (time or bytes/op). The
 # factor absorbs machine-to-machine noise; it exists to catch a dropped
 # fast path or an allocation blow-up, not percent-level drift. The Gemv
-# benchmarks run two iterations each and StepSlots ten; MACVec is a
-# ~20-100 ns operation, so it keeps the default benchtime (two iterations
-# would time a cold cache). MACVec runs under -v so that a runner without
+# benchmarks run two iterations each and StepSlots ten; MACVec (~20-100 ns)
+# and Trigger (~1-3 us) keep the default benchtime (a few iterations would
+# time a cold cache). MACVec runs under -v so that a runner without
 # F16C prints `--- SKIP: BenchmarkMACVec/simd`, which benchjson passes
 # over; a portable run is never held against the SIMD baseline.
 bench-check:
 	@{ $(GO) test -run '^$$' -bench 'Gemv$$' -benchtime 2x -benchmem . && \
 	   $(GO) test -run '^$$' -bench '^BenchmarkStepSlots$$' -benchtime 10x -benchmem ./internal/nn && \
+	   $(GO) test -run '^$$' -bench '^BenchmarkTrigger$$' -benchmem ./internal/pim && \
 	   $(GO) test -v -run '^$$' -bench '^BenchmarkMACVec$$' -benchmem ./internal/fp16; } \
 	| $(GO) run ./tools/benchjson -check BENCH_gemv.json
 
@@ -66,10 +69,14 @@ benchmark-check:
 
 # fuzz-smoke fuzzes the PIM executor against the reference interpreter
 # (internal/pim: random CRF words and trigger streams on every device kind,
-# compared after every trigger) for ten seconds. -fuzzminimizetime 1s: the
-# default minute of minimising would leave the ten seconds no executions.
+# compared after every trigger) for ten seconds, then fp16's vector MAC
+# and MAD for ten seconds: raw operand bits through the typed and the
+# byte-operand (bank burst) forms on both paths, every lane against the
+# reference. -fuzzminimizetime 1s: the default minute of minimising would
+# leave the ten seconds no executions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTriggerDifferential -fuzztime 10s -fuzzminimizetime 1s ./internal/pim
+	$(GO) test -run '^$$' -fuzz FuzzMACVec -fuzztime 10s -fuzzminimizetime 1s ./internal/fp16
 
 # fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
 # two rounding stages against the reference arithmetic: the fused portable
@@ -85,7 +92,7 @@ fp16-exhaustive:
 # path, the one a CI runner with F16C never selects by itself.
 purego:
 	$(GO) vet -tags purego ./internal/fp16
-	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FromFloat64'
+	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FromFloat64'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

@@ -13,13 +13,13 @@ import (
 // driver issues commands to one pseudo channel at their earliest legal
 // cycles — a miniature of what the runtime's executor does in production.
 type driver struct {
-	t   *testing.T
+	t   testing.TB
 	p   *hbm.PseudoChannel
 	cfg hbm.Config
 	now int64
 }
 
-func newDriver(t *testing.T, cfg hbm.Config) (*driver, *Executor) {
+func newDriver(t testing.TB, cfg hbm.Config) (*driver, *Executor) {
 	t.Helper()
 	dev, err := hbm.NewDevice(cfg)
 	if err != nil {

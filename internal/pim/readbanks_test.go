@@ -179,6 +179,56 @@ func TestReadBanksHooks(t *testing.T) {
 	})
 }
 
+// BenchmarkTrigger is one functional MAC-from-bank trigger on one pseudo
+// channel: the sequencer step, the batched read of all 8 units' even banks
+// and 8 16-lane MACs on their views, on a plain device (the views window
+// the open row) and with ECC on (each burst decoded into executor
+// scratch). The operands are seeded values in [-1, 1) over 8 columns, so
+// the accumulators stay finite; the program's loop is re-armed every 128
+// triggers. `make bench` records both rows in BENCH_gemv.json.
+func BenchmarkTrigger(b *testing.B) {
+	for _, dev := range []string{"plain", "ecc"} {
+		b.Run(dev, func(b *testing.B) {
+			cfg := hbm.PIMHBMConfig(1000)
+			cfg.ECC = dev == "ecc"
+			d, exec := newDriver(b, cfg)
+			rng := rand.New(rand.NewSource(5))
+			operand := func() []byte {
+				v := make(fp16.Vector, fp16.Lanes)
+				for l := range v {
+					v[l] = fp16.FromFloat32(2*rng.Float32() - 1)
+				}
+				return v.Bytes()
+			}
+			const cols = 8
+			for u := 0; u < cfg.PIMUnits; u++ {
+				for col := uint32(0); col < cols; col++ {
+					d.writeBankSB(2*u, 7, col, operand())
+				}
+			}
+			d.enterAB()
+			d.issue(hbm.Command{Kind: hbm.CmdACT, Row: cfg.GRFRow()})
+			d.issue(hbm.Command{Kind: hbm.CmdWR, Col: 0, Data: operand()}) // GRF_A[0]
+			d.issue(hbm.Command{Kind: hbm.CmdPREA})
+			d.programCRF(mustAssemble(b, "MAC GRF_B[0], GRF_A[0], EVEN_BANK\nJUMP -1, 127\nEXIT"))
+			d.setPIMOp(true)
+			d.issue(hbm.Command{Kind: hbm.CmdACT, Row: 7})
+			var trig [cols]hbm.Command
+			for col := range trig {
+				trig[col] = hbm.Command{Kind: hbm.CmdRD, Bank: 0, Col: uint32(col)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%128 == 0 {
+					exec.ResetPPC()
+				}
+				d.issue(trig[i%cols])
+			}
+		})
+	}
+}
+
 // TestFailedReadStopsAtItsUnit: once a trigger has left every unit a view,
 // a double-bit error under unit 5's operand fails the next trigger as unit
 // 5's, and unit 5 does not execute on what it was left: units 0-4 take
