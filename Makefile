@@ -25,8 +25,9 @@ race:
 # benchmarks of the root package, fp16's BenchmarkMACVec, one PIM MAC
 # instruction's datapath work on realistic operands, once per path
 # (sub-benchmarks portable and simd), pim's BenchmarkTrigger, one
-# functional MAC-from-bank trigger across a pseudo channel's 8 units on a
-# plain and an ECC device, and nn's BenchmarkStepSlots, one ds2-small
+# functional trigger across a pseudo channel's 8 units (MAC from the bank
+# on a plain and an ECC device, MAD from the bank, and a WR capture of the
+# payload into GRF_A), and nn's BenchmarkStepSlots, one ds2-small
 # timestep at 1, 2 and 4 occupied slots on the serial and the parallel
 # engine (the op of bench/'s seq_closed without the server).
 # -p 1: the packages run one after another, so none times the others.
@@ -70,9 +71,9 @@ benchmark-check:
 # fuzz-smoke fuzzes the PIM executor against the reference interpreter
 # (internal/pim: random CRF words and trigger streams on every device kind,
 # compared after every trigger) for ten seconds, then fp16's vector MAC
-# and MAD for ten seconds: raw operand bits through the typed and the
-# byte-operand (bank burst) forms on both paths, every lane against the
-# reference. -fuzzminimizetime 1s: the default minute of minimising would
+# and MAD for ten seconds: raw operand bits through the typed forms on
+# both paths, every lane against the reference, and through the four
+# multi-unit burst forms over 1 and 8 units against the typed forms. -fuzzminimizetime 1s: the default minute of minimising would
 # leave the ten seconds no executions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTriggerDifferential -fuzztime 10s -fuzzminimizetime 1s ./internal/pim
@@ -92,7 +93,7 @@ fp16-exhaustive:
 # path, the one a CI runner with F16C never selects by itself.
 purego:
 	$(GO) vet -tags purego ./internal/fp16
-	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FromFloat64'
+	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

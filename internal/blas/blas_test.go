@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pimsim/internal/engine"
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/runtime"
@@ -290,7 +291,8 @@ func TestParallelKernelsDeterministic(t *testing.T) {
 	}
 
 	parRT := testRuntime(t, 4, true)
-	parRT.ParallelKernels = true
+	parRT.UseEngine(engine.NewParallel(4))
+	defer parRT.CloseEngine()
 	parY, parKS, err := PimGemv(parRT, W, M, K, x)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +315,8 @@ func TestParallelKernelsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt2 := testRuntime(t, 4, true)
-	rt2.ParallelKernels = true
+	rt2.UseEngine(engine.NewParallel(4))
+	defer rt2.CloseEngine()
 	c2, k2, err := PimAdd(rt2, a, b, n)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,11 @@ package blas
 import (
 	"math/rand"
 	"testing"
+
+	"pimsim/internal/engine"
 )
 
-// TestParallelKernelMetricsShards: under ParallelKernels every channel
+// TestParallelKernelMetricsShards: under a parallel engine every channel
 // goroutine writes its own registry shard, so counters must survive the
 // race detector and the merged totals must agree with the kernel's own
 // bookkeeping — and with a sequential run of the same kernel.
@@ -15,7 +17,8 @@ func TestParallelKernelMetricsShards(t *testing.T) {
 	a, b := randVec(rng, n), randVec(rng, n)
 
 	rt := testRuntime(t, 4, true)
-	rt.ParallelKernels = true
+	rt.UseEngine(engine.NewParallel(4))
+	defer rt.CloseEngine()
 	c, ks, err := PimAdd(rt, a, b, n)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"pimsim/internal/engine"
 	"pimsim/internal/fp16"
 	"pimsim/internal/runtime"
 )
@@ -20,7 +21,7 @@ import (
 // tables), all built in package init() and read-only afterwards — Go
 // guarantees init() completes before main or any test runs, so no
 // sync.Once is needed. This test runs full GEMVs on two shards at once,
-// with ParallelKernels adding intra-shard goroutines, and checks both
+// with a parallel engine adding intra-shard goroutines, and checks both
 // results bit-exactly: any hidden shared mutable state shows up as a
 // race report or a wrong lane.
 func TestConcurrentShardsGemv(t *testing.T) {
@@ -32,7 +33,8 @@ func TestConcurrentShardsGemv(t *testing.T) {
 	rts := make([]*testShard, shards)
 	for i := range rts {
 		rt := testRuntime(t, 2, true)
-		rt.ParallelKernels = true
+		rt.UseEngine(engine.NewParallel(2))
+		defer rt.CloseEngine()
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		W := randVec(rng, M*K)
 		g, err := LoadGemv(rt, W, M, K)

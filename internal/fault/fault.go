@@ -18,8 +18,8 @@
 // (seed, channel, bank, row, col, word, seq) where seq is the pseudo
 // channel's own readout counter. No time.Now, no shared math/rand
 // state — concurrent kernels on different channels draw from disjoint,
-// order-independent streams, so runtime.ParallelKernels does not
-// perturb the fault pattern.
+// order-independent streams, so a parallel engine
+// (runtime.Runtime.UseEngine) does not perturb the fault pattern.
 package fault
 
 import (

@@ -38,14 +38,17 @@
 //     whose scalar forms tier 1 spells out, so the same exact product and
 //     the same innocuous double rounding, bit for bit.
 //
-// The four vector operations also come in a byte form (MACVecBytes,
-// MADVecBytes, AddVecBytes, MulVecBytes) that takes the PIM unit's bank
-// operand as the 32-byte burst it reads, so the simulator neither copies
-// nor decodes a bank read to compute on it: tier 3 widens the burst where
-// it lies, tier 2 decodes each lane as it reaches it, and a NaN block goes
-// through tier 2 with the operands in the instruction's order. Each typed
-// form is its byte form's oracle, bit for bit on both tiers, as macRef is
-// the typed forms'.
+// The four vector operations also come in a burst form (MACVecBursts,
+// MADVecBursts, AddVecBursts, MulVecBursts), the form one PIM trigger
+// runs: a single call applies the operation for every unit of a pseudo
+// channel, each on its own registers and on its bank operand as the
+// 32-byte burst it read, so the simulator neither copies nor decodes a
+// bank read to compute on it and dispatches the operation once per
+// trigger, not once per unit. Tier 3 widens each burst where it lies,
+// tier 2 decodes each lane as it reaches it, and a NaN block goes through
+// tier 2 with the operands in the instruction's order. The typed forms
+// are the burst forms' oracle, unit by unit and bit for bit on both
+// tiers, as macRef is the typed forms'.
 //
 // Which tier runs is decided once, at init, from CPUID alone: tier 3 on
 // amd64 when the CPU reports AVX and F16C and the operating system saves
@@ -75,7 +78,9 @@
 // seeded differential over 12 M triples, a directed table, ragged and
 // aliased lengths, a block mixing NaN, Inf, subnormal and normal lanes
 // and FuzzMACVec check the assembled operations against macRef on both
-// tiers in one binary, NaN payloads included.
+// tiers in one binary, NaN payloads included; the burst forms go through
+// the same tables one unit at a time, and FuzzMACVec also runs them over
+// 8 units at once against the typed forms.
 package fp16
 
 import "math"

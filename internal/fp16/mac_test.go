@@ -182,16 +182,19 @@ func copyInto(dst, src Vector) Vector {
 	return dst
 }
 
-// checkMACVec compares all four entry points of the MAC with the
-// reference composition on every lane: MAC, MAD and MACVec on the triple
-// (acc[i], a[i], b[i]), MADVec with acc[0] as its addend.
+// checkMACVec compares the entry points of the MAC with the reference
+// composition on every lane: MAC, MAD, MACVec and MACVecBursts (one unit)
+// on the triple (acc[i], a[i], b[i]), MADVec and MADVecBursts with acc[0]
+// as their addend.
 func checkMACVec(t testing.TB, acc, a, b Vector) bool {
 	t.Helper()
 	c := acc[0]
 	mac := MACVec(append(Vector(nil), acc...), a, b)
 	mad := MADVec(make(Vector, len(acc)), a, b, c)
-	macB := MACVecBytes(append(Vector(nil), acc...), a, b.Bytes())
-	madB := MADVecBytes(make(Vector, len(acc)), a.Bytes(), b, c)
+	macB := append(Vector(nil), acc...)
+	MACVecBursts([]Vector{macB}, []Vector{a}, [][]byte{b.Bytes()})
+	madB := make(Vector, len(acc))
+	MADVecBursts([]Vector{madB}, [][]byte{a.Bytes()}, []Vector{b}, []F16{c})
 	for i := range acc {
 		want := macRef(acc[i], a[i], b[i])
 		for _, k := range []struct {
@@ -200,10 +203,10 @@ func checkMACVec(t testing.TB, acc, a, b Vector) bool {
 		}{
 			{"MAC", MAC(acc[i], a[i], b[i]), want},
 			{"MACVec", mac[i], want},
-			{"MACVecBytes", macB[i], want},
+			{"MACVecBursts", macB[i], want},
 			{"MAD", MAD(a[i], b[i], acc[i]), want},
 			{"MADVec", mad[i], macRef(c, a[i], b[i])},
-			{"MADVecBytes", madB[i], macRef(c, a[i], b[i])},
+			{"MADVecBursts", madB[i], macRef(c, a[i], b[i])},
 		} {
 			if k.got != k.want {
 				t.Errorf("%s lane %d of %d (acc=0x%04x, a=0x%04x, b=0x%04x, MADVec addend 0x%04x) = 0x%04x, reference 0x%04x",
@@ -366,8 +369,82 @@ func TestMADVecRagged(t *testing.T) {
 	})
 }
 
+// checkBursts runs the four burst forms over units at once and compares
+// every unit with its typed form: unit u's operands are acc, a and b
+// rotated left by u lanes and cut to n-u%n lanes, so the units differ in
+// data and length, and its MADVec addend is its first accumulator lane.
+func checkBursts(t testing.TB, units int, acc, a, b Vector) bool {
+	t.Helper()
+	n := len(acc)
+	unit := func(v Vector, u int) Vector {
+		r := append(append(Vector(nil), v[u%n:]...), v[:u%n]...)
+		return r[:n-u%n]
+	}
+	accs, as, bs := make([]Vector, units), make([]Vector, units), make([]Vector, units)
+	aBursts, bBursts, cs := make([][]byte, units), make([][]byte, units), make([]F16, units)
+	for u := range accs {
+		accs[u], as[u], bs[u] = unit(acc, u), unit(a, u), unit(b, u)
+		aBursts[u], bBursts[u], cs[u] = as[u].Bytes(), bs[u].Bytes(), accs[u][0]
+	}
+	for _, op := range []struct {
+		name  string
+		burst func(dst []Vector)
+		typed func(dst Vector, u int) Vector
+	}{
+		{"AddVecBursts", func(dst []Vector) { AddVecBursts(dst, as, bBursts) }, func(dst Vector, u int) Vector { return AddVec(dst, as[u], bs[u]) }},
+		{"MulVecBursts", func(dst []Vector) { MulVecBursts(dst, as, bBursts) }, func(dst Vector, u int) Vector { return MulVec(dst, as[u], bs[u]) }},
+		{"MACVecBursts", func(dst []Vector) { MACVecBursts(dst, as, bBursts) }, func(dst Vector, u int) Vector { return MACVec(dst, as[u], bs[u]) }},
+		{"MADVecBursts", func(dst []Vector) { MADVecBursts(dst, aBursts, bs, cs) }, func(dst Vector, u int) Vector { return MADVec(dst, as[u], bs[u], cs[u]) }},
+	} {
+		got := make([]Vector, units)
+		for u := range got {
+			got[u] = append(Vector(nil), accs[u]...)
+		}
+		op.burst(got)
+		for u := range got {
+			want := op.typed(append(Vector(nil), accs[u]...), u)
+			for i := range want {
+				if got[u][i] != want[i] {
+					t.Errorf("%s over %d units: unit %d lane %d of %d = 0x%04x, typed form 0x%04x",
+						op.name, units, u, i, len(want), uint16(got[u][i]), uint16(want[i]))
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestBurstFormsMultiUnit is checkBursts over 1 and 8 units on seeded
+// raw bits (NaN, Inf and subnormal lanes included), every other round
+// made finite so that whole blocks stay in the SIMD kernel, at every
+// length 1..40, on both paths.
+func TestBurstFormsMultiUnit(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(27))
+		for n := 1; n <= 40; n++ {
+			for round := 0; round < 4; round++ {
+				acc, a, b := NewVector(n), NewVector(n), NewVector(n)
+				for i := range acc {
+					r := rng.Uint64()
+					acc[i], a[i], b[i] = F16(r), F16(r>>16), F16(r>>32)
+					if round%2 == 1 {
+						acc[i], a[i], b[i] = finite(acc[i]), finite(a[i]), finite(b[i])
+					}
+				}
+				for _, units := range []int{1, 8} {
+					if !checkBursts(t, units, acc, a, b) {
+						return
+					}
+				}
+			}
+		}
+	})
+}
+
 // FuzzMACVec feeds raw operand bits through MACVec and MADVec, on both
-// paths, and checks every lane against the reference composition. Input:
+// paths, and checks every lane against the reference composition, then
+// the four burst forms over 1 and 8 units against the typed forms. Input:
 // 6 bytes per lane (acc, a, b little-endian); the first lane's acc is
 // also MADVec's addend.
 func FuzzMACVec(f *testing.F) {
@@ -391,10 +468,13 @@ func FuzzMACVec(f *testing.F) {
 			b[i] = F16(binary.LittleEndian.Uint16(data[6*i+4:]))
 		}
 		defer func() { simd = host }()
-		simd = false
-		checkMACVec(t, acc, a, b)
-		if simd = host; simd {
-			checkMACVec(t, acc, a, b)
+		for _, on := range []bool{false, true} {
+			if simd = on; on && !host {
+				break
+			}
+			if !checkMACVec(t, acc, a, b) || !checkBursts(t, 1, acc, a, b) || !checkBursts(t, 8, acc, a, b) {
+				return
+			}
 		}
 	})
 }

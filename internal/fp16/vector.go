@@ -158,29 +158,36 @@ type burst = [2 * Lanes]byte
 // lane decodes lane i of a burst.
 func lane(b []byte, i int) F16 { return F16(binary.LittleEndian.Uint16(b[2*i:])) }
 
-// The byte-operand forms of the four operations take the operand a PIM
-// unit reads from its bank as the burst itself, so it is never staged as
-// a Vector: on the SIMD path the block kernel widens the burst where it
-// lies, and the portable loop decodes each lane as it goes. Each returns
-// exactly what its typed form returns on the decoded burst, NaN payloads
+// The burst forms of the four operations are what a PIM trigger runs: one
+// call applies the operation for n units at once, unit u computing on its
+// registers dst[u], a[u] or b[u] and on the operand it read from its bank,
+// given as the burst itself, so it is never staged as a Vector: on the
+// SIMD path the block kernel widens the burst where it lies, and the
+// portable loop decodes each lane as it goes. For every u the result is
+// exactly what the typed form returns on the decoded burst, NaN payloads
 // included, because the operands keep their order: the burst is SRC1 of
-// ADD, MUL and MAC (b below) and SRC0 of MAD (a). A burst counts len/2
-// lanes towards the common length.
+// ADD, MUL and MAC (b below) and SRC0 of MAD (a). Units are taken in
+// order, and a burst counts len/2 lanes towards its unit's common length;
+// n is len(dst), and the other slices must be at least that long.
 
-// AddVecBytes is AddVec with b given as a burst.
-func AddVecBytes(dst, a Vector, b []byte) Vector {
-	n := min(len(dst), len(a), len(b)/2)
-	d, a, b := dst[:n], a[:n], b[:2*n]
-	i := 0
-	if simd {
-		for ; i+Lanes <= n; i += Lanes {
-			if !addBlockBytes((*block)(d[i:]), (*block)(a[i:]), (*burst)(b[2*i:])) {
-				addLoopBytes(d[i:i+Lanes], a[i:i+Lanes], b[2*i:])
+// AddVecBursts is AddVec for each unit u, with b[u] given as a burst.
+func AddVecBursts(dst, a []Vector, b [][]byte) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for u, d := range dst {
+		x, y := a[u], b[u]
+		n := min(len(d), len(x), len(y)/2)
+		i := 0
+		if simd {
+			for ; i+Lanes <= n; i += Lanes {
+				if !addBlockBytes((*block)(d[i:]), (*block)(x[i:]), (*burst)(y[2*i:])) {
+					addLoopBytes(d[i:i+Lanes], x[i:], y[2*i:])
+				}
 			}
 		}
+		if i < n {
+			addLoopBytes(d[i:n], x[i:], y[2*i:])
+		}
 	}
-	addLoopBytes(d[i:], a[i:], b[2*i:])
-	return dst
 }
 
 func addLoopBytes(d, a Vector, b []byte) {
@@ -190,20 +197,24 @@ func addLoopBytes(d, a Vector, b []byte) {
 	}
 }
 
-// MulVecBytes is MulVec with b given as a burst.
-func MulVecBytes(dst, a Vector, b []byte) Vector {
-	n := min(len(dst), len(a), len(b)/2)
-	d, a, b := dst[:n], a[:n], b[:2*n]
-	i := 0
-	if simd {
-		for ; i+Lanes <= n; i += Lanes {
-			if !mulBlockBytes((*block)(d[i:]), (*block)(a[i:]), (*burst)(b[2*i:])) {
-				mulLoopBytes(d[i:i+Lanes], a[i:i+Lanes], b[2*i:])
+// MulVecBursts is MulVec for each unit u, with b[u] given as a burst.
+func MulVecBursts(dst, a []Vector, b [][]byte) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for u, d := range dst {
+		x, y := a[u], b[u]
+		n := min(len(d), len(x), len(y)/2)
+		i := 0
+		if simd {
+			for ; i+Lanes <= n; i += Lanes {
+				if !mulBlockBytes((*block)(d[i:]), (*block)(x[i:]), (*burst)(y[2*i:])) {
+					mulLoopBytes(d[i:i+Lanes], x[i:], y[2*i:])
+				}
 			}
 		}
+		if i < n {
+			mulLoopBytes(d[i:n], x[i:], y[2*i:])
+		}
 	}
-	mulLoopBytes(d[i:], a[i:], b[2*i:])
-	return dst
 }
 
 func mulLoopBytes(d, a Vector, b []byte) {
@@ -213,20 +224,24 @@ func mulLoopBytes(d, a Vector, b []byte) {
 	}
 }
 
-// MACVecBytes is MACVec with b given as a burst.
-func MACVecBytes(dst, a Vector, b []byte) Vector {
-	n := min(len(dst), len(a), len(b)/2)
-	d, a, b := dst[:n], a[:n], b[:2*n]
-	i := 0
-	if simd {
-		for ; i+Lanes <= n; i += Lanes {
-			if !macBlockBytes((*block)(d[i:]), (*block)(a[i:]), (*burst)(b[2*i:])) {
-				macLoopBytes(d[i:i+Lanes], a[i:i+Lanes], b[2*i:])
+// MACVecBursts is MACVec for each unit u, with b[u] given as a burst.
+func MACVecBursts(dst, a []Vector, b [][]byte) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for u, d := range dst {
+		x, y := a[u], b[u]
+		n := min(len(d), len(x), len(y)/2)
+		i := 0
+		if simd {
+			for ; i+Lanes <= n; i += Lanes {
+				if !macBlockBytes((*block)(d[i:]), (*block)(x[i:]), (*burst)(y[2*i:])) {
+					macLoopBytes(d[i:i+Lanes], x[i:], y[2*i:])
+				}
 			}
 		}
+		if i < n {
+			macLoopBytes(d[i:n], x[i:], y[2*i:])
+		}
 	}
-	macLoopBytes(d[i:], a[i:], b[2*i:])
-	return dst
 }
 
 func macLoopBytes(d, a Vector, b []byte) {
@@ -236,20 +251,25 @@ func macLoopBytes(d, a Vector, b []byte) {
 	}
 }
 
-// MADVecBytes is MADVec with a given as a burst.
-func MADVecBytes(dst Vector, a []byte, b Vector, c F16) Vector {
-	n := min(len(dst), len(a)/2, len(b))
-	d, a, b := dst[:n], a[:2*n], b[:n]
-	i := 0
-	if simd {
-		for c32 := c.Float32(); i+Lanes <= n; i += Lanes {
-			if !madBlockBytes((*block)(d[i:]), (*burst)(a[2*i:]), (*block)(b[i:]), c32) {
-				madLoopBytes(d[i:i+Lanes], a[2*i:], b[i:i+Lanes], c)
+// MADVecBursts is MADVec for each unit u, with a[u] given as a burst and
+// c[u] as the addend.
+func MADVecBursts(dst []Vector, a [][]byte, b []Vector, c []F16) {
+	a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
+	for u, d := range dst {
+		x, y, cu := a[u], b[u], c[u]
+		n := min(len(d), len(x)/2, len(y))
+		i := 0
+		if simd {
+			for c32 := cu.Float32(); i+Lanes <= n; i += Lanes {
+				if !madBlockBytes((*block)(d[i:]), (*burst)(x[2*i:]), (*block)(y[i:]), c32) {
+					madLoopBytes(d[i:i+Lanes], x[2*i:], y[i:], cu)
+				}
 			}
 		}
+		if i < n {
+			madLoopBytes(d[i:n], x[2*i:], y[i:], cu)
+		}
 	}
-	madLoopBytes(d[i:], a[2*i:], b[i:], c)
-	return dst
 }
 
 func madLoopBytes(d Vector, a []byte, b Vector, c F16) {

@@ -102,14 +102,16 @@ var vecOps = []struct {
 	{"MulVec", func(dst, a, b Vector, _ F16) { MulVec(dst, a, b) }, func(_, a, b, _ F16) F16 { return Mul(a, b) }},
 	{"MACVec", func(dst, a, b Vector, _ F16) { MACVec(dst, a, b) }, func(acc, a, b, _ F16) F16 { return macRef(acc, a, b) }},
 	{"MADVec", func(dst, a, b Vector, c F16) { MADVec(dst, a, b, c) }, func(_, a, b, c F16) F16 { return macRef(c, a, b) }},
-	{"AddVecBytes", func(dst, a, b Vector, _ F16) { AddVecBytes(dst, a, burstOf(b)) }, func(_, a, b, _ F16) F16 { return Add(a, b) }},
-	{"MulVecBytes", func(dst, a, b Vector, _ F16) { MulVecBytes(dst, a, burstOf(b)) }, func(_, a, b, _ F16) F16 { return Mul(a, b) }},
-	{"MACVecBytes", func(dst, a, b Vector, _ F16) { MACVecBytes(dst, a, burstOf(b)) }, func(acc, a, b, _ F16) F16 { return macRef(acc, a, b) }},
-	{"MADVecBytes", func(dst, a, b Vector, c F16) { MADVecBytes(dst, burstOf(a), b, c) }, func(_, a, b, c F16) F16 { return macRef(c, a, b) }},
+	{"AddVecBursts", func(dst, a, b Vector, _ F16) { AddVecBursts([]Vector{dst}, []Vector{a}, [][]byte{burstOf(b)}) }, func(_, a, b, _ F16) F16 { return Add(a, b) }},
+	{"MulVecBursts", func(dst, a, b Vector, _ F16) { MulVecBursts([]Vector{dst}, []Vector{a}, [][]byte{burstOf(b)}) }, func(_, a, b, _ F16) F16 { return Mul(a, b) }},
+	{"MACVecBursts", func(dst, a, b Vector, _ F16) { MACVecBursts([]Vector{dst}, []Vector{a}, [][]byte{burstOf(b)}) }, func(acc, a, b, _ F16) F16 { return macRef(acc, a, b) }},
+	{"MADVecBursts", func(dst, a, b Vector, c F16) {
+		MADVecBursts([]Vector{dst}, [][]byte{burstOf(a)}, []Vector{b}, []F16{c})
+	}, func(_, a, b, c F16) F16 { return macRef(c, a, b) }},
 }
 
-// burstScratch backs burstOf: the byte forms above take their bank operand
-// from it, one call at a time, so the no-allocation test measures them and
+// burstScratch backs burstOf: the burst forms above take their one unit's
+// bank operand from it, one call at a time, so the no-allocation test measures them and
 // not the encoding.
 var burstScratch = make([]byte, 2*64)
 

@@ -93,7 +93,7 @@ func NewChannel(pch *hbm.PseudoChannel, cfg hbm.Config) *Channel {
 
 // UseMetrics rebinds the channel's instrumentation to reg, writing into
 // the given shard (one shard per channel keeps concurrent kernels under
-// runtime.ParallelKernels contention free). Call it before any traffic:
+// a parallel runtime engine contention free). Call it before any traffic:
 // counts accumulated under the previous registry are not carried over.
 func (c *Channel) UseMetrics(reg *metrics.Registry, shard int) {
 	c.m = newChanMetrics(reg, shard)

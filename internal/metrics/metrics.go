@@ -10,8 +10,8 @@
 //	pim_instr_total{op="MAC"}       MAC instructions retired
 //
 // Counters and histograms are cumulative and monotone; gauges are levels.
-// Every metric is sharded: writers (one per memory channel under
-// runtime.ParallelKernels) update their own shard through sync/atomic, so
+// Every metric is sharded: writers (one per memory channel under a
+// parallel runtime engine) update their own shard through sync/atomic, so
 // concurrent kernels never contend or race, and shards are merged when a
 // Snapshot is taken. Snapshot may run concurrently with writers; collector
 // callbacks (which read foreign state such as device counters) should only

@@ -248,6 +248,72 @@ func TestExportImportMigration(t *testing.T) {
 	}
 }
 
+// TestImportStateRejects: a nil state, one with the wrong layer count and
+// one whose last layer has the wrong width are each refused with an error
+// (the nil one without a panic), and the slot keeps the state it had: the
+// width check must not let the layers before the bad one through.
+func TestImportStateRejects(t *testing.T) {
+	rt := newNNRT(t, 2)
+	w, err := GenWeights(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(rt, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Unload(rt)
+
+	held, err := r.ExportState(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range held.H {
+		for i := range held.H[l] {
+			held.H[l][i], held.C[l][i] = fp16.FromFloat32(float32(l+i)/8), fp16.FromFloat32(-float32(l+i)/16)
+		}
+	}
+	if err := r.ImportState(1, held); err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := r.ExportState(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(narrow.H) - 1
+	for l := range narrow.H {
+		for i := range narrow.H[l] {
+			narrow.H[l][i], narrow.C[l][i] = fp16.One, fp16.One
+		}
+	}
+	narrow.H[last], narrow.C[last] = narrow.H[last][1:], narrow.C[last][1:]
+	for _, c := range []struct {
+		name string
+		st   *SlotState
+	}{
+		{"nil", nil},
+		{"layers", &SlotState{H: held.H[:last], C: held.C[:last]}},
+		{"width", narrow},
+	} {
+		if err := r.ImportState(1, c.st); err == nil {
+			t.Errorf("%s: state accepted", c.name)
+		}
+		got, err := r.ExportState(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range held.H {
+			if fp16.MaxAbsDiff(got.H[l], held.H[l]) != 0 || fp16.MaxAbsDiff(got.C[l], held.C[l]) != 0 {
+				t.Errorf("%s: layer %d of the slot changed by a rejected import", c.name, l)
+			}
+		}
+	}
+}
+
 func TestLoadUnloadRowAccounting(t *testing.T) {
 	rt := newNNRT(t, 2)
 	liveBefore := rt.Drv.PIMRowsLive()

@@ -167,15 +167,22 @@ func (r *Resident) ImportState(s int, st *SlotState) error {
 	if err := r.checkSlot(s); err != nil {
 		return err
 	}
-	if st == nil || len(st.H) != len(r.h) || len(st.C) != len(r.c) {
+	if st == nil {
+		return fmt.Errorf("nn: no state to import into model %s", r.Plan.Cfg.Name)
+	}
+	if len(st.H) != len(r.h) || len(st.C) != len(r.c) {
 		return fmt.Errorf("nn: state has %d layers, model %s has %d",
 			len(st.H), r.Plan.Cfg.Name, len(r.h))
 	}
+	// Every layer is checked before any is copied, so a rejected state
+	// leaves the slot as it was.
 	for l := range st.H {
 		if len(st.H[l]) != len(r.h[l][s]) || len(st.C[l]) != len(r.c[l][s]) {
 			return fmt.Errorf("nn: state layer %d width %d, model %s wants %d",
 				l, len(st.H[l]), r.Plan.Cfg.Name, len(r.h[l][s]))
 		}
+	}
+	for l := range st.H {
 		copy(r.h[l][s], st.H[l])
 		copy(r.c[l][s], st.C[l])
 	}

@@ -19,7 +19,7 @@
 //     command issues, mode windows (SB / AB / AB-PIM) and per-trigger PIM
 //     instruction counts, recorded at exact simulated cycles by the
 //     memctrl/hbm/pim layers. One writer per channel (the
-//     runtime.ParallelKernels ownership model), so recording takes no
+//     ownership model of the runtime's engines), so recording takes no
 //     locks.
 //
 // Both sinks export Chrome trace-event JSON (WriteSpans, WriteChrome)

@@ -55,7 +55,7 @@ func FromHBM(cfg hbm.Config, channels, maxPerChannel int) *Timeline {
 // Timeline is the simulator-side trace sink: one ChannelTimeline per
 // pseudo channel. Recording is lock free because each channel's buffer
 // has exactly one writer (the goroutine driving that channel, per the
-// runtime.ParallelKernels ownership model); export happens only after
+// ownership model of the runtime's engines); export happens only after
 // the kernel quiesces.
 type Timeline struct {
 	cfg   TimelineConfig

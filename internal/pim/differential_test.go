@@ -73,6 +73,10 @@ type tapExec struct {
 	log    []bankEvent
 	reads  int
 	copies int
+
+	// badWrite, when set, refuses a WriteBank to the banks it reports:
+	// the write is logged with its error and reaches no cell.
+	badWrite func(bank int) bool
 }
 
 func (t *tapExec) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
@@ -99,7 +103,12 @@ func (t *tapExec) ReadBanks(first, stride, n int, col uint32, scratch []byte, vi
 }
 
 func (t *tapExec) WriteBank(bank int, col uint32, data []byte) error {
-	err := t.access.WriteBank(bank, col, data)
+	var err error
+	if t.badWrite != nil && t.badWrite(bank) {
+		err = fmt.Errorf("bank %d refuses the write", bank)
+	} else {
+		err = t.access.WriteBank(bank, col, data)
+	}
 	t.log = append(t.log, bankEvent{true, bank, col, string(data), fmt.Sprint(err)})
 	return err
 }
@@ -326,11 +335,76 @@ func (d *diffPair) trigger(b0, b1, b2 byte) hbm.Command {
 
 // diffCoverage accumulates what a set of runs exercised: triggers
 // compared, instructions retired per opcode (the reference's count, failed
-// trigger included) and the errors streams ended in.
+// trigger included), the data-path forms of the compared triggers (see
+// dataForm) and the errors streams ended in.
 type diffCoverage struct {
 	triggers int
 	ops      [isa.NumOpcodes]int64
+	forms    map[string]int
 	errors   map[string]bool
+}
+
+// dataForm names the form of the data step a functional trigger cmd runs
+// for instruction in: the cases Executor.execute and move tell apart. It
+// is worked out from the instruction and the command alone, so it checks
+// the production switch rather than repeating it.
+func dataForm(in *isa.Instruction, cmd hbm.Command) string {
+	src := func(s isa.Src) string {
+		switch {
+		case s.IsBank() && cmd.Kind == hbm.CmdWR:
+			return "payload"
+		case s.IsBank():
+			return "bank"
+		case s.IsGRF():
+			return "GRF"
+		}
+		return s.String()
+	}
+	relu := map[bool]string{false: "", true: " relu"}[in.ReLU]
+	switch {
+	case in.Dst.IsBank():
+		return "MOV GRF->bank" + relu
+	case in.Op.IsData():
+		dst := "GRF"
+		if !in.Dst.IsGRF() {
+			dst = in.Dst.String()
+		}
+		return fmt.Sprintf("%s %s->%s%s", in.Op, src(in.Src0), dst, relu)
+	}
+	switch {
+	case in.Src0.IsBank():
+		return fmt.Sprintf("%s bank SRC0", in.Op)
+	case in.Src1.IsBank():
+		return fmt.Sprintf("%s bank SRC1", in.Op)
+	}
+	return fmt.Sprintf("%s registers", in.Op)
+}
+
+// forwards reports whether cmd makes in forward its WR payload into SRC0
+// first (the SRW variant's simultaneous read/write).
+func forwards(cfg hbm.Config, in *isa.Instruction, cmd hbm.Command) bool {
+	return cfg.WROperand() && in.Op.IsArith() && in.Src0.IsGRF() && cmd.Kind == hbm.CmdWR && len(cmd.Data) >= 2*fp16.Lanes
+}
+
+// wantForms are the data-path forms every functional device kind of the
+// differential must compare at least once; "SRW forward" only where the
+// device has the simultaneous read/write datapath.
+func wantForms(cfg hbm.Config) []string {
+	forms := []string{
+		"MOV bank->GRF", "MOV bank->GRF relu", "MOV payload->GRF", "MOV payload->GRF relu",
+		"MOV GRF->GRF", "MOV GRF->GRF relu", "MOV GRF->bank", "MOV GRF->bank relu",
+		"FILL bank->GRF", "FILL bank->SRF_M", "FILL bank->SRF_A",
+		"FILL payload->GRF", "FILL payload->SRF_M", "FILL payload->SRF_A",
+	}
+	for _, op := range []isa.Opcode{isa.ADD, isa.MUL, isa.MAC, isa.MAD} {
+		for _, f := range []string{"bank SRC0", "bank SRC1", "registers"} {
+			forms = append(forms, op.String()+" "+f)
+		}
+	}
+	if cfg.WROperand() {
+		forms = append(forms, "SRW forward")
+	}
+	return forms
 }
 
 // runDifferential runs one program under one trigger stream on both
@@ -354,6 +428,7 @@ func runDifferential(t testing.TB, cfg hbm.Config, seed int64, words []uint32, s
 	}()
 	for i := 0; i+3 <= len(stream); i += 3 {
 		cmd := d.trigger(stream[i], stream[i+1], stream[i+2])
+		in := d.nextInstruction()
 		reads := d.tap[0].reads
 		err := d.issue(cmd)
 		if d.tap[0].reads-reads > 1 {
@@ -400,6 +475,12 @@ func runDifferential(t testing.TB, cfg hbm.Config, seed int64, words []uint32, s
 		}
 		if cov != nil {
 			cov.triggers++
+			if in != nil && cfg.Functional {
+				cov.forms[dataForm(in, cmd)]++
+				if forwards(cfg, in, cmd) {
+					cov.forms["SRW forward"]++
+				}
+			}
 		}
 	}
 	if !cfg.Functional {
@@ -482,8 +563,9 @@ func randStream(rng *rand.Rand) []byte {
 // fixedKernels are the differential's fixed inputs and the fuzz target's
 // seed corpus: the microkernels internal/blas emits (gemvProgram,
 // eltProgram; the LSTM cell is the GEMV kernel twice) with small loop
-// counts, and a JUMP-only loop, the one control error generated programs
-// do not reach.
+// counts, one pass over the data-path forms generated programs reach
+// rarely (wantForms), and a JUMP-only loop, the one control error
+// generated programs do not reach.
 var fixedKernels = []struct {
 	name string
 	src  string
@@ -534,6 +616,13 @@ var fixedKernels = []struct {
 		JUMP -4, 1
 		JUMP -5, 1
 		EXIT`},
+	{"rare-forms", `
+		FILL SRF_A[0], EVEN_BANK
+		MUL GRF_A[1], EVEN_BANK, SRF_M[2]
+		MAD GRF_B[0], GRF_A[0], ODD_BANK
+		MOV(RELU) ODD_BANK, GRF_A[1]
+		ADD GRF_A[2], EVEN_BANK, SRF_A[3]
+		EXIT`},
 	{"livelock", `
 		MOV GRF_A[0], GRF_B[0]
 		JUMP -1, 0
@@ -573,7 +662,7 @@ func TestTriggerDifferential(t *testing.T) {
 	}
 	for _, dc := range diffConfigs {
 		t.Run(dc.name, func(t *testing.T) {
-			cov := &diffCoverage{errors: map[string]bool{}}
+			cov := &diffCoverage{forms: map[string]int{}, errors: map[string]bool{}}
 			for i, k := range fixedKernels {
 				runDifferential(t, dc.cfg(), int64(i), encodeWords(t, mustAssemble(t, k.src)), kernelStream(), cov)
 			}
@@ -587,6 +676,13 @@ func TestTriggerDifferential(t *testing.T) {
 					t.Errorf("no %s retired by any generated program", op)
 				}
 			}
+			if cfg := dc.cfg(); cfg.Functional {
+				for _, f := range wantForms(cfg) {
+					if cov.forms[f] == 0 {
+						t.Errorf("no trigger of data-path form %q compared", f)
+					}
+				}
+			}
 			if cov.triggers < 8*seeds {
 				t.Errorf("%d triggers compared over %d programs: the generator no longer runs deep", cov.triggers, seeds)
 			}
@@ -595,6 +691,46 @@ func TestTriggerDifferential(t *testing.T) {
 				if !strings.Contains(reached, class) {
 					t.Errorf("no stream ended in a %q error", class)
 				}
+			}
+		})
+	}
+}
+
+// TestFailedWriteStopsAtItsUnit: a MOV(ReLU) GRF->bank whose bank write
+// fails at unit 5 fails the trigger as unit 5's on both executors, with
+// the same text, after units 0-4 wrote their banks and before units 6-7
+// wrote theirs; the banks then hold the same bytes on both devices.
+func TestFailedWriteStopsAtItsUnit(t *testing.T) {
+	for _, dc := range diffConfigs[:3] { // the functional kinds
+		t.Run(dc.name, func(t *testing.T) {
+			cfg := dc.cfg()
+			d := newDiffPair(t, cfg)
+			bad := 5*cfg.BanksPerUnit() + cfg.BanksPerUnit() - 1
+			for _, tap := range d.tap {
+				tap.badWrite = func(bank int) bool { return bank == bad }
+			}
+			d.setup(rand.New(rand.NewSource(3)), encodeWords(t, mustAssemble(t, "MOV(RELU) ODD_BANK, GRF_A[1]\nEXIT")))
+			cmd := hbm.Command{Kind: hbm.CmdWR, Bank: 1, Col: 2, Data: make([]byte, 32)}
+			if err := d.issue(cmd); err == nil || !strings.HasPrefix(err.Error(), "pim: unit 5: ") {
+				t.Fatalf("error %v, want unit 5's", err)
+			}
+			if got, want := fmt.Sprint(d.tap[0].err), fmt.Sprint(d.tap[1].err); got != want {
+				t.Fatalf("production error %q, reference error %q", got, want)
+			}
+			if !slices.Equal(d.tap[0].log, d.tap[1].log) {
+				t.Fatalf("bank accesses\n%v\nreference\n%v", d.tap[0].log, d.tap[1].log)
+			}
+			if n := len(d.tap[0].log); n != 6 || d.tap[0].log[n-1].bank != bad {
+				t.Fatalf("bank writes %v; want units 0-5's, ending at bank %d", d.tap[0].log, bad)
+			}
+			d.must(hbm.Command{Kind: hbm.CmdPREA})
+			d.setPIMOp(false)
+			d.modeHandshake(hbm.SBMRBank)
+			for flat := 0; flat < cfg.Banks(); flat++ {
+				bg, b := cfg.BankOf(flat)
+				d.must(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: diffRow})
+				_ = d.issue(hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: 2})
+				d.must(hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
 			}
 		})
 	}

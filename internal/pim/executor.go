@@ -21,15 +21,18 @@ import (
 // and their range checks, which bank of each unit the command drives and
 // whether this command kind may, and the decoded WR payload. A bank
 // operand is then read for all units in one hbm.BankAccess.ReadBanks call
-// that visits their banks in unit order, and the data operation runs per
-// unit (Unit.execute), units 0..n-1 in order, each on a view of its own
-// burst. A unit's operation touches no other unit's bank, so bank
-// statistics, ECC, the fault injector's read sequence and the unit an
-// error names are those of n units each reading and executing in turn: a
-// read that fails at unit k leaves units 0..k-1 executed and the banks of
-// the units after k unread. A timing-only device has no data to operate
-// on: the same sequencer runs and the units' bank traffic is accounted in
-// one call.
+// that visits their banks in unit order. The data step (execute) picks the
+// instruction's form once per trigger (destination, operand sources,
+// operation) and runs it over units 0..n-1 in order in one loop, or in one
+// fp16 burst-form call that loops over them, each unit on its own
+// registers and a view of its own burst. A unit's operation touches no
+// other unit's bank, so bank statistics, ECC, the fault injector's read
+// sequence and the unit an error names are those of n units each reading
+// and executing in turn: a read that fails at unit k leaves units 0..k-1
+// executed and the banks of the units after k unread, and a bank write
+// that fails at unit k leaves the units after k unwritten. A timing-only
+// device has no data to operate on: the same sequencer runs and the
+// units' bank traffic is accounted in one call.
 //
 // Lock step is checked, not assumed. The units keep their own CRF words
 // (an SB-mode column write reaches one unit's register space alone), the
@@ -74,6 +77,20 @@ type Executor struct {
 	views   [][]byte
 	scratch []byte
 
+	// Functional executors only: the data step's per-unit operand lists,
+	// built once because what they list never moves. grf[h][idx] is
+	// register idx of GRF half h (0: GRF_A) of every unit in unit order,
+	// srfM and srfA are the units' SRF halves, and bcast and bankVecs hold
+	// one staging vector per unit for a scalar broadcast and for a bank
+	// operand no burst form takes. A trigger hands prefixes of them to
+	// fp16, with the MAD addends and the bank write's staging beside them,
+	// so it allocates nothing.
+	grf                         [2][][]fp16.Vector
+	srfM, srfA, bcast, bankVecs []fp16.Vector
+	addends                     []fp16.F16
+	reluVec                     fp16.Vector
+	outBuf                      []byte
+
 	// TL, when set, records per-trigger retired-instruction counts into
 	// the observability timeline (the Perfetto PIM-activity counter
 	// track). Nil costs one pointer compare per trigger.
@@ -100,8 +117,27 @@ func NewExecutor(cfg hbm.Config) (*Executor, error) {
 		e.units[i] = newUnit(e.grfEntries)
 	}
 	if e.functional {
-		e.views = make([][]byte, cfg.PIMUnits)
-		e.scratch = make([]byte, cfg.PIMUnits*2*fp16.Lanes)
+		n := cfg.PIMUnits
+		e.views = make([][]byte, n)
+		e.scratch = make([]byte, n*2*fp16.Lanes)
+		for h, half := range []isa.Src{isa.GRFA, isa.GRFB} {
+			e.grf[h] = make([][]fp16.Vector, e.grfEntries)
+			for idx := range e.grf[h] {
+				e.grf[h][idx] = make([]fp16.Vector, n)
+				for i, u := range e.units {
+					e.grf[h][idx][i] = u.grf(half)[idx]
+				}
+			}
+		}
+		e.srfM, e.srfA = make([]fp16.Vector, n), make([]fp16.Vector, n)
+		e.bcast, e.bankVecs = make([]fp16.Vector, n), make([]fp16.Vector, n)
+		for i, u := range e.units {
+			e.srfM[i], e.srfA[i] = u.srfM, u.srfA
+			e.bcast[i], e.bankVecs[i] = fp16.NewVector(fp16.Lanes), fp16.NewVector(fp16.Lanes)
+		}
+		e.addends = make([]fp16.F16, n)
+		e.reluVec = fp16.NewVector(fp16.Lanes)
+		e.outBuf = make([]byte, 2*fp16.Lanes)
 	}
 	return e, nil
 }
@@ -247,10 +283,8 @@ func (e *Executor) step(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 			// execute, as if each unit had read and executed in turn.
 			n, err = ctx.Access.ReadBanks(e.op.bank, e.banksPerUnit, n, e.op.col, e.scratch, e.views)
 		}
-		for i, u := range e.units[:n] {
-			if err := u.execute(&e.op, i*e.banksPerUnit, e.views[i]); err != nil {
-				return c, unitErr(i, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
-			}
+		if i, err := e.execute(n); err != nil {
+			return c, unitErr(i, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
 		}
 		if err != nil {
 			return c, unitErr(n, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
@@ -271,6 +305,162 @@ func (e *Executor) step(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 	// trailing EXIT without waiting for another command.
 	_, err = e.resolveControl(&c)
 	return c, err
+}
+
+// execute is the data step of a functional trigger: it applies e.op to
+// units 0..n-1 in unit order, unit i's bank operand being its ReadBanks
+// view e.views[i]. The instruction's form (where the result goes, where
+// each operand comes from, which operation) is picked here once; each
+// form is then one loop over the units' operand lists, or one fp16
+// burst-form call that loops over them. Only a bank write can fail;
+// execute then returns the unit whose write failed, and the units after
+// it do not execute.
+func (e *Executor) execute(n int) (int, error) {
+	op, in := &e.op, e.op.in
+	views := e.views[:n]
+	if in.Dst.IsBank() {
+		// MOV GRF -> bank: each unit's register, through ReLU if asked,
+		// written to its own bank in unit order.
+		for i, src := range e.regs(op.a.src, op.a.idx, n) {
+			if in.ReLU {
+				src = fp16.ReLUVec(e.reluVec, src)
+			}
+			src.PutBytes(e.outBuf)
+			if err := op.access.WriteBank(i*e.banksPerUnit+op.bank, op.col, e.outBuf); err != nil {
+				return i, err
+			}
+		}
+		return 0, nil
+	}
+	if in.Op.IsData() {
+		e.move(n)
+		return 0, nil
+	}
+	if op.forward {
+		for _, r := range e.regs(op.a.src, op.a.idx, n) {
+			copy(r, op.payload[:])
+		}
+	}
+	// Arithmetic. A bank operand where the stack's kernels put it (SRC1 of
+	// ADD, MUL and MAC, SRC0 of MAD) goes to the operation's burst form as
+	// it lies; in the other position Table II allows, operands decodes it.
+	dsts := e.regs(in.Dst, op.dst, n)
+	switch {
+	case in.Op == isa.MAD && op.a.fromBank():
+		c := e.addends[:n]
+		for i, srfA := range e.srfA[:n] {
+			c[i] = srfA[op.addend]
+		}
+		fp16.MADVecBursts(dsts, views, e.operands(&op.b, views), c)
+		return 0, nil
+	case in.Op != isa.MAD && op.b.fromBank():
+		a := e.operands(&op.a, views)
+		switch in.Op {
+		case isa.ADD:
+			fp16.AddVecBursts(dsts, a, views)
+		case isa.MUL:
+			fp16.MulVecBursts(dsts, a, views)
+		default: // MAC
+			fp16.MACVecBursts(dsts, a, views)
+		}
+		return 0, nil
+	}
+	// Register operands, and at most one bank operand, decoded.
+	a, b := e.operands(&op.a, views), e.operands(&op.b, views)
+	switch in.Op {
+	case isa.ADD:
+		for i, d := range dsts {
+			fp16.AddVec(d, a[i], b[i])
+		}
+	case isa.MUL:
+		for i, d := range dsts {
+			fp16.MulVec(d, a[i], b[i])
+		}
+	case isa.MAC:
+		for i, d := range dsts {
+			fp16.MACVec(d, a[i], b[i])
+		}
+	case isa.MAD:
+		for i, d := range dsts {
+			fp16.MADVec(d, a[i], b[i], e.srfA[i][op.addend])
+		}
+	}
+	return 0, nil
+}
+
+// move is the data step of MOV and FILL into a register, for units
+// 0..n-1: the source (each unit's burst, the WR payload or, for MOV, each
+// unit's GRF register) is copied into each unit's destination from lane
+// lo on, lo being 8 for SRF_A (the SRF halves mirror the memory-mapped
+// layout: SRF_M takes lanes 0-7 of the block, SRF_A lanes 8-15), and a
+// MOV with the ReLU flag rectifies what landed.
+func (e *Executor) move(n int) {
+	op, in := &e.op, e.op.in
+	var dsts []fp16.Vector
+	lo := 0
+	switch in.Dst {
+	case isa.GRFA, isa.GRFB:
+		dsts = e.regs(in.Dst, op.dst, n)
+	case isa.SRFM:
+		dsts = e.srfM[:n]
+	default: // SRF_A, and any other register name the decoder lets FILL write
+		dsts, lo = e.srfA[:n], isa.SRFEntries
+	}
+	switch {
+	case op.a.fromBank():
+		for i, d := range dsts {
+			d.DecodeBytes(e.views[i][2*lo:])
+		}
+	case op.a.payload:
+		for _, d := range dsts {
+			copy(d, op.payload[lo:])
+		}
+	default: // MOV GRF -> GRF
+		for i, src := range e.regs(op.a.src, op.a.idx, n) {
+			copy(dsts[i], src)
+		}
+	}
+	if in.ReLU {
+		for _, d := range dsts {
+			fp16.ReLUVec(d, d)
+		}
+	}
+}
+
+// regs lists register idx of GRF half s of units 0..n-1.
+func (e *Executor) regs(s isa.Src, idx, n int) []fp16.Vector {
+	if s == isa.GRFA {
+		return e.grf[0][idx][:n]
+	}
+	return e.grf[1][idx][:n]
+}
+
+// operands lists arithmetic source o of the units that have a view in
+// views, as vectors not to be written through: a GRF register, a scalar
+// broadcast into bcast, or the unit's burst decoded into bankVecs (a bank
+// operand in a position no burst form takes).
+func (e *Executor) operands(o *operand, views [][]byte) []fp16.Vector {
+	n := len(views)
+	switch o.src {
+	case isa.GRFA, isa.GRFB:
+		return e.regs(o.src, o.idx, n)
+	case isa.SRFM, isa.SRFA:
+		file := e.srfA
+		if o.src == isa.SRFM {
+			file = e.srfM
+		}
+		for i, v := range e.bcast[:n] {
+			s := file[i][o.idx]
+			for l := range v {
+				v[l] = s
+			}
+		}
+		return e.bcast[:n]
+	}
+	for i, v := range e.bankVecs[:n] {
+		v.DecodeBytes(views[i])
+	}
+	return e.bankVecs[:n]
 }
 
 // resolveControl retires zero-cycle JUMPs and an EXIT at the current PPC

@@ -179,18 +179,30 @@ func TestReadBanksHooks(t *testing.T) {
 	})
 }
 
-// BenchmarkTrigger is one functional MAC-from-bank trigger on one pseudo
-// channel: the sequencer step, the batched read of all 8 units' even banks
-// and 8 16-lane MACs on their views, on a plain device (the views window
-// the open row) and with ECC on (each burst decoded into executor
-// scratch). The operands are seeded values in [-1, 1) over 8 columns, so
-// the accumulators stay finite; the program's loop is re-armed every 128
-// triggers. `make bench` records both rows in BENCH_gemv.json.
+// BenchmarkTrigger is one functional trigger on one pseudo channel: the
+// sequencer step and the data step over all 8 units. plain and ecc are a
+// MAC with its bank operand as SRC1: the batched read of the units' even
+// banks (on plain the views window the open row, with ECC each burst is
+// decoded into executor scratch) and 8 16-lane MACs on them; mad is a MAD
+// with its bank operand as SRC0 and a scalar multiplier; mov is a WR
+// capture, the payload decoded once and copied into every unit's GRF_A
+// (how a kernel's input vector is loaded). The operands are seeded values
+// in [-1, 1) over 8 columns, so the accumulators stay finite; the
+// program's loop is re-armed every 128 triggers. `make bench` records the
+// rows in BENCH_gemv.json.
 func BenchmarkTrigger(b *testing.B) {
-	for _, dev := range []string{"plain", "ecc"} {
-		b.Run(dev, func(b *testing.B) {
+	for _, k := range []struct {
+		name, src string
+		ecc, wr   bool
+	}{
+		{"plain", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", false, false},
+		{"ecc", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", true, false},
+		{"mad", "MAD GRF_B[0], EVEN_BANK, SRF_M[0]", false, false},
+		{"mov", "MOV GRF_A[0], EVEN_BANK", false, true},
+	} {
+		b.Run(k.name, func(b *testing.B) {
 			cfg := hbm.PIMHBMConfig(1000)
-			cfg.ECC = dev == "ecc"
+			cfg.ECC = k.ecc
 			d, exec := newDriver(b, cfg)
 			rng := rand.New(rand.NewSource(5))
 			operand := func() []byte {
@@ -210,12 +222,18 @@ func BenchmarkTrigger(b *testing.B) {
 			d.issue(hbm.Command{Kind: hbm.CmdACT, Row: cfg.GRFRow()})
 			d.issue(hbm.Command{Kind: hbm.CmdWR, Col: 0, Data: operand()}) // GRF_A[0]
 			d.issue(hbm.Command{Kind: hbm.CmdPREA})
-			d.programCRF(mustAssemble(b, "MAC GRF_B[0], GRF_A[0], EVEN_BANK\nJUMP -1, 127\nEXIT"))
+			d.issue(hbm.Command{Kind: hbm.CmdACT, Row: cfg.SRFRow()})
+			d.issue(hbm.Command{Kind: hbm.CmdWR, Col: 0, Data: operand()}) // SRF_M, SRF_A
+			d.issue(hbm.Command{Kind: hbm.CmdPREA})
+			d.programCRF(mustAssemble(b, k.src+"\nJUMP -1, 127\nEXIT"))
 			d.setPIMOp(true)
 			d.issue(hbm.Command{Kind: hbm.CmdACT, Row: 7})
 			var trig [cols]hbm.Command
 			for col := range trig {
 				trig[col] = hbm.Command{Kind: hbm.CmdRD, Bank: 0, Col: uint32(col)}
+				if k.wr {
+					trig[col].Kind, trig[col].Data = hbm.CmdWR, operand()
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -5,11 +5,12 @@
 //
 // One column command makes every unit of a pseudo channel execute the same
 // CRF instruction on its own bank, so the package is split the same way:
-// the Executor is the instruction sequencer (one copy of the control
-// state, the instruction's operands resolved once per trigger) and a Unit
-// is the data the instruction works on (register files, the unit's own CRF
-// words for register-space readback, staging for a broadcast and a bank
-// write; a bank operand is read where it lies).
+// the Executor is the instruction sequencer and the data path (one copy of
+// the control state, the instruction's operands resolved once per trigger,
+// its form picked once per trigger and then run over units 0..n-1 in one
+// loop) and a Unit is the data the instruction works on (register files
+// and the unit's own CRF words for register-space readback; a bank operand
+// is read where it lies).
 //
 // A trigger that returns an error has failed part way: the units before
 // the one the error names have executed the instruction, that one and the
@@ -38,10 +39,10 @@ import (
 const PipelineStages = 5
 
 // Unit is one PIM execution unit's data: the register files the 16 SIMD
-// lanes share and the staging of one instruction's operands. What to
-// execute is the Executor's to decide; a unit only applies it. The unit
-// keeps its own CRF words because its register space is written and read
-// back per unit; the Executor checks them against unit 0's before it
+// lanes share. What to execute, and how, is the Executor's to decide,
+// once per trigger for all units; a unit has no code path of its own. The
+// unit keeps its own CRF words because its register space is written and
+// read back per unit; the Executor checks them against unit 0's before it
 // sequences a program.
 type Unit struct {
 	crf [isa.CRFEntries]uint32
@@ -51,14 +52,7 @@ type Unit struct {
 
 	grfEntries int // registers per GRF half (hbm.Config.GRFDepth)
 
-	// Operand-staging scratch, reused across instructions so the hot path
-	// performs no allocation; contents are dead once the instruction
-	// retires. A bank operand is not staged: the unit computes on its burst
-	// where ReadBanks left it. The ISA allows one bank operand and one
-	// scalar broadcast per instruction, so one buffer of each kind suffices.
-	srfVec fp16.Vector // broadcast scalar operand
-	tmpVec fp16.Vector // ReLU staging, a bank operand no byte form takes, register-space marshalling
-	outBuf []byte      // bank write burst (2*Lanes bytes)
+	tmpVec fp16.Vector // register-space marshalling
 }
 
 // newUnit builds a unit with the given GRF depth per half.
@@ -72,9 +66,7 @@ func newUnit(grfEntries int) *Unit {
 	}
 	u.srfM = make([]fp16.F16, isa.SRFEntries)
 	u.srfA = make([]fp16.F16, isa.SRFEntries)
-	u.srfVec = fp16.NewVector(fp16.Lanes)
 	u.tmpVec = fp16.NewVector(fp16.Lanes)
-	u.outBuf = make([]byte, 2*fp16.Lanes)
 	return u
 }
 
@@ -103,126 +95,6 @@ func (u *Unit) grf(s isa.Src) []fp16.Vector {
 		return u.grfA
 	}
 	return u.grfB
-}
-
-// execute applies one resolved data or arithmetic instruction to this
-// unit's registers and banks; evenBank is the flat index of the unit's
-// first bank, and burst the unit's bank operand when the instruction reads
-// one (its hbm.BankAccess.ReadBanks view: read-only, valid for this
-// trigger). Every index in op is already checked.
-func (u *Unit) execute(op *dataOp, evenBank int, burst []byte) error {
-	in := op.in
-	if in.Dst.IsBank() {
-		// MOV GRF -> bank.
-		src := u.grf(op.a.src)[op.a.idx]
-		if in.ReLU {
-			src = fp16.ReLUVec(u.tmpVec, src)
-		}
-		src.PutBytes(u.outBuf)
-		return op.access.WriteBank(evenBank+op.bank, op.col, u.outBuf)
-	}
-	if op.forward {
-		copy(u.grf(op.a.src)[op.a.idx], op.payload[:])
-	}
-	switch in.Op {
-	case isa.MOV:
-		dst := u.grf(in.Dst)[op.dst]
-		u.load(dst, &op.a, op, burst, 0)
-		if in.ReLU {
-			fp16.ReLUVec(dst, dst)
-		}
-		return nil
-	case isa.FILL:
-		switch {
-		case in.Dst.IsGRF():
-			u.load(u.grf(in.Dst)[op.dst], &op.a, op, burst, 0)
-		case in.Dst == isa.SRFM:
-			// The SRF halves mirror the memory-mapped layout: SRF_M takes
-			// lanes 0-7 of the block, SRF_A lanes 8-15.
-			u.load(u.srfM, &op.a, op, burst, 0)
-		default: // SRF_A
-			u.load(u.srfA, &op.a, op, burst, isa.SRFEntries)
-		}
-		return nil
-	}
-	// Arithmetic. A bank operand where the stack's kernels put it (SRC1 of
-	// ADD, MUL and MAC, SRC0 of MAD) goes to the operation's byte form as
-	// it lies; in the other position Table II allows, operand decodes it.
-	dst := u.grf(in.Dst)[op.dst]
-	switch {
-	case in.Op == isa.MAD && op.a.fromBank():
-		// The scalar addend feeds every lane directly; no broadcast
-		// staging needed.
-		fp16.MADVecBytes(dst, burst, u.operand(&op.b, op, burst), u.srfA[op.addend])
-		return nil
-	case in.Op != isa.MAD && op.b.fromBank():
-		a := u.operand(&op.a, op, burst)
-		switch in.Op {
-		case isa.ADD:
-			fp16.AddVecBytes(dst, a, burst)
-		case isa.MUL:
-			fp16.MulVecBytes(dst, a, burst)
-		default: // MAC
-			fp16.MACVecBytes(dst, a, burst)
-		}
-		return nil
-	}
-	a, b := u.operand(&op.a, op, burst), u.operand(&op.b, op, burst)
-	switch in.Op {
-	case isa.ADD:
-		fp16.AddVec(dst, a, b)
-	case isa.MUL:
-		fp16.MulVec(dst, a, b)
-	case isa.MAC:
-		fp16.MACVec(dst, a, b)
-	case isa.MAD:
-		fp16.MADVec(dst, a, b, u.srfA[op.addend])
-	}
-	return nil
-}
-
-// load writes source o into dst from lane lo on: decoded straight from the
-// unit's burst when o is its bank operand, copied otherwise.
-func (u *Unit) load(dst fp16.Vector, o *operand, op *dataOp, burst []byte, lo int) {
-	if o.fromBank() {
-		dst.DecodeBytes(burst[2*lo:])
-		return
-	}
-	copy(dst, u.operand(o, op, burst)[lo:])
-}
-
-// operand returns one source operand of this unit as a vector, not to be
-// written through: a register, the executor's decoded payload, a broadcast
-// scalar, or the unit's burst decoded into tmpVec (a bank operand in a
-// position no byte-form operation takes).
-func (u *Unit) operand(o *operand, op *dataOp, burst []byte) fp16.Vector {
-	switch o.src {
-	case isa.GRFA:
-		return u.grfA[o.idx]
-	case isa.GRFB:
-		return u.grfB[o.idx]
-	case isa.SRFM, isa.SRFA:
-		return u.broadcast(o)
-	}
-	if o.payload {
-		return op.payload[:]
-	}
-	return u.tmpVec.DecodeBytes(burst)
-}
-
-// broadcast splats a scalar register across the unit's reusable broadcast
-// buffer, valid until the next one (an instruction has at most one scalar
-// operand).
-func (u *Unit) broadcast(o *operand) fp16.Vector {
-	s := u.srfA[o.idx]
-	if o.src == isa.SRFM {
-		s = u.srfM[o.idx]
-	}
-	v := u.srfVec
-	for i := range v {
-		v[i] = s
-	}
-	return v
 }
 
 // Register-space access (memory-mapped CRF/GRF/SRF, Section III-B).

@@ -72,7 +72,7 @@ type phaseCell struct {
 
 // notePhase records one phase operation and the cycles the channel clock
 // advanced during it. The shard is the channel's own (parent numbering),
-// so restricted multi-tenant views stay race free under ParallelKernels —
+// so restricted multi-tenant views stay race free under a parallel engine —
 // and the per-kernel aggregate is likewise indexed by channel.
 func (r *Runtime) notePhase(ch int, ph KernelPhase, start int64) {
 	shard := r.Chans[ch].MetricsShard()
@@ -130,7 +130,7 @@ func (b PhaseBreakdown) Summary() string {
 // BeginPhaseObs arms per-kernel phase aggregation: from this call until
 // TakePhaseObs, every phase operation is also accumulated into a
 // per-channel table (one cache-line-independent row per channel, safe
-// under ParallelKernels). Call only while kernels are quiescent. The
+// under a parallel engine). Call only while kernels are quiescent. The
 // unarmed cost in notePhase is one nil check.
 func (r *Runtime) BeginPhaseObs() {
 	if r.obsAgg == nil {

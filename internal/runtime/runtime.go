@@ -46,13 +46,6 @@ type Runtime struct {
 	// simulating the remaining symmetric channels would only repeat it.
 	SimChannels int
 
-	// ParallelKernels, when set with no engine installed, auto-installs
-	// a parallel engine on first use. Channels are fully independent
-	// (own clock, banks, execution units), so results and cycle counts
-	// are identical to the sequential order; only host wall-clock
-	// changes. New code should call UseEngine directly.
-	ParallelKernels bool
-
 	// wr is one AccessBytes payload buffer per channel (parent numbering)
 	// for the register-space writes the runtime builds itself: PIM_OP_MODE,
 	// accumulator zeros, CRF words. hbm has consumed a WR payload by the
@@ -88,18 +81,15 @@ func (r *Runtime) CloseEngine() {
 // result-join barrier). The lowest-channel error wins.
 func (r *Runtime) ForEachChannel(fn func(ch int) error) error {
 	n := r.EffectiveChannels()
-	if r.eng == nil {
-		if !r.ParallelKernels || n == 1 {
-			for ch := 0; ch < n; ch++ {
-				if err := fn(ch); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		r.eng = engine.NewParallel(len(r.Chans))
+	if r.eng != nil {
+		return r.eng.Run(n, fn)
 	}
-	return r.eng.Run(n, fn)
+	for ch := 0; ch < n; ch++ {
+		if err := fn(ch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EffectiveChannels returns how many channels kernels should drive.
@@ -142,7 +132,7 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 		r.wr = append(r.wr, wr[i*cfg.AccessBytes:(i+1)*cfg.AccessBytes])
 	}
 
-	// One registry shard per channel: kernels under ParallelKernels write
+	// One registry shard per channel: kernels under a parallel engine write
 	// contention free, and per-channel deltas stay separable.
 	r.Metrics = metrics.New(len(r.Chans))
 	for i, c := range r.Chans {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pimsim/internal/engine"
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
@@ -288,7 +289,8 @@ func TestErrorPropagation(t *testing.T) {
 func TestForEachChannelParallelAndErrors(t *testing.T) {
 	rt := newRT(t, 4)
 	rt.Cfg.Functional = false // allow SimChannels semantics; views share Cfg copy
-	rt.ParallelKernels = true
+	rt.UseEngine(engine.NewParallel(4))
+	defer rt.CloseEngine()
 
 	var mu sync.Mutex
 	seen := map[int]bool{}
@@ -316,11 +318,9 @@ func TestForEachChannelParallelAndErrors(t *testing.T) {
 		t.Errorf("got %v", err)
 	}
 
-	// Sequential path stops at the first error. ParallelKernels
-	// auto-installed a parallel engine above; drop it too, or the engine
-	// (which must run every channel to reach its join barrier) keeps
-	// dispatching.
-	rt.ParallelKernels = false
+	// Sequential path stops at the first error. Drop the parallel engine
+	// installed above, or it (which must run every channel to reach its
+	// join barrier) keeps dispatching.
 	rt.CloseEngine()
 	calls := 0
 	err = rt.ForEachChannel(func(ch int) error {
