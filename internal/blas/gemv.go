@@ -381,7 +381,9 @@ func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp1
 			pass += chunk
 		}
 
-		// Unload GRF_B through the SB register space and fold.
+		// Unload GRF_B through the SB register space and fold. regs views
+		// the runtime's unload buffer of this channel, valid until its next
+		// unload, so it is folded here and not kept.
 		if err := rt.ExitToSB(ch); err != nil {
 			return triggers, err
 		}

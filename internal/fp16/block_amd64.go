@@ -33,18 +33,21 @@ func addBlock(dst, a, b *block) bool
 //go:noescape
 func mulBlock(dst, a, b *block) bool
 
-// The byte-operand kernels are the four above with the bank operand typed
-// as a burst: block_amd64.s jumps to the kernel, whose VCVTPH2PS reads the
-// burst's 32 bytes where they lie.
+// The burst kernels run MACVecBursts, MADVecBursts, AddVecBursts and
+// MulVecBursts for up to 64 units in one call, each whole block through
+// the arithmetic of the block kernel above. They return the mask of
+// units left unfinished, at a NaN block, which is not stored, or at a
+// tail shorter than a block, with resume[u] the lane unit u's portable
+// loop starts at (block_amd64.s has the whole contract).
 
 //go:noescape
-func macBlockBytes(dst, a *block, b *burst) bool
+func macBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
 
 //go:noescape
-func madBlockBytes(dst *block, a *burst, b *block, c float32) bool
+func madBursts(dst []Vector, a [][]byte, b []Vector, c []F16, resume []int32) (unfinished uint64)
 
 //go:noescape
-func addBlockBytes(dst, a *block, b *burst) bool
+func addBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
 
 //go:noescape
-func mulBlockBytes(dst, a *block, b *burst) bool
+func mulBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)

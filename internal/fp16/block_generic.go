@@ -10,9 +10,15 @@ func madBlock(dst, a, b *block, c float32) bool { panic("fp16: no block kernel i
 func addBlock(dst, a, b *block) bool            { panic("fp16: no block kernel in this build") }
 func mulBlock(dst, a, b *block) bool            { panic("fp16: no block kernel in this build") }
 
-func macBlockBytes(dst, a *block, b *burst) bool { panic("fp16: no block kernel in this build") }
-func madBlockBytes(dst *block, a *burst, b *block, c float32) bool {
-	panic("fp16: no block kernel in this build")
+func macBursts(dst, a []Vector, b [][]byte, resume []int32) uint64 {
+	panic("fp16: no burst kernel in this build")
 }
-func addBlockBytes(dst, a *block, b *burst) bool { panic("fp16: no block kernel in this build") }
-func mulBlockBytes(dst, a *block, b *burst) bool { panic("fp16: no block kernel in this build") }
+func madBursts(dst []Vector, a [][]byte, b []Vector, c []F16, resume []int32) uint64 {
+	panic("fp16: no burst kernel in this build")
+}
+func addBursts(dst, a []Vector, b [][]byte, resume []int32) uint64 {
+	panic("fp16: no burst kernel in this build")
+}
+func mulBursts(dst, a []Vector, b [][]byte, resume []int32) uint64 {
+	panic("fp16: no burst kernel in this build")
+}

@@ -44,11 +44,17 @@
 // channel, each on its own registers and on its bank operand as the
 // 32-byte burst it read, so the simulator neither copies nor decodes a
 // bank read to compute on it and dispatches the operation once per
-// trigger, not once per unit. Tier 3 widens each burst where it lies,
-// tier 2 decodes each lane as it reaches it, and a NaN block goes through
-// tier 2 with the operands in the instruction's order. The typed forms
-// are the burst forms' oracle, unit by unit and bit for bit on both
-// tiers, as macRef is the typed forms'.
+// trigger, not once per unit. Tier 3 runs a burst form as one assembly
+// call per 64 units, as the PIM units run one instruction in lock step:
+// the burst kernel reads every unit's slice headers itself, widens each
+// burst where it lies and runs each unit's whole blocks, and returns a
+// mask of the units it left unfinished, at a NaN block (not stored) or at
+// a tail shorter than a block, with the lane each resumes at. Go visits
+// only those, through tier 2 from that lane on, the operands in the
+// instruction's order, so no block runs twice. Tier 2 alone decodes each
+// lane as it reaches it. The typed forms, block by block through the
+// block kernels, are the burst forms' oracle, unit by unit and bit for
+// bit on both tiers, as macRef is the typed forms'.
 //
 // Which tier runs is decided once, at init, from CPUID alone: tier 3 on
 // amd64 when the CPU reports AVX and F16C and the operating system saves
@@ -63,7 +69,8 @@
 // payload is stable only through one compiled expression. For the MAC
 // that expression is macRef: a lane of tier 2 whose sum is Inf or NaN is
 // recomputed there, and a block of tier 3 whose result has a NaN lane is
-// not stored but recomputed whole by tier 2's loop. Inf results do not
+// not stored but recomputed whole by tier 2's loop (a burst form's unit
+// goes on in tier 2 from that block to its end). Inf results do not
 // depend on operand order, so a block that merely saturates stays in
 // tier 3 (tier 2 sends its Inf lanes to macRef only because one exponent
 // test is cheaper than two).
@@ -74,13 +81,17 @@
 // (TestExhaustiveAddStage); since a rounded product is a binary16, the
 // two together cover every value the kernel can produce. The same 2^32
 // pairs of both stages go through the 16-lane entry points on tier 3
-// (TestExhaustive*StageVec: MACVec, MADVec, and MulVec or AddVec). A
+// (TestExhaustive*StageVec: MACVec, MADVec, and MulVec or AddVec, then
+// the same three burst forms over 8 units, so through the burst kernels
+// that ship). A
 // seeded differential over 12 M triples, a directed table, ragged and
 // aliased lengths, a block mixing NaN, Inf, subnormal and normal lanes
 // and FuzzMACVec check the assembled operations against macRef on both
 // tiers in one binary, NaN payloads included; the burst forms go through
-// the same tables one unit at a time, and FuzzMACVec also runs them over
-// 8 units at once against the typed forms.
+// the same tables one unit at a time, FuzzMACVec also runs them over 8
+// units at once against the typed forms, and TestBurstResume walks the
+// unfinished-unit contract: NaN blocks and ragged tails in chosen units,
+// 70 units across the mask width.
 package fp16
 
 import "math"

@@ -106,39 +106,89 @@ func TestExhaustiveAddStage(t *testing.T) {
 	})
 }
 
-// forAllBlocks runs the 2^32 pairs through the SIMD block kernels: for
-// every x and every block y of 16 consecutive values, ops fills the rows
-// of got from x splatted against y, and each lane of each row must be
-// ref(x, y[lane]), or a NaN where that is one (payloads are the
-// differential test's business). All but a few hundred blocks per x hold
-// no NaN, so this is the kernels' arithmetic and not the fallback's.
-func forAllBlocks(t *testing.T, ref func(x, y F16) F16, ops func(got []Vector, xs, y Vector)) {
+// forAllBlocks runs the 2^32 pairs through the SIMD kernels: for every x
+// and every group of blockUnits blocks of 16 consecutive values, ops
+// fills g.got[row][u] from x splatted against g.y[u], block u of the
+// group, and each lane of each unit of each row must be ref(x, y), or a
+// NaN where that is one (payloads are the differential test's business).
+// All but a few hundred blocks per x hold no NaN, so this is the kernels'
+// arithmetic and not the fallback's.
+func forAllBlocks(t *testing.T, ref func(x, y F16) F16, ops func(g *blockGroup)) {
 	t.Helper()
 	needSIMD(t, simd)
 	forAllX(t, func(x F16) bool {
-		xs, y, want := splatVec(x, Lanes), NewVector(Lanes), NewVector(Lanes)
-		got := []Vector{NewVector(Lanes), NewVector(Lanes), NewVector(Lanes)}
-		for y0 := 0; y0 <= 0xFFFF; y0 += Lanes {
-			for i := range y {
-				y[i] = F16(y0 + i)
-				want[i] = ref(x, y[i])
-			}
-			ops(got, xs, y)
-			for op, g := range got {
-				if *(*block)(g) == *(*block)(want) {
-					continue
+		g := newBlockGroup(x)
+		want := unitVecs(blockUnits, Lanes)
+		for y0 := 0; y0 <= 0xFFFF; y0 += blockUnits * Lanes {
+			for u, y := range g.y {
+				for i := range y {
+					y[i] = F16(y0 + u*Lanes + i)
+					want[u][i] = ref(x, y[i])
 				}
-				for i := range g {
-					if g[i] != want[i] && !(g[i].IsNaN() && want[i].IsNaN()) {
-						t.Errorf("op %d, x=0x%04x, y=0x%04x (lane %d): 0x%04x, reference 0x%04x",
-							op, uint16(x), uint16(y[i]), i, uint16(g[i]), uint16(want[i]))
-						return false
+				y.PutBytes(g.yBursts[u])
+			}
+			ops(g)
+			for row, units := range g.got {
+				for u, got := range units {
+					if *(*block)(got) == *(*block)(want[u]) {
+						continue
+					}
+					for i, y := range g.y[u] {
+						if got[i] != want[u][i] && !(got[i].IsNaN() && want[u][i].IsNaN()) {
+							t.Errorf("row %d unit %d, x=0x%04x, y=0x%04x (lane %d): 0x%04x, reference 0x%04x",
+								row, u, uint16(x), uint16(y), i, uint16(got[i]), uint16(want[u][i]))
+							return false
+						}
 					}
 				}
 			}
 		}
 		return true
 	})
+}
+
+// blockUnits is the number of units in a forAllBlocks group, a pseudo
+// channel's worth, and blockRows the rows ops fills: three typed forms
+// unit by unit, then three burst forms over all units at once.
+const blockUnits, blockRows = 8, 6
+
+// blockGroup is one forAllBlocks group, in the shapes the typed and the
+// burst forms take: x splatted (one reference per unit) and as a scalar
+// per unit, each unit's y block as a Vector and as a burst, and the
+// result rows.
+type blockGroup struct {
+	xs      []Vector
+	xc      []F16
+	y       []Vector
+	yBursts [][]byte
+	got     [][]Vector
+}
+
+func newBlockGroup(x F16) *blockGroup {
+	g := &blockGroup{
+		xs:      make([]Vector, blockUnits),
+		xc:      make([]F16, blockUnits),
+		y:       unitVecs(blockUnits, Lanes),
+		yBursts: make([][]byte, blockUnits),
+		got:     make([][]Vector, blockRows),
+	}
+	xs := splatVec(x, Lanes)
+	for u := range g.xs {
+		g.xs[u], g.xc[u], g.yBursts[u] = xs, x, make([]byte, 2*Lanes)
+	}
+	for row := range g.got {
+		g.got[row] = unitVecs(blockUnits, Lanes)
+	}
+	return g
+}
+
+// unitVecs allocates units zeroed vectors of n lanes.
+func unitVecs(units, n int) []Vector {
+	vs := make([]Vector, units)
+	for u := range vs {
+		vs[u] = NewVector(n)
+	}
+	return vs
 }
 
 func splatVec(h F16, n int) Vector {
@@ -151,29 +201,52 @@ func splatVec(h F16, n int) Vector {
 
 // TestExhaustiveMulStageVec is TestExhaustiveMulStage through the 16-lane
 // entry points on the SIMD path: x*y accumulated into -0 by MACVec and by
-// MADVec, and MulVec's own kernel, against the reference product.
+// MADVec, and MulVec's own kernel, against the reference product; then
+// the same three through the burst forms over blockUnits units, y[u]
+// unit u's bank operand (SRC0 of MAD, so its product is y*x there).
 func TestExhaustiveMulStageVec(t *testing.T) {
 	negZeros := splatVec(NegZero, Lanes)
+	addends := make([]F16, blockUnits)
+	for u := range addends {
+		addends[u] = NegZero
+	}
 	forAllBlocks(t,
 		func(x, y F16) F16 { return fromFloat32Ref(f16to32[x] * f16to32[y]) },
-		func(got []Vector, xs, y Vector) {
-			MACVec(copyInto(got[0], negZeros), xs, y)
-			MADVec(got[1], xs, y, NegZero)
-			MulVec(got[2], xs, y)
+		func(g *blockGroup) {
+			for u, y := range g.y {
+				MACVec(copyInto(g.got[0][u], negZeros), g.xs[u], y)
+				MADVec(g.got[1][u], g.xs[u], y, NegZero)
+				MulVec(g.got[2][u], g.xs[u], y)
+				copy(g.got[3][u], negZeros)
+			}
+			MACVecBursts(g.got[3], g.xs, g.yBursts)
+			MADVecBursts(g.got[4], g.yBursts, g.xs, addends)
+			MulVecBursts(g.got[5], g.xs, g.yBursts)
 		})
 }
 
 // TestExhaustiveAddStageVec is the ADD stage the same way: y*1 is y, so
 // MACVec into x and MADVec onto x are x+y, as is AddVec, against the
-// reference narrowing of the float32 sum.
+// reference narrowing of the float32 sum; then MACVecBursts into x,
+// MADVecBursts onto x and AddVecBursts, y[u] unit u's bank operand.
 func TestExhaustiveAddStageVec(t *testing.T) {
-	ones := splatVec(One, Lanes)
+	one := splatVec(One, Lanes)
+	ones := make([]Vector, blockUnits)
+	for u := range ones {
+		ones[u] = one
+	}
 	forAllBlocks(t,
 		func(x, y F16) F16 { return fromFloat32Ref(f16to32[x] + f16to32[y]) },
-		func(got []Vector, xs, y Vector) {
-			MACVec(copyInto(got[0], xs), y, ones)
-			MADVec(got[1], y, ones, xs[0])
-			AddVec(got[2], xs, y)
+		func(g *blockGroup) {
+			for u, y := range g.y {
+				MACVec(copyInto(g.got[0][u], g.xs[u]), y, one)
+				MADVec(g.got[1][u], y, one, g.xc[u])
+				AddVec(g.got[2][u], g.xs[u], y)
+				copy(g.got[3][u], g.xs[u])
+			}
+			MACVecBursts(g.got[3], ones, g.yBursts)
+			MADVecBursts(g.got[4], g.yBursts, ones, g.xc)
+			AddVecBursts(g.got[5], g.xs, g.yBursts)
 		})
 }
 
@@ -372,7 +445,7 @@ func TestMADVecRagged(t *testing.T) {
 // checkBursts runs the four burst forms over units at once and compares
 // every unit with its typed form: unit u's operands are acc, a and b
 // rotated left by u lanes and cut to n-u%n lanes, so the units differ in
-// data and length, and its MADVec addend is its first accumulator lane.
+// data and length.
 func checkBursts(t testing.TB, units int, acc, a, b Vector) bool {
 	t.Helper()
 	n := len(acc)
@@ -381,9 +454,21 @@ func checkBursts(t testing.TB, units int, acc, a, b Vector) bool {
 		return r[:n-u%n]
 	}
 	accs, as, bs := make([]Vector, units), make([]Vector, units), make([]Vector, units)
-	aBursts, bBursts, cs := make([][]byte, units), make([][]byte, units), make([]F16, units)
 	for u := range accs {
 		accs[u], as[u], bs[u] = unit(acc, u), unit(a, u), unit(b, u)
+	}
+	return checkBurstUnits(t, accs, as, bs)
+}
+
+// checkBurstUnits runs the four burst forms over the units of accs, as
+// and bs at once, the bank operand given as a burst, and compares every
+// lane of every unit with the typed form on that unit alone, NaN payloads
+// included. Unit u's MADVec addend is its first accumulator lane.
+func checkBurstUnits(t testing.TB, accs, as, bs []Vector) bool {
+	t.Helper()
+	units := len(accs)
+	aBursts, bBursts, cs := make([][]byte, units), make([][]byte, units), make([]F16, units)
+	for u := range accs {
 		aBursts[u], bBursts[u], cs[u] = as[u].Bytes(), bs[u].Bytes(), accs[u][0]
 	}
 	for _, op := range []struct {
@@ -413,6 +498,58 @@ func checkBursts(t testing.TB, units int, acc, a, b Vector) bool {
 		}
 	}
 	return true
+}
+
+// TestBurstResume walks the contract between a burst kernel and the Go
+// loop around it, on both paths: a unit the kernel leaves unfinished, at
+// a NaN block or a ragged tail, resumes in the portable loop at that
+// block, and only there. Every case checks all four burst forms against
+// the typed forms unit by unit. Operands are of realistic magnitude, so
+// a block run twice (a resume from block 0, or a NaN block stored and
+// then resumed) moves the MAC accumulators, and a unit left unfinished
+// keeps lanes the typed form overwrites. A planted NaN lane carries NaN
+// accumulator, a and b with distinct payloads, so its result depends on
+// the operand order of the expression that computes it.
+func TestBurstResume(t *testing.T) {
+	type nanAt struct{ unit, lane int }
+	same := func(units, n int) []int {
+		lens := make([]int, units)
+		for u := range lens {
+			lens[u] = n
+		}
+		return lens
+	}
+	wide := same(70, 3*Lanes)
+	wide[1], wide[64], wide[66], wide[69] = 17, 31, 2*Lanes, 17
+	cases := []struct {
+		name string
+		lens []int
+		nans []nanAt
+	}{
+		{"NaN in block 2 of unit 5", same(8, 3*Lanes), []nanAt{{5, 2*Lanes + 9}}},
+		{"NaN in block 0 of units 0 and 7", same(8, 3*Lanes), []nanAt{{0, 0}, {7, Lanes - 1}}},
+		{"ragged lengths 17 and 31", []int{17, 3 * Lanes, 31, 17, 3 * Lanes, 31, 2 * Lanes, 17}, nil},
+		{"ragged with NaN in the tail", []int{31, 31, 17, 17, 31, 31, 17, 17}, []nanAt{{0, 20}, {3, 16}, {4, 3}}},
+		{"70 units across the mask width", wide, []nanAt{{2, Lanes}, {63, 2*Lanes + 1}, {64, 5}, {65, 0}, {67, 3*Lanes - 1}, {69, 16}}},
+	}
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(28))
+		for _, c := range cases {
+			accs, as, bs := make([]Vector, len(c.lens)), make([]Vector, len(c.lens)), make([]Vector, len(c.lens))
+			for u, n := range c.lens {
+				accs[u], as[u], bs[u] = NewVector(n), NewVector(n), NewVector(n)
+				for i := 0; i < n; i++ {
+					accs[u][i], as[u][i], bs[u][i] = unitOperand(rng), unitOperand(rng), unitOperand(rng)
+				}
+			}
+			for _, at := range c.nans {
+				accs[at.unit][at.lane], as[at.unit][at.lane], bs[at.unit][at.lane] = 0xFF4A, 0x7E11, 0xFE22
+			}
+			if !checkBurstUnits(t, accs, as, bs) {
+				t.Errorf("case %q failed", c.name)
+			}
+		}
+	})
 }
 
 // TestBurstFormsMultiUnit is checkBursts over 1 and 8 units on seeded
@@ -520,6 +657,46 @@ func BenchmarkMACVec(bm *testing.B) {
 			}
 			o := i % (len(a) / Lanes) * Lanes
 			MACVec(acc, a[o:o+Lanes], b[o:o+Lanes])
+		}
+	}
+	simd = false
+	bm.Run("portable", run)
+	bm.Run("simd", func(bm *testing.B) {
+		needSIMD(bm, host)
+		simd = true
+		run(bm)
+	})
+}
+
+// BenchmarkMACVecBursts is one PIM MAC trigger's datapath work across a
+// pseudo channel: MACVecBursts over 8 units, each on its own 16 lanes of
+// realistic operands with its bank operand as a burst, on each path;
+// `make bench` records both in BENCH_gemv.json. It allocates nothing.
+func BenchmarkMACVecBursts(bm *testing.B) {
+	const units = 8
+	host := simd
+	defer func() { simd = host }()
+	a, b := macPool()
+	bb := b.Bytes()
+	groups := len(a) / (units * Lanes)
+	as, bs := make([][]Vector, groups), make([][][]byte, groups)
+	for g := range as {
+		as[g], bs[g] = make([]Vector, units), make([][]byte, units)
+		for u := range as[g] {
+			o := (g*units + u) * Lanes
+			as[g][u], bs[g][u] = a[o:o+Lanes], bb[2*o:2*(o+Lanes)]
+		}
+	}
+	run := func(bm *testing.B) {
+		acc := unitVecs(units, Lanes)
+		bm.ReportAllocs()
+		for i := 0; i < bm.N; i++ {
+			if i%64 == 0 {
+				for _, d := range acc {
+					clear(d)
+				}
+			}
+			MACVecBursts(acc, as[i%groups], bs[i%groups])
 		}
 	}
 	simd = false

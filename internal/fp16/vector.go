@@ -3,6 +3,7 @@ package fp16
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -151,41 +152,52 @@ func madLoop(d, a, b Vector, c F16) {
 	}
 }
 
-// burst is a bank operand as a PIM unit reads it: the 16 lanes of one
-// 32-byte column access, 2 bytes a lane, little-endian (what Bytes writes).
-type burst = [2 * Lanes]byte
-
-// lane decodes lane i of a burst.
+// lane decodes lane i of a burst, a bank operand as a PIM unit reads it:
+// the 16 lanes of one 32-byte column access, 2 bytes a lane,
+// little-endian (what Bytes writes).
 func lane(b []byte, i int) F16 { return F16(binary.LittleEndian.Uint16(b[2*i:])) }
 
 // The burst forms of the four operations are what a PIM trigger runs: one
 // call applies the operation for n units at once, unit u computing on its
 // registers dst[u], a[u] or b[u] and on the operand it read from its bank,
-// given as the burst itself, so it is never staged as a Vector: on the
-// SIMD path the block kernel widens the burst where it lies, and the
-// portable loop decodes each lane as it goes. For every u the result is
-// exactly what the typed form returns on the decoded burst, NaN payloads
-// included, because the operands keep their order: the burst is SRC1 of
-// ADD, MUL and MAC (b below) and SRC0 of MAD (a). Units are taken in
-// order, and a burst counts len/2 lanes towards its unit's common length;
-// n is len(dst), and the other slices must be at least that long.
+// given as the burst itself, so it is never staged as a Vector. For every
+// u the result is exactly what the typed form returns on the decoded
+// burst, NaN payloads included, because the operands keep their order:
+// the burst is SRC1 of ADD, MUL and MAC (b below) and SRC0 of MAD (a).
+// Units are taken in order, and a burst counts len/2 lanes towards its
+// unit's common length; n is len(dst), and the other slices must be at
+// least that long.
+//
+// On the SIMD path a burst form is one call of its burst kernel per
+// maxBurstUnits units: the kernel widens every burst where it lies, runs
+// every unit's whole blocks, and hands back the mask of units it left
+// unfinished, at a NaN block or a tail, with the lane each resumes at.
+// Only those units come back to Go, each through the portable loop from
+// its resume lane to its end, operands in the instruction's order, so a
+// stored block is never run twice and every NaN comes from the portable
+// expression. On the portable path every unit resumes at lane 0.
+
+// maxBurstUnits is the most units one burst kernel call takes: one bit
+// each of the mask it returns.
+const maxBurstUnits = 64
+
+// allUnits is the mask of units 0..n-1, 0 < n <= maxBurstUnits.
+func allUnits(n int) uint64 { return ^uint64(0) >> (maxBurstUnits - n) }
 
 // AddVecBursts is AddVec for each unit u, with b[u] given as a burst.
 func AddVecBursts(dst, a []Vector, b [][]byte) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for u, d := range dst {
-		x, y := a[u], b[u]
-		n := min(len(d), len(x), len(y)/2)
-		i := 0
+	var resume [maxBurstUnits]int32
+	for lo := 0; lo < len(dst); lo += maxBurstUnits {
+		hi := min(lo+maxBurstUnits, len(dst))
+		todo := allUnits(hi - lo)
 		if simd {
-			for ; i+Lanes <= n; i += Lanes {
-				if !addBlockBytes((*block)(d[i:]), (*block)(x[i:]), (*burst)(y[2*i:])) {
-					addLoopBytes(d[i:i+Lanes], x[i:], y[2*i:])
-				}
-			}
+			todo = addBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume[:])
 		}
-		if i < n {
-			addLoopBytes(d[i:n], x[i:], y[2*i:])
+		for ; todo != 0; todo &= todo - 1 {
+			u := bits.TrailingZeros64(todo)
+			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
+			addLoopBytes(d[i:min(len(d), len(x), len(y)/2)], x[i:], y[2*i:])
 		}
 	}
 }
@@ -200,19 +212,17 @@ func addLoopBytes(d, a Vector, b []byte) {
 // MulVecBursts is MulVec for each unit u, with b[u] given as a burst.
 func MulVecBursts(dst, a []Vector, b [][]byte) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for u, d := range dst {
-		x, y := a[u], b[u]
-		n := min(len(d), len(x), len(y)/2)
-		i := 0
+	var resume [maxBurstUnits]int32
+	for lo := 0; lo < len(dst); lo += maxBurstUnits {
+		hi := min(lo+maxBurstUnits, len(dst))
+		todo := allUnits(hi - lo)
 		if simd {
-			for ; i+Lanes <= n; i += Lanes {
-				if !mulBlockBytes((*block)(d[i:]), (*block)(x[i:]), (*burst)(y[2*i:])) {
-					mulLoopBytes(d[i:i+Lanes], x[i:], y[2*i:])
-				}
-			}
+			todo = mulBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume[:])
 		}
-		if i < n {
-			mulLoopBytes(d[i:n], x[i:], y[2*i:])
+		for ; todo != 0; todo &= todo - 1 {
+			u := bits.TrailingZeros64(todo)
+			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
+			mulLoopBytes(d[i:min(len(d), len(x), len(y)/2)], x[i:], y[2*i:])
 		}
 	}
 }
@@ -227,19 +237,17 @@ func mulLoopBytes(d, a Vector, b []byte) {
 // MACVecBursts is MACVec for each unit u, with b[u] given as a burst.
 func MACVecBursts(dst, a []Vector, b [][]byte) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for u, d := range dst {
-		x, y := a[u], b[u]
-		n := min(len(d), len(x), len(y)/2)
-		i := 0
+	var resume [maxBurstUnits]int32
+	for lo := 0; lo < len(dst); lo += maxBurstUnits {
+		hi := min(lo+maxBurstUnits, len(dst))
+		todo := allUnits(hi - lo)
 		if simd {
-			for ; i+Lanes <= n; i += Lanes {
-				if !macBlockBytes((*block)(d[i:]), (*block)(x[i:]), (*burst)(y[2*i:])) {
-					macLoopBytes(d[i:i+Lanes], x[i:], y[2*i:])
-				}
-			}
+			todo = macBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume[:])
 		}
-		if i < n {
-			macLoopBytes(d[i:n], x[i:], y[2*i:])
+		for ; todo != 0; todo &= todo - 1 {
+			u := bits.TrailingZeros64(todo)
+			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
+			macLoopBytes(d[i:min(len(d), len(x), len(y)/2)], x[i:], y[2*i:])
 		}
 	}
 }
@@ -255,19 +263,17 @@ func macLoopBytes(d, a Vector, b []byte) {
 // c[u] as the addend.
 func MADVecBursts(dst []Vector, a [][]byte, b []Vector, c []F16) {
 	a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
-	for u, d := range dst {
-		x, y, cu := a[u], b[u], c[u]
-		n := min(len(d), len(x)/2, len(y))
-		i := 0
+	var resume [maxBurstUnits]int32
+	for lo := 0; lo < len(dst); lo += maxBurstUnits {
+		hi := min(lo+maxBurstUnits, len(dst))
+		todo := allUnits(hi - lo)
 		if simd {
-			for c32 := cu.Float32(); i+Lanes <= n; i += Lanes {
-				if !madBlockBytes((*block)(d[i:]), (*burst)(x[2*i:]), (*block)(y[i:]), c32) {
-					madLoopBytes(d[i:i+Lanes], x[2*i:], y[i:], cu)
-				}
-			}
+			todo = madBursts(dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi], resume[:])
 		}
-		if i < n {
-			madLoopBytes(d[i:n], x[2*i:], y[i:], cu)
+		for ; todo != 0; todo &= todo - 1 {
+			u := bits.TrailingZeros64(todo)
+			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
+			madLoopBytes(d[i:min(len(d), len(x)/2, len(y))], x[2*i:], y[i:], c[lo+u])
 		}
 	}
 }

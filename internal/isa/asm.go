@@ -115,6 +115,9 @@ func Parse(line string) (in Instruction, ok bool, err error) {
 		return Instruction{}, false, fmt.Errorf("isa: unknown mnemonic %q", fields[0])
 	}
 
+	if op.IsControl() && (aam || relu) {
+		return Instruction{}, false, fmt.Errorf("isa: %s takes no flags", op)
+	}
 	args := splitArgs(rest)
 	switch op {
 	case EXIT:
@@ -128,7 +131,7 @@ func Parse(line string) (in Instruction, ok bool, err error) {
 			in = Nop()
 		case 1:
 			n, perr := strconv.Atoi(args[0])
-			if perr != nil || n < 0 {
+			if perr != nil || n < 0 || n > MaxNOPCycle {
 				return Instruction{}, false, fmt.Errorf("isa: bad NOP cycle count %q", args[0])
 			}
 			in = NopCycles(n)
@@ -140,11 +143,11 @@ func Parse(line string) (in Instruction, ok bool, err error) {
 			return Instruction{}, false, fmt.Errorf("isa: JUMP takes offset and count")
 		}
 		off, perr := strconv.Atoi(args[0])
-		if perr != nil || off >= 0 {
-			return Instruction{}, false, fmt.Errorf("isa: JUMP offset %q must be negative", args[0])
+		if perr != nil || off >= 0 || -off > MaxJumpBack {
+			return Instruction{}, false, fmt.Errorf("isa: JUMP offset %q must be in [-%d,-1]", args[0], MaxJumpBack)
 		}
 		cnt, perr := strconv.Atoi(args[1])
-		if perr != nil || cnt < 0 {
+		if perr != nil || cnt < 0 || cnt > MaxLoopIter {
 			return Instruction{}, false, fmt.Errorf("isa: bad JUMP count %q", args[1])
 		}
 		in = Jump(cnt, -off)
@@ -178,7 +181,7 @@ func Parse(line string) (in Instruction, ok bool, err error) {
 			return Instruction{}, false, perr
 		}
 		in = Instruction{Op: op, Dst: dst, DstIdx: dstIdx,
-			Src0: s0, Src0Idx: s0Idx, Src1: s1, Src1Idx: s1Idx, AAM: aam}
+			Src0: s0, Src0Idx: s0Idx, Src1: s1, Src1Idx: s1Idx, AAM: aam, ReLU: relu}
 	}
 	if err := in.Validate(); err != nil {
 		return Instruction{}, false, err

@@ -174,6 +174,13 @@ func (in Instruction) Validate() error {
 			if in.Imm0 > MaxNOPCycle {
 				return fmt.Errorf("isa: NOP cycle count %d exceeds %d", in.Imm0, MaxNOPCycle)
 			}
+			if in.Imm1 != 0 {
+				return fmt.Errorf("isa: NOP takes no IMM1, got %d", in.Imm1)
+			}
+		case EXIT:
+			if in.Imm0 != 0 || in.Imm1 != 0 {
+				return fmt.Errorf("isa: EXIT takes no immediates, got %d and %d", in.Imm0, in.Imm1)
+			}
 		}
 		return nil
 	case in.Op.IsData():
@@ -214,7 +221,7 @@ func (in Instruction) validateData() error {
 		}
 	}
 	if in.AAM {
-		return nil
+		return in.checkNoIndices()
 	}
 	return in.checkIndices()
 }
@@ -264,8 +271,19 @@ func (in Instruction) validateArith() error {
 			return fmt.Errorf("isa: %s: SRC0 and SRC1 cannot both read %s", in.Op, in.Src0)
 		}
 	}
-	if !in.AAM {
-		return in.checkIndices()
+	if in.AAM {
+		return in.checkNoIndices()
+	}
+	return in.checkIndices()
+}
+
+// checkNoIndices rejects register indices on an AAM instruction: the
+// address of the triggering command supplies them, and the encoding has
+// no room for both.
+func (in Instruction) checkNoIndices() error {
+	if in.DstIdx != 0 || in.Src0Idx != 0 || in.Src1Idx != 0 {
+		return fmt.Errorf("isa: %s(AAM) takes its register indices from the address, got [%d] [%d] [%d]",
+			in.Op, in.DstIdx, in.Src0Idx, in.Src1Idx)
 	}
 	return nil
 }

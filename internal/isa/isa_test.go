@@ -230,6 +230,15 @@ func TestAssembleErrors(t *testing.T) {
 		"MAC GRF_B[0], EVEN_BANK[3], GRF_A[0]", // indexed bank
 		"JUMP 1, 7",                            // positive offset
 		"EXIT now",
+		"MAC(AAM) GRF_B[3], GRF_A, EVEN_BANK", // AAM takes indices from the address
+		"MOV(AAM) GRF_A, GRF_B[1]",
+		"NOP 4294967297",                          // would wrap to NOP 1
+		"NOP 128",                                 // past the 7-bit field
+		"JUMP -4294967297, 7",                     // would wrap to JUMP -1
+		"JUMP -1, 4294967303",                     // would wrap to 7 iterations
+		"ADD(RELU) GRF_A[0], EVEN_BANK, SRF_A[0]", // ReLU is MOV's only
+		"EXIT(AAM)",
+		"NOP(RELU) 3",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src); err == nil {

@@ -36,6 +36,7 @@ func (r *Runtime) Restrict(channels []int) (*Runtime, error) {
 		view.Chans = append(view.Chans, r.Chans[ch])
 		view.Execs = append(view.Execs, r.Execs[ch])
 		view.wr = append(view.wr, r.wr[ch])
+		view.unload = append(view.unload, r.unload[ch])
 	}
 	return view, nil
 }

@@ -52,6 +52,10 @@ type Runtime struct {
 	// time Issue returns, so a channel's writes can share one buffer.
 	wr [][]byte
 
+	// unload is one ReadGRFRowSB result buffer per channel (parent
+	// numbering), shared with restricted views like wr.
+	unload []*grfUnload
+
 	// eng dispatches per-channel kernel work. Nil runs channels
 	// sequentially on the caller's goroutine (engine.Serial semantics
 	// without the indirection).
@@ -130,6 +134,7 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 	wr := make([]byte, len(r.Chans)*cfg.AccessBytes)
 	for i := range r.Chans {
 		r.wr = append(r.wr, wr[i*cfg.AccessBytes:(i+1)*cfg.AccessBytes])
+		r.unload = append(r.unload, new(grfUnload))
 	}
 
 	// One registry shard per channel: kernels under a parallel engine write
@@ -506,14 +511,14 @@ func (r *Runtime) ReadBankSB(ch, flatBank int, row, col uint32) ([]byte, error) 
 
 // ReadGRFRowSB reads the first regs GRF registers of one half (0 = GRF_A,
 // 1 = GRF_B) of every unit through the SB register space, with one row
-// activation per unit, returning vectors indexed [unit][reg]. The
-// vectors are cut from one backing array (a GEMV unloads its partial sums
-// through here once per macro tile, on every channel of every launch).
+// activation per unit, returning vectors indexed [unit][reg]. A GEMV
+// unloads its partial sums through here once per macro tile, on every
+// channel of every launch, so the result is a view into a buffer the
+// runtime keeps for the channel: it is valid until the channel's next
+// ReadGRFRowSB, and a caller that needs it longer copies it.
 func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) {
 	units := r.Cfg.PIMUnits
-	out := make([][]fp16.Vector, units)
-	vecs := make([]fp16.Vector, units*regs)
-	lanes := fp16.NewVector(units * regs * fp16.Lanes)
+	out := r.unload[ch].views(units, regs)
 	banksPerUnit := r.Cfg.BanksPerUnit()
 	grfEntries := r.Cfg.GRFDepth()
 	for u := 0; u < units; u++ {
@@ -521,21 +526,50 @@ func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) 
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}); err != nil {
 			return nil, err
 		}
-		out[u] = vecs[u*regs : (u+1)*regs : (u+1)*regs]
-		for i := 0; i < regs; i++ {
+		for i, reg := range out[u] {
 			res, err := r.issue(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: uint32(half*grfEntries + i)})
 			if err != nil {
 				return nil, err
 			}
-			o := (u*regs + i) * fp16.Lanes
-			// Timing-only devices return no data: the lanes stay zero.
-			out[u][i] = lanes[o : o+fp16.Lanes : o+fp16.Lanes].DecodeBytes(res.Data)
+			// Timing-only devices return no data: the lanes read as zero.
+			if len(res.Data) < 2*fp16.Lanes {
+				clear(reg)
+			}
+			reg.DecodeBytes(res.Data)
 		}
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// grfUnload is one channel's ReadGRFRowSB buffer: the [unit][reg] views
+// and the lanes under them, cut from backing arrays that grow to the
+// largest unload the channel has seen and are reused by every later one.
+type grfUnload struct {
+	units [][]fp16.Vector
+	regs  []fp16.Vector
+	lanes fp16.Vector
+}
+
+// views returns the buffer cut as units x regs vectors of 16 lanes.
+func (g *grfUnload) views(units, regs int) [][]fp16.Vector {
+	if len(g.regs) < units*regs {
+		g.regs = make([]fp16.Vector, units*regs)
+		g.lanes = fp16.NewVector(units * regs * fp16.Lanes)
+	}
+	if len(g.units) != units {
+		g.units = make([][]fp16.Vector, units)
+	}
+	for u := range g.units {
+		g.units[u] = g.regs[u*regs : (u+1)*regs : (u+1)*regs]
+		for i := range g.units[u] {
+			o := (u*regs + i) * fp16.Lanes
+			g.units[u][i] = g.lanes[o : o+fp16.Lanes : o+fp16.Lanes]
+		}
+	}
+	return g.units
 }
 
 // Now returns a channel's clock.

@@ -524,6 +524,39 @@ func TestWriteBankRunSB(t *testing.T) {
 	}
 }
 
+// TestReadGRFRowSBZeroAlloc pins the unload's buffer contract: once a
+// channel has unloaded, a later unload of it allocates nothing and hands
+// back views into the same lanes, holding what the GRF holds now.
+func TestReadGRFRowSBZeroAlloc(t *testing.T) {
+	rt := newRT(t, 2)
+	first, err := rt.ReadGRFRowSB(0, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := rt.ReadGRFRowSB(0, 1, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm ReadGRFRowSB allocates %.1f times, want 0", allocs)
+	}
+	other, err := rt.ReadGRFRowSB(1, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &other[0][0][0] == &first[0][0][0] {
+		t.Error("channels 0 and 1 share an unload buffer")
+	}
+	first[2][3][5] = 0x1234
+	again, err := rt.ReadGRFRowSB(0, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[2][3][5] != &first[2][3][5] || again[2][3][5] != 0 {
+		t.Errorf("second unload of channel 0: not the same view, or the stale lane survived (0x%04x)", uint16(again[2][3][5]))
+	}
+}
+
 func TestReadGRFRowSBBadHalf(t *testing.T) {
 	rt := newRT(t, 1)
 	if _, err := rt.ReadGRFRowSB(0, 2, 1); err == nil {

@@ -74,9 +74,10 @@ echo "ok: pimtop -once renders"
 "$tmp/pimload" -url "$base" -model micro-256x256 -requests 104 -conc 13 -bench | tee "$tmp/closed"
 grep -q ' 0 rejected 0 timeouts' "$tmp/closed" || { echo "FAIL: closed loop lost requests"; exit 1; }
 
-# Open-loop blast at far beyond service rate: the 32-deep queue must shed
-# load as 429s while every accepted request still completes.
-"$tmp/pimload" -url "$base" -model micro-256x256 -mode open -rate 4000 -requests 200 -bench | tee "$tmp/open"
+# Open-loop blast at far beyond service rate (many times what one shard
+# serves): the 32-deep queue must shed load as 429s while every accepted
+# request still completes.
+"$tmp/pimload" -url "$base" -model micro-256x256 -mode open -rate 40000 -requests 1000 -bench | tee "$tmp/open"
 if grep -q ' 0 rejected' "$tmp/open"; then
     echo "FAIL: overload produced no 429 backpressure"; exit 1
 fi
