@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-check benchmark-check fuzz-smoke fp16-exhaustive purego race-goldens serve_bench.txt bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
+.PHONY: all build vet fmt-check test race bench bench-check benchmark-check fuzz-smoke examples-smoke fp16-exhaustive purego race-goldens serve_bench.txt bench-serve bench-serve-check serve-smoke model-smoke trace-smoke chaos qos-drill slo-drill
 
 all: build vet test
 
@@ -79,12 +79,30 @@ benchmark-check:
 # multi-unit burst forms over 1 and 8 units against the typed forms; then
 # the ISA's word and text round trips (internal/isa: Decode, Encode,
 # Format and Parse on arbitrary words and lines) for ten seconds.
+# Last, arbitrary POST /v1/infer bodies against one in-process server
+# holding a GEMV and a sequence model (internal/serve: the status stays in
+# the taxonomy, every body decodes, the queue drains) for ten seconds.
 # -fuzzminimizetime 1s: the default minute of minimising would leave the
 # ten seconds no executions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTriggerDifferential -fuzztime 10s -fuzzminimizetime 1s ./internal/pim
 	$(GO) test -run '^$$' -fuzz FuzzMACVec -fuzztime 10s -fuzzminimizetime 1s ./internal/fp16
 	$(GO) test -run '^$$' -fuzz FuzzISARoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
+	$(GO) test -run '^$$' -fuzz FuzzInferBody -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+
+# examples-smoke builds every examples/* main and runs it under a 60 s
+# timeout; a nonzero exit or a timeout fails the target, and only a
+# failing example's output is printed. Each takes well under a second.
+examples-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for ex in examples/*/; do \
+		name=$$(basename $$ex); \
+		$(GO) build -o "$$dir/$$name" ./$$ex || exit 1; \
+		start=$$(date +%s%N); \
+		if ! timeout 60 "$$dir/$$name" > "$$dir/out" 2>&1; then \
+			cat "$$dir/out"; echo "FAIL: examples/$$name"; exit 1; fi; \
+		echo "examples/$$name ok ($$(( ($$(date +%s%N) - start) / 1000000 )) ms)"; \
+	done
 
 # fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
 # two rounding stages against the reference arithmetic: the fused portable

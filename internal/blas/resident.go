@@ -74,23 +74,11 @@ func LoadGemv(rt *runtime.Runtime, W fp16.Vector, M, K int) (*ResidentGemv, erro
 func (g *ResidentGemv) Rows() int { return g.plan.macros * g.plan.rowsPerMacro }
 
 // RowRange returns the driver row span [base, base+n) holding the
-// resident weights. The serving layer uses it to map an
+// resident weights. nn.Resident.OwnsRow uses it to map an
 // hbm.UncorrectableError's row back to the model whose weights sit on
-// it, so the row can be quarantined and the model relocated.
+// it, so the serving layer can quarantine the row and relocate the model.
 func (g *ResidentGemv) RowRange() (base uint32, n int) {
 	return g.plan.baseRow, g.Rows()
-}
-
-// MaxBatch returns the largest batch one kernel launch can carry: one
-// request per pseudo channel.
-func (g *ResidentGemv) MaxBatch(rt *runtime.Runtime) int { return rt.NumChannels() }
-
-// Oracle computes the reference output for x in the device's exact
-// accumulation order (RefGemvPIMOrder at the runtime's GRF depth), so
-// callers can verify RunBatch results bit-for-bit. W must be the matrix
-// the handle was loaded with — the banks hold it, the handle does not.
-func (g *ResidentGemv) Oracle(rt *runtime.Runtime, W fp16.Vector, x fp16.Vector) fp16.Vector {
-	return RefGemvPIMOrder(W, g.M, g.K, x, rt.Cfg.GRFDepth())
 }
 
 // Unload releases the weight rows. The handle is dead afterwards.

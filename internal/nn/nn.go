@@ -1,7 +1,8 @@
 // Package nn is the model-serving subsystem: it compiles a
 // models.Config (the serving-scale DS2 / RNN-T / GNMT stacks) into a
 // resident execution plan on a simulated PIM shard and steps whole
-// sequences through it.
+// sequences through it. Every model internal/serve serves is a Plan: a
+// GEMV is a plan with no LSTM layer, whose step is the projection alone.
 //
 // The pipeline has three pieces:
 //
@@ -10,10 +11,10 @@
 //     and assigns the paper's placement split: GEMV-shaped ops on PIM,
 //     eltwise/activation gate math on the host. A layer is one fused GEMV,
 //     [Wx|Wh]*[x;h]: the compiler chooses the launch granularity, L+1
-//     PIM launches a timestep for an L-layer stack.
+//     PIM launches a timestep for an L-layer stack (L = 0 for a GEMV).
 //   - Load lays every MatVec layer's weights out once per shard through
 //     the driver free-list (blas.LoadGemv, replicated across channels)
-//     and reserves device rows for the recurrent state, which stays
+//     and reserves device rows for any recurrent state, which stays
 //     resident across timesteps — between steps, h/c never round-trip
 //     through the serving tier.
 //   - StepSlots advances one timestep for a sparse slot map (slot =
@@ -59,7 +60,7 @@ type Layer struct {
 type Weights struct {
 	Cfg    models.Config
 	Layers []Layer
-	WOut   fp16.Vector // Cfg.Output x Cfg.Hidden[last], row-major
+	WOut   fp16.Vector // Cfg.Output x lastHidden(), row-major
 }
 
 // GenWeights generates cfg's weights from its seed. Magnitudes are kept
@@ -99,8 +100,14 @@ func GenWeights(cfg models.Config) (*Weights, error) {
 // WeightBytes is the FP16 footprint of every generated parameter.
 func (w *Weights) WeightBytes() int64 { return w.Cfg.WeightBytes() }
 
-// lastHidden is the width feeding the output projection.
-func (w *Weights) lastHidden() int { return w.Cfg.Hidden[len(w.Cfg.Hidden)-1] }
+// lastHidden is the width feeding the output projection: the input
+// itself when there is no hidden layer.
+func (w *Weights) lastHidden() int {
+	if len(w.Cfg.Hidden) == 0 {
+		return w.Cfg.Input
+	}
+	return w.Cfg.Hidden[len(w.Cfg.Hidden)-1]
+}
 
 // Argmax returns the index of the largest logit (first on ties) — the
 // EOS-retirement decision shared by the serving stepper and the oracle,

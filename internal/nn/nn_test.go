@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pimsim/internal/blas"
@@ -348,6 +349,78 @@ func TestLoadUnloadRowAccounting(t *testing.T) {
 	}
 	if _, _, err := r.StepSlots(rt, make([]fp16.Vector, 2)); err == nil {
 		t.Error("step on unloaded model accepted")
+	}
+}
+
+// TestZeroLayerPlanIsAGemv pins the served GEMV: a plan with no LSTM
+// layer is the output projection alone. At every slot count from 1 to 4
+// its step is bit-identical to ResidentGemv.RunBatch, RefGemvPIMOrder and
+// the plan's host oracle; it reserves no state rows, and Unload returns
+// every row it took.
+func TestZeroLayerPlanIsAGemv(t *testing.T) {
+	const M, K = 40, 56 // neither a multiple of the 16 lanes nor of the GRF depth
+	rt := newNNRT(t, 4)
+	rng := rand.New(rand.NewSource(29))
+	W := genFrames(rng, 1, M*K)[0]
+	g, err := blas.LoadGemv(rt, W, M, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Unload(rt)
+
+	p, err := Compile(&Weights{Cfg: models.Config{Name: "gemv", Input: K, Output: M}, WOut: W})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Layers() != 0 || p.StateBytesPerSlot != 0 || p.PIMOps != 1 || p.HostOps != 0 {
+		t.Fatalf("zero-layer plan: %d layers, %d state bytes, placement pim %d host %d; want 0, 0, 1, 0",
+			p.Layers(), p.StateBytesPerSlot, p.PIMOps, p.HostOps)
+	}
+	freeBefore := rt.Drv.PIMRowsFree()
+	r, err := Load(rt, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StateRows() != 0 {
+		t.Errorf("state rows = %d, want 0", r.StateRows())
+	}
+	if got := freeBefore - rt.Drv.PIMRowsFree(); got != r.WeightRows() || got != g.Rows() {
+		t.Errorf("load took %d rows, want the GEMV's %d (resident accounts %d)", got, g.Rows(), r.WeightRows())
+	}
+
+	grf := blas.GRFDepth(rt)
+	for n := 1; n <= r.Slots(); n++ {
+		xs := genFrames(rng, n, K)
+		got, _, err := r.StepSlots(rt, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _, err := g.RunBatch(rt, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range xs {
+			oracle, err := p.HostOracle([]fp16.Vector{x}, grf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, want := range map[string]fp16.Vector{
+				"RunBatch":        ref[i],
+				"RefGemvPIMOrder": blas.RefGemvPIMOrder(W, M, K, x, grf),
+				"HostOracle":      oracle[0],
+			} {
+				if !slices.Equal(got[i], want) {
+					t.Fatalf("%d slots, slot %d: StepSlots differs from %s", n, i, name)
+				}
+			}
+		}
+	}
+
+	if err := r.Unload(rt); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Drv.PIMRowsFree(); got != freeBefore {
+		t.Errorf("free rows %d after unload, want %d", got, freeBefore)
 	}
 }
 

@@ -44,10 +44,11 @@ type Plan struct {
 }
 
 // Compile builds w's single-timestep graph: one BuildLSTMStep per hidden
-// layer chained input-to-output, then the output projection MatVec. The
-// returned Plan is immutable and safe to share across shards.
+// layer chained input-to-output, then the output projection MatVec. With
+// no layers the plan is the projection alone, y = WOut*x: a served GEMV.
+// The returned Plan is immutable and safe to share across shards.
 func Compile(w *Weights) (*Plan, error) {
-	if w == nil || len(w.Layers) == 0 {
+	if w == nil || w.WOut == nil {
 		return nil, fmt.Errorf("nn: compile without weights")
 	}
 	p := &Plan{Cfg: w.Cfg, W: w, graph: &tensor.Graph{}}
@@ -114,6 +115,12 @@ func (p *Plan) schedule() {
 
 // Layers returns the number of LSTM layers.
 func (p *Plan) Layers() int { return len(p.W.Layers) }
+
+// ResidentBytes is the footprint /v1/models reports for the plan loaded
+// with the given slot count: one weight replica plus every slot's state.
+func (p *Plan) ResidentBytes(slots int) int64 {
+	return p.WeightBytes() + int64(slots*p.StateBytesPerSlot)
+}
 
 // WeightBytes is the FP16 parameter footprint (per replica; the device
 // layout replicates it into every pseudo channel).

@@ -12,10 +12,11 @@ import (
 // Resident is a Plan loaded onto one shard: every MatVec's weights (one
 // fused matrix per LSTM layer and the output projection) laid out once
 // through the driver free-list (replicated into each pseudo channel by
-// blas.LoadGemv), plus a reserved row span for the recurrent state. Slot
-// s (= pseudo channel s) holds one in-flight sequence; its h/c persist in
-// the Resident across timesteps, so a sequence costs one input frame in
-// and one logit vector out per step.
+// blas.LoadGemv), plus a reserved row span for the recurrent state (none
+// for a zero-layer plan, whose step is one GEMV). Slot s (= pseudo
+// channel s) holds one in-flight sequence; its h/c persist in the
+// Resident across timesteps, so a sequence costs one input frame in and
+// one logit vector out per step.
 //
 // Like blas.ResidentGemv, methods must not run concurrently on the same
 // Runtime — the serving stepper guarantees that by holding the shard
@@ -43,9 +44,9 @@ type SlotState struct {
 	H, C []fp16.Vector // per layer
 }
 
-// Load lays p's weights out on rt and reserves state rows for one
-// sequence per pseudo channel. Everything allocated is released again if
-// any later layer fails to fit.
+// Load lays p's weights out on rt and reserves state rows (if the plan
+// has any state) for one sequence per pseudo channel. Everything
+// allocated is released again if any later layer fails to fit.
 func Load(rt *runtime.Runtime, p *Plan) (*Resident, error) {
 	r := &Resident{Plan: p, slots: rt.NumChannels()}
 	fail := func(err error) (*Resident, error) {
@@ -67,15 +68,14 @@ func Load(rt *runtime.Runtime, p *Plan) (*Resident, error) {
 	}
 	r.gemv = append(r.gemv, gout)
 
-	r.stateRows = ceilDiv(r.slots*p.StateBytesPerSlot, rt.Cfg.RowBytes)
-	if r.stateRows < 1 {
-		r.stateRows = 1
+	if p.StateBytesPerSlot > 0 {
+		r.stateRows = ceilDiv(r.slots*p.StateBytesPerSlot, rt.Cfg.RowBytes)
+		base, err := rt.Drv.AllocPIMRows(r.stateRows)
+		if err != nil {
+			return fail(fmt.Errorf("nn: reserve %s state rows: %w", p.Cfg.Name, err))
+		}
+		r.stateBase = base
 	}
-	base, err := rt.Drv.AllocPIMRows(r.stateRows)
-	if err != nil {
-		return fail(fmt.Errorf("nn: reserve %s state rows: %w", p.Cfg.Name, err))
-	}
-	r.stateBase = base
 
 	r.h = make([][]fp16.Vector, len(p.W.Layers))
 	r.c = make([][]fp16.Vector, len(p.W.Layers))
@@ -104,12 +104,6 @@ func (r *Resident) WeightRows() int {
 
 // StateRows returns the rows reserved for recurrent state.
 func (r *Resident) StateRows() int { return r.stateRows }
-
-// ResidentBytes is the footprint /v1/models reports: one weight replica
-// plus the state capacity for every slot.
-func (r *Resident) ResidentBytes() int64 {
-	return r.Plan.WeightBytes() + int64(r.slots*r.Plan.StateBytesPerSlot)
-}
 
 // OwnsRow reports whether a device row belongs to this model's resident
 // spans — how the serving layer maps an uncorrectable error's row back
@@ -311,7 +305,9 @@ func (r *Resident) Unload(rt *runtime.Runtime) error {
 	for _, g := range r.gemv {
 		keep(g.Unload(rt))
 	}
-	keep(rt.Drv.FreePIMRows(r.stateBase))
+	if r.stateRows > 0 {
+		keep(rt.Drv.FreePIMRows(r.stateBase))
+	}
 	return first
 }
 

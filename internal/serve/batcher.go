@@ -8,7 +8,6 @@ import (
 	"pimsim/internal/blas"
 	"pimsim/internal/fp16"
 	"pimsim/internal/obs"
-	"pimsim/internal/runtime"
 )
 
 // batcher is a GEMV model's pipeline stage between admission and the
@@ -377,25 +376,24 @@ func (s *Server) attempt(m *model, sh *shard, live []*request) ([]fp16.Vector, b
 	for i, r := range live {
 		xs[i] = r.xs[0]
 	}
-	return s.launch(m, sh, sh.loaded[m.name].RunBatch, xs)
+	return s.launch(m, sh, xs)
 }
 
-// launch is the one call a lease holder makes into its shard's device,
-// for a GEMV batch (ResidentGemv.RunBatch) and a sequence timestep
-// (nn.Resident.StepSlots) alike: arm the fault injector, run the kernel,
-// fold the shard's ECC counter movement into the serving metrics either
-// way, and report a clean launch to the health machine. A failed launch
+// launch is the one call a lease holder makes into its shard's device:
+// one StepSlots of the model's resident plan, for a GEMV batch (a dense
+// slot map through a zero-layer plan, one request per channel) and a
+// sequence timestep alike. It arms the fault injector, runs the step,
+// folds the shard's ECC counter movement into the serving metrics either
+// way, and reports a clean launch to the health machine. A failed launch
 // is reported by the caller (recoverShard + noteFailure) once it has
 // taken what it needs from the shard: noteFailure hands the shard away.
-func (s *Server) launch(m *model, sh *shard,
-	kernel func(*runtime.Runtime, []fp16.Vector) ([]fp16.Vector, blas.KernelStats, error),
-	xs []fp16.Vector) ([]fp16.Vector, blas.KernelStats, error) {
+func (s *Server) launch(m *model, sh *shard, xs []fp16.Vector) ([]fp16.Vector, blas.KernelStats, error) {
 	if sh.inj != nil {
 		if err := sh.inj.BatchErr(); err != nil {
 			return nil, blas.KernelStats{}, err
 		}
 	}
-	ys, ks, err := kernel(sh.rt, xs)
+	ys, ks, err := sh.models[m.name].StepSlots(sh.rt, xs)
 	s.collectShardECC(sh)
 	if err == nil {
 		s.noteSuccess(m, sh, ks.Cycles)

@@ -9,6 +9,7 @@ import (
 
 	"pimsim/internal/blas"
 	"pimsim/internal/fault"
+	"pimsim/internal/models"
 )
 
 // The chaos matrix: every test injects a deterministic fault profile and
@@ -231,9 +232,8 @@ func TestChaosUncorrectableQuarantineRelocate(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	base, _ := s.shards[0].loaded["tiny"].RowRange()
-	if base != 2048 {
-		t.Fatalf("tiny's weights at row %d, want 2048 — stuck-cell address no longer matches the layout", base)
+	if !s.shards[0].models["tiny"].OwnsRow(2048) {
+		t.Fatal("tiny's weights not on row 2048 — stuck-cell address no longer matches the layout")
 	}
 
 	in, want := tinyOracle(t, 15)
@@ -247,7 +247,7 @@ func TestChaosUncorrectableQuarantineRelocate(t *testing.T) {
 	if got := drv.PIMRowsQuarantined(); got != 1 {
 		t.Errorf("quarantined rows = %d, want 1", got)
 	}
-	if newBase, _ := s.shards[0].loaded["tiny"].RowRange(); newBase == 2048 {
+	if s.shards[0].models["tiny"].OwnsRow(2048) {
 		t.Error("weights still resident on the poisoned row after relocation")
 	}
 	if got := s.evictions.Value(); got != 1 {
@@ -265,6 +265,66 @@ func TestChaosUncorrectableQuarantineRelocate(t *testing.T) {
 		t.Fatalf("post-relocation status %d (%s)", resp.StatusCode, body)
 	}
 	checkOutput(t, body, want)
+}
+
+// TestChaosSequenceQuarantineRelocate is the same drill on a server that
+// holds only a sequence model: two stuck bits in one ECC word of the
+// first row of layer 0's weights. The sequence's failing steps evict the
+// shard, the prober's known-answer step blames the row twice, quarantines
+// it and reloads the plan past it, and the sequence, migrated onto the
+// recovered shard, finishes bit-exact.
+func TestChaosSequenceQuarantineRelocate(t *testing.T) {
+	fc := &fault.Config{
+		Seed: 5,
+		// Row 2048 is the first PIM row, where first-fit puts layer 0.
+		Stuck: []fault.StuckBit{
+			{Shard: -1, Channel: -1, Bank: 0, Row: 2048, Col: 0, Bit: 3},
+			{Shard: -1, Channel: -1, Bank: 0, Row: 2048, Col: 0, Bit: 12},
+		},
+	}
+	s := newTestServer(t, Config{
+		Shards: 1, Channels: 2,
+		Models:    []ModelSpec{},
+		SeqModels: []models.Config{tinySeq},
+		Fault:     fc, EvictAfter: 2, MaxRetries: 4,
+		RetryBackoff: time.Millisecond, RetryLeaseWait: 5 * time.Second,
+		ProbeInterval: 2 * time.Millisecond,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if !s.shards[0].models[tinySeq.Name].OwnsRow(2048) {
+		t.Fatal("layer 0 not on row 2048 — stuck-cell address no longer matches the layout")
+	}
+
+	f16, f64 := seqFrames(15, 4, tinySeq.Input)
+	resp, body := postInfer(t, ts, seqBody(t, tinySeq.Name, f64, nil))
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d (%s) — recovery did not rescue the sequence", resp.StatusCode, body)
+	}
+	checkSeqResponse(t, body, seqOracle(t, tinySeq, f16))
+
+	if got := s.shards[0].rt.Drv.PIMRowsQuarantined(); got != 1 {
+		t.Errorf("quarantined rows = %d, want 1", got)
+	}
+	if s.shards[0].models[tinySeq.Name].OwnsRow(2048) {
+		t.Error("model still resident on the poisoned row after relocation")
+	}
+	if got := s.evictions.Value(); got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
+	}
+	if got := s.revivals.Value(); got != 1 {
+		t.Errorf("revivals = %d, want 1", got)
+	}
+	// The relocated model serves cleanly.
+	f16, f64 = seqFrames(16, 3, tinySeq.Input)
+	resp, body = postInfer(t, ts, seqBody(t, tinySeq.Name, f64, nil))
+	if resp.StatusCode != 200 {
+		t.Fatalf("post-relocation status %d (%s)", resp.StatusCode, body)
+	}
+	if ir := checkSeqResponse(t, body, seqOracle(t, tinySeq, f16)); ir.Migrations != 0 {
+		t.Errorf("post-relocation sequence migrated %d times, want 0", ir.Migrations)
+	}
 }
 
 // TestChaosCorrectedFlipsInvisible: a heavy single-bit flip rate under

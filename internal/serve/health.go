@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"time"
 
 	"pimsim/internal/blas"
 	"pimsim/internal/fault"
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
+	"pimsim/internal/nn"
 )
 
 // Shard health.
@@ -26,13 +28,14 @@ import (
 // Healthy and suspect shards stay in the pool and keep serving (a
 // suspect shard is slow or flaky, not wrong — ECC guarantees that).
 // An evicted shard is handed to the prober goroutine, which owns it
-// exclusively: every ProbeInterval it replays a known-answer batch on
-// every resident model and compares bit-for-bit against the software
-// oracle. A probe that fails with an uncorrectable ECC error triggers
-// the recovery path: unload the model whose weights sit on the poisoned
-// row, quarantine that row in the driver (permanently — first-fit skips
-// the hole, even across resets), and reload the weights onto clean rows.
-// Only a fully clean probe revives the shard.
+// exclusively: every ProbeInterval it steps a known-answer frame on every
+// slot of every resident model, GEMV and sequence alike, and compares
+// bit-for-bit against the plan's host oracle. A probe that fails with an
+// uncorrectable ECC error triggers the recovery path: unload the model
+// whose rows include the poisoned one, quarantine that row in the driver
+// (permanently — first-fit skips the hole, even across resets), and
+// reload the model onto clean rows. Only a fully clean probe revives the
+// shard.
 //
 // State transitions are guarded by Server.hmu; the pool channel is the
 // exclusion mechanism for the device itself (a shard is touched only by
@@ -247,32 +250,37 @@ func (s *Server) probeShard(sh *shard) bool {
 	return false
 }
 
-// runProbe replays a known-answer batch for every resident GEMV model,
-// one request per channel so every channel's weight copy is exercised,
-// and compares bit-for-bit against the precomputed oracle. Sequence
-// models' weights are not probed (docs/FAULTS.md): ECC and mid-sequence
-// migration protect their answers, but a poisoned row under one is found
-// by traffic, not here.
+// runProbe checks every resident model, GEMV and sequence alike: it
+// resets every slot, steps the model's known-answer frame on all of them
+// (one slot per channel, so every channel's copy of every weight matrix
+// is exercised), compares the logits bit-for-bit with the host oracle,
+// and resets the slots again, so no probe state outlives the probe.
 func (s *Server) runProbe(sh *shard) error {
 	if sh.inj != nil {
 		if err := sh.inj.ProbeErr(); err != nil {
 			return err
 		}
 	}
-	B := sh.rt.NumChannels()
-	for name, g := range sh.loaded {
-		m := s.mods[name]
-		xs := make([]fp16.Vector, B)
-		for i := range xs {
-			xs[i] = m.probeX
+	for name, r := range sh.models {
+		x, want, err := s.mods[name].knownAnswer(blas.GRFDepth(sh.rt))
+		if err != nil {
+			return fmt.Errorf("probe %s: %w", name, err)
 		}
-		ys, _, err := g.RunBatch(sh.rt, xs)
+		xs := make([]fp16.Vector, r.Slots())
+		for i := range xs {
+			_ = r.ResetSlot(i)
+			xs[i] = x
+		}
+		ys, _, err := r.StepSlots(sh.rt, xs)
+		for i := range xs {
+			_ = r.ResetSlot(i)
+		}
 		s.collectShardECC(sh)
 		if err != nil {
 			return fmt.Errorf("probe %s: %w", name, err)
 		}
 		for ch, y := range ys {
-			if !vecEq(y, m.probeY) {
+			if !slices.Equal(y, want) {
 				return fmt.Errorf("probe %s: output mismatch on shard %d channel %d", name, sh.id, ch)
 			}
 		}
@@ -280,42 +288,49 @@ func (s *Server) runProbe(sh *shard) error {
 	return nil
 }
 
-func vecEq(a, b fp16.Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// knownAnswer returns the model's probe frame and its host-oracle logits
+// (the device's exact accumulation order at GRF depth grf). They are
+// computed on the model's first probe and cached: a ds2-small oracle step
+// costs milliseconds, which New does not pay for a probe that may never
+// run. Only the prober calls it, so the cache needs no lock.
+func (m *model) knownAnswer(grf int) (fp16.Vector, fp16.Vector, error) {
+	if m.probeY == nil {
+		rng := rand.New(rand.NewSource(m.plan.Cfg.Seed ^ 0x70726f6265)) // "probe"
+		x := fp16.NewVector(m.plan.Cfg.Input)
+		for i := range x {
+			x[i] = fp16.FromFloat32(float32(rng.NormFloat64()))
 		}
+		ys, err := m.plan.HostOracle([]fp16.Vector{x}, grf)
+		if err != nil {
+			return nil, nil, err
+		}
+		m.probeX, m.probeY = x, ys[0]
 	}
-	return true
+	return m.probeX, m.probeY, nil
 }
 
-// relocate recovers from a permanently poisoned weight row: unload the
-// model resident on it, retire the row in the driver's allocator, and
-// lay the weights out again — first-fit lands them past the hole. The
-// shard stays evicted; the next probe decides whether it is clean now.
+// relocate recovers from a permanently poisoned row: unload the model
+// resident on it, retire the row in the driver's allocator, and load the
+// model again — first-fit lands it past the hole. The shard stays
+// evicted; the next probe decides whether it is clean now.
 func (s *Server) relocate(sh *shard, ue *hbm.UncorrectableError) {
-	for name, g := range sh.loaded {
-		base, n := g.RowRange()
-		if ue.Row < base || ue.Row >= base+uint32(n) {
+	for name, r := range sh.models {
+		if !r.OwnsRow(ue.Row) {
 			continue
 		}
-		m := s.mods[name]
-		if err := g.Unload(sh.rt); err != nil {
+		if err := r.Unload(sh.rt); err != nil {
 			return
 		}
 		if err := sh.rt.Drv.QuarantinePIMRows(ue.Row, 1); err == nil {
 			s.quarantinedG.Add(0, 1)
 		}
-		g2, err := blas.LoadGemv(sh.rt, m.W, m.spec.M, m.spec.K)
+		r2, err := nn.Load(sh.rt, r.Plan)
 		if err != nil {
 			// Out of rows: the stale handle keeps probes failing and the
 			// shard stays out of service, which is the honest outcome.
 			return
 		}
-		sh.loaded[name] = g2
+		sh.models[name] = r2
 		return
 	}
 }

@@ -260,6 +260,17 @@ func (s *Server) doInfer(w http.ResponseWriter, r *http.Request, start time.Time
 		if rp.status != http.StatusOK {
 			return reject(rp.status, rp.err)
 		}
+		// JSON has no Inf or NaN: an output that the input drove out of
+		// FP16's finite range cannot be carried, so the request is refused
+		// instead of answered 200 with a body that does not parse.
+		for _, y := range rp.ys {
+			for i, v := range y {
+				if v.IsNaN() || v.IsInf(0) {
+					return reject(http.StatusBadRequest, fmt.Errorf(
+						"output element %d is %v: the input drives the model out of FP16's finite range, which JSON cannot carry", i, v))
+				}
+			}
+		}
 	}
 
 	out := InferResponse{Model: req.Model}
@@ -350,26 +361,20 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	list := make([]modelInfo, 0, len(s.mods))
 	for name, m := range s.mods {
-		if m.plan == nil {
-			list = append(list, modelInfo{
-				Name: name, Type: "gemv",
-				M: m.spec.M, K: m.spec.K,
-				ResidentBytes: 2 * int64(m.spec.M) * int64(m.spec.K),
-				BatchWaitNs:   m.wait.Nanoseconds(),
-				Placement:     map[string]int{"pim": 1, "host": 0},
-			})
-			continue
+		p := m.plan
+		info := modelInfo{
+			Name: name, Type: m.kind,
+			ResidentBytes: p.ResidentBytes(s.cfg.Channels),
+			BatchWaitNs:   m.wait.Nanoseconds(),
+			Placement:     map[string]int{"pim": p.PIMOps, "host": p.HostOps},
 		}
-		res := s.shards[0].seq[name]
-		list = append(list, modelInfo{
-			Name: name, Type: "sequence",
-			Input: m.cfg.Input, Hidden: m.cfg.Hidden, Output: m.cfg.Output,
-			Layers:        m.plan.Layers(),
-			ResidentBytes: res.ResidentBytes(),
-			StateBytes:    m.plan.StateBytesPerSlot,
-			Slots:         res.Slots(),
-			Placement:     map[string]int{"pim": m.plan.PIMOps, "host": m.plan.HostOps},
-		})
+		if m.kind == kindGEMV {
+			info.M, info.K = p.Cfg.Output, p.Cfg.Input
+		} else {
+			info.Input, info.Hidden, info.Output = p.Cfg.Input, p.Cfg.Hidden, p.Cfg.Output
+			info.Layers, info.StateBytes, info.Slots = p.Layers(), p.StateBytesPerSlot, s.cfg.Channels
+		}
+		list = append(list, info)
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
 	drv := s.shards[0].rt.Drv

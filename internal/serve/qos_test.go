@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -351,7 +352,7 @@ func TestHedgedDispatchZeroDrop(t *testing.T) {
 		if err := json.Unmarshal(raw, &ir); err != nil {
 			return err
 		}
-		if !vecEq(toF16(ir.Output), want) {
+		if !slices.Equal(toF16(ir.Output), want) {
 			return fmt.Errorf("hedged result mismatch")
 		}
 		return nil

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -288,7 +289,7 @@ func (e *qosEnv) shoot(tenant string) {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var ir InferResponse
-		if err := json.Unmarshal(raw, &ir); err != nil || !vecEq(toF16(ir.Output), e.oracle) {
+		if err := json.Unmarshal(raw, &ir); err != nil || !slices.Equal(toF16(ir.Output), e.oracle) {
 			st.rep.BadOutputs++
 			return
 		}

@@ -66,7 +66,7 @@ func (s *Server) runSeq(m *model, first *request) {
 		first.resp <- response{status: http.StatusServiceUnavailable, err: errDrainNoShards}
 		return
 	}
-	r := sh.seq[m.name]
+	r := sh.models[m.name]
 	slots := make([]*seqSlot, r.Slots())
 	active := 0
 
@@ -139,7 +139,7 @@ func (s *Server) runSeq(m *model, first *request) {
 				xs[i] = sl.req.xs[sl.pos]
 			}
 		}
-		logits, ks, err := s.launch(m, sh, r.StepSlots, xs)
+		logits, ks, err := s.launch(m, sh, xs)
 		if err != nil {
 			sh, r = s.migrateSeq(m, sh, slots, &active, err, stepRetries)
 			if sh == nil {
@@ -202,7 +202,7 @@ func (s *Server) migrateSeq(m *model, sh *shard, slots []*seqSlot, active *int, 
 	if canRetry {
 		// Export before the shard leaves our hands: after noteFailure the
 		// prober may own it.
-		r := sh.seq[m.name]
+		r := sh.models[m.name]
 		states = make(map[int]*nn.SlotState, *active)
 		for i, sl := range slots {
 			if sl == nil {
@@ -238,7 +238,7 @@ func (s *Server) migrateSeq(m *model, sh *shard, slots []*seqSlot, active *int, 
 		fail(http.StatusServiceUnavailable, stepErr)
 		return nil, nil
 	}
-	r := next.seq[m.name]
+	r := next.models[m.name]
 	migrated := int64(0)
 	for i, sl := range slots {
 		if sl == nil {

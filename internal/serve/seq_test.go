@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -72,7 +73,7 @@ func checkSeqResponse(t *testing.T, body []byte, want []fp16.Vector) *InferRespo
 		t.Fatalf("steps = %d (%d outputs), want %d", ir.Steps, len(ir.StepOutputs), len(want))
 	}
 	for step := range want {
-		if !vecEq(toF16(ir.StepOutputs[step]), want[step]) {
+		if !slices.Equal(toF16(ir.StepOutputs[step]), want[step]) {
 			t.Fatalf("step %d output mismatch: got %v, want oracle", step, ir.StepOutputs[step])
 		}
 	}

@@ -1,8 +1,11 @@
 // Package serve is the online inference layer over the simulated PIM
 // system: an HTTP server that owns a pool of independent simulated
 // PIM-HBM shards (one runtime.Runtime + driver.Driver each, with every
-// model's weights resident in the banks) and takes every request, of
-// either model kind, down one path:
+// model resident in the banks) and takes every request, of either model
+// kind, down one path. Every model is one representation, an nn.Plan
+// loaded as an nn.Resident on each shard: a sequence model is an LSTM
+// stack, a GEMV model a plan with no LSTM layer (the output projection
+// alone).
 //
 //	POST /v1/infer
 //	  doInfer   parse the body into requests: `input` is one request of one
@@ -16,8 +19,8 @@
 //	  fairQueue per model: WFQ across tenants, EDF within a lane, expired
 //	            requests shed at pop (504) before they reach a device (qos.go)
 //	  consumer  by model kind, see below; both go through launch, the one
-//	            leased-shard call (injector arm -> kernel -> ECC fold ->
-//	            health note)
+//	            leased-shard call (injector arm -> Resident.StepSlots ->
+//	            ECC fold -> health note)
 //	  response  exactly one per admitted request, through the request's
 //	            buffered channel; doInfer waits once and encodes
 //	GET  /v1/models  the servable inventory
@@ -27,12 +30,12 @@
 //
 // The two queue consumers differ in scheduling policy only. A GEMV
 // model's batcher (batcher.go) waits up to BatchWait for followers, packs
-// up to MaxBatch requests into one kernel launch — one request per pseudo
-// channel (blas.ResidentGemv), because the input splats ride the
-// per-channel write datapath that all of a channel's execution units
-// share — and hands the batch to a worker so the next one forms while the
-// kernel runs; a worker re-dispatches on a device fault and may hedge a
-// straggler onto an idle shard (Config.HedgeDelay). A sequence model's
+// up to MaxBatch requests into one step — one request per pseudo channel
+// (slot), because the input splats ride the per-channel write datapath
+// that all of a channel's execution units share — and hands the batch to
+// a worker so the next one forms while the kernel runs; a worker
+// re-dispatches on a device fault and may hedge a straggler onto an idle
+// shard (Config.HedgeDelay). A sequence model's
 // stepper (seq.go) holds one shard per episode, binds each request to a
 // slot whose recurrent state is device-resident, lets requests join and
 // leave between timesteps (continuous batching), and on a device fault
@@ -60,9 +63,10 @@
 // leased shard with exponential backoff, up to Config.MaxRetries.
 // Shards move through a health machine (healthy -> suspect -> evicted ->
 // probation, see health.go) driven by launch outcomes; evicted shards are
-// owned by a prober goroutine that replays known-answer batches,
-// quarantines persistently poisoned weight rows (relocating the model to
-// clean rows), and revives shards only after a fully clean probe. With
+// owned by a prober goroutine that steps a known-answer frame through
+// every resident model, quarantines persistently poisoned rows
+// (relocating the model to clean rows), and revives shards only after a
+// fully clean probe. With
 // zero healthy shards the service degrades to fast 503s and a 503
 // /healthz rather than queueing without bound. The invariant all of this
 // preserves: a 200 response never carries wrong data. The fault model,
@@ -79,7 +83,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pimsim/internal/blas"
 	"pimsim/internal/engine"
 	"pimsim/internal/fault"
 	"pimsim/internal/fp16"
@@ -304,8 +307,7 @@ func (c *Config) applyDefaults() {
 type shard struct {
 	id     int
 	rt     *runtime.Runtime
-	loaded map[string]*blas.ResidentGemv
-	seq    map[string]*nn.Resident // sequence models resident on this shard
+	models map[string]*nn.Resident // every served model, resident on this shard
 	inj    *fault.Injector         // nil unless the server was built with a fault profile
 
 	state       healthState
@@ -323,26 +325,27 @@ type shard struct {
 	eccCorr, eccUncorr int64 // cumulative device counts already folded into metrics
 }
 
-// model is one served workload of either kind, with its admission queue.
-// A GEMV model is y = W*x over spec's matrix; a sequence model (plan !=
-// nil) is an LSTM stack compiled by internal/nn. The kind selects the
-// shape check at admission and the queue's consumer, nothing else.
+// model is one served workload with its admission queue. Every model is
+// an nn.Plan: a GEMV model is a zero-layer plan, y = W*x as the output
+// projection alone; a sequence model is an LSTM stack. The kind selects
+// the body form at admission, the queue's consumer and the admission
+// counter, nothing else.
 type model struct {
-	name string
-	spec ModelSpec   // GEMV shape and weight seed
-	W    fp16.Vector // GEMV weights
-	cfg  models.Config
-	plan *nn.Plan // sequence models only; immutable, shared by every shard's Resident
+	name     string
+	kind     string           // kindGEMV or kindSequence
+	plan     *nn.Plan         // immutable, shared by every shard's Resident and the prober
+	admitted *metrics.Counter // the kind's admission counter
 
 	q        *fairQueue    // WFQ admission queue (qos.go)
 	depth    int           // configured queue bound (pre-capacity-scaling)
 	maxBatch int           // requests per device launch (Config.MaxBatch)
 	wait     time.Duration // batcher's straggler-flush deadline (spec override or Config.BatchWait)
 
-	// The known-answer probe the prober replays on evicted shards (GEMV
-	// models only, see docs/FAULTS.md).
-	probeX fp16.Vector // fixed probe input
-	probeY fp16.Vector // oracle output (device accumulation order)
+	// The known-answer probe the prober replays on evicted shards: a fixed
+	// frame and the plan's host-oracle logits for it, computed by the
+	// prober on its first probe of the model (see knownAnswer).
+	probeX fp16.Vector
+	probeY fp16.Vector
 
 	// minCycles is the best per-launch kernel cycle count observed: the
 	// latency baseline that SuspectCycleFactor multiplies.
@@ -354,6 +357,12 @@ type model struct {
 	// on every batch; <= 0 disables hedging for the model.
 	hedgeNs atomic.Int64
 }
+
+// The two model kinds, as GET /v1/models names them.
+const (
+	kindGEMV     = "gemv"
+	kindSequence = "sequence"
+)
 
 // request is one admitted unit of work on its way to a shard: a GEMV
 // input is a request of one vector, a sequence a request of T frames.
@@ -463,8 +472,8 @@ type Server struct {
 	newHedgeTimer func(d time.Duration) batchTimer
 }
 
-// New boots the shard pool, generates and loads every model's weights on
-// every shard, and starts one batcher per model.
+// New compiles every model into a plan, boots the shard pool, loads every
+// plan on every shard, and starts one consumer per model.
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	tenants, err := normalizeTenants(cfg.Tenants)
@@ -564,10 +573,15 @@ func New(cfg Config) (*Server, error) {
 		s.tenants[sp.Name] = t
 	}
 
-	// One table for both kinds: a name is served once.
-	add := func(m *model) error {
+	// One table and one representation for both kinds: a name is served
+	// once, and every model is a compiled nn.Plan (immutable, shared by
+	// every shard's Resident and by the prober's host oracle).
+	add := func(m *model, w *nn.Weights) (err error) {
 		if _, dup := s.mods[m.name]; dup {
 			return fmt.Errorf("serve: duplicate model %q", m.name)
+		}
+		if m.plan, err = nn.Compile(w); err != nil {
+			return fmt.Errorf("serve: model %q: %w", m.name, err)
 		}
 		m.q = newFairQueue(s.tenants, cfg.QueueDepth, s.shed)
 		m.depth, m.maxBatch = cfg.QueueDepth, cfg.MaxBatch
@@ -583,23 +597,21 @@ func New(cfg Config) (*Server, error) {
 		if wait <= 0 {
 			wait = cfg.BatchWait
 		}
-		if err := add(&model{name: spec.Name, spec: spec, W: spec.Weights(), wait: wait}); err != nil {
+		// A GEMV is a plan with no LSTM layer: the output projection alone.
+		w := &nn.Weights{
+			Cfg:  models.Config{Name: spec.Name, Input: spec.K, Output: spec.M, Seed: spec.Seed},
+			WOut: spec.Weights(),
+		}
+		if err := add(&model{name: spec.Name, kind: kindGEMV, admitted: s.admitted, wait: wait}, w); err != nil {
 			return nil, err
 		}
 	}
-
-	// Sequence models: validate + compile once (the Plan is immutable and
-	// shared by every shard's Resident and by the host oracle).
 	for _, mc := range cfg.SeqModels {
 		w, err := nn.GenWeights(mc)
 		if err != nil {
 			return nil, fmt.Errorf("serve: sequence model %q: %w", mc.Name, err)
 		}
-		plan, err := nn.Compile(w)
-		if err != nil {
-			return nil, fmt.Errorf("serve: sequence model %q: %w", mc.Name, err)
-		}
-		if err := add(&model{name: mc.Name, cfg: mc, plan: plan}); err != nil {
+		if err := add(&model{name: mc.Name, kind: kindSequence, admitted: s.seqAdmitted}, w); err != nil {
 			return nil, err
 		}
 	}
@@ -628,12 +640,7 @@ func New(cfg Config) (*Server, error) {
 			rt.Drv.Obs = cfg.Tracer
 			rt.Drv.ObsName = fmt.Sprintf("shard%d", i)
 		}
-		sh := &shard{
-			id:     i,
-			rt:     rt,
-			loaded: make(map[string]*blas.ResidentGemv, len(cfg.Models)),
-			seq:    make(map[string]*nn.Resident, len(cfg.SeqModels)),
-		}
+		sh := &shard{id: i, rt: rt, models: make(map[string]*nn.Resident, len(s.mods))}
 		if cfg.Fault != nil {
 			sh.inj = fault.New(fc)
 			if fc.CorruptsData() {
@@ -647,13 +654,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		for name, m := range s.mods {
-			var err error
-			if m.plan != nil {
-				sh.seq[name], err = nn.Load(rt, m.plan)
-			} else {
-				sh.loaded[name], err = blas.LoadGemv(rt, m.W, m.spec.M, m.spec.K)
-			}
-			if err != nil {
+			if sh.models[name], err = nn.Load(rt, m.plan); err != nil {
 				return nil, fmt.Errorf("serve: shard %d: load %s: %w", i, name, err)
 			}
 		}
@@ -663,28 +664,13 @@ func New(cfg Config) (*Server, error) {
 	s.healthy.Store(int64(cfg.Shards))
 	s.healthyG.Set(0, int64(cfg.Shards))
 
-	// Known-answer probes: a fixed input per model with its oracle output
-	// in the device's exact accumulation order. Computed once; replayed
-	// by the prober on every channel of an evicted shard.
-	for name, m := range s.mods {
-		if m.plan != nil {
-			continue
-		}
-		rng := rand.New(rand.NewSource(m.spec.Seed ^ 0x70726f6265)) // "probe"
-		m.probeX = fp16.NewVector(m.spec.K)
-		for i := range m.probeX {
-			m.probeX[i] = fp16.FromFloat32(float32(rng.NormFloat64()))
-		}
-		m.probeY = s.shards[0].loaded[name].Oracle(s.shards[0].rt, m.W, m.probeX)
-	}
-
 	if cfg.Fault != nil {
 		s.reg.RegisterCollector(s.collectInjectors)
 	}
 
 	for _, m := range s.mods {
 		s.wg.Add(1)
-		if m.plan != nil {
+		if m.kind == kindSequence {
 			go s.stepper(m)
 		} else {
 			go s.batcher(m)
@@ -734,17 +720,8 @@ func linearBuckets(start, n int) []int64 {
 // only the worker holding a shard lease can guarantee.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// Models returns the served GEMV specs (stable order not guaranteed);
-// GET /v1/models lists both kinds.
-func (s *Server) Models() []ModelSpec {
-	out := make([]ModelSpec, 0, len(s.cfg.Models))
-	for _, m := range s.mods {
-		if m.plan == nil {
-			out = append(out, m.spec)
-		}
-	}
-	return out
-}
+// Models returns the served GEMV specs; GET /v1/models lists both kinds.
+func (s *Server) Models() []ModelSpec { return append([]ModelSpec(nil), s.cfg.Models...) }
 
 // Tracer returns the flight recorder the server was built with (nil when
 // tracing is disabled).
@@ -802,42 +779,34 @@ func (s *Server) admit(name, tenantName string, req *request) (int, error) {
 				name, ten.spec.Name, depth, healthy, s.cfg.Shards),
 		}
 	}
-	if m.plan != nil {
-		s.seqAdmitted.Inc(0)
-	} else {
-		s.admitted.Inc(0)
-	}
+	m.admitted.Inc(0)
 	ten.admitted.Inc(0)
 	s.queueDepth.Add(0, 1)
 	s.winAdmit.Inc()
 	return http.StatusOK, nil
 }
 
-// checkShape is admission's per-kind check: the body form must match the
-// model's kind and every vector its input width.
+// checkShape is admission's shape check: the body form must match the
+// model's kind (frames for a sequence model, input or inputs for a GEMV)
+// and every vector the plan's input width.
 func (m *model) checkShape(req *request, maxSeqLen int) error {
-	if m.plan == nil {
+	if req.frames != (m.kind == kindSequence) {
 		if req.frames {
 			return fmt.Errorf("model %q is a gemv model: post input, not frames", m.name)
 		}
-		if len(req.xs[0]) != m.spec.K {
-			return fmt.Errorf("model %s takes %d inputs, got %d", m.name, m.spec.K, len(req.xs[0]))
-		}
-		return nil
-	}
-	if !req.frames {
 		return fmt.Errorf("model %q is a sequence model: post frames, not input", m.name)
 	}
 	if len(req.xs) > maxSeqLen {
 		return fmt.Errorf("sequence of %d frames exceeds the %d-frame cap", len(req.xs), maxSeqLen)
 	}
-	for t, f := range req.xs {
-		if len(f) != m.cfg.Input {
-			return fmt.Errorf("model %s takes %d-element frames, frame %d has %d", m.name, m.cfg.Input, t, len(f))
+	cfg := m.plan.Cfg
+	for t, x := range req.xs {
+		if len(x) != cfg.Input {
+			return fmt.Errorf("model %s takes %d-element vectors, vector %d has %d", m.name, cfg.Input, t, len(x))
 		}
 	}
-	if req.eos >= m.cfg.Output {
-		return fmt.Errorf("eos class %d out of range (model %s has %d outputs)", req.eos, m.name, m.cfg.Output)
+	if req.eos >= cfg.Output {
+		return fmt.Errorf("eos class %d out of range (model %s has %d outputs)", req.eos, m.name, cfg.Output)
 	}
 	return nil
 }

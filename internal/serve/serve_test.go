@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // tiny is a fast model for pipeline tests: single block, single macro.
 var tiny = ModelSpec{Name: "tiny", M: 16, K: 32, Seed: 42}
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -86,7 +87,7 @@ func TestInferCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := blas.RefGemvPIMOrder(tiny.Weights(), tiny.M, tiny.K, x16, 8)
-	if !vecEq(toF16(ir.Output), want) {
+	if !slices.Equal(toF16(ir.Output), want) {
 		t.Fatalf("served output mismatch: got %v", ir.Output)
 	}
 	if ir.BatchSize < 1 || ir.KernelCycles <= 0 {
@@ -314,7 +315,7 @@ func TestBatchedInfer(t *testing.T) {
 		t.Fatalf("%d outputs, want 3", len(ir.Outputs))
 	}
 	for i := range ins {
-		if !vecEq(toF16(ir.Outputs[i]), wants[i]) {
+		if !slices.Equal(toF16(ir.Outputs[i]), wants[i]) {
 			t.Errorf("batched output %d mismatch", i)
 		}
 	}
