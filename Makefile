@@ -79,9 +79,12 @@ benchmark-check:
 # multi-unit burst forms over 1 and 8 units against the typed forms; then
 # the ISA's word and text round trips (internal/isa: Decode, Encode,
 # Format and Parse on arbitrary words and lines) for ten seconds.
-# Last, arbitrary POST /v1/infer bodies against one in-process server
+# Then arbitrary POST /v1/infer bodies against one in-process server
 # holding a GEMV and a sequence model (internal/serve: the status stays in
 # the taxonomy, every body decodes, the queue drains) for ten seconds.
+# Last, arbitrary -slo objective strings (internal/slo: an accepted
+# objective has a positive p99, a finite availability in (0, 1], no
+# literal "*" selector, and encodes as JSON) for ten seconds.
 # -fuzzminimizetime 1s: the default minute of minimising would leave the
 # ten seconds no executions.
 fuzz-smoke:
@@ -89,10 +92,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMACVec -fuzztime 10s -fuzzminimizetime 1s ./internal/fp16
 	$(GO) test -run '^$$' -fuzz FuzzISARoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzInferBody -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseObjective -fuzztime 10s -fuzzminimizetime 1s ./internal/slo
 
 # examples-smoke builds every examples/* main and runs it under a 60 s
 # timeout; a nonzero exit or a timeout fails the target, and only a
 # failing example's output is printed. Each takes well under a second.
+# Then cmd/pimasm's two round trips must reprint `pimasm -example`'s
+# listing exactly: its CRF words through `pimasm -d`, and its instruction
+# text through the assembler on stdin; any diff fails the target.
 examples-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for ex in examples/*/; do \
@@ -102,7 +109,15 @@ examples-smoke:
 		if ! timeout 60 "$$dir/$$name" > "$$dir/out" 2>&1; then \
 			cat "$$dir/out"; echo "FAIL: examples/$$name"; exit 1; fi; \
 		echo "examples/$$name ok ($$(( ($$(date +%s%N) - start) / 1000000 )) ms)"; \
-	done
+	done; \
+	$(GO) build -o "$$dir/pimasm" ./cmd/pimasm || exit 1; \
+	"$$dir/pimasm" -example > "$$dir/listing" || exit 1; \
+	sed -E 's/^CRF\[ ?[0-9]+\]  //' "$$dir/listing" > "$$dir/body"; \
+	"$$dir/pimasm" -d $$(cut -d' ' -f1 "$$dir/body") | diff "$$dir/listing" - \
+		|| { echo "FAIL: pimasm -d does not reprint the -example listing"; exit 1; }; \
+	sed -E 's/^[^ ]+  //' "$$dir/body" | "$$dir/pimasm" | diff "$$dir/listing" - \
+		|| { echo "FAIL: pimasm does not reassemble the -example listing"; exit 1; }; \
+	echo "cmd/pimasm round trips ok ($$(wc -l < "$$dir/listing") instructions)"
 
 # fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
 # two rounding stages against the reference arithmetic: the fused portable

@@ -75,7 +75,7 @@ func main() {
 
 		shards     = flag.Int("shards", 2, "in-process server: shards")
 		channels   = flag.Int("channels", 4, "in-process server: channels per shard")
-		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "in-process server: batcher flush timeout")
+		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "in-process server: how long a GEMV step waits for company")
 		queueDepth = flag.Int("queue-depth", 64, "in-process server: admission queue depth")
 
 		seq     = flag.Bool("seq", false, "sequence mode: drive continuous batching with multi-step LSTM sequences")

@@ -1,7 +1,8 @@
 // pimserve runs the online inference service over a pool of simulated
 // PIM-HBM devices. Models are preloaded into the banks at boot; requests
-// flow through a bounded admission queue, a per-model dynamic batcher
-// (flush on batch size or max wait) and workers that lease shards.
+// flow through a bounded admission queue and one continuous-batching step
+// loop per model (a GEMV input is a one-frame sequence; a GEMV step fills
+// on batch size or max wait) to workers that lease shards.
 //
 //	pimserve -addr :8080 -shards 2 -channels 4
 //	curl -s localhost:8080/healthz
@@ -20,7 +21,7 @@
 // (repeatable) gives each tenant its own weighted-fair lane in every
 // model's admission queue, with graduated shedding by priority;
 // requests pick a lane with the `tenant` body field or X-Tenant header.
-// -hedge-delay duplicates straggling batches onto a spare shard and
+// -hedge-delay duplicates straggling GEMV steps onto a spare shard and
 // takes the first result, trimming the p99.9 tail:
 //
 //	pimserve -tenant gold=4:10 -tenant free=1 -hedge-delay 5ms
@@ -181,17 +182,17 @@ func main() {
 		channels   = flag.Int("channels", 4, "pseudo channels per shard (= max batch)")
 		mhz        = flag.Int("mhz", 1200, "memory clock in MHz")
 		engineName = flag.String("engine", "parallel", "channel execution engine per shard: serial or parallel")
-		maxBatch   = flag.Int("max-batch", 0, "requests per device launch: GEMV batch bound and sequences a stepper runs concurrently (0 = channel count; 1 = one at a time)")
-		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "dynamic batcher flush timeout")
+		maxBatch   = flag.Int("max-batch", 0, "slots per device step, for both kinds: GEMV inputs or sequences running at once (0 = channel count; 1 = one at a time)")
+		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "how long a GEMV step waits for company before it leases a shard")
 		queueDepth = flag.Int("queue-depth", 64, "per-model admission queue depth")
 		timeout    = flag.Duration("timeout", 2*time.Second, "per-request deadline (queue + execute)")
-		hedgeDelay = flag.Duration("hedge-delay", 0, "duplicate a straggling batch onto a spare shard after this delay; first result wins (0 = off)")
+		hedgeDelay = flag.Duration("hedge-delay", 0, "duplicate a straggling GEMV step onto a spare shard after this delay; first result wins (0 = off)")
 		drainWait  = flag.Duration("drain-wait", 30*time.Second, "graceful shutdown budget")
 
 		ecc        = flag.Bool("ecc", false, "enable the on-die SEC-DED engine (implied by a corrupting fault profile)")
 		profile    = flag.String("fault-profile", "", "fault injection profile: none, chaos-mild, chaos-hard")
 		faultSeed  = flag.Int64("fault-seed", 42, "seed for the deterministic fault injector")
-		maxRetries = flag.Int("max-retries", 3, "re-dispatch attempts for a batch hit by a device fault")
+		maxRetries = flag.Int("max-retries", 3, "re-run attempts for a step hit by a device fault")
 		evictAfter = flag.Int("evict-after", 2, "consecutive failures before a shard is evicted")
 		probeEvery = flag.Duration("probe-interval", 20*time.Millisecond, "probation probe cadence for evicted shards")
 
@@ -210,7 +211,7 @@ func main() {
 		sloHedgeMax = flag.Duration("slo-hedge-max", 250*time.Millisecond, "hedge-controller ceiling")
 	)
 	waits := batchWaitOverrides{}
-	flag.Var(waits, "model-batch-wait", "per-model batcher flush deadline override, name=duration (repeatable)")
+	flag.Var(waits, "model-batch-wait", "per-model -batch-wait override for a GEMV model, name=duration (repeatable)")
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "QoS tenant lane, name=weight[:priority] (repeatable); requests pick a lane via the tenant body field or X-Tenant header")
 	var sloObjs sloFlags

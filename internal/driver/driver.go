@@ -284,7 +284,7 @@ func (d *Driver) PIMRowsQuarantined() int {
 // FreeAllPIMRows releases every PIM row reservation (system teardown).
 // Kernels and model handles free their own spans with FreePIMRows; this
 // remains for tests and full resets only — on a live serving shard it
-// would yank resident model weights out from under the batcher.
+// would yank resident model weights out from under the serving scheduler.
 func (d *Driver) FreeAllPIMRows() {
 	d.mu.Lock()
 	defer d.mu.Unlock()

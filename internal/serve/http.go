@@ -273,6 +273,9 @@ func (s *Server) doInfer(w http.ResponseWriter, r *http.Request, start time.Time
 		}
 	}
 
+	// A sequence reports its share of every step's device time; a GEMV
+	// input the whole launch it rode and that launch's slot count.
+	ns := s.shards[0].rt.Cfg.Timing.CyclesToNs
 	out := InferResponse{Model: req.Model}
 	rp := resps[0]
 	switch {
@@ -281,21 +284,21 @@ func (s *Server) doInfer(w http.ResponseWriter, r *http.Request, start time.Time
 		out.StepOutputs = toF64s(rp.ys)
 		out.Output = out.StepOutputs[out.Steps-1] // final-step logits, for convenience
 		out.Shard, out.QueueUs = rp.shard, rp.queueUs
-		out.DeviceCycles, out.DeviceNs, out.Migrations = rp.cycles, rp.ns, rp.migrations
+		out.DeviceCycles, out.DeviceNs, out.Migrations = rp.cycles, ns(rp.cycles), rp.migrations
 		if rp.eosAt >= 0 {
 			out.EOSStep = &rp.eosAt
 		}
 	case req.Input != nil:
 		out.Output = toF64(rp.ys[0])
 		out.BatchSize, out.Shard = rp.batch, rp.shard
-		out.KernelCycles, out.KernelNs, out.QueueUs = rp.cycles, rp.ns, rp.queueUs
+		out.KernelCycles, out.KernelNs, out.QueueUs = rp.launch, ns(rp.launch), rp.queueUs
 	default:
 		for _, rp := range resps {
 			out.Outputs = append(out.Outputs, toF64(rp.ys[0]))
 			out.BatchSizes = append(out.BatchSizes, rp.batch)
 			out.Shards = append(out.Shards, rp.shard)
-			out.KernelCycled = append(out.KernelCycled, rp.cycles)
-			out.KernelNsEach = append(out.KernelNsEach, rp.ns)
+			out.KernelCycled = append(out.KernelCycled, rp.launch)
+			out.KernelNsEach = append(out.KernelNsEach, ns(rp.launch))
 			out.QueueUsEach = append(out.QueueUsEach, rp.queueUs)
 		}
 	}

@@ -10,70 +10,87 @@ import (
 	"testing"
 	"time"
 
+	"pimsim/internal/models"
 	"pimsim/internal/obs"
 )
 
-// TestRequestTracing drives one request through a traced server and
-// checks the span tree the flight recorder reconstructs for it: a root
-// "request" span carrying the X-Request-ID the client saw, with "queue"
-// and "exec" children, the exec span bound to the serving shard and
-// carrying the kernel phase breakdown.
+// TestRequestTracing drives one request of each kind through a traced
+// server and checks the span tree the flight recorder reconstructs for
+// it: a root "request" span carrying the X-Request-ID the client saw,
+// with a "queue" child and one "exec" child per executed step (one for a
+// GEMV input, T for a T-frame sequence), each exec span bound to the
+// serving shard and carrying the kernel phase breakdown.
 func TestRequestTracing(t *testing.T) {
 	tracer := obs.NewTracer(256)
 	s := newTestServer(t, Config{
 		Shards: 1, Channels: 2, Models: []ModelSpec{tiny},
-		Tracer: tracer,
+		SeqModels: []models.Config{tinySeq},
+		Tracer:    tracer,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	in, _ := testInput(tiny.K, 3)
-	resp, _ := postInfer(t, ts, inferBody(t, "tiny", in))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	id := resp.Header.Get("X-Request-ID")
-	if id == "" {
-		t.Fatal("response missing X-Request-ID")
-	}
+	_, frames := seqFrames(3, 3, tinySeq.Input)
+	for _, tc := range []struct {
+		model, body string
+		steps       int
+	}{
+		{"tiny", inferBody(t, "tiny", in), 1},
+		{"tinyseq", seqBody(t, "tinyseq", frames, nil), len(frames)},
+	} {
+		resp, _ := postInfer(t, ts, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.model, resp.StatusCode)
+		}
+		id := resp.Header.Get("X-Request-ID")
+		if id == "" {
+			t.Fatalf("%s: response missing X-Request-ID", tc.model)
+		}
 
-	tree := tracer.Tree(id)
-	byName := map[string]obs.Span{}
-	for _, sp := range tree {
-		byName[sp.Name] = sp
-	}
-	root, ok := byName["request"]
-	if !ok {
-		t.Fatalf("no request root for %s (tree %v)", id, tree)
-	}
-	if root.Parent != 0 {
-		t.Errorf("root has parent %d", root.Parent)
-	}
-	q, ok := byName["queue"]
-	if !ok {
-		t.Fatal("no queue span")
-	}
-	if q.Parent != root.ID {
-		t.Errorf("queue parent %d, want root %d", q.Parent, root.ID)
-	}
-	ex, ok := byName["exec"]
-	if !ok {
-		t.Fatal("no exec span")
-	}
-	if ex.Parent != root.ID {
-		t.Errorf("exec parent %d, want root %d", ex.Parent, root.ID)
-	}
-	if ex.Shard != 0 {
-		t.Errorf("exec span on shard %d, want 0", ex.Shard)
-	}
-	if ex.Cycles <= 0 {
-		t.Errorf("exec span carries %d cycles, want > 0", ex.Cycles)
-	}
-	if !strings.Contains(ex.Attrs, "trigger=") || !strings.Contains(ex.Attrs, "batch=") {
-		t.Errorf("exec attrs %q missing the phase breakdown", ex.Attrs)
-	}
-	if !strings.Contains(root.Attrs, "model=tiny") || !strings.Contains(root.Attrs, "status=200") {
-		t.Errorf("root attrs %q missing model/status", root.Attrs)
+		tree := tracer.Tree(id)
+		byName := map[string]obs.Span{}
+		var execs []obs.Span
+		for _, sp := range tree {
+			byName[sp.Name] = sp
+			if sp.Name == "exec" {
+				execs = append(execs, sp)
+			}
+		}
+		root, ok := byName["request"]
+		if !ok {
+			t.Fatalf("%s: no request root for %s (tree %v)", tc.model, id, tree)
+		}
+		if root.Parent != 0 {
+			t.Errorf("%s: root has parent %d", tc.model, root.Parent)
+		}
+		q, ok := byName["queue"]
+		if !ok {
+			t.Fatalf("%s: no queue span", tc.model)
+		}
+		if q.Parent != root.ID {
+			t.Errorf("%s: queue parent %d, want root %d", tc.model, q.Parent, root.ID)
+		}
+		if len(execs) != tc.steps {
+			t.Fatalf("%s: %d exec spans, want one per step (%d)", tc.model, len(execs), tc.steps)
+		}
+		for _, ex := range execs {
+			if ex.Parent != root.ID {
+				t.Errorf("%s: exec parent %d, want root %d", tc.model, ex.Parent, root.ID)
+			}
+			if ex.Shard != 0 {
+				t.Errorf("%s: exec span on shard %d, want 0", tc.model, ex.Shard)
+			}
+			if ex.Cycles <= 0 {
+				t.Errorf("%s: exec span carries %d cycles, want > 0", tc.model, ex.Cycles)
+			}
+			if !strings.Contains(ex.Attrs, "trigger=") || !strings.Contains(ex.Attrs, "batch=") {
+				t.Errorf("%s: exec attrs %q missing the phase breakdown", tc.model, ex.Attrs)
+			}
+		}
+		if !strings.Contains(root.Attrs, "model="+tc.model+" ") || !strings.Contains(root.Attrs, "status=200") {
+			t.Errorf("%s: root attrs %q missing model/status", tc.model, root.Attrs)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ package serve
 //
 // GET /debug/ops is the one-stop JSON snapshot an operator (or cmd/pimtop)
 // polls: what the last window of traffic looked like (windowed wall-time
-// quantiles, admit rate, batch sizes), shard health, batcher occupancy,
+// quantiles, admit rate, GEMV step sizes), shard health, step occupancy,
 // and — when the server was built with Config.SLO — every evaluated
 // objective's state, burn rates and budget, the recent transition log,
 // and the current per-model hedge-delay targets.
@@ -17,7 +17,7 @@ package serve
 //
 // sloLoop is the only writer of model.hedgeNs after boot: each tick it
 // evaluates the engine and applies the controller's per-model targets,
-// which dispatch() reads on every batch. Tests drive sloTick directly on
+// which dispatch() reads on every hedgeable step. Tests drive sloTick directly on
 // a fake clock (EvalEvery < 0 keeps the loop off) — see slo_serve_test.go.
 
 import (
@@ -210,7 +210,7 @@ func (s *Server) sloLoop() {
 
 // sloTick runs one evaluation and closes the loop: the controller's
 // per-model hedge targets land in model.hedgeNs, where dispatch() picks
-// them up on the next batch. Transitions go to the structured log.
+// them up on the next step. Transitions go to the structured log.
 func (s *Server) sloTick() {
 	fired := s.slo.Evaluate()
 	for name, d := range s.slo.HedgeTargets() {

@@ -25,7 +25,7 @@ package serve
 // generators can assert the shedding order (docs/SERVING.md).
 //
 // Concurrency contract: fairQueue is a single-consumer queue — exactly
-// one goroutine (the model's batcher or stepper) calls popWait/tryPop;
+// one goroutine (the model's consumer, seq.go) calls popWait/tryPop;
 // any number of HTTP handler goroutines call push. The cap-1 notify
 // channel is sound only under that contract: pushes collapse to one
 // token and the consumer re-checks the queue after every wake. Shed
@@ -163,8 +163,8 @@ type tenantLane struct {
 	cap int
 }
 
-// fairQueue is the WFQ admission queue in front of one model's batcher
-// or stepper. See the package comment at the top of this file for the
+// fairQueue is the WFQ admission queue in front of one model's
+// consumer. See the package comment at the top of this file for the
 // scheduling discipline and the single-consumer concurrency contract.
 type fairQueue struct {
 	mu     sync.Mutex
@@ -346,7 +346,7 @@ func (q *fairQueue) tryPop() (*request, bool) {
 
 // popWait blocks until a request is available (returning it) or the
 // queue is closed and fully drained (returning ok=false). This is the
-// batcher/stepper's blocking receive; Close's zero-drop drain relies on
+// consumer's blocking receive; Close's zero-drop drain relies on
 // the closed-but-nonempty case still handing out work.
 func (q *fairQueue) popWait() (*request, bool) {
 	for {
@@ -370,7 +370,7 @@ func (q *fairQueue) close() {
 }
 
 // drained reports whether the queue is closed with no backlog left —
-// the batcher/stepper's signal to flush what it has and exit.
+// the consumer's signal to flush what it has and exit.
 func (q *fairQueue) drained() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -345,8 +345,8 @@ func (e *qosEnv) qosWaitUntil(what string, cond func() bool) error {
 }
 
 // seedBatch, with the shard pool withheld, sends k requests (k ==
-// Channels) and waits until the batcher has admitted and popped all of
-// them: the batch is formed and the batcher is parked at the shard
+// Channels) and waits until the consumer has admitted and popped all of
+// them: the step is formed and the consumer is parked at the shard
 // lease, leaving the queue empty for the scenario to shape.
 func (e *qosEnv) seedBatch(tenant string, k int) error {
 	ten := e.s.tenantFor(tenant)

@@ -392,6 +392,44 @@ func TestPerModelBatchWait(t *testing.T) {
 	}
 }
 
+// TestHedgeSkipsStatefulSteps: hedging duplicates a step onto an idle
+// shard, which holds none of a sequence's recurrent state — a hedged LSTM
+// step would compute from zero state and could win with a wrong answer.
+// With the hedge timer firing instantly and a spare shard idle, every
+// sequence must still match its oracle bit for bit and no hedge may be
+// launched.
+func TestHedgeSkipsStatefulSteps(t *testing.T) {
+	s := newTestServer(t, Config{
+		Shards: 2, Channels: 2,
+		Models:     []ModelSpec{},
+		SeqModels:  []models.Config{tinySeq},
+		HedgeDelay: time.Millisecond, // >0 enables hedging; the fake timer ignores it
+	})
+	s.newHedgeTimer = newInstantTimer
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	lengths := []int{5, 3, 6, 4}
+	var wg sync.WaitGroup
+	for i, n := range lengths {
+		wg.Add(1)
+		go func(i, n int) {
+			defer wg.Done()
+			f16, f64 := seqFrames(int64(300+i), n, tinySeq.Input)
+			resp, body := postInfer(t, ts, seqBody(t, "tinyseq", f64, nil))
+			if resp.StatusCode != 200 {
+				t.Errorf("seq %d: status %d: %s", i, resp.StatusCode, body)
+				return
+			}
+			checkSeqResponse(t, body, seqOracle(t, tinySeq, f16))
+		}(i, n)
+	}
+	wg.Wait()
+	if got := s.hedges.Value(); got != 0 {
+		t.Errorf("serve_hedges_total = %d, want 0: a sequence step was hedged", got)
+	}
+}
+
 // TestChaosSeqMigration is the chaos-matrix case for continuous
 // batching: the shard serving a sequence dies mid-flight; the sequence
 // must migrate (state and all) to the survivor and finish with

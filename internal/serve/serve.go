@@ -18,9 +18,10 @@
 //	            (429 + Retry-After + shed reason on overflow)
 //	  fairQueue per model: WFQ across tenants, EDF within a lane, expired
 //	            requests shed at pop (504) before they reach a device (qos.go)
-//	  consumer  by model kind, see below; both go through launch, the one
-//	            leased-shard call (injector arm -> Resident.StepSlots ->
-//	            ECC fold -> health note)
+//	  consumer  per model, one scheduler for both kinds (seq.go): fill a
+//	            step's slots, lease a shard, step the plan through launch,
+//	            the one leased-shard call (injector arm ->
+//	            Resident.StepSlots -> ECC fold -> health note)
 //	  response  exactly one per admitted request, through the request's
 //	            buffered channel; doInfer waits once and encodes
 //	GET  /v1/models  the servable inventory
@@ -28,19 +29,18 @@
 //	GET  /metrics    Prometheus text exposition of the serving metrics
 //	GET  /metrics.json  the same snapshot as JSON (metrics.Snapshot)
 //
-// The two queue consumers differ in scheduling policy only. A GEMV
-// model's batcher (batcher.go) waits up to BatchWait for followers, packs
-// up to MaxBatch requests into one step — one request per pseudo channel
-// (slot), because the input splats ride the per-channel write datapath
-// that all of a channel's execution units share — and hands the batch to
-// a worker so the next one forms while the kernel runs; a worker
-// re-dispatches on a device fault and may hedge a straggler onto an idle
-// shard (Config.HedgeDelay). A sequence model's
-// stepper (seq.go) holds one shard per episode, binds each request to a
-// slot whose recurrent state is device-resident, lets requests join and
-// leave between timesteps (continuous batching), and on a device fault
-// migrates the live slots' state to another shard. Close drains in-flight
-// work without dropping any accepted request.
+// Every model's queue has one consumer running the same step loop
+// (seq.go). A request is a sequence of frames — a GEMV input a sequence
+// of one — bound to a slot, one per pseudo channel, because the input
+// splats ride the per-channel write datapath that all of a channel's
+// execution units share. Requests join and leave between timesteps
+// (continuous batching); a GEMV model's step waits up to its BatchWait
+// for company, a sequence model's never waits; a step no slot outlives
+// runs on a worker so the next one forms on another shard meanwhile; a
+// device fault migrates the live slots' state to another shard; a
+// straggling step of a plan with no recurrent state may be hedged onto
+// an idle shard (Config.HedgeDelay). Close drains in-flight work without
+// dropping any accepted request.
 //
 // Admission is multi-tenant (see qos.go and docs/SERVING.md): each model
 // queue has one lane per configured tenant (request `tenant` field or
@@ -48,10 +48,10 @@
 // lowest-priority queued work first.
 //
 // Concurrency contracts a maintainer must preserve: every model queue
-// has exactly one consumer goroutine (its batcher or stepper) — the
-// fairQueue notify protocol depends on it; Tracer and Logger are
-// nil-checked at every hook site, so a nil either is zero-cost; the
-// batchers' flush timers and the hedge timer go through Server.newTimer
+// has exactly one consumer goroutine — the fairQueue notify protocol
+// depends on it; Tracer and Logger are nil-checked at every hook site,
+// so a nil either is zero-cost; the consumers' flush timers and the
+// hedge timer go through Server.newTimer
 // and Server.newHedgeTimer so tests can drive flushes deterministically
 // with fake timers (batchtimer_test.go) instead of sleeping; the
 // engine-determinism goldens (`make race-goldens`) pin that none of this
@@ -104,10 +104,10 @@ type ModelSpec struct {
 	K    int    `json:"k"`
 	Seed int64  `json:"seed"`
 
-	// BatchWait overrides Config.BatchWait for this model's batcher.
-	// Models differ in arrival pattern — a hot small-output layer wants a
-	// short straggler window, a cold mid-size one can afford to wait for
-	// company — so the flush deadline is per-model, not server-global.
+	// BatchWait overrides Config.BatchWait for this model's admission
+	// window. Models differ in arrival pattern — a hot small-output layer
+	// wants a short straggler window, a cold mid-size one can afford to
+	// wait for company — so the flush deadline is per-model.
 	BatchWait time.Duration `json:"batch_wait_ns,omitempty"`
 }
 
@@ -170,12 +170,12 @@ type Config struct {
 	// MaxSeqLen bounds frames per sequence request (default 256).
 	MaxSeqLen int
 
-	// MaxBatch bounds the requests one device launch carries — a GEMV
-	// batch, or the sequences a stepper runs concurrently — clamped to
-	// Channels (default Channels). MaxBatch=1 is sequential per-request
-	// execution, the baseline of both batching A/Bs.
+	// MaxBatch bounds the requests one device step carries — GEMV inputs
+	// or concurrently running sequences — clamped to Channels (default
+	// Channels). MaxBatch=1 is sequential per-request execution, the
+	// baseline of both batching A/Bs.
 	MaxBatch       int
-	BatchWait      time.Duration // batcher flush timeout (default 2ms; ModelSpec.BatchWait overrides per model)
+	BatchWait      time.Duration // a GEMV step's admission window (default 2ms; ModelSpec.BatchWait overrides per model)
 	QueueDepth     int           // per-model admission queue (default 64)
 	RequestTimeout time.Duration // deadline incl. queueing (default 2s)
 	MaxBodyBytes   int64         // request body cap (default 8 MiB)
@@ -186,11 +186,12 @@ type Config struct {
 	// missing, and requests naming an unknown tenant land there.
 	Tenants []TenantSpec
 
-	// HedgeDelay arms hedged re-dispatch: a batch still running after
-	// this long is duplicated onto an idle shard (if one is free) and the
-	// first result wins — the deterministic kernels make the duplicate
-	// bit-identical, so hedging only cuts tail latency, never changes
-	// answers. 0 (default) disables hedging.
+	// HedgeDelay arms hedged re-dispatch: a step of a plan with no
+	// recurrent state (a GEMV model's) still running after this long is
+	// duplicated onto an idle shard (if one is free) and the first result
+	// wins — the deterministic kernels make the duplicate bit-identical,
+	// so hedging only cuts tail latency, never changes answers. 0
+	// (default) disables hedging.
 	HedgeDelay time.Duration
 
 	// Fault tolerance. ECC turns on every shard's on-die SEC-DED engine;
@@ -200,12 +201,12 @@ type Config struct {
 	ECC   bool
 	Fault *fault.Config
 
-	// MaxRetries bounds how many times a batch that failed with a
+	// MaxRetries bounds how many times a step that failed with a
 	// retryable device error (hbm.UncorrectableError, fault.ShardDeadError)
-	// is re-dispatched to another shard (default 3; negative disables).
+	// is re-run on another shard (default 3; negative disables).
 	// RetryBackoff is the base of the exponential inter-attempt sleep
 	// (default 1ms, jittered); RetryLeaseWait bounds the wait for a
-	// replacement shard per retry (default 250ms, then the batch fails 503).
+	// replacement shard per retry (default 250ms, then the step fails 503).
 	MaxRetries     int
 	RetryBackoff   time.Duration
 	RetryLeaseWait time.Duration
@@ -328,18 +329,18 @@ type shard struct {
 // model is one served workload with its admission queue. Every model is
 // an nn.Plan: a GEMV model is a zero-layer plan, y = W*x as the output
 // projection alone; a sequence model is an LSTM stack. The kind selects
-// the body form at admission, the queue's consumer and the admission
-// counter, nothing else.
+// the body form at admission, the metric series and the admission
+// window's wait, nothing else.
 type model struct {
-	name     string
-	kind     string           // kindGEMV or kindSequence
-	plan     *nn.Plan         // immutable, shared by every shard's Resident and the prober
-	admitted *metrics.Counter // the kind's admission counter
+	name   string
+	kind   string      // kindGEMV or kindSequence
+	plan   *nn.Plan    // immutable, shared by every shard's Resident and the prober
+	series *kindSeries // the kind's metric series
 
 	q        *fairQueue    // WFQ admission queue (qos.go)
 	depth    int           // configured queue bound (pre-capacity-scaling)
-	maxBatch int           // requests per device launch (Config.MaxBatch)
-	wait     time.Duration // batcher's straggler-flush deadline (spec override or Config.BatchWait)
+	maxBatch int           // requests per device step (Config.MaxBatch)
+	wait     time.Duration // admission window (spec override or Config.BatchWait; 0 for a sequence model)
 
 	// The known-answer probe the prober replays on evicted shards: a fixed
 	// frame and the plan's host-oracle logits for it, computed by the
@@ -351,10 +352,10 @@ type model struct {
 	// latency baseline that SuspectCycleFactor multiplies.
 	minCycles atomic.Int64
 
-	// hedgeNs is the live hedge delay for a GEMV model's dispatches,
-	// seeded from Config.HedgeDelay and retargeted by the SLO engine's
-	// hedge controller when Config.SLO.Hedge is armed. Read by dispatch
-	// on every batch; <= 0 disables hedging for the model.
+	// hedgeNs is the live hedge delay for the model's steps, seeded from
+	// Config.HedgeDelay and retargeted by the SLO engine's hedge
+	// controller when Config.SLO.Hedge is armed. Read by dispatch on every
+	// step of a plan with no recurrent state; <= 0 disables hedging.
 	hedgeNs atomic.Int64
 }
 
@@ -363,6 +364,20 @@ const (
 	kindGEMV     = "gemv"
 	kindSequence = "sequence"
 )
+
+// kindSeries are the metric series a model's steps feed, bound once per
+// kind in New: a GEMV model's steps count as batches, a sequence model's
+// as steps. window and done are nil where the kind has no such series.
+type kindSeries struct {
+	admitted *metrics.Counter         // serve_admitted_total | serve_seq_admitted_total
+	steps    *metrics.Counter         // serve_batches_total | serve_seq_steps_total
+	slots    *metrics.Histogram       // serve_batch_size | serve_seq_occupancy
+	cycles   *metrics.Histogram       // serve_kernel_cycles | serve_seq_step_cycles
+	window   *metrics.WindowHistogram // serve_window_batch_size | -
+	done     *metrics.Counter         // - | serve_seq_completed_total
+	moved    *metrics.Counter         // serve_redispatch_requests_total | serve_seq_migrations_total
+	retry    string                   // trace event of a re-run step: redispatch | migrate
+}
 
 // request is one admitted unit of work on its way to a shard: a GEMV
 // input is a request of one vector, a sequence a request of T frames.
@@ -386,16 +401,16 @@ type request struct {
 // response is the terminal outcome of one request. Exactly one response
 // is delivered for every admitted request — the zero-drop contract.
 type response struct {
-	ys         []fp16.Vector // one output per executed launch: y, or the logits of each step
+	ys         []fp16.Vector // the output of each executed step: y, or the logits of each step
 	err        error
 	status     int
-	batch      int     // GEMV: size of the device batch the request rode in
-	shard      int     // shard that answered
-	cycles     int64   // device cycles attributed to the request (its kernel, or its share of each step)
-	ns         float64 // the same, in nanoseconds
+	batch      int   // slots in the request's last step (other clients' requests included)
+	launch     int64 // device cycles of the request's last step, all slots
+	shard      int   // shard that answered
+	cycles     int64 // the request's share of every step it rode (launch / batch, summed)
 	queueUs    int64
-	migrations int // sequence: shard migrations mid-flight
-	eosAt      int // sequence: step index that hit EOS, -1 otherwise
+	migrations int // shard migrations mid-flight
+	eosAt      int // step index that hit EOS, -1 otherwise
 }
 
 // Server is the inference service.
@@ -409,7 +424,7 @@ type Server struct {
 	mu       sync.RWMutex // guards draining vs. admit/close(queue)
 	draining bool
 
-	wg sync.WaitGroup // batchers, steppers, in-flight batch workers, prober
+	wg sync.WaitGroup // consumers, in-flight step workers, hedge reapers, prober
 
 	hmu     sync.Mutex   // guards shard health fields + healthy transitions
 	healthy atomic.Int64 // shards not currently evicted
@@ -423,13 +438,11 @@ type Server struct {
 	deviceCycles *metrics.Counter
 	queueDepth   *metrics.Gauge
 	queueWait    *metrics.Histogram
-	batchSize    *metrics.Histogram
-	kernelCyc    *metrics.Histogram
 	wallUs       *metrics.Histogram
 	codes        map[int]*metrics.Counter
 
-	retries      *metrics.Counter // batch re-dispatch attempts
-	redispatched *metrics.Counter // requests carried by those attempts
+	retries      *metrics.Counter // re-run step attempts, both kinds
+	redispatched *metrics.Counter // GEMV requests carried by those attempts
 	hedges       *metrics.Counter // hedged duplicate dispatches launched
 	hedgeWins    *metrics.Counter // batches answered by the hedge, not the primary
 	shedTotal    *metrics.Counter // requests shed by the QoS layer (any reason)
@@ -444,13 +457,11 @@ type Server struct {
 	stateG       []*metrics.Gauge // per-shard health state (healthState value)
 
 	// Continuous-batching metrics (see seq.go).
-	seqAdmitted   *metrics.Counter   // sequences accepted into a queue
-	seqCompleted  *metrics.Counter   // sequences answered 200
-	seqSteps      *metrics.Counter   // device timesteps executed
-	seqMigrations *metrics.Counter   // sequence-slot migrations off faulted shards
-	seqEOS        *metrics.Counter   // sequences retired early by EOS
-	seqOccupancy  *metrics.Histogram // active slots per executed step
-	seqStepCyc    *metrics.Histogram // device cycles per step (all slots)
+	seqAdmitted   *metrics.Counter // sequences accepted into a queue
+	seqCompleted  *metrics.Counter // sequences answered 200
+	seqSteps      *metrics.Counter // device timesteps executed
+	seqMigrations *metrics.Counter // sequence-slot migrations off faulted shards
+	seqEOS        *metrics.Counter // sequences retired early by EOS
 
 	// Sliding-window server metrics: what the last minute looked like,
 	// feeding /debug/ops and the SLO engine-independent parts of pimtop.
@@ -463,7 +474,7 @@ type Server struct {
 	tracer *obs.Tracer  // nil = tracing disabled
 	logger *slog.Logger // nil = access logging disabled
 
-	// newTimer builds the batchers' straggler-flush timers. Tests swap in
+	// newTimer builds the consumers' straggler-flush timers. Tests swap in
 	// a hand-driven implementation to exercise flush timing without
 	// sleeping; production always uses the time.Timer wrapper.
 	// newHedgeTimer does the same for the hedged-dispatch delay, kept
@@ -498,8 +509,6 @@ func New(cfg Config) (*Server, error) {
 	s.deviceCycles = s.reg.Counter("serve_device_busy_cycles_total")
 	s.queueDepth = s.reg.Gauge("serve_queue_depth")
 	s.queueWait = s.reg.Histogram("serve_queue_wait_us", metrics.ExpBuckets(1, 2, 24))
-	s.batchSize = s.reg.Histogram("serve_batch_size", linearBuckets(1, cfg.Channels))
-	s.kernelCyc = s.reg.Histogram("serve_kernel_cycles", metrics.ExpBuckets(64, 2, 24))
 	s.wallUs = s.reg.Histogram("serve_request_wall_us", metrics.ExpBuckets(1, 2, 26))
 	s.codes = make(map[int]*metrics.Counter)
 	for _, code := range []int{200, 400, 404, 405, 429, 500, 503, 504} {
@@ -523,8 +532,6 @@ func New(cfg Config) (*Server, error) {
 	s.seqSteps = s.reg.Counter("serve_seq_steps_total")
 	s.seqMigrations = s.reg.Counter("serve_seq_migrations_total")
 	s.seqEOS = s.reg.Counter("serve_seq_eos_total")
-	s.seqOccupancy = s.reg.Histogram("serve_seq_occupancy", linearBuckets(1, cfg.Channels))
-	s.seqStepCyc = s.reg.Histogram("serve_seq_step_cycles", metrics.ExpBuckets(64, 2, 26))
 	// Sliding-window views of the pipeline (default 60s of 2s slots):
 	// the "last minute" the ops surface and pimtop summarize, alongside
 	// the cumulative series above.
@@ -534,6 +541,14 @@ func New(cfg Config) (*Server, error) {
 	s.reg.SetHelp("serve_window_request_wall_us", "request wall time over the sliding window (us)")
 	s.reg.SetHelp("serve_window_batch_size", "device batch sizes formed over the sliding window")
 	s.reg.SetHelp("serve_window_admitted", "requests admitted over the sliding window")
+	gemv := &kindSeries{admitted: s.admitted, steps: s.batches,
+		slots:  s.reg.Histogram("serve_batch_size", linearBuckets(1, cfg.Channels)),
+		cycles: s.reg.Histogram("serve_kernel_cycles", metrics.ExpBuckets(64, 2, 24)),
+		window: s.winBatch, moved: s.redispatched, retry: "redispatch"}
+	seq := &kindSeries{admitted: s.seqAdmitted, steps: s.seqSteps,
+		slots:  s.reg.Histogram("serve_seq_occupancy", linearBuckets(1, cfg.Channels)),
+		cycles: s.reg.Histogram("serve_seq_step_cycles", metrics.ExpBuckets(64, 2, 26)),
+		done:   s.seqCompleted, moved: s.seqMigrations, retry: "migrate"}
 	s.tracer = cfg.Tracer
 	s.logger = cfg.Logger
 	if cfg.SLO != nil {
@@ -602,7 +617,7 @@ func New(cfg Config) (*Server, error) {
 			Cfg:  models.Config{Name: spec.Name, Input: spec.K, Output: spec.M, Seed: spec.Seed},
 			WOut: spec.Weights(),
 		}
-		if err := add(&model{name: spec.Name, kind: kindGEMV, admitted: s.admitted, wait: wait}, w); err != nil {
+		if err := add(&model{name: spec.Name, kind: kindGEMV, series: gemv, wait: wait}, w); err != nil {
 			return nil, err
 		}
 	}
@@ -611,7 +626,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: sequence model %q: %w", mc.Name, err)
 		}
-		if err := add(&model{name: mc.Name, kind: kindSequence, admitted: s.seqAdmitted}, w); err != nil {
+		if err := add(&model{name: mc.Name, kind: kindSequence, series: seq}, w); err != nil {
 			return nil, err
 		}
 	}
@@ -670,11 +685,7 @@ func New(cfg Config) (*Server, error) {
 
 	for _, m := range s.mods {
 		s.wg.Add(1)
-		if m.kind == kindSequence {
-			go s.stepper(m)
-		} else {
-			go s.batcher(m)
-		}
+		go s.consumer(m)
 	}
 	s.wg.Add(1)
 	go s.prober()
@@ -779,7 +790,7 @@ func (s *Server) admit(name, tenantName string, req *request) (int, error) {
 				name, ten.spec.Name, depth, healthy, s.cfg.Shards),
 		}
 	}
-	m.admitted.Inc(0)
+	m.series.admitted.Inc(0)
 	ten.admitted.Inc(0)
 	s.queueDepth.Add(0, 1)
 	s.winAdmit.Inc()
@@ -865,9 +876,9 @@ func (s *Server) Close(ctx context.Context) error {
 		m.q.close()
 	}
 	s.mu.Unlock()
-	// Wakes the prober and lets batchers blocked on an empty pool give
-	// their batches a terminal 503 instead of waiting for a revival that
-	// may never come (see batcher.lease).
+	// Wakes the prober and lets consumers blocked on an empty pool give
+	// their steps a terminal 503 instead of waiting for a revival that
+	// may never come (see lease).
 	close(s.quit)
 
 	done := make(chan struct{})
@@ -877,8 +888,9 @@ func (s *Server) Close(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		// Every batch worker has returned, so no kernel can be mid-run:
-		// the engine worker pools are idle and safe to tear down.
+		// Every consumer and step worker has returned, so no kernel can
+		// be mid-run: the engine worker pools are idle and safe to tear
+		// down.
 		for _, sh := range s.shards {
 			sh.rt.CloseEngine()
 		}

@@ -117,12 +117,12 @@ func (o Objective) matches(tenant, model string) bool {
 	return (o.Tenant == "" || o.Tenant == tenant) && (o.Model == "" || o.Model == model)
 }
 
-// HedgeConfig closes the loop from observed tail latency to the batcher's
+// HedgeConfig closes the loop from observed tail latency to the serving
 // hedge delay. The controller tracks Factor × fast-window p99, clamped to
 // [Min, Max]; a series in warn halves the target, a page drops it to Min
 // (hedge as aggressively as allowed while the objective burns). Changes
 // under HysteresisPct of the current value are suppressed so the delay
-// doesn't flap batch to batch.
+// doesn't flap step to step.
 type HedgeConfig struct {
 	Min           time.Duration `json:"min"`
 	Max           time.Duration `json:"max"`
@@ -799,8 +799,11 @@ func ParseObjective(s string) (Objective, error) {
 			if f > 1 { // 99.9 means 99.9%
 				f /= 100
 			}
-			if f <= 0 || f > 1 {
-				return o, fmt.Errorf("slo: avail %q out of range", v)
+			// Written so NaN fails too: ParseFloat accepts "NaN", and a NaN
+			// target makes every burn rate NaN (never warns or pages) and
+			// the objective unencodable as JSON.
+			if !(f > 0 && f <= 1) {
+				return o, fmt.Errorf("slo: avail %q out of range (want a finite fraction in (0, 1] or a percentage)", v)
 			}
 			o.Availability = f
 		default:

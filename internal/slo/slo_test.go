@@ -26,8 +26,11 @@ func TestParseObjective(t *testing.T) {
 		{in: "p99=banana", wantErr: true},        // bad duration
 		{in: "p99=5ms,avail=0", wantErr: true},   // out of range
 		{in: "p99=5ms,avail=150", wantErr: true}, // out of range
-		{in: "p99=5ms,frobs=3", wantErr: true},   // unknown key
-		{in: "p99=5ms,avail", wantErr: true},     // not k=v
+		{in: "p99=5ms,avail=NaN", wantErr: true}, // not finite
+		{in: "p99=5ms,avail=Inf", wantErr: true}, // not finite
+		{in: "p99=5ms,avail=-Inf", wantErr: true},
+		{in: "p99=5ms,frobs=3", wantErr: true}, // unknown key
+		{in: "p99=5ms,avail", wantErr: true},   // not k=v
 	}
 	for _, c := range cases {
 		got, err := ParseObjective(c.in)

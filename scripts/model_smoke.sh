@@ -2,8 +2,8 @@
 # End-to-end smoke for model serving with continuous batching, run in CI:
 # boots pimserve with the DS2-small LSTM stack resident on a 2-shard
 # pool, checks the sequence-path HTTP taxonomy and the /v1/models
-# inventory, then pushes mixed-length sequences through the continuous
-# batcher with full client-side oracle verification — every step of
+# inventory, then pushes mixed-length sequences through the model's
+# continuous-batching step loop with full client-side oracle verification — every step of
 # every sequence must be bit-identical to the host session, zero wrong
 # answers. Complements the in-process tests in internal/serve and
 # internal/nn by exercising the actual binaries over TCP.
@@ -56,7 +56,7 @@ expect 400 "empty frames" -X POST -d '{"model":"ds2-small","frames":[]}' "$base/
 python3 -c 'print("{\"model\":\"ds2-small\",\"frames\":[%s]}" % ",".join(["[0.5]"]*64))' >"$tmp/long.json"
 expect 400 "over max-seqlen" -X POST --data-binary "@$tmp/long.json" "$base/v1/infer"
 
-# Mixed-length sequences through the continuous batcher, every step
+# Mixed-length sequences through the continuous-batching step loop, every step
 # verified against the host oracle. Zero wrong answers or the smoke fails
 # (pimload exits nonzero on any bad output).
 "$tmp/pimload" -url "$base" -seq -model ds2-small \

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the serving stack, run in CI: boots pimserve on a
 # random port, checks the response taxonomy (200/400/429) over real HTTP,
-# pushes ~100 concurrent verified requests through the dynamic batcher,
+# pushes ~100 concurrent verified requests through the step loop's batching,
 # and asserts a clean graceful shutdown. Complements the in-process tests
 # in internal/serve by exercising the actual binaries over TCP.
 set -euo pipefail
@@ -70,7 +70,7 @@ grep -q 'totals' "$tmp/frame" || {
     echo "FAIL: pimtop frame missing totals"; cat "$tmp/frame"; exit 1; }
 echo "ok: pimtop -once renders"
 
-# ~100 concurrent verified requests through the dynamic batcher.
+# ~100 concurrent verified requests, batched by the model's step loop.
 "$tmp/pimload" -url "$base" -model micro-256x256 -requests 104 -conc 13 -bench | tee "$tmp/closed"
 grep -q ' 0 rejected 0 timeouts' "$tmp/closed" || { echo "FAIL: closed loop lost requests"; exit 1; }
 
