@@ -82,9 +82,14 @@ benchmark-check:
 # Then arbitrary POST /v1/infer bodies against one in-process server
 # holding a GEMV and a sequence model (internal/serve: the status stays in
 # the taxonomy, every body decodes, the queue drains) for ten seconds.
-# Last, arbitrary -slo objective strings (internal/slo: an accepted
+# Then arbitrary -slo objective strings (internal/slo: an accepted
 # objective has a positive p99, a finite availability in (0, 1], no
-# literal "*" selector, and encodes as JSON) for ten seconds.
+# literal "*" selector, and encodes as JSON) for ten seconds; the SEC-DED
+# decoder on arbitrary words and flip positions (internal/ecc: a clean
+# word decodes, one flip is corrected, two are caught) for ten seconds;
+# and arbitrary trace text (internal/trace: Parse never panics, an
+# accepted trace re-formats and re-parses to the same events, Validate
+# judges it) for ten seconds.
 # -fuzzminimizetime 1s: the default minute of minimising would leave the
 # ten seconds no executions.
 fuzz-smoke:
@@ -93,6 +98,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzISARoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzInferBody -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseObjective -fuzztime 10s -fuzzminimizetime 1s ./internal/slo
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/ecc
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 
 # examples-smoke builds every examples/* main and runs it under a 60 s
 # timeout; a nonzero exit or a timeout fails the target, and only a
@@ -133,7 +140,7 @@ fp16-exhaustive:
 # path, the one a CI runner with F16C never selects by itself.
 purego:
 	$(GO) vet -tags purego ./internal/fp16
-	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64'
+	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64|RegisterSpace|Splats'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

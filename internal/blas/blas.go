@@ -57,22 +57,18 @@ func (r *region) end() KernelStats {
 // reproduce device accumulation order exactly.
 func GRFDepth(rt *runtime.Runtime) int { return rt.Cfg.GRFDepth() }
 
-// splats builds the write-datapath payloads of one GEMV launch on one
-// channel: payload k is x[k] replicated across the 16 lanes and
-// serialized, zero from len(x) up to kp (the padded K). All kp payloads
-// share one backing array, so a launch costs two allocations whatever K
-// is; TriggerWRRun has issued every command by the time it returns and
-// nothing downstream keeps a payload.
-func splats(x fp16.Vector, kp int) [][]byte {
-	const size = 2 * fp16.Lanes
-	buf := make([]byte, kp*size)
-	out := make([][]byte, kp)
-	for k := range out {
-		out[k] = buf[k*size : (k+1)*size : (k+1)*size]
+// splats fills the write-datapath payloads of one GEMV launch on one
+// channel, out (a runtime.Payloads run of the padded K): payload k is x[k]
+// replicated across the 16 lanes, zero from len(x) on. It writes every
+// byte of every payload and allocates nothing.
+func splats(out [][]byte, x fp16.Vector) [][]byte {
+	for k, p := range out {
+		var w uint64
 		if k < len(x) {
-			for l := 0; l < size; l += 2 {
-				binary.LittleEndian.PutUint16(out[k][l:], uint16(x[k]))
-			}
+			w = uint64(x[k]) * 0x0001_0001_0001_0001
+		}
+		for l := 0; l < 2*fp16.Lanes; l += 8 {
+			binary.LittleEndian.PutUint64(p[l:], w)
 		}
 	}
 	return out

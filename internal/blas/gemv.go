@@ -273,10 +273,11 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 		}
 	}
 
-	// Pre-build the splat payloads once: every channel sends the same x.
+	// Build the splat payloads once, in channel 0's payload buffer: every
+	// channel sends the same x and only reads them.
 	var xdata [][]byte
 	if functional {
-		xdata = splats(x, plan.Kp)
+		xdata = splats(rt.Payloads(0, plan.Kp), x)
 	}
 
 	var y fp16.Vector

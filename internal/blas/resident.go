@@ -144,7 +144,7 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 			return nil // idle channel: no commands, clock untouched
 		}
 		ys[ch] = fp16.NewVector(g.M)
-		n, err := plan.runChannel(rt, ch, splats(xs[ch], plan.Kp), ys[ch])
+		n, err := plan.runChannel(rt, ch, splats(rt.Payloads(ch, plan.Kp), xs[ch]), ys[ch])
 		triggers.Add(n)
 		return err
 	})

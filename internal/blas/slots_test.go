@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -97,11 +98,12 @@ func TestRunSlotsRejects(t *testing.T) {
 	}
 }
 
-// TestRunSlotsAllocsIndependentOfK: the input splats are one backing
-// array per channel per launch, so at 256 rows a launch at K = 256 costs
-// about the allocations of one at K = 64; they used to be 2K+1 more
-// (+387 here). The few that remain follow simulated time, not K: a longer
-// kernel crosses more refresh intervals, and each refresh allocates.
+// TestRunSlotsAllocsIndependentOfK: the input splats are written into the
+// channel's reused runtime.Payloads buffer, so at 256 rows a launch at
+// K = 256 costs about the allocations of one at K = 64; they used to be
+// 2K+1 more (+387 here). The few that remain follow simulated time, not
+// K: a longer kernel crosses more refresh intervals, and each refresh
+// allocates.
 func TestRunSlotsAllocsIndependentOfK(t *testing.T) {
 	const M = 256
 	allocs := func(K int) float64 {
@@ -120,5 +122,28 @@ func TestRunSlotsAllocsIndependentOfK(t *testing.T) {
 	}
 	if small, large := allocs(64), allocs(256); large > small+16 {
 		t.Errorf("RunSlots allocates %v times at K=64 and %v at K=256; want no growth with K", small, large)
+	}
+}
+
+// TestSplatsOverwriteReusedBuffer: a Payloads buffer comes back holding
+// what the last launch wrote, so splats must write every lane of every
+// payload, the zero padding past len(x) included.
+func TestSplatsOverwriteReusedBuffer(t *testing.T) {
+	out := make([][]byte, 5)
+	for k := range out {
+		out[k] = bytes.Repeat([]byte{0xA5}, 2*fp16.Lanes)
+	}
+	x := fp16.Vector{0x3C00, 0x8001, 0x7E01}
+	splats(out, x)
+	for k, p := range out {
+		want := fp16.Zero
+		if k < len(x) {
+			want = x[k]
+		}
+		for l, h := range fp16.VectorFromBytes(p) {
+			if h != want {
+				t.Fatalf("payload %d lane %d = %#04x, want %#04x", k, l, uint16(h), uint16(want))
+			}
+		}
 	}
 }

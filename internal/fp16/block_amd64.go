@@ -41,13 +41,13 @@ func mulBlock(dst, a, b *block) bool
 // loop starts at (block_amd64.s has the whole contract).
 
 //go:noescape
-func macBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
+func macBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) (unfinished uint64)
 
 //go:noescape
-func madBursts(dst []Vector, a [][]byte, b []Vector, c []F16, resume []int32) (unfinished uint64)
+func madBursts(dst, a, b [][]byte, c []F16, resume *[MaxBurstUnits]int32) (unfinished uint64)
 
 //go:noescape
-func addBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
+func addBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) (unfinished uint64)
 
 //go:noescape
-func mulBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
+func mulBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) (unfinished uint64)

@@ -126,16 +126,17 @@ TEXT ·mulBlock(SB), NOSPLIT, $0-25
 
 // The burst kernels run one burst form of vector.go for every unit of a
 // trigger in one call, reading each unit's slice headers themselves: 24
-// bytes a header, base then length. Unit u's common length n is the
-// shortest of its operands, a burst counting len/2 lanes, and its whole
-// 16-lane blocks go through the block arithmetic above in order. A
-// block whose result has a NaN lane is not stored, and the unit stops
-// there. A unit that stops at a NaN block, or whose n leaves a tail of
-// fewer than 16 lanes, is unfinished: the kernel sets bit u of the mask
-// it returns and resume[u] to the lane its first unfinished block starts
-// at, and the caller runs the portable loop from there. Bits and resume
-// entries of finished units are left alone. len(dst) is at most 64 and
-// the other slices are at least as long (vector.go guarantees both).
+// bytes a header, base then length. Every operand, dst included, is a
+// burst, so unit u's common length n is the shortest of its bursts'
+// len/2, and its whole 16-lane blocks go through the block arithmetic
+// above in order. A block whose result has a NaN lane is not stored, and
+// the unit stops there. A unit that stops at a NaN block, or whose n
+// leaves a tail of fewer than 16 lanes, is unfinished: the kernel sets
+// bit u of the mask it returns and resume[u] to the lane its first
+// unfinished block starts at, and the caller runs the portable loop from
+// there. Bits and resume entries of finished units are left alone.
+// len(dst) is at most 64 and the other slices are at least as long
+// (vector.go guarantees both).
 //
 // Registers: BX is u, R8 u*24 (the offset of unit u's headers), R13 the
 // dst headers, R9 and R10 the a and b headers, CX n, R11 n rounded down
@@ -143,13 +144,14 @@ TEXT ·mulBlock(SB), NOSPLIT, $0-25
 // u's dst, a and b, R12 the mask, Y4 MAD's addend.
 
 // UNIT starts unit u: it returns the mask when u reaches len(dst), loads
-// unit u's dst into DI and its length into CX.
+// unit u's dst into DI and its length in lanes into CX.
 #define UNIT(units, ret) \
 unit:                       \
 	CMPQ BX, units           \
 	JEQ  done                \
 	MOVQ (R13)(R8*1), DI     \
 	MOVQ 8(R13)(R8*1), CX    \
+	SHRQ $1, CX              \
 	JMP  operands            \
 done:                       \
 	VZEROUPPER               \
@@ -158,11 +160,11 @@ done:                       \
 operands:
 
 // OPERAND loads unit u's operand from the headers at hdr into ptr and
-// cuts CX to its length, halved (shift 1) for a burst.
-#define OPERAND(hdr, ptr, shift) \
+// cuts CX to its length in lanes.
+#define OPERAND(hdr, ptr) \
 	MOVQ (hdr)(R8*1), ptr    \
 	MOVQ 8(hdr)(R8*1), AX    \
-	SHRQ $shift, AX          \
+	SHRQ $1, AX              \
 	CMPQ AX, CX              \
 	CMOVQLT AX, CX
 
@@ -199,17 +201,17 @@ next:                             \
 	ADDQ   $24, R8                 \
 	JMP    unit
 
-// func macBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
-TEXT ·macBursts(SB), NOSPLIT, $0-104
+// func macBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) (unfinished uint64)
+TEXT ·macBursts(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), R13
 	MOVQ a_base+24(FP), R9
 	MOVQ b_base+48(FP), R10
 	XORQ BX, BX
 	XORQ R8, R8
 	XORQ R12, R12
-	UNIT(dst_len+8(FP), unfinished+96(FP))
-	OPERAND(R9, SI, 0)
-	OPERAND(R10, DX, 1)
+	UNIT(dst_len+8(FP), unfinished+80(FP))
+	OPERAND(R9, SI)
+	OPERAND(R10, DX)
 	BLOCKS
 	VCVTPH2PS (SI)(AX*2), Y0
 	VCVTPH2PS 16(SI)(AX*2), Y1
@@ -222,29 +224,29 @@ TEXT ·macBursts(SB), NOSPLIT, $0-104
 	VCVTPH2PS 16(DI)(AX*2), Y3
 	VADDPS Y0, Y2, Y0
 	VADDPS Y1, Y3, Y1
-	NEXT(resume_base+72(FP))
+	NEXT(resume+72(FP))
 
 // madBursts widens unit u's addend c[u] into all eight lanes of Y4 with
 // AVX and F16C alone: two copies in a dword, the dword in all four of X4,
 // then VCVTPH2PS of the eight halves.
 //
-// func madBursts(dst []Vector, a [][]byte, b []Vector, c []F16, resume []int32) (unfinished uint64)
-TEXT ·madBursts(SB), NOSPLIT, $0-128
+// func madBursts(dst, a, b [][]byte, c []F16, resume *[MaxBurstUnits]int32) (unfinished uint64)
+TEXT ·madBursts(SB), NOSPLIT, $0-112
 	MOVQ dst_base+0(FP), R13
 	MOVQ a_base+24(FP), R9
 	MOVQ b_base+48(FP), R10
 	XORQ BX, BX
 	XORQ R8, R8
 	XORQ R12, R12
-	UNIT(dst_len+8(FP), unfinished+120(FP))
+	UNIT(dst_len+8(FP), unfinished+104(FP))
 	MOVQ c_base+72(FP), AX
 	MOVWLZX (AX)(BX*2), AX
 	IMULL $0x10001, AX
 	VMOVD AX, X4
 	VPSHUFD $0, X4, X4
 	VCVTPH2PS X4, Y4
-	OPERAND(R9, SI, 1)
-	OPERAND(R10, DX, 0)
+	OPERAND(R9, SI)
+	OPERAND(R10, DX)
 	BLOCKS
 	VCVTPH2PS (SI)(AX*2), Y0
 	VCVTPH2PS 16(SI)(AX*2), Y1
@@ -255,19 +257,19 @@ TEXT ·madBursts(SB), NOSPLIT, $0-128
 	ROUND2(Y0, Y1, X0, X1)
 	VADDPS Y0, Y4, Y0
 	VADDPS Y1, Y4, Y1
-	NEXT(resume_base+96(FP))
+	NEXT(resume+96(FP))
 
-// func addBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
-TEXT ·addBursts(SB), NOSPLIT, $0-104
+// func addBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) (unfinished uint64)
+TEXT ·addBursts(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), R13
 	MOVQ a_base+24(FP), R9
 	MOVQ b_base+48(FP), R10
 	XORQ BX, BX
 	XORQ R8, R8
 	XORQ R12, R12
-	UNIT(dst_len+8(FP), unfinished+96(FP))
-	OPERAND(R9, SI, 0)
-	OPERAND(R10, DX, 1)
+	UNIT(dst_len+8(FP), unfinished+80(FP))
+	OPERAND(R9, SI)
+	OPERAND(R10, DX)
 	BLOCKS
 	VCVTPH2PS (SI)(AX*2), Y0
 	VCVTPH2PS 16(SI)(AX*2), Y1
@@ -275,19 +277,19 @@ TEXT ·addBursts(SB), NOSPLIT, $0-104
 	VCVTPH2PS 16(DX)(AX*2), Y3
 	VADDPS Y2, Y0, Y0
 	VADDPS Y3, Y1, Y1
-	NEXT(resume_base+72(FP))
+	NEXT(resume+72(FP))
 
-// func mulBursts(dst, a []Vector, b [][]byte, resume []int32) (unfinished uint64)
-TEXT ·mulBursts(SB), NOSPLIT, $0-104
+// func mulBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) (unfinished uint64)
+TEXT ·mulBursts(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), R13
 	MOVQ a_base+24(FP), R9
 	MOVQ b_base+48(FP), R10
 	XORQ BX, BX
 	XORQ R8, R8
 	XORQ R12, R12
-	UNIT(dst_len+8(FP), unfinished+96(FP))
-	OPERAND(R9, SI, 0)
-	OPERAND(R10, DX, 1)
+	UNIT(dst_len+8(FP), unfinished+80(FP))
+	OPERAND(R9, SI)
+	OPERAND(R10, DX)
 	BLOCKS
 	VCVTPH2PS (SI)(AX*2), Y0
 	VCVTPH2PS 16(SI)(AX*2), Y1
@@ -295,4 +297,4 @@ TEXT ·mulBursts(SB), NOSPLIT, $0-104
 	VCVTPH2PS 16(DX)(AX*2), Y3
 	VMULPS Y2, Y0, Y0
 	VMULPS Y3, Y1, Y1
-	NEXT(resume_base+72(FP))
+	NEXT(resume+72(FP))

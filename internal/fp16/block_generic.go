@@ -10,15 +10,15 @@ func madBlock(dst, a, b *block, c float32) bool { panic("fp16: no block kernel i
 func addBlock(dst, a, b *block) bool            { panic("fp16: no block kernel in this build") }
 func mulBlock(dst, a, b *block) bool            { panic("fp16: no block kernel in this build") }
 
-func macBursts(dst, a []Vector, b [][]byte, resume []int32) uint64 {
+func macBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) uint64 {
 	panic("fp16: no burst kernel in this build")
 }
-func madBursts(dst []Vector, a [][]byte, b []Vector, c []F16, resume []int32) uint64 {
+func madBursts(dst, a, b [][]byte, c []F16, resume *[MaxBurstUnits]int32) uint64 {
 	panic("fp16: no burst kernel in this build")
 }
-func addBursts(dst, a []Vector, b [][]byte, resume []int32) uint64 {
+func addBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) uint64 {
 	panic("fp16: no burst kernel in this build")
 }
-func mulBursts(dst, a []Vector, b [][]byte, resume []int32) uint64 {
+func mulBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) uint64 {
 	panic("fp16: no burst kernel in this build")
 }

@@ -41,18 +41,20 @@
 // The four vector operations also come in a burst form (MACVecBursts,
 // MADVecBursts, AddVecBursts, MulVecBursts), the form one PIM trigger
 // runs: a single call applies the operation for every unit of a pseudo
-// channel, each on its own registers and on its bank operand as the
-// 32-byte burst it read, so the simulator neither copies nor decodes a
-// bank read to compute on it and dispatches the operation once per
-// trigger, not once per unit. Tier 3 runs a burst form as one assembly
-// call per 64 units, as the PIM units run one instruction in lock step:
-// the burst kernel reads every unit's slice headers itself, widens each
-// burst where it lies and runs each unit's whole blocks, and returns a
-// mask of the units it left unfinished, at a NaN block (not stored) or at
-// a tail shorter than a block, with the lane each resumes at. Go visits
-// only those, through tier 2 from that lane on, the operands in the
-// instruction's order, so no block runs twice. Tier 2 alone decodes each
-// lane as it reaches it. The typed forms, block by block through the
+// channel, and every operand, the destination included, is a burst, the
+// 32 bytes of one column access, 16 little-endian lanes. A PIM unit's
+// registers hold bursts and its bank operand is the burst it read, so the
+// simulator neither copies nor decodes an operand to compute on it and
+// dispatches the operation once per trigger, not once per unit. Tier 3
+// runs a burst form as one assembly call per 64 units, as the PIM units
+// run one instruction in lock step: the burst kernel reads every unit's
+// slice headers itself, widens each burst where it lies and runs each
+// unit's whole blocks, and returns a mask of the units it left
+// unfinished, at a NaN block (not stored) or at a tail shorter than a
+// block, with the lane each resumes at in the caller's resume buffer. Go
+// visits only those, through tier 2 from that lane on, the operands in
+// the instruction's order, so no block runs twice. Tier 2 alone decodes
+// and encodes each lane as it reaches it. The typed forms, block by block through the
 // block kernels, are the burst forms' oracle, unit by unit and bit for
 // bit on both tiers, as macRef is the typed forms'.
 //

@@ -153,33 +153,54 @@ func forAllBlocks(t *testing.T, ref func(x, y F16) F16, ops func(g *blockGroup))
 const blockUnits, blockRows = 8, 6
 
 // blockGroup is one forAllBlocks group, in the shapes the typed and the
-// burst forms take: x splatted (one reference per unit) and as a scalar
-// per unit, each unit's y block as a Vector and as a burst, and the
-// result rows.
+// burst forms take: x splatted (one reference per unit), as a burst and
+// as a scalar per unit, each unit's y block as a Vector and as a burst,
+// the burst forms' destination bursts and resume buffer, and the result
+// rows.
 type blockGroup struct {
 	xs      []Vector
+	xBursts [][]byte
 	xc      []F16
 	y       []Vector
 	yBursts [][]byte
+	d       [][]byte
+	resume  [MaxBurstUnits]int32
 	got     [][]Vector
 }
 
 func newBlockGroup(x F16) *blockGroup {
 	g := &blockGroup{
 		xs:      make([]Vector, blockUnits),
+		xBursts: make([][]byte, blockUnits),
 		xc:      make([]F16, blockUnits),
 		y:       unitVecs(blockUnits, Lanes),
 		yBursts: make([][]byte, blockUnits),
+		d:       make([][]byte, blockUnits),
 		got:     make([][]Vector, blockRows),
 	}
 	xs := splatVec(x, Lanes)
 	for u := range g.xs {
-		g.xs[u], g.xc[u], g.yBursts[u] = xs, x, make([]byte, 2*Lanes)
+		g.xs[u], g.xBursts[u], g.xc[u] = xs, xs.Bytes(), x
+		g.yBursts[u], g.d[u] = make([]byte, 2*Lanes), make([]byte, 2*Lanes)
 	}
 	for row := range g.got {
 		g.got[row] = unitVecs(blockUnits, Lanes)
 	}
 	return g
+}
+
+// setD sets every unit's destination burst to src.
+func (g *blockGroup) setD(src []byte) {
+	for _, d := range g.d {
+		copy(d, src)
+	}
+}
+
+// unload decodes the destination bursts into result row row.
+func (g *blockGroup) unload(row int) {
+	for u, d := range g.d {
+		g.got[row][u].DecodeBytes(d)
+	}
 }
 
 // unitVecs allocates units zeroed vectors of n lanes.
@@ -202,10 +223,12 @@ func splatVec(h F16, n int) Vector {
 // TestExhaustiveMulStageVec is TestExhaustiveMulStage through the 16-lane
 // entry points on the SIMD path: x*y accumulated into -0 by MACVec and by
 // MADVec, and MulVec's own kernel, against the reference product; then
-// the same three through the burst forms over blockUnits units, y[u]
-// unit u's bank operand (SRC0 of MAD, so its product is y*x there).
+// the same three through the burst forms over blockUnits units, every
+// operand a burst, y[u] in unit u's bank operand position (SRC0 of MAD,
+// so its product is y*x there).
 func TestExhaustiveMulStageVec(t *testing.T) {
 	negZeros := splatVec(NegZero, Lanes)
+	negZeroBurst := negZeros.Bytes()
 	addends := make([]F16, blockUnits)
 	for u := range addends {
 		addends[u] = NegZero
@@ -217,11 +240,14 @@ func TestExhaustiveMulStageVec(t *testing.T) {
 				MACVec(copyInto(g.got[0][u], negZeros), g.xs[u], y)
 				MADVec(g.got[1][u], g.xs[u], y, NegZero)
 				MulVec(g.got[2][u], g.xs[u], y)
-				copy(g.got[3][u], negZeros)
 			}
-			MACVecBursts(g.got[3], g.xs, g.yBursts)
-			MADVecBursts(g.got[4], g.yBursts, g.xs, addends)
-			MulVecBursts(g.got[5], g.xs, g.yBursts)
+			g.setD(negZeroBurst)
+			MACVecBursts(g.d, g.xBursts, g.yBursts, &g.resume)
+			g.unload(3)
+			MADVecBursts(g.d, g.yBursts, g.xBursts, addends, &g.resume)
+			g.unload(4)
+			MulVecBursts(g.d, g.xBursts, g.yBursts, &g.resume)
+			g.unload(5)
 		})
 }
 
@@ -231,9 +257,9 @@ func TestExhaustiveMulStageVec(t *testing.T) {
 // MADVecBursts onto x and AddVecBursts, y[u] unit u's bank operand.
 func TestExhaustiveAddStageVec(t *testing.T) {
 	one := splatVec(One, Lanes)
-	ones := make([]Vector, blockUnits)
+	ones := make([][]byte, blockUnits)
 	for u := range ones {
-		ones[u] = one
+		ones[u] = one.Bytes()
 	}
 	forAllBlocks(t,
 		func(x, y F16) F16 { return fromFloat32Ref(f16to32[x] + f16to32[y]) },
@@ -242,11 +268,14 @@ func TestExhaustiveAddStageVec(t *testing.T) {
 				MACVec(copyInto(g.got[0][u], g.xs[u]), y, one)
 				MADVec(g.got[1][u], y, one, g.xc[u])
 				AddVec(g.got[2][u], g.xs[u], y)
-				copy(g.got[3][u], g.xs[u])
 			}
-			MACVecBursts(g.got[3], ones, g.yBursts)
-			MADVecBursts(g.got[4], g.yBursts, ones, g.xc)
-			AddVecBursts(g.got[5], g.xs, g.yBursts)
+			g.setD(g.xBursts[0])
+			MACVecBursts(g.d, ones, g.yBursts, &g.resume)
+			g.unload(3)
+			MADVecBursts(g.d, g.yBursts, ones, g.xc, &g.resume)
+			g.unload(4)
+			AddVecBursts(g.d, g.xBursts, g.yBursts, &g.resume)
+			g.unload(5)
 		})
 }
 
@@ -264,10 +293,12 @@ func checkMACVec(t testing.TB, acc, a, b Vector) bool {
 	c := acc[0]
 	mac := MACVec(append(Vector(nil), acc...), a, b)
 	mad := MADVec(make(Vector, len(acc)), a, b, c)
-	macB := append(Vector(nil), acc...)
-	MACVecBursts([]Vector{macB}, []Vector{a}, [][]byte{b.Bytes()})
-	madB := make(Vector, len(acc))
-	MADVecBursts([]Vector{madB}, [][]byte{a.Bytes()}, []Vector{b}, []F16{c})
+	var resume [MaxBurstUnits]int32
+	ab, bb := [][]byte{a.Bytes()}, [][]byte{b.Bytes()}
+	macB := [][]byte{acc.Bytes()}
+	MACVecBursts(macB, ab, bb, &resume)
+	madB := [][]byte{make([]byte, 2*len(acc))}
+	MADVecBursts(madB, ab, bb, []F16{c}, &resume)
 	for i := range acc {
 		want := macRef(acc[i], a[i], b[i])
 		for _, k := range []struct {
@@ -276,10 +307,10 @@ func checkMACVec(t testing.TB, acc, a, b Vector) bool {
 		}{
 			{"MAC", MAC(acc[i], a[i], b[i]), want},
 			{"MACVec", mac[i], want},
-			{"MACVecBursts", macB[i], want},
+			{"MACVecBursts", lane(macB[0], i), want},
 			{"MAD", MAD(a[i], b[i], acc[i]), want},
 			{"MADVec", mad[i], macRef(c, a[i], b[i])},
-			{"MADVecBursts", madB[i], macRef(c, a[i], b[i])},
+			{"MADVecBursts", lane(madB[0], i), macRef(c, a[i], b[i])},
 		} {
 			if k.got != k.want {
 				t.Errorf("%s lane %d of %d (acc=0x%04x, a=0x%04x, b=0x%04x, MADVec addend 0x%04x) = 0x%04x, reference 0x%04x",
@@ -461,9 +492,11 @@ func checkBursts(t testing.TB, units int, acc, a, b Vector) bool {
 }
 
 // checkBurstUnits runs the four burst forms over the units of accs, as
-// and bs at once, the bank operand given as a burst, and compares every
-// lane of every unit with the typed form on that unit alone, NaN payloads
-// included. Unit u's MADVec addend is its first accumulator lane.
+// and bs at once, every operand given as a burst, and compares every lane
+// of every unit with the typed form on that unit alone, NaN payloads
+// included. Unit u's MADVec addend is its first accumulator lane. Each
+// call finds the resume buffer stale, every entry a lane some earlier
+// call could have left there, as a caller's reused buffer is.
 func checkBurstUnits(t testing.TB, accs, as, bs []Vector) bool {
 	t.Helper()
 	units := len(accs)
@@ -471,27 +504,31 @@ func checkBurstUnits(t testing.TB, accs, as, bs []Vector) bool {
 	for u := range accs {
 		aBursts[u], bBursts[u], cs[u] = as[u].Bytes(), bs[u].Bytes(), accs[u][0]
 	}
+	var resume [MaxBurstUnits]int32
 	for _, op := range []struct {
 		name  string
-		burst func(dst []Vector)
+		burst func(dst [][]byte)
 		typed func(dst Vector, u int) Vector
 	}{
-		{"AddVecBursts", func(dst []Vector) { AddVecBursts(dst, as, bBursts) }, func(dst Vector, u int) Vector { return AddVec(dst, as[u], bs[u]) }},
-		{"MulVecBursts", func(dst []Vector) { MulVecBursts(dst, as, bBursts) }, func(dst Vector, u int) Vector { return MulVec(dst, as[u], bs[u]) }},
-		{"MACVecBursts", func(dst []Vector) { MACVecBursts(dst, as, bBursts) }, func(dst Vector, u int) Vector { return MACVec(dst, as[u], bs[u]) }},
-		{"MADVecBursts", func(dst []Vector) { MADVecBursts(dst, aBursts, bs, cs) }, func(dst Vector, u int) Vector { return MADVec(dst, as[u], bs[u], cs[u]) }},
+		{"AddVecBursts", func(dst [][]byte) { AddVecBursts(dst, aBursts, bBursts, &resume) }, func(dst Vector, u int) Vector { return AddVec(dst, as[u], bs[u]) }},
+		{"MulVecBursts", func(dst [][]byte) { MulVecBursts(dst, aBursts, bBursts, &resume) }, func(dst Vector, u int) Vector { return MulVec(dst, as[u], bs[u]) }},
+		{"MACVecBursts", func(dst [][]byte) { MACVecBursts(dst, aBursts, bBursts, &resume) }, func(dst Vector, u int) Vector { return MACVec(dst, as[u], bs[u]) }},
+		{"MADVecBursts", func(dst [][]byte) { MADVecBursts(dst, aBursts, bBursts, cs, &resume) }, func(dst Vector, u int) Vector { return MADVec(dst, as[u], bs[u], cs[u]) }},
 	} {
-		got := make([]Vector, units)
+		got := make([][]byte, units)
 		for u := range got {
-			got[u] = append(Vector(nil), accs[u]...)
+			got[u] = accs[u].Bytes()
+		}
+		for u := range resume {
+			resume[u] = int32(1 + u%Lanes)
 		}
 		op.burst(got)
 		for u := range got {
 			want := op.typed(append(Vector(nil), accs[u]...), u)
 			for i := range want {
-				if got[u][i] != want[i] {
+				if g := lane(got[u], i); g != want[i] {
 					t.Errorf("%s over %d units: unit %d lane %d of %d = 0x%04x, typed form 0x%04x",
-						op.name, units, u, i, len(want), uint16(got[u][i]), uint16(want[i]))
+						op.name, units, u, i, len(want), uint16(g), uint16(want[i]))
 					return false
 				}
 			}
@@ -670,25 +707,29 @@ func BenchmarkMACVec(bm *testing.B) {
 
 // BenchmarkMACVecBursts is one PIM MAC trigger's datapath work across a
 // pseudo channel: MACVecBursts over 8 units, each on its own 16 lanes of
-// realistic operands with its bank operand as a burst, on each path;
+// realistic operands, every operand a burst, on each path;
 // `make bench` records both in BENCH_gemv.json. It allocates nothing.
 func BenchmarkMACVecBursts(bm *testing.B) {
 	const units = 8
 	host := simd
 	defer func() { simd = host }()
 	a, b := macPool()
-	bb := b.Bytes()
+	ab, bb := a.Bytes(), b.Bytes()
 	groups := len(a) / (units * Lanes)
-	as, bs := make([][]Vector, groups), make([][][]byte, groups)
+	as, bs := make([][][]byte, groups), make([][][]byte, groups)
 	for g := range as {
-		as[g], bs[g] = make([]Vector, units), make([][]byte, units)
+		as[g], bs[g] = make([][]byte, units), make([][]byte, units)
 		for u := range as[g] {
-			o := (g*units + u) * Lanes
-			as[g][u], bs[g][u] = a[o:o+Lanes], bb[2*o:2*(o+Lanes)]
+			o := 2 * (g*units + u) * Lanes
+			as[g][u], bs[g][u] = ab[o:o+2*Lanes], bb[o:o+2*Lanes]
 		}
 	}
 	run := func(bm *testing.B) {
-		acc := unitVecs(units, Lanes)
+		acc := make([][]byte, units)
+		for u := range acc {
+			acc[u] = make([]byte, 2*Lanes)
+		}
+		var resume [MaxBurstUnits]int32
 		bm.ReportAllocs()
 		for i := 0; i < bm.N; i++ {
 			if i%64 == 0 {
@@ -696,7 +737,7 @@ func BenchmarkMACVecBursts(bm *testing.B) {
 					clear(d)
 				}
 			}
-			MACVecBursts(acc, as[i%groups], bs[i%groups])
+			MACVecBursts(acc, as[i%groups], bs[i%groups], &resume)
 		}
 	}
 	simd = false

@@ -152,136 +152,162 @@ func madLoop(d, a, b Vector, c F16) {
 	}
 }
 
-// lane decodes lane i of a burst, a bank operand as a PIM unit reads it:
-// the 16 lanes of one 32-byte column access, 2 bytes a lane,
-// little-endian (what Bytes writes).
+// lane decodes lane i of a burst, the 32 bytes of one column access as a
+// PIM unit holds them: 16 lanes, 2 bytes a lane, little-endian (what
+// Bytes writes).
 func lane(b []byte, i int) F16 { return F16(binary.LittleEndian.Uint16(b[2*i:])) }
 
+// setLane encodes h into lane i of a burst.
+func setLane(b []byte, i int, h F16) { binary.LittleEndian.PutUint16(b[2*i:], uint16(h)) }
+
 // The burst forms of the four operations are what a PIM trigger runs: one
-// call applies the operation for n units at once, unit u computing on its
-// registers dst[u], a[u] or b[u] and on the operand it read from its bank,
-// given as the burst itself, so it is never staged as a Vector. For every
-// u the result is exactly what the typed form returns on the decoded
-// burst, NaN payloads included, because the operands keep their order:
-// the burst is SRC1 of ADD, MUL and MAC (b below) and SRC0 of MAD (a).
-// Units are taken in order, and a burst counts len/2 lanes towards its
-// unit's common length; n is len(dst), and the other slices must be at
-// least that long.
+// call applies the operation for n units at once, unit u computing on
+// dst[u], a[u] and b[u], every one a burst: a unit's registers hold the
+// words a column access carries, and its bank operand is the burst it
+// read, so nothing is staged as a Vector. For every u the result is
+// exactly what the typed form returns on the decoded bursts, NaN payloads
+// included, because the operands keep the instruction's order. Units are
+// taken in order, and every burst counts len/2 lanes towards its unit's
+// common length; n is len(dst), and the other slices must be at least
+// that long. dst[u] may be a[u] or b[u] themselves; no other overlap is
+// supported.
 //
 // On the SIMD path a burst form is one call of its burst kernel per
-// maxBurstUnits units: the kernel widens every burst where it lies, runs
+// MaxBurstUnits units: the kernel widens every burst where it lies, runs
 // every unit's whole blocks, and hands back the mask of units it left
-// unfinished, at a NaN block or a tail, with the lane each resumes at.
-// Only those units come back to Go, each through the portable loop from
-// its resume lane to its end, operands in the instruction's order, so a
-// stored block is never run twice and every NaN comes from the portable
-// expression. On the portable path every unit resumes at lane 0.
+// unfinished, at a NaN block or a tail, writing the lane each resumes at
+// into the caller's resume buffer. Only those units come back to Go, each
+// through the portable loop from its resume lane to its end, operands in
+// the instruction's order, so a stored block is never run twice and every
+// NaN comes from the portable expression. On the portable path every unit
+// resumes at lane 0. The resume buffer is scratch the caller owns so that
+// a call zeroes nothing it does not use; it holds nothing between calls.
 
-// maxBurstUnits is the most units one burst kernel call takes: one bit
-// each of the mask it returns.
-const maxBurstUnits = 64
+// MaxBurstUnits is the most units one burst kernel call takes, one bit
+// each of the mask it returns, and the length of a resume buffer.
+const MaxBurstUnits = 64
 
-// allUnits is the mask of units 0..n-1, 0 < n <= maxBurstUnits.
-func allUnits(n int) uint64 { return ^uint64(0) >> (maxBurstUnits - n) }
+// fromLaneZero is the portable path's mask of a chunk's n units: all of
+// them, each resuming at lane 0, which it writes over whatever the caller's
+// buffer held.
+func fromLaneZero(n int, resume *[MaxBurstUnits]int32) uint64 {
+	clear(resume[:n])
+	return ^uint64(0) >> (MaxBurstUnits - n)
+}
 
-// AddVecBursts is AddVec for each unit u, with b[u] given as a burst.
-func AddVecBursts(dst, a []Vector, b [][]byte) {
+// AddVecBursts is AddVec for each unit u.
+func AddVecBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	var resume [maxBurstUnits]int32
-	for lo := 0; lo < len(dst); lo += maxBurstUnits {
-		hi := min(lo+maxBurstUnits, len(dst))
-		todo := allUnits(hi - lo)
+	for lo := 0; lo < len(dst); lo += MaxBurstUnits {
+		hi := min(lo+MaxBurstUnits, len(dst))
+		var todo uint64
 		if simd {
-			todo = addBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume[:])
+			todo = addBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume)
+		} else {
+			todo = fromLaneZero(hi-lo, resume)
 		}
 		for ; todo != 0; todo &= todo - 1 {
 			u := bits.TrailingZeros64(todo)
-			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
-			addLoopBytes(d[i:min(len(d), len(x), len(y)/2)], x[i:], y[2*i:])
+			d, x, y := dst[lo+u], a[lo+u], b[lo+u]
+			addLoopBursts(d, x, y, int(resume[u]), min(len(d), len(x), len(y))/2)
 		}
 	}
 }
 
-func addLoopBytes(d, a Vector, b []byte) {
-	a, b = a[:len(d)], b[:2*len(d)]
-	for i := range d {
-		d[i] = Add(a[i], lane(b, i))
+func addLoopBursts(d, a, b []byte, lo, n int) {
+	for i := lo; i < n; i++ {
+		setLane(d, i, Add(lane(a, i), lane(b, i)))
 	}
 }
 
-// MulVecBursts is MulVec for each unit u, with b[u] given as a burst.
-func MulVecBursts(dst, a []Vector, b [][]byte) {
+// MulVecBursts is MulVec for each unit u.
+func MulVecBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	var resume [maxBurstUnits]int32
-	for lo := 0; lo < len(dst); lo += maxBurstUnits {
-		hi := min(lo+maxBurstUnits, len(dst))
-		todo := allUnits(hi - lo)
+	for lo := 0; lo < len(dst); lo += MaxBurstUnits {
+		hi := min(lo+MaxBurstUnits, len(dst))
+		var todo uint64
 		if simd {
-			todo = mulBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume[:])
+			todo = mulBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume)
+		} else {
+			todo = fromLaneZero(hi-lo, resume)
 		}
 		for ; todo != 0; todo &= todo - 1 {
 			u := bits.TrailingZeros64(todo)
-			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
-			mulLoopBytes(d[i:min(len(d), len(x), len(y)/2)], x[i:], y[2*i:])
+			d, x, y := dst[lo+u], a[lo+u], b[lo+u]
+			mulLoopBursts(d, x, y, int(resume[u]), min(len(d), len(x), len(y))/2)
 		}
 	}
 }
 
-func mulLoopBytes(d, a Vector, b []byte) {
-	a, b = a[:len(d)], b[:2*len(d)]
-	for i := range d {
-		d[i] = Mul(a[i], lane(b, i))
+func mulLoopBursts(d, a, b []byte, lo, n int) {
+	for i := lo; i < n; i++ {
+		setLane(d, i, Mul(lane(a, i), lane(b, i)))
 	}
 }
 
-// MACVecBursts is MACVec for each unit u, with b[u] given as a burst.
-func MACVecBursts(dst, a []Vector, b [][]byte) {
+// MACVecBursts is MACVec for each unit u.
+func MACVecBursts(dst, a, b [][]byte, resume *[MaxBurstUnits]int32) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	var resume [maxBurstUnits]int32
-	for lo := 0; lo < len(dst); lo += maxBurstUnits {
-		hi := min(lo+maxBurstUnits, len(dst))
-		todo := allUnits(hi - lo)
+	for lo := 0; lo < len(dst); lo += MaxBurstUnits {
+		hi := min(lo+MaxBurstUnits, len(dst))
+		var todo uint64
 		if simd {
-			todo = macBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume[:])
+			todo = macBursts(dst[lo:hi], a[lo:hi], b[lo:hi], resume)
+		} else {
+			todo = fromLaneZero(hi-lo, resume)
 		}
 		for ; todo != 0; todo &= todo - 1 {
 			u := bits.TrailingZeros64(todo)
-			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
-			macLoopBytes(d[i:min(len(d), len(x), len(y)/2)], x[i:], y[2*i:])
+			d, x, y := dst[lo+u], a[lo+u], b[lo+u]
+			macLoopBursts(d, x, y, int(resume[u]), min(len(d), len(x), len(y))/2)
 		}
 	}
 }
 
-func macLoopBytes(d, a Vector, b []byte) {
-	a, b = a[:len(d)], b[:2*len(d)]
-	for i := range d {
-		d[i] = MAC(d[i], a[i], lane(b, i))
+func macLoopBursts(d, a, b []byte, lo, n int) {
+	for i := lo; i < n; i++ {
+		setLane(d, i, MAC(lane(d, i), lane(a, i), lane(b, i)))
 	}
 }
 
-// MADVecBursts is MADVec for each unit u, with a[u] given as a burst and
-// c[u] as the addend.
-func MADVecBursts(dst []Vector, a [][]byte, b []Vector, c []F16) {
+// MADVecBursts is MADVec for each unit u, c[u] its addend.
+func MADVecBursts(dst, a, b [][]byte, c []F16, resume *[MaxBurstUnits]int32) {
 	a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
-	var resume [maxBurstUnits]int32
-	for lo := 0; lo < len(dst); lo += maxBurstUnits {
-		hi := min(lo+maxBurstUnits, len(dst))
-		todo := allUnits(hi - lo)
+	for lo := 0; lo < len(dst); lo += MaxBurstUnits {
+		hi := min(lo+MaxBurstUnits, len(dst))
+		var todo uint64
 		if simd {
-			todo = madBursts(dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi], resume[:])
+			todo = madBursts(dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi], resume)
+		} else {
+			todo = fromLaneZero(hi-lo, resume)
 		}
 		for ; todo != 0; todo &= todo - 1 {
 			u := bits.TrailingZeros64(todo)
-			d, x, y, i := dst[lo+u], a[lo+u], b[lo+u], int(resume[u])
-			madLoopBytes(d[i:min(len(d), len(x)/2, len(y))], x[2*i:], y[i:], c[lo+u])
+			d, x, y := dst[lo+u], a[lo+u], b[lo+u]
+			madLoopBursts(d, x, y, c[lo+u], int(resume[u]), min(len(d), len(x), len(y))/2)
 		}
 	}
 }
 
-func madLoopBytes(d Vector, a []byte, b Vector, c F16) {
-	a, b = a[:2*len(d)], b[:len(d)]
-	for i := range d {
-		d[i] = MAC(c, lane(a, i), b[i])
+func madLoopBursts(d, a, b []byte, c F16, lo, n int) {
+	for i := lo; i < n; i++ {
+		setLane(d, i, MAC(c, lane(a, i), lane(b, i)))
+	}
+}
+
+// ReLUBurst computes ReLU on every lane of burst a into burst dst, which
+// may be a itself, over len(dst)/2 lanes. Four lanes at a time it is
+// ReLU's multiplexer on one 64-bit word: every lane whose sign bit is set
+// is cleared to +0.
+func ReLUBurst(dst, a []byte) {
+	n, i := len(dst)/2, 0
+	for ; i+4 <= n; i += 4 {
+		w := binary.LittleEndian.Uint64(a[2*i:])
+		neg := w >> 15 & 0x0001_0001_0001_0001
+		binary.LittleEndian.PutUint64(dst[2*i:], w&^(neg*0xFFFF))
+	}
+	for ; i < n; i++ {
+		setLane(dst, i, ReLU(lane(a, i)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package fp16
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -90,6 +91,37 @@ func TestElementwiseOps(t *testing.T) {
 	})
 }
 
+// TestReLUBurst: in bursts of 0..19 lanes (whole words and a tail), in
+// place and not, every binary16 value passes through every lane position
+// (lane i holds x + 7919*i for all x), every lane is ReLU of its input,
+// and a byte past the last whole lane stays as it was.
+func TestReLUBurst(t *testing.T) {
+	for n := 0; n < 20; n++ {
+		for _, inPlace := range []bool{false, true} {
+			for x := 0; x <= 0xFFFF; x++ {
+				a := make(Vector, n)
+				for i := range a {
+					a[i] = F16(x + 7919*i)
+				}
+				src := append(a.Bytes(), 0xA5)
+				dst := bytes.Repeat([]byte{0x5A}, len(src))
+				if inPlace {
+					dst = src
+				}
+				ReLUBurst(dst[:2*n+1], src)
+				for i, h := range a {
+					if got := lane(dst, i); got != ReLU(h) {
+						t.Fatalf("n=%d in place %v lane %d of 0x%04x: 0x%04x, want 0x%04x", n, inPlace, i, uint16(h), uint16(got), uint16(ReLU(h)))
+					}
+				}
+				if want := map[bool]byte{false: 0x5A, true: 0xA5}[inPlace]; dst[2*n] != want {
+					t.Fatalf("n=%d in place %v: byte past the lanes 0x%02x, want 0x%02x", n, inPlace, dst[2*n], want)
+				}
+			}
+		}
+	}
+}
+
 // vecOps is the four block-kernel operations behind one signature, each
 // beside its scalar reference: acc is MACVec's accumulator on the way in
 // (dst starts as a copy of it) and its first lane is MADVec's addend.
@@ -102,24 +134,46 @@ var vecOps = []struct {
 	{"MulVec", func(dst, a, b Vector, _ F16) { MulVec(dst, a, b) }, func(_, a, b, _ F16) F16 { return Mul(a, b) }},
 	{"MACVec", func(dst, a, b Vector, _ F16) { MACVec(dst, a, b) }, func(acc, a, b, _ F16) F16 { return macRef(acc, a, b) }},
 	{"MADVec", func(dst, a, b Vector, c F16) { MADVec(dst, a, b, c) }, func(_, a, b, c F16) F16 { return macRef(c, a, b) }},
-	{"AddVecBursts", func(dst, a, b Vector, _ F16) { AddVecBursts([]Vector{dst}, []Vector{a}, [][]byte{burstOf(b)}) }, func(_, a, b, _ F16) F16 { return Add(a, b) }},
-	{"MulVecBursts", func(dst, a, b Vector, _ F16) { MulVecBursts([]Vector{dst}, []Vector{a}, [][]byte{burstOf(b)}) }, func(_, a, b, _ F16) F16 { return Mul(a, b) }},
-	{"MACVecBursts", func(dst, a, b Vector, _ F16) { MACVecBursts([]Vector{dst}, []Vector{a}, [][]byte{burstOf(b)}) }, func(acc, a, b, _ F16) F16 { return macRef(acc, a, b) }},
-	{"MADVecBursts", func(dst, a, b Vector, c F16) {
-		MADVecBursts([]Vector{dst}, [][]byte{burstOf(a)}, []Vector{b}, []F16{c})
-	}, func(_, a, b, c F16) F16 { return macRef(c, a, b) }},
+	{"AddVecBursts", burstForm(func(d, a, b [][]byte, _ F16) { AddVecBursts(d, a, b, &burstResume) }), func(_, a, b, _ F16) F16 { return Add(a, b) }},
+	{"MulVecBursts", burstForm(func(d, a, b [][]byte, _ F16) { MulVecBursts(d, a, b, &burstResume) }), func(_, a, b, _ F16) F16 { return Mul(a, b) }},
+	{"MACVecBursts", burstForm(func(d, a, b [][]byte, _ F16) { MACVecBursts(d, a, b, &burstResume) }), func(acc, a, b, _ F16) F16 { return macRef(acc, a, b) }},
+	{"MADVecBursts", burstForm(func(d, a, b [][]byte, c F16) { MADVecBursts(d, a, b, []F16{c}, &burstResume) }), func(_, a, b, c F16) F16 { return macRef(c, a, b) }},
 }
 
-// burstScratch backs burstOf: the burst forms above take their one unit's
-// bank operand from it, one call at a time, so the no-allocation test measures them and
-// not the encoding.
-var burstScratch = make([]byte, 2*64)
+// burstScratch backs burstForm: dst, a and b are encoded into a scratch
+// burst each, or share dst's when they alias it, so the burst forms see
+// the aliasing the typed forms do, and the no-allocation test measures
+// them and not the encoding. burstResume is their resume buffer.
+var (
+	burstScratch [3][2 * 64]byte
+	burstResume  [MaxBurstUnits]int32
+)
 
-// burstOf encodes v as a burst (little-endian lanes) into burstScratch.
-func burstOf(v Vector) []byte {
-	b := burstScratch[:2*len(v)]
-	v.PutBytes(b)
-	return b
+// burstForm runs a burst form over one unit behind vecOps' signature:
+// the operands encoded as bursts, the result decoded back into dst.
+func burstForm(f func(d, a, b [][]byte, c F16)) func(dst, a, b Vector, c F16) {
+	enc := func(i int, v Vector) []byte {
+		b := burstScratch[i][:2*len(v)]
+		v.PutBytes(b)
+		return b
+	}
+	return func(dst, a, b Vector, c F16) {
+		d := enc(0, dst)
+		x, y := d[:2*len(a)], d[:2*len(b)]
+		if !sameBacking(a, dst) {
+			x = enc(1, a)
+		}
+		if !sameBacking(b, dst) {
+			y = enc(2, b)
+		}
+		f([][]byte{d}, [][]byte{x}, [][]byte{y}, c)
+		dst.DecodeBytes(d)
+	}
+}
+
+// sameBacking reports whether a and b start at the same element.
+func sameBacking(a, b Vector) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // TestVecRaggedAndAliased runs the four operations at every common length

@@ -60,3 +60,39 @@ func BenchmarkStepSlots(b *testing.B) {
 		rt.CloseEngine()
 	}
 }
+
+// TestStepSlotsAllocs pins what one one-slot ds2-small timestep allocates
+// on the host: outputs, kernel statistics and refresh bookkeeping, but no
+// write payload, which every launch builds in its channel's reused
+// runtime.Payloads buffer (two allocations a launch, 14 a step, before).
+func TestStepSlotsAllocs(t *testing.T) {
+	mc := models.DS2Small()
+	w, err := GenWeights(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hbm.PIMHBMConfig(1200)
+	cfg.PseudoChannels = 4
+	cfg.Functional = true
+	rt, _, err := runtime.NewStack(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Load(rt, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := genFrames(rand.New(rand.NewSource(19)), 1, mc.Input)
+	const limit = 83
+	if n := testing.AllocsPerRun(20, func() {
+		if _, _, err := res.StepSlots(rt, frames); err != nil {
+			t.Fatal(err)
+		}
+	}); n > limit {
+		t.Errorf("one-slot step allocates %v objects, want at most %d", n, limit)
+	}
+}

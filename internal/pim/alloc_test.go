@@ -53,10 +53,10 @@ func checkZeroAlloc(t *testing.T, kernels []zeroAllocKernel) {
 }
 
 // TestTriggerZeroAlloc pins the RD-triggered forms of the data step: the
-// burst forms (a bank operand as SRC1 of MAC and ADD, as SRC0 of MAD), a
-// bank operand in the other position, register-only arithmetic, and moves
-// from a bank into a GRF (with ReLU) and into both SRF halves. This is the
-// inner loop of every functional kernel the simulator executes.
+// burst forms with a bank operand as SRC1 (MAC, ADD, MAD) or SRC0 (MAD,
+// MUL) and with register operands only, and moves from a bank into a GRF
+// (with ReLU) and into both SRF halves. This is the inner loop of every
+// functional kernel the simulator executes.
 func TestTriggerZeroAlloc(t *testing.T) {
 	checkZeroAlloc(t, []zeroAllocKernel{
 		{name: "MAC-even", src: "MAC(AAM) GRF_B, GRF_A, EVEN_BANK"},
@@ -71,11 +71,10 @@ func TestTriggerZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestWRTriggerZeroAlloc pins the WR-triggered forms: a payload the
-// sequencer decodes once and every unit captures into a GRF (how a
-// kernel's input vector is loaded) or an SRF half, a MOV from a GRF to
-// each unit's bank (with ReLU), and the SRW variant's forward of the
-// payload into a MAC's SRC0.
+// TestWRTriggerZeroAlloc pins the WR-triggered forms: a payload every
+// unit captures into a GRF (how a kernel's input vector is loaded) or an
+// SRF half, a MOV from a GRF to each unit's bank (with ReLU), and the SRW
+// variant's forward of the payload into a MAC's SRC0.
 func TestWRTriggerZeroAlloc(t *testing.T) {
 	checkZeroAlloc(t, []zeroAllocKernel{
 		{name: "MOV-payload", src: "MOV(AAM) GRF_A, EVEN_BANK", wr: true},

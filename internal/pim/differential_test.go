@@ -345,9 +345,10 @@ type diffCoverage struct {
 }
 
 // dataForm names the form of the data step a functional trigger cmd runs
-// for instruction in: the cases Executor.execute and move tell apart. It
+// for instruction in: where the result goes, where each operand comes
+// from (a bank operand in either position, or none), which operation. It
 // is worked out from the instruction and the command alone, so it checks
-// the production switch rather than repeating it.
+// the production data step rather than repeating it.
 func dataForm(in *isa.Instruction, cmd hbm.Command) string {
 	src := func(s isa.Src) string {
 		switch {
@@ -454,14 +455,15 @@ func runDifferential(t testing.TB, cfg hbm.Config, seed int64, words []uint32, s
 			for u, ref := range d.oracle.units {
 				got := d.exec.Unit(u)
 				for r := 0; r < cfg.GRFDepth(); r++ {
-					if !slices.Equal(got.grfA[r], ref.grfA[r]) || !slices.Equal(got.grfB[r], ref.grfB[r]) {
+					gotA, gotB := asBits(got.GRF(0, r)), asBits(got.GRF(1, r))
+					if !slices.Equal(gotA, asBits(ref.grfA[r])) || !slices.Equal(gotB, asBits(ref.grfB[r])) {
 						fail(i/3, cmd, "unit %d GRF_A[%d] %04x GRF_B[%d] %04x, reference %04x and %04x",
-							u, r, asBits(got.grfA[r]), r, asBits(got.grfB[r]), asBits(ref.grfA[r]), asBits(ref.grfB[r]))
+							u, r, gotA, r, gotB, asBits(ref.grfA[r]), asBits(ref.grfB[r]))
 					}
 				}
-				if !slices.Equal(got.srfM, ref.srfM) || !slices.Equal(got.srfA, ref.srfA) {
-					fail(i/3, cmd, "unit %d SRF_M %04x SRF_A %04x, reference %04x and %04x",
-						u, asBits(got.srfM), asBits(got.srfA), asBits(ref.srfM), asBits(ref.srfA))
+				gotSRF, refSRF := asBits(fp16.VectorFromBytes(got.srf)), append(asBits(ref.srfM), asBits(ref.srfA)...)
+				if !slices.Equal(gotSRF, refSRF) {
+					fail(i/3, cmd, "unit %d SRF_M:SRF_A %04x, reference %04x", u, gotSRF, refSRF)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -19,20 +20,21 @@ import (
 // bank data is decided here, once: the control walk (PPC, JUMP counters,
 // NOP countdown, EXIT), the instruction decode, the AAM register indices
 // and their range checks, which bank of each unit the command drives and
-// whether this command kind may, and the decoded WR payload. A bank
-// operand is then read for all units in one hbm.BankAccess.ReadBanks call
-// that visits their banks in unit order. The data step (execute) picks the
+// whether this command kind may, and the WR payload. A bank operand is
+// then read for all units in one hbm.BankAccess.ReadBanks call that visits
+// their banks in unit order. The data step (execute) picks the
 // instruction's form once per trigger (destination, operand sources,
-// operation) and runs it over units 0..n-1 in order in one loop, or in one
-// fp16 burst-form call that loops over them, each unit on its own
-// registers and a view of its own burst. A unit's operation touches no
-// other unit's bank, so bank statistics, ECC, the fault injector's read
-// sequence and the unit an error names are those of n units each reading
-// and executing in turn: a read that fails at unit k leaves units 0..k-1
-// executed and the banks of the units after k unread, and a bank write
-// that fails at unit k leaves the units after k unwritten. A timing-only
-// device has no data to operate on: the same sequencer runs and the
-// units' bank traffic is accounted in one call.
+// operation) and runs it over units 0..n-1 in order: a move is one
+// fixed-size copy of a burst per unit, an arithmetic instruction one fp16
+// burst-form call that loops over them, each unit on its own registers
+// and a view of its own burst, wherever the bank operand sits. A unit's
+// operation touches no other unit's bank, so bank statistics, ECC, the
+// fault injector's read sequence and the unit an error names are those of
+// n units each reading and executing in turn: a read that fails at unit k
+// leaves units 0..k-1 executed and the banks of the units after k unread,
+// and a bank write that fails at unit k leaves the units after k
+// unwritten. A timing-only device has no data to operate on: the same
+// sequencer runs and the units' bank traffic is accounted in one call.
 //
 // Lock step is checked, not assumed. The units keep their own CRF words
 // (an SB-mode column write reaches one unit's register space alone), the
@@ -80,16 +82,16 @@ type Executor struct {
 	// Functional executors only: the data step's per-unit operand lists,
 	// built once because what they list never moves. grf[h][idx] is
 	// register idx of GRF half h (0: GRF_A) of every unit in unit order,
-	// srfM and srfA are the units' SRF halves, and bcast and bankVecs hold
-	// one staging vector per unit for a scalar broadcast and for a bank
-	// operand no burst form takes. A trigger hands prefixes of them to
-	// fp16, with the MAD addends and the bank write's staging beside them,
-	// so it allocates nothing.
-	grf                         [2][][]fp16.Vector
-	srfM, srfA, bcast, bankVecs []fp16.Vector
-	addends                     []fp16.F16
-	reluVec                     fp16.Vector
-	outBuf                      []byte
+	// srf the units' SRF bursts, and bcast one staging burst per unit for
+	// a scalar broadcast. A trigger hands
+	// prefixes of them to fp16, with the MAD addends, the burst forms'
+	// resume buffer and the ReLU staging of a bank write beside them, so
+	// it allocates nothing.
+	grf        [2][][][]byte
+	srf, bcast [][]byte
+	addends    []fp16.F16
+	resume     [fp16.MaxBurstUnits]int32
+	relu       []byte
 
 	// TL, when set, records per-trigger retired-instruction counts into
 	// the observability timeline (the Perfetto PIM-activity counter
@@ -106,38 +108,33 @@ func NewExecutor(cfg hbm.Config) (*Executor, error) {
 		return nil, fmt.Errorf("pim: %d units do not divide %d banks", cfg.PIMUnits, cfg.Banks())
 	}
 	e := &Executor{
-		units:        make([]*Unit, cfg.PIMUnits),
+		units:        newUnits(cfg.PIMUnits, cfg.GRFDepth()),
 		banksPerUnit: cfg.BanksPerUnit(),
 		grfEntries:   cfg.GRFDepth(),
 		functional:   cfg.Functional,
 		twoBank:      cfg.TriggerBanks() == 2,
 		wrOperand:    cfg.WROperand(),
 	}
-	for i := range e.units {
-		e.units[i] = newUnit(e.grfEntries)
-	}
 	if e.functional {
 		n := cfg.PIMUnits
 		e.views = make([][]byte, n)
-		e.scratch = make([]byte, n*2*fp16.Lanes)
-		for h, half := range []isa.Src{isa.GRFA, isa.GRFB} {
-			e.grf[h] = make([][]fp16.Vector, e.grfEntries)
+		e.scratch = make([]byte, n*burstBytes)
+		for h := range e.grf {
+			e.grf[h] = make([][][]byte, e.grfEntries)
 			for idx := range e.grf[h] {
-				e.grf[h][idx] = make([]fp16.Vector, n)
+				e.grf[h][idx] = make([][]byte, n)
 				for i, u := range e.units {
-					e.grf[h][idx][i] = u.grf(half)[idx]
+					e.grf[h][idx][i] = u.grf[h][idx]
 				}
 			}
 		}
-		e.srfM, e.srfA = make([]fp16.Vector, n), make([]fp16.Vector, n)
-		e.bcast, e.bankVecs = make([]fp16.Vector, n), make([]fp16.Vector, n)
+		e.srf, e.bcast = make([][]byte, n), make([][]byte, n)
+		bcast := make([]byte, n*burstBytes)
 		for i, u := range e.units {
-			e.srfM[i], e.srfA[i] = u.srfM, u.srfA
-			e.bcast[i], e.bankVecs[i] = fp16.NewVector(fp16.Lanes), fp16.NewVector(fp16.Lanes)
+			e.srf[i], e.bcast[i] = u.srf, bcast[i*burstBytes:(i+1)*burstBytes]
 		}
 		e.addends = make([]fp16.F16, n)
-		e.reluVec = fp16.NewVector(fp16.Lanes)
-		e.outBuf = make([]byte, 2*fp16.Lanes)
+		e.relu = make([]byte, burstBytes)
 	}
 	return e, nil
 }
@@ -310,11 +307,11 @@ func (e *Executor) step(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 // execute is the data step of a functional trigger: it applies e.op to
 // units 0..n-1 in unit order, unit i's bank operand being its ReadBanks
 // view e.views[i]. The instruction's form (where the result goes, where
-// each operand comes from, which operation) is picked here once; each
-// form is then one loop over the units' operand lists, or one fp16
-// burst-form call that loops over them. Only a bank write can fail;
-// execute then returns the unit whose write failed, and the units after
-// it do not execute.
+// each operand comes from, which operation) is picked here once; a move is
+// then one loop over the units' registers, an arithmetic instruction one
+// fp16 burst-form call over their operand lists. Only a bank write can
+// fail; execute then returns the unit whose write failed, and the units
+// after it do not execute.
 func (e *Executor) execute(n int) (int, error) {
 	op, in := &e.op, e.op.in
 	views := e.views[:n]
@@ -323,10 +320,10 @@ func (e *Executor) execute(n int) (int, error) {
 		// written to its own bank in unit order.
 		for i, src := range e.regs(op.a.src, op.a.idx, n) {
 			if in.ReLU {
-				src = fp16.ReLUVec(e.reluVec, src)
+				fp16.ReLUBurst(e.relu, src)
+				src = e.relu
 			}
-			src.PutBytes(e.outBuf)
-			if err := op.access.WriteBank(i*e.banksPerUnit+op.bank, op.col, e.outBuf); err != nil {
+			if err := op.access.WriteBank(i*e.banksPerUnit+op.bank, op.col, src); err != nil {
 				return i, err
 			}
 		}
@@ -338,97 +335,74 @@ func (e *Executor) execute(n int) (int, error) {
 	}
 	if op.forward {
 		for _, r := range e.regs(op.a.src, op.a.idx, n) {
-			copy(r, op.payload[:])
+			copyBurst(r, op.payload)
 		}
 	}
-	// Arithmetic. A bank operand where the stack's kernels put it (SRC1 of
-	// ADD, MUL and MAC, SRC0 of MAD) goes to the operation's burst form as
-	// it lies; in the other position Table II allows, operands decodes it.
 	dsts := e.regs(in.Dst, op.dst, n)
-	switch {
-	case in.Op == isa.MAD && op.a.fromBank():
-		c := e.addends[:n]
-		for i, srfA := range e.srfA[:n] {
-			c[i] = srfA[op.addend]
-		}
-		fp16.MADVecBursts(dsts, views, e.operands(&op.b, views), c)
-		return 0, nil
-	case in.Op != isa.MAD && op.b.fromBank():
-		a := e.operands(&op.a, views)
-		switch in.Op {
-		case isa.ADD:
-			fp16.AddVecBursts(dsts, a, views)
-		case isa.MUL:
-			fp16.MulVecBursts(dsts, a, views)
-		default: // MAC
-			fp16.MACVecBursts(dsts, a, views)
-		}
-		return 0, nil
-	}
-	// Register operands, and at most one bank operand, decoded.
 	a, b := e.operands(&op.a, views), e.operands(&op.b, views)
 	switch in.Op {
 	case isa.ADD:
-		for i, d := range dsts {
-			fp16.AddVec(d, a[i], b[i])
-		}
+		fp16.AddVecBursts(dsts, a, b, &e.resume)
 	case isa.MUL:
-		for i, d := range dsts {
-			fp16.MulVec(d, a[i], b[i])
-		}
+		fp16.MulVecBursts(dsts, a, b, &e.resume)
 	case isa.MAC:
-		for i, d := range dsts {
-			fp16.MACVec(d, a[i], b[i])
-		}
+		fp16.MACVecBursts(dsts, a, b, &e.resume)
 	case isa.MAD:
-		for i, d := range dsts {
-			fp16.MADVec(d, a[i], b[i], e.srfA[i][op.addend])
+		c := e.addends[:n]
+		for i, srf := range e.srf[:n] {
+			c[i] = srfLane(srf, isa.SRFEntries+op.addend)
 		}
+		fp16.MADVecBursts(dsts, a, b, c, &e.resume)
 	}
 	return 0, nil
 }
 
 // move is the data step of MOV and FILL into a register, for units
 // 0..n-1: the source (each unit's burst, the WR payload or, for MOV, each
-// unit's GRF register) is copied into each unit's destination from lane
-// lo on, lo being 8 for SRF_A (the SRF halves mirror the memory-mapped
-// layout: SRF_M takes lanes 0-7 of the block, SRF_A lanes 8-15), and a
-// MOV with the ReLU flag rectifies what landed.
+// unit's GRF register) is copied into each unit's destination, and a MOV
+// with the ReLU flag rectifies what landed. An SRF half takes its half of
+// the source burst: the SRF halves mirror the memory-mapped layout, SRF_M
+// taking lanes 0-7 of the block and SRF_A lanes 8-15.
 func (e *Executor) move(n int) {
 	op, in := &e.op, e.op.in
-	var dsts []fp16.Vector
-	lo := 0
-	switch in.Dst {
-	case isa.GRFA, isa.GRFB:
-		dsts = e.regs(in.Dst, op.dst, n)
-	case isa.SRFM:
-		dsts = e.srfM[:n]
-	default: // SRF_A, and any other register name the decoder lets FILL write
-		dsts, lo = e.srfA[:n], isa.SRFEntries
-	}
+	var srcs [][]byte // nil: the WR payload, the same for every unit
 	switch {
 	case op.a.fromBank():
-		for i, d := range dsts {
-			d.DecodeBytes(e.views[i][2*lo:])
-		}
-	case op.a.payload:
-		for _, d := range dsts {
-			copy(d, op.payload[lo:])
-		}
-	default: // MOV GRF -> GRF
-		for i, src := range e.regs(op.a.src, op.a.idx, n) {
-			copy(dsts[i], src)
-		}
+		srcs = e.views[:n]
+	case !op.a.payload: // MOV GRF -> GRF
+		srcs = e.regs(op.a.src, op.a.idx, n)
 	}
-	if in.ReLU {
-		for _, d := range dsts {
-			fp16.ReLUVec(d, d)
+	src := func(i int) []byte {
+		if srcs == nil {
+			return op.payload
+		}
+		return srcs[i]
+	}
+	switch in.Dst {
+	case isa.GRFA, isa.GRFB:
+		dsts := e.regs(in.Dst, op.dst, n)
+		for i, d := range dsts {
+			copyBurst(d, src(i))
+		}
+		if in.ReLU {
+			for _, d := range dsts {
+				fp16.ReLUBurst(d, d)
+			}
+		}
+	case isa.SRFM:
+		for i, srf := range e.srf[:n] {
+			copyHalf(srf, src(i))
+		}
+	default: // SRF_A, and any other register name the decoder lets FILL write
+		const lo = burstBytes / 2
+		for i, srf := range e.srf[:n] {
+			copyHalf(srf[lo:], src(i)[lo:])
 		}
 	}
 }
 
 // regs lists register idx of GRF half s of units 0..n-1.
-func (e *Executor) regs(s isa.Src, idx, n int) []fp16.Vector {
+func (e *Executor) regs(s isa.Src, idx, n int) [][]byte {
 	if s == isa.GRFA {
 		return e.grf[0][idx][:n]
 	}
@@ -436,31 +410,27 @@ func (e *Executor) regs(s isa.Src, idx, n int) []fp16.Vector {
 }
 
 // operands lists arithmetic source o of the units that have a view in
-// views, as vectors not to be written through: a GRF register, a scalar
-// broadcast into bcast, or the unit's burst decoded into bankVecs (a bank
-// operand in a position no burst form takes).
-func (e *Executor) operands(o *operand, views [][]byte) []fp16.Vector {
+// views, as bursts not to be written through: a GRF register, a scalar
+// broadcast into bcast, or the unit's bank burst itself.
+func (e *Executor) operands(o *operand, views [][]byte) [][]byte {
 	n := len(views)
 	switch o.src {
 	case isa.GRFA, isa.GRFB:
 		return e.regs(o.src, o.idx, n)
 	case isa.SRFM, isa.SRFA:
-		file := e.srfA
-		if o.src == isa.SRFM {
-			file = e.srfM
+		lane := o.idx
+		if o.src == isa.SRFA {
+			lane += isa.SRFEntries
 		}
 		for i, v := range e.bcast[:n] {
-			s := file[i][o.idx]
-			for l := range v {
-				v[l] = s
+			s := uint64(binary.LittleEndian.Uint16(e.srf[i][2*lane:])) * 0x0001_0001_0001_0001
+			for w := 0; w < burstBytes; w += 8 {
+				binary.LittleEndian.PutUint64(v[w:], s)
 			}
 		}
 		return e.bcast[:n]
 	}
-	for i, v := range e.bankVecs[:n] {
-		v.DecodeBytes(views[i])
-	}
-	return e.bankVecs[:n]
+	return views
 }
 
 // resolveControl retires zero-cycle JUMPs and an EXIT at the current PPC
@@ -529,13 +499,13 @@ func (o *operand) fromBank() bool { return o.src.IsBank() && !o.payload }
 // resolved that does not depend on the unit executing it.
 type dataOp struct {
 	in      *isa.Instruction
-	dst     int                  // DST register index
-	a, b    operand              // SRC0 and, for arithmetic, SRC1
-	addend  int                  // MAD: the SRF_A index of the addend
-	bank    int                  // which of a unit's banks the instruction reads (an operand) or writes (MOV to a bank), as an offset from the unit's first; -1: neither
-	forward bool                 // SRW: the WR payload lands in a's register before the operation
-	payload [fp16.Lanes]fp16.F16 // the WR payload, decoded once per trigger that forwards or captures it
-	col     uint32               // the triggering column: every bank access happens there
+	dst     int     // DST register index
+	a, b    operand // SRC0 and, for arithmetic, SRC1
+	addend  int     // MAD: the SRF_A index of the addend
+	bank    int     // which of a unit's banks the instruction reads (an operand) or writes (MOV to a bank), as an offset from the unit's first; -1: neither
+	forward bool    // SRW: the WR payload lands in a's register before the operation
+	payload []byte  // the WR payload burst of a trigger that forwards or captures it: the host's 32 bytes, or zeros for a short payload
+	col     uint32  // the triggering column: every bank access happens there
 	access  hbm.BankAccess
 }
 
@@ -585,7 +555,7 @@ func (e *Executor) resolve(in *isa.Instruction, ctx *hbm.TriggerContext) error {
 	capture := in.Op.IsData()
 	if !capture && e.wrOperand && wr && in.Src0.IsGRF() && len(ctx.WrData) >= 2*fp16.Lanes {
 		op.forward = true
-		e.decodePayload(ctx.WrData)
+		op.payload = ctx.WrData
 	}
 	op.a, err = e.source(in.Src0, s0, ctx, capture)
 	if err != nil || capture {
@@ -613,7 +583,10 @@ func (e *Executor) source(s isa.Src, idx int, ctx *hbm.TriggerContext, capture b
 	case s.IsSRF():
 		return operand{src: s, idx: idx % isa.SRFEntries}, nil
 	case capture && ctx.Kind == hbm.CmdWR:
-		e.decodePayload(ctx.WrData)
+		e.op.payload = zeroBurst[:]
+		if len(ctx.WrData) >= burstBytes {
+			e.op.payload = ctx.WrData
+		}
 		return operand{src: s, payload: true}, nil
 	}
 	var err error
@@ -621,18 +594,8 @@ func (e *Executor) source(s isa.Src, idx int, ctx *hbm.TriggerContext, capture b
 	return operand{src: s}, err
 }
 
-// decodePayload stages the host's 32 bytes once for every unit; a short
-// payload reads as zeros.
-func (e *Executor) decodePayload(wrData []byte) {
-	if !e.functional {
-		return // contents are never read in timing-only mode
-	}
-	if len(wrData) < 2*fp16.Lanes {
-		e.op.payload = [fp16.Lanes]fp16.F16{}
-		return
-	}
-	fp16.Vector(e.op.payload[:]).DecodeBytes(wrData[:2*fp16.Lanes])
-}
+// zeroBurst is what a short WR payload carries into a register.
+var zeroBurst [burstBytes]byte
 
 // bankOffset resolves EVEN_BANK/ODD_BANK to the bank's offset within a
 // unit's banks, checking that the triggering command drives that bank set

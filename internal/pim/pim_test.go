@@ -498,7 +498,7 @@ func Test2XVariantDepth(t *testing.T) {
 	if exec.NumUnits() != 16 {
 		t.Fatalf("units = %d", exec.NumUnits())
 	}
-	if got := len(exec.Unit(0).grfA); got != 16 {
+	if got := len(exec.Unit(0).grf[0]); got != 16 {
 		t.Fatalf("GRF depth = %d, want 16", got)
 	}
 	if cfg.GRFDepth() != 16 {
@@ -507,7 +507,7 @@ func Test2XVariantDepth(t *testing.T) {
 }
 
 func TestRegisterSpaceBounds(t *testing.T) {
-	u := newUnit(isa.GRFEntries)
+	u := newUnits(1, isa.GRFEntries)[0]
 	if err := u.writeRegSpace(hbm.RegCRF, 4, make([]byte, 32)); err == nil {
 		t.Error("CRF col 4 accepted (only 32 words)")
 	}
@@ -529,7 +529,7 @@ func TestRegisterSpaceBounds(t *testing.T) {
 }
 
 func TestCRFRoundTripThroughRegisterSpace(t *testing.T) {
-	u := newUnit(isa.GRFEntries)
+	u := newUnits(1, isa.GRFEntries)[0]
 	prog := mustAssemble(t, `
 		MAC GRF_B[0], GRF_A[0], EVEN_BANK
 		JUMP -1, 7
@@ -704,6 +704,70 @@ func TestRegisterOnlyArithmetic(t *testing.T) {
 		want := fp16.Mul(a[l], b[l])
 		if got[l] != want {
 			t.Errorf("lane %d: %v, want %v", l, got[l], want)
+		}
+	}
+}
+
+// TestRegisterSpaceRoundTrip: any 32 bytes written to a GRF register or to
+// the SRF through the register space read back bit for bit, NaN payloads
+// included, with every register of every unit written before any is read
+// back, so no two registers share storage; and the typed accessors see
+// the lanes the bytes encode, SRF_M in lanes 0-7 and SRF_A in lanes 8-15.
+func TestRegisterSpaceRoundTrip(t *testing.T) {
+	for _, v := range []hbm.Variant{hbm.VariantBase, hbm.Variant2X} {
+		cfg := hbm.PIMHBMVariantConfig(v, 1000)
+		exec, err := NewExecutor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type reg struct {
+			unit  int
+			space hbm.RegSpace
+			col   uint32
+		}
+		var regs []reg
+		for u := 0; u < exec.NumUnits(); u++ {
+			for col := 0; col < 2*cfg.GRFDepth(); col++ {
+				regs = append(regs, reg{u, hbm.RegGRF, uint32(col)})
+			}
+			regs = append(regs, reg{u, hbm.RegSRF, 0})
+		}
+		rng := rand.New(rand.NewSource(31))
+		nans := []uint16{0x7E01, 0xFE22, 0x7C01, 0xFDFF, 0x7FFF, 0xFC00}
+		written := make([][]byte, len(regs))
+		for i, r := range regs {
+			data := make([]byte, 32)
+			rng.Read(data)
+			for l := 0; l < fp16.Lanes; l += 1 + rng.Intn(4) {
+				h := nans[rng.Intn(len(nans))]
+				data[2*l], data[2*l+1] = byte(h), byte(h>>8)
+			}
+			if err := exec.RegisterWrite(r.unit, r.space, r.col, data); err != nil {
+				t.Fatal(err)
+			}
+			written[i] = data
+		}
+		buf := make([]byte, 32)
+		for i, r := range regs {
+			if err := exec.RegisterRead(r.unit, r.space, r.col, buf); err != nil {
+				t.Fatal(err)
+			}
+			if string(buf) != string(written[i]) {
+				t.Fatalf("%s unit %d space %d col %d reads back %x, wrote %x", v, r.unit, r.space, r.col, buf, written[i])
+			}
+			want := fp16.VectorFromBytes(written[i])
+			u := exec.Unit(r.unit)
+			for l, h := range want {
+				var got fp16.F16
+				if r.space == hbm.RegSRF {
+					got = u.SRF(l/isa.SRFEntries, l%isa.SRFEntries)
+				} else {
+					got = u.GRF(int(r.col)/cfg.GRFDepth(), int(r.col)%cfg.GRFDepth())[l]
+				}
+				if got != h {
+					t.Fatalf("%s unit %d space %d col %d lane %d: accessor 0x%04x, bytes 0x%04x", v, r.unit, r.space, r.col, l, uint16(got), uint16(h))
+				}
+			}
 		}
 	}
 }

@@ -185,11 +185,13 @@ func TestReadBanksHooks(t *testing.T) {
 // banks (on plain the views window the open row, with ECC each burst is
 // decoded into executor scratch) and 8 16-lane MACs on them; mad is a MAD
 // with its bank operand as SRC0 and a scalar multiplier; mov is a WR
-// capture, the payload decoded once and copied into every unit's GRF_A
-// (how a kernel's input vector is loaded). The operands are seeded values
-// in [-1, 1) over 8 columns, so the accumulators stay finite; the
-// program's loop is re-armed every 128 triggers. `make bench` records the
-// rows in BENCH_gemv.json.
+// capture, the payload copied into every unit's GRF_A (how a kernel's
+// input vector is loaded); add-regs is a register-only ADD, the units'
+// registers handed to the burst form as they lie; mov-relu-to-bank is a
+// WR-triggered MOV of each unit's GRF_A through ReLU into its bank. The
+// operands are seeded values in [-1, 1) over 8 columns, so the
+// accumulators stay finite; the program's loop is re-armed every 128
+// triggers. `make bench` records the rows in BENCH_gemv.json.
 func BenchmarkTrigger(b *testing.B) {
 	for _, k := range []struct {
 		name, src string
@@ -199,6 +201,8 @@ func BenchmarkTrigger(b *testing.B) {
 		{"ecc", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", true, false},
 		{"mad", "MAD GRF_B[0], EVEN_BANK, SRF_M[0]", false, false},
 		{"mov", "MOV GRF_A[0], EVEN_BANK", false, true},
+		{"add-regs", "ADD GRF_B[0], GRF_A[0], GRF_B[0]", false, false},
+		{"mov-relu-to-bank", "MOV(RELU) EVEN_BANK, GRF_A[0]", false, true},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			cfg := hbm.PIMHBMConfig(1000)

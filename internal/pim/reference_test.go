@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pimsim/internal/fp16"
@@ -15,12 +16,132 @@ import (
 // data operation by itself, one unit after another per trigger, on
 // functional and timing-only devices alike: no decode cache, nothing
 // shared between units, nothing resolved ahead of the unit that uses it.
-// Only the register files and the register-space marshalling are the
-// production Unit's.
+// Its register files are typed, fp16.Vector and fp16.F16 as the
+// instruction set names them, and its register-space marshalling decodes
+// and encodes them, so the production Unit's burst registers and their
+// fixed-size copies are checked against an independent layout.
+
+// refRegs is a reference unit's CRF words and typed register files.
+type refRegs struct {
+	crf [isa.CRFEntries]uint32
+
+	grfA, grfB []fp16.Vector // vector registers, one 16-lane vector each
+	srfM, srfA []fp16.F16    // scalar registers
+
+	grfEntries int // registers per GRF half (hbm.Config.GRFDepth)
+
+	tmpVec fp16.Vector // register-space marshalling
+}
+
+func newRefRegs(grfEntries int) *refRegs {
+	u := &refRegs{grfEntries: grfEntries}
+	u.grfA = make([]fp16.Vector, grfEntries)
+	u.grfB = make([]fp16.Vector, grfEntries)
+	for i := 0; i < grfEntries; i++ {
+		u.grfA[i] = fp16.NewVector(fp16.Lanes)
+		u.grfB[i] = fp16.NewVector(fp16.Lanes)
+	}
+	u.srfM = make([]fp16.F16, isa.SRFEntries)
+	u.srfA = make([]fp16.F16, isa.SRFEntries)
+	u.tmpVec = fp16.NewVector(fp16.Lanes)
+	return u
+}
+
+// GRF returns a copy of a vector register (half 0 = GRF_A, 1 = GRF_B).
+func (u *refRegs) GRF(half, idx int) fp16.Vector {
+	regs := u.grfA
+	if half == 1 {
+		regs = u.grfB
+	}
+	return append(fp16.Vector(nil), regs[idx]...)
+}
+
+// grf returns the register slice for an ISA source.
+func (u *refRegs) grf(s isa.Src) []fp16.Vector {
+	if s == isa.GRFA {
+		return u.grfA
+	}
+	return u.grfB
+}
+
+// writeRegSpace stores a 32-byte block into the unit's register space.
+func (u *refRegs) writeRegSpace(space hbm.RegSpace, col uint32, data []byte) error {
+	if len(data) < 32 {
+		return fmt.Errorf("pim: register write payload %dB, want 32B", len(data))
+	}
+	switch space {
+	case hbm.RegCRF:
+		base := int(col) * 8
+		if base+8 > isa.CRFEntries {
+			return fmt.Errorf("pim: CRF column %d out of range", col)
+		}
+		for i := 0; i < 8; i++ {
+			u.crf[base+i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+	case hbm.RegGRF:
+		half, idx := int(col)/u.grfEntries, int(col)%u.grfEntries
+		if half > 1 {
+			return fmt.Errorf("pim: GRF column %d out of range", col)
+		}
+		regs := u.grfA
+		if half == 1 {
+			regs = u.grfB
+		}
+		regs[idx].DecodeBytes(data[:32])
+	case hbm.RegSRF:
+		if col != 0 {
+			return fmt.Errorf("pim: SRF column %d out of range", col)
+		}
+		v := u.tmpVec.DecodeBytes(data[:32])
+		copy(u.srfM, v[:isa.SRFEntries])
+		copy(u.srfA, v[isa.SRFEntries:])
+	default:
+		return fmt.Errorf("pim: write to register space %d", space)
+	}
+	return nil
+}
+
+// readRegSpace loads a 32-byte block from the unit's register space.
+func (u *refRegs) readRegSpace(space hbm.RegSpace, col uint32, buf []byte) error {
+	if len(buf) < 32 {
+		return fmt.Errorf("pim: register read buffer %dB, want 32B", len(buf))
+	}
+	switch space {
+	case hbm.RegCRF:
+		base := int(col) * 8
+		if base+8 > isa.CRFEntries {
+			return fmt.Errorf("pim: CRF column %d out of range", col)
+		}
+		for i := 0; i < 8; i++ {
+			binary.LittleEndian.PutUint32(buf[4*i:], u.crf[base+i])
+		}
+	case hbm.RegGRF:
+		half, idx := int(col)/u.grfEntries, int(col)%u.grfEntries
+		if half > 1 {
+			return fmt.Errorf("pim: GRF column %d out of range", col)
+		}
+		regs := u.grfA
+		if half == 1 {
+			regs = u.grfB
+		}
+		regs[idx].PutBytes(buf)
+	case hbm.RegSRF:
+		if col != 0 {
+			return fmt.Errorf("pim: SRF column %d out of range", col)
+		}
+		v := u.tmpVec[:2*isa.SRFEntries]
+		copy(v[:isa.SRFEntries], u.srfM)
+		copy(v[isa.SRFEntries:], u.srfA)
+		v.PutBytes(buf)
+	default:
+		return fmt.Errorf("pim: read from register space %d", space)
+	}
+	return nil
+}
 
 // refUnit is one self-contained execution unit of the reference.
 type refUnit struct {
-	*Unit // CRF words, GRF/SRF registers, register-space access
+	*refRegs // CRF words, GRF/SRF registers, register-space access
 
 	ppc       int
 	nopLeft   int
@@ -43,7 +164,7 @@ type refUnit struct {
 
 func newRefUnit(grfEntries int) *refUnit {
 	return &refUnit{
-		Unit:    newUnit(grfEntries),
+		refRegs: newRefRegs(grfEntries),
 		bankBuf: make([]byte, 2*fp16.Lanes),
 		bankVec: fp16.NewVector(fp16.Lanes),
 		srfVec:  fp16.NewVector(fp16.Lanes),

@@ -10,7 +10,10 @@
 // its form picked once per trigger and then run over units 0..n-1 in one
 // loop) and a Unit is the data the instruction works on (register files
 // and the unit's own CRF words for register-space readback; a bank operand
-// is read where it lies).
+// is read where it lies). The GRF and SRF hold bursts, the 32-byte words a
+// column access carries, so every operand of a trigger is a burst: a move
+// is a fixed-size copy and an arithmetic instruction one fp16 burst-form
+// call, whichever of its operands come from a register or a bank.
 //
 // A trigger that returns an error has failed part way: the units before
 // the one the error names have executed the instruction, that one and the
@@ -38,70 +41,114 @@ import (
 // controller drive the unit blind (Section IV-B).
 const PipelineStages = 5
 
+// burstBytes is the size of a burst, the word one column access moves:
+// 16 lanes of 2 bytes, little-endian. A GRF entry is one burst, and the
+// SRF's two 8-lane halves are one burst together.
+const burstBytes = 2 * fp16.Lanes
+
+// copyBurst copies the first burst of src into dst, and copyHalf the
+// first half burst, an SRF half's worth: fixed-size copies, in 8-byte
+// words all loaded before any is stored, with no call.
+func copyBurst(dst, src []byte) {
+	_, _ = dst[burstBytes-1], src[burstBytes-1]
+	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
+	w2, w3 := binary.LittleEndian.Uint64(src[16:]), binary.LittleEndian.Uint64(src[24:])
+	binary.LittleEndian.PutUint64(dst, w0)
+	binary.LittleEndian.PutUint64(dst[8:], w1)
+	binary.LittleEndian.PutUint64(dst[16:], w2)
+	binary.LittleEndian.PutUint64(dst[24:], w3)
+}
+
+func copyHalf(dst, src []byte) {
+	_, _ = dst[burstBytes/2-1], src[burstBytes/2-1]
+	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
+	binary.LittleEndian.PutUint64(dst, w0)
+	binary.LittleEndian.PutUint64(dst[8:], w1)
+}
+
 // Unit is one PIM execution unit's data: the register files the 16 SIMD
 // lanes share. What to execute, and how, is the Executor's to decide,
 // once per trigger for all units; a unit has no code path of its own. The
 // unit keeps its own CRF words because its register space is written and
 // read back per unit; the Executor checks them against unit 0's before it
 // sequences a program.
+//
+// The GRF and SRF hold the bursts a column access carries, in the layout
+// of a bank's column and of the register space: "the host processor
+// pushes 256 bits to the write drivers or PIM registers" (Section III-A),
+// and a register's burst is what a MOV to a bank writes. Every move into
+// or out of a register is therefore a fixed-size copy, and an arithmetic
+// trigger hands the registers to fp16's burst forms as they lie.
 type Unit struct {
 	crf [isa.CRFEntries]uint32
 
-	grfA, grfB []fp16.Vector // vector registers, one 16-lane vector each
-	srfM, srfA []fp16.F16    // scalar registers
+	grf [2][][]byte // grf[h][idx]: register idx of GRF half h (0: GRF_A), a burst each
+	srf []byte      // one burst: SRF_M in lanes 0-7, SRF_A in lanes 8-15
 
 	grfEntries int // registers per GRF half (hbm.Config.GRFDepth)
-
-	tmpVec fp16.Vector // register-space marshalling
 }
 
-// newUnit builds a unit with the given GRF depth per half.
-func newUnit(grfEntries int) *Unit {
-	u := &Unit{grfEntries: grfEntries}
-	u.grfA = make([]fp16.Vector, grfEntries)
-	u.grfB = make([]fp16.Vector, grfEntries)
-	for i := 0; i < grfEntries; i++ {
-		u.grfA[i] = fp16.NewVector(fp16.Lanes)
-		u.grfB[i] = fp16.NewVector(fp16.Lanes)
+// newUnits builds n units with the given GRF depth per half. Their
+// registers are cut from one array laid out register by register, the n
+// units' copies of each side by side, then the n SRFs: a trigger works on
+// one register of every unit, which is then one contiguous run of memory.
+func newUnits(n, grfEntries int) []*Unit {
+	regs := make([]byte, (2*grfEntries+1)*n*burstBytes)
+	reg := func(r, unit int) []byte {
+		o := (r*n + unit) * burstBytes
+		return regs[o : o+burstBytes : o+burstBytes]
 	}
-	u.srfM = make([]fp16.F16, isa.SRFEntries)
-	u.srfA = make([]fp16.F16, isa.SRFEntries)
-	u.tmpVec = fp16.NewVector(fp16.Lanes)
-	return u
+	units := make([]*Unit, n)
+	for i := range units {
+		u := &Unit{grfEntries: grfEntries}
+		for h := range u.grf {
+			u.grf[h] = make([][]byte, grfEntries)
+			for idx := range u.grf[h] {
+				u.grf[h][idx] = reg(h*grfEntries+idx, i)
+			}
+		}
+		u.srf = reg(2*grfEntries, i)
+		units[i] = u
+	}
+	return units
 }
 
 // GRF returns a copy of a vector register (half 0 = GRF_A, 1 = GRF_B).
 func (u *Unit) GRF(half, idx int) fp16.Vector {
-	regs := u.grfA
-	if half == 1 {
-		regs = u.grfB
-	}
-	out := fp16.NewVector(fp16.Lanes)
-	copy(out, regs[idx])
-	return out
+	return fp16.VectorFromBytes(u.grf[half][idx])
 }
 
 // SRF returns a scalar register (port 0 = SRF_M, 1 = SRF_A).
 func (u *Unit) SRF(port, idx int) fp16.F16 {
-	if port == 0 {
-		return u.srfM[idx]
-	}
-	return u.srfA[idx]
+	return srfLane(u.srf, port*isa.SRFEntries+idx)
 }
 
-// grf returns the register slice for an ISA source.
-func (u *Unit) grf(s isa.Src) []fp16.Vector {
-	if s == isa.GRFA {
-		return u.grfA
-	}
-	return u.grfB
+// srfLane decodes lane i of an SRF burst.
+func srfLane(srf []byte, i int) fp16.F16 {
+	return fp16.F16(binary.LittleEndian.Uint16(srf[2*i:]))
 }
 
 // Register-space access (memory-mapped CRF/GRF/SRF, Section III-B).
 
+// regSpaceBurst returns the register a GRF or SRF register-space column
+// maps to, as the burst it holds.
+func (u *Unit) regSpaceBurst(space hbm.RegSpace, col uint32) ([]byte, error) {
+	if space == hbm.RegSRF {
+		if col != 0 {
+			return nil, fmt.Errorf("pim: SRF column %d out of range", col)
+		}
+		return u.srf, nil
+	}
+	half, idx := int(col)/u.grfEntries, int(col)%u.grfEntries
+	if half > 1 {
+		return nil, fmt.Errorf("pim: GRF column %d out of range", col)
+	}
+	return u.grf[half][idx], nil
+}
+
 // writeRegSpace stores a 32-byte block into the unit's register space.
 func (u *Unit) writeRegSpace(space hbm.RegSpace, col uint32, data []byte) error {
-	if len(data) < 32 {
+	if len(data) < burstBytes {
 		return fmt.Errorf("pim: register write payload %dB, want 32B", len(data))
 	}
 	switch space {
@@ -113,23 +160,12 @@ func (u *Unit) writeRegSpace(space hbm.RegSpace, col uint32, data []byte) error 
 		for i := 0; i < 8; i++ {
 			u.crf[base+i] = binary.LittleEndian.Uint32(data[4*i:])
 		}
-	case hbm.RegGRF:
-		half, idx := int(col)/u.grfEntries, int(col)%u.grfEntries
-		if half > 1 {
-			return fmt.Errorf("pim: GRF column %d out of range", col)
+	case hbm.RegGRF, hbm.RegSRF:
+		reg, err := u.regSpaceBurst(space, col)
+		if err != nil {
+			return err
 		}
-		regs := u.grfA
-		if half == 1 {
-			regs = u.grfB
-		}
-		regs[idx].DecodeBytes(data[:32])
-	case hbm.RegSRF:
-		if col != 0 {
-			return fmt.Errorf("pim: SRF column %d out of range", col)
-		}
-		v := u.tmpVec.DecodeBytes(data[:32])
-		copy(u.srfM, v[:isa.SRFEntries])
-		copy(u.srfA, v[isa.SRFEntries:])
+		copyBurst(reg, data)
 	default:
 		return fmt.Errorf("pim: write to register space %d", space)
 	}
@@ -138,7 +174,7 @@ func (u *Unit) writeRegSpace(space hbm.RegSpace, col uint32, data []byte) error 
 
 // readRegSpace loads a 32-byte block from the unit's register space.
 func (u *Unit) readRegSpace(space hbm.RegSpace, col uint32, buf []byte) error {
-	if len(buf) < 32 {
+	if len(buf) < burstBytes {
 		return fmt.Errorf("pim: register read buffer %dB, want 32B", len(buf))
 	}
 	switch space {
@@ -150,24 +186,12 @@ func (u *Unit) readRegSpace(space hbm.RegSpace, col uint32, buf []byte) error {
 		for i := 0; i < 8; i++ {
 			binary.LittleEndian.PutUint32(buf[4*i:], u.crf[base+i])
 		}
-	case hbm.RegGRF:
-		half, idx := int(col)/u.grfEntries, int(col)%u.grfEntries
-		if half > 1 {
-			return fmt.Errorf("pim: GRF column %d out of range", col)
+	case hbm.RegGRF, hbm.RegSRF:
+		reg, err := u.regSpaceBurst(space, col)
+		if err != nil {
+			return err
 		}
-		regs := u.grfA
-		if half == 1 {
-			regs = u.grfB
-		}
-		regs[idx].PutBytes(buf)
-	case hbm.RegSRF:
-		if col != 0 {
-			return fmt.Errorf("pim: SRF column %d out of range", col)
-		}
-		v := u.tmpVec[:2*isa.SRFEntries]
-		copy(v[:isa.SRFEntries], u.srfM)
-		copy(v[isa.SRFEntries:], u.srfA)
-		v.PutBytes(buf)
+		copyBurst(buf, reg)
 	default:
 		return fmt.Errorf("pim: read from register space %d", space)
 	}

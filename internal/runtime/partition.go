@@ -37,6 +37,7 @@ func (r *Runtime) Restrict(channels []int) (*Runtime, error) {
 		view.Execs = append(view.Execs, r.Execs[ch])
 		view.wr = append(view.wr, r.wr[ch])
 		view.unload = append(view.unload, r.unload[ch])
+		view.payloads = append(view.payloads, r.payloads[ch])
 	}
 	return view, nil
 }

@@ -56,6 +56,10 @@ type Runtime struct {
 	// numbering), shared with restricted views like wr.
 	unload []*grfUnload
 
+	// payloads is one Payloads buffer per channel (parent numbering),
+	// shared with restricted views like wr.
+	payloads []*payloadRun
+
 	// eng dispatches per-channel kernel work. Nil runs channels
 	// sequentially on the caller's goroutine (engine.Serial semantics
 	// without the indirection).
@@ -135,6 +139,7 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 	for i := range r.Chans {
 		r.wr = append(r.wr, wr[i*cfg.AccessBytes:(i+1)*cfg.AccessBytes])
 		r.unload = append(r.unload, new(grfUnload))
+		r.payloads = append(r.payloads, new(payloadRun))
 	}
 
 	// One registry shard per channel: kernels under a parallel engine write
@@ -570,6 +575,34 @@ func (g *grfUnload) views(units, regs int) [][]fp16.Vector {
 		}
 	}
 	return g.units
+}
+
+// Payloads returns channel ch's WR payload buffer cut as n payloads of
+// AccessBytes each, for a kernel to fill and hand to TriggerWRRun. The
+// buffer keeps what the last user wrote, grows to the longest run the
+// channel has seen and is reused by every later call, so the payloads are
+// valid until the channel's next Payloads call. That is safe because
+// nothing downstream keeps a payload: hbm has consumed a WR's data by the
+// time Issue returns.
+func (r *Runtime) Payloads(ch, n int) [][]byte {
+	return r.payloads[ch].cut(n, r.Cfg.AccessBytes)
+}
+
+// payloadRun is one channel's Payloads buffer: the payload views, cut
+// once from one backing array when the channel first needs that many.
+type payloadRun struct {
+	views [][]byte
+}
+
+func (p *payloadRun) cut(n, size int) [][]byte {
+	if len(p.views) < n {
+		buf := make([]byte, n*size)
+		p.views = make([][]byte, n)
+		for k := range p.views {
+			p.views[k] = buf[k*size : (k+1)*size : (k+1)*size]
+		}
+	}
+	return p.views[:n]
 }
 
 // Now returns a channel's clock.

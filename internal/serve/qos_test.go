@@ -288,6 +288,12 @@ func TestDeadlineExpiredShedBeforeDispatch(t *testing.T) {
 	time.Sleep(80 * time.Millisecond)
 	s.pool <- sh
 	wg.Wait()
+	// Request 2's handler may have answered 504 from its own context
+	// while the request was still queued, and the consumer pops it only
+	// after it hands request 1's step to a worker, so both replies can
+	// arrive before the pop. Wait for the pop (its shed, counted last)
+	// before reading the counters.
+	waitFor(t, func() bool { return s.shedTotal.Value() >= 1 })
 
 	if code1 != 200 {
 		t.Errorf("live request finished %d, want 200", code1)

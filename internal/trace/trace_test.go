@@ -1,16 +1,17 @@
-package trace
+package trace_test
 
 import (
 	"strings"
 	"testing"
 
 	"pimsim/internal/hbm"
+	"pimsim/internal/trace"
 )
 
 func TestRingBuffer(t *testing.T) {
-	r := NewRecorder(3)
+	r := trace.NewRecorder(3)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{Cycle: int64(i), Kind: hbm.CmdRD, Col: uint32(i)})
+		r.Record(trace.Event{Cycle: int64(i), Kind: hbm.CmdRD, Col: uint32(i)})
 	}
 	if r.Total() != 5 {
 		t.Errorf("total = %d", r.Total())
@@ -27,20 +28,21 @@ func TestRingBuffer(t *testing.T) {
 }
 
 func TestRecorderUnderfill(t *testing.T) {
-	r := NewRecorder(10)
-	r.Record(Event{Cycle: 1, Kind: hbm.CmdACT, Row: 7})
+	r := trace.NewRecorder(10)
+	r.Record(trace.Event{Cycle: 1, Kind: hbm.CmdACT, Row: 7})
 	ev := r.Events()
 	if len(ev) != 1 || ev[0].Row != 7 {
 		t.Fatalf("%+v", ev)
 	}
-	if NewRecorder(0) == nil {
+	if trace.NewRecorder(0) == nil {
 		t.Fatal("zero capacity recorder")
 	}
 }
 
-func TestDumpParseRoundTrip(t *testing.T) {
-	r := NewRecorder(8)
-	events := []Event{
+// roundTripEvents, commentedTrace and malformedTraces are the tests'
+// inputs, and FuzzParse's seeds.
+var (
+	roundTripEvents = []trace.Event{
 		{Cycle: 10, Channel: 0, Kind: hbm.CmdACT, BG: 1, Bank: 2, Row: 300},
 		{Cycle: 24, Channel: 0, Kind: hbm.CmdRD, BG: 1, Bank: 2, Col: 5},
 		{Cycle: 30, Channel: 1, Kind: hbm.CmdWR, BG: 0, Bank: 0, Col: 9},
@@ -48,6 +50,29 @@ func TestDumpParseRoundTrip(t *testing.T) {
 		{Cycle: 50, Channel: 0, Kind: hbm.CmdPREA},
 		{Cycle: 60, Channel: 0, Kind: hbm.CmdREF},
 	}
+	commentedTrace = `
+# a comment
+10 0 ACT 0 0 5 0
+
+12 0 RD 0 0 0 3
+`
+	malformedTraces = []string{
+		"10 0 FROB 0 0 0 0",
+		"not a line",
+		"10 0 RD 0 0",
+		// Trailing tokens are malformed, not ignorable (regression: Sscanf
+		// used to stop at the 7th field and silently accept the rest).
+		"10 0 RD 0 0 0 3 99",
+		"10 0 RD 0 0 0 3 trailing junk",
+		// Non-numeric address fields.
+		"10 0 RD 0 0 x 3",
+		"10 0 RD 0 0 0 -1",
+	}
+)
+
+func TestDumpParseRoundTrip(t *testing.T) {
+	r := trace.NewRecorder(8)
+	events := roundTripEvents
 	for _, e := range events {
 		r.Record(e)
 	}
@@ -55,7 +80,7 @@ func TestDumpParseRoundTrip(t *testing.T) {
 	if err := r.Dump(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(strings.NewReader(sb.String()))
+	back, err := trace.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +95,7 @@ func TestDumpParseRoundTrip(t *testing.T) {
 }
 
 func TestParseSkipsCommentsAndBlanks(t *testing.T) {
-	src := `
-# a comment
-10 0 ACT 0 0 5 0
-
-12 0 RD 0 0 0 3
-`
-	ev, err := Parse(strings.NewReader(src))
+	ev, err := trace.Parse(strings.NewReader(commentedTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,52 +105,41 @@ func TestParseSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, src := range []string{
-		"10 0 FROB 0 0 0 0",
-		"not a line",
-		"10 0 RD 0 0",
-		// Trailing tokens are malformed, not ignorable (regression: Sscanf
-		// used to stop at the 7th field and silently accept the rest).
-		"10 0 RD 0 0 0 3 99",
-		"10 0 RD 0 0 0 3 trailing junk",
-		// Non-numeric address fields.
-		"10 0 RD 0 0 x 3",
-		"10 0 RD 0 0 0 -1",
-	} {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
-			t.Errorf("Parse(%q) succeeded", src)
+	for _, src := range malformedTraces {
+		if _, err := trace.Parse(strings.NewReader(src)); err == nil {
+			t.Errorf("trace.Parse(%q) succeeded", src)
 		}
 	}
 }
 
 func TestValidate(t *testing.T) {
 	cfg := hbm.HBM2Config(1000)
-	good := []Event{
+	good := []trace.Event{
 		{Kind: hbm.CmdACT, Channel: 0, BG: 0, Bank: 0, Row: 5},
 		{Kind: hbm.CmdRD, Channel: 1, BG: 0, Bank: 0, Col: 3},
 	}
-	if err := Validate(good, cfg, 2); err != nil {
+	if err := trace.Validate(good, cfg, 2); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	bad := []struct {
 		name string
-		ev   Event
+		ev   trace.Event
 	}{
-		{"channel", Event{Kind: hbm.CmdRD, Channel: 2}},
-		{"bank group", Event{Kind: hbm.CmdRD, BG: cfg.BankGroups}},
-		{"bank", Event{Kind: hbm.CmdRD, Bank: cfg.BanksPerGroup}},
-		{"row", Event{Kind: hbm.CmdACT, Row: uint32(cfg.Rows)}},
-		{"column", Event{Kind: hbm.CmdRD, Col: uint32(cfg.ColumnsPerRow())}},
+		{"channel", trace.Event{Kind: hbm.CmdRD, Channel: 2}},
+		{"bank group", trace.Event{Kind: hbm.CmdRD, BG: cfg.BankGroups}},
+		{"bank", trace.Event{Kind: hbm.CmdRD, Bank: cfg.BanksPerGroup}},
+		{"row", trace.Event{Kind: hbm.CmdACT, Row: uint32(cfg.Rows)}},
+		{"column", trace.Event{Kind: hbm.CmdRD, Col: uint32(cfg.ColumnsPerRow())}},
 	}
 	for _, tc := range bad {
-		if err := Validate([]Event{tc.ev}, cfg, 2); err == nil {
+		if err := trace.Validate([]trace.Event{tc.ev}, cfg, 2); err == nil {
 			t.Errorf("out-of-range %s accepted", tc.name)
 		}
 	}
 }
 
 func TestEventCommand(t *testing.T) {
-	e := Event{Kind: hbm.CmdWR, BG: 2, Bank: 3, Row: 9, Col: 8}
+	e := trace.Event{Kind: hbm.CmdWR, BG: 2, Bank: 3, Row: 9, Col: 8}
 	cmd := e.Command()
 	if cmd.Kind != hbm.CmdWR || cmd.BG != 2 || cmd.Bank != 3 || cmd.Row != 9 || cmd.Col != 8 {
 		t.Errorf("%+v", cmd)
