@@ -72,8 +72,10 @@ benchmark-check:
 	done
 
 # fuzz-smoke fuzzes the PIM executor against the reference interpreter
-# (internal/pim: random CRF words and trigger streams on every device kind,
-# compared after every trigger) for ten seconds, then fp16's vector MAC
+# (internal/pim: random CRF words, streams of trigger runs and a planted
+# fault on every device kind, each run issued as one run on one device and
+# command by command on the other, compared after every run) for ten
+# seconds, then fp16's vector MAC
 # and MAD for ten seconds: raw operand bits through the typed forms on
 # both paths, every lane against the reference, and through the four
 # multi-unit burst forms over 1 and 8 units against the typed forms; then
@@ -87,9 +89,11 @@ benchmark-check:
 # literal "*" selector, and encodes as JSON) for ten seconds; the SEC-DED
 # decoder on arbitrary words and flip positions (internal/ecc: a clean
 # word decodes, one flip is corrected, two are caught) for ten seconds;
-# and arbitrary trace text (internal/trace: Parse never panics, an
-# accepted trace re-formats and re-parses to the same events, Validate
-# judges it) for ten seconds.
+# arbitrary trace text (internal/trace: Parse never panics, an accepted
+# trace re-formats and re-parses to the same events, Validate judges it)
+# for ten seconds; and arbitrary variant names (internal/hbm: ParseVariant
+# never panics, an accepted name's variant parses back from its String and
+# builds a valid device) for ten seconds.
 # -fuzzminimizetime 1s: the default minute of minimising would leave the
 # ten seconds no executions.
 fuzz-smoke:
@@ -100,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseObjective -fuzztime 10s -fuzzminimizetime 1s ./internal/slo
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/ecc
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzParseVariant -fuzztime 10s -fuzzminimizetime 1s ./internal/hbm
 
 # examples-smoke builds every examples/* main and runs it under a 60 s
 # timeout; a nonzero exit or a timeout fails the target, and only a
@@ -137,10 +142,12 @@ fp16-exhaustive:
 
 # purego builds the fp16 package without its amd64 assembly and runs the
 # kernels' tests and every golden that depends on them on the portable
-# path, the one a CI runner with F16C never selects by itself.
+# path, the one a CI runner with F16C never selects by itself, and the
+# trigger-run tests (memctrl's runs against single commands, pim's
+# differential over runs).
 purego:
 	$(GO) vet -tags purego ./internal/fp16
-	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64|RegisterSpace|Splats'
+	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/memctrl ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64|RegisterSpace|Splats|IssueRun'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

@@ -25,31 +25,11 @@ func (k KernelStats) Ns(rt *runtime.Runtime) float64 {
 	return rt.Cfg.Timing.CyclesToNs(k.Cycles)
 }
 
-// region measures per-channel cycle deltas around a kernel.
-type region struct {
-	rt     *runtime.Runtime
-	start  []int64
-	fences []int64
-}
-
-func beginRegion(rt *runtime.Runtime) *region {
-	r := &region{rt: rt, start: make([]int64, rt.NumChannels()), fences: make([]int64, rt.NumChannels())}
-	for i, c := range rt.Chans {
-		r.start[i] = c.Now()
-		r.fences[i] = c.Fences()
-	}
-	return r
-}
-
-func (r *region) end() KernelStats {
-	var ks KernelStats
-	for i, c := range r.rt.Chans {
-		if d := c.Now() - r.start[i]; d > ks.Cycles {
-			ks.Cycles = d
-		}
-		ks.Fences += c.Fences() - r.fences[i]
-	}
-	return ks
+// regionStats is the cost of the kernel region rt.BeginRegion opened: the
+// slowest channel's cycles and every channel's fences since.
+func regionStats(rt *runtime.Runtime) KernelStats {
+	cycles, fences := rt.EndRegion()
+	return KernelStats{Cycles: cycles, Fences: fences}
 }
 
 // GRFDepth is the GRF accumulator depth of the runtime's device (the g

@@ -262,7 +262,7 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 		batches = 3 // load, compute, store
 	}
 
-	reg := beginRegion(rt)
+	rt.BeginRegion()
 	var triggers int64
 	chErr := rt.ForEachChannel(func(ch int) error {
 		var chTriggers int64
@@ -304,26 +304,24 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 				selD, offD := plan.dst()
 				for c := 0; c < plan.chunksPerVisit; c++ {
 					for batch := 0; batch < batches; batch++ {
-						for i := 0; i < plan.G; i++ {
-							col := uint32(c*plan.G + i)
-							// Shadow the enclosing err: channel goroutines
-							// must not share a result slot.
-							var err error
-							switch {
-							case batch == batches-1: // store the result
-								err = rt.TriggerWR(ch, selD, offD+col, nil)
-							case batch == 0 && op.binary() && !twoBank: // load a
-								err = rt.TriggerRD(ch, 0, col)
-							case op.binary(): // compute with b (2BA reads both)
-								err = rt.TriggerRD(ch, selB, offB+col)
-							default: // unary load+compute
-								err = rt.TriggerRD(ch, 0, col)
-							}
-							if err != nil {
-								return err
-							}
-							chTriggers++
+						col := uint32(c * plan.G)
+						// Shadow the enclosing err: channel goroutines must
+						// not share a result slot.
+						var err error
+						switch {
+						case batch == batches-1: // store the result
+							err = rt.TriggerWRRun(ch, selD, offD+col, plan.G, nil)
+						case batch == 0 && op.binary() && !twoBank: // load a
+							err = rt.TriggerRDRun(ch, 0, col, plan.G)
+						case op.binary(): // compute with b (2BA reads both)
+							err = rt.TriggerRDRun(ch, selB, offB+col, plan.G)
+						default: // unary load+compute
+							err = rt.TriggerRDRun(ch, 0, col, plan.G)
 						}
+						if err != nil {
+							return err
+						}
+						chTriggers += int64(plan.G)
 						rt.Fence(ch)
 					}
 				}
@@ -344,7 +342,7 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 	if chErr != nil {
 		return nil, KernelStats{}, chErr
 	}
-	ks := reg.end()
+	ks := regionStats(rt)
 	ks.Triggers = triggers
 
 	if !functional {

@@ -285,7 +285,7 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 		y = fp16.NewVector(M)
 	}
 
-	reg := beginRegion(rt)
+	rt.BeginRegion()
 	var triggers atomic.Int64
 	chErr := rt.ForEachChannel(func(ch int) error {
 		n, err := plan.runChannel(rt, ch, xdata, y)
@@ -295,7 +295,7 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 	if chErr != nil {
 		return nil, KernelStats{}, chErr
 	}
-	ks := reg.end()
+	ks := regionStats(rt)
 	ks.Triggers = triggers.Load()
 	return y, ks, nil
 }

@@ -137,7 +137,7 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 	plan := g.plan
 	ys := make([]fp16.Vector, len(xs))
 
-	reg := beginRegion(rt)
+	rt.BeginRegion()
 	var triggers atomic.Int64
 	chErr := rt.ForEachChannel(func(ch int) error {
 		if ch >= len(xs) || xs[ch] == nil {
@@ -153,7 +153,7 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 		// to errors.As in the serving layer's retry classification.
 		return nil, KernelStats{}, fmt.Errorf("blas: resident gemv batch: %w", chErr)
 	}
-	ks := reg.end()
+	ks := regionStats(rt)
 	ks.Triggers = triggers.Load()
 	return ys, ks, nil
 }

@@ -33,7 +33,7 @@ const (
 
 // variants is the one statement of what each Fig. 14 variant is.
 var variants = [...]struct {
-	name         string // Variant.String: system names, DSE tables
+	name         string // Variant.String: system names, DSE tables; ParseVariant takes them too
 	cli          string // ParseVariant: pimsim -variant
 	pimUnits     int    // PIMHBMVariantConfig: PIM units per pseudo channel
 	grfDepth     int    // Config.GRFDepth: registers per GRF half = AAM window
@@ -78,11 +78,12 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", uint8(v))
 }
 
-// ParseVariant resolves a command-line variant name (base, 2x, 2ba, srw;
-// case-insensitive).
+// ParseVariant resolves a command-line variant name (base, 2x, 2ba, srw)
+// or a system name (Variant.String: PIM-HBM, PIM-HBM-2x, ...),
+// case-insensitive.
 func ParseVariant(name string) (Variant, error) {
 	for v := range variants {
-		if strings.EqualFold(name, variants[v].cli) {
+		if strings.EqualFold(name, variants[v].cli) || strings.EqualFold(name, variants[v].name) {
 			return Variant(v), nil
 		}
 	}

@@ -419,7 +419,7 @@ func (f *fakeExec) RegisterRead(unit int, space RegSpace, col uint32, buf []byte
 
 func (f *fakeExec) Trigger(ctx *TriggerContext) (TriggerInfo, error) {
 	f.triggers = append(f.triggers, *ctx)
-	return TriggerInfo{Instructions: 8, Arithmetic: 8}, nil
+	return TriggerInfo{Triggers: ctx.N, Instructions: 8 * ctx.N, Arithmetic: 8 * ctx.N}, nil
 }
 
 func (f *fakeExec) ResetPPC() { f.resets++ }

@@ -85,20 +85,23 @@ const (
 // currently open row of the addressed bank; banks are flat indices,
 // bg*BanksPerGroup+bank.
 type BankAccess interface {
-	// ReadBanks is one trigger's bank operand: the 32-byte block at the
-	// open row's column col of the n banks first, first+stride, ..., one
-	// per PIM unit in unit order. Each bank is read as a lone read would
-	// be, in that order: its index and idle checks, BankReads counted, then
+	// ReadBanks is the bank operand of cols triggers at consecutive
+	// columns: the 32-byte blocks at the open row's columns col..col+cols-1
+	// of the n banks first, first+stride, ..., one per PIM unit, read
+	// trigger-major: every unit's block of column col in unit order, then
+	// of col+1. Each block is read as a lone read would be, in that order:
+	// the bank's index and idle checks, BankReads counted, then
 	// (functional devices) the fault injector with that count as its
-	// sequence number, then the ECC decode and scrub. views[i] becomes bank
-	// i's burst, read-only and valid until the trigger returns: a window
-	// onto the open row when no fault injector is attached and ECC is off,
-	// otherwise scratch[32i:32i+32], the readout copy the injector
-	// corrupted or the engine corrected (so a corruption never reaches the
-	// cells). A timing-only device moves no data and leaves views alone.
-	// read is the number of banks read; an error is bank
-	// first+read*stride's, and the banks after it are not touched.
-	ReadBanks(first, stride, n int, col uint32, scratch []byte, views [][]byte) (read int, err error)
+	// sequence number, then the ECC decode and scrub. views[c*n+i] becomes
+	// unit i's burst of column col+c, read-only and valid until the
+	// trigger run returns: a window onto the open row when no fault
+	// injector is attached and ECC is off, otherwise the matching 32 bytes
+	// of scratch, the readout copy the injector corrupted or the engine
+	// corrected (so a corruption never reaches the cells). A timing-only
+	// device moves no data and leaves views alone. read is the number of
+	// blocks read; an error is block read's (column col+read/n, unit
+	// read%n), and the blocks after it are not touched.
+	ReadBanks(first, stride, n int, col uint32, cols int, scratch []byte, views [][]byte) (read int, err error)
 	// WriteBank stores data at the open row's column col of bank bankIdx.
 	WriteBank(bankIdx int, col uint32, data []byte) error
 	// ReplicateBankAccess accounts `times` copies of an access pattern of
@@ -110,20 +113,34 @@ type BankAccess interface {
 	ReplicateBankAccess(reads, writes, times int64)
 }
 
-// TriggerContext describes one AB-PIM column command to the executor.
+// TriggerContext describes a run of AB-PIM column commands to the
+// executor: N commands of one kind on one bank set at consecutive columns
+// Col, Col+1, ..., command i issued at Cycles[i] and, for a WR, carrying
+// WrData[i] on the write datapath.
 type TriggerContext struct {
 	Kind    CmdKind // CmdRD or CmdWR
 	BankSel int     // 0: even banks of each pair, 1: odd banks
 	Row     uint32  // the open row (implicit operand row address)
-	Col     uint32  // the triggering column address
-	WrData  []byte  // host payload on the write datapath (CmdWR only)
+	Col     uint32  // the first command's column address
+	N       int     // commands in the run
+	WrData  [][]byte
+	Cycles  []int64 // issue cycle of each command (observability)
 	Access  BankAccess
-	Cycle   int64 // issue cycle of the triggering command (observability)
 }
 
-// TriggerInfo reports what the executor did for one trigger.
+// Payload returns the host payload command i carries on the write
+// datapath: nil for a RD, or a WR without one.
+func (c *TriggerContext) Payload(i int) []byte {
+	if c.WrData == nil {
+		return nil
+	}
+	return c.WrData[i]
+}
+
+// TriggerInfo reports what the executor did for a run of triggers.
 type TriggerInfo struct {
-	Instructions int // instructions executed across all units
+	Triggers     int // commands of the run retired, from the first
+	Instructions int // instructions they executed across all units
 	Arithmetic   int // of which arithmetic (FPU active)
 	DataMoves    int // of which MOV/FILL (register datapath active)
 }
@@ -136,9 +153,12 @@ type PIMExecutor interface {
 	RegisterWrite(unit int, space RegSpace, col uint32, data []byte) error
 	// RegisterRead loads a 32-byte block from unit's register space.
 	RegisterRead(unit int, space RegSpace, col uint32, buf []byte) error
-	// Trigger executes the next PIM instruction on every unit in lock
-	// step, in response to one AB-PIM column command. The context is
-	// only valid for the duration of the call (the device reuses it).
+	// Trigger executes a run of AB-PIM column commands, each of which
+	// advances every unit in lock step by one command slot, in order. It
+	// reports the commands retired and what they executed; an error is
+	// command Triggers' (the info does not include it), and the commands
+	// after it were never issued. The context is only valid for the
+	// duration of the call (the device reuses it).
 	Trigger(ctx *TriggerContext) (TriggerInfo, error)
 	// ResetPPC rewinds all units' program counters (AB-PIM entry).
 	ResetPPC()
@@ -225,10 +245,16 @@ type PseudoChannel struct {
 	allBanks []int
 	oneBank  [1]int
 
-	// trig is the reusable per-trigger context handed to the PIM executor
+	// trig is the reusable trigger-run context handed to the PIM executor
 	// (by pointer, so the per-command hot path copies no structs). Its
-	// constant field (Access) is filled once.
-	trig TriggerContext
+	// constant field (Access) is filled once; runData and runCycles back
+	// its WrData and Cycles, grown to the longest run the channel has seen,
+	// and oneData and oneCycle those of a trigger issued alone.
+	trig      TriggerContext
+	runData   [][]byte
+	runCycles []int64
+	oneData   [1][]byte
+	oneCycle  [1]int64
 
 	// Limits and ratios precomputed off Config so the per-command addrCheck
 	// and the per-unit register routing (unitFor) perform no division on,
@@ -803,7 +829,18 @@ func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool, res *Issue
 		return nil
 
 	case CmdRD, CmdWR:
-		p.updateColumnTiming(cmd, at, broadcast)
+		if broadcast && p.triggers() {
+			// A PIM trigger is a run of one.
+			p.oneCycle[0] = at
+			var data [][]byte
+			if cmd.Data != nil {
+				p.oneData[0] = cmd.Data
+				data = p.oneData[:]
+			}
+			_, err := p.triggerRun(cmd.Kind, cmd.Bank, cmd.Col, data, p.oneCycle[:])
+			return err
+		}
+		p.updateColumnTiming(cmd.Kind, cmd.BG, at, broadcast)
 		if broadcast {
 			return p.issueBroadcastColumn(cmd, res)
 		}
@@ -847,8 +884,8 @@ func (p *PseudoChannel) prechargeAll(at int64, tm *Timing, countEach bool) {
 }
 
 // updateColumnTiming applies bus occupancy and turnaround bookkeeping for
-// a column command issued at cycle at.
-func (p *PseudoChannel) updateColumnTiming(cmd *Command, at int64, broadcast bool) {
+// a column command of kind on bank group bg issued at cycle at.
+func (p *PseudoChannel) updateColumnTiming(kind CmdKind, bg int, at int64, broadcast bool) {
 	tm := &p.cfg.Timing
 	p.colAllowedS = maxi64(p.colAllowedS, at+int64(tm.CCDS))
 	if broadcast {
@@ -859,10 +896,10 @@ func (p *PseudoChannel) updateColumnTiming(cmd *Command, at int64, broadcast boo
 		p.colAllowedS = maxi64(p.colAllowedS, at+int64(tm.CCDL))
 	} else {
 		v := at + int64(tm.CCDL)
-		p.colAllowedL[cmd.BG] = maxi64(p.colAllowedL[cmd.BG], v)
+		p.colAllowedL[bg] = maxi64(p.colAllowedL[bg], v)
 		p.aggColL = maxi64(p.aggColL, v)
 	}
-	if cmd.Kind == CmdRD {
+	if kind == CmdRD {
 		p.wrAllowed = maxi64(p.wrAllowed, at+int64(tm.RTW))
 	} else {
 		dataEnd := at + int64(tm.WL+tm.BL/2)
@@ -872,7 +909,7 @@ func (p *PseudoChannel) updateColumnTiming(cmd *Command, at int64, broadcast boo
 			p.rdFloorL = maxi64(p.rdFloorL, dataEnd+int64(tm.WTRL))
 		} else {
 			v := dataEnd + int64(tm.WTRL)
-			p.rdAllowedL[cmd.BG] = maxi64(p.rdAllowedL[cmd.BG], v)
+			p.rdAllowedL[bg] = maxi64(p.rdAllowedL[bg], v)
 			p.aggRdL = maxi64(p.aggRdL, v)
 		}
 	}
@@ -920,60 +957,14 @@ func (p *PseudoChannel) issueSBColumn(cmd *Command, res *IssueResult) error {
 	return nil
 }
 
-// issueBroadcastColumn performs an AB or AB-PIM column access.
+// issueBroadcastColumn performs an AB column access, or an AB-PIM one to
+// the register space.
 func (p *PseudoChannel) issueBroadcastColumn(cmd *Command, res *IssueResult) error {
-	openRow := p.banks[0].openRow
-	// Every bank takes the same precharge fence; it is stored once in the
-	// channel-level preFloor (folded into every preAllowed read) instead
-	// of written into all 16 banks — the hottest block of the timing-only
-	// profile before the aggregate refactor.
-	tm := &p.cfg.Timing
-	var pre int64
-	if cmd.Kind == CmdRD {
-		pre = res.Cycle + int64(tm.RTP)
-		p.bcastOps.RD++
-		p.stats.ABRD++
-	} else {
-		pre = res.Cycle + int64(tm.WL+tm.BL/2+tm.WR)
-		p.bcastOps.WR++
-		p.stats.ABWR++
-	}
-	if pre > p.preFloor {
-		p.preFloor = pre
-	}
-	if pre > p.aggPre { // all banks active: the fence joins the active max
-		p.aggPre = pre
-	}
+	p.broadcastColumn(cmd.Kind, res.Cycle)
 
 	// Register space: broadcast to every PIM unit.
-	if space, ok := p.cfg.confSpace(openRow); ok {
+	if space, ok := p.cfg.confSpace(p.banks[0].openRow); ok {
 		return p.registerAccess(cmd, res, space, p.allBanks)
-	}
-
-	if p.mode == ModeABPIM {
-		if p.exec == nil {
-			return fmt.Errorf("hbm: AB-PIM column with no PIM executor attached")
-		}
-		// The reusable context's Access was filled at construction.
-		p.trig.Kind = cmd.Kind
-		p.trig.BankSel = cmd.Bank & 1
-		p.trig.Row = openRow
-		p.trig.Col = cmd.Col
-		p.trig.WrData = cmd.Data
-		p.trig.Cycle = res.Cycle
-		info, err := p.exec.Trigger(&p.trig)
-		if err != nil {
-			return err
-		}
-		if cmd.Kind == CmdWR {
-			// A WR trigger still carries a 32-byte payload across the I/O
-			// PHY (operand loading); an RD trigger moves nothing off chip.
-			p.stats.OffChipBytes += int64(p.cfg.AccessBytes)
-		}
-		p.stats.PIMInstr += int64(info.Instructions)
-		p.stats.PIMArith += int64(info.Arithmetic)
-		p.stats.PIMMove += int64(info.DataMoves)
-		return nil
 	}
 
 	// Plain AB data access: a write broadcasts the payload to all banks
@@ -999,6 +990,154 @@ func (p *PseudoChannel) issueBroadcastColumn(cmd *Command, res *IssueResult) err
 		res.Data = p.colBuf
 	}
 	return nil
+}
+
+// broadcastColumn is the bookkeeping of an AB or AB-PIM column command
+// issued at cycle at, after its column timing: every bank takes the same
+// precharge fence, stored once in the channel-level preFloor (folded into
+// every preAllowed read) instead of written into all 16 banks — the
+// hottest block of the timing-only profile before the aggregate refactor.
+func (p *PseudoChannel) broadcastColumn(kind CmdKind, at int64) {
+	tm := &p.cfg.Timing
+	var pre int64
+	if kind == CmdRD {
+		pre = at + int64(tm.RTP)
+		p.bcastOps.RD++
+		p.stats.ABRD++
+	} else {
+		pre = at + int64(tm.WL+tm.BL/2+tm.WR)
+		p.bcastOps.WR++
+		p.stats.ABWR++
+	}
+	if pre > p.preFloor {
+		p.preFloor = pre
+	}
+	if pre > p.aggPre { // all banks active: the fence joins the active max
+		p.aggPre = pre
+	}
+}
+
+// triggers reports whether a broadcast column command now is a PIM
+// trigger: AB-PIM mode with an array row, not the register space, open.
+func (p *PseudoChannel) triggers() bool {
+	if p.mode != ModeABPIM {
+		return false
+	}
+	_, conf := p.cfg.confSpace(p.banks[0].openRow)
+	return !conf
+}
+
+// triggerRun hands a run of PIM triggers, already found legal at
+// cycles[i] each, to the executor in one call, then commits the commands
+// it reached: the column timing and broadcast bookkeeping of each, and the
+// off-chip payload and PIM statistics of each it retired. A command the
+// executor failed on has issued (its timing and count stand, as a lone
+// command's do), and the ones after it never reach the device. It returns
+// how many commands retired.
+func (p *PseudoChannel) triggerRun(kind CmdKind, bank int, col0 uint32, data [][]byte, cycles []int64) (int, error) {
+	var info TriggerInfo
+	var err error
+	if p.exec == nil {
+		err = fmt.Errorf("hbm: AB-PIM column with no PIM executor attached")
+	} else {
+		// The reusable context's Access was filled at construction.
+		tc := &p.trig
+		tc.Kind, tc.BankSel, tc.Row, tc.Col = kind, bank&1, p.banks[0].openRow, col0
+		tc.N, tc.WrData, tc.Cycles = len(cycles), data, cycles
+		info, err = p.exec.Trigger(tc)
+		tc.WrData, tc.Cycles = nil, nil
+	}
+	issued := info.Triggers
+	if err != nil {
+		issued++
+	}
+	for _, at := range cycles[:issued] {
+		p.updateColumnTiming(kind, 0, at, true)
+		p.broadcastColumn(kind, at)
+	}
+	if kind == CmdWR {
+		// A WR trigger still carries a 32-byte payload across the I/O PHY
+		// (operand loading); an RD trigger moves nothing off chip.
+		p.stats.OffChipBytes += int64(info.Triggers * p.cfg.AccessBytes)
+	}
+	p.stats.PIMInstr += int64(info.Instructions)
+	p.stats.PIMArith += int64(info.Arithmetic)
+	p.stats.PIMMove += int64(info.DataMoves)
+	return info.Triggers, err
+}
+
+// IssueRun issues n column commands of one kind on bank set bankSel at
+// consecutive columns col0, col0+1, ... — an AAM window of PIM triggers —
+// command i carrying data[i] (nil data: no payloads). Command i issues at
+// its earliest legal cycle at or after now for the first and the previous
+// command's cycle plus one for the others (the command bus carries one
+// command a cycle), exactly as n Issue calls at those cycles would, but a
+// run of triggers reaches the executor in one Trigger call: the issue
+// cycles are worked out first, on a copy of the column timing (the only
+// state a trigger run moves that its own legality reads), and the prefix
+// the executor ran is committed. A command that is not a PIM trigger, and
+// every command while the timing cross-check is armed, takes the Issue
+// path alone. The run stops before a command whose bus cycle would
+// reach stop (a refresh deadline the controller must service first). It
+// returns the issue cycles of the commands it issued, in a buffer valid
+// until the next command; an error is the command's after them.
+func (p *PseudoChannel) IssueRun(kind CmdKind, bankSel int, col0 uint32, n int, data [][]byte, now, stop int64) ([]int64, error) {
+	cycles := p.runCycles[:0]
+	if !kind.IsColumn() || p.checkTiming || uint(bankSel) >= uint(p.cfg.BanksPerGroup) ||
+		p.activeBanks != len(p.banks) || !p.triggers() {
+		for i := 0; i < n && (i == 0 || now < stop); i++ {
+			cmd := Command{Kind: kind, Bank: bankSel, Col: col0 + uint32(i)}
+			if data != nil {
+				cmd.Data = data[i]
+			}
+			var res IssueResult
+			if err := p.IssueEarliest(&cmd, now, &res); err != nil {
+				p.runCycles = cycles
+				return cycles, err
+			}
+			cycles = append(cycles, res.Cycle)
+			now = res.Cycle + 1
+		}
+		p.runCycles = cycles
+		return cycles, nil
+	}
+
+	// A broadcast column command in AB-PIM mode with every bank active:
+	// every legality input but colAllowedS is the same for the whole run
+	// (a RD moves only wrAllowed, a WR only rdAllowedS and rdFloorL, and
+	// neither reads what it moves).
+	tm := &p.cfg.Timing
+	floor := maxi64(p.busyUntil, p.aggColL)
+	if kind == CmdWR {
+		floor = maxi64(floor, maxi64(p.wrAllowed, p.aggWR))
+	} else {
+		floor = maxi64(floor, maxi64(maxi64(p.rdAllowedS, p.aggRD), maxi64(p.aggRdL, p.rdFloorL)))
+	}
+	legal := max(0, min(n, int(p.numCols)-int(col0))) // commands before the first column out of range
+	colS := p.colAllowedS
+	for i := 0; i < legal && (i == 0 || now < stop); i++ {
+		at := maxi64(now, maxi64(floor, colS))
+		cycles = append(cycles, at)
+		colS = maxi64(colS, at+int64(max(tm.CCDS, tm.CCDL)))
+		now = at + 1
+	}
+	p.runCycles = cycles
+	if len(cycles) > 0 {
+		if data != nil {
+			// The executor sees the channel's copy of the payload list, so
+			// a caller's list (a one-command array, say) stays its own.
+			p.runData = append(p.runData[:0], data[:len(cycles)]...)
+			data = p.runData
+		}
+		if done, err := p.triggerRun(kind, bankSel, col0, data, cycles); err != nil {
+			return cycles[:done], err
+		}
+	}
+	if len(cycles) == legal && legal < n {
+		cmd := Command{Kind: kind, Bank: bankSel, Col: col0 + uint32(legal)}
+		return cycles, p.cfg.addrCheck(&cmd)
+	}
+	return cycles, nil
 }
 
 // registerAccess routes a column command on a configuration row.
@@ -1082,35 +1221,68 @@ func (p *PseudoChannel) completeHandshake(bankAddr int, at int64) {
 // stat accounting for PIM-side row-buffer traffic.
 type pchBankAccess PseudoChannel
 
-func (a *pchBankAccess) ReadBanks(first, stride, n int, col uint32, scratch []byte, views [][]byte) (int, error) {
+func (a *pchBankAccess) ReadBanks(first, stride, n int, col uint32, cols int, scratch []byte, views [][]byte) (int, error) {
 	p := (*PseudoChannel)(a)
 	size := p.cfg.AccessBytes
-	inPlace := p.fault == nil && !p.cfg.ECC
-	for i := 0; i < n; i++ {
-		idx := first + i*stride
-		if idx < 0 || idx >= len(p.banks) {
-			return i, fmt.Errorf("hbm: bank index %d out of range", idx)
+	if p.fault == nil && !p.cfg.ECC || !p.cfg.Functional {
+		// Nothing to check, corrupt or copy: a read is its checks and its
+		// count, which are those of the first column for every column, and
+		// the view is the row itself.
+		for i := 0; i < n; i++ {
+			if err := p.pimReadable(first + i*stride); err != nil {
+				p.stats.BankReads += int64(i)
+				if p.cfg.Functional {
+					p.rowViews(first, stride, i, col, 1, views)
+				}
+				return i, err
+			}
 		}
-		b := &p.banks[idx]
-		if b.state != bankActive {
-			return i, fmt.Errorf("hbm: PIM read from idle bank %d", idx)
+		p.stats.BankReads += int64(n * cols)
+		if p.cfg.Functional {
+			p.rowViews(first, stride, n, col, cols, views)
 		}
-		p.stats.BankReads++
-		if !p.cfg.Functional {
-			continue
-		}
-		if inPlace {
-			off := int(col) * size
-			views[i] = b.row(b.openRow, p.cfg.RowBytes)[off : off+size : off+size]
-			continue
-		}
-		buf := scratch[i*size : (i+1)*size : (i+1)*size]
-		if err := p.bankReadData(b, idx, col, buf); err != nil {
-			return i, err
-		}
-		views[i] = buf
+		return n * cols, nil
 	}
-	return n, nil
+	for c := 0; c < cols; c++ {
+		for i := 0; i < n; i++ {
+			idx, k := first+i*stride, c*n+i
+			if err := p.pimReadable(idx); err != nil {
+				return k, err
+			}
+			p.stats.BankReads++
+			buf := scratch[k*size : (k+1)*size : (k+1)*size]
+			if err := p.bankReadData(&p.banks[idx], idx, col+uint32(c), buf); err != nil {
+				return k, err
+			}
+			views[k] = buf
+		}
+	}
+	return n * cols, nil
+}
+
+// pimReadable checks that a PIM unit may read bank idx: it exists and is
+// active.
+func (p *PseudoChannel) pimReadable(idx int) error {
+	if idx < 0 || idx >= len(p.banks) {
+		return fmt.Errorf("hbm: bank index %d out of range", idx)
+	}
+	if p.banks[idx].state != bankActive {
+		return fmt.Errorf("hbm: PIM read from idle bank %d", idx)
+	}
+	return nil
+}
+
+// rowViews points views[c*n+i] at column col+c of the open row of bank
+// first+i*stride, for the n banks and cols columns.
+func (p *PseudoChannel) rowViews(first, stride, n int, col uint32, cols int, views [][]byte) {
+	size := p.cfg.AccessBytes
+	for i := 0; i < n; i++ {
+		b := &p.banks[first+i*stride]
+		row := b.row(b.openRow, p.cfg.RowBytes)
+		for c, off := 0, int(col)*size; c < cols; c, off = c+1, off+size {
+			views[c*n+i] = row[off : off+size : off+size]
+		}
+	}
 }
 
 func (a *pchBankAccess) ReplicateBankAccess(reads, writes, times int64) {

@@ -15,7 +15,7 @@ import (
 func (s *seq) pimRead(bank int, col uint32) []byte {
 	s.t.Helper()
 	scratch, views := make([]byte, s.p.cfg.AccessBytes), make([][]byte, 1)
-	if _, err := (*pchBankAccess)(s.p).ReadBanks(bank, 1, 1, col, scratch, views); err != nil {
+	if _, err := (*pchBankAccess)(s.p).ReadBanks(bank, 1, 1, col, 1, scratch, views); err != nil {
 		s.t.Fatal(err)
 	}
 	return append([]byte(nil), views[0]...)

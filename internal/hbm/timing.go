@@ -6,7 +6,12 @@
 // The model is event driven: callers ask a pseudo channel for the earliest
 // legal issue cycle of a command and then issue it at (or after) that
 // cycle; there is no per-cycle tick loop, which keeps multi-million-command
-// simulations fast while enforcing every inter-command constraint.
+// simulations fast while enforcing every inter-command constraint. A run
+// of AB-PIM triggers (PseudoChannel.IssueRun) is timed command by command
+// under the same rules, on a copy of the column timing, and reaches the
+// attached PIMExecutor in one Trigger call; the prefix the executor ran is
+// committed, so a run that fails part way leaves what its commands issued
+// one at a time would have.
 //
 // The package is also the one description of a device: Config is the
 // organisation, the timing in cycles and the PIM microarchitecture; the

@@ -2,7 +2,12 @@
 // address mapping, a JEDEC-compliant per-channel command generator with
 // FR-FCFS transaction scheduling (the reordering that motivates Section
 // IV-C), memory fences, and refresh management. PIM-HBM is driven through
-// this controller with standard commands only.
+// this controller with standard commands only. A PIM kernel's AAM window,
+// G column commands of one kind at consecutive columns, is one
+// Channel.IssueRun: the device takes it as one trigger run, split only
+// where a refresh falls due (or into single commands under a Delay hook),
+// and every command keeps Issue's contract, its trace and timeline event
+// included.
 package memctrl
 
 import "fmt"

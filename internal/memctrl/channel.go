@@ -209,7 +209,59 @@ func (c *Channel) issueRaw(cmd *hbm.Command, res *hbm.IssueResult) error {
 	} else if err := c.pch.IssueEarliest(cmd, c.now, res); err != nil {
 		return err
 	}
-	at := res.Cycle
+	c.issued(cmd, res.Cycle)
+	return nil
+}
+
+// IssueRun sends n column commands of one kind on bank set bankSel at
+// consecutive columns col0, col0+1, ..., command i carrying data[i] (nil
+// data: no payloads) — an AAM window of PIM triggers — with Issue's
+// contract for each: at its earliest legal cycle at or after the channel
+// clock, a refresh that falls due before it serviced first, one Trace and
+// timeline event each. Without a delay hook the device takes the commands
+// between refresh deadlines as one run (hbm.PseudoChannel.IssueRun), so
+// the executor steps them in one call; with one, each command is a run of
+// one, delayed as Issue delays it. It returns how many commands issued;
+// an error is the command's after them, and the ones after it never issue.
+func (c *Channel) IssueRun(kind hbm.CmdKind, bankSel int, col0 uint32, n int, data [][]byte) (int, error) {
+	cmd := hbm.Command{Kind: kind, Bank: bankSel}
+	if c.Delay != nil {
+		for i := 0; i < n; i++ {
+			cmd.Col = col0 + uint32(i)
+			if data != nil {
+				cmd.Data = data[i]
+			}
+			if _, err := c.Issue(cmd); err != nil {
+				return i, err
+			}
+		}
+		return n, nil
+	}
+	for done := 0; done < n; {
+		if err := c.maybeRefresh(); err != nil {
+			return done, err
+		}
+		var d [][]byte
+		if data != nil {
+			d = data[done:n]
+		}
+		cycles, err := c.pch.IssueRun(kind, bankSel, col0+uint32(done), n-done, d, c.now, c.nextRefresh)
+		for i, at := range cycles {
+			cmd.Col = col0 + uint32(done+i)
+			c.issued(&cmd, at)
+		}
+		done += len(cycles)
+		c.trackState(&cmd)
+		if err != nil {
+			return done, err
+		}
+	}
+	return n, nil
+}
+
+// issued records cmd, issued at cycle at, in the trace and the timeline
+// and moves the channel clock and the data horizon past it.
+func (c *Channel) issued(cmd *hbm.Command, at int64) {
 	if c.Trace != nil {
 		c.Trace.Record(trace.Event{
 			Cycle: at, Channel: c.ChannelID, Kind: cmd.Kind,
@@ -239,7 +291,6 @@ func (c *Channel) issueRaw(cmd *hbm.Command, res *hbm.IssueResult) error {
 			c.lastDataEnd = end
 		}
 	}
-	return nil
 }
 
 // issueAux issues a refresh-machinery command, discarding the result.

@@ -23,18 +23,29 @@ import (
 // whether this command kind may, and the WR payload. A bank operand is
 // then read for all units in one hbm.BankAccess.ReadBanks call that visits
 // their banks in unit order. The data step (execute) picks the
-// instruction's form once per trigger (destination, operand sources,
-// operation) and runs it over units 0..n-1 in order: a move is one
-// fixed-size copy of a burst per unit, an arithmetic instruction one fp16
-// burst-form call that loops over them, each unit on its own registers
-// and a view of its own burst, wherever the bank operand sits. A unit's
-// operation touches no other unit's bank, so bank statistics, ECC, the
-// fault injector's read sequence and the unit an error names are those of
-// n units each reading and executing in turn: a read that fails at unit k
-// leaves units 0..k-1 executed and the banks of the units after k unread,
-// and a bank write that fails at unit k leaves the units after k
-// unwritten. A timing-only device has no data to operate on: the same
-// sequencer runs and the units' bank traffic is accounted in one call.
+// instruction's form once (destination, operand sources, operation) and
+// runs it over units 0..n-1 in order: a move is one fixed-size copy of a
+// burst per unit, an arithmetic instruction one fp16 burst-form call that
+// loops over them, each unit on its own registers and a view of its own
+// burst, wherever the bank operand sits. A unit's operation touches no
+// other unit's bank, so bank statistics, ECC, the fault injector's read
+// sequence and the unit an error names are those of n units each reading
+// and executing in turn: a read that fails at unit k leaves units 0..k-1
+// executed and the banks of the units after k unread, and a bank write
+// that fails at unit k leaves the units after k unwritten. A timing-only
+// device has no data to operate on: the same sequencer runs and the
+// units' bank traffic is accounted in one call.
+//
+// A trigger run (the column commands of an AAM window, hbm.TriggerContext)
+// is walked trigger by trigger, with one exception: when the PPC rests on
+// an AAM instruction that the next slot's JUMP -1 repeats, the k
+// repetitions the loop, the run and the AAM window leave (step, repeats)
+// are one step. Each repetition works on the registers its own column
+// selects, k distinct ones, so the step resolves the instruction once,
+// reads the k columns' bank operands in one trigger-major ReadBanks call
+// and runs its data step once over k x n entries in trigger-major order:
+// repetition r of unit i is entry r*n+i, exactly the order in which k
+// lone triggers would read, execute and fail.
 //
 // Lock step is checked, not assumed. The units keep their own CRF words
 // (an SB-mode column write reaches one unit's register space alone), the
@@ -71,32 +82,35 @@ type Executor struct {
 	opRetired  [isa.NumOpcodes]int64 // instructions retired per unit, indexed by isa.Opcode
 	aamRetired int64                 // of which address-aligned (AAM) instructions
 
-	op dataOp // the current trigger's resolved instruction (reused: nothing is allocated per command)
+	op dataOp // the current step's resolved instruction (reused: nothing is allocated per command)
 
-	// Functional executors only: each unit's bank operand of the current
-	// trigger (hbm.BankAccess.ReadBanks) and the scratch a view points into
-	// when the readout is a copy.
-	views   [][]byte
-	scratch []byte
-
-	// Functional executors only: the data step's per-unit operand lists,
-	// built once because what they list never moves. grf[h][idx] is
-	// register idx of GRF half h (0: GRF_A) of every unit in unit order,
-	// srf the units' SRF bursts, and bcast one staging burst per unit for
-	// a scalar broadcast. A trigger hands
-	// prefixes of them to fp16, with the MAD addends, the burst forms'
-	// resume buffer and the ReLU staging of a bank write beside them, so
-	// it allocates nothing.
-	grf        [2][][][]byte
-	srf, bcast [][]byte
-	addends    []fp16.F16
-	resume     [fp16.MaxBurstUnits]int32
-	relu       []byte
+	// Functional executors only, built once so that a step allocates
+	// nothing. Every list is trigger-major over a step's repetitions
+	// (entry r*n+i is unit i's in repetition r, at most grfEntries
+	// repetitions): views and scratch take the bank operands
+	// (hbm.BankAccess.ReadBanks) and the readout copies a view may point
+	// into, bcast the staging bursts of a scalar broadcast and addends the
+	// MAD addends. grf0 and grf1 list the registers of GRF_A and GRF_B,
+	// entry idx*n+i being register idx of unit i, so the registers a step's
+	// repetitions walk are one contiguous run of the list; srf lists the
+	// units' SRF bursts. They are handed to fp16 as prefixes, with the
+	// burst forms' resume buffer and the ReLU staging of a bank write
+	// beside them.
+	views, grf0, grf1 [][]byte
+	scratch           []byte
+	srf, bcast        [][]byte
+	addends           []fp16.F16
+	resume            [fp16.MaxBurstUnits]int32
+	relu              []byte
 
 	// TL, when set, records per-trigger retired-instruction counts into
 	// the observability timeline (the Perfetto PIM-activity counter
-	// track). Nil costs one pointer compare per trigger.
+	// track). Nil costs one pointer compare per step.
 	TL *obs.ChannelTimeline
+
+	// loopHook, when set, is told of every step that ran k > 1
+	// repetitions together (tests: which closed forms a stream reached).
+	loopHook func(in *isa.Instruction, kind hbm.CmdKind, k int)
 }
 
 // NewExecutor builds the execution layer for a PIM device configuration.
@@ -116,24 +130,25 @@ func NewExecutor(cfg hbm.Config) (*Executor, error) {
 		wrOperand:    cfg.WROperand(),
 	}
 	if e.functional {
-		n := cfg.PIMUnits
-		e.views = make([][]byte, n)
-		e.scratch = make([]byte, n*burstBytes)
-		for h := range e.grf {
-			e.grf[h] = make([][][]byte, e.grfEntries)
-			for idx := range e.grf[h] {
-				e.grf[h][idx] = make([][]byte, n)
-				for i, u := range e.units {
-					e.grf[h][idx][i] = u.grf[h][idx]
-				}
+		cutRegisters(e.units)
+		n, runs := cfg.PIMUnits, cfg.PIMUnits*e.grfEntries
+		e.views = make([][]byte, runs)
+		e.scratch = make([]byte, runs*burstBytes)
+		e.grf0, e.grf1 = make([][]byte, runs), make([][]byte, runs)
+		for idx := 0; idx < e.grfEntries; idx++ {
+			for i, u := range e.units {
+				e.grf0[idx*n+i], e.grf1[idx*n+i] = u.grf[0][idx], u.grf[1][idx]
 			}
 		}
-		e.srf, e.bcast = make([][]byte, n), make([][]byte, n)
-		bcast := make([]byte, n*burstBytes)
+		e.srf, e.bcast = make([][]byte, n), make([][]byte, runs)
 		for i, u := range e.units {
-			e.srf[i], e.bcast[i] = u.srf, bcast[i*burstBytes:(i+1)*burstBytes]
+			e.srf[i] = u.srf
 		}
-		e.addends = make([]fp16.F16, n)
+		bcast := make([]byte, runs*burstBytes)
+		for k := range e.bcast {
+			e.bcast[k] = bcast[k*burstBytes : (k+1)*burstBytes]
+		}
+		e.addends = make([]fp16.F16, runs)
 		e.relu = make([]byte, burstBytes)
 	}
 	return e, nil
@@ -155,7 +170,10 @@ func Attach(dev *hbm.Device) ([]*Executor, error) {
 }
 
 // Unit returns execution unit i (for result readout and tests).
-func (e *Executor) Unit(i int) *Unit { return e.units[i] }
+func (e *Executor) Unit(i int) *Unit {
+	cutRegisters(e.units)
+	return e.units[i]
+}
 
 // NumUnits returns the number of units.
 func (e *Executor) NumUnits() int { return len(e.units) }
@@ -168,6 +186,8 @@ func (e *Executor) RegisterWrite(unit int, space hbm.RegSpace, col uint32, data 
 	if space == hbm.RegCRF {
 		e.decOK = [isa.CRFEntries]bool{}
 		e.lockStepChecked = false
+	} else {
+		cutRegisters(e.units)
 	}
 	return e.units[unit].writeRegSpace(space, col, data)
 }
@@ -176,6 +196,9 @@ func (e *Executor) RegisterWrite(unit int, space hbm.RegSpace, col uint32, data 
 func (e *Executor) RegisterRead(unit int, space hbm.RegSpace, col uint32, buf []byte) error {
 	if unit < 0 || unit >= len(e.units) {
 		return fmt.Errorf("pim: unit %d out of range", unit)
+	}
+	if space != hbm.RegCRF {
+		cutRegisters(e.units)
 	}
 	return e.units[unit].readRegSpace(space, col, buf)
 }
@@ -210,24 +233,26 @@ func (e *Executor) checkLockStep() {
 	}
 }
 
-// Trigger implements hbm.PIMExecutor: one column command advances every
-// unit by one command slot.
+// Trigger implements hbm.PIMExecutor: every column command of the run
+// advances every unit by one command slot, in steps of one trigger or of
+// the repetitions of an AAM loop.
 func (e *Executor) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
-	e.triggers++
+	var info hbm.TriggerInfo
 	if !e.lockStepChecked {
 		e.checkLockStep()
 	}
 	if e.lockStepErr != nil {
-		return hbm.TriggerInfo{}, e.lockStepErr
+		e.triggers++
+		return info, e.lockStepErr
 	}
-	c, err := e.step(ctx) // what each unit retired
-	n := len(e.units)
-	info := hbm.TriggerInfo{Instructions: c.Instructions * n, Arithmetic: c.Arithmetic * n, DataMoves: c.DataMoves * n}
-	if err != nil {
-		return info, err
-	}
-	if e.TL != nil {
-		e.TL.PIMInstr(ctx.Cycle, info.Instructions)
+	for info.Triggers < ctx.N {
+		k, err := e.step(ctx, info.Triggers, &info)
+		info.Triggers += k
+		e.triggers += int64(k)
+		if err != nil {
+			e.triggers++
+			return info, err
+		}
 	}
 	return info, nil
 }
@@ -237,109 +262,244 @@ func (e *Executor) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 // to meet it.
 func unitErr(i int, err error) error { return fmt.Errorf("pim: unit %d: %w", i, err) }
 
-// step executes PIM instructions until exactly one command slot has been
-// consumed (zero-cycle JUMPs retire for free), counting what each unit
-// retires.
-func (e *Executor) step(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
-	var c hbm.TriggerInfo
+// jump is what each unit retires for a JUMP a repetition of an AAM loop
+// takes back to its instruction.
+var jump = hbm.TriggerInfo{Instructions: 1}
+
+// step executes PIM instructions from trigger t of the run until exactly
+// one command slot has been consumed (zero-cycle JUMPs retire for free),
+// or, for an AAM loop (repeats), until k slots have, adding what each
+// trigger retired to info. It returns the triggers retired; on an error
+// the trigger after them failed, and everything it and they did stands as
+// if each had been issued alone: the failed trigger's instruction counts
+// as retired and its units before the one the error names executed it.
+func (e *Executor) step(ctx *hbm.TriggerContext, t int, info *hbm.TriggerInfo) (int, error) {
+	var c hbm.TriggerInfo // what each unit retires in trigger t
 	if e.done {
-		return c, unitErr(0, errors.New("pim: column command after EXIT (host sent too many triggers)"))
+		return 0, unitErr(0, errors.New("pim: column command after EXIT (host sent too many triggers)"))
 	}
 	if e.nopLeft > 0 {
 		e.nopLeft--
-		return c, nil // an idle slot of a multi-cycle NOP
+		e.retire(ctx, t, c, info) // an idle slot of a multi-cycle NOP
+		return 1, nil
 	}
 	in, err := e.resolveControl(&c)
 	if in == nil {
-		return c, err // EXIT, or a control error
+		if err != nil {
+			return 0, err // a control error
+		}
+		e.retire(ctx, t, c, info) // EXIT
+		return 1, nil
 	}
-	c.Instructions++
-	e.opRetired[in.Op]++
 	if in.Op == isa.NOP {
+		c.Instructions++
+		e.opRetired[isa.NOP]++
 		e.nopLeft = int(in.Imm0)
 		e.ppc++
-		return c, nil
+		e.retire(ctx, t, c, info)
+		return 1, nil
 	}
-	// Data or arithmetic: consumes the command slot.
-	if in.AAM {
-		e.aamRetired++
-	}
+	// Data or arithmetic: consumes the command slot, k times over.
+	base := hbm.TriggerInfo{Instructions: 1, DataMoves: 1}
 	if in.Op.IsArith() {
-		c.Arithmetic++
+		base = hbm.TriggerInfo{Instructions: 1, Arithmetic: 1}
+	}
+	c = add(c, base)
+	k := e.repeats(in, ctx, t)
+	ran, unit, err := 0, 0, e.resolve(in, ctx, t)
+	if err != nil {
+		err = unitErr(0, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
 	} else {
-		c.DataMoves++
+		ran, unit, err = e.run(ctx, k)
 	}
-	if err := e.resolve(in, ctx); err != nil {
-		return c, unitErr(0, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
+	reps := int64(ran)
+	if err != nil {
+		reps++ // the failed trigger's instruction retired, as a lone trigger's does
 	}
-	if e.functional {
-		n, err := len(e.units), error(nil)
-		if e.op.bank >= 0 && !in.Dst.IsBank() {
-			// Every unit's bank operand, read in unit order before any unit
-			// executes; a read that fails at unit n leaves units 0..n-1 to
-			// execute, as if each unit had read and executed in turn.
-			n, err = ctx.Access.ReadBanks(e.op.bank, e.banksPerUnit, n, e.op.col, e.scratch, e.views)
+	e.opRetired[in.Op] += reps
+	if in.AAM {
+		e.aamRetired += reps
+	}
+	// Every repetition but the last takes the loop's JUMP back, in closed
+	// form; the last meets it in the walk below.
+	taken := ran
+	if err == nil {
+		taken = k - 1
+	}
+	if taken > 0 {
+		slot := e.ppc + 1
+		e.opRetired[isa.JUMP] += int64(taken)
+		e.jumpLeft[slot], e.jumpArmed[slot] = e.loopLeft(slot)-int32(taken), true
+	}
+	for r := 0; r < taken; r++ {
+		e.retire(ctx, t+r, add(c, jump), info)
+		c = base
+	}
+	if err != nil {
+		if unit > 0 {
+			// The units before the failing one completed the trigger, the
+			// control walk after the instruction included, which every unit
+			// shares: unit 0 meets an error of that walk first.
+			e.ppc++
+			if _, walkErr := e.resolveControl(&c); walkErr != nil {
+				err = walkErr
+			}
 		}
-		if i, err := e.execute(n); err != nil {
-			return c, unitErr(i, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
-		}
-		if err != nil {
-			return c, unitErr(n, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
-		}
-	} else if e.op.bank >= 0 {
-		// Timing-only: register contents are never read and a bank access
-		// is exactly one counter bump, so the units' traffic is accounted,
-		// not replayed.
-		reads, writes := int64(1), int64(0)
-		if in.Dst.IsBank() {
-			reads, writes = 0, 1
-		}
-		ctx.Access.ReplicateBankAccess(reads, writes, int64(len(e.units)))
+		return ran, err
+	}
+	if k > 1 && e.loopHook != nil {
+		e.loopHook(in, ctx.Kind, k)
 	}
 	e.ppc++
 	// Flow control after the consuming instruction is zero-cycle
 	// (pre-decoded at fetch, Section III-C): resolve JUMP chains and a
 	// trailing EXIT without waiting for another command.
-	_, err = e.resolveControl(&c)
-	return c, err
+	if _, err := e.resolveControl(&c); err != nil {
+		return k - 1, err
+	}
+	e.retire(ctx, t+k-1, c, info)
+	return k, nil
 }
 
-// execute is the data step of a functional trigger: it applies e.op to
-// units 0..n-1 in unit order, unit i's bank operand being its ReadBanks
-// view e.views[i]. The instruction's form (where the result goes, where
-// each operand comes from, which operation) is picked here once; a move is
-// then one loop over the units' registers, an arithmetic instruction one
-// fp16 burst-form call over their operand lists. Only a bank write can
-// fail; execute then returns the unit whose write failed, and the units
-// after it do not execute.
-func (e *Executor) execute(n int) (int, error) {
-	op, in := &e.op, e.op.in
-	views := e.views[:n]
+// add sums two per-unit retirement counts.
+func add(a, b hbm.TriggerInfo) hbm.TriggerInfo {
+	return hbm.TriggerInfo{
+		Instructions: a.Instructions + b.Instructions,
+		Arithmetic:   a.Arithmetic + b.Arithmetic,
+		DataMoves:    a.DataMoves + b.DataMoves,
+	}
+}
+
+// retire adds what each unit retired in trigger t, c, to info for all
+// units, and samples it into the timeline at the trigger's issue cycle.
+func (e *Executor) retire(ctx *hbm.TriggerContext, t int, c hbm.TriggerInfo, info *hbm.TriggerInfo) {
+	n := len(e.units)
+	info.Instructions += c.Instructions * n
+	info.Arithmetic += c.Arithmetic * n
+	info.DataMoves += c.DataMoves * n
+	if e.TL != nil {
+		e.TL.PIMInstr(ctx.Cycles[t], c.Instructions*n)
+	}
+}
+
+// repeats returns how many triggers from t run instruction in, on which
+// the PPC rests, in one step. That is one, except for an AAM instruction
+// whose next CRF slot is a JUMP -1: then it is the loop's repetitions left
+// (its JUMP's count plus one), capped by the triggers left in the run and
+// by the registers left before the AAM index wraps (so that every
+// repetition has registers of its own), and, where the WR payload decides
+// the form (the SRW forward), by the first payload that decides otherwise.
+func (e *Executor) repeats(in *isa.Instruction, ctx *hbm.TriggerContext, t int) int {
+	slot := e.ppc + 1
+	if !in.AAM || t+1 >= ctx.N || slot >= isa.CRFEntries {
+		return 1
+	}
+	if j, err := e.fetch(slot); err != nil || j.Op != isa.JUMP || j.Imm1 != 1 {
+		return 1
+	}
+	g := uint32(e.grfEntries)
+	k := min(int(e.loopLeft(slot))+1, ctx.N-t, int(g-(ctx.Col+uint32(t))%g))
+	fw := e.forwards(in, ctx, t)
+	for r := 1; r < k; r++ {
+		if e.forwards(in, ctx, t+r) != fw {
+			return r
+		}
+	}
+	return k
+}
+
+// forwards reports whether trigger t forwards its WR payload into in's
+// SRC0 register before the operation: simultaneous read/write on a
+// WROperand device, which lets a single command both load the vector
+// operand and execute the arithmetic (Fig. 14).
+func (e *Executor) forwards(in *isa.Instruction, ctx *hbm.TriggerContext, t int) bool {
+	return e.wrOperand && ctx.Kind == hbm.CmdWR && in.Op.IsArith() && in.Src0.IsGRF() &&
+		len(ctx.Payload(t)) >= burstBytes
+}
+
+// loopLeft returns the iterations the JUMP at slot has left: its live
+// count, or its immediate when it is not armed.
+func (e *Executor) loopLeft(slot int) int32 {
+	if e.jumpArmed[slot] {
+		return e.jumpLeft[slot]
+	}
+	return int32(e.decoded[slot].Imm0)
+}
+
+// run is the data step of a step's k repetitions of e.op, from trigger
+// e.op.t of the run. It returns the repetitions that ran to the end; on an
+// error, the one after them failed at unit, which the error names.
+func (e *Executor) run(ctx *hbm.TriggerContext, k int) (ran, unit int, err error) {
+	op, in, n := &e.op, e.op.in, len(e.units)
+	if !e.functional {
+		// Timing-only: register contents are never read and a bank access
+		// is exactly one counter bump, so the units' traffic is accounted,
+		// not replayed.
+		if op.bank >= 0 {
+			reads, writes := int64(1), int64(0)
+			if in.Dst.IsBank() {
+				reads, writes = 0, 1
+			}
+			ctx.Access.ReplicateBankAccess(reads, writes, int64(n*k))
+		}
+		return k, 0, nil
+	}
+	cnt := k * n
+	if op.bank >= 0 && !in.Dst.IsBank() {
+		// Every repetition's bank operand of every unit, read trigger-major
+		// before any executes; a read that fails at entry cnt leaves the
+		// entries before it to execute, as if each unit of each trigger had
+		// read and executed in turn.
+		cnt, err = ctx.Access.ReadBanks(op.bank, e.banksPerUnit, n, op.col, k, e.scratch, e.views)
+	}
+	if f, werr := e.execute(ctx, cnt); werr != nil {
+		cnt, err = f, werr
+	}
+	if err != nil {
+		return cnt / n, cnt % n, unitErr(cnt%n, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
+	}
+	return k, 0, nil
+}
+
+// execute is the functional data step: it applies e.op to the first cnt
+// entries of a step, entry r*n+i being unit i in repetition r, whose bank
+// operand is e.views[r*n+i] and whose registers are those the column of
+// trigger e.op.t+r selects. The instruction's form (where the result
+// goes, where each operand comes from, which operation) is picked here
+// once; a move is then one loop over the entries' registers, an
+// arithmetic instruction one fp16 burst-form call over their operand
+// lists. Only a bank write can fail; execute then returns the entry whose
+// write failed, and the entries after it do not execute.
+func (e *Executor) execute(ctx *hbm.TriggerContext, cnt int) (int, error) {
+	op, in, n := &e.op, e.op.in, len(e.units)
 	if in.Dst.IsBank() {
-		// MOV GRF -> bank: each unit's register, through ReLU if asked,
-		// written to its own bank in unit order.
-		for i, src := range e.regs(op.a.src, op.a.idx, n) {
+		// MOV GRF -> bank: each entry's register, through ReLU if asked,
+		// written to its unit's bank at its trigger's column.
+		for k, src := range e.regs(op.a.src, op.a.idx, cnt) {
 			if in.ReLU {
 				fp16.ReLUBurst(e.relu, src)
 				src = e.relu
 			}
-			if err := op.access.WriteBank(i*e.banksPerUnit+op.bank, op.col, src); err != nil {
-				return i, err
+			if err := op.access.WriteBank(k%n*e.banksPerUnit+op.bank, op.col+uint32(k/n), src); err != nil {
+				return k, err
 			}
 		}
 		return 0, nil
 	}
 	if in.Op.IsData() {
-		e.move(n)
+		e.move(ctx, cnt)
 		return 0, nil
 	}
 	if op.forward {
-		for _, r := range e.regs(op.a.src, op.a.idx, n) {
-			copyBurst(r, op.payload)
+		regs := e.regs(op.a.src, op.a.idx, cnt)
+		for r := 0; r*n < cnt; r++ {
+			for _, reg := range regs[r*n : min(r*n+n, cnt)] {
+				copyBurst(reg, ctx.Payload(op.t+r))
+			}
 		}
 	}
-	dsts := e.regs(in.Dst, op.dst, n)
-	a, b := e.operands(&op.a, views), e.operands(&op.b, views)
+	dsts := e.regs(in.Dst, op.dst, cnt)
+	a, b := e.operands(&op.a, cnt), e.operands(&op.b, cnt)
 	switch in.Op {
 	case isa.ADD:
 		fp16.AddVecBursts(dsts, a, b, &e.resume)
@@ -348,89 +508,117 @@ func (e *Executor) execute(n int) (int, error) {
 	case isa.MAC:
 		fp16.MACVecBursts(dsts, a, b, &e.resume)
 	case isa.MAD:
-		c := e.addends[:n]
-		for i, srf := range e.srf[:n] {
-			c[i] = srfLane(srf, isa.SRFEntries+op.addend)
+		c := e.addends[:cnt]
+		for k := range c {
+			c[k] = srfLane(e.srf[k%n], isa.SRFEntries+(op.addend+k/n)%isa.SRFEntries)
 		}
 		fp16.MADVecBursts(dsts, a, b, c, &e.resume)
 	}
 	return 0, nil
 }
 
-// move is the data step of MOV and FILL into a register, for units
-// 0..n-1: the source (each unit's burst, the WR payload or, for MOV, each
-// unit's GRF register) is copied into each unit's destination, and a MOV
-// with the ReLU flag rectifies what landed. An SRF half takes its half of
-// the source burst: the SRF halves mirror the memory-mapped layout, SRF_M
-// taking lanes 0-7 of the block and SRF_A lanes 8-15.
-func (e *Executor) move(n int) {
-	op, in := &e.op, e.op.in
-	var srcs [][]byte // nil: the WR payload, the same for every unit
+// move is the data step of MOV and FILL into a register, for the first
+// cnt entries: the source (each entry's bank burst, its trigger's WR
+// payload or, for MOV, its GRF register) is copied into the entry's
+// destination, and a MOV with the ReLU flag rectifies what landed. An SRF
+// half takes its half of the source burst: the SRF halves mirror the
+// memory-mapped layout, SRF_M taking lanes 0-7 of the block and SRF_A
+// lanes 8-15.
+func (e *Executor) move(ctx *hbm.TriggerContext, cnt int) {
+	op, in, n := &e.op, e.op.in, len(e.units)
+	var srcs, dsts [][]byte // srcs nil: each trigger's WR payload, for all its units
 	switch {
 	case op.a.fromBank():
-		srcs = e.views[:n]
+		srcs = e.views[:cnt]
 	case !op.a.payload: // MOV GRF -> GRF
-		srcs = e.regs(op.a.src, op.a.idx, n)
+		srcs = e.regs(op.a.src, op.a.idx, cnt)
 	}
-	src := func(i int) []byte {
+	if in.Dst.IsGRF() {
+		dsts = e.regs(in.Dst, op.dst, cnt)
+	}
+	const lo = burstBytes / 2
+	for r := 0; r*n < cnt; r++ {
+		o, m := r*n, min(n, cnt-r*n) // repetition r's entries
+		var pay []byte
 		if srcs == nil {
-			return op.payload
-		}
-		return srcs[i]
-	}
-	switch in.Dst {
-	case isa.GRFA, isa.GRFB:
-		dsts := e.regs(in.Dst, op.dst, n)
-		for i, d := range dsts {
-			copyBurst(d, src(i))
-		}
-		if in.ReLU {
-			for _, d := range dsts {
-				fp16.ReLUBurst(d, d)
+			if pay = ctx.Payload(op.t + r); len(pay) < burstBytes {
+				pay = zeroBurst[:]
 			}
 		}
-	case isa.SRFM:
-		for i, srf := range e.srf[:n] {
-			copyHalf(srf, src(i))
+		switch {
+		case dsts == nil:
+			for i, srf := range e.srf[:m] {
+				src := pay
+				if src == nil {
+					src = srcs[o+i]
+				}
+				if in.Dst == isa.SRFM {
+					copyHalf(srf, src)
+				} else { // SRF_A, and any other register name the decoder lets FILL write
+					copyHalf(srf[lo:], src[lo:])
+				}
+			}
+		case pay != nil:
+			for _, d := range dsts[o : o+m] {
+				copyBurst(d, pay)
+			}
+		default:
+			for i, d := range dsts[o : o+m] {
+				copyBurst(d, srcs[o+i])
+			}
 		}
-	default: // SRF_A, and any other register name the decoder lets FILL write
-		const lo = burstBytes / 2
-		for i, srf := range e.srf[:n] {
-			copyHalf(srf[lo:], src(i)[lo:])
+	}
+	if in.ReLU {
+		for _, d := range dsts {
+			fp16.ReLUBurst(d, d)
 		}
 	}
 }
 
-// regs lists register idx of GRF half s of units 0..n-1.
-func (e *Executor) regs(s isa.Src, idx, n int) [][]byte {
+// regs lists the first cnt entries' register of GRF half s, from register
+// idx: entry r*n+i is register idx+r of unit i.
+func (e *Executor) regs(s isa.Src, idx, cnt int) [][]byte {
+	o := idx * len(e.units)
 	if s == isa.GRFA {
-		return e.grf[0][idx][:n]
+		return e.grf0[o : o+cnt]
 	}
-	return e.grf[1][idx][:n]
+	return e.grf1[o : o+cnt]
 }
 
-// operands lists arithmetic source o of the units that have a view in
-// views, as bursts not to be written through: a GRF register, a scalar
-// broadcast into bcast, or the unit's bank burst itself.
-func (e *Executor) operands(o *operand, views [][]byte) [][]byte {
-	n := len(views)
+// operands lists arithmetic source o of the first cnt entries, as bursts
+// not to be written through: a GRF register, a scalar broadcast into
+// bcast (repetition r reads the scalar r past o's), or the entry's bank
+// burst itself.
+func (e *Executor) operands(o *operand, cnt int) [][]byte {
 	switch o.src {
 	case isa.GRFA, isa.GRFB:
-		return e.regs(o.src, o.idx, n)
+		return e.regs(o.src, o.idx, cnt)
 	case isa.SRFM, isa.SRFA:
-		lane := o.idx
-		if o.src == isa.SRFA {
-			lane += isa.SRFEntries
-		}
-		for i, v := range e.bcast[:n] {
-			s := uint64(binary.LittleEndian.Uint16(e.srf[i][2*lane:])) * 0x0001_0001_0001_0001
+		n := len(e.units)
+		for k, v := range e.bcast[:cnt] {
+			lane := (o.idx + k/n) % isa.SRFEntries
+			if o.src == isa.SRFA {
+				lane += isa.SRFEntries
+			}
+			s := uint64(binary.LittleEndian.Uint16(e.srf[k%n][2*lane:])) * 0x0001_0001_0001_0001
 			for w := 0; w < burstBytes; w += 8 {
 				binary.LittleEndian.PutUint64(v[w:], s)
 			}
 		}
-		return e.bcast[:n]
+		return e.bcast[:cnt]
 	}
-	return views
+	return e.views[:cnt]
+}
+
+// fetch returns the decoded instruction in CRF slot, through the decode
+// cache. The result aliases the cache entry (valid until the next CRF
+// write), so the walk copies no Instruction structs.
+func (e *Executor) fetch(slot int) (*isa.Instruction, error) {
+	if !e.decOK[slot] {
+		e.decoded[slot], e.decErr[slot] = isa.Decode(e.units[0].crf[slot])
+		e.decOK[slot] = true
+	}
+	return &e.decoded[slot], e.decErr[slot]
 }
 
 // resolveControl retires zero-cycle JUMPs and an EXIT at the current PPC
@@ -444,14 +632,8 @@ func (e *Executor) resolveControl(c *hbm.TriggerInfo) (*isa.Instruction, error) 
 		if e.ppc < 0 || e.ppc >= isa.CRFEntries {
 			return nil, unitErr(0, fmt.Errorf("pim: PPC %d out of CRF range", e.ppc))
 		}
-		if !e.decOK[e.ppc] {
-			e.decoded[e.ppc], e.decErr[e.ppc] = isa.Decode(e.units[0].crf[e.ppc])
-			e.decOK[e.ppc] = true
-		}
-		// in aliases the cache entry (valid until the next CRF write), so
-		// the walk copies no Instruction structs.
-		in := &e.decoded[e.ppc]
-		if err := e.decErr[e.ppc]; err != nil {
+		in, err := e.fetch(e.ppc)
+		if err != nil {
 			return nil, unitErr(0, fmt.Errorf("pim: CRF[%d]: %w", e.ppc, err))
 		}
 		switch in.Op {
@@ -459,11 +641,7 @@ func (e *Executor) resolveControl(c *hbm.TriggerInfo) (*isa.Instruction, error) 
 			// Zero-cycle: pre-decoded at fetch, consumes no command slot.
 			c.Instructions++
 			e.opRetired[isa.JUMP]++
-			left := int32(in.Imm0)
-			if e.jumpArmed[e.ppc] {
-				left = e.jumpLeft[e.ppc]
-			}
-			if left > 0 {
+			if left := e.loopLeft(e.ppc); left > 0 {
 				e.jumpArmed[e.ppc] = true
 				e.jumpLeft[e.ppc] = left - 1
 				e.ppc -= int(in.Imm1)
@@ -487,7 +665,7 @@ func (e *Executor) resolveControl(c *hbm.TriggerInfo) (*isa.Instruction, error) 
 // burst each unit reads, or the WR payload standing in for it.
 type operand struct {
 	src     isa.Src
-	idx     int  // register index
+	idx     int  // register index (of a step's first repetition)
 	payload bool // a bank operand captured from the write datapath: no array read
 }
 
@@ -495,25 +673,26 @@ type operand struct {
 // not captured from the write datapath.
 func (o *operand) fromBank() bool { return o.src.IsBank() && !o.payload }
 
-// dataOp is the consuming instruction of one trigger with everything
-// resolved that does not depend on the unit executing it.
+// dataOp is the consuming instruction of a step with everything resolved
+// that does not depend on the unit executing it, for the step's first
+// trigger; repetition r of an AAM loop adds r to every register index.
 type dataOp struct {
 	in      *isa.Instruction
+	t       int     // the step's first trigger in the run
 	dst     int     // DST register index
 	a, b    operand // SRC0 and, for arithmetic, SRC1
 	addend  int     // MAD: the SRF_A index of the addend
 	bank    int     // which of a unit's banks the instruction reads (an operand) or writes (MOV to a bank), as an offset from the unit's first; -1: neither
-	forward bool    // SRW: the WR payload lands in a's register before the operation
-	payload []byte  // the WR payload burst of a trigger that forwards or captures it: the host's 32 bytes, or zeros for a short payload
-	col     uint32  // the triggering column: every bank access happens there
+	forward bool    // SRW: each trigger's WR payload lands in a's register before the operation
+	col     uint32  // the first trigger's column: every bank access of repetition r happens at col+r
 	access  hbm.BankAccess
 }
 
-// resolve fills e.op for instruction in under the triggering command,
-// with the errors every unit would report.
-func (e *Executor) resolve(in *isa.Instruction, ctx *hbm.TriggerContext) error {
+// resolve fills e.op for instruction in under trigger t of the run, with
+// the errors every unit would report.
+func (e *Executor) resolve(in *isa.Instruction, ctx *hbm.TriggerContext, t int) error {
 	op := &e.op
-	op.in, op.col, op.access = in, ctx.Col, ctx.Access
+	op.in, op.t, op.col, op.access = in, t, ctx.Col+uint32(t), ctx.Access
 	op.bank, op.forward = -1, false
 
 	dst, s0, s1 := int(in.DstIdx), int(in.Src0Idx), int(in.Src1Idx)
@@ -521,7 +700,7 @@ func (e *Executor) resolve(in *isa.Instruction, ctx *hbm.TriggerContext) error {
 		// Address-aligned mode: all three index fields are replaced by the
 		// low bits of the triggering column, which walk each register file
 		// linearly (Section IV-C); distinct files keep the operands distinct.
-		gi, si := int(ctx.Col%uint32(e.grfEntries)), int(ctx.Col%isa.SRFEntries)
+		gi, si := int(op.col%uint32(e.grfEntries)), int(op.col%isa.SRFEntries)
 		idxFor := func(s isa.Src) int {
 			if s.IsSRF() {
 				return si
@@ -548,15 +727,10 @@ func (e *Executor) resolve(in *isa.Instruction, ctx *hbm.TriggerContext) error {
 	}
 	// Only data-movement instructions may capture the write datapath as
 	// their bank operand; an arithmetic bank operand needs a real array
-	// read, which a WR trigger supplies only on a WROperand device. There,
-	// simultaneous read/write: the trigger forwards the host payload into
-	// the GRF write port while the bank read proceeds, so a single command
-	// both loads the vector operand and executes the arithmetic (Fig. 14).
+	// read, which a WR trigger supplies only on a WROperand device, where
+	// the trigger may forward its payload too (forwards).
 	capture := in.Op.IsData()
-	if !capture && e.wrOperand && wr && in.Src0.IsGRF() && len(ctx.WrData) >= 2*fp16.Lanes {
-		op.forward = true
-		op.payload = ctx.WrData
-	}
+	op.forward = e.forwards(in, ctx, t)
 	op.a, err = e.source(in.Src0, s0, ctx, capture)
 	if err != nil || capture {
 		return err // MOV and FILL have the one source
@@ -583,10 +757,6 @@ func (e *Executor) source(s isa.Src, idx int, ctx *hbm.TriggerContext, capture b
 	case s.IsSRF():
 		return operand{src: s, idx: idx % isa.SRFEntries}, nil
 	case capture && ctx.Kind == hbm.CmdWR:
-		e.op.payload = zeroBurst[:]
-		if len(ctx.WrData) >= burstBytes {
-			e.op.payload = ctx.WrData
-		}
 		return operand{src: s, payload: true}, nil
 	}
 	var err error

@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -44,6 +45,17 @@ func (d *driver) issue(cmd hbm.Command) hbm.IssueResult {
 	}
 	d.now = at
 	return res
+}
+
+// issueRun issues n column commands of kind on bank set bankSel at
+// columns 0..n-1 as one trigger run, command i carrying data[i].
+func (d *driver) issueRun(kind hbm.CmdKind, bankSel, n int, data [][]byte) {
+	d.t.Helper()
+	cycles, err := d.p.IssueRun(kind, bankSel, 0, n, data, d.now, math.MaxInt64)
+	if err != nil || len(cycles) != n {
+		d.t.Fatalf("IssueRun(%d x %s): %d issued, %v", n, kind, len(cycles), err)
+	}
+	d.now = cycles[n-1] + 1
 }
 
 func (d *driver) issueErr(cmd hbm.Command) error {
@@ -507,7 +519,9 @@ func Test2XVariantDepth(t *testing.T) {
 }
 
 func TestRegisterSpaceBounds(t *testing.T) {
-	u := newUnits(1, isa.GRFEntries)[0]
+	units := newUnits(1, isa.GRFEntries)
+	cutRegisters(units)
+	u := units[0]
 	if err := u.writeRegSpace(hbm.RegCRF, 4, make([]byte, 32)); err == nil {
 		t.Error("CRF col 4 accepted (only 32 words)")
 	}
@@ -529,7 +543,9 @@ func TestRegisterSpaceBounds(t *testing.T) {
 }
 
 func TestCRFRoundTripThroughRegisterSpace(t *testing.T) {
-	u := newUnits(1, isa.GRFEntries)[0]
+	units := newUnits(1, isa.GRFEntries)
+	cutRegisters(units)
+	u := units[0]
 	prog := mustAssemble(t, `
 		MAC GRF_B[0], GRF_A[0], EVEN_BANK
 		JUMP -1, 7

@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,8 +24,9 @@ func (f flipReadout) CorruptReadout(_, bank int, _, _ uint32, _ int64, data []by
 
 // gemvRig is TestGEMVMicrokernel's kernel with its weights resident: W in
 // the even banks once, then any number of runs, each zeroing the
-// accumulators, streaming x in over WR triggers, accumulating over one RD
-// trigger per input and reading y back through the register space.
+// accumulators, streaming x in over a run of WR triggers, accumulating
+// over a run of one RD trigger per input and reading y back through the
+// register space.
 type gemvRig struct {
 	d   *driver
 	tap *tapExec
@@ -80,12 +82,12 @@ func (g *gemvRig) run(x fp16.Vector) fp16.Vector {
 	`))
 	d.setPIMOp(true)
 	d.issue(hbm.Command{Kind: hbm.CmdACT, Row: rigRow})
-	for k := 0; k < rigInputs; k++ {
-		d.issue(hbm.Command{Kind: hbm.CmdWR, Bank: 0, Col: uint32(k), Data: splat(x[k])})
+	xs := make([][]byte, rigInputs)
+	for k := range xs {
+		xs[k] = splat(x[k])
 	}
-	for k := 0; k < rigInputs; k++ {
-		d.issue(hbm.Command{Kind: hbm.CmdRD, Bank: 0, Col: uint32(k)})
-	}
+	d.issueRun(hbm.CmdWR, 0, rigInputs, xs)
+	d.issueRun(hbm.CmdRD, 0, rigInputs, nil)
 	d.issue(hbm.Command{Kind: hbm.CmdPREA})
 	d.setPIMOp(false)
 	d.exitAB()
@@ -117,8 +119,8 @@ func (g *gemvRig) want(x fp16.Vector) fp16.Vector {
 }
 
 // TestReadBanksHooks runs a resident GEMV through the batched bank read on
-// a plain device (one ReadBanks call per RD trigger, every view a window
-// onto the row), on an ECC device with one planted single-bit error under
+// a plain device (one ReadBanks call for the RD run's AAM loop, every view
+// a window onto the row), on an ECC device with one planted single-bit error under
 // unit 5's weights (bit-exact, one correction, the cell scrubbed), and
 // with a fault injector that corrupts every readout of unit 3's bank
 // (exactly unit 3's outputs wrong; detached, the next run is bit-exact,
@@ -138,8 +140,8 @@ func TestReadBanksHooks(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		g := newGEMVRig(t, hbm.PIMHBMConfig(1000), 42)
 		exact(t, g)
-		if g.tap.reads != rigInputs || g.tap.copies != 0 {
-			t.Errorf("%d ReadBanks calls for %d RD triggers, %d views copied; want one call a trigger and no copy",
+		if g.tap.reads != 1 || g.tap.copies != 0 {
+			t.Errorf("%d ReadBanks calls for a run of %d RD triggers, %d views copied; want one call and no copy",
 				g.tap.reads, rigInputs, g.tap.copies)
 		}
 	})
@@ -188,21 +190,26 @@ func TestReadBanksHooks(t *testing.T) {
 // capture, the payload copied into every unit's GRF_A (how a kernel's
 // input vector is loaded); add-regs is a register-only ADD, the units'
 // registers handed to the burst form as they lie; mov-relu-to-bank is a
-// WR-triggered MOV of each unit's GRF_A through ReLU into its bank. The
+// WR-triggered MOV of each unit's GRF_A through ReLU into its bank.
+// mac-run8 and mov-run8 are the AAM forms of mac and mov as a kernel
+// issues them, one 8-trigger run (an AAM window) through IssueRun, which
+// the executor runs in closed form; they report per trigger too. The
 // operands are seeded values in [-1, 1) over 8 columns, so the
 // accumulators stay finite; the program's loop is re-armed every 128
 // triggers. `make bench` records the rows in BENCH_gemv.json.
 func BenchmarkTrigger(b *testing.B) {
 	for _, k := range []struct {
-		name, src string
-		ecc, wr   bool
+		name, src    string
+		ecc, wr, run bool
 	}{
-		{"plain", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", false, false},
-		{"ecc", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", true, false},
-		{"mad", "MAD GRF_B[0], EVEN_BANK, SRF_M[0]", false, false},
-		{"mov", "MOV GRF_A[0], EVEN_BANK", false, true},
-		{"add-regs", "ADD GRF_B[0], GRF_A[0], GRF_B[0]", false, false},
-		{"mov-relu-to-bank", "MOV(RELU) EVEN_BANK, GRF_A[0]", false, true},
+		{"plain", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", false, false, false},
+		{"ecc", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", true, false, false},
+		{"mad", "MAD GRF_B[0], EVEN_BANK, SRF_M[0]", false, false, false},
+		{"mov", "MOV GRF_A[0], EVEN_BANK", false, true, false},
+		{"add-regs", "ADD GRF_B[0], GRF_A[0], GRF_B[0]", false, false, false},
+		{"mov-relu-to-bank", "MOV(RELU) EVEN_BANK, GRF_A[0]", false, true, false},
+		{"mac-run8", "MAC(AAM) GRF_B, GRF_A, EVEN_BANK", false, false, true},
+		{"mov-run8", "MOV(AAM) GRF_A, EVEN_BANK", false, true, true},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			cfg := hbm.PIMHBMConfig(1000)
@@ -233,14 +240,30 @@ func BenchmarkTrigger(b *testing.B) {
 			d.setPIMOp(true)
 			d.issue(hbm.Command{Kind: hbm.CmdACT, Row: 7})
 			var trig [cols]hbm.Command
+			var data [][]byte
 			for col := range trig {
 				trig[col] = hbm.Command{Kind: hbm.CmdRD, Bank: 0, Col: uint32(col)}
 				if k.wr {
 					trig[col].Kind, trig[col].Data = hbm.CmdWR, operand()
+					data = append(data, trig[col].Data)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			if k.run {
+				for i := 0; i < b.N; i += cols {
+					if i%128 == 0 {
+						exec.ResetPPC()
+					}
+					n := min(cols, b.N-i)
+					cycles, err := d.p.IssueRun(trig[0].Kind, 0, 0, n, data, d.now, math.MaxInt64)
+					if err != nil {
+						b.Fatal(err)
+					}
+					d.now = cycles[n-1] + 1
+				}
+				return
+			}
 			for i := 0; i < b.N; i++ {
 				if i%128 == 0 {
 					exec.ResetPPC()

@@ -492,7 +492,7 @@ func (u *refUnit) readBank(s isa.Src, ctx *refContext, allowCapture bool) (fp16.
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ctx.access.ReadBanks(idx, 1, 1, ctx.col, u.bankBuf, u.view[:]); err != nil {
+	if _, err := ctx.access.ReadBanks(idx, 1, 1, ctx.col, 1, u.bankBuf, u.view[:]); err != nil {
 		return nil, err
 	}
 	if !ctx.functional {
@@ -586,13 +586,31 @@ func (r *refExecutor) RegisterRead(unit int, space hbm.RegSpace, col uint32, buf
 	return r.units[unit].readRegSpace(space, col, buf)
 }
 
+// Trigger runs the run's commands one at a time, each a full interpreter
+// step of every unit: the oracle takes no step of the production
+// executor's closed form.
 func (r *refExecutor) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
+	var info hbm.TriggerInfo
+	for ; info.Triggers < ctx.N; info.Triggers++ {
+		one, err := r.trigger(ctx, info.Triggers)
+		if err != nil {
+			return info, err
+		}
+		info.Instructions += one.Instructions
+		info.Arithmetic += one.Arithmetic
+		info.DataMoves += one.DataMoves
+	}
+	return info, nil
+}
+
+// trigger steps every unit in lock step for command t of the run.
+func (r *refExecutor) trigger(ctx *hbm.TriggerContext, t int) (hbm.TriggerInfo, error) {
 	sc := &r.sc
 	sc.kind = ctx.Kind
 	sc.bankSel = ctx.BankSel
 	sc.row = ctx.Row
-	sc.col = ctx.Col
-	sc.wrData = ctx.WrData
+	sc.col = ctx.Col + uint32(t)
+	sc.wrData = ctx.Payload(t)
 	sc.access = ctx.Access
 	var info hbm.TriggerInfo
 	for i, u := range r.units {

@@ -13,17 +13,27 @@
 // is read where it lies). The GRF and SRF hold bursts, the 32-byte words a
 // column access carries, so every operand of a trigger is a burst: a move
 // is a fixed-size copy and an arithmetic instruction one fp16 burst-form
-// call, whichever of its operands come from a register or a bank.
+// call, whichever of its operands come from a register or a bank. The
+// executor takes a trigger run (an AAM window's column commands) in one
+// call, and runs the repetitions of an AAM instruction under a JUMP -1
+// loop in closed form: one resolve, one bank read of all their columns,
+// one data step over every repetition of every unit.
 //
-// A trigger that returns an error has failed part way: the units before
-// the one the error names have executed the instruction, that one and the
-// later ones have not, and registers and banks hold what the ones that ran
-// left there. When a bank read failed, the later units' banks were not
-// read either: no read statistic, fault sequence number or scrub is
-// theirs. The control state (PPC, loop counters, done flag) is
-// unspecified from then until the next ResetPPC (AB-PIM re-entry, how a
-// host recovers), and the retirement counters may or may not include the
-// failed instruction.
+// A run that returns an error has failed part way, at the trigger after
+// the ones it reports retired. After a failed bank access the units before
+// the one the error names have executed that trigger's instruction, that
+// one and the later ones have not, and registers and banks hold what the
+// ones that ran left there; when a bank read failed, the later units'
+// banks were not read either: no read statistic, fault sequence number or
+// scrub is theirs. An error of the control walk after the instruction is
+// unit 0's, met first, as every unit's: it comes after every unit
+// executed the instruction, or only the units before a failed bank
+// access, whose error it then overrides.
+// The control state (PPC, loop counters, done flag) is unspecified from
+// then until the next ResetPPC (AB-PIM re-entry, how a host recovers),
+// and the retirement counters may or may not include the failed
+// instruction; all of it is what the run's commands issued one at a time
+// would have left.
 package pim
 
 import (
@@ -88,19 +98,35 @@ type Unit struct {
 	grfEntries int // registers per GRF half (hbm.Config.GRFDepth)
 }
 
-// newUnits builds n units with the given GRF depth per half. Their
-// registers are cut from one array laid out register by register, the n
-// units' copies of each side by side, then the n SRFs: a trigger works on
-// one register of every unit, which is then one contiguous run of memory.
+// newUnits builds n units with the given GRF depth per half, in one array
+// and without registers: a timing-only device never reads a register in a
+// trigger, and most never address the register space at all, so the
+// registers are cut only when something first needs them (cutRegisters).
 func newUnits(n, grfEntries int) []*Unit {
+	backing := make([]Unit, n)
+	units := make([]*Unit, n)
+	for i := range units {
+		backing[i].grfEntries = grfEntries
+		units[i] = &backing[i]
+	}
+	return units
+}
+
+// cutRegisters gives units built by newUnits their registers, once. They
+// are cut from one array laid out register by register, the units' copies
+// of each side by side, then the SRFs: a trigger works on one register of
+// every unit, which is then one contiguous run of memory.
+func cutRegisters(units []*Unit) {
+	if units[0].srf != nil {
+		return
+	}
+	n, grfEntries := len(units), units[0].grfEntries
 	regs := make([]byte, (2*grfEntries+1)*n*burstBytes)
 	reg := func(r, unit int) []byte {
 		o := (r*n + unit) * burstBytes
 		return regs[o : o+burstBytes : o+burstBytes]
 	}
-	units := make([]*Unit, n)
-	for i := range units {
-		u := &Unit{grfEntries: grfEntries}
+	for i, u := range units {
 		for h := range u.grf {
 			u.grf[h] = make([][]byte, grfEntries)
 			for idx := range u.grf[h] {
@@ -108,9 +134,7 @@ func newUnits(n, grfEntries int) []*Unit {
 			}
 		}
 		u.srf = reg(2*grfEntries, i)
-		units[i] = u
 	}
-	return units
 }
 
 // GRF returns a copy of a vector register (half 0 = GRF_A, 1 = GRF_B).

@@ -38,6 +38,7 @@ func (r *Runtime) Restrict(channels []int) (*Runtime, error) {
 		view.wr = append(view.wr, r.wr[ch])
 		view.unload = append(view.unload, r.unload[ch])
 		view.payloads = append(view.payloads, r.payloads[ch])
+		view.marks = append(view.marks, r.marks[ch])
 	}
 	return view, nil
 }

@@ -60,6 +60,14 @@ type Runtime struct {
 	// shared with restricted views like wr.
 	payloads []*payloadRun
 
+	// marks is one kernel-region snapshot per channel (parent numbering),
+	// shared with restricted views like wr: BeginRegion writes a channel's
+	// clock and fence count there and EndRegion reads them back. A launch
+	// owns its channels' marks from BeginRegion to EndRegion, so launches
+	// on overlapping channel sets must not run concurrently, which they
+	// cannot anyway: a channel's command stream is one goroutine's.
+	marks []*regionMark
+
 	// eng dispatches per-channel kernel work. Nil runs channels
 	// sequentially on the caller's goroutine (engine.Serial semantics
 	// without the indirection).
@@ -136,10 +144,12 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 	}
 	r.Drv = drv
 	wr := make([]byte, len(r.Chans)*cfg.AccessBytes)
+	marks := make([]regionMark, len(r.Chans))
 	for i := range r.Chans {
 		r.wr = append(r.wr, wr[i*cfg.AccessBytes:(i+1)*cfg.AccessBytes])
 		r.unload = append(r.unload, new(grfUnload))
 		r.payloads = append(r.payloads, new(payloadRun))
+		r.marks = append(r.marks, &marks[i])
 	}
 
 	// One registry shard per channel: kernels under a parallel engine write
@@ -363,56 +373,40 @@ func (r *Runtime) Recover(ch int) error {
 // TriggerRD issues a PIM-triggering column read. bankSel 0 drives the
 // even banks, 1 the odd banks.
 func (r *Runtime) TriggerRD(ch, bankSel int, col uint32) error {
-	start := r.Chans[ch].Now()
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdRD, Bank: bankSel, Col: col}); err != nil {
-		return err
-	}
-	r.notePhase(ch, PhaseTrigger, start)
-	return nil
+	return r.TriggerRDRun(ch, bankSel, col, 1)
 }
 
 // TriggerWR issues a PIM-triggering column write carrying data on the
 // write datapath.
 func (r *Runtime) TriggerWR(ch, bankSel int, col uint32, data []byte) error {
-	start := r.Chans[ch].Now()
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, Bank: bankSel, Col: col, Data: data}); err != nil {
-		return err
+	if data == nil {
+		return r.TriggerWRRun(ch, bankSel, col, 1, nil)
 	}
-	r.notePhase(ch, PhaseTrigger, start)
-	return nil
+	one := [1][]byte{data}
+	return r.TriggerWRRun(ch, bankSel, col, 1, one[:])
 }
 
 // TriggerRDRun issues n PIM-triggering column reads at consecutive
-// columns col0..col0+n-1 — one AAM batch — with the phase accounting
-// folded into a single metrics update (see notePhaseN).
+// columns col0..col0+n-1 — one AAM batch — as one memctrl run, with the
+// phase accounting folded into a single metrics update (see notePhaseN).
 func (r *Runtime) TriggerRDRun(ch, bankSel int, col0 uint32, n int) error {
-	c := r.Chans[ch]
-	start := c.Now()
-	for i := 0; i < n; i++ {
-		cmd := hbm.Command{Kind: hbm.CmdRD, Bank: bankSel, Col: col0 + uint32(i)}
-		if _, err := c.Issue(cmd); err != nil {
-			return fmt.Errorf("runtime: ch%d %s: %w", ch, cmd, err)
-		}
-	}
-	r.notePhaseN(ch, PhaseTrigger, n, start)
-	return nil
+	return r.triggerRun(ch, hbm.CmdRD, bankSel, col0, n, nil)
 }
 
 // TriggerWRRun issues n PIM-triggering column writes at consecutive
-// columns col0..col0+n-1. When data is non-nil, data[i] rides the i-th
-// write datapath (functional operand loading); a nil data is the
-// timing-only form.
+// columns col0..col0+n-1 as one memctrl run. When data is non-nil,
+// data[i] rides the i-th write datapath (functional operand loading); a
+// nil data is the timing-only form.
 func (r *Runtime) TriggerWRRun(ch, bankSel int, col0 uint32, n int, data [][]byte) error {
+	return r.triggerRun(ch, hbm.CmdWR, bankSel, col0, n, data)
+}
+
+func (r *Runtime) triggerRun(ch int, kind hbm.CmdKind, bankSel int, col0 uint32, n int, data [][]byte) error {
 	c := r.Chans[ch]
 	start := c.Now()
-	for i := 0; i < n; i++ {
-		cmd := hbm.Command{Kind: hbm.CmdWR, Bank: bankSel, Col: col0 + uint32(i)}
-		if data != nil {
-			cmd.Data = data[i]
-		}
-		if _, err := c.Issue(cmd); err != nil {
-			return fmt.Errorf("runtime: ch%d %s: %w", ch, cmd, err)
-		}
+	if done, err := c.IssueRun(kind, bankSel, col0, n, data); err != nil {
+		cmd := hbm.Command{Kind: kind, Bank: bankSel, Col: col0 + uint32(done)}
+		return fmt.Errorf("runtime: ch%d %s: %w", ch, cmd, err)
 	}
 	r.notePhaseN(ch, PhaseTrigger, n, start)
 	return nil
@@ -603,6 +597,28 @@ func (p *payloadRun) cut(n, size int) [][]byte {
 		}
 	}
 	return p.views[:n]
+}
+
+// regionMark is one channel's kernel-region snapshot.
+type regionMark struct{ start, fences int64 }
+
+// BeginRegion opens a kernel region: it notes every channel's clock and
+// fence count in the runtime's marks, allocating nothing.
+func (r *Runtime) BeginRegion() {
+	for i, c := range r.Chans {
+		r.marks[i].start, r.marks[i].fences = c.Now(), c.Fences()
+	}
+}
+
+// EndRegion closes the region BeginRegion opened: it returns the slowest
+// channel's cycles since then (the kernel's latency) and the fences every
+// channel executed since, summed.
+func (r *Runtime) EndRegion() (cycles, fences int64) {
+	for i, c := range r.Chans {
+		cycles = max(cycles, c.Now()-r.marks[i].start)
+		fences += c.Fences() - r.marks[i].fences
+	}
+	return cycles, fences
 }
 
 // Now returns a channel's clock.
