@@ -91,9 +91,12 @@ benchmark-check:
 # word decodes, one flip is corrected, two are caught) for ten seconds;
 # arbitrary trace text (internal/trace: Parse never panics, an accepted
 # trace re-formats and re-parses to the same events, Validate judges it)
-# for ten seconds; and arbitrary variant names (internal/hbm: ParseVariant
+# for ten seconds; arbitrary variant names (internal/hbm: ParseVariant
 # never panics, an accepted name's variant parses back from its String and
-# builds a valid device) for ten seconds.
+# builds a valid device) for ten seconds; and arbitrary metric names and
+# label values through the Prometheus exposition and back (internal/metrics:
+# the strict parser reads every series, its sanitized name, TYPE, label
+# values and values back) for ten seconds.
 # -fuzzminimizetime 1s: the default minute of minimising would leave the
 # ten seconds no executions.
 fuzz-smoke:
@@ -105,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/ecc
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseVariant -fuzztime 10s -fuzzminimizetime 1s ./internal/hbm
+	$(GO) test -run '^$$' -fuzz FuzzPrometheusRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
 
 # examples-smoke builds every examples/* main and runs it under a 60 s
 # timeout; a nonzero exit or a timeout fails the target, and only a
@@ -143,11 +147,12 @@ fp16-exhaustive:
 # purego builds the fp16 package without its amd64 assembly and runs the
 # kernels' tests and every golden that depends on them on the portable
 # path, the one a CI runner with F16C never selects by itself, and the
-# trigger-run tests (memctrl's runs against single commands, pim's
-# differential over runs).
+# column-run tests (memctrl's trigger and register/bank runs against single
+# commands, hbm's closed-form run cycles against the brute-force oracle,
+# pim's differential over runs).
 purego:
 	$(GO) vet -tags purego ./internal/fp16
-	$(GO) test -tags purego -short ./internal/fp16 ./internal/pim ./internal/memctrl ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64|RegisterSpace|Splats|IssueRun'
+	$(GO) test -tags purego -short ./internal/fp16 ./internal/hbm ./internal/pim ./internal/memctrl ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64|RegisterSpace|Splats|IssueRun|RunMatches'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault

@@ -64,11 +64,9 @@ func runTxn(f *os.File, dev *hbm.Device, cfg hbm.Config) {
 		cfg.Rows, cfg.ColumnsPerRow(), cfg.AccessBytes)
 	chans := make([]*memctrl.Channel, dev.NumPCH())
 	scheds := make([]*memctrl.Scheduler, dev.NumPCH())
-	reg := metrics.New(dev.NumPCH())
 	for i := range chans {
-		chans[i] = memctrl.NewChannel(dev.PCH(i), cfg)
+		chans[i] = memctrl.NewChannel(dev.PCH(i), cfg, metrics.New(1), 0)
 		chans[i].ChannelID = i
-		chans[i].UseMetrics(reg, i)
 		scheds[i] = memctrl.NewScheduler(chans[i], cfg)
 		scheds[i].AutoRelease = true // trace replay discards transaction results
 	}

@@ -18,6 +18,7 @@ import (
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/memctrl"
+	"pimsim/internal/metrics"
 	"pimsim/internal/runtime"
 	"pimsim/internal/sim"
 )
@@ -184,7 +185,7 @@ func TestGoldenSchedulerReplay(t *testing.T) {
 	cfg := hbm.HBM2Config(1200)
 	cfg.Functional = false
 	dev := hbm.MustNewDevice(cfg)
-	ch := memctrl.NewChannel(dev.PCH(0), cfg)
+	ch := memctrl.NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
 	s := memctrl.NewScheduler(ch, cfg)
 	am := memctrl.NewAddrMap(16, cfg.BankGroups, cfg.BanksPerGroup,
 		cfg.Rows, cfg.ColumnsPerRow(), cfg.AccessBytes)

@@ -70,6 +70,24 @@ type IssueResult struct {
 	Data  []byte // data returned by an SB-mode RD (functional mode)
 }
 
+// Run reports what a run of column commands (PseudoChannel.IssueRun) did:
+// N commands issued, command i at cycle First + i*Stride.
+//
+// Data holds the burst each command of a RD run returned (functional
+// array reads, and register-space reads), aliasing per-pseudo-channel
+// scratch like IssueResult.Data: it is only valid until the next command
+// that reads the same column of the same pseudo channel, and a caller
+// that keeps a burst longer copies it.
+type Run struct {
+	First  int64
+	Stride int64
+	N      int
+	Data   [][]byte
+}
+
+// Cycle returns the issue cycle of command i of the run.
+func (r *Run) Cycle(i int) int64 { return r.First + int64(i)*r.Stride }
+
 // Stats counts issued commands and data movement for one pseudo channel.
 // The energy model converts these into component energies.
 type Stats struct {

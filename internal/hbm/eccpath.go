@@ -47,11 +47,17 @@ type ReadFault interface {
 // bankWriteData stores a 32-byte block at the open row's column,
 // generating ECC check bits when the engine is enabled.
 func (p *PseudoChannel) bankWriteData(b *bank, col uint32, data []byte) error {
+	return p.writeBlock(b, b.row(b.openRow, p.cfg.RowBytes), col, data)
+}
+
+// writeBlock is bankWriteData with the open row's storage, row, looked up
+// by the caller (once for a run of columns).
+func (p *PseudoChannel) writeBlock(b *bank, row []byte, col uint32, data []byte) error {
 	if len(data) != p.cfg.AccessBytes {
 		return fmt.Errorf("hbm: write payload %dB, want %dB", len(data), p.cfg.AccessBytes)
 	}
 	off := int(col) * p.cfg.AccessBytes
-	copy(b.row(b.openRow, p.cfg.RowBytes)[off:], data)
+	copy(row[off:], data)
 	if p.cfg.ECC {
 		par := ecc.EncodeBlock(data)
 		copy(b.parityRow(b.openRow, p.cfg.RowBytes)[off/8:], par[:])
@@ -65,17 +71,24 @@ func (p *PseudoChannel) bankWriteData(b *bank, col uint32, data []byte) error {
 // double-bit error is reported as a typed *UncorrectableError (the
 // poisoned data is not forwarded silently).
 func (p *PseudoChannel) bankReadData(b *bank, bankIdx int, col uint32, buf []byte) error {
-	off := int(col) * p.cfg.AccessBytes
-	copy(buf[:p.cfg.AccessBytes], b.row(b.openRow, p.cfg.RowBytes)[off:])
+	return p.readBlock(b, bankIdx, b.row(b.openRow, p.cfg.RowBytes), col, buf)
+}
+
+// readBlock is bankReadData with the open row's storage, row, looked up
+// by the caller (once for a run of columns).
+func (p *PseudoChannel) readBlock(b *bank, bankIdx int, row []byte, col uint32, buf []byte) error {
+	size := p.cfg.AccessBytes
+	off := int(col) * size
+	copy(buf[:size], row[off:])
 	if p.fault != nil {
-		p.fault.CorruptReadout(p.id, bankIdx, b.openRow, col, p.stats.BankReads, buf[:p.cfg.AccessBytes])
+		p.fault.CorruptReadout(p.id, bankIdx, b.openRow, col, p.stats.BankReads, buf[:size])
 	}
 	if !p.cfg.ECC {
 		return nil
 	}
 	var par [ecc.WordsPerBlock]uint8
 	copy(par[:], b.parityRow(b.openRow, p.cfg.RowBytes)[off/8:])
-	corrected, uncorrectable := ecc.DecodeBlock(buf[:p.cfg.AccessBytes], par)
+	corrected, uncorrectable := ecc.DecodeBlock(buf[:size], par)
 	p.stats.ECCCorrected += int64(corrected)
 	if uncorrectable {
 		p.stats.ECCUncorrectable++
@@ -83,8 +96,8 @@ func (p *PseudoChannel) bankReadData(b *bank, bankIdx int, col uint32, buf []byt
 	}
 	if corrected > 0 {
 		// Scrub: write the corrected data (and fresh parity) back.
-		copy(b.row(b.openRow, p.cfg.RowBytes)[off:], buf[:p.cfg.AccessBytes])
-		fresh := ecc.EncodeBlock(buf[:p.cfg.AccessBytes])
+		copy(row[off:], buf[:size])
+		fresh := ecc.EncodeBlock(buf[:size])
 		copy(b.parityRow(b.openRow, p.cfg.RowBytes)[off/8:], fresh[:])
 	}
 	return nil

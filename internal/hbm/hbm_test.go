@@ -400,21 +400,27 @@ func newFakeExec() *fakeExec {
 	return &fakeExec{regWrites: map[RegSpace]map[int][]uint32{}}
 }
 
-func (f *fakeExec) RegisterWrite(unit int, space RegSpace, col uint32, data []byte) error {
+func (f *fakeExec) RegisterWrite(first, n int, space RegSpace, col uint32, data [][]byte) (int, error) {
 	m := f.regWrites[space]
 	if m == nil {
 		m = map[int][]uint32{}
 		f.regWrites[space] = m
 	}
-	m[unit] = append(m[unit], col)
-	return nil
+	for c := range data {
+		for u := first; u < first+n; u++ {
+			m[u] = append(m[u], col+uint32(c))
+		}
+	}
+	return len(data) * n, nil
 }
 
-func (f *fakeExec) RegisterRead(unit int, space RegSpace, col uint32, buf []byte) error {
-	for i := range buf {
-		buf[i] = f.readBack
+func (f *fakeExec) RegisterRead(first, n int, space RegSpace, col uint32, bufs [][]byte) (int, error) {
+	for _, buf := range bufs {
+		for i := range buf {
+			buf[i] = f.readBack
+		}
 	}
-	return nil
+	return len(bufs) * n, nil
 }
 
 func (f *fakeExec) Trigger(ctx *TriggerContext) (TriggerInfo, error) {

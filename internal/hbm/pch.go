@@ -1,6 +1,9 @@
 package hbm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Mode is the operating mode of a pseudo channel (Section III-B, Fig. 3).
 type Mode uint8
@@ -115,8 +118,8 @@ type BankAccess interface {
 
 // TriggerContext describes a run of AB-PIM column commands to the
 // executor: N commands of one kind on one bank set at consecutive columns
-// Col, Col+1, ..., command i issued at Cycles[i] and, for a WR, carrying
-// WrData[i] on the write datapath.
+// Col, Col+1, ..., command i issued at cycle First + i*Stride and, for a
+// WR, carrying WrData[i] on the write datapath.
 type TriggerContext struct {
 	Kind    CmdKind // CmdRD or CmdWR
 	BankSel int     // 0: even banks of each pair, 1: odd banks
@@ -124,9 +127,13 @@ type TriggerContext struct {
 	Col     uint32  // the first command's column address
 	N       int     // commands in the run
 	WrData  [][]byte
-	Cycles  []int64 // issue cycle of each command (observability)
+	First   int64 // issue cycle of the first command (observability)
+	Stride  int64 // cycles from one command to the next
 	Access  BankAccess
 }
+
+// Cycle returns the issue cycle of command i.
+func (c *TriggerContext) Cycle(i int) int64 { return c.First + int64(i)*c.Stride }
 
 // Payload returns the host payload command i carries on the write
 // datapath: nil for a RD, or a WR without one.
@@ -149,10 +156,20 @@ type TriggerInfo struct {
 // package provides the implementation; the hbm package only defines the
 // contract so the device model stays independent of the datapath.
 type PIMExecutor interface {
-	// RegisterWrite stores a 32-byte block into unit's register space.
-	RegisterWrite(unit int, space RegSpace, col uint32, data []byte) error
-	// RegisterRead loads a 32-byte block from unit's register space.
-	RegisterRead(unit int, space RegSpace, col uint32, buf []byte) error
+	// RegisterWrite stores data[c], a 32-byte block, at column col+c of
+	// the register space of units first..first+n-1: column by column, each
+	// column into the n units in order, as len(data) column commands that
+	// broadcast to the n units (or address the one) issued one at a time
+	// would. It returns how many blocks it stored; an error is block
+	// written's (column col+written/n, unit first+written%n), and the
+	// blocks after it are not stored.
+	RegisterWrite(first, n int, space RegSpace, col uint32, data [][]byte) (written int, err error)
+	// RegisterRead loads columns col..col+len(bufs)-1 of the register space
+	// of units first..first+n-1 in the same order. Every unit drives its
+	// read, but only unit first's block of column col+c reaches the I/O
+	// mux, bufs[c]. It returns how many blocks it read; an error is block
+	// read's, as for RegisterWrite.
+	RegisterRead(first, n int, space RegSpace, col uint32, bufs [][]byte) (read int, err error)
 	// Trigger executes a run of AB-PIM column commands, each of which
 	// advances every unit in lock step by one command slot, in order. It
 	// reports the commands retired and what they executed; an error is
@@ -234,27 +251,22 @@ type PseudoChannel struct {
 	modeSince  int64
 	modeCycles [3]int64
 
-	// Reusable scratch so the column-command hot path allocates nothing.
-	// colBuf backs IssueResult.Data (valid only until the next Issue, see
-	// the IssueResult contract); regBuf absorbs register reads from units
-	// beyond the first, whose data never reaches the I/O mux; allBanks is
-	// the 0..Banks-1 index slice broadcast register accesses iterate;
-	// oneBank holds the single index of a single-bank register access.
-	colBuf   []byte
-	regBuf   []byte
-	allBanks []int
-	oneBank  [1]int
+	// Reusable scratch so column runs allocate nothing. runBuf holds one
+	// burst per column of a row (cut on first need): a RD run's data lands
+	// in the slots of its columns, so runViews (Run.Data, valid until the next command) stay
+	// apart across the runs a refresh splits a controller's run into.
+	// runData is the channel's copy of a WR run's payload list, so the
+	// caller's list never escapes through the executor interface, and
+	// oneData that of a command issued alone.
+	runBuf   []byte
+	runViews [][]byte
+	runData  [][]byte
+	oneData  [1][]byte
 
 	// trig is the reusable trigger-run context handed to the PIM executor
-	// (by pointer, so the per-command hot path copies no structs). Its
-	// constant field (Access) is filled once; runData and runCycles back
-	// its WrData and Cycles, grown to the longest run the channel has seen,
-	// and oneData and oneCycle those of a trigger issued alone.
-	trig      TriggerContext
-	runData   [][]byte
-	runCycles []int64
-	oneData   [1][]byte
-	oneCycle  [1]int64
+	// (by pointer, so the per-run path copies no structs). Its constant
+	// field (Access) is filled once.
+	trig TriggerContext
 
 	// Limits and ratios precomputed off Config so the per-command addrCheck
 	// and the per-unit register routing (unitFor) perform no division on,
@@ -262,6 +274,9 @@ type PseudoChannel struct {
 	numRows      uint32
 	numCols      uint32
 	banksPerUnit int // 0 on a device without PIM units, which routes no register access
+	// colStride is the issue distance of consecutive column commands of a
+	// run, max(1, tCCD_S, tCCD_L): see IssueRun.
+	colStride int64
 }
 
 // BankOps counts the commands one bank observed: its demand profile for
@@ -283,12 +298,6 @@ func newPCH(cfg *Config, id int) *PseudoChannel {
 		rdAllowedL:  make([]int64, cfg.BankGroups),
 		rrdAllowedL: make([]int64, cfg.BankGroups),
 		bankOps:     make([]BankOps, cfg.Banks()),
-		colBuf:      make([]byte, cfg.AccessBytes),
-		regBuf:      make([]byte, cfg.AccessBytes),
-		allBanks:    make([]int, cfg.Banks()),
-	}
-	for i := range p.allBanks {
-		p.allBanks[i] = i
 	}
 	p.trig.Access = (*pchBankAccess)(p)
 	p.numRows = uint32(cfg.Rows)
@@ -296,6 +305,7 @@ func newPCH(cfg *Config, id int) *PseudoChannel {
 	if cfg.PIMUnits > 0 {
 		p.banksPerUnit = cfg.BanksPerUnit()
 	}
+	p.colStride = int64(max(1, cfg.Timing.CCDS, cfg.Timing.CCDL))
 	// Seed the four-activate window in the distant past so the first four
 	// ACTs are unconstrained.
 	for i := range p.actWindow.times {
@@ -829,22 +839,19 @@ func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool, res *Issue
 		return nil
 
 	case CmdRD, CmdWR:
-		if broadcast && p.triggers() {
-			// A PIM trigger is a run of one.
-			p.oneCycle[0] = at
-			var data [][]byte
-			if cmd.Data != nil {
-				p.oneData[0] = cmd.Data
-				data = p.oneData[:]
-			}
-			_, err := p.triggerRun(cmd.Kind, cmd.Bank, cmd.Col, data, p.oneCycle[:])
-			return err
+		// A column command is a run of one.
+		var data [][]byte
+		if cmd.Data != nil {
+			p.oneData[0] = cmd.Data
+			data = p.oneData[:]
 		}
-		p.updateColumnTiming(cmd.Kind, cmd.BG, at, broadcast)
-		if broadcast {
-			return p.issueBroadcastColumn(cmd, res)
+		p.runViews = p.runViews[:0]
+		var run Run
+		err := p.columnRun(cmd, 1, data, at, broadcast, math.MaxInt64, &run)
+		if len(p.runViews) > 0 {
+			res.Data = p.runViews[0]
 		}
-		return p.issueSBColumn(cmd, res)
+		return err
 
 	case CmdREF:
 		until := at + int64(tm.RFC)
@@ -915,99 +922,207 @@ func (p *PseudoChannel) updateColumnTiming(kind CmdKind, bg int, at int64, broad
 	}
 }
 
-// issueSBColumn performs a single-bank column access: either a normal data
-// access through the I/O PHY or a PIM register access when the open row is
-// in the configuration space.
-func (p *PseudoChannel) issueSBColumn(cmd *Command, res *IssueResult) error {
-	idx := p.flat(cmd.BG, cmd.Bank)
+// IssueRun issues up to n column commands like *cmd at consecutive columns
+// cmd.Col, cmd.Col+1, ..., command i carrying data[i] (nil data: no
+// payloads; cmd.Data is not read): the column commands of an AAM window of
+// PIM triggers, of a register-file load or unload, or of one bank row.
+// The first command issues at its earliest legal cycle at or after now,
+// command i at First + i*Stride with Stride = max(1, tCCD_S, tCCD_L):
+// exactly the cycles of n Issue calls each at the previous command's cycle
+// plus one (the command bus carries one command a cycle), because a run
+// of one kind raises only the timers it reads by its own cycle plus a
+// constant no larger than the stride (a RD moves wrAllowed, a WR
+// rdAllowedS, rdAllowedL and rdFloorL, and neither reads what it moves).
+// What the commands do is done once for the run: a run of triggers reaches
+// the executor in one Trigger call, a register-space run in one
+// RegisterWrite or RegisterRead call over every unit it addresses, and the
+// column timing, the precharge fence and every counter are booked once,
+// with the last command's cycle.
+//
+// The run stops before a command whose bus cycle would reach stop (a
+// refresh deadline the controller must service first), and after a write
+// to the PIM_OP_MODE column (the mode it sets governs what follows); a
+// command past the last column of the row is an address error. A command
+// whose data step fails has issued, as a lone command that fails does:
+// its timing and counts stand, and the commands after it never issue. The
+// run fills *run with the commands that issued and, for a RD run that
+// returns data, the burst each returned, valid until the next command; an
+// error is the command's after them. While the timing cross-check is armed
+// every command is issued, and its legality checked, alone.
+func (p *PseudoChannel) IssueRun(cmd *Command, n int, data [][]byte, now, stop int64, run *Run) error {
+	if !cmd.Kind.IsColumn() || n <= 0 {
+		*run = Run{Stride: p.colStride}
+		if n > 0 {
+			return fmt.Errorf("hbm: %s is not a column command", cmd.Kind)
+		}
+		return nil
+	}
+	p.runViews = p.runViews[:0]
+	if p.checkTiming {
+		*run = Run{Stride: p.colStride}
+		return p.issueRunChecked(cmd, n, data, now, stop, run)
+	}
+	first, broadcast, err := p.earliest(cmd, now)
+	if err != nil {
+		*run = Run{Stride: p.colStride}
+		return err
+	}
+	err = p.columnRun(cmd, n, data, first, broadcast, stop, run)
+	run.Data = p.runViews
+	return err
+}
+
+// issueRunChecked is IssueRun under the timing cross-check: every command
+// is a run of one, its legality verdict checked against the brute-force
+// oracle and its cycle against the run's closed form.
+func (p *PseudoChannel) issueRunChecked(cmd *Command, n int, data [][]byte, now, stop int64, run *Run) error {
+	one := *cmd
+	var r Run
+	for i := 0; i < n && (i == 0 || now < stop); i++ {
+		one.Col = cmd.Col + uint32(i)
+		var d [][]byte
+		if data != nil {
+			d = data[i : i+1]
+		}
+		at, broadcast, err := p.earliest(&one, now)
+		p.crossCheck(one, now, at, err)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			run.First = at
+		} else if want := run.Cycle(i); at != want {
+			panic(fmt.Sprintf("hbm: run command %d (%s) legal at cycle %d, the closed form says %d", i, one, at, want))
+		}
+		err = p.columnRun(&one, 1, d, at, broadcast, stop, &r)
+		run.Data = p.runViews
+		if err != nil {
+			return err
+		}
+		run.N++
+		now = at + 1
+		if p.setsMode(&one, broadcast) {
+			break
+		}
+	}
+	return nil
+}
+
+// setsMode reports whether column command cmd (broadcast the verdict of
+// its legality check) writes the PIM_OP_MODE register, which ends a run.
+func (p *PseudoChannel) setsMode(cmd *Command, broadcast bool) bool {
+	if cmd.Kind != CmdWR || cmd.Col != ColPIMOpMode {
+		return false
+	}
+	idx := 0 // a broadcast's row is bank 0's
+	if !broadcast {
+		idx = p.flat(cmd.BG, cmd.Bank)
+	}
+	space, conf := p.cfg.confSpace(p.banks[idx].openRow)
+	return conf && space == RegMode
+}
+
+// columnRun issues up to n column commands like *cmd at consecutive
+// columns, the first at cycle first, which earliest found legal
+// (broadcast is its verdict), as IssueRun describes. A RD run's data is
+// appended to runViews.
+func (p *PseudoChannel) columnRun(cmd *Command, n int, data [][]byte, first int64, broadcast bool, stop int64, run *Run) error {
+	s := p.colStride
+	*run = Run{First: first, Stride: s}
+	// Command i > 0 has bus cycle first + (i-1)*s + 1, which must come
+	// before stop; a command past the last column is an address error.
+	legal := int(p.numCols - cmd.Col) // earliest checked cmd.Col
+	k := min(n, legal)
+	room := stop - first - 1
+	if room <= 0 {
+		k = 1
+	} else if int64(k-2)*s >= room {
+		k = 2 + int((room-1)/s)
+	}
+	past := -1
+	if k == legal && legal < n && room > 0 && int64(legal-1)*s < room {
+		past = legal
+	}
+	idx := 0 // the addressed bank; a broadcast's row is bank 0's
+	if !broadcast {
+		idx = p.flat(cmd.BG, cmd.Bank)
+	}
+	space, conf := p.cfg.confSpace(p.banks[idx].openRow)
+	if conf && space == RegMode && cmd.Kind == CmdWR && cmd.Col <= ColPIMOpMode && int(ColPIMOpMode-cmd.Col) < k {
+		k, past = int(ColPIMOpMode-cmd.Col)+1, -1
+	}
+
+	var done int
+	var err error
+	offChip := true // SB and plain AB commands carry their burst across the I/O PHY
+	switch {
+	case conf:
+		done, err = p.registerRun(cmd, space, broadcast, idx, k, data, first)
+		offChip = !broadcast
+	case broadcast && p.mode == ModeABPIM:
+		done, err = p.triggerRun(cmd, k, data, first)
+		offChip = false // counted per retired trigger
+	case broadcast:
+		done, err = p.broadcastRun(cmd, k, data)
+	default:
+		done, err = p.bankRun(cmd, idx, k, data)
+	}
+	issued := done
+	if err != nil {
+		issued++
+	}
+	if issued > 0 {
+		p.bookColumns(cmd.Kind, cmd.BG, idx, broadcast, first+int64(issued-1)*s, int64(issued))
+		if offChip {
+			p.stats.OffChipBytes += int64(issued * p.cfg.AccessBytes)
+		}
+	}
+	run.N = done
+	if err == nil && done == past {
+		next := Command{Kind: cmd.Kind, BG: cmd.BG, Bank: cmd.Bank, Col: cmd.Col + uint32(past)}
+		err = p.cfg.addrCheck(&next)
+	}
+	return err
+}
+
+// bookColumns books issued column commands of kind, the last at cycle
+// last: the bus occupancy and turnarounds (updateColumnTiming), the
+// precharge fence and the command counts. Every timer a column command
+// raises it raises to its own cycle plus a constant, so the last
+// command's raises cover the others'.
+func (p *PseudoChannel) bookColumns(kind CmdKind, bg, idx int, broadcast bool, last, issued int64) {
+	p.updateColumnTiming(kind, bg, last, broadcast)
+	if broadcast {
+		p.broadcastColumn(kind, last, issued)
+		return
+	}
 	b := &p.banks[idx]
-	b.column(cmd.Kind, res.Cycle, &p.cfg.Timing)
+	b.column(kind, last, &p.cfg.Timing)
 	p.aggPre = maxi64(p.aggPre, b.preAllowed) // bank is active (legality)
-	p.stats.OffChipBytes += int64(p.cfg.AccessBytes)
-	if cmd.Kind == CmdRD {
-		p.stats.RD++
-		p.bankOps[idx].RD++
+	if kind == CmdRD {
+		p.stats.RD += issued
+		p.bankOps[idx].RD += issued
 	} else {
-		p.stats.WR++
-		p.bankOps[idx].WR++
+		p.stats.WR += issued
+		p.bankOps[idx].WR += issued
 	}
-
-	if space, ok := p.cfg.confSpace(b.openRow); ok {
-		p.oneBank[0] = idx
-		return p.registerAccess(cmd, res, space, p.oneBank[:])
-	}
-
-	// Normal array access.
-	if cmd.Kind == CmdRD {
-		p.stats.BankReads++
-		if p.cfg.Functional {
-			if err := p.bankReadData(b, idx, cmd.Col, p.colBuf); err != nil {
-				return err
-			}
-			res.Data = p.colBuf
-		}
-		return nil
-	}
-	p.stats.BankWrites++
-	if p.cfg.Functional {
-		if err := p.bankWriteData(b, cmd.Col, cmd.Data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// issueBroadcastColumn performs an AB column access, or an AB-PIM one to
-// the register space.
-func (p *PseudoChannel) issueBroadcastColumn(cmd *Command, res *IssueResult) error {
-	p.broadcastColumn(cmd.Kind, res.Cycle)
-
-	// Register space: broadcast to every PIM unit.
-	if space, ok := p.cfg.confSpace(p.banks[0].openRow); ok {
-		return p.registerAccess(cmd, res, space, p.allBanks)
-	}
-
-	// Plain AB data access: a write broadcasts the payload to all banks
-	// (how operands are replicated across banks); a read drives every
-	// bank's IOSA but only bank 0's data reaches the I/O mux.
-	p.stats.OffChipBytes += int64(p.cfg.AccessBytes)
-	if cmd.Kind == CmdWR {
-		p.stats.BankWrites += int64(len(p.banks))
-		if p.cfg.Functional {
-			for i := range p.banks {
-				if err := p.bankWriteData(&p.banks[i], cmd.Col, cmd.Data); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	p.stats.BankReads += int64(len(p.banks))
-	if p.cfg.Functional {
-		if err := p.bankReadData(&p.banks[0], 0, cmd.Col, p.colBuf); err != nil {
-			return err
-		}
-		res.Data = p.colBuf
-	}
-	return nil
-}
-
-// broadcastColumn is the bookkeeping of an AB or AB-PIM column command
-// issued at cycle at, after its column timing: every bank takes the same
+// broadcastColumn books issued AB or AB-PIM column commands, the last at
+// cycle last, after their column timing: every bank takes the same
 // precharge fence, stored once in the channel-level preFloor (folded into
-// every preAllowed read) instead of written into all 16 banks — the
-// hottest block of the timing-only profile before the aggregate refactor.
-func (p *PseudoChannel) broadcastColumn(kind CmdKind, at int64) {
+// every preAllowed read) instead of written into all 16 banks.
+func (p *PseudoChannel) broadcastColumn(kind CmdKind, last, issued int64) {
 	tm := &p.cfg.Timing
 	var pre int64
 	if kind == CmdRD {
-		pre = at + int64(tm.RTP)
-		p.bcastOps.RD++
-		p.stats.ABRD++
+		pre = last + int64(tm.RTP)
+		p.bcastOps.RD += issued
+		p.stats.ABRD += issued
 	} else {
-		pre = at + int64(tm.WL+tm.BL/2+tm.WR)
-		p.bcastOps.WR++
-		p.stats.ABWR++
+		pre = last + int64(tm.WL+tm.BL/2+tm.WR)
+		p.bcastOps.WR += issued
+		p.stats.ABWR += issued
 	}
 	if pre > p.preFloor {
 		p.preFloor = pre
@@ -1017,45 +1132,59 @@ func (p *PseudoChannel) broadcastColumn(kind CmdKind, at int64) {
 	}
 }
 
-// triggers reports whether a broadcast column command now is a PIM
-// trigger: AB-PIM mode with an array row, not the register space, open.
-func (p *PseudoChannel) triggers() bool {
-	if p.mode != ModeABPIM {
-		return false
+// slot returns the run buffer's burst for column col, cutting the buffer
+// and runViews on first need: most channels of a timing-only system never
+// read data.
+func (p *PseudoChannel) slot(col uint32) []byte {
+	if p.runBuf == nil {
+		p.runBuf = make([]byte, p.cfg.RowBytes)
+		p.runViews = make([][]byte, 0, p.numCols)
 	}
-	_, conf := p.cfg.confSpace(p.banks[0].openRow)
-	return !conf
+	size := p.cfg.AccessBytes
+	off := int(col) * size
+	return p.runBuf[off : off+size : off+size]
 }
 
-// triggerRun hands a run of PIM triggers, already found legal at
-// cycles[i] each, to the executor in one call, then commits the commands
-// it reached: the column timing and broadcast bookkeeping of each, and the
-// off-chip payload and PIM statistics of each it retired. A command the
-// executor failed on has issued (its timing and count stand, as a lone
-// command's do), and the ones after it never reach the device. It returns
-// how many commands retired.
-func (p *PseudoChannel) triggerRun(kind CmdKind, bank int, col0 uint32, data [][]byte, cycles []int64) (int, error) {
-	var info TriggerInfo
-	var err error
-	if p.exec == nil {
-		err = fmt.Errorf("hbm: AB-PIM column with no PIM executor attached")
+// payloads returns the channel's copy of the first k entries of a WR
+// run's payload list, nil entries for a run without payloads.
+func (p *PseudoChannel) payloads(data [][]byte, k int) [][]byte {
+	if cap(p.runData) < k {
+		p.runData = make([][]byte, 0, max(k, int(p.numCols)))
+	}
+	if data == nil {
+		p.runData = append(p.runData[:0], make([][]byte, k)...)
 	} else {
-		// The reusable context's Access was filled at construction.
-		tc := &p.trig
-		tc.Kind, tc.BankSel, tc.Row, tc.Col = kind, bank&1, p.banks[0].openRow, col0
-		tc.N, tc.WrData, tc.Cycles = len(cycles), data, cycles
-		info, err = p.exec.Trigger(tc)
-		tc.WrData, tc.Cycles = nil, nil
+		p.runData = append(p.runData[:0], data[:k]...)
 	}
-	issued := info.Triggers
-	if err != nil {
-		issued++
+	return p.runData
+}
+
+// payload returns command i's payload, nil for a run without payloads.
+func payload(data [][]byte, i int) []byte {
+	if data == nil {
+		return nil
 	}
-	for _, at := range cycles[:issued] {
-		p.updateColumnTiming(kind, 0, at, true)
-		p.broadcastColumn(kind, at)
+	return data[i]
+}
+
+// triggerRun hands k PIM triggers, the first at cycle first, to the
+// executor in one call and counts what it retired: the off-chip payload
+// of each retired WR and the PIM statistics. It returns how many
+// commands retired; an error is the command's after them.
+func (p *PseudoChannel) triggerRun(cmd *Command, k int, data [][]byte, first int64) (int, error) {
+	if p.exec == nil {
+		return 0, fmt.Errorf("hbm: AB-PIM column with no PIM executor attached")
 	}
-	if kind == CmdWR {
+	// The reusable context's Access was filled at construction.
+	tc := &p.trig
+	tc.Kind, tc.BankSel, tc.Row, tc.Col, tc.N = cmd.Kind, cmd.Bank&1, p.banks[0].openRow, cmd.Col, k
+	tc.First, tc.Stride = first, p.colStride
+	if data != nil {
+		tc.WrData = p.payloads(data, k)
+	}
+	info, err := p.exec.Trigger(tc)
+	tc.WrData = nil
+	if cmd.Kind == CmdWR {
 		// A WR trigger still carries a 32-byte payload across the I/O PHY
 		// (operand loading); an RD trigger moves nothing off chip.
 		p.stats.OffChipBytes += int64(info.Triggers * p.cfg.AccessBytes)
@@ -1066,125 +1195,122 @@ func (p *PseudoChannel) triggerRun(kind CmdKind, bank int, col0 uint32, data [][
 	return info.Triggers, err
 }
 
-// IssueRun issues n column commands of one kind on bank set bankSel at
-// consecutive columns col0, col0+1, ... — an AAM window of PIM triggers —
-// command i carrying data[i] (nil data: no payloads). Command i issues at
-// its earliest legal cycle at or after now for the first and the previous
-// command's cycle plus one for the others (the command bus carries one
-// command a cycle), exactly as n Issue calls at those cycles would, but a
-// run of triggers reaches the executor in one Trigger call: the issue
-// cycles are worked out first, on a copy of the column timing (the only
-// state a trigger run moves that its own legality reads), and the prefix
-// the executor ran is committed. A command that is not a PIM trigger, and
-// every command while the timing cross-check is armed, takes the Issue
-// path alone. The run stops before a command whose bus cycle would
-// reach stop (a refresh deadline the controller must service first). It
-// returns the issue cycles of the commands it issued, in a buffer valid
-// until the next command; an error is the command's after them.
-func (p *PseudoChannel) IssueRun(kind CmdKind, bankSel int, col0 uint32, n int, data [][]byte, now, stop int64) ([]int64, error) {
-	cycles := p.runCycles[:0]
-	if !kind.IsColumn() || p.checkTiming || uint(bankSel) >= uint(p.cfg.BanksPerGroup) ||
-		p.activeBanks != len(p.banks) || !p.triggers() {
-		for i := 0; i < n && (i == 0 || now < stop); i++ {
-			cmd := Command{Kind: kind, Bank: bankSel, Col: col0 + uint32(i)}
-			if data != nil {
-				cmd.Data = data[i]
-			}
-			var res IssueResult
-			if err := p.IssueEarliest(&cmd, now, &res); err != nil {
-				p.runCycles = cycles
-				return cycles, err
-			}
-			cycles = append(cycles, res.Cycle)
-			now = res.Cycle + 1
-		}
-		p.runCycles = cycles
-		return cycles, nil
-	}
-
-	// A broadcast column command in AB-PIM mode with every bank active:
-	// every legality input but colAllowedS is the same for the whole run
-	// (a RD moves only wrAllowed, a WR only rdAllowedS and rdFloorL, and
-	// neither reads what it moves).
-	tm := &p.cfg.Timing
-	floor := maxi64(p.busyUntil, p.aggColL)
-	if kind == CmdWR {
-		floor = maxi64(floor, maxi64(p.wrAllowed, p.aggWR))
-	} else {
-		floor = maxi64(floor, maxi64(maxi64(p.rdAllowedS, p.aggRD), maxi64(p.aggRdL, p.rdFloorL)))
-	}
-	legal := max(0, min(n, int(p.numCols)-int(col0))) // commands before the first column out of range
-	colS := p.colAllowedS
-	for i := 0; i < legal && (i == 0 || now < stop); i++ {
-		at := maxi64(now, maxi64(floor, colS))
-		cycles = append(cycles, at)
-		colS = maxi64(colS, at+int64(max(tm.CCDS, tm.CCDL)))
-		now = at + 1
-	}
-	p.runCycles = cycles
-	if len(cycles) > 0 {
-		if data != nil {
-			// The executor sees the channel's copy of the payload list, so
-			// a caller's list (a one-command array, say) stays its own.
-			p.runData = append(p.runData[:0], data[:len(cycles)]...)
-			data = p.runData
-		}
-		if done, err := p.triggerRun(kind, bankSel, col0, data, cycles); err != nil {
-			return cycles[:done], err
-		}
-	}
-	if len(cycles) == legal && legal < n {
-		cmd := Command{Kind: kind, Bank: bankSel, Col: col0 + uint32(legal)}
-		return cycles, p.cfg.addrCheck(&cmd)
-	}
-	return cycles, nil
-}
-
-// registerAccess routes a column command on a configuration row.
-func (p *PseudoChannel) registerAccess(cmd *Command, res *IssueResult, space RegSpace, bankIdxs []int) error {
+// registerRun is the data of k column commands on a configuration row:
+// the mode row's PIM_OP_MODE register, or the register files of every
+// unit (broadcast) or of bank idx's unit. It returns how many commands
+// completed; an error is the command's after them.
+func (p *PseudoChannel) registerRun(cmd *Command, space RegSpace, broadcast bool, idx, k int, data [][]byte, first int64) (int, error) {
 	if space == RegMode {
-		if cmd.Kind == CmdWR && cmd.Col == ColPIMOpMode {
-			return p.setPIMOpMode(len(cmd.Data) > 0 && cmd.Data[0]&1 == 1, res.Cycle)
+		for i := 0; i < k; i++ {
+			col := cmd.Col + uint32(i)
+			switch {
+			case cmd.Kind == CmdWR && col == ColPIMOpMode:
+				d := payload(data, i)
+				if err := p.setPIMOpMode(len(d) > 0 && d[0]&1 == 1, first+int64(i)*p.colStride); err != nil {
+					return i, err
+				}
+			case cmd.Kind == CmdRD && p.cfg.Functional:
+				// Other mode-row accesses read back zero / are ignored.
+				buf := p.slot(col)
+				clear(buf)
+				p.runViews = append(p.runViews, buf)
+			}
 		}
-		// Other mode-row accesses read back zero / are ignored.
-		if cmd.Kind == CmdRD && p.cfg.Functional {
-			clear(p.colBuf)
-			res.Data = p.colBuf
-		}
-		return nil
+		return k, nil
 	}
 	if p.cfg.PIMUnits == 0 || p.exec == nil {
-		return fmt.Errorf("hbm: PIM register access on a device without PIM units")
+		return 0, fmt.Errorf("hbm: PIM register access on a device without PIM units")
 	}
-	var seen uint64 // unit-visited bitmask; PIMUnits <= Banks <= 64
-	for _, idx := range bankIdxs {
-		u := p.unitFor(idx)
-		if seen&(1<<u) != 0 {
+	unit, units := 0, p.cfg.PIMUnits
+	if !broadcast {
+		unit, units = p.unitFor(idx), 1
+	}
+	if cmd.Kind == CmdWR {
+		wrote, err := p.exec.RegisterWrite(unit, units, space, cmd.Col, p.payloads(data, k))
+		p.stats.RegWrites += int64(wrote)
+		if err != nil {
+			p.stats.RegWrites++ // the refused write was counted before it was refused
+		}
+		return wrote / units, err
+	}
+	start := len(p.runViews)
+	for i := 0; i < k; i++ {
+		v := p.slot(cmd.Col + uint32(i)) // may cut runViews
+		p.runViews = append(p.runViews, v)
+	}
+	read, err := p.exec.RegisterRead(unit, units, space, cmd.Col, p.runViews[start:])
+	p.runViews = p.runViews[:start+read/units]
+	return read / units, err
+}
+
+// broadcastRun is the data of k plain AB column commands: a write
+// broadcasts its payload to all banks (how operands are replicated across
+// banks); a read drives every bank's IOSA but only bank 0's data reaches
+// the I/O mux.
+func (p *PseudoChannel) broadcastRun(cmd *Command, k int, data [][]byte) (int, error) {
+	banks := int64(len(p.banks))
+	if !p.cfg.Functional {
+		if cmd.Kind == CmdWR {
+			p.stats.BankWrites += banks * int64(k)
+		} else {
+			p.stats.BankReads += banks * int64(k)
+		}
+		return k, nil
+	}
+	for i := 0; i < k; i++ {
+		col := cmd.Col + uint32(i)
+		if cmd.Kind == CmdWR {
+			p.stats.BankWrites += banks
+			for j := range p.banks {
+				b := &p.banks[j]
+				if err := p.writeBlock(b, b.row(b.openRow, p.cfg.RowBytes), col, payload(data, i)); err != nil {
+					return i, err
+				}
+			}
 			continue
 		}
-		seen |= 1 << u
-		switch cmd.Kind {
-		case CmdWR:
-			p.stats.RegWrites++
-			if err := p.exec.RegisterWrite(u, space, cmd.Col, cmd.Data); err != nil {
-				return err
-			}
-		case CmdRD:
-			// Every unit drives its read, but only the first one's data
-			// reaches the I/O mux; later units land in discard scratch.
-			buf := p.colBuf
-			if res.Data != nil {
-				buf = p.regBuf
-			}
-			if err := p.exec.RegisterRead(u, space, cmd.Col, buf); err != nil {
-				return err
-			}
-			if res.Data == nil {
-				res.Data = buf
-			}
+		p.stats.BankReads += banks
+		b, buf := &p.banks[0], p.slot(col)
+		if err := p.readBlock(b, 0, b.row(b.openRow, p.cfg.RowBytes), col, buf); err != nil {
+			return i, err
 		}
+		p.runViews = append(p.runViews, buf)
 	}
-	return nil
+	return k, nil
+}
+
+// bankRun is the data of k single-bank column commands to bank idx's
+// open array row, looked up once for the run.
+func (p *PseudoChannel) bankRun(cmd *Command, idx, k int, data [][]byte) (int, error) {
+	if !p.cfg.Functional {
+		if cmd.Kind == CmdWR {
+			p.stats.BankWrites += int64(k)
+		} else {
+			p.stats.BankReads += int64(k)
+		}
+		return k, nil
+	}
+	b := &p.banks[idx]
+	row := b.row(b.openRow, p.cfg.RowBytes)
+	for i := 0; i < k; i++ {
+		col := cmd.Col + uint32(i)
+		if cmd.Kind == CmdWR {
+			p.stats.BankWrites++
+			if err := p.writeBlock(b, row, col, payload(data, i)); err != nil {
+				return i, err
+			}
+			continue
+		}
+		// The count comes first: the fault injector takes it as the
+		// read's sequence number.
+		p.stats.BankReads++
+		buf := p.slot(col)
+		if err := p.readBlock(b, idx, row, col, buf); err != nil {
+			return i, err
+		}
+		p.runViews = append(p.runViews, buf)
+	}
+	return k, nil
 }
 
 // setPIMOpMode handles the PIM_OP_MODE register (Fig. 3c).

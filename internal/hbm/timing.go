@@ -7,11 +7,12 @@
 // legal issue cycle of a command and then issue it at (or after) that
 // cycle; there is no per-cycle tick loop, which keeps multi-million-command
 // simulations fast while enforcing every inter-command constraint. A run
-// of AB-PIM triggers (PseudoChannel.IssueRun) is timed command by command
-// under the same rules, on a copy of the column timing, and reaches the
-// attached PIMExecutor in one Trigger call; the prefix the executor ran is
-// committed, so a run that fails part way leaves what its commands issued
-// one at a time would have.
+// of column commands of one kind at consecutive columns
+// (PseudoChannel.IssueRun) is timed in closed form, command i at the
+// first command's earliest cycle plus i times the column stride, reaches
+// the attached PIMExecutor in one call (Trigger, RegisterWrite or
+// RegisterRead) and is booked once; a run that fails part way leaves what
+// its commands issued one at a time would have.
 //
 // The package is also the one description of a device: Config is the
 // organisation, the timing in cycles and the PIM microarchitecture; the

@@ -2,12 +2,13 @@
 // address mapping, a JEDEC-compliant per-channel command generator with
 // FR-FCFS transaction scheduling (the reordering that motivates Section
 // IV-C), memory fences, and refresh management. PIM-HBM is driven through
-// this controller with standard commands only. A PIM kernel's AAM window,
-// G column commands of one kind at consecutive columns, is one
-// Channel.IssueRun: the device takes it as one trigger run, split only
-// where a refresh falls due (or into single commands under a Delay hook),
-// and every command keeps Issue's contract, its trace and timeline event
-// included.
+// this controller with standard commands only. A run of column commands
+// of one kind at consecutive columns (a PIM kernel's AAM window, a
+// register-file load or unload, a bank-row access) is one
+// Channel.IssueRun: the device takes it as one run in closed form, split
+// only where a refresh falls due (or into single commands under a Delay
+// hook), and the channel books it once, with its last command; every
+// command keeps Issue's contract, its trace and timeline event included.
 package memctrl
 
 import "fmt"

@@ -55,6 +55,11 @@ type Channel struct {
 	// hook contract as Trace/Delay: nil costs one pointer compare.
 	TL     *obs.ChannelTimeline
 	tlMode hbm.Mode // last mode reported to TL
+
+	// run and read are IssueRun's reusable results: the device's report of
+	// its last run and the bursts a RD run read.
+	run  hbm.Run
+	read [][]byte
 }
 
 // Delayer is the fault-injection hook on the command-issue path. For
@@ -78,25 +83,18 @@ const RefreshPostponeLimit = 8
 // refills the controller queue (~35 ns at 1 GHz).
 const DefaultFenceCycles = 35
 
-// NewChannel wraps a pseudo channel. The channel starts with a private
-// single-shard metrics registry; UseMetrics rebinds it to a shared one.
-func NewChannel(pch *hbm.PseudoChannel, cfg hbm.Config) *Channel {
+// NewChannel wraps a pseudo channel whose instrumentation writes into
+// shard of reg (one shard per channel keeps concurrent kernels under a
+// parallel runtime engine apart).
+func NewChannel(pch *hbm.PseudoChannel, cfg hbm.Config, reg *metrics.Registry, shard int) *Channel {
 	return &Channel{
 		pch:         pch,
 		cfg:         cfg,
 		nextRefresh: int64(cfg.Timing.REFI),
 		FenceCycles: DefaultFenceCycles,
 		modeRow:     cfg.ModeRow(),
-		m:           newChanMetrics(metrics.New(1), 0),
+		m:           newChanMetrics(reg, shard),
 	}
-}
-
-// UseMetrics rebinds the channel's instrumentation to reg, writing into
-// the given shard (one shard per channel keeps concurrent kernels under
-// a parallel runtime engine contention free). Call it before any traffic:
-// counts accumulated under the previous registry are not carried over.
-func (c *Channel) UseMetrics(reg *metrics.Registry, shard int) {
-	c.m = newChanMetrics(reg, shard)
 }
 
 // Metrics returns the registry the channel reports into.
@@ -213,55 +211,99 @@ func (c *Channel) issueRaw(cmd *hbm.Command, res *hbm.IssueResult) error {
 	return nil
 }
 
-// IssueRun sends n column commands of one kind on bank set bankSel at
-// consecutive columns col0, col0+1, ..., command i carrying data[i] (nil
-// data: no payloads) — an AAM window of PIM triggers — with Issue's
-// contract for each: at its earliest legal cycle at or after the channel
-// clock, a refresh that falls due before it serviced first, one Trace and
-// timeline event each. Without a delay hook the device takes the commands
-// between refresh deadlines as one run (hbm.PseudoChannel.IssueRun), so
-// the executor steps them in one call; with one, each command is a run of
-// one, delayed as Issue delays it. It returns how many commands issued;
-// an error is the command's after them, and the ones after it never issue.
-func (c *Channel) IssueRun(kind hbm.CmdKind, bankSel int, col0 uint32, n int, data [][]byte) (int, error) {
-	cmd := hbm.Command{Kind: kind, Bank: bankSel}
+// IssueRun sends n column commands like cmd at consecutive columns
+// cmd.Col, cmd.Col+1, ..., command i carrying data[i] (nil data: no
+// payloads; cmd.Data is not read) — an AAM window of PIM triggers, a
+// register-file load or unload, a run of one bank row's columns — with
+// Issue's contract for each: at its earliest legal cycle at or after the
+// channel clock, a refresh that falls due before it serviced first, one
+// Trace and timeline event each. Without a delay hook the device takes the
+// commands between refresh deadlines as one run (hbm.PseudoChannel.IssueRun)
+// and the channel books each run once, with its last command; with one,
+// each command is issued alone, delayed as Issue delays it. It returns the
+// bursts a RD run read (one per issued command, where the device returns
+// data), valid until the channel's next command, and how many commands
+// issued; an error is the command's after them, and the ones after it
+// never issue.
+func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int, error) {
+	c.read = c.read[:0]
 	if c.Delay != nil {
 		for i := 0; i < n; i++ {
-			cmd.Col = col0 + uint32(i)
+			one := cmd
+			one.Col += uint32(i)
+			one.Data = nil
 			if data != nil {
-				cmd.Data = data[i]
+				one.Data = data[i]
 			}
-			if _, err := c.Issue(cmd); err != nil {
-				return i, err
+			res, err := c.Issue(one)
+			if err != nil {
+				return c.read, i, err
+			}
+			if res.Data != nil {
+				c.read = append(c.read, res.Data)
 			}
 		}
-		return n, nil
+		return c.read, n, nil
 	}
+	col0 := cmd.Col
 	for done := 0; done < n; {
 		if err := c.maybeRefresh(); err != nil {
-			return done, err
+			return c.read, done, err
 		}
+		cmd.Col = col0 + uint32(done)
 		var d [][]byte
 		if data != nil {
 			d = data[done:n]
 		}
-		cycles, err := c.pch.IssueRun(kind, bankSel, col0+uint32(done), n-done, d, c.now, c.nextRefresh)
-		for i, at := range cycles {
-			cmd.Col = col0 + uint32(done+i)
-			c.issued(&cmd, at)
-		}
-		done += len(cycles)
+		mode := c.pch.Mode()
+		err := c.pch.IssueRun(&cmd, n-done, d, c.now, c.nextRefresh, &c.run)
+		c.read = append(c.read, c.run.Data...)
+		c.issuedRun(&cmd, mode)
+		done += c.run.N
 		c.trackState(&cmd)
 		if err != nil {
-			return done, err
+			return c.read, done, err
 		}
 	}
-	return n, nil
+	return c.read, n, nil
+}
+
+// issuedRun books the run the device just issued, c.run, of commands
+// like cmd from column cmd.Col, as issued books each command: one Trace
+// and timeline event per command when either is set, then the channel
+// clock and the data horizon past the last. before is the mode before the
+// run; only its last command can change the mode.
+func (c *Channel) issuedRun(cmd *hbm.Command, before hbm.Mode) {
+	run := &c.run
+	if run.N == 0 {
+		return
+	}
+	if c.Trace != nil || c.TL != nil {
+		one := *cmd
+		for i := 0; i < run.N; i++ {
+			one.Col = cmd.Col + uint32(i)
+			mode := before
+			if i == run.N-1 {
+				mode = c.pch.Mode()
+			}
+			c.record(&one, run.Cycle(i), mode)
+		}
+	}
+	c.advance(cmd.Kind, run.Cycle(run.N-1))
 }
 
 // issued records cmd, issued at cycle at, in the trace and the timeline
 // and moves the channel clock and the data horizon past it.
 func (c *Channel) issued(cmd *hbm.Command, at int64) {
+	if c.Trace != nil || c.TL != nil {
+		c.record(cmd, at, c.pch.Mode())
+	}
+	c.advance(cmd.Kind, at)
+}
+
+// record notes cmd, issued at cycle at and leaving the channel in mode,
+// in the trace and the timeline.
+func (c *Channel) record(cmd *hbm.Command, at int64, mode hbm.Mode) {
 	if c.Trace != nil {
 		c.Trace.Record(trace.Event{
 			Cycle: at, Channel: c.ChannelID, Kind: cmd.Kind,
@@ -272,18 +314,22 @@ func (c *Channel) issued(cmd *hbm.Command, at int64) {
 		// Mode transitions are detected here — after the issue, so a
 		// mode-row handshake lands in the window it opens — by comparing
 		// against the last mode the timeline saw.
-		mode := c.pch.Mode()
 		if mode != c.tlMode {
 			c.tlMode = mode
 			c.TL.ModeChange(at, mode.String())
 		}
 		c.TL.Cmd(at, cmd.Kind.String(), cmd.BG, cmd.Bank, cmd.Row, cmd.Col, mode != hbm.ModeSB)
 	}
-	// The command/address bus carries one command per cycle.
+}
+
+// advance moves the channel clock past a command of kind issued at cycle
+// at (the command/address bus carries one command per cycle) and the data
+// horizon past a column command's burst.
+func (c *Channel) advance(kind hbm.CmdKind, at int64) {
 	c.now = at + 1
-	if cmd.Kind.IsColumn() {
+	if kind.IsColumn() {
 		lat := c.cfg.Timing.WL
-		if cmd.Kind == hbm.CmdRD {
+		if kind == hbm.CmdRD {
 			lat = c.cfg.Timing.RL
 		}
 		end := at + int64(lat+c.cfg.Timing.DataCycles())

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
+	"pimsim/internal/metrics"
 )
 
 // fixedDelay delays every command by a constant: the minimal Delayer.
@@ -27,7 +28,7 @@ func TestDelayHook(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		c := NewChannel(dev.PCH(0), cfg)
+		c := NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
 		c.Delay = d
 		cmds := []hbm.Command{
 			{Kind: hbm.CmdACT, BG: 0, Bank: 0, Row: 5},

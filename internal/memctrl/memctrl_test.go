@@ -8,6 +8,7 @@ import (
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
+	"pimsim/internal/metrics"
 	"pimsim/internal/pim"
 )
 
@@ -77,7 +78,7 @@ func newChan(t *testing.T, cfg hbm.Config) (*Channel, *hbm.Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewChannel(dev.PCH(0), cfg), dev
+	return NewChannel(dev.PCH(0), cfg, metrics.New(1), 0), dev
 }
 
 func TestSchedulerSequentialStreamNearPeak(t *testing.T) {
@@ -338,7 +339,7 @@ func TestRefreshDuringPIMBurstPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChannel(dev.PCH(0), cfg)
+	ch := NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
 	issue := func(cmd hbm.Command) hbm.IssueResult {
 		t.Helper()
 		res, err := ch.Issue(cmd)

@@ -12,6 +12,7 @@ import (
 	"pimsim/internal/fault"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
+	"pimsim/internal/metrics"
 	"pimsim/internal/obs"
 	"pimsim/internal/pim"
 	"pimsim/internal/trace"
@@ -56,6 +57,7 @@ type runCase struct {
 	flips   int  // stored bit errors planted at unit 5's even bank, column 3 (1: correctable, 2: not)
 	refuse  bool // unit 5's odd bank refuses the store at column 2
 	tail    int  // commands past the program's EXIT in the last run
+	columns bool // the register and bank column stream instead of the kernel's triggers
 	wantErr string
 }
 
@@ -73,8 +75,10 @@ type runRig struct {
 	exec *pim.Executor
 	tl   *obs.ChannelTimeline
 
-	midWindow bool  // the stream failed after its window's first command
-	columns   int64 // broadcast column commands the device counted before the stream
+	midWindow bool     // the stream failed after its window's first command
+	midRun    bool     // a refresh fell due inside one IssueRun
+	columns   int64    // broadcast column commands the device counted before the stream
+	read      []string // the bursts the column stream's RD runs returned
 }
 
 func newRunRig(t *testing.T, rc runCase) *runRig {
@@ -95,7 +99,7 @@ func newRunRig(t *testing.T, rc runCase) *runRig {
 		attached = &refuser{PIMExecutor: exec, bank: 5*cfg.BanksPerUnit() + 1, col: 2}
 	}
 	dev.PCH(0).AttachPIM(attached)
-	r := &runRig{t: t, cfg: cfg, ch: NewChannel(dev.PCH(0), cfg), exec: exec}
+	r := &runRig{t: t, cfg: cfg, ch: NewChannel(dev.PCH(0), cfg, metrics.New(1), 0), exec: exec}
 	r.ch.Trace = trace.NewRecorder(1 << 16)
 	r.tl = obs.NewTimeline(obs.TimelineConfig{Channels: 1}).Channel(0)
 	r.ch.TL, exec.TL = r.tl, r.tl
@@ -194,7 +198,7 @@ func (r *runRig) stream(runs bool, tail int) (issued int, err error) {
 	}
 	window := func(kind hbm.CmdKind, bank int, col0 uint32, n int, data [][]byte) error {
 		if runs {
-			done, err := r.ch.IssueRun(kind, bank, col0, n, data)
+			_, done, err := r.ch.IssueRun(hbm.Command{Kind: kind, Bank: bank, Col: col0}, n, data)
 			issued += done
 			return err
 		}
@@ -233,11 +237,136 @@ func (r *runRig) stream(runs bool, tail int) (issued int, err error) {
 	return issued, nil
 }
 
+// columnStream issues what the runtime issues outside its trigger
+// windows, in rounds: in AB mode a ZeroGRF (16 register writes of zeros),
+// a CRF program (4 writes) and a GRF_A load (8 writes); in SB mode the
+// unload of GRF_A from every unit (8 register reads a unit), a 32-column
+// write of one bank row and a 32-column read of unit 5's even bank's
+// kernel row. Each column sequence is one IssueRun, or single Issue
+// calls; it stops at the first error.
+func (r *runRig) columnStream(runs bool) (issued int, err error) {
+	cfg := r.cfg
+	payloads := make([][]byte, 32)
+	for i := range payloads {
+		payloads[i] = make([]byte, 32)
+		for j := range payloads[i] {
+			payloads[i][j] = byte(5*i + 3*j)
+		}
+		payloads[i][1] &= 0x3f
+	}
+	zeros := make([][]byte, 16)
+	for i := range zeros {
+		zeros[i] = make([]byte, 32)
+	}
+	run := func(cmd hbm.Command, n int, data [][]byte) error {
+		start := issued
+		var read [][]byte
+		if runs {
+			before := len(r.ch.Trace.Events())
+			var done int
+			read, done, err = r.ch.IssueRun(cmd, n, data)
+			issued += done
+			r.midRun = r.midRun || refreshMidRun(r.ch.Trace.Events()[before:])
+		} else {
+			for i := 0; i < n; i++ {
+				one := cmd
+				one.Col += uint32(i)
+				if data != nil {
+					one.Data = data[i]
+				}
+				var res hbm.IssueResult
+				if res, err = r.ch.Issue(one); err != nil {
+					break
+				}
+				if res.Data != nil {
+					read = append(read, res.Data)
+				}
+				issued++
+			}
+		}
+		for _, b := range read {
+			r.read = append(r.read, fmt.Sprintf("%x", b))
+		}
+		if err != nil {
+			r.midWindow = issued > start
+		}
+		return err
+	}
+	handshake := func(bank int) {
+		r.must(hbm.Command{Kind: hbm.CmdACT, Bank: bank, Row: cfg.ModeRow()})
+		r.must(hbm.Command{Kind: hbm.CmdPRE, Bank: bank})
+	}
+	r.must(hbm.Command{Kind: hbm.CmdPREA})
+	r.pimOp(false)
+	bpu := cfg.BanksPerUnit()
+	for round := 0; round < 12; round++ {
+		for _, w := range []struct {
+			row  uint32
+			col  int
+			data [][]byte
+		}{
+			{cfg.GRFRow(), 2*cfg.GRFDepth() - len(zeros), zeros},
+			{cfg.CRFRow(), 0, payloads[round%4 : round%4+4]},
+			{cfg.GRFRow(), 0, payloads[round : round+8]},
+		} {
+			r.must(hbm.Command{Kind: hbm.CmdACT, Row: w.row})
+			if err := run(hbm.Command{Kind: hbm.CmdWR, Col: uint32(w.col)}, len(w.data), w.data); err != nil {
+				return issued, err
+			}
+			r.must(hbm.Command{Kind: hbm.CmdPREA})
+		}
+		handshake(hbm.SBMRBank)
+		for u := 0; u < cfg.PIMUnits; u++ {
+			bg, b := cfg.BankOf(u * bpu)
+			r.must(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: cfg.GRFRow()})
+			if err := run(hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b}, 8, nil); err != nil {
+				return issued, err
+			}
+			r.must(hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
+		}
+		for _, w := range []struct {
+			flat int
+			kind hbm.CmdKind
+			row  uint32
+			data [][]byte
+		}{
+			{round % cfg.Banks(), hbm.CmdWR, runRow + 1, payloads},
+			{round % cfg.Banks(), hbm.CmdRD, runRow + 1, nil},
+			{5 * bpu, hbm.CmdRD, runRow, nil},
+		} {
+			bg, b := cfg.BankOf(w.flat)
+			r.must(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: w.row})
+			if err := run(hbm.Command{Kind: w.kind, BG: bg, Bank: b}, 32, w.data); err != nil {
+				return issued, err
+			}
+			r.must(hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
+		}
+		handshake(hbm.ABMRBank)
+	}
+	return issued, nil
+}
+
+// refreshMidRun reports whether a refresh came between two column
+// commands of the events one IssueRun recorded.
+func refreshMidRun(events []trace.Event) bool {
+	column := false
+	for _, e := range events {
+		switch {
+		case e.Kind.IsColumn():
+			column = true
+		case e.Kind == hbm.CmdREF && column:
+			return true
+		}
+	}
+	return false
+}
+
 // observed is everything one stream left observable.
 type observed struct {
 	Issued    int
 	Err       string
 	MidWindow bool
+	Read      []string
 	Now       int64
 	Refreshes int64
 	Stats     hbm.Stats
@@ -260,6 +389,7 @@ func (r *runRig) observe(issued int, err error) observed {
 		Trace: slices.Clone(r.ch.Trace.Events()),
 		Cmds:  slices.Clone(r.tl.Cmds()), Modes: slices.Clone(r.tl.Modes()), PIMs: slices.Clone(r.tl.PIMs()),
 		Ops: r.exec.OpCountsArray(), AAM: r.exec.AAMInstructions(), Triggers: r.exec.Triggers(),
+		Read: r.read,
 	}
 	for u := 0; u < r.exec.NumUnits(); u++ {
 		for h := 0; h < 2; h++ {
@@ -276,9 +406,11 @@ func (r *runRig) observe(issued int, err error) observed {
 	// Back to SB mode, then every bank's row, column by column.
 	r.ch.Delay = nil
 	r.must(hbm.Command{Kind: hbm.CmdPREA})
-	r.pimOp(false)
-	r.must(hbm.Command{Kind: hbm.CmdACT, Bank: hbm.SBMRBank, Row: r.cfg.ModeRow()})
-	r.must(hbm.Command{Kind: hbm.CmdPRE, Bank: hbm.SBMRBank})
+	if r.ch.PCH().Mode() != hbm.ModeSB {
+		r.pimOp(false)
+		r.must(hbm.Command{Kind: hbm.CmdACT, Bank: hbm.SBMRBank, Row: r.cfg.ModeRow()})
+		r.must(hbm.Command{Kind: hbm.CmdPRE, Bank: hbm.SBMRBank})
+	}
 	for flat := 0; flat < r.cfg.Banks(); flat++ {
 		bg, b := r.cfg.BankOf(flat)
 		r.must(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: runRow})
@@ -293,15 +425,17 @@ func (r *runRig) observe(issued int, err error) observed {
 	return o
 }
 
-// TestIssueRunMatchesSingles issues one kernel's trigger windows into two
-// identical channels, as one IssueRun per window and as one Issue per
-// command, and requires the same of everything either leaves observable:
-// commands issued and the error, the channel clock and refreshes, the
-// device's statistics and per-bank counts, the trace and timeline events,
-// the executor's retirement counters and registers, and every bank's
-// bytes; under a refresh that falls due mid-window, a delaying fault
-// injector, ECC corrections, and a window that fails part way (an
-// uncorrectable operand, a refused store, the program's EXIT).
+// TestIssueRunMatchesSingles issues one kernel's trigger windows, or the
+// register and bank column runs around them (columnStream), into two
+// identical channels with Trace and timeline armed, as one IssueRun per
+// window and as one Issue per command, and requires the same of
+// everything either leaves observable: commands issued and the error, the
+// data the reads returned, the channel clock and refreshes, the device's
+// statistics and per-bank counts, the trace and timeline events, the
+// executor's retirement counters and registers, and every bank's bytes;
+// under a refresh that falls due mid-window, a delaying fault injector,
+// ECC corrections, and a window that fails part way (an uncorrectable
+// operand or SB read, a refused store, the program's EXIT).
 func TestIssueRunMatchesSingles(t *testing.T) {
 	for _, rc := range []runCase{
 		{name: "plain"},
@@ -311,6 +445,11 @@ func TestIssueRunMatchesSingles(t *testing.T) {
 		{name: "ecc-uncorrectable", ecc: true, flips: 2, wantErr: "uncorrectable ECC error at ch0 bank 10"},
 		{name: "refused-write", refuse: true, wantErr: "pim: unit 5: pim: CRF[4] MOV(AAM_RELU) ODD_BANK, GRF_B: bank refuses the write"},
 		{name: "exit", tail: 3, wantErr: "column command after EXIT"},
+		{name: "columns", columns: true},
+		{name: "columns-refresh", columns: true, refi: 700},
+		{name: "columns-delay", columns: true, delay: true, ecc: true, refi: 900},
+		{name: "columns-ecc-corrected", columns: true, ecc: true, flips: 1},
+		{name: "columns-ecc-uncorrectable", columns: true, ecc: true, flips: 2, wantErr: "uncorrectable ECC error at ch0 bank 10"},
 	} {
 		t.Run(rc.name, func(t *testing.T) {
 			var got [2]observed
@@ -318,7 +457,14 @@ func TestIssueRunMatchesSingles(t *testing.T) {
 			for i, runs := range []bool{true, false} {
 				r := newRunRig(t, rc)
 				columnsBefore = r.columns
-				got[i] = r.observe(r.stream(runs, rc.tail))
+				if rc.columns {
+					got[i] = r.observe(r.columnStream(runs))
+				} else {
+					got[i] = r.observe(r.stream(runs, rc.tail))
+				}
+				if runs && rc.refi > 0 && rc.columns && !r.midRun {
+					t.Error("no refresh fell due inside a column run")
+				}
 			}
 			run, single := got[0], got[1]
 			if rc.wantErr == "" && run.Err != "<nil>" || !strings.Contains(run.Err, rc.wantErr) {
@@ -330,7 +476,7 @@ func TestIssueRunMatchesSingles(t *testing.T) {
 			if rc.wantErr != "" {
 				failed = 1
 			}
-			if st := run.Stats; st.ABRD+st.ABWR-columnsBefore != int64(run.Issued)+failed {
+			if st := run.Stats; !rc.columns && st.ABRD+st.ABWR-columnsBefore != int64(run.Issued)+failed {
 				t.Errorf("%d triggers counted for %d issued (failed: %d)", st.ABRD+st.ABWR-columnsBefore, run.Issued, failed)
 			}
 			if rc.wantErr != "" && !run.MidWindow {
@@ -343,7 +489,7 @@ func TestIssueRunMatchesSingles(t *testing.T) {
 					t.Errorf("%s differs: runs %v\nsingles %v", name, a, b)
 				}
 			}
-			if rc.refi > 0 && !refreshMidWindow(run.Trace) {
+			if rc.refi > 0 && !rc.columns && !refreshMidWindow(run.Trace) {
 				t.Error("no refresh fell due mid-window")
 			}
 		})

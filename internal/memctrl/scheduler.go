@@ -104,7 +104,7 @@ func (s *Scheduler) summarize(l Loc, bpg int, pch *hbm.PseudoChannel) {
 }
 
 // Demand-path stat accessors, reading this channel's shard of the metrics
-// registry (see Channel.UseMetrics). Speculative activate-ahead activity is
+// registry (see NewChannel). Speculative activate-ahead activity is
 // reported separately so these reflect the true demand row-hit rate.
 
 // RowHits returns serviced transactions that hit an open row.

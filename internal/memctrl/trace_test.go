@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
+	"pimsim/internal/metrics"
 	"pimsim/internal/trace"
 )
 
@@ -12,7 +13,7 @@ func TestChannelTraceRecording(t *testing.T) {
 	cfg := hbm.HBM2Config(1000)
 	cfg.Functional = false
 	dev := hbm.MustNewDevice(cfg)
-	ch := NewChannel(dev.PCH(0), cfg)
+	ch := NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
 	ch.Trace = trace.NewRecorder(64)
 	ch.ChannelID = 3
 

@@ -12,10 +12,13 @@
 // Counters and histograms are cumulative and monotone; gauges are levels.
 // Every metric is sharded: writers (one per memory channel under a
 // parallel runtime engine) update their own shard through sync/atomic, so
-// concurrent kernels never contend or race, and shards are merged when a
-// Snapshot is taken. Snapshot may run concurrently with writers; collector
-// callbacks (which read foreign state such as device counters) should only
-// be relied on when the instrumented components are quiescent.
+// concurrent kernels never race, and shards are merged when a Snapshot is
+// taken. No two shards' cells share a cache line, so writers of different
+// shards do not contend for one either; writers sharing a shard (or a
+// Snapshot reading it) still do. Snapshot may run concurrently with
+// writers; collector callbacks (which read foreign state such as device
+// counters) should only be relied on when the instrumented components are
+// quiescent.
 package metrics
 
 import (
@@ -31,6 +34,8 @@ type Registry struct {
 
 	mu         sync.RWMutex
 	clock      Clock
+	slab       []atomic.Int64 // the cells newCells cuts counters and gauges from
+	slabUsed   int            // metrics holding a cell in each of slab's lines
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
@@ -93,7 +98,7 @@ func (r *Registry) Counter(name string) *Counter {
 		return c
 	}
 	r.checkKind(name, "counter")
-	c := &Counter{name: name, v: make([]atomic.Int64, r.shards)}
+	c := &Counter{name: name, v: r.newCells()}
 	r.counters[name] = c
 	return c
 }
@@ -106,7 +111,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return g
 	}
 	r.checkKind(name, "gauge")
-	g := &Gauge{name: name, v: make([]atomic.Int64, r.shards)}
+	g := &Gauge{name: name, v: r.newCells()}
 	r.gauges[name] = g
 	return g
 }
@@ -131,8 +136,13 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		bounds: append([]int64(nil), bounds...),
 		sh:     make([]histShard, r.shards),
 	}
+	// The shards' buckets are cut from one array, each shard's on whole
+	// cache lines of its own.
+	nb := len(bounds) + 1
+	stride := (nb + lineCells - 1) / lineCells * lineCells
+	buckets := make([]atomic.Int64, stride*r.shards)
 	for i := range h.sh {
-		h.sh[i].buckets = make([]atomic.Int64, len(bounds)+1)
+		h.sh[i].buckets = buckets[i*stride : i*stride+nb : i*stride+nb]
 	}
 	r.hists[name] = h
 	return h
@@ -282,10 +292,52 @@ func shardIndex(n, shard int) int {
 	return shard
 }
 
+// cacheLine is the cache line size metric cells are laid out by: no
+// line holds cells of two shards.
+const cacheLine = 64
+
+// lineCells is how many 8-byte cells fill a cache line.
+const lineCells = cacheLine / 8
+
+// cells is one counter's or gauge's value per shard, cut from a slab the
+// registry shares among lineCells metrics: the slab holds one cache line
+// per shard, the shard's cells of those metrics, so a line is written by
+// its shard's writer alone and the metrics take no more memory than
+// unpadded cells. A slab is whole cache lines, an allocation Go starts
+// on a line boundary.
+type cells struct {
+	slab []atomic.Int64 // lineCells cells per shard
+	col  int            // this metric's cell in each shard's line
+}
+
+// newCells cuts a metric's cells from the current slab, starting a new
+// slab when every cell of its lines is taken. Callers hold r.mu.
+func (r *Registry) newCells() cells {
+	if r.slab == nil || r.slabUsed == lineCells {
+		r.slab, r.slabUsed = make([]atomic.Int64, lineCells*r.shards), 0
+	}
+	r.slabUsed++
+	return cells{slab: r.slab, col: r.slabUsed - 1}
+}
+
+// at returns shard's cell.
+func (c cells) at(shard int) *atomic.Int64 {
+	return &c.slab[shardIndex(len(c.slab)/lineCells, shard)*lineCells+c.col]
+}
+
+// sum returns the cells' total across shards.
+func (c cells) sum() int64 {
+	var t int64
+	for i := c.col; i < len(c.slab); i += lineCells {
+		t += c.slab[i].Load()
+	}
+	return t
+}
+
 // Counter is a monotone cumulative count.
 type Counter struct {
 	name string
-	v    []atomic.Int64
+	v    cells
 }
 
 // Name returns the registered name.
@@ -295,58 +347,36 @@ func (c *Counter) Name() string { return c.name }
 func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
 
 // Add adds d to the shard's count.
-func (c *Counter) Add(shard int, d int64) {
-	c.v[shardIndex(len(c.v), shard)].Add(d)
-}
+func (c *Counter) Add(shard int, d int64) { c.v.at(shard).Add(d) }
 
 // Value returns the merged count across shards.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.v {
-		t += c.v[i].Load()
-	}
-	return t
-}
+func (c *Counter) Value() int64 { return c.v.sum() }
 
 // ShardValue returns one shard's count.
-func (c *Counter) ShardValue(shard int) int64 {
-	return c.v[shardIndex(len(c.v), shard)].Load()
-}
+func (c *Counter) ShardValue(shard int) int64 { return c.v.at(shard).Load() }
 
 // Gauge is an instantaneous level (queue depth, outstanding debt). The
 // merged value is the sum over shards, which for per-channel levels reads
 // as the system-wide level.
 type Gauge struct {
 	name string
-	v    []atomic.Int64
+	v    cells
 }
 
 // Name returns the registered name.
 func (g *Gauge) Name() string { return g.name }
 
 // Set stores the shard's level.
-func (g *Gauge) Set(shard int, v int64) {
-	g.v[shardIndex(len(g.v), shard)].Store(v)
-}
+func (g *Gauge) Set(shard int, v int64) { g.v.at(shard).Store(v) }
 
 // Add adjusts the shard's level by d.
-func (g *Gauge) Add(shard int, d int64) {
-	g.v[shardIndex(len(g.v), shard)].Add(d)
-}
+func (g *Gauge) Add(shard int, d int64) { g.v.at(shard).Add(d) }
 
 // Value returns the summed level across shards.
-func (g *Gauge) Value() int64 {
-	var t int64
-	for i := range g.v {
-		t += g.v[i].Load()
-	}
-	return t
-}
+func (g *Gauge) Value() int64 { return g.v.sum() }
 
 // ShardValue returns one shard's level.
-func (g *Gauge) ShardValue(shard int) int64 {
-	return g.v[shardIndex(len(g.v), shard)].Load()
-}
+func (g *Gauge) ShardValue(shard int) int64 { return g.v.at(shard).Load() }
 
 // Histogram is a fixed-bucket distribution (latencies in cycles,
 // occupancies in entries).
@@ -356,10 +386,12 @@ type Histogram struct {
 	sh     []histShard
 }
 
+// histShard is one shard of a histogram, padded to a cache line.
 type histShard struct {
 	buckets []atomic.Int64 // len(bounds)+1; last is the +Inf overflow
 	count   atomic.Int64
 	sum     atomic.Int64
+	_       [cacheLine - 40]byte
 }
 
 // Name returns the registered name.

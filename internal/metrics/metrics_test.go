@@ -196,3 +196,29 @@ func TestExpBuckets(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCounterShards times one Counter.Add: from one goroutine on
+// shard 0, and from two goroutines at once on shards 0 and 1, which must
+// not share a cache line (per Add, of each goroutine).
+func BenchmarkCounterShards(b *testing.B) {
+	b.Run("one", func(b *testing.B) {
+		c := New(2).Counter("c")
+		for i := 0; i < b.N; i++ {
+			c.Add(0, 1)
+		}
+	})
+	b.Run("two", func(b *testing.B) {
+		c := New(2).Counter("c")
+		var wg sync.WaitGroup
+		for shard := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < b.N; i++ {
+					c.Add(shard, 1)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}

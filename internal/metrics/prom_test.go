@@ -256,3 +256,63 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		t.Errorf("+Inf bucket = %d, want 3", lastCum)
 	}
 }
+
+// FuzzPrometheusRoundTrip writes a counter, a gauge and a histogram named
+// from an arbitrary name and labeled with arbitrary values through
+// Labels and WritePrometheus, re-parses the exposition with the strict
+// parser, and requires every series back: its base name as Labels
+// sanitized it, its TYPE, its label values byte-exact and its values.
+func FuzzPrometheusRoundTrip(f *testing.F) {
+	f.Add("serve_shed_total", "gold", "queue-full")
+	f.Add("m", `he said "now"`, `c:\tmp`)
+	f.Add("9lives", "line1\nline2", "")
+	f.Fuzz(func(t *testing.T, name, tenant, model string) {
+		if len(name)+len(tenant)+len(model) > 1<<12 {
+			t.Skip("longer than a scrape line should be")
+		}
+		r := New(2)
+		r.Counter(Labels(name, "tenant", tenant, "model", model)).Add(1, 7)
+		r.Gauge(Labels(name+"_g", "tenant", tenant)).Set(0, -3)
+		h := r.Histogram(Labels(name+"_h", "model", model), []int64{10})
+		h.Observe(1, 5)
+		h.Observe(0, 50)
+		var out strings.Builder
+		if err := r.Snapshot().WritePrometheus(&out); err != nil {
+			t.Fatal(err)
+		}
+		samples, _, typ := parsePromStrict(t, out.String())
+
+		base := Labels(name)
+		want := map[string]promSample{
+			base:              {base, map[string]string{"tenant": tenant, "model": model}, 7},
+			base + "_g":       {base + "_g", map[string]string{"tenant": tenant}, -3},
+			base + "_h_sum":   {base + "_h_sum", map[string]string{"model": model}, 55},
+			base + "_h_count": {base + "_h_count", map[string]string{"model": model}, 2},
+		}
+		buckets := map[string]int64{"10": 1, "+Inf": 2}
+		for _, s := range samples {
+			if s.base == base+"_h_bucket" {
+				le := s.labels["le"]
+				delete(s.labels, "le")
+				if n, ok := buckets[le]; !ok || n != s.value || fmt.Sprint(s.labels) != fmt.Sprint(map[string]string{"model": model}) {
+					t.Fatalf("bucket %v = %d: want le in %v with model %q", s.labels, s.value, buckets, model)
+				}
+				delete(buckets, le)
+				continue
+			}
+			w, ok := want[s.base]
+			if !ok || s.value != w.value || fmt.Sprint(s.labels) != fmt.Sprint(w.labels) {
+				t.Fatalf("sample %s%v = %d, want %v", s.base, s.labels, s.value, w)
+			}
+			delete(want, s.base)
+		}
+		if len(want) > 0 || len(buckets) > 0 {
+			t.Fatalf("series missing from the exposition: %v, buckets %v\n%s", want, buckets, out.String())
+		}
+		for b, kind := range map[string]string{base: "counter", base + "_g": "gauge", base + "_h": "histogram"} {
+			if typ[b] != kind {
+				t.Errorf("TYPE %s = %q, want %q", b, typ[b], kind)
+			}
+		}
+	})
+}

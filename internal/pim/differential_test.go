@@ -208,8 +208,12 @@ func (d *diffPair) issueRun(run triggerRun) (int, error) {
 	for _, tap := range d.tap {
 		tap.reset()
 	}
-	got, err := d.p[0].IssueRun(run.kind, run.bank, run.col, run.n, run.data, d.now, math.MaxInt64)
-	got = slices.Clone(got)
+	var r hbm.Run
+	err := d.p[0].IssueRun(&hbm.Command{Kind: run.kind, Bank: run.bank, Col: run.col}, run.n, run.data, d.now, math.MaxInt64, &r)
+	var got []int64
+	for i := 0; i < r.N; i++ {
+		got = append(got, r.Cycle(i))
+	}
 	var want []int64
 	var refErr error
 	for i, now := 0, d.now; i < run.n; i++ {

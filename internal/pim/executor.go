@@ -103,6 +103,8 @@ type Executor struct {
 	resume            [fp16.MaxBurstUnits]int32
 	relu              []byte
 
+	discard [burstBytes]byte // register-space reads of the units whose data never reaches the I/O mux
+
 	// TL, when set, records per-trigger retired-instruction counts into
 	// the observability timeline (the Perfetto PIM-activity counter
 	// track). Nil costs one pointer compare per step.
@@ -178,29 +180,58 @@ func (e *Executor) Unit(i int) *Unit {
 // NumUnits returns the number of units.
 func (e *Executor) NumUnits() int { return len(e.units) }
 
-// RegisterWrite implements hbm.PIMExecutor.
-func (e *Executor) RegisterWrite(unit int, space hbm.RegSpace, col uint32, data []byte) error {
-	if unit < 0 || unit >= len(e.units) {
-		return fmt.Errorf("pim: unit %d out of range", unit)
-	}
+// RegisterWrite implements hbm.PIMExecutor. A CRF write invalidates the
+// decode cache and the lock-step verdict once for the run.
+func (e *Executor) RegisterWrite(first, n int, space hbm.RegSpace, col uint32, data [][]byte) (int, error) {
 	if space == hbm.RegCRF {
 		e.decOK = [isa.CRFEntries]bool{}
 		e.lockStepChecked = false
 	} else {
 		cutRegisters(e.units)
 	}
-	return e.units[unit].writeRegSpace(space, col, data)
+	for c, d := range data {
+		for i := 0; i < n; i++ {
+			u, err := e.unit(first + i)
+			if err == nil {
+				err = u.writeRegSpace(space, col+uint32(c), d)
+			}
+			if err != nil {
+				return c*n + i, err
+			}
+		}
+	}
+	return len(data) * n, nil
 }
 
-// RegisterRead implements hbm.PIMExecutor.
-func (e *Executor) RegisterRead(unit int, space hbm.RegSpace, col uint32, buf []byte) error {
-	if unit < 0 || unit >= len(e.units) {
-		return fmt.Errorf("pim: unit %d out of range", unit)
-	}
+// RegisterRead implements hbm.PIMExecutor: the units after the first read
+// into a discard burst.
+func (e *Executor) RegisterRead(first, n int, space hbm.RegSpace, col uint32, bufs [][]byte) (int, error) {
 	if space != hbm.RegCRF {
 		cutRegisters(e.units)
 	}
-	return e.units[unit].readRegSpace(space, col, buf)
+	for c, buf := range bufs {
+		for i := 0; i < n; i++ {
+			u, err := e.unit(first + i)
+			if err == nil {
+				if i > 0 {
+					buf = e.discard[:]
+				}
+				err = u.readRegSpace(space, col+uint32(c), buf)
+			}
+			if err != nil {
+				return c*n + i, err
+			}
+		}
+	}
+	return len(bufs) * n, nil
+}
+
+// unit returns unit i, or an error when there is none.
+func (e *Executor) unit(i int) (*Unit, error) {
+	if i < 0 || i >= len(e.units) {
+		return nil, fmt.Errorf("pim: unit %d out of range", i)
+	}
+	return e.units[i], nil
 }
 
 // ResetPPC implements hbm.PIMExecutor.
@@ -378,7 +409,7 @@ func (e *Executor) retire(ctx *hbm.TriggerContext, t int, c hbm.TriggerInfo, inf
 	info.Arithmetic += c.Arithmetic * n
 	info.DataMoves += c.DataMoves * n
 	if e.TL != nil {
-		e.TL.PIMInstr(ctx.Cycles[t], c.Instructions*n)
+		e.TL.PIMInstr(ctx.Cycle(t), c.Instructions*n)
 	}
 }
 

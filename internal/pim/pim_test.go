@@ -51,11 +51,12 @@ func (d *driver) issue(cmd hbm.Command) hbm.IssueResult {
 // columns 0..n-1 as one trigger run, command i carrying data[i].
 func (d *driver) issueRun(kind hbm.CmdKind, bankSel, n int, data [][]byte) {
 	d.t.Helper()
-	cycles, err := d.p.IssueRun(kind, bankSel, 0, n, data, d.now, math.MaxInt64)
-	if err != nil || len(cycles) != n {
-		d.t.Fatalf("IssueRun(%d x %s): %d issued, %v", n, kind, len(cycles), err)
+	var run hbm.Run
+	err := d.p.IssueRun(&hbm.Command{Kind: kind, Bank: bankSel}, n, data, d.now, math.MaxInt64, &run)
+	if err != nil || run.N != n {
+		d.t.Fatalf("IssueRun(%d x %s): %d issued, %v", n, kind, run.N, err)
 	}
-	d.now = cycles[n-1] + 1
+	d.now = run.Cycle(n-1) + 1
 }
 
 func (d *driver) issueErr(cmd hbm.Command) error {
@@ -758,14 +759,14 @@ func TestRegisterSpaceRoundTrip(t *testing.T) {
 				h := nans[rng.Intn(len(nans))]
 				data[2*l], data[2*l+1] = byte(h), byte(h>>8)
 			}
-			if err := exec.RegisterWrite(r.unit, r.space, r.col, data); err != nil {
+			if _, err := exec.RegisterWrite(r.unit, 1, r.space, r.col, [][]byte{data}); err != nil {
 				t.Fatal(err)
 			}
 			written[i] = data
 		}
 		buf := make([]byte, 32)
 		for i, r := range regs {
-			if err := exec.RegisterRead(r.unit, r.space, r.col, buf); err != nil {
+			if _, err := exec.RegisterRead(r.unit, 1, r.space, r.col, [][]byte{buf}); err != nil {
 				t.Fatal(err)
 			}
 			if string(buf) != string(written[i]) {

@@ -196,7 +196,11 @@ func TestReadBanksHooks(t *testing.T) {
 // the executor runs in closed form; they report per trigger too. The
 // operands are seeded values in [-1, 1) over 8 columns, so the
 // accumulators stay finite; the program's loop is re-armed every 128
-// triggers. `make bench` records the rows in BENCH_gemv.json.
+// triggers. zerogrf and unload are the register-space runs around a GEMV
+// tile, reported per column command: a broadcast run of 16 zero writes
+// into every unit's GRF (runtime.ZeroGRF) and a single-bank run of 8 reads
+// of one unit's GRF_B (one unit's share of runtime.ReadGRFRowSB). `make
+// bench` records the rows in BENCH_gemv.json.
 func BenchmarkTrigger(b *testing.B) {
 	for _, k := range []struct {
 		name, src    string
@@ -251,16 +255,16 @@ func BenchmarkTrigger(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			if k.run {
+				var run hbm.Run
 				for i := 0; i < b.N; i += cols {
 					if i%128 == 0 {
 						exec.ResetPPC()
 					}
 					n := min(cols, b.N-i)
-					cycles, err := d.p.IssueRun(trig[0].Kind, 0, 0, n, data, d.now, math.MaxInt64)
-					if err != nil {
+					if err := d.p.IssueRun(&trig[0], n, data, d.now, math.MaxInt64, &run); err != nil {
 						b.Fatal(err)
 					}
-					d.now = cycles[n-1] + 1
+					d.now = run.Cycle(n-1) + 1
 				}
 				return
 			}
@@ -269,6 +273,40 @@ func BenchmarkTrigger(b *testing.B) {
 					exec.ResetPPC()
 				}
 				d.issue(trig[i%cols])
+			}
+		})
+	}
+	for _, k := range []struct {
+		name string
+		kind hbm.CmdKind
+		n    int
+	}{{"zerogrf", hbm.CmdWR, 16}, {"unload", hbm.CmdRD, 8}} {
+		b.Run(k.name, func(b *testing.B) {
+			cfg := hbm.PIMHBMConfig(1000)
+			d, _ := newDriver(b, cfg)
+			cmd := hbm.Command{Kind: k.kind, Col: uint32(cfg.GRFDepth())}
+			var data [][]byte
+			if k.kind == hbm.CmdWR {
+				d.enterAB() // broadcast to every unit
+				cmd.Col = 0
+				for range k.n {
+					data = append(data, make([]byte, 32))
+				}
+			}
+			d.issue(hbm.Command{Kind: hbm.CmdACT, Row: cfg.GRFRow()})
+			var run hbm.Run
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += k.n {
+				n := min(k.n, b.N-i)
+				var d2 [][]byte
+				if data != nil {
+					d2 = data[:n]
+				}
+				if err := d.p.IssueRun(&cmd, n, d2, d.now, math.MaxInt64, &run); err != nil || run.N != n {
+					b.Fatal(run.N, err)
+				}
+				d.now = run.Cycle(n-1) + 1
 			}
 		})
 	}

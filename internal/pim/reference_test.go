@@ -572,18 +572,40 @@ func newRefExecutor(cfg hbm.Config) *refExecutor {
 	return r
 }
 
-func (r *refExecutor) RegisterWrite(unit int, space hbm.RegSpace, col uint32, data []byte) error {
-	if unit < 0 || unit >= len(r.units) {
-		return fmt.Errorf("pim: unit %d out of range", unit)
+// RegisterWrite and RegisterRead take a register-space run one block at a
+// time, column by column and unit by unit.
+func (r *refExecutor) RegisterWrite(first, n int, space hbm.RegSpace, col uint32, data [][]byte) (int, error) {
+	for c, d := range data {
+		for i := 0; i < n; i++ {
+			u := first + i
+			if u < 0 || u >= len(r.units) {
+				return c*n + i, fmt.Errorf("pim: unit %d out of range", u)
+			}
+			if err := r.units[u].writeRegSpace(space, col+uint32(c), d); err != nil {
+				return c*n + i, err
+			}
+		}
 	}
-	return r.units[unit].writeRegSpace(space, col, data)
+	return len(data) * n, nil
 }
 
-func (r *refExecutor) RegisterRead(unit int, space hbm.RegSpace, col uint32, buf []byte) error {
-	if unit < 0 || unit >= len(r.units) {
-		return fmt.Errorf("pim: unit %d out of range", unit)
+func (r *refExecutor) RegisterRead(first, n int, space hbm.RegSpace, col uint32, bufs [][]byte) (int, error) {
+	for c, buf := range bufs {
+		for i := 0; i < n; i++ {
+			u := first + i
+			if u < 0 || u >= len(r.units) {
+				return c*n + i, fmt.Errorf("pim: unit %d out of range", u)
+			}
+			dst := buf
+			if i > 0 {
+				dst = make([]byte, len(buf))
+			}
+			if err := r.units[u].readRegSpace(space, col+uint32(c), dst); err != nil {
+				return c*n + i, err
+			}
+		}
 	}
-	return r.units[unit].readRegSpace(space, col, buf)
+	return len(bufs) * n, nil
 }
 
 // Trigger runs the run's commands one at a time, each a full interpreter

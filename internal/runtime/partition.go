@@ -24,7 +24,7 @@ func (r *Runtime) Restrict(channels []int) (*Runtime, error) {
 	seen := make(map[int]bool, len(channels))
 	sorted := append([]int(nil), channels...)
 	sort.Ints(sorted)
-	view := &Runtime{Cfg: r.Cfg, Drv: r.Drv, SimChannels: 0, Metrics: r.Metrics, pm: r.pm}
+	view := &Runtime{Cfg: r.Cfg, Drv: r.Drv, SimChannels: 0, Metrics: r.Metrics, pm: r.pm, zeros: r.zeros}
 	for _, ch := range sorted {
 		if ch < 0 || ch >= len(r.Chans) {
 			return nil, fmt.Errorf("runtime: channel %d out of range", ch)
@@ -35,7 +35,7 @@ func (r *Runtime) Restrict(channels []int) (*Runtime, error) {
 		seen[ch] = true
 		view.Chans = append(view.Chans, r.Chans[ch])
 		view.Execs = append(view.Execs, r.Execs[ch])
-		view.wr = append(view.wr, r.wr[ch])
+		view.bufs = append(view.bufs, r.bufs[ch])
 		view.unload = append(view.unload, r.unload[ch])
 		view.payloads = append(view.payloads, r.payloads[ch])
 		view.marks = append(view.marks, r.marks[ch])

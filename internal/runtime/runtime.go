@@ -3,6 +3,9 @@
 // (mode transitions, CRF/SRF programming, triggers, fences), the memory
 // manager that lays operands out across banks in a PIM-friendly way, and
 // the preprocessor that decides which operations are worth offloading.
+// Every column sequence it issues (a trigger window, ZeroGRF, CRF and SRF
+// programming, a unit's GRF unload, an SB bank-row access) is one
+// memctrl.Channel.IssueRun, and each run's phase is noted once.
 package runtime
 
 import (
@@ -46,22 +49,28 @@ type Runtime struct {
 	// simulating the remaining symmetric channels would only repeat it.
 	SimChannels int
 
-	// wr is one AccessBytes payload buffer per channel (parent numbering)
-	// for the register-space writes the runtime builds itself: PIM_OP_MODE,
-	// accumulator zeros, CRF words. hbm has consumed a WR payload by the
-	// time Issue returns, so a channel's writes can share one buffer.
-	wr [][]byte
+	// bufs is one set of column-run buffers per channel (parent
+	// numbering): the register-space payloads the runtime builds itself
+	// and the column views of a bank-row write. hbm has consumed a WR
+	// payload by the time a run returns, so a channel's runs can share
+	// them.
+	bufs []*cmdBufs
+
+	// zeros is ZeroGRF's payload list, as long as the GRF register space:
+	// every entry the same zeroed burst, read-only and shared by every
+	// channel.
+	zeros [][]byte
 
 	// unload is one ReadGRFRowSB result buffer per channel (parent
-	// numbering), shared with restricted views like wr.
+	// numbering), shared with restricted views like bufs.
 	unload []*grfUnload
 
 	// payloads is one Payloads buffer per channel (parent numbering),
-	// shared with restricted views like wr.
+	// shared with restricted views like bufs.
 	payloads []*payloadRun
 
 	// marks is one kernel-region snapshot per channel (parent numbering),
-	// shared with restricted views like wr: BeginRegion writes a channel's
+	// shared with restricted views like bufs: BeginRegion writes a channel's
 	// clock and fence count there and EndRegion reads them back. A launch
 	// owns its channels' marks from BeginRegion to EndRegion, so launches
 	// on overlapping channel sets must not run concurrently, which they
@@ -124,7 +133,13 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 		return nil, fmt.Errorf("runtime: no devices")
 	}
 	cfg := devs[0].Config()
-	r := &Runtime{Cfg: cfg}
+	n := 0
+	for _, dev := range devs {
+		n += dev.NumPCH()
+	}
+	// One registry shard per channel: kernels under a parallel engine write
+	// contention free, and per-channel deltas stay separable.
+	r := &Runtime{Cfg: cfg, Metrics: metrics.New(n)}
 	for _, dev := range devs {
 		if dev.Config() != cfg {
 			return nil, fmt.Errorf("runtime: heterogeneous device configurations")
@@ -134,7 +149,7 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 			return nil, err
 		}
 		for i := 0; i < dev.NumPCH(); i++ {
-			r.Chans = append(r.Chans, memctrl.NewChannel(dev.PCH(i), cfg))
+			r.Chans = append(r.Chans, memctrl.NewChannel(dev.PCH(i), cfg, r.Metrics, len(r.Chans)))
 			r.Execs = append(r.Execs, execs[i])
 		}
 	}
@@ -143,20 +158,17 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 		return nil, err
 	}
 	r.Drv = drv
-	wr := make([]byte, len(r.Chans)*cfg.AccessBytes)
 	marks := make([]regionMark, len(r.Chans))
+	bufs := make([]cmdBufs, len(r.Chans))
 	for i := range r.Chans {
-		r.wr = append(r.wr, wr[i*cfg.AccessBytes:(i+1)*cfg.AccessBytes])
+		r.bufs = append(r.bufs, &bufs[i])
 		r.unload = append(r.unload, new(grfUnload))
 		r.payloads = append(r.payloads, new(payloadRun))
 		r.marks = append(r.marks, &marks[i])
 	}
-
-	// One registry shard per channel: kernels under a parallel engine write
-	// contention free, and per-channel deltas stay separable.
-	r.Metrics = metrics.New(len(r.Chans))
-	for i, c := range r.Chans {
-		c.UseMetrics(r.Metrics, i)
+	zero := make([]byte, cfg.AccessBytes)
+	for range 2 * cfg.GRFDepth() {
+		r.zeros = append(r.zeros, zero)
 	}
 	r.pm = newPhaseMetrics(r.Metrics)
 	r.Metrics.RegisterCollector(r.collectDeviceMetrics)
@@ -197,6 +209,43 @@ func (r *Runtime) issue(ch int, cmd hbm.Command) (hbm.IssueResult, error) {
 	return res, nil
 }
 
+// run issues n column commands like cmd at consecutive columns cmd.Col,
+// cmd.Col+1, ..., command i carrying data[i], as one memctrl run. It
+// returns the bursts a RD run read, valid until the channel's next
+// command; an error is worded as the failing command's.
+func (r *Runtime) run(ch int, cmd hbm.Command, n int, data [][]byte) ([][]byte, error) {
+	read, done, err := r.Chans[ch].IssueRun(cmd, n, data)
+	if err != nil {
+		cmd.Col += uint32(done)
+		return nil, fmt.Errorf("runtime: ch%d %s: %w", ch, cmd, err)
+	}
+	return read, nil
+}
+
+// cmdBufs is one channel's buffers for the column runs the runtime builds
+// itself: wr holds a burst per CRF column for the register-space writes
+// (PIM_OP_MODE, SRF, CRF words), and cols the column views of a
+// WriteBankRunSB payload, each cut on the channel's first need (a
+// timing-only stack drives one channel of many).
+type cmdBufs struct {
+	wr   [][]byte
+	cols [][]byte
+}
+
+// wrBufs returns channel ch's first n register-space payload bursts.
+func (r *Runtime) wrBufs(ch, n int) [][]byte {
+	b := r.bufs[ch]
+	if b.wr == nil {
+		size := r.Cfg.AccessBytes
+		b.wr = make([][]byte, isa.CRFEntries/8)
+		buf := make([]byte, len(b.wr)*size)
+		for i := range b.wr {
+			b.wr[i] = buf[i*size : (i+1)*size : (i+1)*size]
+		}
+	}
+	return b.wr[:n]
+}
+
 // EnterAB performs the ABMR handshake on a channel.
 func (r *Runtime) EnterAB(ch int) error {
 	start := r.Chans[ch].Now()
@@ -226,7 +275,7 @@ func (r *Runtime) ExitToSB(ch int) error {
 // SetPIMMode writes PIM_OP_MODE through the mode row.
 func (r *Runtime) SetPIMMode(ch int, on bool) error {
 	start := r.Chans[ch].Now()
-	data := r.wr[ch]
+	data := r.wrBufs(ch, 1)[0]
 	clear(data)
 	if on {
 		data[0] = 1
@@ -267,16 +316,17 @@ func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.CRFRow()}); err != nil {
 		return err
 	}
-	buf := r.wr[ch]
-	for col := 0; col*8 < len(words); col++ {
+	cols := (len(words) + 7) / 8
+	bufs := r.wrBufs(ch, cols)
+	for col, buf := range bufs {
 		clear(buf)
 		for i := 0; i < 8 && col*8+i < len(words); i++ {
 			w := words[col*8+i]
 			buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
 		}
-		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(col), Data: buf}); err != nil {
-			return err
-		}
+	}
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR}, cols, bufs); err != nil {
+		return err
 	}
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
 		return err
@@ -295,13 +345,14 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 			len(m), len(a), isa.SRFEntries)
 	}
 	start := r.Chans[ch].Now()
-	v := fp16.NewVector(2 * isa.SRFEntries)
-	copy(v[:isa.SRFEntries], m)
-	copy(v[isa.SRFEntries:], a)
+	srf := r.wrBufs(ch, 1)
+	clear(srf[0])
+	fp16.Vector(m).PutBytes(srf[0])
+	fp16.Vector(a).PutBytes(srf[0][2*isa.SRFEntries:])
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.SRFRow()}); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, Col: 0, Data: v.Bytes()}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR}, 1, srf); err != nil {
 		return err
 	}
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
@@ -321,13 +372,10 @@ func (r *Runtime) ZeroGRF(ch int) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()}); err != nil {
 		return err
 	}
-	zero := r.wr[ch]
-	clear(zero)
 	end := 2 * r.Cfg.GRFDepth()
-	for col := end - 2*isa.GRFEntries; col < end; col++ {
-		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(col), Data: zero}); err != nil {
-			return err
-		}
+	col := end - 2*isa.GRFEntries
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(col)}, end-col, r.zeros[:end-col]); err != nil {
+		return err
 	}
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
 		return err
@@ -402,11 +450,9 @@ func (r *Runtime) TriggerWRRun(ch, bankSel int, col0 uint32, n int, data [][]byt
 }
 
 func (r *Runtime) triggerRun(ch int, kind hbm.CmdKind, bankSel int, col0 uint32, n int, data [][]byte) error {
-	c := r.Chans[ch]
-	start := c.Now()
-	if done, err := c.IssueRun(kind, bankSel, col0, n, data); err != nil {
-		cmd := hbm.Command{Kind: kind, Bank: bankSel, Col: col0 + uint32(done)}
-		return fmt.Errorf("runtime: ch%d %s: %w", ch, cmd, err)
+	start := r.Chans[ch].Now()
+	if _, err := r.run(ch, hbm.Command{Kind: kind, Bank: bankSel, Col: col0}, n, data); err != nil {
+		return err
 	}
 	r.notePhaseN(ch, PhaseTrigger, n, start)
 	return nil
@@ -417,19 +463,12 @@ func (r *Runtime) Fence(ch int) { r.Chans[ch].Fence() }
 
 // WriteBankSB writes one 32-byte block to a specific bank in SB mode.
 func (r *Runtime) WriteBankSB(ch, flatBank int, row, col uint32, data []byte) error {
-	bg, b := r.Cfg.BankOf(flatBank)
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
-		return err
-	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col, Data: data}); err != nil {
-		return err
-	}
-	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
-	return err
+	one := [1][]byte{data}
+	return r.writeBankRow(ch, flatBank, row, col, one[:])
 }
 
 // WriteBankRowSB writes up to a full row of one bank with a single
-// activate.
+// activate, one column run per span of consecutive columns.
 func (r *Runtime) WriteBankRowSB(ch, flatBank int, row uint32, cols []uint32, data [][]byte) error {
 	if len(cols) != len(data) {
 		return fmt.Errorf("runtime: cols/data length mismatch")
@@ -438,52 +477,82 @@ func (r *Runtime) WriteBankRowSB(ch, flatBank int, row uint32, cols []uint32, da
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
 		return err
 	}
-	for i, col := range cols {
-		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col, Data: data[i]}); err != nil {
+	for i := 0; i < len(cols); {
+		j := span(cols, i)
+		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: cols[i]}, j-i, data[i:j]); err != nil {
 			return err
 		}
+		i = j
 	}
 	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
 	return err
 }
 
+// span returns the end of the span of consecutive columns cols[i:j].
+func span(cols []uint32, i int) int {
+	j := i + 1
+	for j < len(cols) && cols[j] == cols[j-1]+1 {
+		j++
+	}
+	return j
+}
+
 // WriteBankRunSB writes consecutive columns col0, col0+1, ... of one bank
-// row with a single activate; data holds AccessBytes per column, end to
-// end.
+// row with a single activate and one column run; data holds AccessBytes
+// per column, end to end.
 func (r *Runtime) WriteBankRunSB(ch, flatBank int, row, col0 uint32, data []byte) error {
 	size := r.Cfg.AccessBytes
 	if len(data)%size != 0 {
 		return fmt.Errorf("runtime: %d payload bytes are not whole %d-byte columns", len(data), size)
 	}
+	cols := r.bufs[ch].cols[:0]
+	if n := len(data) / size; cap(cols) < n {
+		cols = make([][]byte, 0, max(n, r.Cfg.ColumnsPerRow()))
+	}
+	for o := 0; o < len(data); o += size {
+		cols = append(cols, data[o:o+size:o+size])
+	}
+	r.bufs[ch].cols = cols
+	err := r.writeBankRow(ch, flatBank, row, col0, cols)
+	clear(cols) // the views must not keep the caller's payload alive
+	return err
+}
+
+// writeBankRow writes data[i] to column col0+i of one bank row: ACT, one
+// column run, PRE.
+func (r *Runtime) writeBankRow(ch, flatBank int, row, col0 uint32, data [][]byte) error {
 	bg, b := r.Cfg.BankOf(flatBank)
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
 		return err
 	}
-	for i := 0; i*size < len(data); i++ {
-		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col0 + uint32(i), Data: data[i*size : (i+1)*size]}); err != nil {
-			return err
-		}
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col0}, len(data), data); err != nil {
+		return err
 	}
 	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
 	return err
 }
 
 // ReadBankRowSB reads several columns of one bank row with a single
-// activate, returning one 32-byte block per requested column.
+// activate, one column run per span of consecutive columns, returning one
+// 32-byte block per requested column.
 func (r *Runtime) ReadBankRowSB(ch, flatBank int, row uint32, cols []uint32) ([][]byte, error) {
 	bg, b := r.Cfg.BankOf(flatBank)
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
 		return nil, err
 	}
 	out := make([][]byte, len(cols))
-	for i, col := range cols {
-		res, err := r.issue(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: col})
+	for i := 0; i < len(cols); {
+		j := span(cols, i)
+		read, err := r.run(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: cols[i]}, j-i, nil)
 		if err != nil {
 			return nil, err
 		}
-		// res.Data is pseudo-channel scratch, only valid until the next
-		// Issue: copy it out.
-		out[i] = append([]byte(nil), res.Data...)
+		// The bursts are pseudo-channel scratch, only valid until the next
+		// command: copy them out.
+		for k := i; k < j; k++ {
+			out[k] = burst(read, k-i)
+		}
+		i = j
 	}
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
 		return nil, err
@@ -491,50 +560,56 @@ func (r *Runtime) ReadBankRowSB(ch, flatBank int, row uint32, cols []uint32) ([]
 	return out, nil
 }
 
+// burst returns a copy of read[i], or nil where the device returned no
+// data (timing-only).
+func burst(read [][]byte, i int) []byte {
+	if i < len(read) {
+		return append([]byte(nil), read[i]...)
+	}
+	return nil
+}
+
 // ReadBankSB reads one 32-byte block from a specific bank in SB mode.
 func (r *Runtime) ReadBankSB(ch, flatBank int, row, col uint32) ([]byte, error) {
-	bg, b := r.Cfg.BankOf(flatBank)
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
-		return nil, err
-	}
-	res, err := r.issue(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: col})
+	out, err := r.ReadBankRowSB(ch, flatBank, row, []uint32{col})
 	if err != nil {
 		return nil, err
 	}
-	data := append([]byte(nil), res.Data...) // copy out of pCH scratch
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return out[0], nil
 }
 
 // ReadGRFRowSB reads the first regs GRF registers of one half (0 = GRF_A,
 // 1 = GRF_B) of every unit through the SB register space, with one row
-// activation per unit, returning vectors indexed [unit][reg]. A GEMV
-// unloads its partial sums through here once per macro tile, on every
-// channel of every launch, so the result is a view into a buffer the
-// runtime keeps for the channel: it is valid until the channel's next
-// ReadGRFRowSB, and a caller that needs it longer copies it.
+// activation and one column run per unit, returning vectors indexed
+// [unit][reg]. A GEMV unloads its partial sums through here once per
+// macro tile, on every channel of every launch, so the result is a view
+// into a buffer the runtime keeps for the channel: it is valid until the
+// channel's next ReadGRFRowSB, and a caller that needs it longer copies
+// it.
 func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) {
 	units := r.Cfg.PIMUnits
 	out := r.unload[ch].views(units, regs)
 	banksPerUnit := r.Cfg.BanksPerUnit()
-	grfEntries := r.Cfg.GRFDepth()
+	col := uint32(half * r.Cfg.GRFDepth())
 	for u := 0; u < units; u++ {
 		bg, b := r.Cfg.BankOf(u * banksPerUnit)
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}); err != nil {
 			return nil, err
 		}
+		read, err := r.run(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: col}, regs, nil)
+		if err != nil {
+			return nil, err
+		}
 		for i, reg := range out[u] {
-			res, err := r.issue(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: uint32(half*grfEntries + i)})
-			if err != nil {
-				return nil, err
+			var data []byte
+			if i < len(read) {
+				data = read[i]
 			}
 			// Timing-only devices return no data: the lanes read as zero.
-			if len(res.Data) < 2*fp16.Lanes {
+			if len(data) < 2*fp16.Lanes {
 				clear(reg)
 			}
-			reg.DecodeBytes(res.Data)
+			reg.DecodeBytes(data)
 		}
 		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
 			return nil, err

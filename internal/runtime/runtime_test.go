@@ -78,7 +78,7 @@ func TestProgramCRFRoundTrip(t *testing.T) {
 	}
 	// Read back through the executor's register space.
 	buf := make([]byte, 32)
-	if err := rt.Execs[0].RegisterRead(3, hbm.RegCRF, 0, buf); err != nil {
+	if _, err := rt.Execs[0].RegisterRead(3, 1, hbm.RegCRF, 0, [][]byte{buf}); err != nil {
 		t.Fatal(err)
 	}
 	words := make([]uint32, 3)
@@ -445,10 +445,10 @@ func TestProgramCRFWordsIsProgramCRF(t *testing.T) {
 	for col := uint32(0); col < 2; col++ {
 		bufA, bufB := make([]byte, 32), make([]byte, 32)
 		for u := 0; u < a.Cfg.PIMUnits; u++ {
-			if err := a.Execs[0].RegisterRead(u, hbm.RegCRF, col, bufA); err != nil {
+			if _, err := a.Execs[0].RegisterRead(u, 1, hbm.RegCRF, col, [][]byte{bufA}); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Execs[0].RegisterRead(u, hbm.RegCRF, col, bufB); err != nil {
+			if _, err := b.Execs[0].RegisterRead(u, 1, hbm.RegCRF, col, [][]byte{bufB}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(bufA, bufB) {

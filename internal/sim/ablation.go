@@ -6,6 +6,7 @@ import (
 	"pimsim/internal/blas"
 	"pimsim/internal/hbm"
 	"pimsim/internal/memctrl"
+	"pimsim/internal/metrics"
 )
 
 // Ablations of the design choices DESIGN.md calls out. Each returns a
@@ -117,7 +118,7 @@ func streamBandwidth(colUnderBG bool, aheadDepth int, random bool) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	ch := memctrl.NewChannel(dev.PCH(0), cfg)
+	ch := memctrl.NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
 	s := memctrl.NewScheduler(ch, cfg)
 	s.AheadDepth = aheadDepth
 	s.AutoRelease = true // results discarded; recycle transactions
@@ -220,7 +221,7 @@ func AblateWriteBuffer() ([]AblationPoint, error) {
 		if err != nil {
 			return 0, err
 		}
-		ch := memctrl.NewChannel(dev.PCH(0), cfg)
+		ch := memctrl.NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
 		s := memctrl.NewScheduler(ch, cfg)
 		if buffered {
 			if err := s.EnableWriteBuffer(4, 16); err != nil {
