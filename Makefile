@@ -96,7 +96,9 @@ benchmark-check:
 # builds a valid device) for ten seconds; and arbitrary metric names and
 # label values through the Prometheus exposition and back (internal/metrics:
 # the strict parser reads every series, its sanitized name, TYPE, label
-# values and values back) for ten seconds.
+# values and values back) for ten seconds; and arbitrary -tenant values
+# (cmd/pimserve: Set never panics, an accepted lane has a positive weight
+# and its String form parses back to the same lane) for ten seconds.
 # -fuzzminimizetime 1s: the default minute of minimising would leave the
 # ten seconds no executions.
 fuzz-smoke:
@@ -109,13 +111,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseVariant -fuzztime 10s -fuzzminimizetime 1s ./internal/hbm
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzTenantFlag -fuzztime 10s -fuzzminimizetime 1s ./cmd/pimserve
 
 # examples-smoke builds every examples/* main and runs it under a 60 s
 # timeout; a nonzero exit or a timeout fails the target, and only a
 # failing example's output is printed. Each takes well under a second.
 # Then cmd/pimasm's two round trips must reprint `pimasm -example`'s
 # listing exactly: its CRF words through `pimasm -d`, and its instruction
-# text through the assembler on stdin; any diff fails the target.
+# text through the assembler on stdin; any diff fails the target. Last,
+# the mains that print the simulator's tables and metrics must exit 0:
+# `pimbench -exp all`, and `pimsim` with a command trace and a JSON
+# snapshot, then functional with a Prometheus snapshot.
 examples-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for ex in examples/*/; do \
@@ -133,7 +139,15 @@ examples-smoke:
 		|| { echo "FAIL: pimasm -d does not reprint the -example listing"; exit 1; }; \
 	sed -E 's/^[^ ]+  //' "$$dir/body" | "$$dir/pimasm" | diff "$$dir/listing" - \
 		|| { echo "FAIL: pimasm does not reassemble the -example listing"; exit 1; }; \
-	echo "cmd/pimasm round trips ok ($$(wc -l < "$$dir/listing") instructions)"
+	echo "cmd/pimasm round trips ok ($$(wc -l < "$$dir/listing") instructions)"; \
+	$(GO) build -o "$$dir/pimbench" ./cmd/pimbench || exit 1; \
+	$(GO) build -o "$$dir/pimsim" ./cmd/pimsim || exit 1; \
+	for run in "pimbench -exp all" "pimsim -trace 64 -metrics-out -" \
+		"pimsim -functional -m 256 -k 256 -metrics-out - -metrics-format prom"; do \
+		if ! timeout 60 "$$dir/"$$run > "$$dir/out" 2>&1; then \
+			cat "$$dir/out"; echo "FAIL: $$run"; exit 1; fi; \
+		echo "$$run ok"; \
+	done
 
 # fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
 # two rounding stages against the reference arithmetic: the fused portable

@@ -34,6 +34,7 @@ import (
 	"pimsim/internal/models"
 	"pimsim/internal/pim"
 	"pimsim/internal/prof"
+	"pimsim/internal/runtime"
 	"pimsim/internal/sim"
 )
 
@@ -467,19 +468,16 @@ func metricsBreakdown() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Per-kernel runtime phase breakdown (count / cycles per phase),")
-	fmt.Println("from metrics snapshot diffs around each kernel:")
+	fmt.Println("Per-kernel runtime phase breakdown (count / cycles per phase):")
 	fmt.Printf("%-12s %10s", "kernel", "cycles")
-	if len(rows) > 0 {
-		for _, p := range rows[0].Phases {
-			fmt.Printf(" %16s", p.Name)
-		}
+	for p := runtime.KernelPhase(0); p < runtime.NumPhases; p++ {
+		fmt.Printf(" %16s", p)
 	}
 	fmt.Println()
 	for _, r := range rows {
 		fmt.Printf("%-12s %10d", r.Kernel, r.Cycles)
-		for _, p := range r.Phases {
-			fmt.Printf(" %16s", fmt.Sprintf("%d/%d", p.Count, p.Cycles))
+		for p := range r.Phases.Count {
+			fmt.Printf(" %16s", fmt.Sprintf("%d/%d", r.Phases.Count[p], r.Phases.Cycles[p]))
 		}
 		fmt.Println()
 	}

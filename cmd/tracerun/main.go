@@ -20,7 +20,6 @@ import (
 
 	"pimsim/internal/hbm"
 	"pimsim/internal/memctrl"
-	"pimsim/internal/metrics"
 	"pimsim/internal/trace"
 )
 
@@ -65,8 +64,7 @@ func runTxn(f *os.File, dev *hbm.Device, cfg hbm.Config) {
 	chans := make([]*memctrl.Channel, dev.NumPCH())
 	scheds := make([]*memctrl.Scheduler, dev.NumPCH())
 	for i := range chans {
-		chans[i] = memctrl.NewChannel(dev.PCH(i), cfg, metrics.New(1), 0)
-		chans[i].ChannelID = i
+		chans[i] = memctrl.NewChannel(dev.PCH(i), cfg, i)
 		scheds[i] = memctrl.NewScheduler(chans[i], cfg)
 		scheds[i].AutoRelease = true // trace replay discards transaction results
 	}

@@ -18,7 +18,6 @@ import (
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/memctrl"
-	"pimsim/internal/metrics"
 	"pimsim/internal/runtime"
 	"pimsim/internal/sim"
 )
@@ -185,7 +184,7 @@ func TestGoldenSchedulerReplay(t *testing.T) {
 	cfg := hbm.HBM2Config(1200)
 	cfg.Functional = false
 	dev := hbm.MustNewDevice(cfg)
-	ch := memctrl.NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
+	ch := memctrl.NewChannel(dev.PCH(0), cfg, 0)
 	s := memctrl.NewScheduler(ch, cfg)
 	am := memctrl.NewAddrMap(16, cfg.BankGroups, cfg.BanksPerGroup,
 		cfg.Rows, cfg.ColumnsPerRow(), cfg.AccessBytes)

@@ -431,7 +431,7 @@ func TestSLODocMetricsExist(t *testing.T) {
 
 	// serve_slo_ series are created on first record: drive one request
 	// through a standalone engine with an objective and a hedge armed.
-	reg := metrics.New(1)
+	reg := metrics.New()
 	eng := slo.New(slo.Config{
 		Objectives: []slo.Objective{{LatencyP99: 10 * time.Millisecond, Availability: 0.99}},
 		EvalEvery:  -1,

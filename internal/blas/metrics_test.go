@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"pimsim/internal/engine"
+	"pimsim/internal/runtime"
 )
 
 // TestParallelKernelMetricsShards: under a parallel engine every channel
-// goroutine writes its own registry shard, so counters must survive the
-// race detector and the merged totals must agree with the kernel's own
-// bookkeeping — and with a sequential run of the same kernel.
+// goroutine books into its own channel's counters, so they must survive
+// the race detector and the collected totals must agree with the kernel's
+// own bookkeeping — and with a sequential run of the same kernel.
 func TestParallelKernelMetricsShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 1 << 15
@@ -19,6 +20,17 @@ func TestParallelKernelMetricsShards(t *testing.T) {
 	rt := testRuntime(t, 4, true)
 	rt.UseEngine(engine.NewParallel(4))
 	defer rt.CloseEngine()
+	// A one-channel view shares its channel's phase ledger, so its phase
+	// observation reads that channel's ledger alone.
+	views := make([]*runtime.Runtime, rt.NumChannels())
+	for ch := range views {
+		v, err := rt.Restrict([]int{ch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.BeginPhaseObs()
+		views[ch] = v
+	}
 	c, ks, err := PimAdd(rt, a, b, n)
 	if err != nil {
 		t.Fatal(err)
@@ -37,19 +49,18 @@ func TestParallelKernelMetricsShards(t *testing.T) {
 	if got := snap.Counter("memctrl_fences_total"); got < ks.Fences || got == 0 {
 		t.Errorf("memctrl_fences_total = %d, kernel counted %d", got, ks.Fences)
 	}
-	// Every channel ran part of the kernel, so every channel's shard must
+	// Every channel ran part of the kernel, so every channel's ledger must
 	// hold a private nonzero slice of the trigger count.
-	trig := rt.Metrics.Counter("runtime_triggers_total")
-	var shardSum int64
-	for ch := 0; ch < rt.NumChannels(); ch++ {
-		v := trig.ShardValue(rt.Chans[ch].MetricsShard())
-		if v == 0 {
-			t.Errorf("channel %d recorded no triggers in its shard", ch)
+	var ledgerSum int64
+	for ch, v := range views {
+		n := v.TakePhaseObs().Count[runtime.PhaseTrigger]
+		if n == 0 {
+			t.Errorf("channel %d recorded no triggers in its ledger", ch)
 		}
-		shardSum += v
+		ledgerSum += n
 	}
-	if shardSum != ks.Triggers {
-		t.Errorf("shard sum %d != kernel triggers %d", shardSum, ks.Triggers)
+	if ledgerSum != ks.Triggers {
+		t.Errorf("ledger sum %d != kernel triggers %d", ledgerSum, ks.Triggers)
 	}
 	// Device-side collector counters came along in the same snapshot.
 	if snap.Counter("pim_instr_total{op=\"ADD\"}") == 0 {
@@ -60,7 +71,8 @@ func TestParallelKernelMetricsShards(t *testing.T) {
 	}
 
 	// A sequential run of the same kernel must produce identical counter
-	// totals — parallelism only changes which shard is written, not what.
+	// totals — parallelism only changes which goroutine books a channel,
+	// not what.
 	seqRT := testRuntime(t, 4, true)
 	if _, _, err := PimAdd(seqRT, a, b, n); err != nil {
 		t.Fatal(err)

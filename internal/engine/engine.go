@@ -1,6 +1,6 @@
 // Package engine provides the execution engines that drive per-pseudo-
 // channel kernel work. Every pseudo channel is an independent machine —
-// its own clock, banks, PIM units, metrics shard and timeline buffer —
+// its own clock, banks, PIM units, counters and timeline buffer —
 // so a kernel's per-channel command streams can run in any order, or
 // concurrently, and produce bit-for-bit identical state. The engine is
 // the policy layer that picks the order: Serial replays channels one

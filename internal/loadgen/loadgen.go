@@ -313,7 +313,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	src := cfg.Source
 
-	reg := metrics.New(cfg.Concurrency)
+	reg := metrics.New()
 	wallH := reg.Histogram("wall_us", metrics.ExpBuckets(1, 2, 30))
 	stepH := reg.Histogram("step_us", metrics.ExpBuckets(1, 2, 30))
 	queueH := reg.Histogram("queue_us", metrics.ExpBuckets(1, 2, 30))
@@ -324,7 +324,7 @@ func Run(cfg Config) (*Report, error) {
 	var batchMu sync.Mutex
 	batchHist := map[int]int64{}
 
-	shoot := func(wkr, i int) {
+	shoot := func(i int) {
 		i %= len(src.Bodies)
 		start := time.Now()
 		resp, err := cfg.Client.Post(cfg.BaseURL+"/v1/infer", "application/json", bytes.NewReader(src.Bodies[i]))
@@ -386,10 +386,10 @@ func Run(cfg Config) (*Report, error) {
 			eosN.Add(1)
 		}
 		busyNs.Add(int64(ns))
-		wallH.Observe(wkr, wallUs)
-		stepH.Observe(wkr, wallUs/steps)
-		queueH.Observe(wkr, ir.QueueUs)
-		cycH.Observe(wkr, cycles)
+		wallH.Observe(wallUs)
+		stepH.Observe(wallUs / steps)
+		queueH.Observe(ir.QueueUs)
+		cycH.Observe(cycles)
 	}
 
 	// Sample the server's queue-depth gauge while the run is live.
@@ -418,14 +418,14 @@ func Run(cfg Config) (*Report, error) {
 	switch cfg.Mode {
 	case "closed":
 		var next atomic.Int64
-		for wkr := 0; wkr < cfg.Concurrency; wkr++ {
+		for range cfg.Concurrency {
 			wg.Add(1)
-			go func(wkr int) {
+			go func() {
 				defer wg.Done()
 				for i := next.Add(1) - 1; i < int64(cfg.Requests); i = next.Add(1) - 1 {
-					shoot(wkr, int(i))
+					shoot(int(i))
 				}
-			}(wkr)
+			}()
 		}
 	case "open":
 		t := time.NewTicker(time.Duration(float64(time.Second) / cfg.RatePerSec))
@@ -434,7 +434,7 @@ func Run(cfg Config) (*Report, error) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				shoot(i%cfg.Concurrency, i)
+				shoot(i)
 			}(i)
 		}
 		t.Stop()

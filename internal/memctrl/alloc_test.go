@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/metrics"
 )
 
 // TestEnqueueDrainZeroAlloc pins the FR-FCFS steady state: with the ring
@@ -19,7 +18,7 @@ func TestEnqueueDrainZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
+	ch := NewChannel(dev.PCH(0), cfg, 0)
 	s := NewScheduler(ch, cfg)
 	s.AutoRelease = true
 	am := NewAddrMap(16, cfg.BankGroups, cfg.BanksPerGroup,

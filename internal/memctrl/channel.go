@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/metrics"
 	"pimsim/internal/obs"
 	"pimsim/internal/trace"
 )
@@ -37,12 +36,12 @@ type Channel struct {
 	lastDataEnd int64  // completion cycle of the latest column data transfer
 	modeRow     uint32 // cfg.ModeRow(), cached off the per-command path
 
-	m *chanMetrics
+	st Stats
+	id int // the channel's index in its system
 
 	// Trace, when set, records every issued command (including the
-	// refresh machinery's own commands). ChannelID labels the events.
-	Trace     *trace.Recorder
-	ChannelID int
+	// refresh machinery's own commands), labelled with the channel's index.
+	Trace *trace.Recorder
 
 	// Delay, when set, adds injected latency to command issue (fault
 	// injection: per-channel latency spikes). Like Trace it is a public
@@ -83,25 +82,21 @@ const RefreshPostponeLimit = 8
 // refills the controller queue (~35 ns at 1 GHz).
 const DefaultFenceCycles = 35
 
-// NewChannel wraps a pseudo channel whose instrumentation writes into
-// shard of reg (one shard per channel keeps concurrent kernels under a
-// parallel runtime engine apart).
-func NewChannel(pch *hbm.PseudoChannel, cfg hbm.Config, reg *metrics.Registry, shard int) *Channel {
+// NewChannel wraps a pseudo channel as channel id of its system: the
+// index its trace events, timeline and fault delays are labelled with.
+func NewChannel(pch *hbm.PseudoChannel, cfg hbm.Config, id int) *Channel {
 	return &Channel{
 		pch:         pch,
 		cfg:         cfg,
 		nextRefresh: int64(cfg.Timing.REFI),
 		FenceCycles: DefaultFenceCycles,
 		modeRow:     cfg.ModeRow(),
-		m:           newChanMetrics(reg, shard),
+		id:          id,
 	}
 }
 
-// Metrics returns the registry the channel reports into.
-func (c *Channel) Metrics() *metrics.Registry { return c.m.reg }
-
-// MetricsShard returns the registry shard the channel writes to.
-func (c *Channel) MetricsShard() int { return c.m.shard }
+// Stats returns the channel's controller counters.
+func (c *Channel) Stats() Stats { return c.st }
 
 // Now returns the channel clock.
 func (c *Channel) Now() int64 { return c.now }
@@ -161,10 +156,10 @@ func (c *Channel) SkipToNextEvent() (int64, error) {
 }
 
 // Fences returns how many fences this channel executed.
-func (c *Channel) Fences() int64 { return c.m.fences.ShardValue(c.m.shard) }
+func (c *Channel) Fences() int64 { return c.st.Fences }
 
 // Refreshes returns how many REF commands this channel issued.
-func (c *Channel) Refreshes() int64 { return c.m.refreshes.ShardValue(c.m.shard) }
+func (c *Channel) Refreshes() int64 { return c.st.Refreshes }
 
 // PCH exposes the underlying pseudo channel.
 func (c *Channel) PCH() *hbm.PseudoChannel { return c.pch }
@@ -197,7 +192,7 @@ func (c *Channel) issueRaw(cmd *hbm.Command, res *hbm.IssueResult) error {
 			return err
 		}
 		c.delaySeq++
-		if extra := c.Delay.ExtraIssueCycles(c.ChannelID, c.delaySeq, at); extra > 0 {
+		if extra := c.Delay.ExtraIssueCycles(c.id, c.delaySeq, at); extra > 0 {
 			at += extra
 		}
 		*res, err = c.pch.Issue(*cmd, at)
@@ -306,7 +301,7 @@ func (c *Channel) issued(cmd *hbm.Command, at int64) {
 func (c *Channel) record(cmd *hbm.Command, at int64, mode hbm.Mode) {
 	if c.Trace != nil {
 		c.Trace.Record(trace.Event{
-			Cycle: at, Channel: c.ChannelID, Kind: cmd.Kind,
+			Cycle: at, Channel: c.id, Kind: cmd.Kind,
 			BG: cmd.BG, Bank: cmd.Bank, Row: cmd.Row, Col: cmd.Col,
 		})
 	}
@@ -408,8 +403,7 @@ func (c *Channel) maybeRefresh() error {
 				// Postpone rather than yank rows out from under the
 				// transaction scheduler.
 				c.refreshDebt++
-				c.m.refreshPostponed.Inc(c.m.shard)
-				c.m.refreshDebt.Set(c.m.shard, int64(c.refreshDebt))
+				c.st.RefreshPostponed++
 				c.nextRefresh += int64(c.cfg.Timing.REFI)
 				continue
 			}
@@ -420,10 +414,9 @@ func (c *Channel) maybeRefresh() error {
 		if err := c.issueAux(hbm.Command{Kind: hbm.CmdREF}); err != nil {
 			return fmt.Errorf("memctrl: refresh: %w", err)
 		}
-		c.m.refreshes.Inc(c.m.shard)
+		c.st.Refreshes++
 		if c.refreshDebt > 0 {
 			c.refreshDebt--
-			c.m.refreshDebt.Set(c.m.shard, int64(c.refreshDebt))
 		}
 		if c.abRowOpen && c.pch.Mode() != hbm.ModeSB {
 			if err := c.issueAux(hbm.Command{Kind: hbm.CmdACT, Row: c.openABRow}); err != nil {
@@ -462,12 +455,12 @@ func (c *Channel) Fence() {
 	if c.GuaranteeOrder {
 		return
 	}
-	c.m.fences.Inc(c.m.shard)
+	c.st.Fences++
 	stall := int64(c.FenceCycles)
 	if c.lastDataEnd > c.now {
 		stall += c.lastDataEnd - c.now
 		c.now = c.lastDataEnd
 	}
-	c.m.fenceStall.Add(c.m.shard, stall)
+	c.st.FenceStallCycles += stall
 	c.now += int64(c.FenceCycles)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/metrics"
 )
 
 // fixedDelay delays every command by a constant: the minimal Delayer.
@@ -28,7 +27,7 @@ func TestDelayHook(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		c := NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
+		c := NewChannel(dev.PCH(0), cfg, 0)
 		c.Delay = d
 		cmds := []hbm.Command{
 			{Kind: hbm.CmdACT, BG: 0, Bank: 0, Row: 5},

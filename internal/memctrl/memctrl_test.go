@@ -8,7 +8,6 @@ import (
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
-	"pimsim/internal/metrics"
 	"pimsim/internal/pim"
 )
 
@@ -78,7 +77,7 @@ func newChan(t *testing.T, cfg hbm.Config) (*Channel, *hbm.Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewChannel(dev.PCH(0), cfg, metrics.New(1), 0), dev
+	return NewChannel(dev.PCH(0), cfg, 0), dev
 }
 
 func TestSchedulerSequentialStreamNearPeak(t *testing.T) {
@@ -339,7 +338,7 @@ func TestRefreshDuringPIMBurstPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
+	ch := NewChannel(dev.PCH(0), cfg, 0)
 	issue := func(cmd hbm.Command) hbm.IssueResult {
 		t.Helper()
 		res, err := ch.Issue(cmd)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/metrics"
 )
 
 // NextEvent/SkipToNextEvent contract tests: the event-driven core rests
@@ -16,7 +15,7 @@ func newEventTestChannel(t *testing.T) (*Channel, hbm.Config) {
 	t.Helper()
 	cfg := hbm.HBM2Config(1000)
 	cfg.Functional = false
-	return NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, metrics.New(1), 0), cfg
+	return NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, 0), cfg
 }
 
 // A fresh channel has no running timers and no data in flight: the only

@@ -12,7 +12,6 @@ import (
 	"pimsim/internal/fault"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
-	"pimsim/internal/metrics"
 	"pimsim/internal/obs"
 	"pimsim/internal/pim"
 	"pimsim/internal/trace"
@@ -99,7 +98,7 @@ func newRunRig(t *testing.T, rc runCase) *runRig {
 		attached = &refuser{PIMExecutor: exec, bank: 5*cfg.BanksPerUnit() + 1, col: 2}
 	}
 	dev.PCH(0).AttachPIM(attached)
-	r := &runRig{t: t, cfg: cfg, ch: NewChannel(dev.PCH(0), cfg, metrics.New(1), 0), exec: exec}
+	r := &runRig{t: t, cfg: cfg, ch: NewChannel(dev.PCH(0), cfg, 0), exec: exec}
 	r.ch.Trace = trace.NewRecorder(1 << 16)
 	r.tl = obs.NewTimeline(obs.TimelineConfig{Channels: 1}).Channel(0)
 	r.ch.TL, exec.TL = r.tl, r.tl

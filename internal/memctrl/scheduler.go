@@ -103,33 +103,33 @@ func (s *Scheduler) summarize(l Loc, bpg int, pch *hbm.PseudoChannel) {
 	}
 }
 
-// Demand-path stat accessors, reading this channel's shard of the metrics
-// registry (see NewChannel). Speculative activate-ahead activity is
-// reported separately so these reflect the true demand row-hit rate.
+// Demand-path stat accessors, reading the channel's Stats. Speculative
+// activate-ahead activity is reported separately so these reflect the
+// true demand row-hit rate.
 
 // RowHits returns serviced transactions that hit an open row.
-func (s *Scheduler) RowHits() int64 { return s.ch.m.rowHits.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) RowHits() int64 { return s.ch.st.RowHits }
 
 // RowMisses returns serviced transactions that hit a conflicting open row.
-func (s *Scheduler) RowMisses() int64 { return s.ch.m.rowMisses.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) RowMisses() int64 { return s.ch.st.RowMisses }
 
 // RowOpens returns serviced transactions that found their bank idle.
-func (s *Scheduler) RowOpens() int64 { return s.ch.m.rowOpens.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) RowOpens() int64 { return s.ch.st.RowOpens }
 
 // Reordered returns how often a younger transaction bypassed an older one.
-func (s *Scheduler) Reordered() int64 { return s.ch.m.reordered.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) Reordered() int64 { return s.ch.st.Reordered }
 
 // Completed returns the number of serviced transactions.
-func (s *Scheduler) Completed() int64 { return s.ch.m.completed.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) Completed() int64 { return s.ch.st.Completed }
 
 // Forwarded returns reads satisfied from the write buffer.
-func (s *Scheduler) Forwarded() int64 { return s.ch.m.forwarded.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) Forwarded() int64 { return s.ch.st.Forwarded }
 
 // AheadOpens returns speculative activates issued on idle banks.
-func (s *Scheduler) AheadOpens() int64 { return s.ch.m.aheadOpens.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) AheadOpens() int64 { return s.ch.st.AheadOpens }
 
 // AheadCloses returns speculative early precharges of unwanted open rows.
-func (s *Scheduler) AheadCloses() int64 { return s.ch.m.aheadCloses.ShardValue(s.ch.m.shard) }
+func (s *Scheduler) AheadCloses() int64 { return s.ch.st.AheadCloses }
 
 // DefaultWindow matches a contemporary 32-entry per-channel queue.
 const DefaultWindow = 32
@@ -250,10 +250,9 @@ func (s *Scheduler) step() (*Tx, error) {
 	if pick < 0 {
 		pick = 0
 	}
-	m := s.ch.m
-	m.reorderDist.Observe(m.shard, int64(pick))
+	st := &s.ch.st
 	if pick > 0 {
-		m.reordered.Inc(m.shard)
+		st.Reordered++
 	}
 	tx := s.queue.removeAt(pick)
 	// Store-to-load forwarding: a read covered by a buffered write never
@@ -263,8 +262,8 @@ func (s *Scheduler) step() (*Tx, error) {
 			tx.buf = append(tx.buf[:0], data...)
 			tx.Data = tx.buf
 			tx.done = s.ch.Now()
-			m.forwarded.Inc(m.shard)
-			m.completed.Inc(m.shard)
+			st.Forwarded++
+			st.Completed++
 			return tx, nil
 		}
 	}
@@ -272,7 +271,7 @@ func (s *Scheduler) step() (*Tx, error) {
 	if err := s.service(tx); err != nil {
 		return nil, err
 	}
-	m.completed.Inc(m.shard)
+	st.Completed++
 	// The read is on its way; if the write buffer is at capacity, drain it
 	// now (behind the read, never in front of it).
 	if err := s.maybeDrain(); err != nil {
@@ -307,20 +306,20 @@ func (s *Scheduler) Idle(max int) error {
 // service opens the row if needed and issues the column command.
 func (s *Scheduler) service(tx *Tx) error {
 	l := tx.Loc
-	m := s.ch.m
+	st := &s.ch.st
 	row, open := s.ch.PCH().OpenRow(l.BG, l.Bank)
 	switch {
 	case open && row == l.Row:
-		m.rowHits.Inc(m.shard)
+		st.RowHits++
 	case open:
-		m.rowMisses.Inc(m.shard)
+		st.RowMisses++
 		if _, err := s.ch.Issue(hbm.Command{Kind: hbm.CmdPRE, BG: l.BG, Bank: l.Bank}); err != nil {
 			return err
 		}
 		fallthrough
 	default:
 		if !open {
-			m.rowOpens.Inc(m.shard)
+			st.RowOpens++
 		}
 		if _, err := s.ch.Issue(hbm.Command{Kind: hbm.CmdACT, BG: l.BG, Bank: l.Bank, Row: l.Row}); err != nil {
 			return err
@@ -423,9 +422,9 @@ func (s *Scheduler) activateAhead(cur Loc) {
 			}
 			// Speculative traffic: counted apart from the demand row-hit /
 			// miss counters so reported hit rates stay honest.
-			s.ch.m.aheadCloses.Inc(s.ch.m.shard)
+			s.ch.st.AheadCloses++
 		}
-		s.ch.m.aheadOpens.Inc(s.ch.m.shard)
+		s.ch.st.AheadOpens++
 		// Best effort: tRRD/tFAW pressure just means the ACT lands a bit
 		// later; stop looking ahead on any failure.
 		if _, err := s.ch.Issue(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: bank, Row: st.firstRow}); err != nil {

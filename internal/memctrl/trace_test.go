@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/metrics"
 	"pimsim/internal/trace"
 )
 
@@ -13,9 +12,8 @@ func TestChannelTraceRecording(t *testing.T) {
 	cfg := hbm.HBM2Config(1000)
 	cfg.Functional = false
 	dev := hbm.MustNewDevice(cfg)
-	ch := NewChannel(dev.PCH(0), cfg, metrics.New(1), 0)
+	ch := NewChannel(dev.PCH(0), cfg, 3)
 	ch.Trace = trace.NewRecorder(64)
-	ch.ChannelID = 3
 
 	s := NewScheduler(ch, cfg)
 	for i := 0; i < 8; i++ {

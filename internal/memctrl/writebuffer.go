@@ -35,7 +35,6 @@ func (s *Scheduler) EnableWriteBuffer(low, high int) error {
 func (s *Scheduler) enqueueWrite(tx *Tx) {
 	tx.done = s.ch.Now()
 	s.wqueue.push(tx)
-	s.ch.m.wbufDepth.Set(s.ch.m.shard, int64(s.wqueue.len()))
 }
 
 // forward satisfies a read from the youngest buffered write to the same
@@ -52,9 +51,9 @@ func (s *Scheduler) forward(loc Loc) ([]byte, bool) {
 // drainWrites services buffered writes (oldest first, which FR-FCFS
 // row-hit picking then reorders) until at most `until` remain.
 func (s *Scheduler) drainWrites(until int) error {
-	m := s.ch.m
+	st := &s.ch.st
 	if s.wqueue.len() > until {
-		m.wbufDrains.Inc(m.shard)
+		st.WbufDrains++
 	}
 	for s.wqueue.len() > until {
 		// Row-hit first among the window, like the read path.
@@ -71,12 +70,11 @@ func (s *Scheduler) drainWrites(until int) error {
 			}
 		}
 		tx := s.wqueue.removeAt(pick)
-		m.wbufDepth.Set(m.shard, int64(s.wqueue.len()))
 		if err := s.service(tx); err != nil {
 			return err
 		}
-		m.wbufDrained.Inc(m.shard)
-		m.completed.Inc(m.shard)
+		st.WbufDrained++
+		st.Completed++
 		if s.AutoRelease {
 			s.Release(tx)
 		}

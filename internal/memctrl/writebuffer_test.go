@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/metrics"
 )
 
 // TestWriteBufferImprovesReadLatency: posting writes keeps the bus in
@@ -16,7 +15,7 @@ func TestWriteBufferImprovesReadLatency(t *testing.T) {
 	run := func(buffered bool) float64 {
 		cfg := hbm.HBM2Config(1000)
 		cfg.Functional = false
-		ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, metrics.New(1), 0)
+		ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, 0)
 		s := NewScheduler(ch, cfg)
 		if buffered {
 			if err := s.EnableWriteBuffer(4, 16); err != nil {
@@ -71,7 +70,7 @@ func TestWriteBufferImprovesReadLatency(t *testing.T) {
 // block returns the written data without touching DRAM.
 func TestStoreToLoadForwarding(t *testing.T) {
 	cfg := hbm.HBM2Config(1000)
-	ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, metrics.New(1), 0)
+	ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, 0)
 	s := NewScheduler(ch, cfg)
 	if err := s.EnableWriteBuffer(0, 64); err != nil {
 		t.Fatal(err)
@@ -113,7 +112,7 @@ func TestStoreToLoadForwarding(t *testing.T) {
 func TestWriteBufferWatermarks(t *testing.T) {
 	cfg := hbm.HBM2Config(1000)
 	cfg.Functional = false
-	ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, metrics.New(1), 0)
+	ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, 0)
 	s := NewScheduler(ch, cfg)
 	if err := s.EnableWriteBuffer(2, 8); err != nil {
 		t.Fatal(err)
@@ -156,7 +155,7 @@ func TestWriteBufferWatermarks(t *testing.T) {
 func TestEnableWriteBufferRejectsPending(t *testing.T) {
 	cfg := hbm.HBM2Config(1000)
 	cfg.Functional = false
-	ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, metrics.New(1), 0)
+	ch := NewChannel(hbm.MustNewDevice(cfg).PCH(0), cfg, 0)
 
 	s := NewScheduler(ch, cfg)
 	s.Enqueue(false, Loc{BG: 0, Bank: 0, Row: 1, Col: 0}, nil)

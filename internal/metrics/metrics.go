@@ -10,14 +10,15 @@
 //	pim_instr_total{op="MAC"}       MAC instructions retired
 //
 // Counters and histograms are cumulative and monotone; gauges are levels.
-// Every metric is sharded: writers (one per memory channel under a
-// parallel runtime engine) update their own shard through sync/atomic, so
-// concurrent kernels never race, and shards are merged when a Snapshot is
-// taken. No two shards' cells share a cache line, so writers of different
-// shards do not contend for one either; writers sharing a shard (or a
-// Snapshot reading it) still do. Snapshot may run concurrently with
-// writers; collector callbacks (which read foreign state such as device
-// counters) should only be relied on when the instrumented components are
+// Each thing is counted once, by the component that owns it. The serving
+// layer's metrics are registry handles, one atomic value each, written
+// from any goroutine (Inc, Add, Set, Observe) and safe to Snapshot
+// mid-flight. The simulator's counters are plain fields of the channel
+// that owns them (hbm.Stats, the PIM executor's retire counts,
+// memctrl.Stats, the runtime's phase ledger): one host thread group drives
+// each pseudo channel, so they need no atomics, and a collector bridges
+// them into each Snapshot. Collectors read foreign state unsynchronized,
+// so their output is only exact while the instrumented components are
 // quiescent.
 package metrics
 
@@ -30,12 +31,8 @@ import (
 
 // Registry holds the named metrics of one simulated system.
 type Registry struct {
-	shards int
-
 	mu         sync.RWMutex
 	clock      Clock
-	slab       []atomic.Int64 // the cells newCells cuts counters and gauges from
-	slabUsed   int            // metrics holding a cell in each of slab's lines
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
@@ -45,14 +42,9 @@ type Registry struct {
 	collectors []Collector
 }
 
-// New builds a registry with the given number of shards (one per
-// concurrent writer, typically one per memory channel).
-func New(shards int) *Registry {
-	if shards < 1 {
-		shards = 1
-	}
+// New builds an empty registry.
+func New() *Registry {
 	return &Registry{
-		shards:    shards,
 		counters:  make(map[string]*Counter),
 		gauges:    make(map[string]*Gauge),
 		hists:     make(map[string]*Histogram),
@@ -61,9 +53,6 @@ func New(shards int) *Registry {
 		help:      make(map[string]string),
 	}
 }
-
-// Shards returns the writer shard count.
-func (r *Registry) Shards() int { return r.shards }
 
 // SetClock installs the time source used by windowed metrics built after
 // the call (per-metric WindowOpts.Clock still wins). Tests install a fake
@@ -98,7 +87,7 @@ func (r *Registry) Counter(name string) *Counter {
 		return c
 	}
 	r.checkKind(name, "counter")
-	c := &Counter{name: name, v: r.newCells()}
+	c := &Counter{name: name}
 	r.counters[name] = c
 	return c
 }
@@ -111,7 +100,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return g
 	}
 	r.checkKind(name, "gauge")
-	g := &Gauge{name: name, v: r.newCells()}
+	g := &Gauge{name: name}
 	r.gauges[name] = g
 	return g
 }
@@ -132,17 +121,9 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		}
 	}
 	h := &Histogram{
-		name:   name,
-		bounds: append([]int64(nil), bounds...),
-		sh:     make([]histShard, r.shards),
-	}
-	// The shards' buckets are cut from one array, each shard's on whole
-	// cache lines of its own.
-	nb := len(bounds) + 1
-	stride := (nb + lineCells - 1) / lineCells * lineCells
-	buckets := make([]atomic.Int64, stride*r.shards)
-	for i := range h.sh {
-		h.sh[i].buckets = buckets[i*stride : i*stride+nb : i*stride+nb]
+		name:    name,
+		bounds:  append([]int64(nil), bounds...),
+		buckets: make([]atomic.Int64, len(bounds)+1),
 	}
 	r.hists[name] = h
 	return h
@@ -224,7 +205,7 @@ func (r *Registry) RegisterCollector(c Collector) {
 	r.collectors = append(r.collectors, c)
 }
 
-// Snapshot captures every metric (shards merged) plus collector output.
+// Snapshot captures every metric plus collector output.
 // Windowed metrics are folded in at their full width: histograms into
 // Histograms, counters into Gauges (a window total is a level, not a
 // monotone count).
@@ -284,144 +265,76 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// shardIndex bounds-checks a writer shard.
-func shardIndex(n, shard int) int {
-	if shard < 0 || shard >= n {
-		panic(fmt.Sprintf("metrics: shard %d out of range (%d shards)", shard, n))
-	}
-	return shard
-}
-
-// cacheLine is the cache line size metric cells are laid out by: no
-// line holds cells of two shards.
-const cacheLine = 64
-
-// lineCells is how many 8-byte cells fill a cache line.
-const lineCells = cacheLine / 8
-
-// cells is one counter's or gauge's value per shard, cut from a slab the
-// registry shares among lineCells metrics: the slab holds one cache line
-// per shard, the shard's cells of those metrics, so a line is written by
-// its shard's writer alone and the metrics take no more memory than
-// unpadded cells. A slab is whole cache lines, an allocation Go starts
-// on a line boundary.
-type cells struct {
-	slab []atomic.Int64 // lineCells cells per shard
-	col  int            // this metric's cell in each shard's line
-}
-
-// newCells cuts a metric's cells from the current slab, starting a new
-// slab when every cell of its lines is taken. Callers hold r.mu.
-func (r *Registry) newCells() cells {
-	if r.slab == nil || r.slabUsed == lineCells {
-		r.slab, r.slabUsed = make([]atomic.Int64, lineCells*r.shards), 0
-	}
-	r.slabUsed++
-	return cells{slab: r.slab, col: r.slabUsed - 1}
-}
-
-// at returns shard's cell.
-func (c cells) at(shard int) *atomic.Int64 {
-	return &c.slab[shardIndex(len(c.slab)/lineCells, shard)*lineCells+c.col]
-}
-
-// sum returns the cells' total across shards.
-func (c cells) sum() int64 {
-	var t int64
-	for i := c.col; i < len(c.slab); i += lineCells {
-		t += c.slab[i].Load()
-	}
-	return t
-}
-
 // Counter is a monotone cumulative count.
 type Counter struct {
 	name string
-	v    cells
+	v    atomic.Int64
 }
 
 // Name returns the registered name.
 func (c *Counter) Name() string { return c.name }
 
-// Inc adds one to the shard's count.
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
+// Inc adds one to the count.
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds d to the shard's count.
-func (c *Counter) Add(shard int, d int64) { c.v.at(shard).Add(d) }
+// Add adds d to the count.
+func (c *Counter) Add(d int64) { c.v.Add(d) }
 
-// Value returns the merged count across shards.
-func (c *Counter) Value() int64 { return c.v.sum() }
+// Value returns the count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
-// ShardValue returns one shard's count.
-func (c *Counter) ShardValue(shard int) int64 { return c.v.at(shard).Load() }
-
-// Gauge is an instantaneous level (queue depth, outstanding debt). The
-// merged value is the sum over shards, which for per-channel levels reads
-// as the system-wide level.
+// Gauge is an instantaneous level (queue depth, healthy shards).
 type Gauge struct {
 	name string
-	v    cells
+	v    atomic.Int64
 }
 
 // Name returns the registered name.
 func (g *Gauge) Name() string { return g.name }
 
-// Set stores the shard's level.
-func (g *Gauge) Set(shard int, v int64) { g.v.at(shard).Store(v) }
+// Set stores the level.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the shard's level by d.
-func (g *Gauge) Add(shard int, d int64) { g.v.at(shard).Add(d) }
+// Add adjusts the level by d.
+func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
-// Value returns the summed level across shards.
-func (g *Gauge) Value() int64 { return g.v.sum() }
+// Value returns the level.
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// ShardValue returns one shard's level.
-func (g *Gauge) ShardValue(shard int) int64 { return g.v.at(shard).Load() }
-
-// Histogram is a fixed-bucket distribution (latencies in cycles,
+// Histogram is a fixed-bucket distribution (latencies in microseconds,
 // occupancies in entries).
 type Histogram struct {
-	name   string
-	bounds []int64 // ascending upper bounds; bucket i counts v <= bounds[i]
-	sh     []histShard
-}
-
-// histShard is one shard of a histogram, padded to a cache line.
-type histShard struct {
+	name    string
+	bounds  []int64        // ascending upper bounds; bucket i counts v <= bounds[i]
 	buckets []atomic.Int64 // len(bounds)+1; last is the +Inf overflow
 	count   atomic.Int64
 	sum     atomic.Int64
-	_       [cacheLine - 40]byte
 }
 
 // Name returns the registered name.
 func (h *Histogram) Name() string { return h.name }
 
-// Observe records one value in the shard's distribution.
-func (h *Histogram) Observe(shard int, v int64) {
-	s := &h.sh[shardIndex(len(h.sh), shard)]
+// Observe records one value.
+func (h *Histogram) Observe(v int64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	s.buckets[i].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
+	h.buckets[i].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 }
 
-// snapshot merges the shards.
+// snapshot copies the distribution.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	out := HistogramSnapshot{
+		Count:   h.count.Load(),
+		Sum:     h.sum.Load(),
 		Bounds:  append([]int64(nil), h.bounds...),
-		Buckets: make([]int64, len(h.bounds)+1),
+		Buckets: make([]int64, len(h.buckets)),
 	}
-	for i := range h.sh {
-		s := &h.sh[i]
-		out.Count += s.count.Load()
-		out.Sum += s.sum.Load()
-		for b := range out.Buckets {
-			out.Buckets[b] += s.buckets[b].Load()
-		}
+	for b := range out.Buckets {
+		out.Buckets[b] = h.buckets[b].Load()
 	}
 	return out
 }

@@ -6,17 +6,15 @@ import (
 	"testing"
 )
 
-func TestCounterShardsMerge(t *testing.T) {
-	r := New(4)
+func TestCounterAdds(t *testing.T) {
+	r := New()
 	c := r.Counter("x_total")
-	for shard := 0; shard < 4; shard++ {
-		c.Add(shard, int64(shard+1))
+	for i := 1; i <= 4; i++ {
+		c.Add(int64(i))
 	}
-	if c.Value() != 1+2+3+4 {
-		t.Errorf("merged value = %d, want 10", c.Value())
-	}
-	if c.ShardValue(2) != 3 {
-		t.Errorf("shard 2 = %d, want 3", c.ShardValue(2))
+	c.Inc()
+	if c.Value() != 1+2+3+4+1 {
+		t.Errorf("value = %d, want 11", c.Value())
 	}
 	// Registration is idempotent: same handle back.
 	if r.Counter("x_total") != c {
@@ -25,7 +23,7 @@ func TestCounterShardsMerge(t *testing.T) {
 }
 
 func TestKindCollisionPanics(t *testing.T) {
-	r := New(1)
+	r := New()
 	r.Counter("name")
 	defer func() {
 		if recover() == nil {
@@ -35,37 +33,37 @@ func TestKindCollisionPanics(t *testing.T) {
 	r.Gauge("name")
 }
 
-func TestConcurrentShardWriters(t *testing.T) {
-	const shards, perShard = 8, 10000
-	r := New(shards)
+func TestConcurrentWriters(t *testing.T) {
+	const writers, perWriter = 8, 10000
+	r := New()
 	c := r.Counter("c_total")
 	g := r.Gauge("g")
 	h := r.Histogram("h", ExpBuckets(1, 2, 8))
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	for s := 0; s < writers; s++ {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perShard; i++ {
-				c.Inc(s)
-				g.Set(s, int64(i))
-				h.Observe(s, int64(i%300))
+			for i := 0; i < perWriter; i++ {
+				c.Inc()
+				g.Set(int64(i))
+				h.Observe(int64(i % 300))
 			}
-		}(s)
+		}()
 	}
-	// Snapshots race against the writers on purpose: shard merging must be
-	// safe mid-flight (values are merely approximate then).
+	// Snapshots race against the writers on purpose: reading must be safe
+	// mid-flight (values are merely approximate then).
 	for i := 0; i < 100; i++ {
 		_ = r.Snapshot()
 	}
 	wg.Wait()
 	snap := r.Snapshot()
-	if got := snap.Counter("c_total"); got != shards*perShard {
-		t.Errorf("counter = %d, want %d", got, shards*perShard)
+	if got := snap.Counter("c_total"); got != writers*perWriter {
+		t.Errorf("counter = %d, want %d", got, writers*perWriter)
 	}
 	hs := snap.Histograms["h"]
-	if hs.Count != shards*perShard {
-		t.Errorf("histogram count = %d, want %d", hs.Count, shards*perShard)
+	if hs.Count != writers*perWriter {
+		t.Errorf("histogram count = %d, want %d", hs.Count, writers*perWriter)
 	}
 	var bucketTotal int64
 	for _, b := range hs.Buckets {
@@ -77,18 +75,18 @@ func TestConcurrentShardWriters(t *testing.T) {
 }
 
 func TestSnapshotDiff(t *testing.T) {
-	r := New(1)
+	r := New()
 	c := r.Counter("c_total")
 	g := r.Gauge("g")
 	h := r.Histogram("h", []int64{10, 100})
-	c.Add(0, 5)
-	g.Set(0, 7)
-	h.Observe(0, 3)
+	c.Add(5)
+	g.Set(7)
+	h.Observe(3)
 	before := r.Snapshot()
-	c.Add(0, 10)
-	g.Set(0, 2)
-	h.Observe(0, 50)
-	h.Observe(0, 1000)
+	c.Add(10)
+	g.Set(2)
+	h.Observe(50)
+	h.Observe(1000)
 	diff := r.Snapshot().Diff(before)
 	if diff.Counter("c_total") != 10 {
 		t.Errorf("counter diff = %d, want 10", diff.Counter("c_total"))
@@ -106,8 +104,8 @@ func TestSnapshotDiff(t *testing.T) {
 }
 
 func TestCollectorMergesIntoCounters(t *testing.T) {
-	r := New(1)
-	r.Counter("a_total").Add(0, 2)
+	r := New()
+	r.Counter("a_total").Add(2)
 	r.RegisterCollector(func(emit func(string, int64)) {
 		emit("a_total", 3) // sums with the registered counter
 		emit("b_total", 7) // appears on its own
@@ -121,15 +119,15 @@ func TestCollectorMergesIntoCounters(t *testing.T) {
 // TestGoldenExposition pins the exact JSON and Prometheus output formats
 // so downstream scrapers can rely on them.
 func TestGoldenExposition(t *testing.T) {
-	r := New(2)
-	r.Counter("memctrl_row_hits_total").Add(0, 40)
-	r.Counter("memctrl_row_hits_total").Add(1, 2)
-	r.Counter(`hbm_bank_act_total{bank="3"}`).Add(0, 9)
-	r.Gauge("memctrl_wbuf_depth").Set(0, 4)
+	r := New()
+	r.Counter("memctrl_row_hits_total").Add(40)
+	r.Counter("memctrl_row_hits_total").Add(2)
+	r.Counter(`hbm_bank_act_total{bank="3"}`).Add(9)
+	r.Gauge("memctrl_wbuf_depth").Set(4)
 	h := r.Histogram("memctrl_reorder_distance", []int64{1, 4})
-	h.Observe(0, 1)
-	h.Observe(0, 3)
-	h.Observe(1, 100)
+	h.Observe(1)
+	h.Observe(3)
+	h.Observe(100)
 	snap := r.Snapshot()
 
 	var js strings.Builder
@@ -197,25 +195,25 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-// BenchmarkCounterShards times one Counter.Add: from one goroutine on
-// shard 0, and from two goroutines at once on shards 0 and 1, which must
-// not share a cache line (per Add, of each goroutine).
-func BenchmarkCounterShards(b *testing.B) {
+// BenchmarkCounterAdd times one Counter.Add: from one goroutine, and
+// from two goroutines at once on the same counter (per Add, of each
+// goroutine).
+func BenchmarkCounterAdd(b *testing.B) {
 	b.Run("one", func(b *testing.B) {
-		c := New(2).Counter("c")
+		c := New().Counter("c")
 		for i := 0; i < b.N; i++ {
-			c.Add(0, 1)
+			c.Add(1)
 		}
 	})
 	b.Run("two", func(b *testing.B) {
-		c := New(2).Counter("c")
+		c := New().Counter("c")
 		var wg sync.WaitGroup
-		for shard := range 2 {
+		for range 2 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < b.N; i++ {
-					c.Add(shard, 1)
+					c.Add(1)
 				}
 			}()
 		}

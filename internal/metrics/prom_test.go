@@ -172,17 +172,17 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		"backslash": `c:\tmp`,
 		"newline":   "line1\nline2",
 	}
-	r := New(1)
+	r := New()
 	r.SetHelp("serve_shed_total", "requests shed, by tenant")
 	r.SetHelp("serve_wait_us", "queue wait in microseconds\nsecond line")
 	for k, v := range hostile {
-		r.Counter(Labels("serve_shed_total", "tenant", v, "kind", k)).Add(0, 7)
+		r.Counter(Labels("serve_shed_total", "tenant", v, "kind", k)).Add(7)
 	}
 	h := r.Histogram(Labels("serve_wait_us", "tenant", `tricky"t`), []int64{10, 100})
-	h.Observe(0, 5)
-	h.Observe(0, 50)
-	h.Observe(0, 500)
-	r.Gauge(Labels("serve_depth", "model", "m\n1")).Set(0, 3)
+	h.Observe(5)
+	h.Observe(50)
+	h.Observe(500)
+	r.Gauge(Labels("serve_depth", "model", "m\n1")).Set(3)
 
 	var out strings.Builder
 	if err := r.Snapshot().WritePrometheus(&out); err != nil {
@@ -270,12 +270,12 @@ func FuzzPrometheusRoundTrip(f *testing.F) {
 		if len(name)+len(tenant)+len(model) > 1<<12 {
 			t.Skip("longer than a scrape line should be")
 		}
-		r := New(2)
-		r.Counter(Labels(name, "tenant", tenant, "model", model)).Add(1, 7)
-		r.Gauge(Labels(name+"_g", "tenant", tenant)).Set(0, -3)
+		r := New()
+		r.Counter(Labels(name, "tenant", tenant, "model", model)).Add(7)
+		r.Gauge(Labels(name+"_g", "tenant", tenant)).Set(-3)
 		h := r.Histogram(Labels(name+"_h", "model", model), []int64{10})
-		h.Observe(1, 5)
-		h.Observe(0, 50)
+		h.Observe(5)
+		h.Observe(50)
 		var out strings.Builder
 		if err := r.Snapshot().WritePrometheus(&out); err != nil {
 			t.Fatal(err)

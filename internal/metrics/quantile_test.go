@@ -7,21 +7,21 @@ import (
 
 func observeAll(h *Histogram, vs []int64) {
 	for _, v := range vs {
-		h.Observe(0, v)
+		h.Observe(v)
 	}
 }
 
 func TestQuantileUniform(t *testing.T) {
 	// 1..1000 uniformly, buckets every 50: quantiles must land within one
 	// bucket width of the exact order statistic.
-	r := New(1)
+	r := New()
 	var bounds []int64
 	for b := int64(50); b <= 1000; b += 50 {
 		bounds = append(bounds, b)
 	}
 	h := r.Histogram("u", bounds)
 	for v := int64(1); v <= 1000; v++ {
-		h.Observe(0, v)
+		h.Observe(v)
 	}
 	s := r.Snapshot().Histograms["u"]
 	for _, tc := range []struct{ p, want float64 }{
@@ -37,11 +37,11 @@ func TestQuantileUniform(t *testing.T) {
 func TestQuantilePointMass(t *testing.T) {
 	// 100 identical observations of 5 in a (0,10] bucket: every quantile
 	// interpolates to the bucket's midpoint region, never outside (0,10].
-	r := New(1)
+	r := New()
 	h := r.Histogram("pm", []int64{10, 100})
 	observeAll(h, make([]int64, 0))
 	for i := 0; i < 100; i++ {
-		h.Observe(0, 5)
+		h.Observe(5)
 	}
 	s := r.Snapshot().Histograms["pm"]
 	if got := s.Quantile(0.5); got != 5 {
@@ -59,13 +59,13 @@ func TestQuantileBimodal(t *testing.T) {
 	// 90 fast observations near 10, 10 slow ones near 1000: p50 must sit
 	// in the fast mode, p95/p99 in the slow mode — the serving tail-latency
 	// pattern this helper exists for.
-	r := New(1)
+	r := New()
 	h := r.Histogram("bi", ExpBuckets(1, 2, 12)) // 1,2,4,...,2048
 	for i := 0; i < 90; i++ {
-		h.Observe(0, 10)
+		h.Observe(10)
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(0, 1000)
+		h.Observe(1000)
 	}
 	s := r.Snapshot().Histograms["bi"]
 	if p50 := s.Quantile(0.50); p50 < 8 || p50 > 16 {
@@ -80,14 +80,14 @@ func TestQuantileBimodal(t *testing.T) {
 }
 
 func TestQuantileEdges(t *testing.T) {
-	r := New(1)
+	r := New()
 	h := r.Histogram("e", []int64{10})
 	s := r.Snapshot().Histograms["e"]
 	if got := s.Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
 	// Overflow-only data clamps to the highest finite bound.
-	h.Observe(0, 50)
+	h.Observe(50)
 	s = r.Snapshot().Histograms["e"]
 	if got := s.Quantile(0.99); got != 10 {
 		t.Errorf("overflow quantile = %v, want clamp to 10", got)
@@ -102,10 +102,10 @@ func TestQuantileEdges(t *testing.T) {
 // shape to a defined answer: no NaN/Inf escapes, no panic, no silent
 // max-bound masquerading as a tail estimate.
 func TestQuantileDegenerateInputs(t *testing.T) {
-	r := New(1)
+	r := New()
 	h := r.Histogram("d", []int64{10, 100})
 	for i := 0; i < 10; i++ {
-		h.Observe(0, 5) // all mass in the (0,10] bucket
+		h.Observe(5) // all mass in the (0,10] bucket
 	}
 	s := r.Snapshot().Histograms["d"]
 	empty := HistogramSnapshot{}

@@ -139,7 +139,7 @@ func TestWindowCounterRollover(t *testing.T) {
 // ordinary export maps.
 func TestRegistryWindows(t *testing.T) {
 	clk := newFakeClock()
-	r := New(1)
+	r := New()
 	r.SetClock(clk.Now)
 
 	h := r.WindowHistogram("win_lat_us", []int64{10, 100}, WindowOpts{Width: 10 * time.Second, Slots: 5})

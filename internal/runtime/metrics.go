@@ -5,14 +5,13 @@ import (
 
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
-	"pimsim/internal/metrics"
 	"pimsim/internal/obs"
 )
 
-// KernelPhase classifies what a kernel's command stream is spent on. The
-// runtime accounts every phase twice: into the metrics registry (process
-// lifetime totals) and, when armed via BeginPhaseObs, into a per-kernel
-// aggregate that tracing attaches to the request's exec span.
+// KernelPhase classifies what a kernel's command stream is spent on. Each
+// channel keeps one ledger of its phases, a PhaseBreakdown of plain
+// fields: the collector reports it as the runtime_* series, and
+// BeginPhaseObs/TakePhaseObs read a kernel's share of it for tracing.
 type KernelPhase int
 
 const (
@@ -40,72 +39,30 @@ func (p KernelPhase) String() string {
 	return "unknown"
 }
 
-// phaseMetrics are the runtime's kernel-phase counters: per phase, its op
-// count and its cycle cost, so Snapshot.Diff around a kernel yields its
-// phase breakdown. Indexed by KernelPhase; the registered names are part
-// of the metrics surface and must not change.
-type phaseMetrics struct {
-	counts [NumPhases]*metrics.Counter
-	cycles [NumPhases]*metrics.Counter
+// phaseSeries names each phase's count and cycle series in snapshots.
+// The names are part of the metrics surface and must not change.
+var phaseSeries = [NumPhases]struct{ count, cycles string }{
+	PhaseMode:    {"runtime_mode_transitions_total", "runtime_mode_transition_cycles_total"},
+	PhaseCRF:     {"runtime_crf_programs_total", "runtime_crf_program_cycles_total"},
+	PhaseSRF:     {"runtime_srf_programs_total", "runtime_srf_program_cycles_total"},
+	PhaseGRF:     {"runtime_grf_zeros_total", "runtime_grf_zero_cycles_total"},
+	PhaseTrigger: {"runtime_triggers_total", "runtime_trigger_cycles_total"},
 }
 
-func newPhaseMetrics(reg *metrics.Registry) *phaseMetrics {
-	pm := &phaseMetrics{}
-	pm.counts[PhaseMode] = reg.Counter("runtime_mode_transitions_total")
-	pm.cycles[PhaseMode] = reg.Counter("runtime_mode_transition_cycles_total")
-	pm.counts[PhaseCRF] = reg.Counter("runtime_crf_programs_total")
-	pm.cycles[PhaseCRF] = reg.Counter("runtime_crf_program_cycles_total")
-	pm.counts[PhaseSRF] = reg.Counter("runtime_srf_programs_total")
-	pm.cycles[PhaseSRF] = reg.Counter("runtime_srf_program_cycles_total")
-	pm.counts[PhaseGRF] = reg.Counter("runtime_grf_zeros_total")
-	pm.cycles[PhaseGRF] = reg.Counter("runtime_grf_zero_cycles_total")
-	pm.counts[PhaseTrigger] = reg.Counter("runtime_triggers_total")
-	pm.cycles[PhaseTrigger] = reg.Counter("runtime_trigger_cycles_total")
-	return pm
+// notePhase books n operations of one phase, spanning start to the
+// channel's clock now, into the channel's ledger. Back-to-back operations
+// telescope (each starts at the cycle its predecessor ended), so a run of
+// n is booked once.
+func (r *Runtime) notePhase(ch int, ph KernelPhase, n int, start int64) {
+	l := &r.chs[ch].phases
+	l.Count[ph] += int64(n)
+	l.Cycles[ph] += r.Chans[ch].Now() - start
 }
 
-// phaseCell is one channel's running per-kernel phase aggregate.
-type phaseCell struct {
-	n      int64
-	cycles int64
-}
-
-// notePhase records one phase operation and the cycles the channel clock
-// advanced during it. The shard is the channel's own (parent numbering),
-// so restricted multi-tenant views stay race free under a parallel engine —
-// and the per-kernel aggregate is likewise indexed by channel.
-func (r *Runtime) notePhase(ch int, ph KernelPhase, start int64) {
-	shard := r.Chans[ch].MetricsShard()
-	d := r.Chans[ch].Now() - start
-	r.pm.counts[ph].Inc(shard)
-	r.pm.cycles[ph].Add(shard, d)
-	if r.obsAgg != nil {
-		cell := &r.obsAgg[ch][ph]
-		cell.n++
-		cell.cycles += d
-	}
-}
-
-// notePhaseN records n operations of one phase spanning start..now as a
-// single metrics update. Back-to-back operations telescope (each starts
-// at the cycle its predecessor ended), so the totals are identical to n
-// individual notePhase calls — this is the batched form the trigger-run
-// paths use to keep the sharded-counter atomics off the per-command path.
-func (r *Runtime) notePhaseN(ch int, ph KernelPhase, n int, start int64) {
-	shard := r.Chans[ch].MetricsShard()
-	d := r.Chans[ch].Now() - start
-	r.pm.counts[ph].Add(shard, int64(n))
-	r.pm.cycles[ph].Add(shard, d)
-	if r.obsAgg != nil {
-		cell := &r.obsAgg[ch][ph]
-		cell.n += int64(n)
-		cell.cycles += d
-	}
-}
-
-// PhaseBreakdown is one kernel's cost split by phase, summed over
-// channels. Cycles are simulated cycles (sum across channels, so on a
-// multi-channel kernel they exceed the kernel's critical-path latency).
+// PhaseBreakdown is a cost split by phase: a channel's ledger, or one
+// kernel's share of the ledgers summed over channels. Cycles are
+// simulated cycles (summed across channels, so on a multi-channel kernel
+// they exceed the kernel's critical-path latency).
 type PhaseBreakdown struct {
 	Count  [NumPhases]int64
 	Cycles [NumPhases]int64
@@ -127,31 +84,28 @@ func (b PhaseBreakdown) Summary() string {
 	return s
 }
 
-// BeginPhaseObs arms per-kernel phase aggregation: from this call until
-// TakePhaseObs, every phase operation is also accumulated into a
-// per-channel table (one cache-line-independent row per channel, safe
-// under a parallel engine). Call only while kernels are quiescent. The
-// unarmed cost in notePhase is one nil check.
+// BeginPhaseObs marks every channel's ledger: TakePhaseObs reports the
+// phase activity since the mark. Call only while kernels are quiescent.
 func (r *Runtime) BeginPhaseObs() {
-	if r.obsAgg == nil {
-		r.obsAgg = make([][NumPhases]phaseCell, len(r.Chans))
-		return
-	}
-	for i := range r.obsAgg {
-		r.obsAgg[i] = [NumPhases]phaseCell{}
+	for _, cs := range r.chs {
+		cs.obs, cs.obsArmed = cs.phases, true
 	}
 }
 
-// TakePhaseObs returns the phase activity since BeginPhaseObs, summed
-// over channels, and resets the aggregate. Zero valued when never armed.
+// TakePhaseObs returns the phase activity since the last BeginPhaseObs or
+// TakePhaseObs, summed over channels, and moves the mark to now. Zero
+// valued when never armed.
 func (r *Runtime) TakePhaseObs() PhaseBreakdown {
 	var b PhaseBreakdown
-	for i := range r.obsAgg {
-		for p := KernelPhase(0); p < NumPhases; p++ {
-			b.Count[p] += r.obsAgg[i][p].n
-			b.Cycles[p] += r.obsAgg[i][p].cycles
-			r.obsAgg[i][p] = phaseCell{}
+	for _, cs := range r.chs {
+		if !cs.obsArmed {
+			continue
 		}
+		for p := range b.Count {
+			b.Count[p] += cs.phases.Count[p] - cs.obs.Count[p]
+			b.Cycles[p] += cs.phases.Cycles[p] - cs.obs.Cycles[p]
+		}
+		cs.obs = cs.phases
 	}
 	return b
 }
@@ -164,18 +118,40 @@ func (r *Runtime) TakePhaseObs() PhaseBreakdown {
 // are nil-safe). Call before driving traffic.
 func (r *Runtime) AttachTimeline(tl *obs.Timeline) {
 	for i, c := range r.Chans {
-		c.ChannelID = i
 		c.TL = tl.Channel(i)
 		r.Execs[i].TL = tl.Channel(i)
 	}
 }
 
-// collectDeviceMetrics bridges the hbm device counters and the PIM
-// executors into a snapshot. It reads foreign state without
-// synchronization, so it is only accurate while kernels are quiescent
-// (after ForEachChannel returns, which is a happens-before edge).
+// collectDeviceMetrics bridges every channel's counters into a snapshot:
+// the hbm device's, the PIM executor's, the controller's and the
+// runtime's phase ledger. It reads them without synchronization, so it is
+// only accurate while kernels are quiescent (after ForEachChannel
+// returns, which is a happens-before edge).
 func (r *Runtime) collectDeviceMetrics(emit func(name string, value int64)) {
 	for i, c := range r.Chans {
+		m := c.Stats()
+		emit("memctrl_fences_total", m.Fences)
+		emit("memctrl_fence_stall_cycles_total", m.FenceStallCycles)
+		emit("memctrl_refresh_total", m.Refreshes)
+		emit("memctrl_refresh_postponed_total", m.RefreshPostponed)
+		emit("memctrl_row_hits_total", m.RowHits)
+		emit("memctrl_row_misses_total", m.RowMisses)
+		emit("memctrl_row_opens_total", m.RowOpens)
+		emit("memctrl_reordered_total", m.Reordered)
+		emit("memctrl_completed_total", m.Completed)
+		emit("memctrl_forwarded_total", m.Forwarded)
+		emit("memctrl_ahead_opens_total", m.AheadOpens)
+		emit("memctrl_ahead_closes_total", m.AheadCloses)
+		emit("memctrl_wbuf_drains_total", m.WbufDrains)
+		emit("memctrl_wbuf_drained_writes_total", m.WbufDrained)
+
+		l := &r.chs[i].phases
+		for p, names := range phaseSeries {
+			emit(names.count, l.Count[p])
+			emit(names.cycles, l.Cycles[p])
+		}
+
 		p := c.PCH()
 		st := p.Stats()
 		emit("hbm_act_total", st.ACT+st.ABACT)

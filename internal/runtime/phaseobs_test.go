@@ -51,7 +51,7 @@ func driveOnePhaseRound(t *testing.T, rt *Runtime) {
 func TestPhaseObsAccounting(t *testing.T) {
 	rt := newRT(t, 1)
 
-	// Unarmed: activity flows to the metrics registry only; TakePhaseObs
+	// Unarmed: activity goes to the channel ledgers only; TakePhaseObs
 	// reports nothing.
 	driveOnePhaseRound(t, rt)
 	if pb := rt.TakePhaseObs(); pb.Count[PhaseTrigger] != 0 {

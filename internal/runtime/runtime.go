@@ -30,17 +30,11 @@ type Runtime struct {
 	Execs []*pim.Executor
 	Drv   *driver.Driver
 
-	// Metrics is the system-wide registry: one shard per channel, shared
-	// by the memctrl layer, the runtime's phase counters, and snapshot-time
-	// collectors bridging the hbm device and PIM executor counters.
+	// Metrics is the system-wide registry. The simulator's counters are
+	// plain per-channel fields (hbm, PIM executor, memctrl, the phase
+	// ledgers in chs); one snapshot-time collector bridges them in.
 	// Restricted views (multi-tenancy) share the parent's registry.
 	Metrics *metrics.Registry
-	pm      *phaseMetrics
-
-	// obsAgg, when armed by BeginPhaseObs, accumulates per-kernel phase
-	// activity per channel (tracing's span attributes). Nil when tracing
-	// is off: notePhase pays one nil check.
-	obsAgg [][NumPhases]phaseCell
 
 	// SimChannels, when positive and the device is timing-only, limits
 	// kernel command-stream generation to the first n channels. Channel 0
@@ -49,38 +43,45 @@ type Runtime struct {
 	// simulating the remaining symmetric channels would only repeat it.
 	SimChannels int
 
-	// bufs is one set of column-run buffers per channel (parent
-	// numbering): the register-space payloads the runtime builds itself
-	// and the column views of a bank-row write. hbm has consumed a WR
-	// payload by the time a run returns, so a channel's runs can share
-	// them.
-	bufs []*cmdBufs
+	// chs is what the runtime keeps per channel (parent numbering), one
+	// pointer per channel shared with restricted views.
+	chs []*chanState
 
 	// zeros is ZeroGRF's payload list, as long as the GRF register space:
 	// every entry the same zeroed burst, read-only and shared by every
 	// channel.
 	zeros [][]byte
 
-	// unload is one ReadGRFRowSB result buffer per channel (parent
-	// numbering), shared with restricted views like bufs.
-	unload []*grfUnload
-
-	// payloads is one Payloads buffer per channel (parent numbering),
-	// shared with restricted views like bufs.
-	payloads []*payloadRun
-
-	// marks is one kernel-region snapshot per channel (parent numbering),
-	// shared with restricted views like bufs: BeginRegion writes a channel's
-	// clock and fence count there and EndRegion reads them back. A launch
-	// owns its channels' marks from BeginRegion to EndRegion, so launches
-	// on overlapping channel sets must not run concurrently, which they
-	// cannot anyway: a channel's command stream is one goroutine's.
-	marks []*regionMark
-
 	// eng dispatches per-channel kernel work. Nil runs channels
 	// sequentially on the caller's goroutine (engine.Serial semantics
 	// without the indirection).
 	eng engine.Engine
+}
+
+// chanState is one channel's runtime state. Only the goroutine driving
+// the channel touches it while a kernel runs.
+type chanState struct {
+	// phases is the channel's phase ledger since construction; obs is its
+	// value at the last BeginPhaseObs or TakePhaseObs, once obsArmed.
+	phases, obs PhaseBreakdown
+	obsArmed    bool
+
+	// region is the kernel-region snapshot: BeginRegion writes the
+	// channel's clock and fence count there and EndRegion reads them back.
+	// A launch owns its channels' regions from BeginRegion to EndRegion,
+	// so launches on overlapping channel sets must not run concurrently,
+	// which they cannot anyway: a channel's command stream is one
+	// goroutine's.
+	region regionMark
+
+	// bufs are the column-run buffers: the register-space payloads the
+	// runtime builds itself and the column views of a bank-row write. hbm
+	// has consumed a WR payload by the time a run returns, so the
+	// channel's runs can share them.
+	bufs cmdBufs
+
+	unload   grfUnload  // the ReadGRFRowSB result buffer
+	payloads payloadRun // the Payloads buffer
 }
 
 // UseEngine installs the execution engine that ForEachChannel dispatches
@@ -133,13 +134,7 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 		return nil, fmt.Errorf("runtime: no devices")
 	}
 	cfg := devs[0].Config()
-	n := 0
-	for _, dev := range devs {
-		n += dev.NumPCH()
-	}
-	// One registry shard per channel: kernels under a parallel engine write
-	// contention free, and per-channel deltas stay separable.
-	r := &Runtime{Cfg: cfg, Metrics: metrics.New(n)}
+	r := &Runtime{Cfg: cfg, Metrics: metrics.New()}
 	for _, dev := range devs {
 		if dev.Config() != cfg {
 			return nil, fmt.Errorf("runtime: heterogeneous device configurations")
@@ -149,8 +144,9 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 			return nil, err
 		}
 		for i := 0; i < dev.NumPCH(); i++ {
-			r.Chans = append(r.Chans, memctrl.NewChannel(dev.PCH(i), cfg, r.Metrics, len(r.Chans)))
+			r.Chans = append(r.Chans, memctrl.NewChannel(dev.PCH(i), cfg, len(r.Chans)))
 			r.Execs = append(r.Execs, execs[i])
+			r.chs = append(r.chs, new(chanState))
 		}
 	}
 	drv, err := driver.New(cfg, len(r.Chans))
@@ -158,19 +154,10 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 		return nil, err
 	}
 	r.Drv = drv
-	marks := make([]regionMark, len(r.Chans))
-	bufs := make([]cmdBufs, len(r.Chans))
-	for i := range r.Chans {
-		r.bufs = append(r.bufs, &bufs[i])
-		r.unload = append(r.unload, new(grfUnload))
-		r.payloads = append(r.payloads, new(payloadRun))
-		r.marks = append(r.marks, &marks[i])
-	}
 	zero := make([]byte, cfg.AccessBytes)
 	for range 2 * cfg.GRFDepth() {
 		r.zeros = append(r.zeros, zero)
 	}
-	r.pm = newPhaseMetrics(r.Metrics)
 	r.Metrics.RegisterCollector(r.collectDeviceMetrics)
 	return r, nil
 }
@@ -234,7 +221,7 @@ type cmdBufs struct {
 
 // wrBufs returns channel ch's first n register-space payload bursts.
 func (r *Runtime) wrBufs(ch, n int) [][]byte {
-	b := r.bufs[ch]
+	b := &r.chs[ch].bufs
 	if b.wr == nil {
 		size := r.Cfg.AccessBytes
 		b.wr = make([][]byte, isa.CRFEntries/8)
@@ -255,7 +242,7 @@ func (r *Runtime) EnterAB(ch int) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseMode, start)
+	r.notePhase(ch, PhaseMode, 1, start)
 	return nil
 }
 
@@ -268,7 +255,7 @@ func (r *Runtime) ExitToSB(ch int) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.SBMRBank}); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseMode, start)
+	r.notePhase(ch, PhaseMode, 1, start)
 	return nil
 }
 
@@ -289,7 +276,7 @@ func (r *Runtime) SetPIMMode(ch int, on bool) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseMode, start)
+	r.notePhase(ch, PhaseMode, 1, start)
 	return nil
 }
 
@@ -331,7 +318,7 @@ func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseCRF, start)
+	r.notePhase(ch, PhaseCRF, 1, start)
 	return nil
 }
 
@@ -358,7 +345,7 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseSRF, start)
+	r.notePhase(ch, PhaseSRF, 1, start)
 	return nil
 }
 
@@ -380,7 +367,7 @@ func (r *Runtime) ZeroGRF(ch int) error {
 	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseGRF, start)
+	r.notePhase(ch, PhaseGRF, 1, start)
 	return nil
 }
 
@@ -435,8 +422,8 @@ func (r *Runtime) TriggerWR(ch, bankSel int, col uint32, data []byte) error {
 }
 
 // TriggerRDRun issues n PIM-triggering column reads at consecutive
-// columns col0..col0+n-1 — one AAM batch — as one memctrl run, with the
-// phase accounting folded into a single metrics update (see notePhaseN).
+// columns col0..col0+n-1 — one AAM batch — as one memctrl run, its phase
+// booked once.
 func (r *Runtime) TriggerRDRun(ch, bankSel int, col0 uint32, n int) error {
 	return r.triggerRun(ch, hbm.CmdRD, bankSel, col0, n, nil)
 }
@@ -454,7 +441,7 @@ func (r *Runtime) triggerRun(ch int, kind hbm.CmdKind, bankSel int, col0 uint32,
 	if _, err := r.run(ch, hbm.Command{Kind: kind, Bank: bankSel, Col: col0}, n, data); err != nil {
 		return err
 	}
-	r.notePhaseN(ch, PhaseTrigger, n, start)
+	r.notePhase(ch, PhaseTrigger, n, start)
 	return nil
 }
 
@@ -505,14 +492,14 @@ func (r *Runtime) WriteBankRunSB(ch, flatBank int, row, col0 uint32, data []byte
 	if len(data)%size != 0 {
 		return fmt.Errorf("runtime: %d payload bytes are not whole %d-byte columns", len(data), size)
 	}
-	cols := r.bufs[ch].cols[:0]
+	cols := r.chs[ch].bufs.cols[:0]
 	if n := len(data) / size; cap(cols) < n {
 		cols = make([][]byte, 0, max(n, r.Cfg.ColumnsPerRow()))
 	}
 	for o := 0; o < len(data); o += size {
 		cols = append(cols, data[o:o+size:o+size])
 	}
-	r.bufs[ch].cols = cols
+	r.chs[ch].bufs.cols = cols
 	err := r.writeBankRow(ch, flatBank, row, col0, cols)
 	clear(cols) // the views must not keep the caller's payload alive
 	return err
@@ -588,7 +575,7 @@ func (r *Runtime) ReadBankSB(ch, flatBank int, row, col uint32) ([]byte, error) 
 // it.
 func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) {
 	units := r.Cfg.PIMUnits
-	out := r.unload[ch].views(units, regs)
+	out := r.chs[ch].unload.views(units, regs)
 	banksPerUnit := r.Cfg.BanksPerUnit()
 	col := uint32(half * r.Cfg.GRFDepth())
 	for u := 0; u < units; u++ {
@@ -654,7 +641,7 @@ func (g *grfUnload) views(units, regs int) [][]fp16.Vector {
 // nothing downstream keeps a payload: hbm has consumed a WR's data by the
 // time Issue returns.
 func (r *Runtime) Payloads(ch, n int) [][]byte {
-	return r.payloads[ch].cut(n, r.Cfg.AccessBytes)
+	return r.chs[ch].payloads.cut(n, r.Cfg.AccessBytes)
 }
 
 // payloadRun is one channel's Payloads buffer: the payload views, cut
@@ -678,10 +665,10 @@ func (p *payloadRun) cut(n, size int) [][]byte {
 type regionMark struct{ start, fences int64 }
 
 // BeginRegion opens a kernel region: it notes every channel's clock and
-// fence count in the runtime's marks, allocating nothing.
+// fence count in its region mark, allocating nothing.
 func (r *Runtime) BeginRegion() {
 	for i, c := range r.Chans {
-		r.marks[i].start, r.marks[i].fences = c.Now(), c.Fences()
+		r.chs[i].region = regionMark{c.Now(), c.Fences()}
 	}
 }
 
@@ -690,8 +677,9 @@ func (r *Runtime) BeginRegion() {
 // channel executed since, summed.
 func (r *Runtime) EndRegion() (cycles, fences int64) {
 	for i, c := range r.Chans {
-		cycles = max(cycles, c.Now()-r.marks[i].start)
-		fences += c.Fences() - r.marks[i].fences
+		m := &r.chs[i].region
+		cycles = max(cycles, c.Now()-m.start)
+		fences += c.Fences() - m.fences
 	}
 	return cycles, fences
 }

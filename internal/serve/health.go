@@ -70,7 +70,7 @@ const okProbation = 3
 // s.hmu.
 func (s *Server) setShardState(sh *shard, st healthState) {
 	sh.state = st
-	s.stateG[sh.id].Set(0, int64(st))
+	s.stateG[sh.id].Set(int64(st))
 }
 
 // retryable classifies a batch error: device faults that a different
@@ -115,7 +115,7 @@ func (s *Server) noteSuccess(m *model, sh *shard, cycles int64) {
 		if slow {
 			s.setShardState(sh, shardSuspect)
 			sh.okStreak = 0
-			s.suspects.Inc(0)
+			s.suspects.Inc()
 		}
 	case shardSuspect:
 		if slow {
@@ -142,15 +142,15 @@ func (s *Server) noteFailure(sh *shard, err error) {
 	evict := sh.consecFails >= s.cfg.EvictAfter
 	if evict {
 		s.setShardState(sh, shardEvicted)
-		s.healthyG.Set(0, s.healthy.Add(-1))
+		s.healthyG.Set(s.healthy.Add(-1))
 	} else if sh.state == shardHealthy {
 		s.setShardState(sh, shardSuspect)
-		s.suspects.Inc(0)
+		s.suspects.Inc()
 	}
 	s.hmu.Unlock()
 
 	if evict {
-		s.evictions.Inc(0)
+		s.evictions.Inc()
 		// Buffered to Shards and a shard is in at most one place, so
 		// this never blocks even after the prober has exited.
 		s.probeq <- sh
@@ -213,7 +213,7 @@ func (s *Server) prober() {
 // probeShard runs one probation probe and revives the shard on success.
 // Reports whether the shard left probation.
 func (s *Server) probeShard(sh *shard) bool {
-	s.probes.Inc(0)
+	s.probes.Inc()
 	err := s.runProbe(sh)
 	if err == nil {
 		sh.ueSeen = false
@@ -221,9 +221,9 @@ func (s *Server) probeShard(sh *shard) bool {
 		s.setShardState(sh, shardHealthy)
 		sh.consecFails, sh.okStreak = 0, 0
 		sh.lastErr = nil
-		s.healthyG.Set(0, s.healthy.Add(1))
+		s.healthyG.Set(s.healthy.Add(1))
 		s.hmu.Unlock()
-		s.revivals.Inc(0)
+		s.revivals.Inc()
 		s.pool <- sh
 		return true
 	}
@@ -322,7 +322,7 @@ func (s *Server) relocate(sh *shard, ue *hbm.UncorrectableError) {
 			return
 		}
 		if err := sh.rt.Drv.QuarantinePIMRows(ue.Row, 1); err == nil {
-			s.quarantinedG.Add(0, 1)
+			s.quarantinedG.Add(1)
 		}
 		r2, err := nn.Load(sh.rt, r.Plan)
 		if err != nil {
@@ -356,8 +356,8 @@ func (s *Server) collectShardECC(sh *shard) {
 		corr += st.ECCCorrected
 		unc += st.ECCUncorrectable
 	}
-	s.eccCorrC.Add(0, corr-sh.eccCorr)
-	s.eccUncorrC.Add(0, unc-sh.eccUncorr)
+	s.eccCorrC.Add(corr - sh.eccCorr)
+	s.eccUncorrC.Add(unc - sh.eccUncorr)
 	sh.eccCorr, sh.eccUncorr = corr, unc
 }
 

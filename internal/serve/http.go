@@ -437,9 +437,9 @@ func (s *Server) respond(w http.ResponseWriter, start time.Time, status int, bod
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 	if c := s.codes[status]; c != nil {
-		c.Inc(0)
+		c.Inc()
 	}
-	s.wallUs.Observe(0, time.Since(start).Microseconds())
+	s.wallUs.Observe(time.Since(start).Microseconds())
 }
 
 // fail writes the error taxonomy: 400 client errors, 404 unknown model,

@@ -193,7 +193,7 @@ type qosEnv struct {
 	input  []float64
 	oracle fp16.Vector
 
-	reg *metrics.Registry // scenario-side latency histograms (shard 0, under mu)
+	reg *metrics.Registry // scenario-side latency histograms (under mu)
 
 	mu    sync.Mutex
 	stats map[string]*qosStat
@@ -232,7 +232,7 @@ func newQoSEnv(scenario string, cfg Config, seed int64) (*qosEnv, error) {
 		client:   &http.Client{Timeout: 30 * time.Second},
 		input:    in,
 		oracle:   blas.RefGemvPIMOrder(qosModel.Weights(), qosModel.M, qosModel.K, x16, blas.GRFDepth(s.shards[0].rt)),
-		reg:      metrics.New(1),
+		reg:      metrics.New(),
 		stats:    make(map[string]*qosStat),
 		rep:      &QoSReport{Scenario: scenario, Seed: seed, Violations: []string{}},
 		start:    time.Now(),
@@ -294,8 +294,8 @@ func (e *qosEnv) shoot(tenant string) {
 			return
 		}
 		st.rep.OK++
-		st.wall.Observe(0, wallUs)
-		st.queue.Observe(0, ir.QueueUs)
+		st.wall.Observe(wallUs)
+		st.queue.Observe(ir.QueueUs)
 		if e.onOK != nil {
 			e.onOK(name)
 		}

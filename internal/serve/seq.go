@@ -222,8 +222,8 @@ func (s *Server) step(m *model, sh *shard, t *slotTable, last bool) *shard {
 				if sl.started.IsZero() {
 					sl.started = now
 					waitUs := now.Sub(sl.req.enq).Microseconds()
-					s.queueWait.Observe(0, waitUs)
-					sl.req.ten.queueWait.Observe(0, waitUs)
+					s.queueWait.Observe(waitUs)
+					sl.req.ten.queueWait.Observe(waitUs)
 				}
 			}
 			xs[i] = sl.req.xs[sl.pos]
@@ -244,13 +244,13 @@ func (s *Server) step(m *model, sh *shard, t *slotTable, last bool) *shard {
 		}
 
 		st, n := m.series, t.active
-		st.steps.Inc(0)
-		st.slots.Observe(0, int64(n))
-		st.cycles.Observe(0, ks.Cycles)
+		st.steps.Inc()
+		st.slots.Observe(int64(n))
+		st.cycles.Observe(ks.Cycles)
 		if st.window != nil {
 			st.window.Observe(int64(n))
 		}
-		s.deviceCycles.Add(0, ks.Cycles)
+		s.deviceCycles.Add(ks.Cycles)
 		share := ks.Cycles / int64(n)
 		for i, sl := range t.slots {
 			if sl == nil {
@@ -266,13 +266,13 @@ func (s *Server) step(m *model, sh *shard, t *slotTable, last bool) *shard {
 			eosAt := -1
 			if eosHit {
 				eosAt = sl.pos - 1
-				s.seqEOS.Inc(0)
+				s.seqEOS.Inc()
 			}
 			if st.done != nil {
-				st.done.Inc(0)
+				st.done.Inc()
 			}
-			s.served.Inc(0)
-			sl.req.ten.served.Inc(0)
+			s.served.Inc()
+			sl.req.ten.served.Inc()
 			t.answer(i, id, response{status: http.StatusOK, eosAt: eosAt, batch: n, launch: ks.Cycles})
 		}
 		return sh
@@ -313,7 +313,7 @@ func (s *Server) migrateSeq(m *model, sh *shard, t *slotTable, stepErr error, at
 		t.failAll(failedShard, statusFor(stepErr), stepErr)
 		return nil
 	}
-	s.retries.Inc(0)
+	s.retries.Inc()
 	if s.tracer != nil {
 		for _, sl := range t.slots {
 			if sl != nil {
@@ -343,7 +343,7 @@ func (s *Server) migrateSeq(m *model, sh *shard, t *slotTable, stepErr error, at
 		}
 		sl.migrations++
 	}
-	m.series.moved.Add(0, int64(t.active))
+	m.series.moved.Add(int64(t.active))
 	return next
 }
 
@@ -484,7 +484,7 @@ func (s *Server) dispatch(m *model, sh *shard, live []*request, xs []fp16.Vector
 			launched--
 			if r.err == nil {
 				if r.sh != sh {
-					s.hedgeWins.Inc(0)
+					s.hedgeWins.Inc()
 				}
 				if launched > 0 {
 					s.reapLoser(results)
@@ -510,7 +510,7 @@ func (s *Server) dispatch(m *model, sh *shard, live []*request, xs []fp16.Vector
 				continue // primary already failed; a duplicate won't help
 			}
 			if spare := s.tryLease(); spare != nil {
-				s.hedges.Inc(0)
+				s.hedges.Inc()
 				launched++
 				go run(spare, false)
 			}

@@ -499,7 +499,7 @@ func New(cfg Config) (*Server, error) {
 		pool:          make(chan *shard, cfg.Shards),
 		probeq:        make(chan *shard, cfg.Shards),
 		quit:          make(chan struct{}),
-		reg:           metrics.New(1),
+		reg:           metrics.New(),
 		newTimer:      newRealTimer,
 		newHedgeTimer: newRealTimer,
 	}
@@ -661,9 +661,8 @@ func New(cfg Config) (*Server, error) {
 			if fc.CorruptsData() {
 				devs[0].AttachFault(sh.inj)
 			}
-			for j, ch := range rt.Chans {
-				ch.ChannelID = j
-				if fc.Delays() {
+			if fc.Delays() {
+				for _, ch := range rt.Chans {
 					ch.Delay = sh.inj
 				}
 			}
@@ -677,7 +676,7 @@ func New(cfg Config) (*Server, error) {
 		s.pool <- sh
 	}
 	s.healthy.Store(int64(cfg.Shards))
-	s.healthyG.Set(0, int64(cfg.Shards))
+	s.healthyG.Set(int64(cfg.Shards))
 
 	if cfg.Fault != nil {
 		s.reg.RegisterCollector(s.collectInjectors)
@@ -782,17 +781,17 @@ func (s *Server) admit(name, tenantName string, req *request) (int, error) {
 	// recorded — handles only reach the ring when ended.
 	req.qspan = req.root.Child("queue")
 	if ok, reason := m.q.push(req, ten, depth); !ok {
-		ten.shed[reason].Inc(0)
-		s.shedTotal.Inc(0)
+		ten.shed[reason].Inc()
+		s.shedTotal.Inc()
 		return http.StatusTooManyRequests, &ShedError{
 			Reason: reason,
 			Detail: fmt.Sprintf("model %s admission queue full for tenant %s (%d deep, %d/%d shards healthy)",
 				name, ten.spec.Name, depth, healthy, s.cfg.Shards),
 		}
 	}
-	m.series.admitted.Inc(0)
-	ten.admitted.Inc(0)
-	s.queueDepth.Add(0, 1)
+	m.series.admitted.Inc()
+	ten.admitted.Inc()
+	s.queueDepth.Add(1)
 	s.winAdmit.Inc()
 	return http.StatusOK, nil
 }
@@ -831,7 +830,7 @@ func (s *Server) take(m *model, wait bool) (*request, bool) {
 	}
 	r, ok := pop()
 	if ok {
-		s.queueDepth.Add(0, -1)
+		s.queueDepth.Add(-1)
 		r.qspan.End()
 	}
 	return r, ok
@@ -842,14 +841,14 @@ func (s *Server) take(m *model, wait bool) (*request, bool) {
 // and keeps the queue accounting honest. Runs outside the queue lock; the
 // buffered resp channel never blocks.
 func (s *Server) shed(r *request, reason string) {
-	s.queueDepth.Add(0, -1)
+	s.queueDepth.Add(-1)
 	r.qspan.End()
 	if reason == ShedDeadlineExpired {
 		s.expire(r)
 		return
 	}
-	r.ten.shed[reason].Inc(0)
-	s.shedTotal.Inc(0)
+	r.ten.shed[reason].Inc()
+	s.shedTotal.Inc()
 	r.resp <- response{status: http.StatusTooManyRequests, err: &ShedError{Reason: reason,
 		Detail: fmt.Sprintf("request shed from queue: %s", reason)}}
 }
@@ -857,8 +856,8 @@ func (s *Server) shed(r *request, reason string) {
 // expire answers a request whose deadline passed before it reached a
 // device: 504, counted as a deadline-expired shed.
 func (s *Server) expire(r *request) {
-	r.ten.shed[ShedDeadlineExpired].Inc(0)
-	s.shedTotal.Inc(0)
+	r.ten.shed[ShedDeadlineExpired].Inc()
+	s.shedTotal.Inc()
 	r.resp <- response{status: http.StatusGatewayTimeout,
 		err: &ShedError{Reason: ShedDeadlineExpired, Detail: r.ctx.Err().Error()}}
 }

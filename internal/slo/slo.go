@@ -314,7 +314,7 @@ func latBounds() []int64 { return metrics.ExpBuckets(25, 2, 22) }
 func New(cfg Config, reg *metrics.Registry) *Engine {
 	cfg = cfg.withDefaults()
 	if reg == nil {
-		reg = metrics.New(1)
+		reg = metrics.New()
 	}
 	e := &Engine{
 		cfg:    cfg,
@@ -421,7 +421,7 @@ func (e *Engine) getModel(model string) *modelCtl {
 	}
 	if e.cfg.Hedge != nil {
 		m.hedgeNs = int64(e.cfg.Hedge.Initial)
-		m.hedgeGauge.Set(0, m.hedgeNs/1000)
+		m.hedgeGauge.Set(m.hedgeNs / 1000)
 	}
 	e.models[model] = m
 	return m
@@ -550,9 +550,9 @@ func (e *Engine) Evaluate() []Transition {
 		to := s.state
 		s.mu.Unlock()
 		if s.stateGauge != nil {
-			s.stateGauge.Set(0, int64(to))
-			s.fastGauge.Set(0, int64(fast*1000))
-			s.slowGauge.Set(0, int64(slow*1000))
+			s.stateGauge.Set(int64(to))
+			s.fastGauge.Set(int64(fast * 1000))
+			s.slowGauge.Set(int64(slow * 1000))
 		}
 		if w, ok := worst[s.model]; !ok || to > w {
 			worst[s.model] = to
@@ -619,7 +619,7 @@ func (e *Engine) stepHedge(m *modelCtl, worst State) {
 	}
 	ns := m.hedgeNs
 	e.mu.Unlock()
-	m.hedgeGauge.Set(0, ns/1000)
+	m.hedgeGauge.Set(ns / 1000)
 }
 
 // HedgeTargets returns the current per-model hedge-delay targets, empty

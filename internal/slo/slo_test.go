@@ -122,7 +122,7 @@ func TestExemplarRingWraps(t *testing.T) {
 // still export dimensional metrics but never page.
 func TestUnmatchedSeriesRecordedNotEvaluated(t *testing.T) {
 	clk := newFakeClock()
-	reg := metrics.New(1)
+	reg := metrics.New()
 	e := New(Config{
 		Objectives: []Objective{{Tenant: "gold", LatencyP99: time.Millisecond, Availability: 0.99}},
 		Clock:      clk.Now,
