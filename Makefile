@@ -225,7 +225,9 @@ model-smoke:
 
 # trace-smoke exercises the observability stack end to end: pimsim
 # -functional verifying a multi-tile GEMV on every functional variant, a
-# pimsim -timeline export, a traced pimserve under load (live /debug/trace,
+# pimsim -timeline export, cmd/tracerun replaying a generated transaction
+# trace and a command trace (and refusing an illegal command), a traced
+# pimserve under load (live /debug/trace,
 # X-Request-ID, structured access logs, spans.json and slow-request
 # dumps), with every artifact schema-validated by tools/tracecheck.
 # Set OUT_DIR to keep the artifacts (CI uploads them).

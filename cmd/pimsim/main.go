@@ -23,7 +23,6 @@ import (
 	"pimsim/internal/obs"
 	"pimsim/internal/prof"
 	"pimsim/internal/runtime"
-	"pimsim/internal/trace"
 )
 
 func main() {
@@ -37,7 +36,7 @@ func main() {
 	variantName := flag.String("variant", "base", "base, 2x, 2ba or srw")
 	noFences := flag.Bool("nofences", false, "model an order-guaranteeing controller")
 	seed := flag.Int64("seed", 1, "data seed (functional mode)")
-	traceN := flag.Int("trace", 0, "print the last N DRAM commands of channel 0")
+	traceN := flag.Int("trace", 0, "print the last N DRAM commands of channel 0 (with -timeline, from the timeline's log)")
 	timelineOut := flag.String("timeline", "", "write a Perfetto/Chrome trace-event timeline to this file")
 	dumpCRF := flag.Bool("dump-crf", false, "disassemble unit 0's CRF after the kernel")
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file (\"-\" for stdout)")
@@ -80,7 +79,7 @@ func main() {
 	rt.UseEngine(eng)
 	rt.SetGuaranteeOrder(*noFences)
 	if *traceN > 0 {
-		rt.Chans[0].Trace = trace.NewRecorder(*traceN)
+		rt.Chans[0].Log = obs.NewLog(0, *traceN, true)
 	}
 	var tl *obs.Timeline
 	if *timelineOut != "" {
@@ -213,11 +212,14 @@ func main() {
 			fmt.Printf("  CRF[%2d]  %s\n", i, in)
 		}
 	}
-	if rec := rt.Chans[0].Trace; rec != nil {
+	if *traceN > 0 {
+		log := rt.Chans[0].Log
+		events := log.TraceEvents()
+		last := events[max(0, len(events)-*traceN):]
 		fmt.Printf("\nlast %d of %d commands on channel 0 (cycle ch cmd bg bank row col):\n",
-			len(rec.Events()), rec.Total())
-		if err := rec.Dump(os.Stdout); err != nil {
-			fatal(err)
+			len(last), int64(len(events))+log.Dropped())
+		for _, e := range last {
+			fmt.Println(e)
 		}
 	}
 	if *metricsOut != "" {

@@ -14,7 +14,9 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -52,7 +54,13 @@ func main() {
 	case "txn":
 		runTxn(f, dev, cfg)
 	case "cmd":
-		runCmd(f, dev, cfg)
+		n, end, err := replay(f, dev, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("replayed %d commands; finish: cycle %d (%.2f us)\n",
+			n, end, cfg.Timing.CyclesToNs(end)/1000)
+		printStats(dev)
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
@@ -129,41 +137,34 @@ func runTxn(f *os.File, dev *hbm.Device, cfg hbm.Config) {
 	printStats(dev)
 }
 
-func runCmd(f *os.File, dev *hbm.Device, cfg hbm.Config) {
-	events, err := trace.Parse(f)
+// replay issues a command trace to dev in order, each command at its
+// earliest legal cycle on its channel (the trace's cycles are advisory),
+// and returns how many commands it replayed and the finish cycle. A
+// command the device refuses fails the replay with its index.
+func replay(r io.Reader, dev *hbm.Device, cfg hbm.Config) (int, int64, error) {
+	events, err := trace.Parse(r)
 	if err != nil {
-		fatal(err)
+		return 0, 0, err
 	}
 	// Validate addresses against the device geometry up front: a bad trace
 	// fails with its line index, not deep inside the channel model.
 	if err := trace.Validate(events, cfg, dev.NumPCH()); err != nil {
-		fatal(err)
+		return 0, 0, err
 	}
 	now := make([]int64, dev.NumPCH())
 	for i, e := range events {
 		p := dev.PCH(e.Channel)
 		cmd := e.Command()
-		if cmd.Kind == hbm.CmdWR {
-			cmd.Data = nil
-		}
 		at, err := p.EarliestIssue(cmd, now[e.Channel])
 		if err != nil {
-			fatal(fmt.Errorf("event %d (%s): %v", i, cmd, err))
+			return i, 0, fmt.Errorf("event %d (%s): %v", i, cmd, err)
 		}
 		if _, err := p.Issue(cmd, at); err != nil {
-			fatal(fmt.Errorf("event %d (%s): %v", i, cmd, err))
+			return i, 0, fmt.Errorf("event %d (%s): %v", i, cmd, err)
 		}
 		now[e.Channel] = at + 1
 	}
-	var end int64
-	for _, n := range now {
-		if n > end {
-			end = n
-		}
-	}
-	fmt.Printf("replayed %d commands; finish: cycle %d (%.2f us)\n",
-		len(events), end, cfg.Timing.CyclesToNs(end)/1000)
-	printStats(dev)
+	return len(events), slices.Max(now), nil
 }
 
 func printStats(dev *hbm.Device) {

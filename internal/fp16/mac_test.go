@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -34,8 +35,11 @@ func needSIMD(t testing.TB, have bool) {
 }
 
 // forAllX calls check(x) for all 2^16 binary16 values, dealt round-robin
-// to GOMAXPROCS goroutines. check returns false to report a mismatch
-// (after t.Errorf); its goroutine then stops.
+// to GOMAXPROCS goroutines; a race build walks every xStride-th value
+// only (see stride_race_test.go). check returns false to report a
+// mismatch (after t.Errorf); its goroutine then stops. Every caller
+// pairs each x with all 2^16 values of y, so a clean walk logs the pairs
+// it covered: 2^32 outside a race build.
 func forAllX(t *testing.T, check func(x F16) bool) {
 	t.Helper()
 	if testing.Short() {
@@ -43,18 +47,24 @@ func forAllX(t *testing.T, check func(x F16) bool) {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
+	var walked atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for x := w; x <= 0xFFFF; x += workers {
+			for x := w * xStride; x <= 0xFFFF; x += workers * xStride {
 				if !check(F16(x)) {
 					return
 				}
+				walked.Add(1)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if want := int64(0xFFFF/xStride + 1); !t.Failed() && walked.Load() != want {
+		t.Fatalf("walked %d values of x, want %d", walked.Load(), want)
+	}
+	t.Logf("checked %d operand pairs", walked.Load()<<16)
 }
 
 // forAllPairs calls check(x, y) for all 2^32 binary16 pairs.

@@ -5,7 +5,6 @@ import (
 
 	"pimsim/internal/hbm"
 	"pimsim/internal/obs"
-	"pimsim/internal/trace"
 )
 
 // Channel drives one pseudo channel: it owns the channel clock, issues
@@ -39,21 +38,16 @@ type Channel struct {
 	st Stats
 	id int // the channel's index in its system
 
-	// Trace, when set, records every issued command (including the
-	// refresh machinery's own commands), labelled with the channel's index.
-	Trace *trace.Recorder
+	// Log, when set, records every issued command (the refresh
+	// machinery's own included) as one run record per command or device
+	// run: the -trace listing and the Perfetto timeline both read it.
+	Log *obs.Log
 
 	// Delay, when set, adds injected latency to command issue (fault
-	// injection: per-channel latency spikes). Like Trace it is a public
-	// hook field: nil costs one pointer compare per command.
+	// injection: per-channel latency spikes). Like Log it is a public hook
+	// field: nil costs one pointer compare per command.
 	Delay    Delayer
 	delaySeq int64 // commands seen by Delay (its deterministic clock)
-
-	// TL, when set, records every issued command plus mode-window
-	// transitions into the observability timeline (Perfetto export). Same
-	// hook contract as Trace/Delay: nil costs one pointer compare.
-	TL     *obs.ChannelTimeline
-	tlMode hbm.Mode // last mode reported to TL
 
 	// run and read are IssueRun's reusable results: the device's report of
 	// its last run and the bursts a RD run read.
@@ -202,7 +196,7 @@ func (c *Channel) issueRaw(cmd *hbm.Command, res *hbm.IssueResult) error {
 	} else if err := c.pch.IssueEarliest(cmd, c.now, res); err != nil {
 		return err
 	}
-	c.issued(cmd, res.Cycle)
+	c.issued(cmd, res.Cycle, 0, 1, c.pch.Mode())
 	return nil
 }
 
@@ -211,15 +205,14 @@ func (c *Channel) issueRaw(cmd *hbm.Command, res *hbm.IssueResult) error {
 // payloads; cmd.Data is not read) — an AAM window of PIM triggers, a
 // register-file load or unload, a run of one bank row's columns — with
 // Issue's contract for each: at its earliest legal cycle at or after the
-// channel clock, a refresh that falls due before it serviced first, one
-// Trace and timeline event each. Without a delay hook the device takes the
-// commands between refresh deadlines as one run (hbm.PseudoChannel.IssueRun)
-// and the channel books each run once, with its last command; with one,
-// each command is issued alone, delayed as Issue delays it. It returns the
-// bursts a RD run read (one per issued command, where the device returns
-// data), valid until the channel's next command, and how many commands
-// issued; an error is the command's after them, and the ones after it
-// never issue.
+// channel clock, a refresh that falls due before it serviced first.
+// Without a delay hook the device takes the commands between refresh
+// deadlines as one run (hbm.PseudoChannel.IssueRun) and the channel books
+// and logs each run once; with one, each command is issued alone, delayed
+// as Issue delays it. It returns the bursts a RD run read (one per issued
+// command, where the device returns data), valid until the channel's next
+// command, and how many commands issued; an error is the command's after
+// them, and the ones after it never issue.
 func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int, error) {
 	c.read = c.read[:0]
 	if c.Delay != nil {
@@ -253,7 +246,9 @@ func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int
 		mode := c.pch.Mode()
 		err := c.pch.IssueRun(&cmd, n-done, d, c.now, c.nextRefresh, &c.run)
 		c.read = append(c.read, c.run.Data...)
-		c.issuedRun(&cmd, mode)
+		if c.run.N > 0 {
+			c.issued(&cmd, c.run.First, c.run.Stride, c.run.N, mode)
+		}
 		done += c.run.N
 		c.trackState(&cmd)
 		if err != nil {
@@ -263,74 +258,26 @@ func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int
 	return c.read, n, nil
 }
 
-// issuedRun books the run the device just issued, c.run, of commands
-// like cmd from column cmd.Col, as issued books each command: one Trace
-// and timeline event per command when either is set, then the channel
-// clock and the data horizon past the last. before is the mode before the
-// run; only its last command can change the mode.
-func (c *Channel) issuedRun(cmd *hbm.Command, before hbm.Mode) {
-	run := &c.run
-	if run.N == 0 {
-		return
+// issued books a run the device issued: n commands like cmd from column
+// cmd.Col at cycles first, first+stride, ... (a single command is a run of
+// one). It logs the run as one record, then moves the channel clock past
+// its last command (the command/address bus carries one command per
+// cycle) and the data horizon past a column run's last burst. before is
+// the mode before the run; only its last command can change the mode, and
+// the mode after it is read after the issue, so a mode-row handshake
+// lands in the window it opens.
+func (c *Channel) issued(cmd *hbm.Command, first, stride int64, n int, before hbm.Mode) {
+	if c.Log != nil {
+		c.Log.Commands(cmd, first, stride, n, before, c.pch.Mode())
 	}
-	if c.Trace != nil || c.TL != nil {
-		one := *cmd
-		for i := 0; i < run.N; i++ {
-			one.Col = cmd.Col + uint32(i)
-			mode := before
-			if i == run.N-1 {
-				mode = c.pch.Mode()
-			}
-			c.record(&one, run.Cycle(i), mode)
-		}
-	}
-	c.advance(cmd.Kind, run.Cycle(run.N-1))
-}
-
-// issued records cmd, issued at cycle at, in the trace and the timeline
-// and moves the channel clock and the data horizon past it.
-func (c *Channel) issued(cmd *hbm.Command, at int64) {
-	if c.Trace != nil || c.TL != nil {
-		c.record(cmd, at, c.pch.Mode())
-	}
-	c.advance(cmd.Kind, at)
-}
-
-// record notes cmd, issued at cycle at and leaving the channel in mode,
-// in the trace and the timeline.
-func (c *Channel) record(cmd *hbm.Command, at int64, mode hbm.Mode) {
-	if c.Trace != nil {
-		c.Trace.Record(trace.Event{
-			Cycle: at, Channel: c.id, Kind: cmd.Kind,
-			BG: cmd.BG, Bank: cmd.Bank, Row: cmd.Row, Col: cmd.Col,
-		})
-	}
-	if c.TL != nil {
-		// Mode transitions are detected here — after the issue, so a
-		// mode-row handshake lands in the window it opens — by comparing
-		// against the last mode the timeline saw.
-		if mode != c.tlMode {
-			c.tlMode = mode
-			c.TL.ModeChange(at, mode.String())
-		}
-		c.TL.Cmd(at, cmd.Kind.String(), cmd.BG, cmd.Bank, cmd.Row, cmd.Col, mode != hbm.ModeSB)
-	}
-}
-
-// advance moves the channel clock past a command of kind issued at cycle
-// at (the command/address bus carries one command per cycle) and the data
-// horizon past a column command's burst.
-func (c *Channel) advance(kind hbm.CmdKind, at int64) {
+	at := first + int64(n-1)*stride
 	c.now = at + 1
-	if kind.IsColumn() {
+	if cmd.Kind.IsColumn() {
 		lat := c.cfg.Timing.WL
-		if kind == hbm.CmdRD {
+		if cmd.Kind == hbm.CmdRD {
 			lat = c.cfg.Timing.RL
 		}
-		end := at + int64(lat+c.cfg.Timing.DataCycles())
-		if end > c.lastDataEnd {
-			c.lastDataEnd = end
-		}
+		c.lastDataEnd = max(c.lastDataEnd, at+int64(lat+c.cfg.Timing.DataCycles()))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -72,7 +71,7 @@ type runRig struct {
 	cfg  hbm.Config
 	ch   *Channel
 	exec *pim.Executor
-	tl   *obs.ChannelTimeline
+	log  *obs.Log
 
 	midWindow bool     // the stream failed after its window's first command
 	midRun    bool     // a refresh fell due inside one IssueRun
@@ -99,9 +98,8 @@ func newRunRig(t *testing.T, rc runCase) *runRig {
 	}
 	dev.PCH(0).AttachPIM(attached)
 	r := &runRig{t: t, cfg: cfg, ch: NewChannel(dev.PCH(0), cfg, 0), exec: exec}
-	r.ch.Trace = trace.NewRecorder(1 << 16)
-	r.tl = obs.NewTimeline(obs.TimelineConfig{Channels: 1}).Channel(0)
-	r.ch.TL, exec.TL = r.tl, r.tl
+	r.log = obs.NewLog(0, 1<<16, false)
+	r.ch.Log, exec.Log = r.log, r.log
 	if rc.delay {
 		inj := fault.New(fault.Config{Seed: 5, SpikeEvery: 7, SpikeCycles: 50, FlipRate: 0.002})
 		r.ch.Delay = inj
@@ -261,11 +259,11 @@ func (r *runRig) columnStream(runs bool) (issued int, err error) {
 		start := issued
 		var read [][]byte
 		if runs {
-			before := len(r.ch.Trace.Events())
+			before := len(r.log.TraceEvents())
 			var done int
 			read, done, err = r.ch.IssueRun(cmd, n, data)
 			issued += done
-			r.midRun = r.midRun || refreshMidRun(r.ch.Trace.Events()[before:])
+			r.midRun = r.midRun || refreshMidRun(r.log.TraceEvents()[before:])
 		} else {
 			for i := 0; i < n; i++ {
 				one := cmd
@@ -385,8 +383,8 @@ func (r *runRig) observe(issued int, err error) observed {
 	o := observed{
 		Issued: issued, Err: fmt.Sprint(err), MidWindow: r.midWindow, Now: r.ch.Now(), Refreshes: r.ch.Refreshes(),
 		Stats: r.ch.PCH().Stats(), BankOps: r.ch.PCH().BankOps(),
-		Trace: slices.Clone(r.ch.Trace.Events()),
-		Cmds:  slices.Clone(r.tl.Cmds()), Modes: slices.Clone(r.tl.Modes()), PIMs: slices.Clone(r.tl.PIMs()),
+		Trace: r.log.TraceEvents(),
+		Cmds:  r.log.Cmds(), Modes: r.log.Modes(), PIMs: r.log.PIMs(),
 		Ops: r.exec.OpCountsArray(), AAM: r.exec.AAMInstructions(), Triggers: r.exec.Triggers(),
 		Read: r.read,
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
+	"pimsim/internal/obs"
 	"pimsim/internal/trace"
 )
 
@@ -13,7 +14,7 @@ func TestChannelTraceRecording(t *testing.T) {
 	cfg.Functional = false
 	dev := hbm.MustNewDevice(cfg)
 	ch := NewChannel(dev.PCH(0), cfg, 3)
-	ch.Trace = trace.NewRecorder(64)
+	ch.Log = obs.NewLog(3, 64, false)
 
 	s := NewScheduler(ch, cfg)
 	for i := 0; i < 8; i++ {
@@ -23,7 +24,7 @@ func TestChannelTraceRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev := ch.Trace.Events()
+	ev := ch.Log.TraceEvents()
 	if len(ev) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -50,8 +51,8 @@ func TestChannelTraceRecording(t *testing.T) {
 
 	// The dumped trace replays cleanly against a fresh device.
 	var sb strings.Builder
-	if err := ch.Trace.Dump(&sb); err != nil {
-		t.Fatal(err)
+	for _, e := range ev {
+		sb.WriteString(e.String() + "\n")
 	}
 	events, err := trace.Parse(strings.NewReader(sb.String()))
 	if err != nil {

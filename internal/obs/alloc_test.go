@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"testing"
+
+	"pimsim/internal/hbm"
+)
 
 // The disabled-path contract: with no tracer or timeline attached, every
 // hook the hot loops call must cost one pointer compare and zero
@@ -33,21 +37,27 @@ func TestZeroHandleAllocs(t *testing.T) {
 }
 
 func TestDisabledTimelineAllocs(t *testing.T) {
-	var c *ChannelTimeline
+	var c *Log
 	if n := testing.AllocsPerRun(100, func() {
-		c.Cmd(10, "RD", 0, 1, 42, 3, false)
-		c.ModeChange(10, "AB")
-		c.PIMInstr(10, 8)
+		c.Reset()
+		_, _, _ = c.Cmds(), c.Modes(), c.PIMs()
 	}); n != 0 {
-		t.Errorf("nil channel-timeline path allocates %.1f per op, want 0", n)
+		t.Errorf("nil log path allocates %.1f per op, want 0", n)
 	}
 	var tl *Timeline
 	if n := testing.AllocsPerRun(100, func() {
 		_ = tl.Channel(0)
+		_, _ = tl.Events(), tl.Dropped()
 	}); n != 0 {
-		t.Errorf("nil timeline Channel allocates %.1f per op, want 0", n)
+		t.Errorf("nil timeline allocates %.1f per op, want 0", n)
 	}
 }
+
+// rd and act are the commands the log tests record.
+var (
+	rd  = hbm.Command{Kind: hbm.CmdRD, Bank: 1, Col: 3}
+	act = hbm.Command{Kind: hbm.CmdACT, Bank: 1, Row: 42}
+)
 
 // The enabled steady state (buffers warm, below capacity) must also be
 // allocation-free: the flight recorder may run in production.
@@ -56,13 +66,18 @@ func TestEnabledTimelineSteadyStateAllocs(t *testing.T) {
 	c := tl.Channel(0)
 	// Warm the slices past the growth phase.
 	for i := int64(0); i < 512; i++ {
-		c.Cmd(i, "RD", 0, 0, 0, 0, false)
+		c.Commands(&rd, i, 0, 1, hbm.ModeSB, hbm.ModeSB)
 	}
 	c.Reset()
 	if n := testing.AllocsPerRun(100, func() {
-		c.Cmd(1, "ACT", 0, 1, 42, 0, false)
+		c.Commands(&act, 1, 0, 1, hbm.ModeSB, hbm.ModeSB)
+		c.Commands(&rd, 2, 4, 8, hbm.ModeABPIM, hbm.ModeABPIM)
+		c.PIM(2, 4, 8, 8)
 	}); n != 0 {
-		t.Errorf("warm timeline Cmd allocates %.1f per op, want 0", n)
+		t.Errorf("warm log allocates %.1f per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = tl.Events() }); n != 0 {
+		t.Errorf("counting a log's events allocates %.1f per op, want 0", n)
 	}
 }
 
@@ -74,11 +89,11 @@ func TestResetTimelineReuseAllocs(t *testing.T) {
 	record := func() {
 		for ch := 0; ch < 2; ch++ {
 			c := tl.Channel(ch)
+			c.Commands(&act, 0, 0, 1, hbm.ModeSB, hbm.ModeAB)
 			for i := int64(0); i < 1024; i++ {
-				c.Cmd(i, "RD", 0, 0, 0, 0, true)
-				c.PIMInstr(i, 8)
+				c.Commands(&rd, 16*i, 2, 8, hbm.ModeABPIM, hbm.ModeABPIM)
+				c.PIM(16*i+1, 2, 8, 8)
 			}
-			c.ModeChange(0, "AB")
 		}
 	}
 	record() // first run grows the buffers
@@ -94,7 +109,7 @@ func TestResetClearsEventsAndDrops(t *testing.T) {
 	tl := NewTimeline(TimelineConfig{Channels: 1, MaxPerChannel: 2})
 	c := tl.Channel(0)
 	for i := int64(0); i < 5; i++ {
-		c.Cmd(i, "RD", 0, 0, 0, 0, false)
+		c.Commands(&rd, i, 0, 1, hbm.ModeSB, hbm.ModeSB)
 	}
 	if tl.Dropped() == 0 {
 		t.Fatal("expected drops past the cap")
@@ -107,12 +122,12 @@ func TestResetClearsEventsAndDrops(t *testing.T) {
 		t.Errorf("Dropped after Reset = %d, want 0", got)
 	}
 	// The cap applies afresh after Reset.
-	c.Cmd(1, "RD", 0, 0, 0, 0, false)
+	c.Commands(&rd, 1, 0, 1, hbm.ModeSB, hbm.ModeSB)
 	if got := len(c.Cmds()); got != 1 {
 		t.Errorf("Cmds after Reset+record = %d, want 1", got)
 	}
 	// Nil receivers stay safe.
-	var nc *ChannelTimeline
+	var nc *Log
 	nc.Reset()
 	var ntl *Timeline
 	ntl.Reset()

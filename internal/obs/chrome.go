@@ -83,29 +83,26 @@ func (t *Timeline) kindDur(kind string) int64 {
 	return d
 }
 
-func (t *Timeline) appendChannel(evs []chromeEvent, c *ChannelTimeline) []chromeEvent {
-	if len(c.cmds) == 0 && len(c.modes) == 0 && len(c.pims) == 0 {
+func (t *Timeline) appendChannel(evs []chromeEvent, c *Log) []chromeEvent {
+	if len(c.recs) == 0 {
 		return evs
 	}
+	cmds, modes, pims := c.Cmds(), c.Modes(), c.PIMs()
 	pid := c.id
 	evs = append(evs,
 		meta("process_name", pid, 0, fmt.Sprintf("pCH%d", c.id)),
 		meta("thread_name", pid, tidCmds, "commands"),
 	)
 
-	// The horizon closes every still-open window (modes, bank rows).
+	// The horizon closes every still-open window (modes, bank rows). Every
+	// mode transition is at a command's cycle, so the commands bound it.
 	var horizon int64
-	for _, e := range c.cmds {
+	for _, e := range cmds {
 		if end := e.Cycle + t.kindDur(e.Kind); end > horizon {
 			horizon = end
 		}
 	}
-	for _, e := range c.modes {
-		if e.Cycle > horizon {
-			horizon = e.Cycle
-		}
-	}
-	for _, e := range c.pims {
+	for _, e := range pims {
 		if e.Cycle > horizon {
 			horizon = e.Cycle
 		}
@@ -113,7 +110,7 @@ func (t *Timeline) appendChannel(evs []chromeEvent, c *ChannelTimeline) []chrome
 	horizon++
 
 	// Command track: every issue as a complete slice with its timing width.
-	for _, e := range c.cmds {
+	for _, e := range cmds {
 		evs = append(evs, chromeEvent{
 			Name: e.Kind, Ph: "X",
 			Ts: t.tsUs(e.Cycle), Dur: durp(t.tsUs(e.Cycle+t.kindDur(e.Kind)) - t.tsUs(e.Cycle)),
@@ -127,18 +124,18 @@ func (t *Timeline) appendChannel(evs []chromeEvent, c *ChannelTimeline) []chrome
 
 	// Mode track: windows between transitions. An implicit SB window runs
 	// from cycle 0 to the first recorded transition.
-	if len(c.modes) > 0 {
+	if len(modes) > 0 {
 		evs = append(evs, meta("thread_name", pid, tidMode, "mode"))
-		if first := c.modes[0].Cycle; first > 0 {
+		if first := modes[0].Cycle; first > 0 {
 			evs = append(evs, chromeEvent{
 				Name: "SB", Ph: "X", Ts: 0, Dur: durp(t.tsUs(first)),
 				Pid: pid, Tid: tidMode,
 			})
 		}
-		for i, m := range c.modes {
+		for i, m := range modes {
 			end := horizon
-			if i+1 < len(c.modes) {
-				end = c.modes[i+1].Cycle
+			if i+1 < len(modes) {
+				end = modes[i+1].Cycle
 			}
 			evs = append(evs, chromeEvent{
 				Name: m.Mode, Ph: "X",
@@ -150,9 +147,9 @@ func (t *Timeline) appendChannel(evs []chromeEvent, c *ChannelTimeline) []chrome
 	}
 
 	// PIM activity: a counter track of instructions retired per trigger.
-	if len(c.pims) > 0 {
+	if len(pims) > 0 {
 		evs = append(evs, meta("thread_name", pid, tidPIM, "pim instr"))
-		for _, e := range c.pims {
+		for _, e := range pims {
 			evs = append(evs, chromeEvent{
 				Name: "pim_instr", Ph: "C",
 				Ts: t.tsUs(e.Cycle), Pid: pid, Tid: tidPIM,
@@ -164,12 +161,12 @@ func (t *Timeline) appendChannel(evs []chromeEvent, c *ChannelTimeline) []chrome
 	// Per-bank open-row windows, replayed from the command stream: an ACT
 	// opens the addressed bank's row (every bank when broadcast), PRE
 	// closes its bank, PREA closes everything. REF implies all closed.
-	return t.appendBankRows(evs, c, pid, horizon)
+	return t.appendBankRows(evs, cmds, pid, horizon)
 }
 
-func (t *Timeline) appendBankRows(evs []chromeEvent, c *ChannelTimeline, pid int, horizon int64) []chromeEvent {
+func (t *Timeline) appendBankRows(evs []chromeEvent, cmds []CmdEvent, pid int, horizon int64) []chromeEvent {
 	banks := t.cfg.BankGroups * t.cfg.BanksPerGroup
-	if banks <= 0 || len(c.cmds) == 0 {
+	if banks <= 0 || len(cmds) == 0 {
 		return evs
 	}
 	type openState struct {
@@ -191,7 +188,7 @@ func (t *Timeline) appendBankRows(evs []chromeEvent, c *ChannelTimeline, pid int
 		})
 		state[b].open = false
 	}
-	for _, e := range c.cmds {
+	for _, e := range cmds {
 		flat := int(e.BG)*t.cfg.BanksPerGroup + int(e.Bank)
 		if flat < 0 || flat >= banks {
 			continue

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pimsim/internal/hbm"
 )
 
 // decodeChrome parses exporter output into the generic shape a trace
@@ -65,16 +67,17 @@ func testTimeline() *Timeline {
 		ActCycles: 17, PreCycles: 17, RdCycles: 26, WrCycles: 12, RefCycles: 312,
 	})
 	c := tl.Channel(0)
-	c.Cmd(0, "ACT", 0, 1, 42, 0, false)
-	c.ModeChange(10, "AB")
-	c.Cmd(20, "RD", 0, 1, 42, 3, false)
-	c.ModeChange(60, "AB-PIM")
-	c.Cmd(80, "ACT", 0, 0, 7, 0, true) // broadcast opens every bank
-	c.PIMInstr(100, 8)
-	c.Cmd(120, "PRE", 0, 1, 42, 0, false)
-	c.Cmd(150, "PREA", 0, 0, 0, 0, false)
-	c.ModeChange(160, "SB")
-	c.Cmd(200, "REF", 0, 0, 0, 0, false)
+	one := func(at int64, cmd hbm.Command, mode hbm.Mode) { c.Commands(&cmd, at, 0, 1, mode, mode) }
+	one(0, hbm.Command{Kind: hbm.CmdACT, Bank: 1, Row: 42}, hbm.ModeSB)
+	one(10, hbm.Command{Kind: hbm.CmdPRE, BG: 1}, hbm.ModeAB) // enters AB
+	// A two-command run at 20 and 60 whose last command enters AB-PIM.
+	c.Commands(&hbm.Command{Kind: hbm.CmdRD, Bank: 1, Col: 3}, 20, 40, 2, hbm.ModeAB, hbm.ModeABPIM)
+	one(80, hbm.Command{Kind: hbm.CmdACT, Row: 7}, hbm.ModeABPIM) // broadcast opens every bank
+	c.PIM(100, 0, 1, 8)
+	one(120, hbm.Command{Kind: hbm.CmdPRE, Bank: 1}, hbm.ModeABPIM)
+	one(150, hbm.Command{Kind: hbm.CmdPREA}, hbm.ModeABPIM)
+	one(160, hbm.Command{Kind: hbm.CmdPRE}, hbm.ModeSB) // back to SB
+	one(200, hbm.Command{Kind: hbm.CmdREF}, hbm.ModeSB)
 	return tl
 }
 

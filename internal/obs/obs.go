@@ -15,10 +15,11 @@
 //     span tree. A slow-request hook fires with the full tree whenever a
 //     root span exceeds a latency threshold.
 //
-//   - Timeline is the simulator-side sink: per-channel buffers of DRAM
-//     command issues, mode windows (SB / AB / AB-PIM) and per-trigger PIM
-//     instruction counts, recorded at exact simulated cycles by the
-//     memctrl/hbm/pim layers. One writer per channel (the
+//   - Timeline is the simulator-side sink: one command Log per channel,
+//     run records of DRAM command issues and PIM trigger retirements at
+//     exact simulated cycles, written by the memctrl and pim layers and
+//     expanded on demand into commands, mode windows (SB / AB / AB-PIM)
+//     and per-trigger instruction counts. One writer per channel (the
 //     ownership model of the runtime's engines), so recording takes no
 //     locks.
 //

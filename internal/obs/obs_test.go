@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"pimsim/internal/hbm"
 )
 
 func TestSpanNesting(t *testing.T) {
@@ -172,13 +174,18 @@ func TestTimelineBounds(t *testing.T) {
 	tl := NewTimeline(TimelineConfig{Channels: 2, MaxPerChannel: 3})
 	c := tl.Channel(0)
 	for i := int64(0); i < 5; i++ {
-		c.Cmd(i, "ACT", 0, 0, 1, 0, false)
+		c.Commands(&act, i, 0, 1, hbm.ModeSB, hbm.ModeSB)
 	}
 	if got := len(c.Cmds()); got != 3 {
-		t.Errorf("buffer holds %d cmds, want 3 (capped)", got)
+		t.Errorf("log holds %d cmds, want 3 (capped)", got)
 	}
 	if tl.Dropped() != 2 {
 		t.Errorf("dropped %d, want 2", tl.Dropped())
+	}
+	// A record that does not fit is dropped whole, every command counted.
+	c.Commands(&rd, 10, 2, 4, hbm.ModeABPIM, hbm.ModeABPIM)
+	if tl.Dropped() != 6 {
+		t.Errorf("dropped %d after a 4-command run past the cap, want 6", tl.Dropped())
 	}
 	if tl.Channel(5) != nil || tl.Channel(-1) != nil {
 		t.Error("out-of-range channel must be nil")
@@ -187,11 +194,8 @@ func TestTimelineBounds(t *testing.T) {
 	if nilT.Channel(0) != nil || nilT.Events() != 0 || nilT.Dropped() != 0 {
 		t.Error("nil timeline must be inert")
 	}
-	var nilC *ChannelTimeline
-	nilC.Cmd(0, "RD", 0, 0, 0, 0, false)
-	nilC.ModeChange(0, "AB")
-	nilC.PIMInstr(0, 8)
-	if nilC.Cmds() != nil || nilC.Modes() != nil || nilC.PIMs() != nil {
-		t.Error("nil channel timeline must be inert")
+	var nilC *Log
+	if nilC.Cmds() != nil || nilC.Modes() != nil || nilC.PIMs() != nil || nilC.TraceEvents() != nil {
+		t.Error("nil log must read as empty")
 	}
 }

@@ -105,10 +105,10 @@ type Executor struct {
 
 	discard [burstBytes]byte // register-space reads of the units whose data never reaches the I/O mux
 
-	// TL, when set, records per-trigger retired-instruction counts into
-	// the observability timeline (the Perfetto PIM-activity counter
-	// track). Nil costs one pointer compare per step.
-	TL *obs.ChannelTimeline
+	// Log, when set, records the triggers' retired-instruction counts as
+	// PIM run records in the channel's command log (the Perfetto
+	// PIM-activity counter track). Nil costs one pointer compare per step.
+	Log *obs.Log
 
 	// loopHook, when set, is told of every step that ran k > 1
 	// repetitions together (tests: which closed forms a stream reached).
@@ -311,7 +311,7 @@ func (e *Executor) step(ctx *hbm.TriggerContext, t int, info *hbm.TriggerInfo) (
 	}
 	if e.nopLeft > 0 {
 		e.nopLeft--
-		e.retire(ctx, t, c, info) // an idle slot of a multi-cycle NOP
+		e.retire(ctx, t, 1, c, info) // an idle slot of a multi-cycle NOP
 		return 1, nil
 	}
 	in, err := e.resolveControl(&c)
@@ -319,7 +319,7 @@ func (e *Executor) step(ctx *hbm.TriggerContext, t int, info *hbm.TriggerInfo) (
 		if err != nil {
 			return 0, err // a control error
 		}
-		e.retire(ctx, t, c, info) // EXIT
+		e.retire(ctx, t, 1, c, info) // EXIT
 		return 1, nil
 	}
 	if in.Op == isa.NOP {
@@ -327,7 +327,7 @@ func (e *Executor) step(ctx *hbm.TriggerContext, t int, info *hbm.TriggerInfo) (
 		e.opRetired[isa.NOP]++
 		e.nopLeft = int(in.Imm0)
 		e.ppc++
-		e.retire(ctx, t, c, info)
+		e.retire(ctx, t, 1, c, info)
 		return 1, nil
 	}
 	// Data or arithmetic: consumes the command slot, k times over.
@@ -361,9 +361,11 @@ func (e *Executor) step(ctx *hbm.TriggerContext, t int, info *hbm.TriggerInfo) (
 		slot := e.ppc + 1
 		e.opRetired[isa.JUMP] += int64(taken)
 		e.jumpLeft[slot], e.jumpArmed[slot] = e.loopLeft(slot)-int32(taken), true
-	}
-	for r := 0; r < taken; r++ {
-		e.retire(ctx, t+r, add(c, jump), info)
+		// The first repetition also retires the control resolved before it.
+		e.retire(ctx, t, 1, add(c, jump), info)
+		if taken > 1 {
+			e.retire(ctx, t+1, taken-1, add(base, jump), info)
+		}
 		c = base
 	}
 	if err != nil {
@@ -388,7 +390,7 @@ func (e *Executor) step(ctx *hbm.TriggerContext, t int, info *hbm.TriggerInfo) (
 	if _, err := e.resolveControl(&c); err != nil {
 		return k - 1, err
 	}
-	e.retire(ctx, t+k-1, c, info)
+	e.retire(ctx, t+k-1, 1, c, info)
 	return k, nil
 }
 
@@ -401,15 +403,15 @@ func add(a, b hbm.TriggerInfo) hbm.TriggerInfo {
 	}
 }
 
-// retire adds what each unit retired in trigger t, c, to info for all
-// units, and samples it into the timeline at the trigger's issue cycle.
-func (e *Executor) retire(ctx *hbm.TriggerContext, t int, c hbm.TriggerInfo, info *hbm.TriggerInfo) {
-	n := len(e.units)
-	info.Instructions += c.Instructions * n
-	info.Arithmetic += c.Arithmetic * n
-	info.DataMoves += c.DataMoves * n
-	if e.TL != nil {
-		e.TL.PIMInstr(ctx.Cycle(t), c.Instructions*n)
+// retire adds what each unit retired in each of the n triggers from t, c
+// per trigger, to info for all units, and logs them at their issue cycles.
+func (e *Executor) retire(ctx *hbm.TriggerContext, t, n int, c hbm.TriggerInfo, info *hbm.TriggerInfo) {
+	units := len(e.units)
+	info.Instructions += c.Instructions * units * n
+	info.Arithmetic += c.Arithmetic * units * n
+	info.DataMoves += c.DataMoves * units * n
+	if e.Log != nil {
+		e.Log.PIM(ctx.Cycle(t), ctx.Stride, n, c.Instructions*units)
 	}
 }
 

@@ -111,15 +111,15 @@ func (r *Runtime) TakePhaseObs() PhaseBreakdown {
 }
 
 // AttachTimeline connects an obs.Timeline to the whole stack: each
-// memctrl channel records its issued commands and mode windows, and each
-// PIM executor its per-trigger instruction counts, into the timeline's
-// per-channel buffers. Channel i writes tl.Channel(i); a timeline sized
-// smaller than the system leaves the excess channels unhooked (the hooks
-// are nil-safe). Call before driving traffic.
+// memctrl channel logs its issued commands, and each PIM executor its
+// retired triggers, into the timeline's per-channel log. Channel i writes
+// tl.Channel(i); a timeline sized smaller than the system leaves the
+// excess channels unhooked (the hooks are nil-checked). Call before
+// driving traffic.
 func (r *Runtime) AttachTimeline(tl *obs.Timeline) {
 	for i, c := range r.Chans {
-		c.TL = tl.Channel(i)
-		r.Execs[i].TL = tl.Channel(i)
+		c.Log = tl.Channel(i)
+		r.Execs[i].Log = c.Log
 	}
 }
 

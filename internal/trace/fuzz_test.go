@@ -7,13 +7,15 @@ import (
 
 	"pimsim/internal/blas"
 	"pimsim/internal/hbm"
+	"pimsim/internal/obs"
 	"pimsim/internal/runtime"
 	"pimsim/internal/trace"
 )
 
-// gemvTrace is the text a Recorder dumps for a short timing-only GEMV
-// (32x32 on one device): mode switches, register-space writes, PIM
-// triggers and the SB-mode unload, as cmd/pimsim -trace writes them.
+// gemvTrace is the text channel 0's command log holds for a short
+// timing-only GEMV (32x32 on one device): mode switches, register-space
+// writes, PIM triggers and the SB-mode unload, as cmd/pimsim -trace
+// writes them.
 func gemvTrace(tb testing.TB) string {
 	tb.Helper()
 	cfg := hbm.PIMHBMConfig(1000)
@@ -22,13 +24,13 @@ func gemvTrace(tb testing.TB) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rt.Chans[0].Trace = trace.NewRecorder(256)
+	rt.Chans[0].Log = obs.NewLog(0, 256, true)
 	if _, _, err := blas.PimGemv(rt, nil, 32, 32, nil); err != nil {
 		tb.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := rt.Chans[0].Trace.Dump(&sb); err != nil {
-		tb.Fatal(err)
+	for _, e := range rt.Chans[0].Log.TraceEvents() {
+		sb.WriteString(e.String() + "\n")
 	}
 	return sb.String()
 }

@@ -1,8 +1,8 @@
-// Package trace records DRAM command streams. A Recorder rings the last N
-// commands a controller issued (for post-mortem debugging of PIM
-// kernels), and the text format round-trips through a parser so traces
-// can be replayed against the device model (cmd/tracerun) — the DRAMSim2
-// workflow the paper used for its own design space exploration.
+// Package trace is the text format of DRAM command streams: one line per
+// command, written from a channel's command log (obs.Log.TraceEvents,
+// pimsim -trace) and parsed back so traces can be replayed against the
+// device model (cmd/tracerun) — the DRAMSim2 workflow the paper used for
+// its own design space exploration.
 package trace
 
 import (
@@ -30,57 +30,6 @@ type Event struct {
 func (e Event) String() string {
 	return fmt.Sprintf("%d %d %s %d %d %d %d",
 		e.Cycle, e.Channel, e.Kind, e.BG, e.Bank, e.Row, e.Col)
-}
-
-// Recorder keeps the most recent events in a ring buffer.
-type Recorder struct {
-	ring  []Event
-	next  int
-	total int64
-}
-
-// NewRecorder holds the last capacity events.
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Recorder{ring: make([]Event, 0, capacity)}
-}
-
-// Record appends an event.
-func (r *Recorder) Record(e Event) {
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, e)
-	} else {
-		r.ring[r.next] = e
-		r.next = (r.next + 1) % cap(r.ring)
-	}
-	r.total++
-}
-
-// Total returns how many events were ever recorded.
-func (r *Recorder) Total() int64 { return r.total }
-
-// Events returns the retained events in issue order.
-func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, len(r.ring))
-	if len(r.ring) == cap(r.ring) {
-		out = append(out, r.ring[r.next:]...)
-		out = append(out, r.ring[:r.next]...)
-	} else {
-		out = append(out, r.ring...)
-	}
-	return out
-}
-
-// Dump writes the retained events as text.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Parse reads a text trace. Lines starting with '#' and blank lines are
@@ -155,19 +104,10 @@ func Validate(events []Event, cfg hbm.Config, channels int) error {
 }
 
 func parseKind(s string) (hbm.CmdKind, bool) {
-	switch strings.ToUpper(s) {
-	case "ACT":
-		return hbm.CmdACT, true
-	case "PRE":
-		return hbm.CmdPRE, true
-	case "PREA":
-		return hbm.CmdPREA, true
-	case "RD":
-		return hbm.CmdRD, true
-	case "WR":
-		return hbm.CmdWR, true
-	case "REF":
-		return hbm.CmdREF, true
+	for k := hbm.CmdACT; k <= hbm.CmdREF; k++ {
+		if strings.ToUpper(s) == k.String() {
+			return k, true
+		}
 	}
 	return 0, false
 }

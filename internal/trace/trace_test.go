@@ -8,37 +8,6 @@ import (
 	"pimsim/internal/trace"
 )
 
-func TestRingBuffer(t *testing.T) {
-	r := trace.NewRecorder(3)
-	for i := 0; i < 5; i++ {
-		r.Record(trace.Event{Cycle: int64(i), Kind: hbm.CmdRD, Col: uint32(i)})
-	}
-	if r.Total() != 5 {
-		t.Errorf("total = %d", r.Total())
-	}
-	ev := r.Events()
-	if len(ev) != 3 {
-		t.Fatalf("retained %d", len(ev))
-	}
-	for i, e := range ev {
-		if e.Cycle != int64(i+2) {
-			t.Errorf("event %d cycle %d, want %d (oldest dropped first)", i, e.Cycle, i+2)
-		}
-	}
-}
-
-func TestRecorderUnderfill(t *testing.T) {
-	r := trace.NewRecorder(10)
-	r.Record(trace.Event{Cycle: 1, Kind: hbm.CmdACT, Row: 7})
-	ev := r.Events()
-	if len(ev) != 1 || ev[0].Row != 7 {
-		t.Fatalf("%+v", ev)
-	}
-	if trace.NewRecorder(0) == nil {
-		t.Fatal("zero capacity recorder")
-	}
-}
-
 // roundTripEvents, commentedTrace and malformedTraces are the tests'
 // inputs, and FuzzParse's seeds.
 var (
@@ -71,14 +40,10 @@ var (
 )
 
 func TestDumpParseRoundTrip(t *testing.T) {
-	r := trace.NewRecorder(8)
 	events := roundTripEvents
-	for _, e := range events {
-		r.Record(e)
-	}
 	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
-		t.Fatal(err)
+	for _, e := range events {
+		sb.WriteString(e.String() + "\n")
 	}
 	back, err := trace.Parse(strings.NewReader(sb.String()))
 	if err != nil {

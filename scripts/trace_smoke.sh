@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the observability stack, run in CI: exports a
-# simulator command timeline with pimsim -timeline, boots pimserve with
+# simulator command timeline with pimsim -timeline, replays small
+# generated traces through tracerun in both modes, boots pimserve with
 # the flight recorder armed, drives traced traffic through it, pulls
 # /debug/trace live, and validates every produced artifact against the
 # Chrome trace-event schema with tools/tracecheck. Artifacts land in
@@ -17,6 +18,7 @@ go build -o "$tmp/pimsim" ./cmd/pimsim
 go build -o "$tmp/pimserve" ./cmd/pimserve
 go build -o "$tmp/pimload" ./cmd/pimload
 go build -o "$tmp/tracecheck" ./tools/tracecheck
+go build -o "$tmp/tracerun" ./cmd/tracerun
 
 # --- Simulator timeline: a functional GEMV's command occupancy.
 "$tmp/pimsim" -kernel gemv -m 256 -k 512 -functional \
@@ -37,6 +39,23 @@ done
 if "$tmp/pimsim" -functional -variant 2ba -kernel add -n 4096 -devices 1 >"$tmp/2ba" 2>&1 ||
     ! grep -q 'the 2BA variant is timing-only' "$tmp/2ba"; then
     echo "FAIL: functional 2BA ADD was not refused as timing-only"; cat "$tmp/2ba"; exit 1
+fi
+
+# --- Trace replay: a seeded transaction trace through the FR-FCFS
+# controller, a hand-written command trace re-timed against the device,
+# and a command the device must refuse.
+python3 -c "import random;random.seed(3);print('\n'.join(('W' if i%5==0 else 'R')+' '+hex(random.randrange(1<<28)) for i in range(2000)))" >"$tmp/txn.txt"
+"$tmp/tracerun" -mode txn "$tmp/txn.txt" | tee "$tmp/txnout"
+grep -q '^transactions: 1600 reads, 400 writes$' "$tmp/txnout" || { echo "FAIL: tracerun -mode txn"; exit 1; }
+printf '%s\n' '# cycle ch CMD bg bank row col' '0 0 ACT 0 0 5 0' '0 0 RD 0 0 5 0' '0 0 RD 0 0 5 1' \
+    '0 0 WR 0 0 5 2' '0 0 PRE 0 0 0 0' '0 1 ACT 1 2 7 0' '0 1 RD 1 2 7 3' '0 1 PREA 0 0 0 0' \
+    '0 1 REF 0 0 0 0' >"$tmp/cmd.txt"
+"$tmp/tracerun" -mode cmd "$tmp/cmd.txt" | tee "$tmp/cmdout"
+grep -q '^replayed 9 commands' "$tmp/cmdout" && grep -q '^device: ACT 2, RD 3, WR 1, PRE 2, REF 1,' "$tmp/cmdout" ||
+    { echo "FAIL: tracerun -mode cmd"; exit 1; }
+echo '0 0 RD 0 0 0 0' >"$tmp/idle.txt"
+if "$tmp/tracerun" -mode cmd "$tmp/idle.txt" 2>"$tmp/idleout" || ! grep -q 'RD to idle bank' "$tmp/idleout"; then
+    echo "FAIL: tracerun replayed a RD to an idle bank"; cat "$tmp/idleout"; exit 1
 fi
 
 # --- Traced serving: boot with the flight recorder armed.
