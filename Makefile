@@ -163,18 +163,26 @@ fp16-exhaustive:
 # path, the one a CI runner with F16C never selects by itself, and the
 # column-run tests (memctrl's trigger and register/bank runs against single
 # commands, hbm's closed-form run cycles against the brute-force oracle,
-# pim's differential over runs).
+# pim's differential over runs). Every alternative of the -run pattern
+# must select a test (scripts/test_selection.sh), so a renamed test cannot
+# drop out of the target unnoticed.
+PUREGO_PKGS = ./internal/fp16 ./internal/hbm ./internal/pim ./internal/memctrl ./internal/blas ./internal/nn .
+PUREGO_RUN = Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64|RegisterSpace|Splats|IssueRun|RunMatches
 purego:
 	$(GO) vet -tags purego ./internal/fp16
-	$(GO) test -tags purego -short ./internal/fp16 ./internal/hbm ./internal/pim ./internal/memctrl ./internal/blas ./internal/nn . -run 'Golden|MAC|MAD|Vec|Gemv|Microkernel|Step|Differential|Uncorrectable|ZeroAlloc|ReadBanks|FailedRead|FailedWrite|Burst|ImportState|FromFloat64|RegisterSpace|Splats|IssueRun|RunMatches'
+	GO=$(GO) bash scripts/test_selection.sh -tags purego '$(PUREGO_RUN)' $(PUREGO_PKGS)
+	$(GO) test -tags purego -short $(PUREGO_PKGS) -run '$(PUREGO_RUN)'
 
 # race-goldens proves engine determinism under the race detector: serial
 # vs parallel per-pCH execution, GOMAXPROCS 1/2/N, with tracing and fault
 # injection armed, must be bit-for-bit identical (see DESIGN.md). It also
-# runs the full-budget aggregate/brute-force oracle fuzz under -race: the
-# O(1) timing aggregates must agree with the all-bank scan on every
-# verdict across 10k fuzzed command streams.
+# runs the full-budget aggregate fuzz under -race: the O(1) timing
+# aggregates must agree with the test-side all-bank scan (earliestBrute,
+# in internal/hbm's tests) on every verdict across 10k fuzzed command
+# streams. Both -run patterns must select a test (scripts/test_selection.sh).
 race-goldens:
+	GO=$(GO) bash scripts/test_selection.sh 'TestGolden' .
+	GO=$(GO) bash scripts/test_selection.sh 'TestAggregateEarliestMatchesBruteForce' ./internal/hbm/
 	$(GO) test -race -count=2 -run 'TestGolden' .
 	$(GO) test -race -run 'TestAggregateEarliestMatchesBruteForce' ./internal/hbm/
 

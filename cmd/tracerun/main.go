@@ -155,14 +155,11 @@ func replay(r io.Reader, dev *hbm.Device, cfg hbm.Config) (int, int64, error) {
 	for i, e := range events {
 		p := dev.PCH(e.Channel)
 		cmd := e.Command()
-		at, err := p.EarliestIssue(cmd, now[e.Channel])
-		if err != nil {
+		var res hbm.IssueResult
+		if err := p.IssueEarliest(&cmd, now[e.Channel], &res); err != nil {
 			return i, 0, fmt.Errorf("event %d (%s): %v", i, cmd, err)
 		}
-		if _, err := p.Issue(cmd, at); err != nil {
-			return i, 0, fmt.Errorf("event %d (%s): %v", i, cmd, err)
-		}
-		now[e.Channel] = at + 1
+		now[e.Channel] = res.Cycle + 1
 	}
 	return len(events), slices.Max(now), nil
 }

@@ -62,20 +62,16 @@ func main() {
 	must(rt.ProgramCRF(0, prog))
 	must(rt.SetPIMMode(0, true))
 	must(rt.OpenRow(0, row))
-	for col := uint32(0); col < 8; col++ {
-		must(rt.TriggerRD(0, 0, col)) // even-bank loads
-	}
+	must(rt.TriggerRDRun(0, 0, 0, 8)) // even-bank loads: columns 0..7, one AAM window
 	rt.Fence(0)
-	for col := uint32(0); col < 8; col++ {
-		must(rt.TriggerWR(0, 1, col, nil)) // odd-bank stores
-	}
+	must(rt.TriggerWRRun(0, 1, 0, 8, nil)) // odd-bank stores
 	rt.Fence(0)
 	must(rt.CloseRows(0))
 	must(rt.SetPIMMode(0, false))
 	must(rt.ExitToSB(0))
 
 	// Read the odd bank back in plain SB mode.
-	out, err := rt.ReadBankSB(0, 1, row, 3)
+	out, err := rt.ReadBankSB(0, 1, row, 3, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

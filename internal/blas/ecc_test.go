@@ -66,7 +66,7 @@ func TestPimGemvWithECCCorrectsInjectedFaults(t *testing.T) {
 	// still flows through the ECC engine. To guarantee reads hit damaged
 	// data, corrupt and then read the raw rows back first:
 	inject()
-	data, err := rt.ReadBankSB(0, 0, base, 0)
+	data, err := rt.ReadBankSB(0, 0, base, 0, 1)
 	if err != nil {
 		t.Fatalf("ECC failed to heal a single-bit fault: %v", err)
 	}

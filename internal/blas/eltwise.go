@@ -177,15 +177,9 @@ func (p *eltPlan) layout(rt *runtime.Runtime, a, b fp16.Vector) error {
 	banksPerUnit := rt.Cfg.BanksPerUnit()
 	rowWidth := rt.Cfg.ColumnsPerRow()
 	blockBytes := 2 * p.lanes
-	// One row buffer serves every write: WriteBankRowSB copies into bank
+	// One row buffer serves every write: WriteBankSB copies into bank
 	// storage before it returns.
 	row := make([]byte, rowWidth*blockBytes)
-	cols := make([]uint32, rowWidth)
-	data := make([][]byte, rowWidth)
-	for i := range cols {
-		cols[i] = uint32(i)
-		data[i] = row[i*blockBytes : (i+1)*blockBytes]
-	}
 	// a goes to each unit's first bank (sel 0). b goes to its last (sel 1),
 	// or, with one bank per unit, beside a in the same row.
 	selB, offB := p.srcB()
@@ -212,7 +206,7 @@ func (p *eltPlan) layout(rt *runtime.Runtime, a, b fp16.Vector) error {
 					if hasB {
 						b[start:end].PutBytes(row[int(offB)*blockBytes:])
 					}
-					if err := rt.WriteBankRowSB(ch, bank, p.baseRow+uint32(visit), cols, data); err != nil {
+					if err := rt.WriteBankSB(ch, bank, p.baseRow+uint32(visit), 0, row); err != nil {
 						return err
 					}
 				}
@@ -353,25 +347,22 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 	out := fp16.NewVector(n)
 	banksPerUnit := rt.Cfg.BanksPerUnit()
 	selD, colOff := plan.dst()
-	cols := make([]uint32, plan.inCols)
-	for i := range cols {
-		cols[i] = colOff + uint32(i)
-	}
+	size := rt.Cfg.AccessBytes
 	type rowKey struct{ ch, u, visit int }
-	cache := make(map[rowKey][][]byte)
+	cache := make(map[rowKey][]byte)
 	for idx := 0; idx < n; idx++ {
 		ch, u, visit, col, lane := plan.locate(idx)
 		key := rowKey{ch, u, visit}
 		blocks, ok := cache[key]
 		if !ok {
 			dstBank := u*banksPerUnit + selD*(banksPerUnit-1)
-			blocks, err = rt.ReadBankRowSB(ch, dstBank, plan.baseRow+uint32(visit), cols)
+			blocks, err = rt.ReadBankSB(ch, dstBank, plan.baseRow+uint32(visit), colOff, plan.inCols)
 			if err != nil {
 				return nil, ks, err
 			}
 			cache[key] = blocks
 		}
-		v := fp16.VectorFromBytes(blocks[col])
+		v := fp16.VectorFromBytes(blocks[int(col)*size : (int(col)+1)*size])
 		out[idx] = v[lane]
 	}
 	return out, ks, nil

@@ -143,7 +143,7 @@ func (p *gemvPlan) layoutWeights(rt *runtime.Runtime, W fp16.Vector) error {
 			err := p.eachRow(rt, ch, func(bank int, row uint32, b, lo, hi int) error {
 				data := buf[:(hi-lo)*p.G*colBytes]
 				p.rowPayload(W, b, lo, hi, data)
-				return rt.WriteBankRunSB(ch, bank, row, 0, data)
+				return rt.WriteBankSB(ch, bank, row, 0, data)
 			})
 			if err != nil {
 				return err
@@ -167,7 +167,7 @@ func (p *gemvPlan) layoutWeights(rt *runtime.Runtime, W fp16.Vector) error {
 	})
 	return rt.ForEachChannel(func(ch int) error {
 		for _, w := range writes {
-			if err := rt.WriteBankRunSB(ch, w.bank, w.row, 0, w.data); err != nil {
+			if err := rt.WriteBankSB(ch, w.bank, w.row, 0, w.data); err != nil {
 				return err
 			}
 		}

@@ -62,14 +62,11 @@ func streamHBM(t *testing.T, n int) (hbm.Stats, int64, hbm.Config) {
 	var now int64
 	issue := func(cmd hbm.Command) {
 		t.Helper()
-		at, err := p.EarliestIssue(cmd, now)
-		if err != nil {
+		var res hbm.IssueResult
+		if err := p.IssueEarliest(&cmd, now, &res); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Issue(cmd, at); err != nil {
-			t.Fatal(err)
-		}
-		now = at
+		now = res.Cycle
 	}
 	for bg := 0; bg < 4; bg++ {
 		issue(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: 0, Row: 0})
@@ -94,14 +91,11 @@ func streamPIM(t *testing.T, n int) (hbm.Stats, int64, hbm.Config) {
 	var now int64
 	issue := func(cmd hbm.Command) {
 		t.Helper()
-		at, err := p.EarliestIssue(cmd, now)
-		if err != nil {
+		var res hbm.IssueResult
+		if err := p.IssueEarliest(&cmd, now, &res); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Issue(cmd, at); err != nil {
-			t.Fatal(err)
-		}
-		now = at
+		now = res.Cycle
 	}
 	// Enter AB and program a long MAC loop.
 	issue(hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.ABMRBank, Row: cfg.ModeRow()})

@@ -41,8 +41,10 @@ type Command struct {
 	Row  uint32
 	Col  uint32
 
-	// Data carries the 32-byte write payload for WR. For RD, Issue fills
-	// in the data read (functional mode only).
+	// Data carries the 32-byte write payload of a WR issued alone
+	// (PseudoChannel.IssueEarliest, memctrl.Channel.Issue); IssueRun takes
+	// a run's payloads as a list and does not read it. A RD's data comes
+	// back in IssueResult.Data or Run.Data, never here.
 	Data []byte
 }
 
@@ -59,25 +61,23 @@ func (c Command) String() string {
 	}
 }
 
-// IssueResult reports what a command did.
-//
-// Data aliases a per-pseudo-channel scratch buffer and is only valid until
-// the next Issue on the same pseudo channel; callers that retain read data
-// across commands must copy it first. This keeps the column hot path free
-// of per-command allocation.
+// IssueResult reports what a command issued alone did: its cycle and, for
+// a RD that returns data, its burst, which lives as a burst of Run.Data
+// does.
 type IssueResult struct {
 	Cycle int64  // the cycle the command issued at
-	Data  []byte // data returned by an SB-mode RD (functional mode)
+	Data  []byte // data returned by a RD (functional mode)
 }
 
-// Run reports what a run of column commands (PseudoChannel.IssueRun) did:
-// N commands issued, command i at cycle First + i*Stride.
+// Run reports what a run of commands (PseudoChannel.IssueRun) did: N
+// commands issued, command i at cycle First + i*Stride.
 //
 // Data holds the burst each command of a RD run returned (functional
-// array reads, and register-space reads), aliasing per-pseudo-channel
-// scratch like IssueResult.Data: it is only valid until the next command
-// that reads the same column of the same pseudo channel, and a caller
-// that keeps a burst longer copies it.
+// array reads, and register-space reads). The bursts alias the pseudo
+// channel's scratch, one slot per column, so the column path allocates
+// nothing; the one lifetime rule: a burst is valid until the pseudo
+// channel's next read of the same column, and the Data list until its
+// next command. A caller that keeps either longer copies it.
 type Run struct {
 	First  int64
 	Stride int64

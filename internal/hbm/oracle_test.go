@@ -1,6 +1,7 @@
 package hbm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // The timing oracle is an independent, brute-force re-implementation of
 // the JEDEC inter-command constraints: it keeps the full command history
 // and checks every pairwise rule on each issue. Random SB-mode traffic
-// driven through EarliestIssue/Issue must never violate it — if the
+// issued through IssueEarliest must never violate it — if the
 // incremental state machine in bank.go/pch.go ever disagrees with the
 // written-out rules, this test finds the sequence.
 
@@ -34,11 +35,31 @@ func (o *oracle) sameBank(a, b oracleCmd) bool { return a.bg == b.bg && a.b == b
 // check validates cmd at cycle t against the entire history, then appends.
 func (o *oracle) check(kind CmdKind, bg, b int, t64 int64) {
 	o.t.Helper()
+	if v := o.violation(kind, bg, b, t64); v != "" {
+		o.t.Fatal(v)
+	}
+	key := [2]int{bg, b}
+	switch kind {
+	case CmdACT:
+		o.open[key] = true
+	case CmdPRE:
+		o.open[key] = false
+	case CmdPREA:
+		for k := range o.open {
+			o.open[k] = false
+		}
+	}
+	o.hist = append(o.hist, oracleCmd{kind: kind, bg: bg, b: b, cycle: t64})
+}
+
+// violation reports the first rule cmd at cycle t breaks against the
+// entire history, or "" when it breaks none. It changes nothing.
+func (o *oracle) violation(kind CmdKind, bg, b int, t64 int64) (broken string) {
 	tm := o.tm
 	c := oracleCmd{kind: kind, bg: bg, b: b, cycle: t64}
 	req := func(prev oracleCmd, min int, rule string) {
-		if t64-prev.cycle < int64(min) {
-			o.t.Fatalf("%s at %d violates %s: %s at %d needs +%d",
+		if broken == "" && t64-prev.cycle < int64(min) {
+			broken = fmt.Sprintf("%s at %d violates %s: %s at %d needs +%d",
 				kind, t64, rule, prev.kind, prev.cycle, min)
 		}
 	}
@@ -107,7 +128,7 @@ func (o *oracle) check(kind CmdKind, bg, b int, t64 int64) {
 			}
 		}
 		if last == nil {
-			o.t.Fatalf("%s at %d on a never-activated bank", kind, t64)
+			return fmt.Sprintf("%s at %d on a never-activated bank", kind, t64)
 		}
 		req(*last, tm.RCD, "tRCD")
 	}
@@ -120,9 +141,12 @@ func (o *oracle) check(kind CmdKind, bg, b int, t64 int64) {
 				inWindow++
 			}
 		}
-		if inWindow >= 4 {
-			o.t.Fatalf("ACT at %d is the 5th inside tFAW=%d", t64, tm.FAW)
+		if inWindow >= 4 && broken == "" {
+			broken = fmt.Sprintf("ACT at %d is the 5th inside tFAW=%d", t64, tm.FAW)
 		}
+	}
+	if broken != "" {
+		return broken
 	}
 
 	// Row-buffer state discipline.
@@ -130,30 +154,24 @@ func (o *oracle) check(kind CmdKind, bg, b int, t64 int64) {
 	switch kind {
 	case CmdACT:
 		if o.open[key] {
-			o.t.Fatalf("ACT at %d to open bank %v", t64, key)
+			return fmt.Sprintf("ACT at %d to open bank %v", t64, key)
 		}
-		o.open[key] = true
 	case CmdPRE:
 		if !o.open[key] {
-			o.t.Fatalf("PRE at %d to idle bank %v", t64, key)
-		}
-		o.open[key] = false
-	case CmdPREA:
-		for k := range o.open {
-			o.open[k] = false
+			return fmt.Sprintf("PRE at %d to idle bank %v", t64, key)
 		}
 	case CmdRD, CmdWR:
 		if !o.open[key] {
-			o.t.Fatalf("%s at %d to idle bank %v", kind, t64, key)
+			return fmt.Sprintf("%s at %d to idle bank %v", kind, t64, key)
 		}
 	case CmdREF:
 		for k, v := range o.open {
 			if v {
-				o.t.Fatalf("REF at %d with bank %v open", t64, k)
+				return fmt.Sprintf("REF at %d with bank %v open", t64, k)
 			}
 		}
 	}
-	o.hist = append(o.hist, c)
+	return ""
 }
 
 func TestTimingOracleRandomTraffic(t *testing.T) {
@@ -179,15 +197,12 @@ func TestTimingOracleRandomTraffic(t *testing.T) {
 		var now int64
 		issue := func(cmd Command) {
 			t.Helper()
-			at, err := p.EarliestIssue(cmd, now)
-			if err != nil {
-				t.Fatalf("EarliestIssue(%s): %v", cmd, err)
+			var res IssueResult
+			if err := p.IssueEarliest(&cmd, now, &res); err != nil {
+				t.Fatalf("IssueEarliest(%s): %v", cmd, err)
 			}
-			if _, err := p.Issue(cmd, at); err != nil {
-				t.Fatalf("Issue(%s): %v", cmd, err)
-			}
-			o.check(cmd.Kind, cmd.BG, cmd.Bank, at)
-			now = at + int64(rng.Intn(3)) // issue promptly or dawdle a little
+			o.check(cmd.Kind, cmd.BG, cmd.Bank, res.Cycle)
+			now = res.Cycle + int64(rng.Intn(3)) // issue promptly or dawdle a little
 		}
 
 		for step := 0; step < 4000; step++ {
@@ -224,14 +239,17 @@ func TestTimingOracleRandomTraffic(t *testing.T) {
 	}
 }
 
-// TestEarliestIssueIsTight spot-checks that EarliestIssue is not merely
-// safe but minimal for the basic rules: issuing one cycle earlier than
-// the reported cycle must be rejected whenever any constraint binds.
+// TestEarliestIssueIsTight checks that EarliestIssue is not merely safe
+// but minimal, judged by the independent history oracle: whenever a rule
+// holds a command past the stream's clock, one cycle before the reported
+// cycle must break a rule the oracle writes out, and the reported cycle
+// none.
 func TestEarliestIssueIsTight(t *testing.T) {
 	cfg := HBM2Config(1000)
 	cfg.Functional = false
 	dev := MustNewDevice(cfg)
 	p := dev.PCH(0)
+	o := newOracle(t, cfg.Timing)
 	rng := rand.New(rand.NewSource(42))
 
 	var now int64
@@ -255,13 +273,11 @@ func TestEarliestIssueIsTight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if at > now {
-			// Some rule binds: one cycle earlier must fail.
-			if _, err := p.Issue(cmd, at-1); err == nil {
-				t.Fatalf("step %d: %s accepted at %d, one cycle before its earliest %d", step, cmd, at-1, at)
-			}
+		if at > now && o.violation(cmd.Kind, bg, b, at-1) == "" {
+			t.Fatalf("step %d: %s at %d, one cycle before its earliest %d, breaks no rule", step, cmd, at-1, at)
 		}
-		if _, err := p.Issue(cmd, at); err != nil {
+		o.check(cmd.Kind, bg, b, at)
+		if _, err := issueAt(p, cmd, at); err != nil {
 			t.Fatal(err)
 		}
 		switch cmd.Kind {

@@ -207,9 +207,8 @@ type PseudoChannel struct {
 	// Broadcast legality used to scan all banks on every broadcast command;
 	// these running maxima make it O(1). Every bank timer is monotonically
 	// nondecreasing (all raises go through maxi64), so the all-bank maxima
-	// only need updating at the handful of raise sites. earliestBrute keeps
-	// the scan as a debug oracle; SetTimingCrossCheck makes every legality
-	// verdict compare the two.
+	// only need updating at the handful of raise sites. The tests keep the
+	// scan as an oracle and compare its verdicts with these.
 	activeBanks int   // banks currently in bankActive state
 	aggACT      int64 // max over all banks of actAllowed
 	aggRD       int64 // max over all banks of rdAllowed
@@ -235,10 +234,6 @@ type PseudoChannel struct {
 	aggRdL   int64
 	rdFloorL int64
 
-	// checkTiming arms the aggregate-vs-brute-force oracle cross-check on
-	// every legality verdict (randomized property tests; panics on drift).
-	checkTiming bool
-
 	stats   Stats
 	bankOps []BankOps // per-bank command observations (utilization balance)
 	// bcastOps counts broadcast (AB/AB-PIM) commands once instead of
@@ -253,15 +248,13 @@ type PseudoChannel struct {
 
 	// Reusable scratch so column runs allocate nothing. runBuf holds one
 	// burst per column of a row (cut on first need): a RD run's data lands
-	// in the slots of its columns, so runViews (Run.Data, valid until the next command) stay
-	// apart across the runs a refresh splits a controller's run into.
-	// runData is the channel's copy of a WR run's payload list, so the
-	// caller's list never escapes through the executor interface, and
-	// oneData that of a command issued alone.
+	// in the slots of its columns, so the bursts runViews (Run.Data) points
+	// at stay apart across the runs a refresh splits a controller's run
+	// into. runData is the channel's copy of a WR run's payload list, so
+	// the caller's list never escapes through the executor interface.
 	runBuf   []byte
 	runViews [][]byte
 	runData  [][]byte
-	oneData  [1][]byte
 
 	// trig is the reusable trigger-run context handed to the PIM executor
 	// (by pointer, so the per-run path copies no structs). Its constant
@@ -419,9 +412,6 @@ func (p *PseudoChannel) unitFor(bankIdx int) int { return bankIdx / p.banksPerUn
 // are illegal regardless of timing (bad address, closed row, wrong mode).
 func (p *PseudoChannel) EarliestIssue(cmd Command, now int64) (int64, error) {
 	at, _, err := p.earliest(&cmd, now)
-	if p.checkTiming {
-		p.crossCheck(cmd, now, at, err)
-	}
 	return at, err
 }
 
@@ -538,110 +528,6 @@ func (p *PseudoChannel) rescanAggPre() {
 	p.preDirty = false
 }
 
-// earliestBrute recomputes earliest's verdict by scanning every bank and
-// bank group — the pre-aggregate implementation kept as a debug oracle.
-// Per-bank preAllowed reads fold in preFloor and per-group rdAllowedL
-// reads fold in rdFloorL (broadcast raises live in the floors now); the
-// tCCD_L raise of a broadcast column lives in colAllowedS, which the
-// column cases already take. This is the ground truth the O(1) aggregate
-// path must match, cycle for cycle and error for error.
-func (p *PseudoChannel) earliestBrute(cmd *Command, now int64) (int64, bool, error) {
-	if err := p.cfg.addrCheck(cmd); err != nil {
-		return 0, false, err
-	}
-	t := maxi64(now, p.busyUntil)
-	tm := &p.cfg.Timing
-
-	broadcast := p.mode != ModeSB && !p.isModeHandshake(cmd)
-
-	switch cmd.Kind {
-	case CmdACT:
-		if broadcast {
-			if cmd.Row >= uint32(p.cfg.Rows)-1 {
-				return 0, false, fmt.Errorf("hbm: broadcast ACT to the mode row is illegal")
-			}
-			for i := range p.banks {
-				t = maxi64(t, p.banks[i].earliestACT())
-			}
-			return t, broadcast, nil
-		}
-		b := &p.banks[p.flat(cmd.BG, cmd.Bank)]
-		if b.state == bankActive {
-			return 0, false, fmt.Errorf("hbm: ACT to open bank bg%d b%d", cmd.BG, cmd.Bank)
-		}
-		t = maxi64(t, b.earliestACT())
-		t = maxi64(t, p.rrdAllowed)
-		t = maxi64(t, p.rrdAllowedL[cmd.BG])
-		t = maxi64(t, p.actWindow.earliest(int64(tm.FAW)))
-		return t, broadcast, nil
-
-	case CmdPRE:
-		if broadcast {
-			for i := range p.banks {
-				if p.banks[i].state == bankActive {
-					t = maxi64(t, maxi64(p.banks[i].preAllowed, p.preFloor))
-				}
-			}
-			return t, broadcast, nil
-		}
-		b := &p.banks[p.flat(cmd.BG, cmd.Bank)]
-		if b.state != bankActive {
-			return 0, false, fmt.Errorf("hbm: PRE to idle bank bg%d b%d", cmd.BG, cmd.Bank)
-		}
-		return maxi64(t, maxi64(b.preAllowed, p.preFloor)), broadcast, nil
-
-	case CmdPREA:
-		for i := range p.banks {
-			if p.banks[i].state == bankActive {
-				t = maxi64(t, maxi64(p.banks[i].preAllowed, p.preFloor))
-			}
-		}
-		return t, broadcast, nil
-
-	case CmdRD, CmdWR:
-		t = maxi64(t, p.colAllowedS)
-		if cmd.Kind == CmdWR {
-			t = maxi64(t, p.wrAllowed)
-		} else {
-			t = maxi64(t, p.rdAllowedS)
-		}
-		if broadcast {
-			for bg := range p.colAllowedL {
-				t = maxi64(t, p.colAllowedL[bg])
-				if cmd.Kind == CmdRD {
-					t = maxi64(t, maxi64(p.rdAllowedL[bg], p.rdFloorL))
-				}
-			}
-			for i := range p.banks {
-				if p.banks[i].state != bankActive {
-					return 0, false, fmt.Errorf("hbm: broadcast %s with bank %d idle", cmd.Kind, i)
-				}
-				t = maxi64(t, p.banks[i].earliestCol(cmd.Kind))
-			}
-			return t, broadcast, nil
-		}
-		t = maxi64(t, p.colAllowedL[cmd.BG])
-		if cmd.Kind == CmdRD {
-			t = maxi64(t, maxi64(p.rdAllowedL[cmd.BG], p.rdFloorL))
-		}
-		b := &p.banks[p.flat(cmd.BG, cmd.Bank)]
-		if b.state != bankActive {
-			return 0, false, fmt.Errorf("hbm: %s to idle bank bg%d b%d", cmd.Kind, cmd.BG, cmd.Bank)
-		}
-		return maxi64(t, b.earliestCol(cmd.Kind)), broadcast, nil
-
-	case CmdREF:
-		for i := range p.banks {
-			if p.banks[i].state == bankActive {
-				return 0, false, fmt.Errorf("hbm: REF with bank %d active", i)
-			}
-			t = maxi64(t, p.banks[i].earliestACT())
-		}
-		return t, broadcast, nil
-	}
-	return 0, false, fmt.Errorf("hbm: unknown command kind %d", cmd.Kind)
-}
-
 // NextTimerExpiry returns the earliest cycle strictly after now at which
 // any timing constraint of this pseudo channel expires — the soonest
 // moment a command blocked purely on timing could become legal. It
@@ -684,27 +570,6 @@ func (p *PseudoChannel) NextTimerExpiry(now int64) int64 {
 	return next
 }
 
-// SetTimingCrossCheck arms (or disarms) the debug oracle: every legality
-// verdict computed from the incremental aggregates is re-derived by the
-// brute-force bank scan and any disagreement panics. Test-only — it makes
-// every command O(banks) again.
-func (p *PseudoChannel) SetTimingCrossCheck(on bool) { p.checkTiming = on }
-
-// crossCheck compares one aggregate verdict against the brute-force
-// oracle. It must run before apply mutates state. It takes the command by
-// value so the hot entry points' stack copies do not escape through the
-// (cold, test-only) panic formatting.
-func (p *PseudoChannel) crossCheck(cmd Command, now, at int64, err error) {
-	bat, _, berr := p.earliestBrute(&cmd, now)
-	switch {
-	case (err == nil) != (berr == nil),
-		err == nil && at != bat,
-		err != nil && berr != nil && err.Error() != berr.Error():
-		panic(fmt.Sprintf("hbm: timing aggregate mismatch for %s at cycle %d: aggregates say (%d, %v), brute force says (%d, %v)",
-			cmd, now, at, err, bat, berr))
-	}
-}
-
 // isModeHandshake reports whether cmd is part of the single-bank
 // mode-transition handshake (ACT/PRE/WR on the mode row of bank group 0,
 // bank 0 or 1).
@@ -726,48 +591,83 @@ func (p *PseudoChannel) isModeHandshake(cmd *Command) bool {
 	return false
 }
 
-// Issue executes cmd at cycle `at`. `at` must be at or after the cycle
-// EarliestIssue reports; Issue re-validates and errors otherwise, so a
-// controller bug cannot silently violate timing.
-func (p *PseudoChannel) Issue(cmd Command, at int64) (IssueResult, error) {
-	earliest, broadcast, err := p.earliest(&cmd, at)
-	if p.checkTiming {
-		p.crossCheck(cmd, at, earliest, err)
+// IssueRun issues up to n commands like *cmd: the one entry through which
+// every command reaches the pseudo channel. A row command (ACT, PRE, PREA)
+// or a REF is a run of one, and a longer run of one is refused before it
+// touches any state; n <= 0 issues nothing. The first command issues at
+// its earliest legal cycle at or after now: now is a floor, so a caller
+// that wants a command later than the earliest cycle (a controller's
+// delay hook, a trace replayed at its own cycles) passes the later cycle.
+//
+// A run of column commands (the commands of an AAM window of PIM
+// triggers, of a register-file load or unload, or of one bank row) issues
+// at consecutive columns cmd.Col, cmd.Col+1, ..., command i carrying
+// data[i] (nil data: no payloads; cmd.Data is not read). Command i issues
+// at First + i*Stride with Stride = max(1, tCCD_S, tCCD_L): exactly the
+// cycles of n runs of one, each from the previous command's cycle plus one
+// (the command bus carries one command a cycle), because a run of one kind
+// raises only the timers it reads by its own cycle plus a constant no
+// larger than the stride (a RD moves wrAllowed, a WR rdAllowedS,
+// rdAllowedL and rdFloorL, and neither reads what it moves). What the
+// commands do is done once for the run: a run of triggers reaches the
+// executor in one Trigger call, a register-space run in one RegisterWrite
+// or RegisterRead call over every unit it addresses, and the column
+// timing, the precharge fence and every counter are booked once, with the
+// last command's cycle.
+//
+// A column run stops before a command whose bus cycle would reach stop (a
+// refresh deadline the controller must service first; the first command
+// always issues), and after a write to the PIM_OP_MODE column (the mode it
+// sets governs what follows); a command past the last column of the row
+// is an address error. A command whose data step fails has issued: its
+// timing and counts stand, and the commands after it never issue. The run
+// fills *run with the commands that issued and, for a RD run that returns
+// data, the burst each returned; an error is the command's after them.
+func (p *PseudoChannel) IssueRun(cmd *Command, n int, data [][]byte, now, stop int64, run *Run) error {
+	*run = Run{Stride: p.colStride}
+	if n <= 0 {
+		return nil
 	}
+	column := cmd.Kind.IsColumn()
+	if !column && n > 1 {
+		return fmt.Errorf("hbm: %s issues alone, not as a run of %d", cmd.Kind, n)
+	}
+	first, broadcast, err := p.earliest(cmd, now)
 	if err != nil {
-		return IssueResult{}, err
-	}
-	if at < earliest {
-		return IssueResult{}, fmt.Errorf("hbm: %s issued at %d before earliest legal cycle %d", cmd, at, earliest)
-	}
-	res := IssueResult{Cycle: at}
-	err = p.apply(&cmd, at, broadcast, &res)
-	return res, err
-}
-
-// IssueEarliest issues *cmd at the earliest legal cycle at or after now —
-// EarliestIssue's computation and Issue's execution in a single
-// validation pass, filling *res in place. Controllers with no delay hook
-// between scheduling and issue use it; the chosen cycle comes back in
-// res.Cycle. The pointer forms keep the per-command fast path free of
-// Command/IssueResult struct copies through the controller layers.
-func (p *PseudoChannel) IssueEarliest(cmd *Command, now int64, res *IssueResult) error {
-	at, broadcast, err := p.earliest(cmd, now)
-	if p.checkTiming {
-		p.crossCheck(*cmd, now, at, err)
-	}
-	if err != nil {
-		*res = IssueResult{}
 		return err
 	}
-	*res = IssueResult{Cycle: at}
-	return p.apply(cmd, at, broadcast, res)
+	if !column {
+		p.apply(cmd, first, broadcast)
+		run.First, run.N = first, 1
+		return nil
+	}
+	p.runViews = p.runViews[:0]
+	err = p.columnRun(cmd, n, data, first, broadcast, stop, run)
+	run.Data = p.runViews
+	return err
 }
 
-// apply executes an already-validated command at cycle at, filling res
-// (pre-set to {Cycle: at}) in place — an out parameter, so the hot
-// command path returns no multi-word structs through its call chain.
-func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool, res *IssueResult) error {
+// IssueEarliest issues *cmd alone, a WR carrying cmd.Data, at its earliest
+// legal cycle at or after now: IssueRun's run of one, filling *res in
+// place with the cycle and a RD's burst.
+func (p *PseudoChannel) IssueEarliest(cmd *Command, now int64, res *IssueResult) error {
+	one := [1][]byte{cmd.Data}
+	data := one[:]
+	if cmd.Data == nil {
+		data = nil
+	}
+	var run Run
+	err := p.IssueRun(cmd, 1, data, now, math.MaxInt64, &run)
+	*res = IssueResult{Cycle: run.First}
+	if len(run.Data) > 0 {
+		res.Data = run.Data[0]
+	}
+	return err
+}
+
+// apply executes a row command or a REF that earliest found legal at
+// cycle at (broadcast is its verdict).
+func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool) {
 	tm := &p.cfg.Timing
 
 	switch cmd.Kind {
@@ -786,7 +686,7 @@ func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool, res *Issue
 			p.rescanAggPre()
 			p.bcastOps.ACT++
 			p.stats.ABACT++
-			return nil
+			return
 		}
 		b := &p.banks[p.flat(cmd.BG, cmd.Bank)]
 		b.activate(cmd.Row, at, tm)
@@ -806,13 +706,12 @@ func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool, res *Issue
 		p.rrdAllowed = maxi64(p.rrdAllowed, at+int64(tm.RRDS))
 		p.rrdAllowedL[cmd.BG] = maxi64(p.rrdAllowedL[cmd.BG], at+int64(tm.RRDL))
 		p.stats.ACT++
-		return nil
 
 	case CmdPRE:
 		if broadcast {
 			p.prechargeAll(at, tm, false)
 			p.stats.ABPRE++
-			return nil
+			return
 		}
 		idx := p.flat(cmd.BG, cmd.Bank)
 		wasHandshake := p.isModeHandshake(cmd)
@@ -832,26 +731,9 @@ func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool, res *Issue
 		if wasHandshake {
 			p.completeHandshake(cmd.Bank, at)
 		}
-		return nil
 
 	case CmdPREA:
 		p.prechargeAll(at, tm, true)
-		return nil
-
-	case CmdRD, CmdWR:
-		// A column command is a run of one.
-		var data [][]byte
-		if cmd.Data != nil {
-			p.oneData[0] = cmd.Data
-			data = p.oneData[:]
-		}
-		p.runViews = p.runViews[:0]
-		var run Run
-		err := p.columnRun(cmd, 1, data, at, broadcast, math.MaxInt64, &run)
-		if len(p.runViews) > 0 {
-			res.Data = p.runViews[0]
-		}
-		return err
 
 	case CmdREF:
 		until := at + int64(tm.RFC)
@@ -865,9 +747,7 @@ func (p *PseudoChannel) apply(cmd *Command, at int64, broadcast bool, res *Issue
 		p.aggWR = maxi64(p.aggWR, until)
 		p.busyUntil = maxi64(p.busyUntil, until)
 		p.stats.REF++
-		return nil
 	}
-	return fmt.Errorf("hbm: unknown command kind %d", cmd.Kind)
 }
 
 // prechargeAll closes every active bank (broadcast PRE and PREA) and
@@ -920,106 +800,6 @@ func (p *PseudoChannel) updateColumnTiming(kind CmdKind, bg int, at int64, broad
 			p.aggRdL = maxi64(p.aggRdL, v)
 		}
 	}
-}
-
-// IssueRun issues up to n column commands like *cmd at consecutive columns
-// cmd.Col, cmd.Col+1, ..., command i carrying data[i] (nil data: no
-// payloads; cmd.Data is not read): the column commands of an AAM window of
-// PIM triggers, of a register-file load or unload, or of one bank row.
-// The first command issues at its earliest legal cycle at or after now,
-// command i at First + i*Stride with Stride = max(1, tCCD_S, tCCD_L):
-// exactly the cycles of n Issue calls each at the previous command's cycle
-// plus one (the command bus carries one command a cycle), because a run
-// of one kind raises only the timers it reads by its own cycle plus a
-// constant no larger than the stride (a RD moves wrAllowed, a WR
-// rdAllowedS, rdAllowedL and rdFloorL, and neither reads what it moves).
-// What the commands do is done once for the run: a run of triggers reaches
-// the executor in one Trigger call, a register-space run in one
-// RegisterWrite or RegisterRead call over every unit it addresses, and the
-// column timing, the precharge fence and every counter are booked once,
-// with the last command's cycle.
-//
-// The run stops before a command whose bus cycle would reach stop (a
-// refresh deadline the controller must service first), and after a write
-// to the PIM_OP_MODE column (the mode it sets governs what follows); a
-// command past the last column of the row is an address error. A command
-// whose data step fails has issued, as a lone command that fails does:
-// its timing and counts stand, and the commands after it never issue. The
-// run fills *run with the commands that issued and, for a RD run that
-// returns data, the burst each returned, valid until the next command; an
-// error is the command's after them. While the timing cross-check is armed
-// every command is issued, and its legality checked, alone.
-func (p *PseudoChannel) IssueRun(cmd *Command, n int, data [][]byte, now, stop int64, run *Run) error {
-	if !cmd.Kind.IsColumn() || n <= 0 {
-		*run = Run{Stride: p.colStride}
-		if n > 0 {
-			return fmt.Errorf("hbm: %s is not a column command", cmd.Kind)
-		}
-		return nil
-	}
-	p.runViews = p.runViews[:0]
-	if p.checkTiming {
-		*run = Run{Stride: p.colStride}
-		return p.issueRunChecked(cmd, n, data, now, stop, run)
-	}
-	first, broadcast, err := p.earliest(cmd, now)
-	if err != nil {
-		*run = Run{Stride: p.colStride}
-		return err
-	}
-	err = p.columnRun(cmd, n, data, first, broadcast, stop, run)
-	run.Data = p.runViews
-	return err
-}
-
-// issueRunChecked is IssueRun under the timing cross-check: every command
-// is a run of one, its legality verdict checked against the brute-force
-// oracle and its cycle against the run's closed form.
-func (p *PseudoChannel) issueRunChecked(cmd *Command, n int, data [][]byte, now, stop int64, run *Run) error {
-	one := *cmd
-	var r Run
-	for i := 0; i < n && (i == 0 || now < stop); i++ {
-		one.Col = cmd.Col + uint32(i)
-		var d [][]byte
-		if data != nil {
-			d = data[i : i+1]
-		}
-		at, broadcast, err := p.earliest(&one, now)
-		p.crossCheck(one, now, at, err)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			run.First = at
-		} else if want := run.Cycle(i); at != want {
-			panic(fmt.Sprintf("hbm: run command %d (%s) legal at cycle %d, the closed form says %d", i, one, at, want))
-		}
-		err = p.columnRun(&one, 1, d, at, broadcast, stop, &r)
-		run.Data = p.runViews
-		if err != nil {
-			return err
-		}
-		run.N++
-		now = at + 1
-		if p.setsMode(&one, broadcast) {
-			break
-		}
-	}
-	return nil
-}
-
-// setsMode reports whether column command cmd (broadcast the verdict of
-// its legality check) writes the PIM_OP_MODE register, which ends a run.
-func (p *PseudoChannel) setsMode(cmd *Command, broadcast bool) bool {
-	if cmd.Kind != CmdWR || cmd.Col != ColPIMOpMode {
-		return false
-	}
-	idx := 0 // a broadcast's row is bank 0's
-	if !broadcast {
-		idx = p.flat(cmd.BG, cmd.Bank)
-	}
-	space, conf := p.cfg.confSpace(p.banks[idx].openRow)
-	return conf && space == RegMode
 }
 
 // columnRun issues up to n column commands like *cmd at consecutive

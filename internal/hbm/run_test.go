@@ -91,7 +91,7 @@ func runAgainstBrute(t *testing.T, cfg Config, seed int64) string {
 		one.Col += uint32(i)
 		c, _, err := p[1].earliestBrute(&one, at)
 		if err == nil {
-			_, err = p[1].Issue(one, c)
+			_, err = issueAt(p[1], one, c)
 		}
 		if err != nil {
 			refErr = err
@@ -121,12 +121,9 @@ func runAgainstBrute(t *testing.T, cfg Config, seed int64) string {
 func randomState(p *PseudoChannel, cfg Config, rng *rand.Rand) int64 {
 	var now int64
 	try := func(cmd Command) {
-		at, err := p.EarliestIssue(cmd, now)
-		if err != nil {
-			return
-		}
-		if _, err := p.Issue(cmd, at); err == nil {
-			now = at + 1 + int64(rng.Intn(6))
+		var res IssueResult
+		if err := p.IssueEarliest(&cmd, now, &res); err == nil {
+			now = res.Cycle + 1 + int64(rng.Intn(6))
 		}
 	}
 	cols := cfg.ColumnsPerRow()
@@ -201,11 +198,9 @@ func randomRun(p *PseudoChannel, cfg Config, rng *rand.Rand, now int64) (Command
 // (SB), or in every bank (a broadcast run), issuing from *now.
 func prepareRun(p *PseudoChannel, cfg Config, cmd *Command, now *int64) error {
 	issue := func(c Command) error {
-		at, err := p.EarliestIssue(c, *now)
-		if err == nil {
-			_, err = p.Issue(c, at)
-		}
-		*now = at + 1
+		var res IssueResult
+		err := p.IssueEarliest(&c, *now, &res)
+		*now = res.Cycle + 1
 		return err
 	}
 	if p.Mode() == ModeSB {
@@ -262,4 +257,52 @@ func timingState(p *PseudoChannel) channelTiming {
 		}
 	}
 	return s
+}
+
+// TestIssueRunContract pins the one entry's contract: now is a floor, a
+// row command is a run of one (a longer run is refused before it touches
+// any state), and a run of none issues nothing.
+func TestIssueRunContract(t *testing.T) {
+	cfg := PIMHBMConfig(1200)
+	cfg.Functional = false
+	p := MustNewDevice(cfg).PCH(0)
+	p.AttachPIM(newFakeExec())
+	var run Run
+	issue := func(cmd Command, n int, floor int64) error {
+		t.Helper()
+		return p.IssueRun(&cmd, n, nil, floor, math.MaxInt64, &run)
+	}
+	if err := issue(Command{Kind: CmdACT, BG: 1, Bank: 2, Row: 9}, 1, 0); err != nil || run.N != 1 || run.First != 0 {
+		t.Fatalf("ACT: %+v, %v", run, err)
+	}
+
+	// A floor above the earliest cycle issues exactly at the floor, for a
+	// column run and for a row command.
+	for _, cmd := range []Command{{Kind: CmdRD, BG: 1, Bank: 2, Col: 4}, {Kind: CmdPRE, BG: 1, Bank: 2}} {
+		at, err := p.EarliestIssue(cmd, run.First+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		floor := at + 7
+		if err := issue(cmd, 1, floor); err != nil || run.N != 1 || run.First != floor {
+			t.Fatalf("%s with floor %d (earliest %d): %+v, %v", cmd, floor, at, run, err)
+		}
+	}
+
+	// A row kind run longer than one is refused and leaves no state
+	// behind; a run of none is a no-op for every kind.
+	before := timingState(p)
+	for _, kind := range []CmdKind{CmdACT, CmdPRE, CmdPREA, CmdREF} {
+		if err := issue(Command{Kind: kind, BG: 1, Bank: 2, Row: 9}, 2, 0); err == nil || run.N != 0 {
+			t.Errorf("%s run of 2: %+v, %v; want a refusal", kind, run, err)
+		}
+	}
+	for _, kind := range []CmdKind{CmdACT, CmdPRE, CmdPREA, CmdRD, CmdWR, CmdREF} {
+		if err := issue(Command{Kind: kind, BG: 1, Bank: 2, Row: 9}, 0, 0); err != nil || run.N != 0 {
+			t.Errorf("%s run of 0: %+v, %v; want nothing issued", kind, run, err)
+		}
+	}
+	if after := timingState(p); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused and empty runs changed the channel:\n%+v\n%+v", before, after)
+	}
 }

@@ -7,8 +7,9 @@
 // register-file load or unload, a bank-row access) is one
 // Channel.IssueRun: the device takes it as one run in closed form, split
 // only where a refresh falls due (or into single commands under a Delay
-// hook), and the channel books it once, with its last command; every
-// command keeps Issue's contract, its trace and timeline event included.
+// hook), and the channel books and logs it once, with its last command.
+// Every command is such a run: Channel.Issue is a run of one, and the
+// refresh machinery's commands take the same path to the device.
 package memctrl
 
 import "fmt"

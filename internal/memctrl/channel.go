@@ -159,80 +159,40 @@ func (c *Channel) Refreshes() int64 { return c.st.Refreshes }
 func (c *Channel) PCH() *hbm.PseudoChannel { return c.pch }
 
 // Issue sends one command at its earliest legal cycle at or after the
-// channel clock, advancing the clock to the issue cycle. Refresh deadlines
-// are honoured transparently, including mid-burst in PIM modes.
+// channel clock, advancing the clock to the issue cycle: IssueRun's run of
+// one, a WR carrying cmd.Data. Refresh deadlines are honoured
+// transparently, including mid-burst in PIM modes.
 func (c *Channel) Issue(cmd hbm.Command) (hbm.IssueResult, error) {
-	var res hbm.IssueResult
-	if err := c.maybeRefresh(); err != nil {
-		return res, err
+	one := [1][]byte{cmd.Data}
+	data := one[:]
+	if cmd.Data == nil {
+		data = nil
 	}
-	if err := c.issueRaw(&cmd, &res); err != nil {
-		return res, err
+	read, _, err := c.IssueRun(cmd, 1, data)
+	if err != nil {
+		return hbm.IssueResult{}, err
 	}
-	c.trackState(&cmd)
+	res := hbm.IssueResult{Cycle: c.run.First}
+	if len(read) > 0 {
+		res.Data = read[0]
+	}
 	return res, nil
 }
 
-// issueRaw issues without refresh checks, filling *res in place (pointer
-// in, pointer out: the per-command fast path copies no structs). With no
-// delay hook the schedule-then-issue round trip collapses into the
-// device's single-pass IssueEarliest (the command stream validates once,
-// not twice); a Delayer needs the split so it can push the issue cycle
-// between the two halves.
-func (c *Channel) issueRaw(cmd *hbm.Command, res *hbm.IssueResult) error {
-	if c.Delay != nil {
-		at, err := c.pch.EarliestIssue(*cmd, c.now)
-		if err != nil {
-			return err
-		}
-		c.delaySeq++
-		if extra := c.Delay.ExtraIssueCycles(c.id, c.delaySeq, at); extra > 0 {
-			at += extra
-		}
-		*res, err = c.pch.Issue(*cmd, at)
-		if err != nil {
-			return err
-		}
-	} else if err := c.pch.IssueEarliest(cmd, c.now, res); err != nil {
-		return err
-	}
-	c.issued(cmd, res.Cycle, 0, 1, c.pch.Mode())
-	return nil
-}
-
-// IssueRun sends n column commands like cmd at consecutive columns
-// cmd.Col, cmd.Col+1, ..., command i carrying data[i] (nil data: no
-// payloads; cmd.Data is not read) — an AAM window of PIM triggers, a
-// register-file load or unload, a run of one bank row's columns — with
-// Issue's contract for each: at its earliest legal cycle at or after the
-// channel clock, a refresh that falls due before it serviced first.
-// Without a delay hook the device takes the commands between refresh
-// deadlines as one run (hbm.PseudoChannel.IssueRun) and the channel books
-// and logs each run once; with one, each command is issued alone, delayed
-// as Issue delays it. It returns the bursts a RD run read (one per issued
-// command, where the device returns data), valid until the channel's next
-// command, and how many commands issued; an error is the command's after
-// them, and the ones after it never issue.
+// IssueRun sends n commands like cmd — a row command or a REF alone, or
+// column commands at consecutive columns cmd.Col, cmd.Col+1, ..., command
+// i carrying data[i] (nil data: no payloads; cmd.Data is not read): an AAM
+// window of PIM triggers, a register-file load or unload, a run of one
+// bank row's columns — each at its earliest legal cycle at or after the
+// channel clock, a refresh that falls due before it serviced first. The
+// device takes the commands between refresh deadlines as one run
+// (hbm.PseudoChannel.IssueRun), and the channel books and logs each run
+// once. It returns the bursts a RD run read (one per issued command,
+// where the device returns data), valid until the channel's next command,
+// and how many commands issued; an error is the command's after them, and
+// the ones after it never issue.
 func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int, error) {
 	c.read = c.read[:0]
-	if c.Delay != nil {
-		for i := 0; i < n; i++ {
-			one := cmd
-			one.Col += uint32(i)
-			one.Data = nil
-			if data != nil {
-				one.Data = data[i]
-			}
-			res, err := c.Issue(one)
-			if err != nil {
-				return c.read, i, err
-			}
-			if res.Data != nil {
-				c.read = append(c.read, res.Data)
-			}
-		}
-		return c.read, n, nil
-	}
 	col0 := cmd.Col
 	for done := 0; done < n; {
 		if err := c.maybeRefresh(); err != nil {
@@ -243,19 +203,42 @@ func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int
 		if data != nil {
 			d = data[done:n]
 		}
-		mode := c.pch.Mode()
-		err := c.pch.IssueRun(&cmd, n-done, d, c.now, c.nextRefresh, &c.run)
+		err := c.issue(&cmd, n-done, d)
 		c.read = append(c.read, c.run.Data...)
 		if c.run.N > 0 {
-			c.issued(&cmd, c.run.First, c.run.Stride, c.run.N, mode)
+			c.trackState(&cmd)
 		}
 		done += c.run.N
-		c.trackState(&cmd)
 		if err != nil {
 			return c.read, done, err
 		}
 	}
 	return c.read, n, nil
+}
+
+// issue is the channel's one path to the device, the refresh machinery's
+// commands included: it issues up to n commands like *cmd from the
+// channel clock through hbm.PseudoChannel.IssueRun, a column run stopping
+// at the next refresh deadline, and books what issued into c.run, the
+// clock and the log. A Delay hook pushes each command past its earliest
+// legal cycle (the floor IssueRun takes), so with one set a run issues
+// one command per call.
+func (c *Channel) issue(cmd *hbm.Command, n int, data [][]byte) error {
+	now := c.now
+	if c.Delay != nil {
+		// A command refused here is refused again by IssueRun, with the
+		// same error, before the delayer counts it.
+		if at, err := c.pch.EarliestIssue(*cmd, now); err == nil {
+			c.delaySeq++
+			now, n = at+max(0, c.Delay.ExtraIssueCycles(c.id, c.delaySeq, at)), 1
+		}
+	}
+	mode := c.pch.Mode()
+	err := c.pch.IssueRun(cmd, n, data, now, c.nextRefresh, &c.run)
+	if c.run.N > 0 {
+		c.issued(cmd, c.run.First, c.run.Stride, c.run.N, mode)
+	}
+	return err
 }
 
 // issued books a run the device issued: n commands like cmd from column
@@ -279,12 +262,6 @@ func (c *Channel) issued(cmd *hbm.Command, first, stride int64, n int, before hb
 		}
 		c.lastDataEnd = max(c.lastDataEnd, at+int64(lat+c.cfg.Timing.DataCycles()))
 	}
-}
-
-// issueAux issues a refresh-machinery command, discarding the result.
-func (c *Channel) issueAux(cmd hbm.Command) error {
-	var res hbm.IssueResult
-	return c.issueRaw(&cmd, &res)
 }
 
 // trackState remembers the open broadcast row so refresh can restore it.
@@ -354,11 +331,11 @@ func (c *Channel) maybeRefresh() error {
 				c.nextRefresh += int64(c.cfg.Timing.REFI)
 				continue
 			}
-			if err := c.issueAux(hbm.Command{Kind: hbm.CmdPREA}); err != nil {
+			if err := c.issue(&hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
 				return fmt.Errorf("memctrl: refresh precharge: %w", err)
 			}
 		}
-		if err := c.issueAux(hbm.Command{Kind: hbm.CmdREF}); err != nil {
+		if err := c.issue(&hbm.Command{Kind: hbm.CmdREF}, 1, nil); err != nil {
 			return fmt.Errorf("memctrl: refresh: %w", err)
 		}
 		c.st.Refreshes++
@@ -366,17 +343,17 @@ func (c *Channel) maybeRefresh() error {
 			c.refreshDebt--
 		}
 		if c.abRowOpen && c.pch.Mode() != hbm.ModeSB {
-			if err := c.issueAux(hbm.Command{Kind: hbm.CmdACT, Row: c.openABRow}); err != nil {
+			if err := c.issue(&hbm.Command{Kind: hbm.CmdACT, Row: c.openABRow}, 1, nil); err != nil {
 				return fmt.Errorf("memctrl: refresh reopen: %w", err)
 			}
 		}
 		if hsBank >= 0 {
-			if err := c.issueAux(hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hsBank, Row: c.cfg.ModeRow()}); err != nil {
+			if err := c.issue(&hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hsBank, Row: c.cfg.ModeRow()}, 1, nil); err != nil {
 				return fmt.Errorf("memctrl: refresh handshake reopen: %w", err)
 			}
 		}
 		for _, ob := range reopen {
-			if err := c.issueAux(hbm.Command{Kind: hbm.CmdACT, BG: ob.bg, Bank: ob.bank, Row: ob.row}); err != nil {
+			if err := c.issue(&hbm.Command{Kind: hbm.CmdACT, BG: ob.bg, Bank: ob.bank, Row: ob.row}, 1, nil); err != nil {
 				return fmt.Errorf("memctrl: refresh row reopen: %w", err)
 			}
 		}

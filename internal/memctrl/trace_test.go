@@ -62,13 +62,10 @@ func TestChannelTraceRecording(t *testing.T) {
 	var now int64
 	for i, e := range events {
 		cmd := e.Command()
-		at, err := fresh.EarliestIssue(cmd, now)
-		if err != nil {
+		var res hbm.IssueResult
+		if err := fresh.IssueEarliest(&cmd, now, &res); err != nil {
 			t.Fatalf("replay event %d (%s): %v", i, cmd, err)
 		}
-		if _, err := fresh.Issue(cmd, at); err != nil {
-			t.Fatalf("replay event %d: %v", i, err)
-		}
-		now = at + 1
+		now = res.Cycle + 1
 	}
 }

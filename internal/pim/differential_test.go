@@ -173,11 +173,9 @@ func (d *diffPair) issue(cmd hbm.Command) error {
 	var errs [2]error
 	var data [2][]byte
 	for i, p := range d.p {
-		if at[i], errs[i] = p.EarliestIssue(cmd, d.now); errs[i] == nil {
-			var res hbm.IssueResult
-			res, errs[i] = p.Issue(cmd, at[i])
-			data[i] = res.Data
-		}
+		var res hbm.IssueResult
+		errs[i] = p.IssueEarliest(&cmd, d.now, &res)
+		at[i], data[i] = res.Cycle, res.Data
 	}
 	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
 		d.t.Fatalf("%s: production error %q, reference error %q", cmd, fmt.Sprint(errs[0]), fmt.Sprint(errs[1]))
@@ -218,16 +216,13 @@ func (d *diffPair) issueRun(run triggerRun) (int, error) {
 	var refErr error
 	for i, now := 0, d.now; i < run.n; i++ {
 		cmd := run.command(i)
-		at, err := d.p[1].EarliestIssue(cmd, now)
-		if err == nil {
-			_, err = d.p[1].Issue(cmd, at)
-		}
-		if err != nil {
+		var res hbm.IssueResult
+		if err := d.p[1].IssueEarliest(&cmd, now, &res); err != nil {
 			refErr = err
 			break
 		}
-		want = append(want, at)
-		now = at + 1
+		want = append(want, res.Cycle)
+		now = res.Cycle + 1
 	}
 	if fmt.Sprint(err) != fmt.Sprint(refErr) || !slices.Equal(got, want) {
 		d.t.Fatalf("%s: production cycles %v error %q, reference cycles %v error %q", run, got, fmt.Sprint(err), want, fmt.Sprint(refErr))

@@ -35,15 +35,11 @@ func newDriver(t testing.TB, cfg hbm.Config) (*driver, *Executor) {
 
 func (d *driver) issue(cmd hbm.Command) hbm.IssueResult {
 	d.t.Helper()
-	at, err := d.p.EarliestIssue(cmd, d.now)
-	if err != nil {
-		d.t.Fatalf("EarliestIssue(%s): %v", cmd, err)
+	var res hbm.IssueResult
+	if err := d.p.IssueEarliest(&cmd, d.now, &res); err != nil {
+		d.t.Fatalf("IssueEarliest(%s): %v", cmd, err)
 	}
-	res, err := d.p.Issue(cmd, at)
-	if err != nil {
-		d.t.Fatalf("Issue(%s): %v", cmd, err)
-	}
-	d.now = at
+	d.now = res.Cycle
 	return res
 }
 
@@ -61,12 +57,8 @@ func (d *driver) issueRun(kind hbm.CmdKind, bankSel, n int, data [][]byte) {
 
 func (d *driver) issueErr(cmd hbm.Command) error {
 	d.t.Helper()
-	at, err := d.p.EarliestIssue(cmd, d.now)
-	if err != nil {
-		return err
-	}
-	_, err = d.p.Issue(cmd, at)
-	return err
+	var res hbm.IssueResult
+	return d.p.IssueEarliest(&cmd, d.now, &res)
 }
 
 func (d *driver) enterAB() {

@@ -34,7 +34,7 @@ func driveOnePhaseRound(t *testing.T, rt *Runtime) {
 	if err := rt.OpenRow(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.TriggerRD(0, 0, 0); err != nil {
+	if err := rt.TriggerRDRun(0, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.CloseRows(0); err != nil {

@@ -3,9 +3,10 @@
 // (mode transitions, CRF/SRF programming, triggers, fences), the memory
 // manager that lays operands out across banks in a PIM-friendly way, and
 // the preprocessor that decides which operations are worth offloading.
-// Every column sequence it issues (a trigger window, ZeroGRF, CRF and SRF
-// programming, a unit's GRF unload, an SB bank-row access) is one
-// memctrl.Channel.IssueRun, and each run's phase is noted once.
+// Every command it issues is one memctrl.Channel.IssueRun: a row command
+// alone, and each column sequence (a trigger window, ZeroGRF, CRF and SRF
+// programming, a unit's GRF unload, an SB bank-row access) as one run,
+// its phase noted once.
 package runtime
 
 import (
@@ -187,19 +188,11 @@ func NewStack(cfg hbm.Config, n int) (*Runtime, []*hbm.Device, error) {
 // NumChannels returns the number of pseudo channels.
 func (r *Runtime) NumChannels() int { return len(r.Chans) }
 
-// issue sends one command on a channel.
-func (r *Runtime) issue(ch int, cmd hbm.Command) (hbm.IssueResult, error) {
-	res, err := r.Chans[ch].Issue(cmd)
-	if err != nil {
-		return res, fmt.Errorf("runtime: ch%d %s: %w", ch, cmd, err)
-	}
-	return res, nil
-}
-
-// run issues n column commands like cmd at consecutive columns cmd.Col,
-// cmd.Col+1, ..., command i carrying data[i], as one memctrl run. It
-// returns the bursts a RD run read, valid until the channel's next
-// command; an error is worded as the failing command's.
+// run issues n commands like cmd as one memctrl run: a row command alone
+// (n = 1), or column commands at consecutive columns cmd.Col, cmd.Col+1,
+// ..., command i carrying data[i]. It returns the bursts a RD run read,
+// valid until the channel's next command; an error is worded as the
+// failing command's.
 func (r *Runtime) run(ch int, cmd hbm.Command, n int, data [][]byte) ([][]byte, error) {
 	read, done, err := r.Chans[ch].IssueRun(cmd, n, data)
 	if err != nil {
@@ -212,8 +205,8 @@ func (r *Runtime) run(ch int, cmd hbm.Command, n int, data [][]byte) ([][]byte, 
 // cmdBufs is one channel's buffers for the column runs the runtime builds
 // itself: wr holds a burst per CRF column for the register-space writes
 // (PIM_OP_MODE, SRF, CRF words), and cols the column views of a
-// WriteBankRunSB payload, each cut on the channel's first need (a
-// timing-only stack drives one channel of many).
+// WriteBankSB payload, each cut on the channel's first need (a timing-only
+// stack drives one channel of many).
 type cmdBufs struct {
 	wr   [][]byte
 	cols [][]byte
@@ -236,10 +229,10 @@ func (r *Runtime) wrBufs(ch, n int) [][]byte {
 // EnterAB performs the ABMR handshake on a channel.
 func (r *Runtime) EnterAB(ch int) error {
 	start := r.Chans[ch].Now()
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.ABMRBank, Row: r.Cfg.ModeRow()}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.ABMRBank, Row: r.Cfg.ModeRow()}, 1, nil); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}, 1, nil); err != nil {
 		return err
 	}
 	r.notePhase(ch, PhaseMode, 1, start)
@@ -249,10 +242,10 @@ func (r *Runtime) EnterAB(ch int) error {
 // ExitToSB performs the SBMR handshake (all banks must be precharged).
 func (r *Runtime) ExitToSB(ch int) error {
 	start := r.Chans[ch].Now()
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.SBMRBank, Row: r.Cfg.ModeRow()}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.SBMRBank, Row: r.Cfg.ModeRow()}, 1, nil); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.SBMRBank}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.SBMRBank}, 1, nil); err != nil {
 		return err
 	}
 	r.notePhase(ch, PhaseMode, 1, start)
@@ -262,18 +255,18 @@ func (r *Runtime) ExitToSB(ch int) error {
 // SetPIMMode writes PIM_OP_MODE through the mode row.
 func (r *Runtime) SetPIMMode(ch int, on bool) error {
 	start := r.Chans[ch].Now()
-	data := r.wrBufs(ch, 1)[0]
-	clear(data)
+	data := r.wrBufs(ch, 1)
+	clear(data[0])
 	if on {
-		data[0] = 1
+		data[0][0] = 1
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.ABMRBank, Row: r.Cfg.ModeRow()}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.ABMRBank, Row: r.Cfg.ModeRow()}, 1, nil); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdWR, BG: 0, Bank: hbm.ABMRBank, Col: hbm.ColPIMOpMode, Data: data}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, BG: 0, Bank: hbm.ABMRBank, Col: hbm.ColPIMOpMode}, 1, data); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}, 1, nil); err != nil {
 		return err
 	}
 	r.notePhase(ch, PhaseMode, 1, start)
@@ -300,7 +293,7 @@ func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
 			len(words), isa.CRFEntries)
 	}
 	start := r.Chans[ch].Now()
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.CRFRow()}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.CRFRow()}, 1, nil); err != nil {
 		return err
 	}
 	cols := (len(words) + 7) / 8
@@ -315,7 +308,7 @@ func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
 	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR}, cols, bufs); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
 		return err
 	}
 	r.notePhase(ch, PhaseCRF, 1, start)
@@ -336,13 +329,13 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 	clear(srf[0])
 	fp16.Vector(m).PutBytes(srf[0])
 	fp16.Vector(a).PutBytes(srf[0][2*isa.SRFEntries:])
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.SRFRow()}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.SRFRow()}, 1, nil); err != nil {
 		return err
 	}
 	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR}, 1, srf); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
 		return err
 	}
 	r.notePhase(ch, PhaseSRF, 1, start)
@@ -356,7 +349,7 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 // product's GRF, GRF_B alone when the halves are twice as deep.
 func (r *Runtime) ZeroGRF(ch int) error {
 	start := r.Chans[ch].Now()
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()}, 1, nil); err != nil {
 		return err
 	}
 	end := 2 * r.Cfg.GRFDepth()
@@ -364,7 +357,7 @@ func (r *Runtime) ZeroGRF(ch int) error {
 	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(col)}, end-col, r.zeros[:end-col]); err != nil {
 		return err
 	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
 		return err
 	}
 	r.notePhase(ch, PhaseGRF, 1, start)
@@ -373,13 +366,13 @@ func (r *Runtime) ZeroGRF(ch int) error {
 
 // OpenRow broadcast-activates a row on a channel (AB/AB-PIM modes).
 func (r *Runtime) OpenRow(ch int, row uint32) error {
-	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, Row: row})
+	_, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: row}, 1, nil)
 	return err
 }
 
 // CloseRows precharges all banks of a channel.
 func (r *Runtime) CloseRows(ch int) error {
-	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA})
+	_, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil)
 	return err
 }
 
@@ -391,7 +384,7 @@ func (r *Runtime) CloseRows(ch int) error {
 // and cheap on an already-clean channel: PREA, then unwind whatever mode
 // the channel is still in.
 func (r *Runtime) Recover(ch int) error {
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPREA}); err != nil {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
 		return err
 	}
 	if r.Chans[ch].PCH().Mode() == hbm.ModeABPIM {
@@ -405,25 +398,9 @@ func (r *Runtime) Recover(ch int) error {
 	return nil
 }
 
-// TriggerRD issues a PIM-triggering column read. bankSel 0 drives the
-// even banks, 1 the odd banks.
-func (r *Runtime) TriggerRD(ch, bankSel int, col uint32) error {
-	return r.TriggerRDRun(ch, bankSel, col, 1)
-}
-
-// TriggerWR issues a PIM-triggering column write carrying data on the
-// write datapath.
-func (r *Runtime) TriggerWR(ch, bankSel int, col uint32, data []byte) error {
-	if data == nil {
-		return r.TriggerWRRun(ch, bankSel, col, 1, nil)
-	}
-	one := [1][]byte{data}
-	return r.TriggerWRRun(ch, bankSel, col, 1, one[:])
-}
-
 // TriggerRDRun issues n PIM-triggering column reads at consecutive
 // columns col0..col0+n-1 — one AAM batch — as one memctrl run, its phase
-// booked once.
+// booked once. bankSel 0 drives the even banks, 1 the odd banks.
 func (r *Runtime) TriggerRDRun(ch, bankSel int, col0 uint32, n int) error {
 	return r.triggerRun(ch, hbm.CmdRD, bankSel, col0, n, nil)
 }
@@ -448,46 +425,10 @@ func (r *Runtime) triggerRun(ch int, kind hbm.CmdKind, bankSel int, col0 uint32,
 // Fence orders the preceding commands (one AAM window boundary).
 func (r *Runtime) Fence(ch int) { r.Chans[ch].Fence() }
 
-// WriteBankSB writes one 32-byte block to a specific bank in SB mode.
-func (r *Runtime) WriteBankSB(ch, flatBank int, row, col uint32, data []byte) error {
-	one := [1][]byte{data}
-	return r.writeBankRow(ch, flatBank, row, col, one[:])
-}
-
-// WriteBankRowSB writes up to a full row of one bank with a single
-// activate, one column run per span of consecutive columns.
-func (r *Runtime) WriteBankRowSB(ch, flatBank int, row uint32, cols []uint32, data [][]byte) error {
-	if len(cols) != len(data) {
-		return fmt.Errorf("runtime: cols/data length mismatch")
-	}
-	bg, b := r.Cfg.BankOf(flatBank)
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
-		return err
-	}
-	for i := 0; i < len(cols); {
-		j := span(cols, i)
-		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: cols[i]}, j-i, data[i:j]); err != nil {
-			return err
-		}
-		i = j
-	}
-	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
-	return err
-}
-
-// span returns the end of the span of consecutive columns cols[i:j].
-func span(cols []uint32, i int) int {
-	j := i + 1
-	for j < len(cols) && cols[j] == cols[j-1]+1 {
-		j++
-	}
-	return j
-}
-
-// WriteBankRunSB writes consecutive columns col0, col0+1, ... of one bank
-// row with a single activate and one column run; data holds AccessBytes
-// per column, end to end.
-func (r *Runtime) WriteBankRunSB(ch, flatBank int, row, col0 uint32, data []byte) error {
+// WriteBankSB writes consecutive columns col0, col0+1, ... of one bank
+// row in SB mode: ACT, one column run, PRE. data holds AccessBytes per
+// column, end to end.
+func (r *Runtime) WriteBankSB(ch, flatBank int, row, col0 uint32, data []byte) error {
 	size := r.Cfg.AccessBytes
 	if len(data)%size != 0 {
 		return fmt.Errorf("runtime: %d payload bytes are not whole %d-byte columns", len(data), size)
@@ -500,69 +441,40 @@ func (r *Runtime) WriteBankRunSB(ch, flatBank int, row, col0 uint32, data []byte
 		cols = append(cols, data[o:o+size:o+size])
 	}
 	r.chs[ch].bufs.cols = cols
-	err := r.writeBankRow(ch, flatBank, row, col0, cols)
+	err := r.bankRun(ch, flatBank, row, hbm.Command{Kind: hbm.CmdWR, Col: col0}, len(cols), cols, nil)
 	clear(cols) // the views must not keep the caller's payload alive
 	return err
 }
 
-// writeBankRow writes data[i] to column col0+i of one bank row: ACT, one
-// column run, PRE.
-func (r *Runtime) writeBankRow(ch, flatBank int, row, col0 uint32, data [][]byte) error {
-	bg, b := r.Cfg.BankOf(flatBank)
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col0}, len(data), data); err != nil {
-		return err
-	}
-	_, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
-	return err
-}
-
-// ReadBankRowSB reads several columns of one bank row with a single
-// activate, one column run per span of consecutive columns, returning one
-// 32-byte block per requested column.
-func (r *Runtime) ReadBankRowSB(ch, flatBank int, row uint32, cols []uint32) ([][]byte, error) {
-	bg, b := r.Cfg.BankOf(flatBank)
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row}); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(cols))
-	for i := 0; i < len(cols); {
-		j := span(cols, i)
-		read, err := r.run(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: cols[i]}, j-i, nil)
-		if err != nil {
-			return nil, err
-		}
-		// The bursts are pseudo-channel scratch, only valid until the next
-		// command: copy them out.
-		for k := i; k < j; k++ {
-			out[k] = burst(read, k-i)
-		}
-		i = j
-	}
-	if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
+// ReadBankSB reads n consecutive columns col0, col0+1, ... of one bank row
+// in SB mode: ACT, one column run, PRE. It returns a fresh n*AccessBytes
+// slice, the columns end to end (zeros on a timing-only device, which
+// moves no data).
+func (r *Runtime) ReadBankSB(ch, flatBank int, row, col0 uint32, n int) ([]byte, error) {
+	out := make([]byte, n*r.Cfg.AccessBytes)
+	if err := r.bankRun(ch, flatBank, row, hbm.Command{Kind: hbm.CmdRD, Col: col0}, n, nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// burst returns a copy of read[i], or nil where the device returned no
-// data (timing-only).
-func burst(read [][]byte, i int) []byte {
-	if i < len(read) {
-		return append([]byte(nil), read[i]...)
+// bankRun issues n column commands like cmd on one bank row in SB mode,
+// the row's ACT before them and its PRE after: command i of a WR run
+// carries data[i], and a RD run's bursts are copied into out, end to end.
+func (r *Runtime) bankRun(ch, flatBank int, row uint32, cmd hbm.Command, n int, data [][]byte, out []byte) error {
+	cmd.BG, cmd.Bank = r.Cfg.BankOf(flatBank)
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: cmd.BG, Bank: cmd.Bank, Row: row}, 1, nil); err != nil {
+		return err
 	}
-	return nil
-}
-
-// ReadBankSB reads one 32-byte block from a specific bank in SB mode.
-func (r *Runtime) ReadBankSB(ch, flatBank int, row, col uint32) ([]byte, error) {
-	out, err := r.ReadBankRowSB(ch, flatBank, row, []uint32{col})
+	read, err := r.run(ch, cmd, n, data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out[0], nil
+	for i, burst := range read {
+		copy(out[i*r.Cfg.AccessBytes:], burst)
+	}
+	_, err = r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: cmd.BG, Bank: cmd.Bank}, 1, nil)
+	return err
 }
 
 // ReadGRFRowSB reads the first regs GRF registers of one half (0 = GRF_A,
@@ -580,7 +492,7 @@ func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) 
 	col := uint32(half * r.Cfg.GRFDepth())
 	for u := 0; u < units; u++ {
 		bg, b := r.Cfg.BankOf(u * banksPerUnit)
-		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}); err != nil {
+		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}, 1, nil); err != nil {
 			return nil, err
 		}
 		read, err := r.run(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: col}, regs, nil)
@@ -598,7 +510,7 @@ func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) 
 			}
 			reg.DecodeBytes(data)
 		}
-		if _, err := r.issue(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}); err != nil {
+		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}, 1, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -639,7 +551,7 @@ func (g *grfUnload) views(units, regs int) [][]fp16.Vector {
 // channel has seen and is reused by every later call, so the payloads are
 // valid until the channel's next Payloads call. That is safe because
 // nothing downstream keeps a payload: hbm has consumed a WR's data by the
-// time Issue returns.
+// time the run returns.
 func (r *Runtime) Payloads(ch, n int) [][]byte {
 	return r.chs[ch].payloads.cut(n, r.Cfg.AccessBytes)
 }

@@ -137,34 +137,31 @@ func TestBankWriteReadHelpers(t *testing.T) {
 	if err := rt.WriteBankSB(0, 5, 40, 7, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rt.ReadBankSB(0, 5, 40, 7)
+	got, err := rt.ReadBankSB(0, 5, 40, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("byte %d: %x != %x", i, got[i], data[i])
-		}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read back %x, wrote %x", got, data)
 	}
-	// Row-granular variants.
-	cols := []uint32{1, 2, 3}
-	blocks := [][]byte{data, data, data}
-	if err := rt.WriteBankRowSB(0, 6, 41, cols, blocks); err != nil {
+	// Several columns in one run each way.
+	row := bytes.Repeat(data, 3)
+	if err := rt.WriteBankSB(0, 6, 41, 1, row); err != nil {
 		t.Fatal(err)
 	}
-	back, err := rt.ReadBankRowSB(0, 6, 41, cols)
+	back, err := rt.ReadBankSB(0, 6, 41, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range back {
-		for j := range data {
-			if back[i][j] != data[j] {
-				t.Fatalf("col %d byte %d mismatch", cols[i], j)
-			}
-		}
+	if !bytes.Equal(back, row) {
+		t.Fatalf("read back %x, wrote %x", back, row)
 	}
-	if err := rt.WriteBankRowSB(0, 6, 41, cols, blocks[:2]); err == nil {
-		t.Error("mismatched cols/data accepted")
+	// A read is a fresh slice: a later write leaves it alone.
+	if err := rt.WriteBankSB(0, 6, 41, 1, make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, row) {
+		t.Error("a later write reached a returned read")
 	}
 }
 
@@ -265,7 +262,7 @@ func TestErrorPropagation(t *testing.T) {
 		t.Errorf("PREA on idle banks: %v", err)
 	}
 	// ...but a trigger outside AB-PIM hits an idle-bank error.
-	if err := rt.TriggerRD(0, 0, 0); err == nil {
+	if err := rt.TriggerRDRun(0, 0, 0, 1); err == nil {
 		t.Error("trigger accepted in SB mode with idle banks")
 	}
 	// Oversized CRF program.
@@ -494,32 +491,44 @@ func TestProgramCRFWordsIsProgramCRF(t *testing.T) {
 	}
 }
 
-// TestWriteBankRunSB: a run of consecutive columns from one buffer stores
-// what the column-by-column form stores, in the same commands.
-func TestWriteBankRunSB(t *testing.T) {
+// TestWriteBankSBMatchesColumns: a run of consecutive columns from one
+// buffer stores what the same commands issued one at a time through the
+// channel store, at the same cycles.
+func TestWriteBankSBMatchesColumns(t *testing.T) {
 	a, b := newRT(t, 1), newRT(t, 1)
 	data := make([]byte, 3*32)
 	for i := range data {
 		data[i] = byte(i*7 + 1)
 	}
-	if err := a.WriteBankRowSB(0, 6, 41, []uint32{4, 5, 6}, [][]byte{data[:32], data[32:64], data[64:]}); err != nil {
-		t.Fatal(err)
+	bg, bank := a.Cfg.BankOf(6)
+	for _, cmd := range []hbm.Command{
+		{Kind: hbm.CmdACT, BG: bg, Bank: bank, Row: 41},
+		{Kind: hbm.CmdWR, BG: bg, Bank: bank, Col: 4, Data: data[:32]},
+		{Kind: hbm.CmdWR, BG: bg, Bank: bank, Col: 5, Data: data[32:64]},
+		{Kind: hbm.CmdWR, BG: bg, Bank: bank, Col: 6, Data: data[64:]},
+		{Kind: hbm.CmdPRE, BG: bg, Bank: bank},
+	} {
+		if _, err := a.Chans[0].Issue(cmd); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := b.WriteBankRunSB(0, 6, 41, 4, data); err != nil {
+	if err := b.WriteBankSB(0, 6, 41, 4, data); err != nil {
 		t.Fatal(err)
 	}
 	if a.Now(0) != b.Now(0) || a.Chans[0].PCH().Stats() != b.Chans[0].PCH().Stats() {
-		t.Errorf("column list: cycle %d %+v; run: cycle %d %+v",
+		t.Errorf("one at a time: cycle %d %+v; run: cycle %d %+v",
 			a.Now(0), a.Chans[0].PCH().Stats(), b.Now(0), b.Chans[0].PCH().Stats())
 	}
-	back, err := b.ReadBankRowSB(0, 6, 41, []uint32{4, 5, 6})
-	if err != nil {
-		t.Fatal(err)
+	for _, rt := range []*Runtime{a, b} {
+		back, err := rt.ReadBankSB(0, 6, 41, 4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Errorf("read back %x", back)
+		}
 	}
-	if !bytes.Equal(bytes.Join(back, nil), data) {
-		t.Errorf("read back %x", back)
-	}
-	if err := b.WriteBankRunSB(0, 6, 41, 0, data[:40]); err == nil {
+	if err := b.WriteBankSB(0, 6, 41, 0, data[:40]); err == nil {
 		t.Error("a payload that is not whole columns was accepted")
 	}
 }

@@ -43,15 +43,10 @@ func streamHBMReads(n int) (rdStream, error) {
 	p := dev.PCH(0)
 	var now int64
 	issue := func(cmd hbm.Command) error {
-		at, err := p.EarliestIssue(cmd, now)
-		if err != nil {
-			return err
-		}
-		if _, err := p.Issue(cmd, at); err != nil {
-			return err
-		}
-		now = at
-		return nil
+		var res hbm.IssueResult
+		err := p.IssueEarliest(&cmd, now, &res)
+		now = res.Cycle
+		return err
 	}
 	for bg := 0; bg < cfg.BankGroups; bg++ {
 		if err := issue(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: 0, Row: 0}); err != nil {
@@ -81,15 +76,10 @@ func streamPIMReads(n int) (rdStream, error) {
 	p := dev.PCH(0)
 	var now int64
 	issue := func(cmd hbm.Command) error {
-		at, err := p.EarliestIssue(cmd, now)
-		if err != nil {
-			return err
-		}
-		if _, err := p.Issue(cmd, at); err != nil {
-			return err
-		}
-		now = at
-		return nil
+		var res hbm.IssueResult
+		err := p.IssueEarliest(&cmd, now, &res)
+		now = res.Cycle
+		return err
 	}
 	// Enter AB, program an endless MAC loop, enter AB-PIM, open a row.
 	seq := []hbm.Command{
