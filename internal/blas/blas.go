@@ -54,18 +54,24 @@ func splats(out [][]byte, x fp16.Vector) [][]byte {
 	return out
 }
 
-// foldGRFB folds one unit's G partial-sum registers into the outputs they
-// hold, y[o:] (clipped at len(y): the last block of a ragged M): lane by
-// lane, left to right from zero, the order RefGemvPIMOrder folds in.
-func foldGRFB(y fp16.Vector, o int, regs []fp16.Vector) {
+// foldGRFB folds one unit's G partial-sum registers, the bursts its
+// unload read, into the outputs they hold, y[o:] (clipped at len(y): the
+// last block of a ragged M): lane by lane, left to right from zero, the
+// order RefGemvPIMOrder folds in, one burst-form add per register into a
+// burst accumulator.
+func foldGRFB(y fp16.Vector, o int, regs [][]byte) {
 	if o >= len(y) {
 		return
 	}
-	var acc [fp16.Lanes]fp16.F16
-	for _, r := range regs {
-		fp16.AddVec(acc[:], acc[:], r)
+	var acc [2 * fp16.Lanes]byte
+	var resume [fp16.MaxBurstUnits]int32
+	sum := [1][]byte{acc[:]}
+	for i := range regs {
+		fp16.AddVecBursts(sum[:], sum[:], regs[i:i+1], &resume)
 	}
-	copy(y[o:], acc[:])
+	for l := range min(fp16.Lanes, len(y)-o) {
+		y[o+l] = fp16.F16(binary.LittleEndian.Uint16(acc[2*l:]))
+	}
 }
 
 // ceilDiv is integer ceiling division.

@@ -382,22 +382,21 @@ func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp1
 			pass += chunk
 		}
 
-		// Unload GRF_B through the SB register space and fold. regs views
-		// the runtime's unload buffer of this channel, valid until its next
-		// unload, so it is folded here and not kept.
+		// Unload GRF_B through the SB register space, folding each unit's
+		// bursts into y while they are the channel's read slots.
 		if err := rt.ExitToSB(ch); err != nil {
 			return triggers, err
 		}
-		regs, err := rt.ReadGRFRowSB(ch, 1, p.G)
-		if err != nil {
-			return triggers, err
-		}
+		var fold func(u int, regs [][]byte)
 		if y != nil {
-			for u := 0; u < p.U; u++ {
+			fold = func(u int, regs [][]byte) {
 				if b := p.block(m, u, ch); b >= 0 {
-					foldGRFB(y, b*p.lanes, regs[u])
+					foldGRFB(y, b*p.lanes, regs)
 				}
 			}
+		}
+		if err := rt.ReadGRFRowSB(ch, 1, p.G, fold); err != nil {
+			return triggers, err
 		}
 		if m+1 < p.macros {
 			if err := rt.EnterAB(ch); err != nil {

@@ -15,7 +15,7 @@ import (
 // The server holds a pool of independent shards — one Runtime, Driver and
 // Device each — and drives them from concurrent worker goroutines. The
 // layers a shard touches keep all mutable state per-instance (channel
-// clocks, bank storage, driver allocator, per-slot decode caches,
+// clocks, bank storage, driver allocator, compiled CRF tables,
 // per-pCH scratch buffers); the only cross-shard state is package-level
 // lookup tables (fp16 conversion LUTs, ecc parity masks, isa name/combo
 // tables), all built in package init() and read-only afterwards — Go

@@ -33,8 +33,9 @@ import (
 // one, the production executor every unit): what the control state is
 // after a failed trigger is unspecified (see the package comment).
 
-// diffConfigs are the device kinds the differential covers. The base
-// functional device runs with the ECC engine on, so injected single-bit
+// diffConfigs are the device kinds the differential covers: every variant,
+// functional and timing-only. The base functional device runs with the ECC
+// engine on, so injected single-bit
 // (corrected and scrubbed) and double-bit (uncorrectable) faults are part
 // of what must match.
 var diffConfigs = []struct {
@@ -46,6 +47,9 @@ var diffConfigs = []struct {
 	{"srw", func() hbm.Config { return diffConfig(hbm.VariantSRW, true) }},
 	{"base-timing", func() hbm.Config { return diffConfig(hbm.VariantBase, false) }},
 	{"2ba-timing", func() hbm.Config { return diffConfig(hbm.Variant2BA, false) }},
+	{"2ba", func() hbm.Config { return diffConfig(hbm.Variant2BA, true) }},
+	{"2x-timing", func() hbm.Config { return diffConfig(hbm.Variant2X, false) }},
+	{"srw-timing", func() hbm.Config { return diffConfig(hbm.VariantSRW, false) }},
 }
 
 func diffConfig(v hbm.Variant, functional bool) hbm.Config {
@@ -491,6 +495,59 @@ func (d *diffPair) run(b0, b1, b2, b3 byte) triggerRun {
 	return r
 }
 
+// event carries out the host action a stream group with b0 = 0x80|op
+// stands for (one group in 64 of a random stream) between two runs, on
+// both devices:
+//
+//	op 0: leave and re-enter AB-PIM mode, which rewinds the PPC (ResetPPC);
+//	op 1: rewrite one CRF column in place, mid-program;
+//	op 2: leave to SB mode, write one unit's CRF column alone (the units
+//	      leave lock step unless the words stay the same), re-enter;
+//	op 3: op 1, then re-enter.
+//
+// The column is b1%4, and its slot b2%8 takes the word in slot b3%32 of
+// the written unit's CRF (the same words when that is the slot itself);
+// b1>>2 picks the bank whose unit an SB write reaches.
+func (d *diffPair) event(b0, b1, b2, b3 byte) {
+	cfg, op, col := d.cfg, b0&3, uint32(b1%4)
+	flat := int(b1>>2) % cfg.Banks()
+	bg, b := cfg.BankOf(flat)
+	unit := 0
+	if op == 2 {
+		unit = flat / cfg.BanksPerUnit()
+	}
+	crf := &d.oracle.units[unit].crf
+	block := make([]byte, 32)
+	for i := range 8 {
+		w := crf[int(col)*8+i]
+		if i == int(b2%8) {
+			w = crf[b3%isa.CRFEntries]
+		}
+		binary.LittleEndian.PutUint32(block[4*i:], w)
+	}
+	d.must(hbm.Command{Kind: hbm.CmdPREA})
+	switch op {
+	case 1, 3:
+		d.must(hbm.Command{Kind: hbm.CmdACT, Row: cfg.CRFRow()})
+		d.must(hbm.Command{Kind: hbm.CmdWR, Col: col, Data: block})
+		d.must(hbm.Command{Kind: hbm.CmdPREA})
+	case 2:
+		d.setPIMOp(false)
+		d.modeHandshake(hbm.SBMRBank)
+		d.must(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: cfg.CRFRow()})
+		d.must(hbm.Command{Kind: hbm.CmdWR, BG: bg, Bank: b, Col: col, Data: block})
+		d.must(hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
+		d.modeHandshake(hbm.ABMRBank)
+	}
+	if op != 1 {
+		if op != 2 {
+			d.setPIMOp(false)
+		}
+		d.setPIMOp(true)
+	}
+	d.must(hbm.Command{Kind: hbm.CmdACT, Row: diffRow})
+}
+
 // diffCoverage accumulates what a set of runs exercised: triggers
 // compared, instructions retired per opcode (the reference's count, failed
 // trigger included), the data-path forms of the compared triggers (see
@@ -630,6 +687,10 @@ func runDifferential(t testing.TB, cfg hbm.Config, seed int64, words []uint32, s
 		}
 	}()
 	for i := 0; i+4 <= len(stream); i += 4 {
+		if stream[i]&0xfc == 0x80 {
+			d.event(stream[i], stream[i+1], stream[i+2], stream[i+3])
+			continue
+		}
 		run := d.run(stream[i], stream[i+1], stream[i+2], stream[i+3])
 		plan := d.upcoming(run.n)
 		reads := d.tap[0].reads
@@ -792,26 +853,34 @@ func randStream(rng *rand.Rand) []byte {
 // eltProgram; the LSTM cell is the GEMV kernel twice) with small loop
 // counts, one pass over the data-path forms generated programs reach
 // rarely (wantForms), a JUMP-only loop, the one control error generated
-// programs do not reach, and an AAM loop of every closed form
-// (wantLoopForms). wr starts the kernel's stream with WR runs.
+// programs do not reach, an AAM loop of every closed form (wantLoopForms),
+// and the sequencer's edges, each under a stream of its own (edgeRun,
+// edgeEvent): a run that starts mid-loop, runs across an outer JUMP, a
+// multi-cycle NOP that counts down across run boundaries, nested 127 x 127
+// loops, a trigger after EXIT, CRF rewrites mid-program, an AB-PIM
+// re-entry (ResetPPC) mid-loop and single-unit CRF writes, the last one
+// leaving the units out of lock step. wr starts the stream of a kernel
+// without one of its own with WR runs.
 var fixedKernels = []struct {
-	name string
-	wr   bool
-	src  string
+	name   string
+	wr     bool
+	src    string
+	stream []byte
+	seed   int64 // of the setup (see runDifferential), when not the kernel's index
 }{
-	{"gemv", true, `
+	{name: "gemv", wr: true, src: `
 		MOV(AAM) GRF_A, EVEN_BANK
 		JUMP -1, 7
 		MAC(AAM) GRF_B, GRF_A, EVEN_BANK
 		JUMP -1, 7
 		JUMP -4, 2
 		EXIT`},
-	{"gemv-srw", true, `
+	{name: "gemv-srw", wr: true, src: `
 		MAC(AAM) GRF_B, GRF_A, EVEN_BANK
 		JUMP -1, 7
 		JUMP -2, 2
 		EXIT`},
-	{"add", false, `
+	{name: "add", src: `
 		MOV(AAM) GRF_A, EVEN_BANK
 		JUMP -1, 7
 		ADD(AAM) GRF_A, GRF_A, ODD_BANK
@@ -821,7 +890,7 @@ var fixedKernels = []struct {
 		JUMP -6, 1
 		JUMP -7, 1
 		EXIT`},
-	{"mul-2ba", false, `
+	{name: "mul-2ba", src: `
 		MUL(AAM) GRF_A, GRF_A, ODD_BANK
 		JUMP -1, 7
 		MOV(AAM) ODD_BANK, GRF_A
@@ -829,7 +898,7 @@ var fixedKernels = []struct {
 		JUMP -4, 1
 		JUMP -5, 1
 		EXIT`},
-	{"relu", false, `
+	{name: "relu", src: `
 		MOV(AAM_RELU) GRF_A, EVEN_BANK
 		JUMP -1, 7
 		MOV(AAM) ODD_BANK, GRF_A
@@ -837,7 +906,7 @@ var fixedKernels = []struct {
 		JUMP -4, 1
 		JUMP -5, 1
 		EXIT`},
-	{"bn", false, `
+	{name: "bn", src: `
 		MAD(AAM) GRF_A, EVEN_BANK, SRF_M
 		JUMP -1, 7
 		MOV(AAM) ODD_BANK, GRF_A
@@ -845,19 +914,19 @@ var fixedKernels = []struct {
 		JUMP -4, 1
 		JUMP -5, 1
 		EXIT`},
-	{"rare-forms", false, `
+	{name: "rare-forms", src: `
 		FILL SRF_A[0], EVEN_BANK
 		MUL GRF_A[1], EVEN_BANK, SRF_M[2]
 		MAD GRF_B[0], GRF_A[0], ODD_BANK
 		MOV(RELU) ODD_BANK, GRF_A[1]
 		ADD GRF_A[2], EVEN_BANK, SRF_A[3]
 		EXIT`},
-	{"livelock", false, `
+	{name: "livelock", src: `
 		MOV GRF_A[0], GRF_B[0]
 		JUMP -1, 0
 		JUMP -1, 127
 		EXIT`},
-	{"loops", false, `
+	{name: "loops", src: `
 		FILL SRF_M[0], EVEN_BANK
 		MOV(AAM) GRF_A, EVEN_BANK
 		JUMP -1, 7
@@ -878,7 +947,81 @@ var fixedKernels = []struct {
 		MOV(AAM_RELU) ODD_BANK, GRF_A
 		JUMP -1, 7
 		EXIT`},
+	{name: "mid-loop", seed: edgeSeed, src: gemvSrc, stream: edgeStream(
+		edgeRun(true, 0, 3), edgeRun(true, 3, 5), edgeRun(false, 0, 2), edgeRun(false, 2, 6),
+		edgeRun(true, 5, 8), edgeRun(true, 0, 5), edgeRun(false, 1, 7), edgeRun(false, 0, 1),
+		edgeRun(true, 0, 8), edgeRun(false, 6, 4), edgeRun(false, 2, 4))},
+	{name: "outer-jump", seed: edgeSeed, src: `
+		MAC(AAM) GRF_B, GRF_A, EVEN_BANK
+		JUMP -1, 7
+		MOV(AAM) GRF_A, EVEN_BANK
+		JUMP -1, 3
+		JUMP -4, 5
+		EXIT`, stream: edgeStream(
+		edgeRun(false, 0, 16), edgeRun(false, 4, 13), edgeRun(false, 1, 16), edgeRun(false, 17, 14),
+		edgeRun(false, 3, 16), edgeRun(false, 0, 9))},
+	{name: "nop-across", seed: edgeSeed, src: `
+		MOV(AAM) GRF_A, EVEN_BANK
+		NOP 5
+		ADD GRF_B[0], GRF_A[0], GRF_B[1]
+		JUMP -3, 6
+		EXIT`, stream: edgeStream(
+		edgeRun(false, 0, 3), edgeRun(false, 3, 4), edgeRun(false, 7, 2), edgeRun(false, 9, 5),
+		edgeRun(false, 14, 1), edgeRun(false, 15, 7), edgeRun(false, 22, 3), edgeRun(false, 25, 6),
+		edgeRun(false, 0, 16), edgeRun(false, 16, 11))},
+	{name: "nested-127", seed: edgeSeed, src: `
+		MAC(AAM) GRF_B, GRF_A, EVEN_BANK
+		JUMP -1, 127
+		NOP 3
+		JUMP -3, 127
+		EXIT`, stream: bytes.Repeat(edgeStream(
+		edgeRun(false, 0, 16), edgeRun(false, 16, 16), edgeRun(false, 3, 13), edgeRun(false, 5, 16)), 9)},
+	{name: "after-exit", seed: edgeSeed, src: `
+		MOV GRF_A[0], GRF_B[0]
+		MAC(AAM) GRF_B, GRF_A, EVEN_BANK
+		JUMP -1, 2
+		EXIT`, stream: edgeStream(edgeRun(false, 0, 1), edgeRun(false, 0, 3), edgeRun(false, 3, 1))},
+	{name: "crf-rewrite", seed: edgeSeed, src: gemvSrc, stream: edgeStream(
+		edgeRun(true, 0, 5), edgeEvent(1, 0, 1, 1), edgeRun(true, 5, 3), edgeRun(false, 0, 4),
+		edgeEvent(1, 0, 2, 0), edgeRun(false, 4, 4), edgeRun(true, 0, 8),
+		edgeEvent(1, 0, 4, 5), edgeRun(false, 0, 8), edgeRun(false, 0, 1))},
+	{name: "reset-mid-loop", seed: edgeSeed, src: gemvSrc, stream: edgeStream(
+		edgeRun(true, 0, 3), edgeEvent(0, 0, 0, 0), edgeRun(true, 0, 8), edgeRun(false, 0, 5),
+		edgeEvent(3, 0, 0, 0), edgeRun(true, 0, 8), edgeRun(false, 0, 8), edgeRun(true, 0, 6),
+		edgeEvent(0, 0, 0, 0), edgeRun(true, 0, 8), edgeRun(false, 0, 8), edgeRun(true, 0, 8))},
+	{name: "sb-crf-write", seed: edgeSeed, src: gemvSrc, stream: edgeStream(
+		edgeRun(true, 0, 8), edgeEvent(2, 6<<2, 1, 1), edgeRun(true, 0, 8), edgeRun(false, 0, 8),
+		edgeEvent(2, 6<<2, 2, 0), edgeRun(true, 0, 8))},
 }
+
+// edgeSeed is the setup seed of the edge streams: on the ECC device it
+// plants no bit error, so that every stream runs to the edge it is for.
+const edgeSeed = 7
+
+// gemvSrc is the GEMV microkernel the edge streams walk: an input loop of
+// 8 WR-captured moves, a MAC loop of 8 and three passes of both.
+const gemvSrc = `
+	MOV(AAM) GRF_A, EVEN_BANK
+	JUMP -1, 7
+	MAC(AAM) GRF_B, GRF_A, EVEN_BANK
+	JUMP -1, 7
+	JUMP -4, 2
+	EXIT`
+
+// edgeRun is a stream group for a run of n WR or RD commands from column
+// col, bent to the program (see (*diffPair).run), with full payloads.
+func edgeRun(wr bool, col, n int) []byte {
+	b0 := byte(0x10)
+	if wr {
+		b0 |= 1
+	}
+	return []byte{b0, byte(col), byte(2 * n), byte(n - 1)}
+}
+
+// edgeEvent is a stream group for host event op (see (*diffPair).event).
+func edgeEvent(op, b1, b2, b3 byte) []byte { return []byte{0x80 | op, b1, b2, b3} }
+
+func edgeStream(groups ...[]byte) []byte { return slices.Concat(groups...) }
 
 // faultCases are fixed kernels under a planted fault (plantFault) that
 // fails a run after its first command, on the device kinds that can have
@@ -912,16 +1055,24 @@ func kernelStream(wr bool) []byte {
 	return stream
 }
 
-// kernel returns the fixed kernel named name and its index.
-func kernel(t testing.TB, name string) (int, []uint32, bool) {
+// kernel returns the fixed kernel named name: its setup seed, words and
+// stream.
+func kernel(t testing.TB, name string) (int64, []uint32, []byte) {
 	t.Helper()
 	for i, k := range fixedKernels {
 		if k.name == name {
-			return i, encodeWords(t, mustAssemble(t, k.src)), k.wr
+			seed, stream := k.seed, k.stream
+			if seed == 0 {
+				seed = int64(i)
+			}
+			if stream == nil {
+				stream = kernelStream(k.wr)
+			}
+			return seed, encodeWords(t, mustAssemble(t, k.src)), stream
 		}
 	}
 	t.Fatalf("no fixed kernel %q", name)
-	return 0, nil, false
+	return 0, nil, nil
 }
 
 func encodeWords(t testing.TB, prog []isa.Instruction) []uint32 {
@@ -948,13 +1099,14 @@ func TestTriggerDifferential(t *testing.T) {
 		t.Run(dc.name, func(t *testing.T) {
 			cfg := dc.cfg()
 			cov := newDiffCoverage()
-			for i, k := range fixedKernels {
-				runDifferential(t, cfg, int64(i), encodeWords(t, mustAssemble(t, k.src)), kernelStream(k.wr), 0, cov)
+			for _, k := range fixedKernels {
+				seed, words, stream := kernel(t, k.name)
+				runDifferential(t, cfg, seed, words, stream, 0, cov)
 			}
 			for _, fc := range faultCases {
 				if cfg.Functional && (cfg.ECC || !fc.ecc) {
-					i, words, wr := kernel(t, fc.kernel)
-					runDifferential(t, cfg, int64(i), words, kernelStream(wr), fc.fault, cov)
+					seed, words, stream := kernel(t, fc.kernel)
+					runDifferential(t, cfg, seed, words, stream, fc.fault, cov)
 				}
 			}
 			for seed := int64(0); seed < int64(seeds); seed++ {
@@ -983,7 +1135,7 @@ func TestTriggerDifferential(t *testing.T) {
 				t.Errorf("%d triggers compared over %d programs: the generator no longer runs deep", cov.triggers, seeds)
 			}
 			reached, midRun := fmt.Sprint(cov.errors), fmt.Sprint(cov.midRun)
-			classes := []string{"column command after EXIT", "control-flow livelock", "out of CRF range", "needs WR"}
+			classes := []string{"column command after EXIT", "control-flow livelock", "out of CRF range", "needs WR", "not in lock step"}
 			if cfg.Functional {
 				classes = append(classes, " columns)")
 			}
@@ -1054,12 +1206,12 @@ func TestFailedWriteStopsAtItsUnit(t *testing.T) {
 // kind, then the fault cases.
 func FuzzTriggerDifferential(f *testing.F) {
 	prog := func(name string) (int64, []byte, []byte) {
-		i, words, wr := kernel(f, name)
+		seed, words, stream := kernel(f, name)
 		prog := make([]byte, 4*len(words))
 		for j, w := range words {
 			binary.LittleEndian.PutUint32(prog[4*j:], w)
 		}
-		return int64(i), prog, kernelStream(wr)
+		return seed, prog, stream
 	}
 	for _, k := range fixedKernels {
 		seed, words, stream := prog(k.name)

@@ -17,40 +17,42 @@ import (
 //
 // Every unit executes the same CRF slot on the same command (Section
 // III-B), so whatever a trigger decides without looking at register or
-// bank data is decided here, once: the control walk (PPC, JUMP counters,
-// NOP countdown, EXIT), the instruction decode, the AAM register indices
-// and their range checks, which bank of each unit the command drives and
-// whether this command kind may, and the WR payload. A bank operand is
-// then read for all units in one hbm.BankAccess.ReadBanks call that visits
-// their banks in unit order. The data step (execute) picks the
-// instruction's form once (destination, operand sources, operation) and
-// runs it over units 0..n-1 in order: a move is one fixed-size copy of a
-// burst per unit, an arithmetic instruction one fp16 burst-form call that
-// loops over them, each unit on its own registers and a view of its own
-// burst, wherever the bank operand sits. A unit's operation touches no
-// other unit's bank, so bank statistics, ECC, the fault injector's read
-// sequence and the unit an error names are those of n units each reading
-// and executing in turn: a read that fails at unit k leaves units 0..k-1
-// executed and the banks of the units after k unread, and a bank write
-// that fails at unit k leaves the units after k unwritten. A timing-only
-// device has no data to operate on: the same sequencer runs and the
-// units' bank traffic is accounted in one call.
+// bank data is decided here, once for all units, and what the program
+// alone decides once per program: at the first trigger after a CRF write,
+// unit 0's words compile into a table of isa.CRFEntries records (slot),
+// each the decoded instruction or decode error, what it retires, whether
+// it heads an AAM loop, and for a data or arithmetic instruction its
+// operand form under a RD or WR on the even or odd banks (the bank it
+// drives, or the error it meets there). Like the fetch stage (Section
+// III-C), a trigger walks the table: a JUMP costs a lookup and no command
+// slot, and the PPC, JUMP counters, NOP countdown and EXIT are the only
+// state. Only the AAM register indices and the data step are worked out
+// per step. A bank operand is read for all units in one
+// hbm.BankAccess.ReadBanks call that visits their banks in unit order, and
+// the data step (execute) picks the instruction's form once and runs it
+// over units 0..n-1 in order: a move is one fixed-size copy of a burst per
+// unit, an arithmetic instruction one fp16 burst-form call. A unit's
+// operation touches no other unit's bank, so bank statistics, ECC, the
+// fault injector's read sequence and the unit an error names are those of
+// n units each reading and executing in turn: a read that fails at unit k
+// leaves units 0..k-1 executed and the banks of the units after k unread,
+// and a bank write that fails at unit k leaves the units after k
+// unwritten. A timing-only device runs the same sequencer and accounts the
+// units' bank traffic in one call.
 //
 // A trigger run (the column commands of an AAM window, hbm.TriggerContext)
 // is walked trigger by trigger, with one exception: when the PPC rests on
-// an AAM instruction that the next slot's JUMP -1 repeats, the k
-// repetitions the loop, the run and the AAM window leave (step, repeats)
-// are one step. Each repetition works on the registers its own column
-// selects, k distinct ones, so the step resolves the instruction once,
+// an AAM loop's head, the k repetitions the loop, the run and the AAM
+// window leave (step, repeats) are one step, retired in closed form. Each
+// repetition works on the registers its own column selects, so the step
 // reads the k columns' bank operands in one trigger-major ReadBanks call
 // and runs its data step once over k x n entries in trigger-major order:
 // repetition r of unit i is entry r*n+i, exactly the order in which k
 // lone triggers would read, execute and fail.
 //
-// Lock step is checked, not assumed. The units keep their own CRF words
-// (an SB-mode column write reaches one unit's register space alone), the
-// sequencer decodes unit 0's, and a trigger is refused while any unit holds
-// a different program (checkLockStep).
+// Lock step is checked, not assumed: the units keep their own CRF words
+// (an SB-mode column write reaches one unit alone), and a trigger is
+// refused while any unit holds another program than the one compiled.
 type Executor struct {
 	units        []*Unit
 	banksPerUnit int
@@ -68,16 +70,14 @@ type Executor struct {
 	jumpArmed [isa.CRFEntries]bool  // whether jumpLeft holds a live count for the slot
 	done      bool
 
-	// Decode cache over unit 0's CRF words: a microkernel re-fetches the
-	// same few slots once per trigger. A CRF register write invalidates it.
-	decoded [isa.CRFEntries]isa.Instruction
-	decErr  [isa.CRFEntries]error
-	decOK   [isa.CRFEntries]bool
-
-	// lockStepErr is the memoised verdict of checkLockStep, valid while
-	// lockStepChecked; a CRF register write and ResetPPC clear that.
-	lockStepChecked bool
-	lockStepErr     error
+	// code is unit 0's CRF compiled from words, cut at the first trigger
+	// (most channels of a timing-only stack never take one; a zero record
+	// is word 0's); stale after a CRF write (compile), and lockStepErr the
+	// verdict on the units' programs.
+	code        *[isa.CRFEntries]slot
+	words       [isa.CRFEntries]uint32
+	stale       bool
+	lockStepErr error
 
 	opRetired  [isa.NumOpcodes]int64 // instructions retired per unit, indexed by isa.Opcode
 	aamRetired int64                 // of which address-aligned (AAM) instructions
@@ -123,7 +123,12 @@ func NewExecutor(cfg hbm.Config) (*Executor, error) {
 	if cfg.Banks()%cfg.PIMUnits != 0 {
 		return nil, fmt.Errorf("pim: %d units do not divide %d banks", cfg.PIMUnits, cfg.Banks())
 	}
+	// An AAM GRF index is the column's low bits; a decoded one is below isa.GRFEntries.
+	if d := cfg.GRFDepth(); d < isa.GRFEntries || d&(d-1) != 0 {
+		return nil, fmt.Errorf("pim: GRF depth %d is not a power of two from %d", d, isa.GRFEntries)
+	}
 	e := &Executor{
+		stale:        true,
 		units:        newUnits(cfg.PIMUnits, cfg.GRFDepth()),
 		banksPerUnit: cfg.BanksPerUnit(),
 		grfEntries:   cfg.GRFDepth(),
@@ -180,12 +185,11 @@ func (e *Executor) Unit(i int) *Unit {
 // NumUnits returns the number of units.
 func (e *Executor) NumUnits() int { return len(e.units) }
 
-// RegisterWrite implements hbm.PIMExecutor. A CRF write invalidates the
-// decode cache and the lock-step verdict once for the run.
+// RegisterWrite implements hbm.PIMExecutor. A CRF write marks the
+// compiled program stale, once for the run.
 func (e *Executor) RegisterWrite(first, n int, space hbm.RegSpace, col uint32, data [][]byte) (int, error) {
 	if space == hbm.RegCRF {
-		e.decOK = [isa.CRFEntries]bool{}
-		e.lockStepChecked = false
+		e.stale = true
 	} else {
 		cutRegisters(e.units)
 	}
@@ -234,34 +238,12 @@ func (e *Executor) unit(i int) (*Unit, error) {
 	return e.units[i], nil
 }
 
-// ResetPPC implements hbm.PIMExecutor.
+// ResetPPC implements hbm.PIMExecutor: it rewinds the control state. The
+// compiled program stays: only a CRF write changes what it was compiled
+// from.
 func (e *Executor) ResetPPC() {
-	e.ppc = 0
-	e.nopLeft = 0
-	e.jumpLeft = [isa.CRFEntries]int32{}
-	e.jumpArmed = [isa.CRFEntries]bool{}
-	e.done = false
-	e.lockStepChecked = false
-}
-
-// checkLockStep compares every unit's CRF with unit 0's, the program the
-// sequencer runs, and memoises the verdict until the next CRF write or
-// ResetPPC. Broadcast programming keeps the units identical; an SB-mode
-// column write to one bank's CRF row does not.
-func (e *Executor) checkLockStep() {
-	e.lockStepChecked, e.lockStepErr = true, nil
-	crf0 := &e.units[0].crf
-	for i, u := range e.units {
-		if u.crf == *crf0 {
-			continue
-		}
-		for slot := range u.crf {
-			if u.crf[slot] != crf0[slot] {
-				e.lockStepErr = fmt.Errorf("pim: unit %d: CRF[%d] differs from unit 0's: the units are not in lock step", i, slot)
-				return
-			}
-		}
-	}
+	e.ppc, e.nopLeft, e.done = 0, 0, false
+	e.jumpLeft, e.jumpArmed = [isa.CRFEntries]int32{}, [isa.CRFEntries]bool{}
 }
 
 // Trigger implements hbm.PIMExecutor: every column command of the run
@@ -269,8 +251,8 @@ func (e *Executor) checkLockStep() {
 // the repetitions of an AAM loop.
 func (e *Executor) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 	var info hbm.TriggerInfo
-	if !e.lockStepChecked {
-		e.checkLockStep()
+	if e.stale {
+		e.compile()
 	}
 	if e.lockStepErr != nil {
 		e.triggers++
@@ -293,10 +275,6 @@ func (e *Executor) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) {
 // to meet it.
 func unitErr(i int, err error) error { return fmt.Errorf("pim: unit %d: %w", i, err) }
 
-// jump is what each unit retires for a JUMP a repetition of an AAM loop
-// takes back to its instruction.
-var jump = hbm.TriggerInfo{Instructions: 1}
-
 // step executes PIM instructions from trigger t of the run until exactly
 // one command slot has been consumed (zero-cycle JUMPs retire for free),
 // or, for an AAM loop (repeats), until k slots have, adding what each
@@ -305,149 +283,133 @@ var jump = hbm.TriggerInfo{Instructions: 1}
 // if each had been issued alone: the failed trigger's instruction counts
 // as retired and its units before the one the error names executed it.
 func (e *Executor) step(ctx *hbm.TriggerContext, t int, info *hbm.TriggerInfo) (int, error) {
-	var c hbm.TriggerInfo // what each unit retires in trigger t
 	if e.done {
 		return 0, unitErr(0, errors.New("pim: column command after EXIT (host sent too many triggers)"))
 	}
 	if e.nopLeft > 0 {
 		e.nopLeft--
-		e.retire(ctx, t, 1, c, info) // an idle slot of a multi-cycle NOP
+		e.retire(ctx, t, 1, 0, hbm.TriggerInfo{}, 0, info) // an idle slot of a multi-cycle NOP
 		return 1, nil
 	}
-	in, err := e.resolveControl(&c)
-	if in == nil {
+	var s *slot
+	before, err := 0, error(nil) // the control each unit retires before the instruction
+	if p := uint(e.ppc); p < isa.CRFEntries && e.code[p].arith|e.code[p].moves != 0 {
+		s = &e.code[p] // at rest on a data or arithmetic instruction: no control to walk
+	} else if s, before, err = e.walk(); s == nil {
 		if err != nil {
 			return 0, err // a control error
 		}
-		e.retire(ctx, t, 1, c, info) // EXIT
+		e.retire(ctx, t, 1, before, hbm.TriggerInfo{}, 0, info) // EXIT
 		return 1, nil
 	}
-	if in.Op == isa.NOP {
-		c.Instructions++
+	base := s.base()
+	if s.in.Op == isa.NOP {
 		e.opRetired[isa.NOP]++
-		e.nopLeft = int(in.Imm0)
+		e.nopLeft = int(s.in.Imm0)
 		e.ppc++
-		e.retire(ctx, t, 1, c, info)
+		e.retire(ctx, t, 1, before, base, 0, info)
 		return 1, nil
 	}
 	// Data or arithmetic: consumes the command slot, k times over.
-	base := hbm.TriggerInfo{Instructions: 1, DataMoves: 1}
-	if in.Op.IsArith() {
-		base = hbm.TriggerInfo{Instructions: 1, Arithmetic: 1}
-	}
-	c = add(c, base)
-	k := e.repeats(in, ctx, t)
-	ran, unit, err := 0, 0, e.resolve(in, ctx, t)
-	if err != nil {
-		err = unitErr(0, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, *in, err))
+	f := &s.forms[ctx.Kind-hbm.CmdRD][ctx.BankSel]
+	k, ran, unit := 1, 0, 0
+	if f.fault != legal {
+		err = e.faultErr(s, f, ctx)
 	} else {
-		ran, unit, err = e.run(ctx, k)
+		k = e.repeats(s, f, ctx, t)
+		ran, unit, err = e.run(ctx, s, f, t, k)
 	}
 	reps := int64(ran)
 	if err != nil {
 		reps++ // the failed trigger's instruction retired, as a lone trigger's does
 	}
-	e.opRetired[in.Op] += reps
-	if in.AAM {
+	e.opRetired[s.in.Op] += reps
+	if s.in.AAM {
 		e.aamRetired += reps
 	}
 	// Every repetition but the last takes the loop's JUMP back, in closed
 	// form; the last meets it in the walk below.
-	taken := ran
-	if err == nil {
-		taken = k - 1
-	}
-	if taken > 0 {
-		slot := e.ppc + 1
+	if taken := min(ran, k-1); taken > 0 {
+		next := e.ppc + 1
 		e.opRetired[isa.JUMP] += int64(taken)
-		e.jumpLeft[slot], e.jumpArmed[slot] = e.loopLeft(slot)-int32(taken), true
-		// The first repetition also retires the control resolved before it.
-		e.retire(ctx, t, 1, add(c, jump), info)
-		if taken > 1 {
-			e.retire(ctx, t+1, taken-1, add(base, jump), info)
+		e.jumpLeft[next], e.jumpArmed[next] = e.loopLeft(next)-int32(taken), true
+	}
+	if err == nil {
+		if k > 1 && e.loopHook != nil {
+			e.loopHook(&s.in, ctx.Kind, k)
 		}
-		c = base
-	}
-	if err != nil {
-		if unit > 0 {
-			// The units before the failing one completed the trigger, the
-			// control walk after the instruction included, which every unit
-			// shares: unit 0 meets an error of that walk first.
-			e.ppc++
-			if _, walkErr := e.resolveControl(&c); walkErr != nil {
-				err = walkErr
-			}
+		e.ppc++
+		// Flow control after the consuming instruction is zero-cycle
+		// (decoded at fetch, Section III-C): walk JUMP chains and a
+		// trailing EXIT without waiting for another command.
+		_, after, walkErr := e.walk()
+		if err = walkErr; err == nil {
+			e.retire(ctx, t, k, before, base, after, info)
+			return k, nil
 		}
-		return ran, err
+		ran = k - 1 // the walk fails the last repetition, as unit 0's
+	} else if unit > 0 {
+		// The units before the failing one completed the trigger, the
+		// control walk after the instruction included, which every unit
+		// shares: unit 0 meets an error of that walk first.
+		e.ppc++
+		if _, _, walkErr := e.walk(); walkErr != nil {
+			err = walkErr
+		}
 	}
-	if k > 1 && e.loopHook != nil {
-		e.loopHook(in, ctx.Kind, k)
+	if ran > 0 {
+		e.retire(ctx, t, ran, before, base, 1, info) // each took the JUMP back
 	}
-	e.ppc++
-	// Flow control after the consuming instruction is zero-cycle
-	// (pre-decoded at fetch, Section III-C): resolve JUMP chains and a
-	// trailing EXIT without waiting for another command.
-	if _, err := e.resolveControl(&c); err != nil {
-		return k - 1, err
-	}
-	e.retire(ctx, t+k-1, 1, c, info)
-	return k, nil
+	return ran, err
 }
 
-// add sums two per-unit retirement counts.
-func add(a, b hbm.TriggerInfo) hbm.TriggerInfo {
-	return hbm.TriggerInfo{
-		Instructions: a.Instructions + b.Instructions,
-		Arithmetic:   a.Arithmetic + b.Arithmetic,
-		DataMoves:    a.DataMoves + b.DataMoves,
-	}
-}
-
-// retire adds what each unit retired in each of the n triggers from t, c
-// per trigger, to info for all units, and logs them at their issue cycles.
-func (e *Executor) retire(ctx *hbm.TriggerContext, t, n int, c hbm.TriggerInfo, info *hbm.TriggerInfo) {
+// retire adds what the units retired in the k triggers from t to info, in
+// closed form, and logs them at their issue cycles (the first, the middle
+// and the last as records of their own): each executed base, the first
+// after before control instructions, each but the last took the loop's
+// JUMP back and the last was followed by after control instructions.
+func (e *Executor) retire(ctx *hbm.TriggerContext, t, k, before int, base hbm.TriggerInfo, after int, info *hbm.TriggerInfo) {
 	units := len(e.units)
-	info.Instructions += c.Instructions * units * n
-	info.Arithmetic += c.Arithmetic * units * n
-	info.DataMoves += c.DataMoves * units * n
-	if e.Log != nil {
-		e.Log.PIM(ctx.Cycle(t), ctx.Stride, n, c.Instructions*units)
+	info.Instructions += units * (before + k*(base.Instructions+1) - 1 + after)
+	info.Arithmetic += units * k * base.Arithmetic
+	info.DataMoves += units * k * base.DataMoves
+	if e.Log == nil {
+		return
 	}
+	b := base.Instructions
+	if k == 1 {
+		e.Log.PIM(ctx.Cycle(t), ctx.Stride, 1, units*(before+b+after))
+		return
+	}
+	e.Log.PIM(ctx.Cycle(t), ctx.Stride, 1, units*(before+b+1))
+	if k > 2 {
+		e.Log.PIM(ctx.Cycle(t+1), ctx.Stride, k-2, units*(b+1))
+	}
+	e.Log.PIM(ctx.Cycle(t+k-1), ctx.Stride, 1, units*(b+after))
 }
 
-// repeats returns how many triggers from t run instruction in, on which
-// the PPC rests, in one step. That is one, except for an AAM instruction
-// whose next CRF slot is a JUMP -1: then it is the loop's repetitions left
-// (its JUMP's count plus one), capped by the triggers left in the run and
-// by the registers left before the AAM index wraps (so that every
-// repetition has registers of its own), and, where the WR payload decides
-// the form (the SRW forward), by the first payload that decides otherwise.
-func (e *Executor) repeats(in *isa.Instruction, ctx *hbm.TriggerContext, t int) int {
-	slot := e.ppc + 1
-	if !in.AAM || t+1 >= ctx.N || slot >= isa.CRFEntries {
-		return 1
-	}
-	if j, err := e.fetch(slot); err != nil || j.Op != isa.JUMP || j.Imm1 != 1 {
+// repeats returns how many triggers from t run slot s's instruction, on
+// which the PPC rests, in one step. That is one, except at the head of an
+// AAM loop (s.loop): then it is the loop's repetitions left (its JUMP's
+// count plus one), capped by the triggers left in the run and by the
+// registers left before the AAM index wraps (so that every repetition has
+// registers of its own), and, where the WR payload decides the form (the
+// SRW forward), by the first payload that decides otherwise.
+func (e *Executor) repeats(s *slot, f *form, ctx *hbm.TriggerContext, t int) int {
+	if !s.loop || t+1 >= ctx.N {
 		return 1
 	}
 	g := uint32(e.grfEntries)
-	k := min(int(e.loopLeft(slot))+1, ctx.N-t, int(g-(ctx.Col+uint32(t))%g))
-	fw := e.forwards(in, ctx, t)
-	for r := 1; r < k; r++ {
-		if e.forwards(in, ctx, t+r) != fw {
-			return r
+	k := min(int(e.loopLeft(e.ppc+1))+1, ctx.N-t, int(g-(ctx.Col+uint32(t))&(g-1)))
+	if f.forward {
+		fw := len(ctx.Payload(t)) >= burstBytes
+		for r := 1; r < k; r++ {
+			if len(ctx.Payload(t+r)) >= burstBytes != fw {
+				return r
+			}
 		}
 	}
 	return k
-}
-
-// forwards reports whether trigger t forwards its WR payload into in's
-// SRC0 register before the operation: simultaneous read/write on a
-// WROperand device, which lets a single command both load the vector
-// operand and execute the arithmetic (Fig. 14).
-func (e *Executor) forwards(in *isa.Instruction, ctx *hbm.TriggerContext, t int) bool {
-	return e.wrOperand && ctx.Kind == hbm.CmdWR && in.Op.IsArith() && in.Src0.IsGRF() &&
-		len(ctx.Payload(t)) >= burstBytes
 }
 
 // loopLeft returns the iterations the JUMP at slot has left: its live
@@ -456,28 +418,30 @@ func (e *Executor) loopLeft(slot int) int32 {
 	if e.jumpArmed[slot] {
 		return e.jumpLeft[slot]
 	}
-	return int32(e.decoded[slot].Imm0)
+	return int32(e.code[slot].in.Imm0)
 }
 
-// run is the data step of a step's k repetitions of e.op, from trigger
-// e.op.t of the run. It returns the repetitions that ran to the end; on an
-// error, the one after them failed at unit, which the error names.
-func (e *Executor) run(ctx *hbm.TriggerContext, k int) (ran, unit int, err error) {
-	op, in, n := &e.op, e.op.in, len(e.units)
+// run is the data step of k repetitions of slot s's instruction in its
+// legal form f, from trigger t of the run. It returns the repetitions that
+// ran to the end; on an error, the one after them failed at unit, which
+// the error names.
+func (e *Executor) run(ctx *hbm.TriggerContext, s *slot, f *form, t, k int) (ran, unit int, err error) {
+	n := len(e.units)
 	if !e.functional {
 		// Timing-only: register contents are never read and a bank access
 		// is exactly one counter bump, so the units' traffic is accounted,
 		// not replayed.
-		if op.bank >= 0 {
+		if f.bank >= 0 {
 			reads, writes := int64(1), int64(0)
-			if in.Dst.IsBank() {
+			if s.in.Dst.IsBank() {
 				reads, writes = 0, 1
 			}
 			ctx.Access.ReplicateBankAccess(reads, writes, int64(n*k))
 		}
 		return k, 0, nil
 	}
-	cnt := k * n
+	e.resolve(s, f, ctx, t)
+	op, in, cnt := &e.op, &s.in, k*n
 	if op.bank >= 0 && !in.Dst.IsBank() {
 		// Every repetition's bank operand of every unit, read trigger-major
 		// before any executes; a read that fails at entry cnt leaves the
@@ -643,52 +607,43 @@ func (e *Executor) operands(o *operand, cnt int) [][]byte {
 	return e.views[:cnt]
 }
 
-// fetch returns the decoded instruction in CRF slot, through the decode
-// cache. The result aliases the cache entry (valid until the next CRF
-// write), so the walk copies no Instruction structs.
-func (e *Executor) fetch(slot int) (*isa.Instruction, error) {
-	if !e.decOK[slot] {
-		e.decoded[slot], e.decErr[slot] = isa.Decode(e.units[0].crf[slot])
-		e.decOK[slot] = true
-	}
-	return &e.decoded[slot], e.decErr[slot]
-}
-
-// resolveControl retires zero-cycle JUMPs and an EXIT at the current PPC
-// and returns the instruction the PPC comes to rest on (a NOP, data or
-// arithmetic instruction, not yet retired), or nil after EXIT.
-func (e *Executor) resolveControl(c *hbm.TriggerInfo) (*isa.Instruction, error) {
+// walk retires zero-cycle JUMPs and an EXIT from the current PPC and
+// returns the slot the PPC comes to rest on (a NOP, data or arithmetic
+// instruction, not yet retired), or nil after EXIT, and the control
+// instructions it retired.
+func (e *Executor) walk() (*slot, int, error) {
+	ppc, ctl := e.ppc, 0 // in locals: nothing the walk stores aliases them
 	for hops := 0; ; hops++ {
+		e.ppc = ppc
 		if hops > isa.CRFEntries*2 {
-			return nil, unitErr(0, fmt.Errorf("pim: control-flow livelock at PPC %d", e.ppc))
+			return nil, ctl, unitErr(0, fmt.Errorf("pim: control-flow livelock at PPC %d", ppc))
 		}
-		if e.ppc < 0 || e.ppc >= isa.CRFEntries {
-			return nil, unitErr(0, fmt.Errorf("pim: PPC %d out of CRF range", e.ppc))
+		if ppc < 0 || ppc >= isa.CRFEntries {
+			return nil, ctl, unitErr(0, fmt.Errorf("pim: PPC %d out of CRF range", ppc))
 		}
-		in, err := e.fetch(e.ppc)
-		if err != nil {
-			return nil, unitErr(0, fmt.Errorf("pim: CRF[%d]: %w", e.ppc, err))
+		s := &e.code[ppc]
+		if s.err != nil {
+			return nil, ctl, unitErr(0, fmt.Errorf("pim: CRF[%d]: %w", ppc, s.err))
 		}
-		switch in.Op {
+		switch s.in.Op {
 		case isa.JUMP:
-			// Zero-cycle: pre-decoded at fetch, consumes no command slot.
-			c.Instructions++
+			// Zero-cycle: decoded at fetch, consumes no command slot.
+			ctl++
 			e.opRetired[isa.JUMP]++
-			if left := e.loopLeft(e.ppc); left > 0 {
-				e.jumpArmed[e.ppc] = true
-				e.jumpLeft[e.ppc] = left - 1
-				e.ppc -= int(in.Imm1)
+			if left := e.loopLeft(ppc); left > 0 {
+				e.jumpArmed[ppc] = true
+				e.jumpLeft[ppc] = left - 1
+				ppc -= int(s.in.Imm1)
 			} else {
-				e.jumpArmed[e.ppc] = false // rearm for a future pass
-				e.ppc++
+				e.jumpArmed[ppc] = false // rearm for a future pass
+				ppc++
 			}
 		case isa.EXIT:
-			c.Instructions++
 			e.opRetired[isa.EXIT]++
 			e.done = true
-			return nil, nil
+			return nil, ctl + 1, nil
 		default:
-			return in, nil
+			return s, ctl, nil
 		}
 	}
 }
@@ -721,19 +676,19 @@ type dataOp struct {
 	access  hbm.BankAccess
 }
 
-// resolve fills e.op for instruction in under trigger t of the run, with
-// the errors every unit would report.
-func (e *Executor) resolve(in *isa.Instruction, ctx *hbm.TriggerContext, t int) error {
-	op := &e.op
-	op.in, op.t, op.col, op.access = in, t, ctx.Col+uint32(t), ctx.Access
-	op.bank, op.forward = -1, false
-
+// resolve fills e.op for slot s's instruction under trigger t of the run,
+// whose form f is legal: the register indices the instruction names or,
+// in AAM, the column selects.
+func (e *Executor) resolve(s *slot, f *form, ctx *hbm.TriggerContext, t int) {
+	op, in := &e.op, &s.in
+	op.in, op.t, op.col, op.access, op.bank = in, t, ctx.Col+uint32(t), ctx.Access, int(f.bank)
+	op.forward = f.forward && len(ctx.Payload(t)) >= burstBytes
 	dst, s0, s1 := int(in.DstIdx), int(in.Src0Idx), int(in.Src1Idx)
 	if in.AAM {
 		// Address-aligned mode: all three index fields are replaced by the
 		// low bits of the triggering column, which walk each register file
 		// linearly (Section IV-C); distinct files keep the operands distinct.
-		gi, si := int(op.col%uint32(e.grfEntries)), int(op.col%isa.SRFEntries)
+		gi, si := int(op.col&uint32(e.grfEntries-1)), int(op.col%isa.SRFEntries)
 		idxFor := func(s isa.Src) int {
 			if s.IsSRF() {
 				return si
@@ -742,86 +697,184 @@ func (e *Executor) resolve(in *isa.Instruction, ctx *hbm.TriggerContext, t int) 
 		}
 		dst, s0, s1 = idxFor(in.Dst), idxFor(in.Src0), idxFor(in.Src1)
 	}
-	if in.Dst.IsGRF() && dst >= e.grfEntries {
-		return fmt.Errorf("pim: DST index %d exceeds GRF depth %d", dst, e.grfEntries)
-	}
 	op.dst = dst
-	wr := ctx.Kind == hbm.CmdWR
-
-	var err error
-	if in.Dst.IsBank() {
-		// MOV GRF -> bank; needs the write drivers, i.e. a WR trigger.
-		if !wr {
-			return fmt.Errorf("pim: MOV to bank triggered by %s, needs WR", ctx.Kind)
-		}
-		op.a = operand{src: in.Src0, idx: s0}
-		op.bank, err = e.bankOffset(in.Dst, ctx, false)
-		return err
-	}
-	// Only data-movement instructions may capture the write datapath as
-	// their bank operand; an arithmetic bank operand needs a real array
-	// read, which a WR trigger supplies only on a WROperand device, where
-	// the trigger may forward its payload too (forwards).
-	capture := in.Op.IsData()
-	op.forward = e.forwards(in, ctx, t)
-	op.a, err = e.source(in.Src0, s0, ctx, capture)
-	if err != nil || capture {
-		return err // MOV and FILL have the one source
-	}
-	op.b, err = e.source(in.Src1, s1, ctx, false)
+	op.a = operand{src: in.Src0, idx: s0, payload: f.payload}
+	op.b = operand{src: in.Src1, idx: s1}
 	// MAD: dst = a*b + SRF_A[s1] (the addend shares SRC1's index in a
 	// different register file, Section III-C).
 	op.addend = s1 % isa.SRFEntries
-	return err
-}
-
-// source resolves SRC0 or SRC1. With capture, a bank operand under a WR
-// trigger is the host's payload, not an array read: "the host processor
-// pushes 256 bits to the write drivers or PIM registers" (Section III-A),
-// which is how input vectors are loaded into the GRF between compute
-// bursts.
-func (e *Executor) source(s isa.Src, idx int, ctx *hbm.TriggerContext, capture bool) (operand, error) {
-	switch {
-	case s.IsGRF():
-		if idx >= e.grfEntries {
-			return operand{}, fmt.Errorf("pim: %s index %d exceeds GRF depth %d", s, idx, e.grfEntries)
-		}
-		return operand{src: s, idx: idx}, nil
-	case s.IsSRF():
-		return operand{src: s, idx: idx % isa.SRFEntries}, nil
-	case capture && ctx.Kind == hbm.CmdWR:
-		return operand{src: s, payload: true}, nil
-	}
-	var err error
-	e.op.bank, err = e.bankOffset(s, ctx, true)
-	return operand{src: s}, err
 }
 
 // zeroBurst is what a short WR payload carries into a register.
 var zeroBurst [burstBytes]byte
 
-// bankOffset resolves EVEN_BANK/ODD_BANK to the bank's offset within a
-// unit's banks, checking that the triggering command drives that bank set
-// and, for an operand read, that the command can supply one.
-func (e *Executor) bankOffset(s isa.Src, ctx *hbm.TriggerContext, read bool) (int, error) {
+// slot is one CRF slot compiled for the sequencer: what a trigger that
+// finds the PPC there needs and the program alone decides.
+type slot struct {
+	in           isa.Instruction // the decoded word: a JUMP's count and distance and a NOP's cycles are its immediates
+	err          error           // the decode error, when the word is no instruction
+	arith, moves uint8           // 1 for an arithmetic (FPU active) or a data-movement instruction
+	loop         bool            // an AAM instruction the next slot's JUMP -1 repeats
+	// forms[kind-hbm.CmdRD][bankSel]: a data or arithmetic instruction's
+	// operands under a RD or WR on the even (0) or odd (1) banks.
+	forms [2][2]form
+}
+
+// base is what each unit retires for s's instruction, per execution.
+func (s *slot) base() hbm.TriggerInfo {
+	return hbm.TriggerInfo{Instructions: 1, Arithmetic: int(s.arith), DataMoves: int(s.moves)}
+}
+
+// form is where a data or arithmetic instruction's operands come from
+// under one command kind and bank set, or why it cannot execute there.
+type form struct {
+	bank    int8    // which of a unit's banks it reads (an operand) or writes (MOV to a bank), as an offset from the unit's first; -1: neither
+	fault   fault   // the error every unit would report; legal: none
+	src     isa.Src // the bank operand the fault names
+	payload bool    // SRC0 is the WR payload, captured from the write datapath: no array read
+	forward bool    // SRW: a full WR payload lands in SRC0's register before the operation
+}
+
+// fault is a form's legality error, worded (faultErr) only when a trigger
+// meets it: compiling a program allocates nothing. A register index is
+// never one: a decoded index lies within every device's register files.
+type fault uint8
+
+const (
+	legal      fault = iota
+	needsWR          // a MOV to a bank under a RD
+	otherBanks       // a bank operand in the bank set the command does not drive
+	wrRead           // a bank read operand under a WR, without the WR operand path
+)
+
+// faultErr words the fault of slot s's form f, met under the command ctx
+// describes, as unit 0's.
+func (e *Executor) faultErr(s *slot, f *form, ctx *hbm.TriggerContext) error {
+	var err error
+	switch f.fault {
+	case needsWR:
+		err = fmt.Errorf("pim: MOV to bank triggered by %s, needs WR", ctx.Kind)
+	case otherBanks:
+		err = fmt.Errorf("pim: instruction reads %s but the command drives the %s banks",
+			f.src, []string{"even", "odd"}[ctx.BankSel])
+	default: // no RD datapath overlaps the WR to read the operand
+		err = errors.New("pim: bank read operand on a WR trigger")
+	}
+	return unitErr(0, fmt.Errorf("pim: CRF[%d] %s: %w", e.ppc, s.in, err))
+}
+
+// compile runs at the first trigger after a CRF write. It compiles unit
+// 0's CRF into code: every slot whose word changed is decoded, with what
+// it retires and, for a data or arithmetic instruction, its four operand
+// forms, and every slot is marked as heading an AAM loop or not. Then it
+// compares every unit's CRF with unit 0's and keeps the verdict until the
+// next CRF write: broadcast programming keeps the units identical, an
+// SB-mode column write to one bank's CRF row does not.
+func (e *Executor) compile() {
+	e.stale, e.lockStepErr = false, nil
+	if e.code == nil {
+		e.code = new([isa.CRFEntries]slot)
+	}
+	for i, w := range e.units[0].crf {
+		if w == e.words[i] {
+			continue
+		}
+		e.words[i] = w
+		s := &e.code[i]
+		*s = slot{}
+		if s.in, s.err = isa.Decode(w); s.err != nil || s.in.Op.IsControl() {
+			continue
+		}
+		if s.in.Op.IsArith() {
+			s.arith = 1
+		} else {
+			s.moves = 1
+		}
+		for kind := range s.forms {
+			for sel := range s.forms[kind] {
+				s.forms[kind][sel] = e.formOf(&s.in, hbm.CmdRD+hbm.CmdKind(kind) == hbm.CmdWR, sel)
+			}
+		}
+	}
+	for i := range isa.CRFEntries - 1 {
+		j := &e.code[i+1]
+		e.code[i].loop = e.code[i].in.AAM && j.err == nil && j.in.Op == isa.JUMP && j.in.Imm1 == 1
+	}
+	for i, u := range e.units {
+		for slot, w := range u.crf {
+			if w != e.words[slot] {
+				e.lockStepErr = fmt.Errorf("pim: unit %d: CRF[%d] differs from unit 0's: the units are not in lock step", i, slot)
+				return
+			}
+		}
+	}
+}
+
+// formOf resolves in's operands under a WR (wr) or RD on bank set sel: a
+// MOV to a bank only under a WR, and a bank operand only in the bank set
+// the command drives.
+func (e *Executor) formOf(in *isa.Instruction, wr bool, sel int) form {
+	f := form{bank: -1}
+	if in.Dst.IsBank() {
+		// MOV GRF -> bank; needs the write drivers, i.e. a WR trigger.
+		if !wr {
+			return form{fault: needsWR}
+		}
+		e.bankOffset(&f, in.Dst, wr, sel, false)
+		return f
+	}
+	// Only data-movement instructions may capture the write datapath as
+	// their bank operand; an arithmetic bank operand needs a real array
+	// read, which a WR trigger supplies only on a WROperand device, where
+	// a full payload is forwarded into SRC0 too (simultaneous read/write,
+	// which lets one command load the vector operand and execute, Fig. 14).
+	capture := in.Op.IsData()
+	f.forward = e.wrOperand && wr && in.Op.IsArith() && in.Src0.IsGRF()
+	if e.source(&f, in.Src0, wr, sel, capture) && !capture {
+		e.source(&f, in.Src1, wr, sel, false) // MOV and FILL have the one source
+	}
+	return f
+}
+
+// source checks SRC0 or SRC1 into f and reports whether it is legal. With
+// capture, a bank operand under a WR trigger is the host's payload, not an
+// array read: "the host processor pushes 256 bits to the write drivers or
+// PIM registers" (Section III-A), which is how input vectors are loaded
+// into the GRF between compute bursts.
+func (e *Executor) source(f *form, s isa.Src, wr bool, sel int, capture bool) bool {
+	switch {
+	case !s.IsBank():
+		return true // a register
+	case capture && wr:
+		f.payload = true
+		return true
+	}
+	return e.bankOffset(f, s, wr, sel, true)
+}
+
+// bankOffset resolves EVEN_BANK/ODD_BANK into f's offset within a unit's
+// banks and reports whether the command drives that bank set and, for an
+// operand read, can supply one.
+func (e *Executor) bankOffset(f *form, s isa.Src, wr bool, sel int, read bool) bool {
 	if e.banksPerUnit == 1 {
 		// 2x variant: one unit per bank; both names alias the single bank.
-		return 0, nil
+		f.bank = 0
+		return true
 	}
 	want := 0
 	if s == isa.OddBank {
 		want = 1
 	}
-	if !e.twoBank && ctx.BankSel != want {
-		return 0, fmt.Errorf("pim: instruction reads %s but the command drives the %s banks",
-			s, []string{"even", "odd"}[ctx.BankSel])
+	if !e.twoBank && sel != want {
+		f.fault, f.src = otherBanks, s
+		return false
 	}
-	if read && ctx.Kind == hbm.CmdWR && !e.wrOperand {
-		// A WR trigger cannot supply a bank read operand unless the
-		// overlapping RD datapath is available.
-		return 0, fmt.Errorf("pim: bank read operand on a WR trigger")
+	if read && wr && !e.wrOperand {
+		f.fault = wrRead
+		return false
 	}
-	return want * (e.banksPerUnit - 1), nil
+	f.bank = int8(want * (e.banksPerUnit - 1))
+	return true
 }
 
 // Program decodes the current CRF contents of one unit up to its EXIT —
@@ -840,26 +893,11 @@ func (e *Executor) AllDone() bool { return e.done }
 func (e *Executor) Triggers() int64 { return e.triggers }
 
 // OpCountsArray returns instructions retired per opcode, summed over
-// units, indexed by isa.Opcode. It allocates nothing and is the accessor
-// repeated callers (metrics scrapes, single-opcode queries) should use.
+// units, indexed by isa.Opcode. It allocates nothing.
 func (e *Executor) OpCountsArray() [isa.NumOpcodes]int64 {
 	out := e.opRetired
 	for op := range out {
 		out[op] *= int64(len(e.units))
-	}
-	return out
-}
-
-// OpCounts returns instructions retired per opcode, summed over units, as
-// a map — the reporting-boundary form. Hot paths should prefer
-// OpCountsArray, which does not allocate.
-func (e *Executor) OpCounts() map[isa.Opcode]int64 {
-	arr := e.OpCountsArray()
-	out := make(map[isa.Opcode]int64)
-	for op, n := range arr {
-		if n > 0 {
-			out[isa.Opcode(op)] = n
-		}
 	}
 	return out
 }

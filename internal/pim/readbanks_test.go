@@ -193,7 +193,11 @@ func TestReadBanksHooks(t *testing.T) {
 // WR-triggered MOV of each unit's GRF_A through ReLU into its bank.
 // mac-run8 and mov-run8 are the AAM forms of mac and mov as a kernel
 // issues them, one 8-trigger run (an AAM window) through IssueRun, which
-// the executor runs in closed form; they report per trigger too. The
+// the executor runs in closed form; they report per trigger too.
+// timing-mov-run8 and timing-mac-run8 are the same two runs on a
+// timing-only device, a GEMV window as sim_sweep issues it (the WR run
+// carries no payloads): the sequencer's table walk and the bank traffic
+// accounting, no data. The
 // operands are seeded values in [-1, 1) over 8 columns, so the
 // accumulators stay finite; the program's loop is re-armed every 128
 // triggers. zerogrf and unload are the register-space runs around a GEMV
@@ -203,21 +207,24 @@ func TestReadBanksHooks(t *testing.T) {
 // bench` records the rows in BENCH_gemv.json.
 func BenchmarkTrigger(b *testing.B) {
 	for _, k := range []struct {
-		name, src    string
-		ecc, wr, run bool
+		name, src            string
+		ecc, wr, run, timing bool
 	}{
-		{"plain", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", false, false, false},
-		{"ecc", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", true, false, false},
-		{"mad", "MAD GRF_B[0], EVEN_BANK, SRF_M[0]", false, false, false},
-		{"mov", "MOV GRF_A[0], EVEN_BANK", false, true, false},
-		{"add-regs", "ADD GRF_B[0], GRF_A[0], GRF_B[0]", false, false, false},
-		{"mov-relu-to-bank", "MOV(RELU) EVEN_BANK, GRF_A[0]", false, true, false},
-		{"mac-run8", "MAC(AAM) GRF_B, GRF_A, EVEN_BANK", false, false, true},
-		{"mov-run8", "MOV(AAM) GRF_A, EVEN_BANK", false, true, true},
+		{"plain", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", false, false, false, false},
+		{"ecc", "MAC GRF_B[0], GRF_A[0], EVEN_BANK", true, false, false, false},
+		{"mad", "MAD GRF_B[0], EVEN_BANK, SRF_M[0]", false, false, false, false},
+		{"mov", "MOV GRF_A[0], EVEN_BANK", false, true, false, false},
+		{"add-regs", "ADD GRF_B[0], GRF_A[0], GRF_B[0]", false, false, false, false},
+		{"mov-relu-to-bank", "MOV(RELU) EVEN_BANK, GRF_A[0]", false, true, false, false},
+		{"mac-run8", "MAC(AAM) GRF_B, GRF_A, EVEN_BANK", false, false, true, false},
+		{"mov-run8", "MOV(AAM) GRF_A, EVEN_BANK", false, true, true, false},
+		{"timing-mov-run8", "MOV(AAM) GRF_A, EVEN_BANK", false, true, true, true},
+		{"timing-mac-run8", "MAC(AAM) GRF_B, GRF_A, EVEN_BANK", false, false, true, true},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			cfg := hbm.PIMHBMConfig(1000)
 			cfg.ECC = k.ecc
+			cfg.Functional = !k.timing
 			d, exec := newDriver(b, cfg)
 			rng := rand.New(rand.NewSource(5))
 			operand := func() []byte {
@@ -248,7 +255,10 @@ func BenchmarkTrigger(b *testing.B) {
 			for col := range trig {
 				trig[col] = hbm.Command{Kind: hbm.CmdRD, Bank: 0, Col: uint32(col)}
 				if k.wr {
-					trig[col].Kind, trig[col].Data = hbm.CmdWR, operand()
+					trig[col].Kind = hbm.CmdWR
+				}
+				if k.wr && !k.timing {
+					trig[col].Data = operand()
 					data = append(data, trig[col].Data)
 				}
 			}

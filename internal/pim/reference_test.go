@@ -625,8 +625,18 @@ func (r *refExecutor) Trigger(ctx *hbm.TriggerContext) (hbm.TriggerInfo, error) 
 	return info, nil
 }
 
-// trigger steps every unit in lock step for command t of the run.
+// trigger steps every unit in lock step for command t of the run. The
+// units share one sequencer, so a command is refused, unit by unit and
+// slot by slot, while any unit's CRF word differs from unit 0's (an
+// SB-mode column write programs one unit alone).
 func (r *refExecutor) trigger(ctx *hbm.TriggerContext, t int) (hbm.TriggerInfo, error) {
+	for i, u := range r.units {
+		for slot, w := range u.crf {
+			if w != r.units[0].crf[slot] {
+				return hbm.TriggerInfo{}, fmt.Errorf("pim: unit %d: CRF[%d] differs from unit 0's: the units are not in lock step", i, slot)
+			}
+		}
+	}
 	sc := &r.sc
 	sc.kind = ctx.Kind
 	sc.bankSel = ctx.BankSel

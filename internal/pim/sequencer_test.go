@@ -48,7 +48,7 @@ func TestLockStepChecked(t *testing.T) {
 		err = d.issueErr(hbm.Command{Kind: hbm.CmdRD, Bank: 0, Col: 0})
 		if err == nil {
 			t.Fatalf("functional=%v: trigger accepted with unit 3 holding its own program (retired %v, AllDone %v)",
-				functional, exec.OpCounts(), exec.AllDone())
+				functional, exec.OpCountsArray(), exec.AllDone())
 		}
 		if !strings.Contains(err.Error(), "unit 3") || !strings.Contains(err.Error(), "CRF[1]") {
 			t.Errorf("functional=%v: error %q does not name unit 3 and slot 1", functional, err)
@@ -62,7 +62,7 @@ func TestLockStepChecked(t *testing.T) {
 		d.setPIMOp(true)
 		d.issue(hbm.Command{Kind: hbm.CmdACT, Row: 5})
 		d.issue(hbm.Command{Kind: hbm.CmdRD, Bank: 0, Col: 0})
-		if counts := exec.OpCounts(); !exec.AllDone() || counts[isa.MOV] != 8 || counts[isa.EXIT] != 8 {
+		if counts := exec.OpCountsArray(); !exec.AllDone() || counts[isa.MOV] != 8 || counts[isa.EXIT] != 8 {
 			t.Errorf("functional=%v: after reprogramming: AllDone %v, retired %v", functional, exec.AllDone(), counts)
 		}
 	}
@@ -116,5 +116,22 @@ func TestUncorrectableReadNamesItsUnit(t *testing.T) {
 		if want := map[bool]uint16{true: 0x4000, false: 0}[u < 5]; uint16(got[0]) != want || uint16(ref[0]) != want {
 			t.Errorf("unit %d GRF_B[0][0] = %04x, reference %04x, want %04x", u, uint16(got[0]), uint16(ref[0]), want)
 		}
+	}
+}
+
+// TestZeroRecordIsWordZero: an executor's table is cut with zero records
+// and compiled only where unit 0's words differ from the all-zero CRF, so
+// a zero record must be exactly what word 0, a NOP, compiles to.
+func TestZeroRecordIsWordZero(t *testing.T) {
+	e, err := NewExecutor(hbm.PIMHBMConfig(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range e.words {
+		e.words[i] = ^uint32(0) // not unit 0's word: every slot recompiles
+	}
+	e.compile()
+	if *e.code != ([isa.CRFEntries]slot{}) {
+		t.Errorf("the all-zero CRF compiles to %+v, want zero records", e.code[0])
 	}
 }

@@ -6,18 +6,18 @@
 // One column command makes every unit of a pseudo channel execute the same
 // CRF instruction on its own bank, so the package is split the same way:
 // the Executor is the instruction sequencer and the data path (one copy of
-// the control state, the instruction's operands resolved once per trigger,
-// its form picked once per trigger and then run over units 0..n-1 in one
-// loop) and a Unit is the data the instruction works on (register files
-// and the unit's own CRF words for register-space readback; a bank operand
-// is read where it lies). The GRF and SRF hold bursts, the 32-byte words a
-// column access carries, so every operand of a trigger is a burst: a move
-// is a fixed-size copy and an arithmetic instruction one fp16 burst-form
-// call, whichever of its operands come from a register or a bank. The
-// executor takes a trigger run (an AAM window's column commands) in one
-// call, and runs the repetitions of an AAM instruction under a JUMP -1
-// loop in closed form: one resolve, one bank read of all their columns,
-// one data step over every repetition of every unit.
+// the control state, the program compiled once into a table of its CRF
+// slots, the instruction's form picked once per trigger and then run over
+// units 0..n-1 in one loop) and a Unit is the data the instruction works
+// on (register files and the unit's own CRF words for register-space
+// readback; a bank operand is read where it lies). The GRF and SRF hold
+// bursts, the 32-byte words a column access carries, so a move is a
+// fixed-size copy and an arithmetic instruction one fp16 burst-form call,
+// whichever of its operands come from a register or a bank. The executor
+// takes a trigger run (an AAM window's column commands) in one call, and
+// runs the repetitions of an AAM instruction under a JUMP -1 loop in
+// closed form: one bank read of all their columns, one data step over
+// every repetition of every unit.
 //
 // A run that returns an error has failed part way, at the trigger after
 // the ones it reports retired. After a failed bank access the units before

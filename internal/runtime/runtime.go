@@ -81,7 +81,6 @@ type chanState struct {
 	// channel's runs can share them.
 	bufs cmdBufs
 
-	unload   grfUnload  // the ReadGRFRowSB result buffer
 	payloads payloadRun // the Payloads buffer
 }
 
@@ -479,70 +478,33 @@ func (r *Runtime) bankRun(ch, flatBank int, row uint32, cmd hbm.Command, n int, 
 
 // ReadGRFRowSB reads the first regs GRF registers of one half (0 = GRF_A,
 // 1 = GRF_B) of every unit through the SB register space, with one row
-// activation and one column run per unit, returning vectors indexed
-// [unit][reg]. A GEMV unloads its partial sums through here once per
-// macro tile, on every channel of every launch, so the result is a view
-// into a buffer the runtime keeps for the channel: it is valid until the
-// channel's next ReadGRFRowSB, and a caller that needs it longer copies
-// it.
-func (r *Runtime) ReadGRFRowSB(ch, half int, regs int) ([][]fp16.Vector, error) {
-	units := r.Cfg.PIMUnits
-	out := r.chs[ch].unload.views(units, regs)
+// activation and one column run per unit, and hands each unit's bursts,
+// one per register, to fold in unit order. A GEMV unloads its partial sums
+// through here once per macro tile, on every channel of every launch, so
+// nothing is decoded or kept: the bursts are the channel's run slots, valid
+// only during the call (the next unit's run reuses them), and fold adds
+// or copies what it needs. A nil fold takes none (a timing-only GEMV has
+// no sums to fold): the commands issue all the same.
+func (r *Runtime) ReadGRFRowSB(ch, half, regs int, fold func(unit int, bursts [][]byte)) error {
 	banksPerUnit := r.Cfg.BanksPerUnit()
 	col := uint32(half * r.Cfg.GRFDepth())
-	for u := 0; u < units; u++ {
+	for u := 0; u < r.Cfg.PIMUnits; u++ {
 		bg, b := r.Cfg.BankOf(u * banksPerUnit)
 		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}, 1, nil); err != nil {
-			return nil, err
+			return err
 		}
 		read, err := r.run(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: col}, regs, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for i, reg := range out[u] {
-			var data []byte
-			if i < len(read) {
-				data = read[i]
-			}
-			// Timing-only devices return no data: the lanes read as zero.
-			if len(data) < 2*fp16.Lanes {
-				clear(reg)
-			}
-			reg.DecodeBytes(data)
+		if fold != nil {
+			fold(u, read)
 		}
 		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}, 1, nil); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
-}
-
-// grfUnload is one channel's ReadGRFRowSB buffer: the [unit][reg] views
-// and the lanes under them, cut from backing arrays that grow to the
-// largest unload the channel has seen and are reused by every later one.
-type grfUnload struct {
-	units [][]fp16.Vector
-	regs  []fp16.Vector
-	lanes fp16.Vector
-}
-
-// views returns the buffer cut as units x regs vectors of 16 lanes.
-func (g *grfUnload) views(units, regs int) [][]fp16.Vector {
-	if len(g.regs) < units*regs {
-		g.regs = make([]fp16.Vector, units*regs)
-		g.lanes = fp16.NewVector(units * regs * fp16.Lanes)
-	}
-	if len(g.units) != units {
-		g.units = make([][]fp16.Vector, units)
-	}
-	for u := range g.units {
-		g.units[u] = g.regs[u*regs : (u+1)*regs : (u+1)*regs]
-		for i := range g.units[u] {
-			o := (u*regs + i) * fp16.Lanes
-			g.units[u][i] = g.lanes[o : o+fp16.Lanes : o+fp16.Lanes]
-		}
-	}
-	return g.units
+	return nil
 }
 
 // Payloads returns channel ch's WR payload buffer cut as n payloads of

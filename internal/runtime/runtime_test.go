@@ -186,7 +186,17 @@ func TestGRFReadback(t *testing.T) {
 	if err := rt.ExitToSB(0); err != nil {
 		t.Fatal(err)
 	}
-	all, err := rt.ReadGRFRowSB(0, 1, 4)
+	var all [][]fp16.Vector
+	err := rt.ReadGRFRowSB(0, 1, 4, func(u int, bursts [][]byte) {
+		if u != len(all) {
+			t.Fatalf("unit %d's bursts handed over after %d units'", u, len(all))
+		}
+		regs := make([]fp16.Vector, len(bursts))
+		for i, b := range bursts {
+			regs[i] = fp16.VectorFromBytes(b)
+		}
+		all = append(all, regs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,42 +543,43 @@ func TestWriteBankSBMatchesColumns(t *testing.T) {
 	}
 }
 
-// TestReadGRFRowSBZeroAlloc pins the unload's buffer contract: once a
-// channel has unloaded, a later unload of it allocates nothing and hands
-// back views into the same lanes, holding what the GRF holds now.
+// TestReadGRFRowSBZeroAlloc pins the unload's contract: a warm unload
+// allocates nothing, with a fold or without one, and hands every unit's
+// bursts over in unit order, one per register, while they are the
+// channel's read slots: the units' bursts are the same slots each time.
 func TestReadGRFRowSBZeroAlloc(t *testing.T) {
 	rt := newRT(t, 2)
-	first, err := rt.ReadGRFRowSB(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
+	var units int
+	var first *byte
+	fold := func(u int, bursts [][]byte) {
+		if u != units || len(bursts) != 4 || len(bursts[0]) != rt.Cfg.AccessBytes {
+			t.Fatalf("unit %d handed %d bursts after %d units", u, len(bursts), units)
+		}
+		if u == 0 {
+			first = &bursts[0][0]
+		} else if &bursts[0][0] != first {
+			t.Fatalf("unit %d's bursts are not the slots unit 0's were", u)
+		}
+		units++
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := rt.ReadGRFRowSB(0, 1, 4); err != nil {
+	for _, f := range []func(int, [][]byte){fold, nil} {
+		if err := rt.ReadGRFRowSB(0, 1, 4, f); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Errorf("warm ReadGRFRowSB allocates %.1f times, want 0", allocs)
-	}
-	other, err := rt.ReadGRFRowSB(1, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &other[0][0][0] == &first[0][0][0] {
-		t.Error("channels 0 and 1 share an unload buffer")
-	}
-	first[2][3][5] = 0x1234
-	again, err := rt.ReadGRFRowSB(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again[2][3][5] != &first[2][3][5] || again[2][3][5] != 0 {
-		t.Errorf("second unload of channel 0: not the same view, or the stale lane survived (0x%04x)", uint16(again[2][3][5]))
+		if allocs := testing.AllocsPerRun(50, func() {
+			units = 0
+			if err := rt.ReadGRFRowSB(0, 1, 4, f); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("warm ReadGRFRowSB allocates %.1f times, want 0", allocs)
+		}
 	}
 }
 
 func TestReadGRFRowSBBadHalf(t *testing.T) {
 	rt := newRT(t, 1)
-	if _, err := rt.ReadGRFRowSB(0, 2, 1); err == nil {
+	if err := rt.ReadGRFRowSB(0, 2, 1, nil); err == nil {
 		t.Error("GRF half 2 accepted")
 	}
 }
