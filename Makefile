@@ -22,11 +22,11 @@ race:
 
 # bench measures the simulator's own hot paths (not simulated performance)
 # and records ns/op, MB/s and allocs/op in BENCH_gemv.json: the Gemv
-# benchmarks of the root package, fp16's BenchmarkMACVec, one PIM MAC
-# instruction's datapath work on realistic operands, once per path
-# (sub-benchmarks portable and simd), and BenchmarkMACVecBursts, the same
-# for all 8 units of a trigger through one burst-form call (one burst
-# kernel call on the simd path), pim's BenchmarkTrigger, one
+# benchmarks of the root package, fp16's BenchmarkMACVecBursts, one PIM
+# MAC trigger's datapath work on realistic operands for all 8 units of a
+# pseudo channel through one burst-form call, once per path
+# (sub-benchmarks portable and simd; one burst kernel call on the simd
+# path), pim's BenchmarkTrigger, one
 # functional trigger across a pseudo channel's 8 units (MAC from the bank
 # on a plain and an ECC device, MAD from the bank, and a WR capture of the
 # payload into GRF_A), and nn's BenchmarkStepSlots, one ds2-small
@@ -36,24 +36,24 @@ race:
 # Record it on a quiet host with AVX + F16C, or the simd row is missing.
 # The README's "Simulator performance" table is regenerated from this file.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVec(Bursts)?$$|^BenchmarkTrigger$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/pim ./internal/nn \
+	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVecBursts$$|^BenchmarkTrigger$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/pim ./internal/nn \
 	| $(GO) run ./tools/benchjson -out BENCH_gemv.json
 
 # bench-check re-runs the same benchmarks and fails if any regressed past
 # 2.5x the checked-in BENCH_gemv.json baseline (time or bytes/op). The
 # factor absorbs machine-to-machine noise; it exists to catch a dropped
 # fast path or an allocation blow-up, not percent-level drift. The Gemv
-# benchmarks run two iterations each and StepSlots ten; MACVec (~20-100 ns),
-# MACVecBursts (~0.1-1 us) and Trigger (~1-3 us) keep the default
-# benchtime (a few iterations would time a cold cache). The fp16 rows run
-# under -v so that a runner without F16C prints `--- SKIP:
-# BenchmarkMACVec/simd`, which benchjson passes over; a portable run is
-# never held against the SIMD baseline.
+# benchmarks run two iterations each and StepSlots ten; MACVecBursts
+# (~0.05-2 us) and Trigger (~1-3 us) keep the default benchtime (a few
+# iterations would time a cold cache). The fp16 rows run under -v so that
+# a runner without F16C prints `--- SKIP: BenchmarkMACVecBursts/simd`,
+# which benchjson passes over; a portable run is never held against the
+# SIMD baseline.
 bench-check:
 	@{ $(GO) test -run '^$$' -bench 'Gemv$$' -benchtime 2x -benchmem . && \
 	   $(GO) test -run '^$$' -bench '^BenchmarkStepSlots$$' -benchtime 10x -benchmem ./internal/nn && \
 	   $(GO) test -run '^$$' -bench '^BenchmarkTrigger$$' -benchmem ./internal/pim && \
-	   $(GO) test -v -run '^$$' -bench '^BenchmarkMACVec(Bursts)?$$' -benchmem ./internal/fp16; } \
+	   $(GO) test -v -run '^$$' -bench '^BenchmarkMACVecBursts$$' -benchmem ./internal/fp16; } \
 	| $(GO) run ./tools/benchjson -check BENCH_gemv.json
 
 # benchmark-check runs the serving workloads of BENCHMARK.json (bench/)
@@ -76,9 +76,10 @@ benchmark-check:
 # fault on every device kind, each run issued as one run on one device and
 # command by command on the other, compared after every run) for ten
 # seconds, then fp16's vector MAC
-# and MAD for ten seconds: raw operand bits through the typed forms on
-# both paths, every lane against the reference, and through the four
-# multi-unit burst forms over 1 and 8 units against the typed forms; then
+# and MAD for ten seconds: raw operand bits through the typed forms and
+# the burst forms on both paths, every lane against the reference, and
+# through the four multi-unit burst forms over 1 and 8 units against the
+# typed forms; then
 # the ISA's word and text round trips (internal/isa: Decode, Encode,
 # Format and Parse on arbitrary words and lines) for ten seconds.
 # Then arbitrary POST /v1/infer bodies against one in-process server
@@ -151,9 +152,9 @@ examples-smoke:
 
 # fp16-exhaustive runs the 2^32-pair equivalence tests of the FP16 MAC's
 # two rounding stages against the reference arithmetic: the fused portable
-# kernel lane by lane, then the SIMD kernels through the 16-lane entry
-# points and the burst forms over 8 units (skipped where the CPU has
-# none). About three and a half minutes on two cores. `go test ./...` runs them too; `go test -short ./...` skips them
+# kernel lane by lane, then the SIMD burst kernels through the burst forms
+# over 8 units (skipped where the CPU has none). About three minutes on two
+# cores. `go test ./...` runs them too; `go test -short ./...` skips them
 # and is the quick loop.
 fp16-exhaustive:
 	$(GO) test -count=1 -run 'Exhaustive' ./internal/fp16

@@ -84,11 +84,12 @@ func BenchmarkTable3Encode(b *testing.B) {
 }
 
 // BenchmarkTable4UnitThroughput measures the functional SIMD datapath: one
-// unit's 16-lane MAC rate in the software model. Operands rotate through
-// a seeded pool in [-1, 1) and the accumulator is cleared every 64 MACs,
-// like a GEMV row: one fixed operand pair accumulated forever saturates
-// to +Inf within a few thousand iterations, and the loop then times the
-// Inf lane, not a MAC.
+// unit's 16-lane MAC rate in the software model, through MACVecBursts,
+// what a PIM MAC trigger runs, on one unit. Operands rotate through a
+// seeded pool in [-1, 1), every operand a burst, and the accumulator is
+// cleared every 64 MACs, like a GEMV row: one fixed operand pair
+// accumulated forever saturates to +Inf within a few thousand
+// iterations, and the loop then times the Inf lane, not a MAC.
 func BenchmarkTable4UnitThroughput(b *testing.B) {
 	const pool = 256
 	rng := rand.New(rand.NewSource(4))
@@ -98,14 +99,20 @@ func BenchmarkTable4UnitThroughput(b *testing.B) {
 		x[i] = fp16.FromFloat32(rng.Float32()*2 - 1)
 		w[i] = fp16.FromFloat32(rng.Float32()*2 - 1)
 	}
-	acc := fp16.NewVector(fp16.Lanes)
+	xs, ws := make([][]byte, pool), make([][]byte, pool)
+	for p := range xs {
+		xs[p] = x[p*fp16.Lanes : (p+1)*fp16.Lanes].Bytes()
+		ws[p] = w[p*fp16.Lanes : (p+1)*fp16.Lanes].Bytes()
+	}
+	acc := [][]byte{make([]byte, 2*fp16.Lanes)}
+	var resume [fp16.MaxBurstUnits]int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%64 == 0 {
-			clear(acc)
+			clear(acc[0])
 		}
-		o := i % pool * fp16.Lanes
-		fp16.MACVec(acc, x[o:o+fp16.Lanes], w[o:o+fp16.Lanes])
+		p := i % pool
+		fp16.MACVecBursts(acc, xs[p:p+1], ws[p:p+1], &resume)
 	}
 	b.ReportMetric(float64(fp16.Lanes), "lane-MACs/op")
 }

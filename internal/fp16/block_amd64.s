@@ -3,30 +3,26 @@
 #include "textflag.h"
 
 // The SIMD tier of the fp16 vector operations (tier 3 of the package
-// comment), in two shapes that share their arithmetic:
+// comment): the burst kernels (macBursts, madBursts, addBursts,
+// mulBursts), each of which runs a burst form (MACVecBursts and the rest)
+// for every unit of a PIM trigger in one call: up to 64 units, each
+// unit's whole blocks in order.
 //
-//   - The block kernels (macBlock, madBlock, addBlock, mulBlock) compute
-//     one 16-lane block of a typed form (MACVec and the rest) a call.
-//   - The burst kernels (macBursts, madBursts, addBursts, mulBursts) run
-//     a burst form (MACVecBursts and the rest) for every unit of a PIM
-//     trigger in one call: up to 64 units, each unit's whole blocks in
-//     order.
-//
-// Both widen the binary16 operands to two registers of eight float32
+// They widen the binary16 operands to two registers of eight float32
 // lanes (VCVTPH2PS), do the arithmetic there, and narrow with
 // round-to-nearest-even (VCVTPS2PH, rounding immediate 0, which does not
-// consult MXCSR.RC). A result with a NaN lane is not stored, so that
-// every NaN comes from the portable loop's expression: a block kernel
-// returns false with dst untouched and its caller recomputes the block;
-// a burst kernel stops that unit at the block and returns it in its
-// mask of unfinished units with the lane to resume at, where the caller
-// runs the portable loop to the unit's end. The mask also carries every
-// unit whose length leaves a tail of fewer than 16 lanes, at the tail.
+// consult MXCSR.RC). A block whose result has a NaN lane is not stored,
+// so that every NaN comes from the portable loop's expression: the kernel
+// stops that unit at the block and returns it in its mask of unfinished
+// units with the lane to resume at, where the caller runs the portable
+// loop to the unit's end. The mask also carries every unit whose length
+// leaves a tail of fewer than 16 lanes, at the tail.
 
-// WIDEN2 loads the 16 binary16 lanes at ptr as float32 into lo and hi.
+// WIDEN2 loads the 16 binary16 lanes of the block at lane AX of the
+// burst at ptr as float32 into lo and hi.
 #define WIDEN2(ptr, lo, hi) \
-	VCVTPH2PS (ptr), lo   \
-	VCVTPH2PS 16(ptr), hi
+	VCVTPH2PS (ptr)(AX*2), lo   \
+	VCVTPH2PS 16(ptr)(AX*2), hi
 
 // ROUND2 rounds the float32 lanes of lo and hi to binary16 precision in
 // place: the pipeline register between the MULT and the ADD stage.
@@ -35,23 +31,6 @@
 	VCVTPS2PH $0, hi, xhi \
 	VCVTPH2PS xlo, lo     \
 	VCVTPH2PS xhi, hi
-
-// FINISH stores the float32 results Y0, Y1 as 16 binary16 lanes at DI and
-// returns true, unless a lane is NaN: an unordered compare of the two
-// registers with each other flags a NaN in either.
-#define FINISH(ret) \
-	VCMPPS $3, Y1, Y0, Y2     \
-	VPTEST Y2, Y2             \
-	JNZ    nan                \
-	VCVTPS2PH $0, Y0, (DI)    \
-	VCVTPS2PH $0, Y1, 16(DI)  \
-	VZEROUPPER                \
-	MOVB   $1, ret            \
-	RET                       \
-nan:                          \
-	VZEROUPPER                \
-	MOVB   $0, ret            \
-	RET
 
 // func hasF16C() bool
 TEXT ·hasF16C(SB), NOSPLIT, $0-1
@@ -72,65 +51,13 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func macBlock(dst, a, b *block) bool
-TEXT ·macBlock(SB), NOSPLIT, $0-25
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	WIDEN2(SI, Y0, Y1)
-	WIDEN2(DX, Y2, Y3)
-	VMULPS Y2, Y0, Y0
-	VMULPS Y3, Y1, Y1
-	ROUND2(Y0, Y1, X0, X1)
-	WIDEN2(DI, Y2, Y3)
-	VADDPS Y0, Y2, Y0
-	VADDPS Y1, Y3, Y1
-	FINISH(ret+24(FP))
-
-// func madBlock(dst, a, b *block, c float32) bool
-TEXT ·madBlock(SB), NOSPLIT, $0-33
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	VBROADCASTSS c+24(FP), Y4
-	WIDEN2(SI, Y0, Y1)
-	WIDEN2(DX, Y2, Y3)
-	VMULPS Y2, Y0, Y0
-	VMULPS Y3, Y1, Y1
-	ROUND2(Y0, Y1, X0, X1)
-	VADDPS Y0, Y4, Y0
-	VADDPS Y1, Y4, Y1
-	FINISH(ret+32(FP))
-
-// func addBlock(dst, a, b *block) bool
-TEXT ·addBlock(SB), NOSPLIT, $0-25
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	WIDEN2(SI, Y0, Y1)
-	WIDEN2(DX, Y2, Y3)
-	VADDPS Y2, Y0, Y0
-	VADDPS Y3, Y1, Y1
-	FINISH(ret+24(FP))
-
-// func mulBlock(dst, a, b *block) bool
-TEXT ·mulBlock(SB), NOSPLIT, $0-25
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	WIDEN2(SI, Y0, Y1)
-	WIDEN2(DX, Y2, Y3)
-	VMULPS Y2, Y0, Y0
-	VMULPS Y3, Y1, Y1
-	FINISH(ret+24(FP))
-
 // The burst kernels run one burst form of vector.go for every unit of a
 // trigger in one call, reading each unit's slice headers themselves: 24
 // bytes a header, base then length. Every operand, dst included, is a
 // burst, so unit u's common length n is the shortest of its bursts'
-// len/2, and its whole 16-lane blocks go through the block arithmetic
-// above in order. A block whose result has a NaN lane is not stored, and
-// the unit stops there. A unit that stops at a NaN block, or whose n
+// len/2, and its whole 16-lane blocks go through the arithmetic in
+// order. A block whose result has a NaN lane is not stored, and the unit
+// stops there. A unit that stops at a NaN block, or whose n
 // leaves a tail of fewer than 16 lanes, is unfinished: the kernel sets
 // bit u of the mask it returns and resume[u] to the lane its first
 // unfinished block starts at, and the caller runs the portable loop from
@@ -213,15 +140,12 @@ TEXT ·macBursts(SB), NOSPLIT, $0-88
 	OPERAND(R9, SI)
 	OPERAND(R10, DX)
 	BLOCKS
-	VCVTPH2PS (SI)(AX*2), Y0
-	VCVTPH2PS 16(SI)(AX*2), Y1
-	VCVTPH2PS (DX)(AX*2), Y2
-	VCVTPH2PS 16(DX)(AX*2), Y3
+	WIDEN2(SI, Y0, Y1)
+	WIDEN2(DX, Y2, Y3)
 	VMULPS Y2, Y0, Y0
 	VMULPS Y3, Y1, Y1
 	ROUND2(Y0, Y1, X0, X1)
-	VCVTPH2PS (DI)(AX*2), Y2
-	VCVTPH2PS 16(DI)(AX*2), Y3
+	WIDEN2(DI, Y2, Y3)
 	VADDPS Y0, Y2, Y0
 	VADDPS Y1, Y3, Y1
 	NEXT(resume+72(FP))
@@ -248,10 +172,8 @@ TEXT ·madBursts(SB), NOSPLIT, $0-112
 	OPERAND(R9, SI)
 	OPERAND(R10, DX)
 	BLOCKS
-	VCVTPH2PS (SI)(AX*2), Y0
-	VCVTPH2PS 16(SI)(AX*2), Y1
-	VCVTPH2PS (DX)(AX*2), Y2
-	VCVTPH2PS 16(DX)(AX*2), Y3
+	WIDEN2(SI, Y0, Y1)
+	WIDEN2(DX, Y2, Y3)
 	VMULPS Y2, Y0, Y0
 	VMULPS Y3, Y1, Y1
 	ROUND2(Y0, Y1, X0, X1)
@@ -271,10 +193,8 @@ TEXT ·addBursts(SB), NOSPLIT, $0-88
 	OPERAND(R9, SI)
 	OPERAND(R10, DX)
 	BLOCKS
-	VCVTPH2PS (SI)(AX*2), Y0
-	VCVTPH2PS 16(SI)(AX*2), Y1
-	VCVTPH2PS (DX)(AX*2), Y2
-	VCVTPH2PS 16(DX)(AX*2), Y3
+	WIDEN2(SI, Y0, Y1)
+	WIDEN2(DX, Y2, Y3)
 	VADDPS Y2, Y0, Y0
 	VADDPS Y3, Y1, Y1
 	NEXT(resume+72(FP))
@@ -291,10 +211,8 @@ TEXT ·mulBursts(SB), NOSPLIT, $0-88
 	OPERAND(R9, SI)
 	OPERAND(R10, DX)
 	BLOCKS
-	VCVTPH2PS (SI)(AX*2), Y0
-	VCVTPH2PS 16(SI)(AX*2), Y1
-	VCVTPH2PS (DX)(AX*2), Y2
-	VCVTPH2PS 16(DX)(AX*2), Y3
+	WIDEN2(SI, Y0, Y1)
+	WIDEN2(DX, Y2, Y3)
 	VMULPS Y2, Y0, Y0
 	VMULPS Y3, Y1, Y1
 	NEXT(resume+72(FP))

@@ -12,10 +12,9 @@
 // intermediate (22-bit product in a 24-bit significand).
 //
 // The multiply-accumulate of the PIM pipeline (MAC, MAD, MACVec, MADVec)
-// rounds twice, after the multiplier and after the adder, and with the
-// elementwise AddVec and MulVec is by far the hottest code of a
-// functional simulation. It exists in three tiers, each checked against
-// the one before:
+// rounds twice, after the multiplier and after the adder. With the
+// elementwise AddVec and MulVec it exists in three tiers, each checked
+// against the one before:
 //
 //  1. The reference, macRef: the composition Add(acc, Mul(a, b)) of the
 //     scalar operations above, themselves checked against fromFloat32Ref.
@@ -28,42 +27,43 @@
 //     gives the float32 image of Mul(a, b) without narrowing to bits and
 //     widening again, and the sum is narrowed once, by a branch-free
 //     round-to-nearest-even (lut.go). It is the scalar MAC and MAD, every
-//     lane of a vector tail, the whole of the vector operations where
-//     tier 3 is absent, and tier 3's differential reference.
-//  3. The SIMD block kernels (block_amd64.s): the PIM unit's 16-lane FPU
-//     as 16 host lanes. One block of MACVec, MADVec, AddVec or MulVec is
-//     widened to 2x8 float32 lanes (VCVTPH2PS), multiplied, narrowed to
-//     binary16 with round-to-nearest-even and widened again (the 16-bit
-//     pipeline register), added, and narrowed once more: the instructions
-//     whose scalar forms tier 1 spells out, so the same exact product and
-//     the same innocuous double rounding, bit for bit.
+//     lane of the typed vector forms (MACVec, MADVec, AddVec, MulVec) on
+//     every platform, and every lane of the burst forms below that tier 3
+//     does not take. The typed forms, which share no assembly with tier
+//     3, are the burst forms' oracle, as macRef is the typed forms'.
+//  3. The SIMD burst kernels (block_amd64.s): the PIM unit's 16-lane FPU
+//     as 16 host lanes. One block of a burst form is widened to 2x8
+//     float32 lanes (VCVTPH2PS), multiplied, narrowed to binary16 with
+//     round-to-nearest-even and widened again (the 16-bit pipeline
+//     register), added, and narrowed once more: the instructions whose
+//     scalar forms tier 1 spells out, so the same exact product and the
+//     same innocuous double rounding, bit for bit.
 //
-// The four vector operations also come in a burst form (MACVecBursts,
-// MADVecBursts, AddVecBursts, MulVecBursts), the form one PIM trigger
-// runs: a single call applies the operation for every unit of a pseudo
-// channel, and every operand, the destination included, is a burst, the
-// 32 bytes of one column access, 16 little-endian lanes. A PIM unit's
-// registers hold bursts and its bank operand is the burst it read, so the
-// simulator neither copies nor decodes an operand to compute on it and
-// dispatches the operation once per trigger, not once per unit. Tier 3
-// runs a burst form as one assembly call per 64 units, as the PIM units
-// run one instruction in lock step: the burst kernel reads every unit's
-// slice headers itself, widens each burst where it lies and runs each
-// unit's whole blocks, and returns a mask of the units it left
-// unfinished, at a NaN block (not stored) or at a tail shorter than a
-// block, with the lane each resumes at in the caller's resume buffer. Go
-// visits only those, through tier 2 from that lane on, the operands in
-// the instruction's order, so no block runs twice. Tier 2 alone decodes
-// and encodes each lane as it reaches it. The typed forms, block by block through the
-// block kernels, are the burst forms' oracle, unit by unit and bit for
-// bit on both tiers, as macRef is the typed forms'.
+// The burst forms (MACVecBursts, MADVecBursts, AddVecBursts,
+// MulVecBursts) are what one PIM trigger runs: a single call applies the
+// operation for every unit of a pseudo channel, and every operand, the
+// destination included, is a burst, the 32 bytes of one column access,
+// 16 little-endian lanes. A PIM unit's registers hold bursts and its bank
+// operand is the burst it read, so the simulator neither copies nor
+// decodes an operand to compute on it and dispatches the operation once
+// per trigger, not once per unit. Tier 3 runs a burst form as one
+// assembly call per 64 units, as the PIM units run one instruction in
+// lock step: the burst kernel reads every unit's slice headers itself,
+// widens each burst where it lies and runs each unit's whole blocks, and
+// returns a mask of the units it left unfinished, at a NaN block (not
+// stored) or at a tail shorter than a block, with the lane each resumes
+// at in the caller's resume buffer. Go visits only those, through tier 2
+// from that lane on, the operands in the instruction's order, so no block
+// runs twice. Tier 2 alone decodes and encodes each lane as it reaches
+// it. For every unit the result is the typed form's on the decoded
+// bursts, bit for bit on both tiers.
 //
-// Which tier runs is decided once, at init, from CPUID alone: tier 3 on
-// amd64 when the CPU reports AVX and F16C and the operating system saves
-// the YMM registers (OSXSAVE, XCR0 bits 1 and 2); tier 2 otherwise, on
-// other architectures, and in a build with -tags purego, which compiles
-// no assembly. No flag, environment variable or configuration reaches
-// the choice, and no result depends on it.
+// Which tier runs a burst form is decided once, at init, from CPUID
+// alone: tier 3 on amd64 when the CPU reports AVX and F16C and the
+// operating system saves the YMM registers (OSXSAVE, XCR0 bits 1 and 2);
+// tier 2 otherwise, on other architectures, and in a build with -tags
+// purego, which compiles no assembly. No flag, environment variable or
+// configuration reaches the choice, and no result depends on it.
 //
 // NaN results are what makes that last claim need care. When both
 // operands of a float operation are NaN the hardware keeps the first
@@ -71,29 +71,26 @@
 // payload is stable only through one compiled expression. For the MAC
 // that expression is macRef: a lane of tier 2 whose sum is Inf or NaN is
 // recomputed there, and a block of tier 3 whose result has a NaN lane is
-// not stored but recomputed whole by tier 2's loop (a burst form's unit
-// goes on in tier 2 from that block to its end). Inf results do not
-// depend on operand order, so a block that merely saturates stays in
-// tier 3 (tier 2 sends its Inf lanes to macRef only because one exponent
-// test is cheaper than two).
+// not stored: its unit goes on in tier 2 from that block to its end. Inf
+// results do not depend on operand order, so a block that merely
+// saturates stays in tier 3 (tier 2 sends its Inf lanes to macRef only
+// because one exponent test is cheaper than two).
 //
 // What pins it: for all 2^32 operand pairs tier 2's product stage equals
 // the reference product (TestExhaustiveMulStage) and its sum stage equals
 // the reference narrowing on every sum of two binary16 values
 // (TestExhaustiveAddStage); since a rounded product is a binary16, the
-// two together cover every value the kernel can produce. The same 2^32
-// pairs of both stages go through the 16-lane entry points on tier 3
-// (TestExhaustive*StageVec: MACVec, MADVec, and MulVec or AddVec, then
-// the same three burst forms over 8 units, so through the burst kernels
-// that ship). A
-// seeded differential over 12 M triples, a directed table, ragged and
-// aliased lengths, a block mixing NaN, Inf, subnormal and normal lanes
-// and FuzzMACVec check the assembled operations against macRef on both
-// tiers in one binary, NaN payloads included; the burst forms go through
-// the same tables one unit at a time, FuzzMACVec also runs them over 8
-// units at once against the typed forms, and TestBurstResume walks the
-// unfinished-unit contract: NaN blocks and ragged tails in chosen units,
-// 70 units across the mask width.
+// two together cover every value the kernel can produce, so every typed
+// form. The same 2^32 pairs of both stages go through the burst kernels
+// that ship, over 8 units (TestExhaustive*StageVec: MACVecBursts,
+// MADVecBursts, and MulVecBursts or AddVecBursts). A seeded differential
+// over 12 M triples, a directed table, ragged and aliased lengths, a
+// block mixing NaN, Inf, subnormal and normal lanes and FuzzMACVec check
+// the typed and the burst forms against macRef on both tiers in one
+// binary, NaN payloads included; FuzzMACVec also runs the burst forms
+// over 8 units at once against the typed forms, and TestBurstResume
+// walks the unfinished-unit contract: NaN blocks and ragged tails in
+// chosen units, 70 units across the mask width.
 package fp16
 
 import "math"
@@ -300,7 +297,8 @@ func Div(a, b F16) F16 { return FromFloat32(a.Float32() / b.Float32()) }
 // through a 16-bit pipeline register, Section IV-B).
 //
 // This is the fused portable kernel (tier 2 of the package comment): MAD,
-// and every MACVec and MADVec lane the SIMD block kernels do not take.
+// every MACVec and MADVec lane, and every lane of MACVecBursts and
+// MADVecBursts the SIMD burst kernels do not take.
 // The float32 product of two binary16 values is exact (22 significand
 // bits in 24), so one rounding of its bit pattern to 11 significand bits
 // is the correctly rounded product. For unbiased exponents -14..14 that
@@ -334,9 +332,9 @@ func MAC(acc, a, b F16) F16 {
 func MAD(a, b, c F16) F16 { return MAC(c, a, b) }
 
 // macRef is the two-rounding MAC spelled as the composition of the scalar
-// operations: the oracle the fused kernel and the SIMD block kernels are
-// tested against, and the path of every lane whose sum is not finite. When both operands of a float
-// add or multiply are NaN the hardware keeps the first one's payload, and
+// operations: the oracle the fused kernel and the SIMD burst kernels are
+// tested against, and the path of every lane whose sum is not finite.
+// When both operands of a float add or multiply are NaN the hardware keeps the first one's payload, and
 // the compiler is free to commute the operands, so which payload a NaN
 // result carries is stable only within one compiled expression. Never
 // inlined, this is that expression: every NaN MAC result in the program

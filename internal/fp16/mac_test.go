@@ -5,15 +5,17 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// eachPath runs f against both tiers of the vector operations in this
-// binary: as subtest "portable" with the SIMD block kernels switched off,
-// then as subtest "simd" with them on, which is skipped where init found
-// none to switch on.
+// eachPath runs f against both tiers of the burst forms in this binary:
+// as subtest "portable" with the SIMD burst kernels switched off, then as
+// subtest "simd" with them on, which is skipped where init found none to
+// switch on. The typed forms run the portable kernels on both.
 func eachPath(t *testing.T, f func(t *testing.T)) {
 	host := simd
 	defer func() { simd = host }()
@@ -26,11 +28,11 @@ func eachPath(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-// needSIMD skips a test of the SIMD block kernels where there are none.
+// needSIMD skips a test of the SIMD burst kernels where there are none.
 func needSIMD(t testing.TB, have bool) {
 	t.Helper()
 	if !have {
-		t.Skip("no SIMD block kernels here (they need amd64 with AVX and F16C, and a build without -tags purego); the portable kernel is all this binary runs")
+		t.Skip("no SIMD burst kernels here (they need amd64 with AVX and F16C, and a build without -tags purego); the portable kernel is all this binary runs")
 	}
 }
 
@@ -116,13 +118,13 @@ func TestExhaustiveAddStage(t *testing.T) {
 	})
 }
 
-// forAllBlocks runs the 2^32 pairs through the SIMD kernels: for every x
-// and every group of blockUnits blocks of 16 consecutive values, ops
-// fills g.got[row][u] from x splatted against g.y[u], block u of the
+// forAllBlocks runs the 2^32 pairs through the SIMD burst kernels: for
+// every x and every group of blockUnits blocks of 16 consecutive values,
+// ops fills g.got[row][u] from x splatted against g.y[u], block u of the
 // group, and each lane of each unit of each row must be ref(x, y), or a
 // NaN where that is one (payloads are the differential test's business).
 // All but a few hundred blocks per x hold no NaN, so this is the kernels'
-// arithmetic and not the fallback's.
+// arithmetic and not the portable loop's.
 func forAllBlocks(t *testing.T, ref func(x, y F16) F16, ops func(g *blockGroup)) {
 	t.Helper()
 	needSIMD(t, simd)
@@ -140,7 +142,7 @@ func forAllBlocks(t *testing.T, ref func(x, y F16) F16, ops func(g *blockGroup))
 			ops(g)
 			for row, units := range g.got {
 				for u, got := range units {
-					if *(*block)(got) == *(*block)(want[u]) {
+					if slices.Equal(got, want[u]) {
 						continue
 					}
 					for i, y := range g.y[u] {
@@ -158,17 +160,15 @@ func forAllBlocks(t *testing.T, ref func(x, y F16) F16, ops func(g *blockGroup))
 }
 
 // blockUnits is the number of units in a forAllBlocks group, a pseudo
-// channel's worth, and blockRows the rows ops fills: three typed forms
-// unit by unit, then three burst forms over all units at once.
-const blockUnits, blockRows = 8, 6
+// channel's worth, and blockRows the rows ops fills: three burst forms
+// over all units at once.
+const blockUnits, blockRows = 8, 3
 
-// blockGroup is one forAllBlocks group, in the shapes the typed and the
-// burst forms take: x splatted (one reference per unit), as a burst and
-// as a scalar per unit, each unit's y block as a Vector and as a burst,
-// the burst forms' destination bursts and resume buffer, and the result
-// rows.
+// blockGroup is one forAllBlocks group in the shapes the burst forms
+// take: x splatted as a burst and as a scalar per unit, each unit's y
+// block as a Vector and as a burst, the destination bursts and resume
+// buffer, and the result rows.
 type blockGroup struct {
-	xs      []Vector
 	xBursts [][]byte
 	xc      []F16
 	y       []Vector
@@ -180,7 +180,6 @@ type blockGroup struct {
 
 func newBlockGroup(x F16) *blockGroup {
 	g := &blockGroup{
-		xs:      make([]Vector, blockUnits),
 		xBursts: make([][]byte, blockUnits),
 		xc:      make([]F16, blockUnits),
 		y:       unitVecs(blockUnits, Lanes),
@@ -188,9 +187,9 @@ func newBlockGroup(x F16) *blockGroup {
 		d:       make([][]byte, blockUnits),
 		got:     make([][]Vector, blockRows),
 	}
-	xs := splatVec(x, Lanes)
-	for u := range g.xs {
-		g.xs[u], g.xBursts[u], g.xc[u] = xs, xs.Bytes(), x
+	xb := splatVec(x, Lanes).Bytes()
+	for u := range g.xBursts {
+		g.xBursts[u], g.xc[u] = xb, x
 		g.yBursts[u], g.d[u] = make([]byte, 2*Lanes), make([]byte, 2*Lanes)
 	}
 	for row := range g.got {
@@ -230,15 +229,14 @@ func splatVec(h F16, n int) Vector {
 	return v
 }
 
-// TestExhaustiveMulStageVec is TestExhaustiveMulStage through the 16-lane
-// entry points on the SIMD path: x*y accumulated into -0 by MACVec and by
-// MADVec, and MulVec's own kernel, against the reference product; then
-// the same three through the burst forms over blockUnits units, every
-// operand a burst, y[u] in unit u's bank operand position (SRC0 of MAD,
-// so its product is y*x there).
+// TestExhaustiveMulStageVec is TestExhaustiveMulStage through the SIMD
+// burst kernels over blockUnits units, every operand a burst: x*y
+// accumulated into -0 by MACVecBursts and by MADVecBursts, and
+// MulVecBursts' own kernel, against the reference product. y[u] is in
+// unit u's bank operand position (SRC0 of MAD, so its product is y*x
+// there).
 func TestExhaustiveMulStageVec(t *testing.T) {
-	negZeros := splatVec(NegZero, Lanes)
-	negZeroBurst := negZeros.Bytes()
+	negZeroBurst := splatVec(NegZero, Lanes).Bytes()
 	addends := make([]F16, blockUnits)
 	for u := range addends {
 		addends[u] = NegZero
@@ -246,25 +244,20 @@ func TestExhaustiveMulStageVec(t *testing.T) {
 	forAllBlocks(t,
 		func(x, y F16) F16 { return fromFloat32Ref(f16to32[x] * f16to32[y]) },
 		func(g *blockGroup) {
-			for u, y := range g.y {
-				MACVec(copyInto(g.got[0][u], negZeros), g.xs[u], y)
-				MADVec(g.got[1][u], g.xs[u], y, NegZero)
-				MulVec(g.got[2][u], g.xs[u], y)
-			}
 			g.setD(negZeroBurst)
 			MACVecBursts(g.d, g.xBursts, g.yBursts, &g.resume)
-			g.unload(3)
+			g.unload(0)
 			MADVecBursts(g.d, g.yBursts, g.xBursts, addends, &g.resume)
-			g.unload(4)
+			g.unload(1)
 			MulVecBursts(g.d, g.xBursts, g.yBursts, &g.resume)
-			g.unload(5)
+			g.unload(2)
 		})
 }
 
 // TestExhaustiveAddStageVec is the ADD stage the same way: y*1 is y, so
-// MACVec into x and MADVec onto x are x+y, as is AddVec, against the
-// reference narrowing of the float32 sum; then MACVecBursts into x,
-// MADVecBursts onto x and AddVecBursts, y[u] unit u's bank operand.
+// MACVecBursts into x and MADVecBursts onto x are x+y, as is
+// AddVecBursts, against the reference narrowing of the float32 sum, y[u]
+// unit u's bank operand.
 func TestExhaustiveAddStageVec(t *testing.T) {
 	one := splatVec(One, Lanes)
 	ones := make([][]byte, blockUnits)
@@ -274,24 +267,14 @@ func TestExhaustiveAddStageVec(t *testing.T) {
 	forAllBlocks(t,
 		func(x, y F16) F16 { return fromFloat32Ref(f16to32[x] + f16to32[y]) },
 		func(g *blockGroup) {
-			for u, y := range g.y {
-				MACVec(copyInto(g.got[0][u], g.xs[u]), y, one)
-				MADVec(g.got[1][u], y, one, g.xc[u])
-				AddVec(g.got[2][u], g.xs[u], y)
-			}
 			g.setD(g.xBursts[0])
 			MACVecBursts(g.d, ones, g.yBursts, &g.resume)
-			g.unload(3)
+			g.unload(0)
 			MADVecBursts(g.d, g.yBursts, ones, g.xc, &g.resume)
-			g.unload(4)
+			g.unload(1)
 			AddVecBursts(g.d, g.xBursts, g.yBursts, &g.resume)
-			g.unload(5)
+			g.unload(2)
 		})
-}
-
-func copyInto(dst, src Vector) Vector {
-	copy(dst, src)
-	return dst
 }
 
 // checkMACVec compares the entry points of the MAC with the reference
@@ -351,7 +334,8 @@ func unitOperand(rng *rand.Rand) F16 { return FromFloat32(rng.Float32()*2 - 1) }
 // a block of 16 triples and a tail of 3 at a time. Raw bits leave few
 // blocks without a NaN lane, and a NaN lane sends its block to the
 // portable loop, so every other raw-bit round has its Inf and NaN
-// operands made finite (exponent 30 for 31) and stays in the block kernel.
+// operands made finite (exponent 30 for 31) and stays in the burst
+// kernel.
 func TestMACDifferential(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		const n = Lanes + 3
@@ -461,23 +445,29 @@ func TestMACDirected(t *testing.T) {
 	})
 }
 
-// TestMADVecRagged checks the common-length rule MADVec shares with the
-// other vector operations: a block, a tail, and dst left alone past them.
+// TestMADVecRagged checks the common-length rule MADVec and MADVecBursts
+// share with the other vector operations: a block, a tail, and dst left
+// alone past them.
 func TestMADVecRagged(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		const n = 2*Lanes + 5
 		rng := rand.New(rand.NewSource(3))
 		a, b := randVec(rng, n), randVec(rng, n-3)
-		dst := splatVec(0x1234, n)
 		c := FromFloat32(0.75)
-		MADVec(dst, a, b, c)
-		for i := range dst {
-			want := F16(0x1234)
-			if i < len(b) {
-				want = macRef(c, a[i], b[i])
+		for _, op := range vecOps {
+			if !strings.HasPrefix(op.name, "MADVec") {
+				continue
 			}
-			if dst[i] != want {
-				t.Errorf("lane %d = 0x%04x, want 0x%04x", i, uint16(dst[i]), uint16(want))
+			dst := splatVec(0x1234, n)
+			op.vec(dst, a, b, c)
+			for i := range dst {
+				want := F16(0x1234)
+				if i < len(b) {
+					want = macRef(c, a[i], b[i])
+				}
+				if dst[i] != want {
+					t.Errorf("%s lane %d = 0x%04x, want 0x%04x", op.name, i, uint16(dst[i]), uint16(want))
+				}
 			}
 		}
 	})
@@ -626,11 +616,11 @@ func TestBurstFormsMultiUnit(t *testing.T) {
 	})
 }
 
-// FuzzMACVec feeds raw operand bits through MACVec and MADVec, on both
-// paths, and checks every lane against the reference composition, then
-// the four burst forms over 1 and 8 units against the typed forms. Input:
-// 6 bytes per lane (acc, a, b little-endian); the first lane's acc is
-// also MADVec's addend.
+// FuzzMACVec feeds raw operand bits through the MAC and MAD entry points,
+// the burst forms on both paths, and checks every lane against the
+// reference composition, then the four burst forms over 1 and 8 units
+// against the typed forms. Input: 6 bytes per lane (acc, a, b
+// little-endian); the first lane's acc is also MADVec's addend.
 func FuzzMACVec(f *testing.F) {
 	lane := func(acc, a, b F16) []byte {
 		return binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(
@@ -688,31 +678,6 @@ func BenchmarkMAC(bm *testing.B) {
 		acc = MAC(acc, a[i%len(a)], b[i%len(b)])
 	}
 	_ = acc
-}
-
-// BenchmarkMACVec is one PIM MAC instruction's datapath work on realistic
-// operands, on each path; `make bench` records both in BENCH_gemv.json.
-func BenchmarkMACVec(bm *testing.B) {
-	host := simd
-	defer func() { simd = host }()
-	a, b := macPool()
-	run := func(bm *testing.B) {
-		acc := NewVector(Lanes)
-		for i := 0; i < bm.N; i++ {
-			if i%64 == 0 {
-				clear(acc)
-			}
-			o := i % (len(a) / Lanes) * Lanes
-			MACVec(acc, a[o:o+Lanes], b[o:o+Lanes])
-		}
-	}
-	simd = false
-	bm.Run("portable", run)
-	bm.Run("simd", func(bm *testing.B) {
-		needSIMD(bm, host)
-		simd = true
-		run(bm)
-	})
 }
 
 // BenchmarkMACVecBursts is one PIM MAC trigger's datapath work across a

@@ -36,71 +36,36 @@ func (v Vector) Float32s() []float32 {
 	return fs
 }
 
-// block is one PIM instruction's worth of lanes, the unit the SIMD
-// kernels work in.
-type block = [Lanes]F16
-
-// simd selects the SIMD block kernels (block_amd64.go) for whole blocks
-// of the four vector operations below. It is set once, at init, from
-// what the CPU reports, and only there: nothing a user can pass reaches
-// it. The tests flip it to run both tiers in one binary.
+// simd selects the SIMD burst kernels (block_amd64.go) for whole blocks
+// of the burst forms below. It is set once, at init, from what the CPU
+// reports, and only there: nothing a user can pass reaches it. The tests
+// flip it to run both tiers in one binary.
 var simd bool
 
-// The four operations below work over the shortest common length. dst
-// may be a or b themselves (nn accumulates with AddVec(z, z, b)); any
-// other overlap between dst and an operand is not supported. With simd
-// set, whole 16-lane blocks go through the block kernel, and the tail,
-// as well as every block whose result has a NaN lane, through the
-// portable loop: a NaN's payload depends on the operand order of the
-// instruction that produced it, so every NaN these operations return
-// comes from the portable loop's expression, on every platform (for
-// MACVec and MADVec that expression is macRef). Inf results do not
-// depend on operand order and stay in the kernel.
+// The four typed operations below work over the shortest common length,
+// lane by lane through the portable kernels on every platform: they are
+// the burst forms' oracle, and share none of their assembly. dst may be a
+// or b themselves (nn accumulates with AddVec(z, z, b)); any other
+// overlap between dst and an operand is not supported.
 
 // AddVec computes dst[i] = a[i] + b[i] and returns dst.
 func AddVec(dst, a, b Vector) Vector {
 	n := min(len(dst), len(a), len(b))
 	d, a, b := dst[:n], a[:n], b[:n]
-	i := 0
-	if simd {
-		for ; i+Lanes <= n; i += Lanes {
-			if !addBlock((*block)(d[i:]), (*block)(a[i:]), (*block)(b[i:])) {
-				addLoop(d[i:i+Lanes], a[i:i+Lanes], b[i:i+Lanes])
-			}
-		}
-	}
-	addLoop(d[i:], a[i:], b[i:])
-	return dst
-}
-
-func addLoop(d, a, b Vector) {
-	a, b = a[:len(d)], b[:len(d)]
 	for i := range d {
 		d[i] = Add(a[i], b[i])
 	}
+	return dst
 }
 
 // MulVec computes dst[i] = a[i] * b[i].
 func MulVec(dst, a, b Vector) Vector {
 	n := min(len(dst), len(a), len(b))
 	d, a, b := dst[:n], a[:n], b[:n]
-	i := 0
-	if simd {
-		for ; i+Lanes <= n; i += Lanes {
-			if !mulBlock((*block)(d[i:]), (*block)(a[i:]), (*block)(b[i:])) {
-				mulLoop(d[i:i+Lanes], a[i:i+Lanes], b[i:i+Lanes])
-			}
-		}
-	}
-	mulLoop(d[i:], a[i:], b[i:])
-	return dst
-}
-
-func mulLoop(d, a, b Vector) {
-	a, b = a[:len(d)], b[:len(d)]
 	for i := range d {
 		d[i] = Mul(a[i], b[i])
 	}
+	return dst
 }
 
 // MACVec computes dst[i] += a[i] * b[i] with the PIM pipeline's two-step
@@ -108,23 +73,10 @@ func mulLoop(d, a, b Vector) {
 func MACVec(dst, a, b Vector) Vector {
 	n := min(len(dst), len(a), len(b))
 	d, a, b := dst[:n], a[:n], b[:n]
-	i := 0
-	if simd {
-		for ; i+Lanes <= n; i += Lanes {
-			if !macBlock((*block)(d[i:]), (*block)(a[i:]), (*block)(b[i:])) {
-				macLoop(d[i:i+Lanes], a[i:i+Lanes], b[i:i+Lanes])
-			}
-		}
-	}
-	macLoop(d[i:], a[i:], b[i:])
-	return dst
-}
-
-func macLoop(d, a, b Vector) {
-	a, b = a[:len(d)], b[:len(d)]
 	for i := range d {
 		d[i] = MAC(d[i], a[i], b[i])
 	}
+	return dst
 }
 
 // MADVec computes dst[i] = a[i]*b[i] + c with the same two-step rounding,
@@ -133,23 +85,10 @@ func macLoop(d, a, b Vector) {
 func MADVec(dst, a, b Vector, c F16) Vector {
 	n := min(len(dst), len(a), len(b))
 	d, a, b := dst[:n], a[:n], b[:n]
-	i := 0
-	if simd {
-		for c32 := c.Float32(); i+Lanes <= n; i += Lanes {
-			if !madBlock((*block)(d[i:]), (*block)(a[i:]), (*block)(b[i:]), c32) {
-				madLoop(d[i:i+Lanes], a[i:i+Lanes], b[i:i+Lanes], c)
-			}
-		}
-	}
-	madLoop(d[i:], a[i:], b[i:], c)
-	return dst
-}
-
-func madLoop(d, a, b Vector, c F16) {
-	a, b = a[:len(d)], b[:len(d)]
 	for i := range d {
 		d[i] = MAC(c, a[i], b[i])
 	}
+	return dst
 }
 
 // lane decodes lane i of a burst, the 32 bytes of one column access as a

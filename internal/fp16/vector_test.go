@@ -52,36 +52,21 @@ func TestPutBytesMatchesBytes(t *testing.T) {
 	}
 }
 
+// TestElementwiseOps: one block of every operation of vecOps, typed and
+// burst form, and of ReLUVec against its scalar reference.
 func TestElementwiseOps(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
-		a := randVec(rng, Lanes)
-		b := randVec(rng, Lanes)
-
-		sum := AddVec(NewVector(Lanes), a, b)
-		prod := MulVec(NewVector(Lanes), a, b)
-		for i := 0; i < Lanes; i++ {
-			if sum[i] != Add(a[i], b[i]) {
-				t.Errorf("AddVec lane %d mismatch", i)
-			}
-			if prod[i] != Mul(a[i], b[i]) {
-				t.Errorf("MulVec lane %d mismatch", i)
+		a, b, acc := randVec(rng, Lanes), randVec(rng, Lanes), randVec(rng, Lanes)
+		for _, op := range vecOps {
+			got := append(Vector(nil), acc...)
+			op.vec(got, a, b, acc[0])
+			for i := range got {
+				if want := op.ref(acc[i], a[i], b[i], acc[0]); got[i] != want {
+					t.Errorf("%s lane %d: 0x%04x, want 0x%04x", op.name, i, uint16(got[i]), uint16(want))
+				}
 			}
 		}
-
-		acc := randVec(rng, Lanes)
-		want := make(Vector, Lanes)
-		copy(want, acc)
-		for i := range want {
-			want[i] = MAC(want[i], a[i], b[i])
-		}
-		MACVec(acc, a, b)
-		for i := range acc {
-			if acc[i] != want[i] {
-				t.Errorf("MACVec lane %d mismatch", i)
-			}
-		}
-
 		r := ReLUVec(NewVector(Lanes), a)
 		for i := range r {
 			if r[i] != ReLU(a[i]) {
@@ -122,9 +107,10 @@ func TestReLUBurst(t *testing.T) {
 	}
 }
 
-// vecOps is the four block-kernel operations behind one signature, each
-// beside its scalar reference: acc is MACVec's accumulator on the way in
-// (dst starts as a copy of it) and its first lane is MADVec's addend.
+// vecOps is the four vector operations, typed and burst form (one unit),
+// behind one signature, each beside its scalar reference: acc is MACVec's
+// accumulator on the way in (dst starts as a copy of it) and c is MADVec's
+// addend.
 var vecOps = []struct {
 	name string
 	vec  func(dst, a, b Vector, c F16)
@@ -214,9 +200,10 @@ func TestVecRaggedAndAliased(t *testing.T) {
 	})
 }
 
-// TestVecMixedBlock pins the rule for a block the SIMD kernel gives up
-// on: with NaN lanes next to Inf, subnormal and normal ones, every lane,
-// the untouched-looking ones included, is what the portable path returns.
+// TestVecMixedBlock pins the rule for a block the SIMD burst kernel gives
+// up on: with NaN lanes next to Inf, subnormal and normal ones, every
+// lane, the untouched-looking ones included, is what the portable path
+// returns.
 // The second block has no NaN (its Inf and overflowing lanes stay in the
 // kernel); the third is a tail.
 func TestVecMixedBlock(t *testing.T) {
@@ -251,7 +238,8 @@ func TestVecMixedBlock(t *testing.T) {
 	}
 }
 
-// TestVecNoAllocs: the four operations allocate nothing on either path.
+// TestVecNoAllocs: the four operations, typed and burst form, allocate
+// nothing on either path.
 func TestVecNoAllocs(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))

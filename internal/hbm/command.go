@@ -106,25 +106,37 @@ type Stats struct {
 	ECCUncorrectable      int64 // double-bit errors detected (data poisoned)
 }
 
+// counters points at every field of s, in declaration order: the one
+// list Add, Sub and Scale walk.
+func (s *Stats) counters() [19]*int64 {
+	return [...]*int64{
+		&s.ACT, &s.PRE, &s.RD, &s.WR, &s.REF,
+		&s.ABACT, &s.ABPRE, &s.ABRD, &s.ABWR,
+		&s.PIMInstr, &s.PIMArith, &s.PIMMove,
+		&s.BankReads, &s.BankWrites, &s.OffChipBytes, &s.RegWrites,
+		&s.ModeSwitches, &s.ECCCorrected, &s.ECCUncorrectable,
+	}
+}
+
 // Add accumulates o into s.
 func (s *Stats) Add(o Stats) {
-	s.ACT += o.ACT
-	s.PRE += o.PRE
-	s.RD += o.RD
-	s.WR += o.WR
-	s.REF += o.REF
-	s.ABACT += o.ABACT
-	s.ABPRE += o.ABPRE
-	s.ABRD += o.ABRD
-	s.ABWR += o.ABWR
-	s.PIMInstr += o.PIMInstr
-	s.PIMArith += o.PIMArith
-	s.PIMMove += o.PIMMove
-	s.BankReads += o.BankReads
-	s.BankWrites += o.BankWrites
-	s.OffChipBytes += o.OffChipBytes
-	s.RegWrites += o.RegWrites
-	s.ModeSwitches += o.ModeSwitches
-	s.ECCCorrected += o.ECCCorrected
-	s.ECCUncorrectable += o.ECCUncorrectable
+	d, v := s.counters(), o.counters()
+	for i := range d {
+		*d[i] += *v[i]
+	}
+}
+
+// Sub subtracts o from s, counter by counter.
+func (s *Stats) Sub(o Stats) {
+	d, v := s.counters(), o.counters()
+	for i := range d {
+		*d[i] -= *v[i]
+	}
+}
+
+// Scale multiplies every counter of s by n.
+func (s *Stats) Scale(n int64) {
+	for _, d := range s.counters() {
+		*d *= n
+	}
 }

@@ -2,6 +2,7 @@ package hbm
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -586,5 +587,41 @@ func TestWriteToReadTurnaround(t *testing.T) {
 	minGap := int64(tm.WL + tm.BL/2 + tm.WTRL)
 	if r.Cycle-w.Cycle < minGap {
 		t.Errorf("WR->RD gap %d, want >= %d", r.Cycle-w.Cycle, minGap)
+	}
+}
+
+// TestStatsArithmeticCoversEveryField walks Stats' fields by reflection,
+// so that Add, Sub and Scale cannot miss a counter added later: field i
+// of s holds i+1 and of o 10*(i+1), and every field of the results must
+// be the sum, the difference and the product.
+func TestStatsArithmeticCoversEveryField(t *testing.T) {
+	var s, o Stats
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		if k := sv.Field(i).Kind(); k != reflect.Int64 {
+			t.Fatalf("Stats.%s is a %s; Add, Sub and Scale handle int64 counters only", sv.Type().Field(i).Name, k)
+		}
+		sv.Field(i).SetInt(int64(i + 1))
+		ov.Field(i).SetInt(int64(10 * (i + 1)))
+	}
+	sum, diff, scaled := s, s, s
+	sum.Add(o)
+	diff.Sub(o)
+	scaled.Scale(3)
+	for _, c := range []struct {
+		op   string
+		got  Stats
+		want func(i int64) int64
+	}{
+		{"Add", sum, func(i int64) int64 { return 11 * i }},
+		{"Sub", diff, func(i int64) int64 { return -9 * i }},
+		{"Scale", scaled, func(i int64) int64 { return 3 * i }},
+	} {
+		gv := reflect.ValueOf(c.got)
+		for i := 0; i < gv.NumField(); i++ {
+			if got, want := gv.Field(i).Int(), c.want(int64(i+1)); got != want {
+				t.Errorf("%s: Stats.%s = %d, want %d", c.op, gv.Type().Field(i).Name, got, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,8 @@ package runtime
 import (
 	"fmt"
 	"sort"
+
+	"pimsim/internal/engine"
 )
 
 // Channel partitioning (Section VIII, "Virtualization and Multi-tenancy"):
@@ -24,7 +26,7 @@ func (r *Runtime) Restrict(channels []int) (*Runtime, error) {
 	seen := make(map[int]bool, len(channels))
 	sorted := append([]int(nil), channels...)
 	sort.Ints(sorted)
-	view := &Runtime{Cfg: r.Cfg, Drv: r.Drv, SimChannels: 0, Metrics: r.Metrics, zeros: r.zeros}
+	view := &Runtime{Cfg: r.Cfg, Drv: r.Drv, SimChannels: 0, Metrics: r.Metrics, zeros: r.zeros, eng: engine.Serial{}}
 	for _, ch := range sorted {
 		if ch < 0 || ch >= len(r.Chans) {
 			return nil, fmt.Errorf("runtime: channel %d out of range", ch)

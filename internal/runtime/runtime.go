@@ -53,9 +53,8 @@ type Runtime struct {
 	// channel.
 	zeros [][]byte
 
-	// eng dispatches per-channel kernel work. Nil runs channels
-	// sequentially on the caller's goroutine (engine.Serial semantics
-	// without the indirection).
+	// eng dispatches per-channel kernel work; engine.Serial{} unless
+	// UseEngine installed another.
 	eng engine.Engine
 }
 
@@ -85,37 +84,25 @@ type chanState struct {
 }
 
 // UseEngine installs the execution engine that ForEachChannel dispatches
-// kernel channel work through, closing any previously installed engine.
-// Call while kernels are quiescent.
+// kernel channel work through, closing the one installed before; nil
+// installs engine.Serial{}. Call while kernels are quiescent.
 func (r *Runtime) UseEngine(e engine.Engine) {
-	if r.eng != nil {
-		r.eng.Close()
+	r.eng.Close()
+	if e == nil {
+		e = engine.Serial{}
 	}
 	r.eng = e
 }
 
-// CloseEngine releases the installed engine's workers (idempotent).
-func (r *Runtime) CloseEngine() {
-	if r.eng != nil {
-		r.eng.Close()
-		r.eng = nil
-	}
-}
+// CloseEngine releases the installed engine's workers and puts
+// engine.Serial{} back (idempotent).
+func (r *Runtime) CloseEngine() { r.UseEngine(nil) }
 
 // ForEachChannel runs fn(ch) for the kernel's effective channels through
 // the installed engine and returns after every channel quiesced (the
 // result-join barrier). The lowest-channel error wins.
 func (r *Runtime) ForEachChannel(fn func(ch int) error) error {
-	n := r.EffectiveChannels()
-	if r.eng != nil {
-		return r.eng.Run(n, fn)
-	}
-	for ch := 0; ch < n; ch++ {
-		if err := fn(ch); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.eng.Run(r.EffectiveChannels(), fn)
 }
 
 // EffectiveChannels returns how many channels kernels should drive.
@@ -134,7 +121,7 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 		return nil, fmt.Errorf("runtime: no devices")
 	}
 	cfg := devs[0].Config()
-	r := &Runtime{Cfg: cfg, Metrics: metrics.New()}
+	r := &Runtime{Cfg: cfg, Metrics: metrics.New(), eng: engine.Serial{}}
 	for _, dev := range devs {
 		if dev.Config() != cfg {
 			return nil, fmt.Errorf("runtime: heterogeneous device configurations")

@@ -296,6 +296,9 @@ func TestErrorPropagation(t *testing.T) {
 func TestForEachChannelParallelAndErrors(t *testing.T) {
 	rt := newRT(t, 4)
 	rt.Cfg.Functional = false // allow SimChannels semantics; views share Cfg copy
+	if rt.eng != (engine.Serial{}) {
+		t.Fatalf("a new runtime runs %v, want engine.Serial{}", rt.eng)
+	}
 	rt.UseEngine(engine.NewParallel(4))
 	defer rt.CloseEngine()
 
@@ -325,10 +328,13 @@ func TestForEachChannelParallelAndErrors(t *testing.T) {
 		t.Errorf("got %v", err)
 	}
 
-	// Sequential path stops at the first error. Drop the parallel engine
-	// installed above, or it (which must run every channel to reach its
-	// join barrier) keeps dispatching.
+	// The serial engine stops at the first error. CloseEngine drops the
+	// parallel engine installed above (which must run every channel to
+	// reach its join barrier) and puts engine.Serial{} back.
 	rt.CloseEngine()
+	if rt.eng != (engine.Serial{}) {
+		t.Fatalf("after CloseEngine the runtime runs %v, want engine.Serial{}", rt.eng)
+	}
 	calls := 0
 	err = rt.ForEachChannel(func(ch int) error {
 		calls++

@@ -97,7 +97,8 @@ func layerCost(pim, hostSys *System, l models.Layer, batch int) (LayerTime, erro
 			}
 			lt.OnPIM = true
 			lt.PimNs = float64(calls*batch) * (pc.Ns + launch)
-			lt.PimStats = scaleStats(pc.Stats, int64(calls*batch))
+			lt.PimStats = pc.Stats
+			lt.PimStats.Scale(int64(calls * batch))
 		} else {
 			lt.PimNs = lt.HostNs
 		}
@@ -138,10 +139,9 @@ func layerCost(pim, hostSys *System, l models.Layer, batch int) (LayerTime, erro
 		}
 		lt.OnPIM = true
 		lt.PimNs = float64(dirs*batch) * (float64(l.Steps)*(perStep+gate) + pimLaunches*launch)
-		perDir := int64(l.Steps)
-		st := scaleStats(gx.Stats, perDir)
-		st.Add(scaleStats(gh.Stats, perDir))
-		lt.PimStats = scaleStats(st, int64(dirs*batch))
+		lt.PimStats = gx.Stats
+		lt.PimStats.Add(gh.Stats)
+		lt.PimStats.Scale(int64(l.Steps * dirs * batch))
 
 	case models.BN, models.ReLU, models.Residual, models.Softmax:
 		streams := 2

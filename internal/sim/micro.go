@@ -85,7 +85,8 @@ func RunMicro(pim, hostSys *System, spec MicroSpec, batch int) (MicroResult, err
 		}
 		// Batched inputs run as sequential GEMVs on PIM (Section VII-B).
 		res.PimNs = float64(batch) * (pc.Ns + launch)
-		st := scaleStats(pc.Stats, int64(batch))
+		st := pc.Stats
+		st.Scale(int64(batch))
 		res.PimProcJ, res.PimDevJ = pim.pimKernelEnergyJ(res.PimNs, st)
 	} else {
 		op := "add"

@@ -128,31 +128,6 @@ func (s *System) deviceStats() hbm.Stats {
 	return st
 }
 
-// scaleStats multiplies counters by n (extrapolating the one simulated
-// channel to all symmetric channels).
-func scaleStats(st hbm.Stats, n int64) hbm.Stats {
-	return hbm.Stats{
-		ACT: st.ACT * n, PRE: st.PRE * n, RD: st.RD * n, WR: st.WR * n, REF: st.REF * n,
-		ABACT: st.ABACT * n, ABPRE: st.ABPRE * n, ABRD: st.ABRD * n, ABWR: st.ABWR * n,
-		PIMInstr: st.PIMInstr * n, PIMArith: st.PIMArith * n, PIMMove: st.PIMMove * n,
-		BankReads: st.BankReads * n, BankWrites: st.BankWrites * n,
-		OffChipBytes: st.OffChipBytes * n, RegWrites: st.RegWrites * n,
-		ModeSwitches: st.ModeSwitches * n,
-	}
-}
-
-// subStats returns a - b componentwise.
-func subStats(a, b hbm.Stats) hbm.Stats {
-	return hbm.Stats{
-		ACT: a.ACT - b.ACT, PRE: a.PRE - b.PRE, RD: a.RD - b.RD, WR: a.WR - b.WR, REF: a.REF - b.REF,
-		ABACT: a.ABACT - b.ABACT, ABPRE: a.ABPRE - b.ABPRE, ABRD: a.ABRD - b.ABRD, ABWR: a.ABWR - b.ABWR,
-		PIMInstr: a.PIMInstr - b.PIMInstr, PIMArith: a.PIMArith - b.PIMArith, PIMMove: a.PIMMove - b.PIMMove,
-		BankReads: a.BankReads - b.BankReads, BankWrites: a.BankWrites - b.BankWrites,
-		OffChipBytes: a.OffChipBytes - b.OffChipBytes, RegWrites: a.RegWrites - b.RegWrites,
-		ModeSwitches: a.ModeSwitches - b.ModeSwitches,
-	}
-}
-
 // measure wraps a timing-only blas kernel call with stat accounting.
 func (s *System) measure(run func() (blas.KernelStats, error)) (PimCost, error) {
 	if !s.IsPIM() {
@@ -163,9 +138,11 @@ func (s *System) measure(run func() (blas.KernelStats, error)) (PimCost, error) 
 	if err != nil {
 		return PimCost{}, err
 	}
-	delta := subStats(s.deviceStats(), before)
+	full := s.deviceStats()
+	full.Sub(before)
+	// Extrapolate the simulated channels to all symmetric channels.
 	sims := int64(s.RT.EffectiveChannels())
-	full := scaleStats(delta, int64(s.RT.NumChannels())/sims)
+	full.Scale(int64(s.RT.NumChannels()) / sims)
 	return PimCost{
 		Ns:       s.RT.Cfg.Timing.CyclesToNs(ks.Cycles),
 		Cycles:   ks.Cycles,
