@@ -29,14 +29,16 @@ race:
 # path), pim's BenchmarkTrigger, one
 # functional trigger across a pseudo channel's 8 units (MAC from the bank
 # on a plain and an ECC device, MAD from the bank, and a WR capture of the
-# payload into GRF_A), and nn's BenchmarkStepSlots, one ds2-small
+# payload into GRF_A), memctrl's BenchmarkPacket, one timing-only GEMV
+# row visit issued as one trigger packet (per pass a WR window, a fence,
+# a RD window, a fence), and nn's BenchmarkStepSlots, one ds2-small
 # timestep at 1, 2 and 4 occupied slots on the serial and the parallel
 # engine (the op of bench/'s seq_closed without the server).
 # -p 1: the packages run one after another, so none times the others.
 # Record it on a quiet host with AVX + F16C, or the simd row is missing.
 # The README's "Simulator performance" table is regenerated from this file.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVecBursts$$|^BenchmarkTrigger$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/pim ./internal/nn \
+	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVecBursts$$|^BenchmarkTrigger$$|^BenchmarkPacket$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/pim ./internal/memctrl ./internal/nn \
 	| $(GO) run ./tools/benchjson -out BENCH_gemv.json
 
 # bench-check re-runs the same benchmarks and fails if any regressed past
@@ -44,8 +46,9 @@ bench:
 # factor absorbs machine-to-machine noise; it exists to catch a dropped
 # fast path or an allocation blow-up, not percent-level drift. The Gemv
 # benchmarks run two iterations each and StepSlots ten; MACVecBursts
-# (~0.05-2 us) and Trigger (~1-3 us) keep the default benchtime (a few
-# iterations would time a cold cache). The fp16 rows run under -v so that
+# (~0.05-2 us), Trigger (~1-3 us) and Packet (~1-2 us) keep the default
+# benchtime (a few iterations would time a cold cache). The fp16 rows run
+# under -v so that
 # a runner without F16C prints `--- SKIP: BenchmarkMACVecBursts/simd`,
 # which benchjson passes over; a portable run is never held against the
 # SIMD baseline.
@@ -53,6 +56,7 @@ bench-check:
 	@{ $(GO) test -run '^$$' -bench 'Gemv$$' -benchtime 2x -benchmem . && \
 	   $(GO) test -run '^$$' -bench '^BenchmarkStepSlots$$' -benchtime 10x -benchmem ./internal/nn && \
 	   $(GO) test -run '^$$' -bench '^BenchmarkTrigger$$' -benchmem ./internal/pim && \
+	   $(GO) test -run '^$$' -bench '^BenchmarkPacket$$' -benchmem ./internal/memctrl && \
 	   $(GO) test -v -run '^$$' -bench '^BenchmarkMACVecBursts$$' -benchmem ./internal/fp16; } \
 	| $(GO) run ./tools/benchjson -check BENCH_gemv.json
 
@@ -75,7 +79,11 @@ benchmark-check:
 # (internal/pim: random CRF words, streams of trigger runs and a planted
 # fault on every device kind, each run issued as one run on one device and
 # command by command on the other, compared after every run) for ten
-# seconds, then fp16's vector MAC
+# seconds, then the runtime's trigger packets (internal/runtime: random
+# packets of trigger windows and fences on functional and timing-only
+# devices, under refresh, a Delayer and free fences, each issued as one
+# packet on one stack and entry by entry on its twin, compared after
+# every packet) for ten seconds, then fp16's vector MAC
 # and MAD for ten seconds: raw operand bits through the typed forms and
 # the burst forms on both paths, every lane against the reference, and
 # through the four multi-unit burst forms over 1 and 8 units against the
@@ -104,6 +112,7 @@ benchmark-check:
 # ten seconds no executions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTriggerDifferential -fuzztime 10s -fuzzminimizetime 1s ./internal/pim
+	$(GO) test -run '^$$' -fuzz FuzzTriggerPacket -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime
 	$(GO) test -run '^$$' -fuzz FuzzMACVec -fuzztime 10s -fuzzminimizetime 1s ./internal/fp16
 	$(GO) test -run '^$$' -fuzz FuzzISARoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzInferBody -fuzztime 10s -fuzzminimizetime 1s ./internal/serve

@@ -11,6 +11,7 @@ import (
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
+	"pimsim/internal/memctrl"
 	"pimsim/internal/runtime"
 )
 
@@ -61,12 +62,11 @@ func main() {
 	must(rt.EnterAB(0))
 	must(rt.ProgramCRF(0, prog))
 	must(rt.SetPIMMode(0, true))
-	must(rt.OpenRow(0, row))
-	must(rt.TriggerRDRun(0, 0, 0, 8)) // even-bank loads: columns 0..7, one AAM window
-	rt.Fence(0)
-	must(rt.TriggerWRRun(0, 1, 0, 8, nil)) // odd-bank stores
-	rt.Fence(0)
-	must(rt.CloseRows(0))
+	// One packet visits the row (ACT, the AAM windows, each fenced, PREA).
+	must(rt.IssuePacket(0, row, []memctrl.Trigger{
+		{Kind: hbm.CmdRD, Bank: 0, Col: 0, N: 8, Fence: true}, // even-bank loads: columns 0..7
+		{Kind: hbm.CmdWR, Bank: 1, Col: 0, N: 8, Fence: true}, // odd-bank stores
+	}, nil))
 	must(rt.SetPIMMode(0, false))
 	must(rt.ExitToSB(0))
 

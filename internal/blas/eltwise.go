@@ -2,10 +2,11 @@ package blas
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pimsim/internal/fp16"
+	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
+	"pimsim/internal/memctrl"
 	"pimsim/internal/runtime"
 )
 
@@ -96,6 +97,12 @@ type eltPlan struct {
 	visits         int
 	chunksPerVisit int
 	baseRow        uint32
+
+	// visit is the trigger packet of one row visit: per chunk of G
+	// columns, the fenced windows of the microkernel's batches (load,
+	// compute, store; one fewer when the compute reads its operand
+	// itself). Every visit issues it whole.
+	visit []memctrl.Trigger
 }
 
 func planElt(rt *runtime.Runtime, op eltOp, n int) (*eltPlan, error) {
@@ -122,6 +129,23 @@ func planElt(rt *runtime.Runtime, op eltOp, n int) (*eltPlan, error) {
 	p.perVisit = p.inCols * p.lanes
 	p.chunksPerVisit = p.inCols / p.G
 	p.visits = ceilDiv(n, p.perVisit*p.C*p.U)
+	selB, offB := p.srcB()
+	selD, offD := p.dst()
+	p.visit = make([]memctrl.Trigger, 0, 3*p.chunksPerVisit)
+	for c := 0; c < p.chunksPerVisit; c++ {
+		// Load a (unary: load and compute), compute with b, store.
+		load := memctrl.Trigger{Kind: hbm.CmdRD, Col: uint32(c * p.G), N: p.G, Fence: true}
+		compute := memctrl.Trigger{Kind: hbm.CmdRD, Bank: selB, Col: offB + load.Col, N: p.G, Fence: true}
+		store := memctrl.Trigger{Kind: hbm.CmdWR, Bank: selD, Col: offD + load.Col, N: p.G, Fence: true}
+		switch {
+		case !op.binary():
+			p.visit = append(p.visit, load, store)
+		case rt.Cfg.TriggerBanks() == 2: // the compute reads both banks
+			p.visit = append(p.visit, compute, store)
+		default:
+			p.visit = append(p.visit, load, compute, store)
+		}
+	}
 	base, err := rt.Drv.AllocPIMRows(p.visits)
 	if err != nil {
 		return nil, err
@@ -251,16 +275,8 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 		}
 	}
 
-	batches := 2 // load, store
-	if op.binary() && !twoBank {
-		batches = 3 // load, compute, store
-	}
-
 	rt.BeginRegion()
-	var triggers int64
 	chErr := rt.ForEachChannel(func(ch int) error {
-		var chTriggers int64
-		defer func() { atomic.AddInt64(&triggers, chTriggers) }()
 		if err := rt.EnterAB(ch); err != nil {
 			return err
 		}
@@ -274,70 +290,32 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 				return err
 			}
 		}
-		visit := 0
-		lastProg := -1
-		for visit < plan.visits {
-			chunk := plan.visits - visit
-			if chunk > maxPassesPerInvocation {
-				chunk = maxPassesPerInvocation
-			}
-			if chunk != lastProg {
-				if err := rt.ProgramCRF(ch, eltProgram(op, plan.G, plan.chunksPerVisit, chunk, twoBank)); err != nil {
+		for lo := 0; lo < plan.visits; lo += maxPassesPerInvocation {
+			hi := min(lo+maxPassesPerInvocation, plan.visits)
+			if lo == 0 || hi-lo < maxPassesPerInvocation { // the program's length changed
+				if err := rt.ProgramCRF(ch, eltProgram(op, plan.G, plan.chunksPerVisit, hi-lo, twoBank)); err != nil {
 					return err
 				}
-				lastProg = chunk
 			}
 			if err := rt.SetPIMMode(ch, true); err != nil {
 				return err
 			}
-			for v := visit; v < visit+chunk; v++ {
-				if err := rt.OpenRow(ch, plan.baseRow+uint32(v)); err != nil {
-					return err
-				}
-				selB, offB := plan.srcB()
-				selD, offD := plan.dst()
-				for c := 0; c < plan.chunksPerVisit; c++ {
-					for batch := 0; batch < batches; batch++ {
-						col := uint32(c * plan.G)
-						// Shadow the enclosing err: channel goroutines must
-						// not share a result slot.
-						var err error
-						switch {
-						case batch == batches-1: // store the result
-							err = rt.TriggerWRRun(ch, selD, offD+col, plan.G, nil)
-						case batch == 0 && op.binary() && !twoBank: // load a
-							err = rt.TriggerRDRun(ch, 0, col, plan.G)
-						case op.binary(): // compute with b (2BA reads both)
-							err = rt.TriggerRDRun(ch, selB, offB+col, plan.G)
-						default: // unary load+compute
-							err = rt.TriggerRDRun(ch, 0, col, plan.G)
-						}
-						if err != nil {
-							return err
-						}
-						chTriggers += int64(plan.G)
-						rt.Fence(ch)
-					}
-				}
-				if err := rt.CloseRows(ch); err != nil {
+			for v := lo; v < hi; v++ {
+				if err := rt.IssuePacket(ch, plan.baseRow+uint32(v), plan.visit, nil); err != nil {
 					return err
 				}
 			}
 			if err := rt.SetPIMMode(ch, false); err != nil {
 				return err
 			}
-			visit += chunk
 		}
-		if err := rt.ExitToSB(ch); err != nil {
-			return err
-		}
-		return nil
+		return rt.ExitToSB(ch)
 	})
 	if chErr != nil {
 		return nil, KernelStats{}, chErr
 	}
 	ks := regionStats(rt)
-	ks.Triggers = triggers
+	ks.Triggers = int64(plan.visits*len(plan.visit)*plan.G) * int64(rt.EffectiveChannels())
 
 	if !functional {
 		return nil, ks, nil

@@ -2,10 +2,11 @@ package blas
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pimsim/internal/fp16"
+	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
+	"pimsim/internal/memctrl"
 	"pimsim/internal/runtime"
 )
 
@@ -57,6 +58,12 @@ type gemvPlan struct {
 	// shorter last one when passes is not a multiple. Every tile of every
 	// channel of every launch programs these same words.
 	crf [2][]uint32
+
+	// row is the trigger packet of a whole weight row: per pass j of the
+	// row, the fenced WR window of its G input splats (payloads j*G.. of
+	// the row's first pass) and, without SRW, the fenced RD (MAC) window.
+	// A row visit issues the entries of the passes it runs.
+	row []memctrl.Trigger
 }
 
 func planGemv(rt *runtime.Runtime, M, K int) (*gemvPlan, error) {
@@ -98,6 +105,14 @@ func planGemvLayout(rt *runtime.Runtime, M, K int, replicated bool) (*gemvPlan, 
 			return nil, err
 		}
 	}
+	p.row = make([]memctrl.Trigger, 0, 2*p.passesPerRow)
+	for j := 0; j < p.passesPerRow; j++ {
+		col := uint32(j * p.G)
+		p.row = append(p.row, memctrl.Trigger{Kind: hbm.CmdWR, Col: col, N: p.G, Data: j * p.G, Fence: true})
+		if !srw {
+			p.row = append(p.row, memctrl.Trigger{Kind: hbm.CmdRD, Col: col, N: p.G, Fence: true})
+		}
+	}
 	base, err := rt.Drv.AllocPIMRows(p.macros * p.rowsPerMacro)
 	if err != nil {
 		return nil, err
@@ -120,11 +135,15 @@ func (p *gemvPlan) block(macro, unit, ch int) int {
 	return b
 }
 
-// passRowCol locates pass p, lane-input i within a macro.
-func (p *gemvPlan) passRowCol(macro, pass, i int) (uint32, uint32) {
-	row := p.baseRow + uint32(macro*p.rowsPerMacro+pass/p.passesPerRow)
-	col := uint32((pass%p.passesPerRow)*p.G + i)
-	return row, col
+// triggers returns the column triggers runChannel issues.
+func (p *gemvPlan) triggers() int64 {
+	return int64(p.macros * p.passes * len(p.row) / p.passesPerRow * p.G)
+}
+
+// passRow returns the weight row that holds pass p of a macro; the pass's
+// G inputs are its columns (p%passesPerRow)*G onwards.
+func (p *gemvPlan) passRow(macro, pass int) uint32 {
+	return p.baseRow + uint32(macro*p.rowsPerMacro+pass/p.passesPerRow)
 }
 
 // layoutWeights writes W into the banks (functional mode setup; the PIM
@@ -187,7 +206,7 @@ func (p *gemvPlan) eachRow(rt *runtime.Runtime, ch int, fn func(bank int, row ui
 				continue
 			}
 			for lo := 0; lo < p.passes; lo += p.passesPerRow {
-				row, _ := p.passRowCol(m, lo, 0)
+				row := p.passRow(m, lo)
 				if err := fn(u*banksPerUnit, row, b, lo, min(lo+p.passesPerRow, p.passes)); err != nil {
 					return err
 				}
@@ -286,17 +305,12 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 	}
 
 	rt.BeginRegion()
-	var triggers atomic.Int64
-	chErr := rt.ForEachChannel(func(ch int) error {
-		n, err := plan.runChannel(rt, ch, xdata, y)
-		triggers.Add(n)
-		return err
-	})
+	chErr := rt.ForEachChannel(func(ch int) error { return plan.runChannel(rt, ch, xdata, y) })
 	if chErr != nil {
 		return nil, KernelStats{}, chErr
 	}
 	ks := regionStats(rt)
-	ks.Triggers = triggers.Load()
+	ks.Triggers = plan.triggers() * int64(rt.EffectiveChannels())
 	return y, ks, nil
 }
 
@@ -305,87 +319,57 @@ func PimGemv(rt *runtime.Runtime, W fp16.Vector, M, K int, x fp16.Vector) (fp16.
 // and ResidentGemv.RunSlots (each occupied channel its own x and y) run:
 // per macro, zero the accumulators, then per invocation of at most
 // maxPassesPerInvocation passes program the CRF, enter PIM mode and walk
-// the weight rows issuing the WR (input splat) and RD (MAC) trigger runs;
-// after the last pass unload GRF_B through the SB register space and fold
-// the G partial sums into y. xdata holds the splat payloads, G per pass;
-// on a timing-only device xdata and y are nil and only the commands
-// issue. Returns the column triggers issued.
-func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp16.Vector) (int64, error) {
-	srw := rt.Cfg.WROperand()
-	var triggers int64
+// the weight rows, one trigger packet (the WR input-splat and RD MAC
+// windows) per row visit; after the last pass unload GRF_B through the SB
+// register space and fold the G partial sums into y. xdata holds the
+// splat payloads, G per pass; on a timing-only device xdata and y are nil
+// and only the commands issue.
+func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp16.Vector) error {
 	if err := rt.EnterAB(ch); err != nil {
-		return triggers, err
+		return err
 	}
+	perPass := len(p.row) / p.passesPerRow
 	for m := 0; m < p.macros; m++ {
 		if err := rt.ZeroGRF(ch); err != nil {
-			return triggers, err
+			return err
 		}
-		pass := 0
-		lastProg := -1
-		for pass < p.passes {
-			chunk := p.passes - pass
-			if chunk > maxPassesPerInvocation {
-				chunk = maxPassesPerInvocation
-			}
-			if chunk != lastProg {
+		for lo := 0; lo < p.passes; lo += maxPassesPerInvocation {
+			hi := min(lo+maxPassesPerInvocation, p.passes)
+			if lo == 0 || hi-lo < maxPassesPerInvocation {
 				words := p.crf[0]
-				if chunk != min(p.passes, maxPassesPerInvocation) {
+				if lo > 0 {
 					words = p.crf[1] // the shorter last invocation
 				}
 				if err := rt.ProgramCRFWords(ch, words); err != nil {
-					return triggers, err
+					return err
 				}
-				lastProg = chunk
 			}
 			if err := rt.SetPIMMode(ch, true); err != nil {
-				return triggers, err
+				return err
 			}
-			openRow := uint32(0)
-			rowOpen := false
-			for e := 0; e < chunk; e++ {
-				ps := pass + e
-				row, col0 := p.passRowCol(m, ps, 0)
-				if !rowOpen || row != openRow {
-					if rowOpen {
-						if err := rt.CloseRows(ch); err != nil {
-							return triggers, err
-						}
-					}
-					if err := rt.OpenRow(ch, row); err != nil {
-						return triggers, err
-					}
-					openRow, rowOpen = row, true
-				}
+			// One packet per row visit: the passes of the invocation that
+			// the row holds.
+			for ps := lo; ps < hi; {
+				j := ps % p.passesPerRow
+				n := min(p.passesPerRow-j, hi-ps)
 				var data [][]byte
 				if xdata != nil {
-					data = xdata[ps*p.G : (ps+1)*p.G]
+					data = xdata[(ps-j)*p.G:]
 				}
-				if err := rt.TriggerWRRun(ch, 0, col0, p.G, data); err != nil {
-					return triggers, err
+				if err := rt.IssuePacket(ch, p.passRow(m, ps), p.row[j*perPass:(j+n)*perPass], data); err != nil {
+					return err
 				}
-				triggers += int64(p.G)
-				rt.Fence(ch)
-				if !srw {
-					if err := rt.TriggerRDRun(ch, 0, col0, p.G); err != nil {
-						return triggers, err
-					}
-					triggers += int64(p.G)
-					rt.Fence(ch)
-				}
-			}
-			if err := rt.CloseRows(ch); err != nil {
-				return triggers, err
+				ps += n
 			}
 			if err := rt.SetPIMMode(ch, false); err != nil {
-				return triggers, err
+				return err
 			}
-			pass += chunk
 		}
 
 		// Unload GRF_B through the SB register space, folding each unit's
 		// bursts into y while they are the channel's read slots.
 		if err := rt.ExitToSB(ch); err != nil {
-			return triggers, err
+			return err
 		}
 		var fold func(u int, regs [][]byte)
 		if y != nil {
@@ -396,15 +380,15 @@ func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp1
 			}
 		}
 		if err := rt.ReadGRFRowSB(ch, 1, p.G, fold); err != nil {
-			return triggers, err
+			return err
 		}
 		if m+1 < p.macros {
 			if err := rt.EnterAB(ch); err != nil {
-				return triggers, err
+				return err
 			}
 		}
 	}
-	return triggers, nil
+	return nil
 }
 
 // RefGemvPIMOrder computes y = W*x with exactly the PIM datapath's

@@ -2,7 +2,6 @@ package blas
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pimsim/internal/fp16"
 	"pimsim/internal/runtime"
@@ -138,15 +137,12 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 	ys := make([]fp16.Vector, len(xs))
 
 	rt.BeginRegion()
-	var triggers atomic.Int64
 	chErr := rt.ForEachChannel(func(ch int) error {
 		if ch >= len(xs) || xs[ch] == nil {
 			return nil // idle channel: no commands, clock untouched
 		}
 		ys[ch] = fp16.NewVector(g.M)
-		n, err := plan.runChannel(rt, ch, splats(rt.Payloads(ch, plan.Kp), xs[ch]), ys[ch])
-		triggers.Add(n)
-		return err
+		return plan.runChannel(rt, ch, splats(rt.Payloads(ch, plan.Kp), xs[ch]), ys[ch])
 	})
 	if chErr != nil {
 		// %w keeps typed device errors (hbm.UncorrectableError) visible
@@ -154,6 +150,10 @@ func (g *ResidentGemv) RunSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.V
 		return nil, KernelStats{}, fmt.Errorf("blas: resident gemv batch: %w", chErr)
 	}
 	ks := regionStats(rt)
-	ks.Triggers = triggers.Load()
+	for _, y := range ys {
+		if y != nil {
+			ks.Triggers += plan.triggers()
+		}
+	}
 	return ys, ks, nil
 }

@@ -261,6 +261,8 @@ type PseudoChannel struct {
 	// field (Access) is filled once.
 	trig TriggerContext
 
+	pimReady bool // the trigger path's proof (prove)
+
 	// Limits and ratios precomputed off Config so the per-command addrCheck
 	// and the per-unit register routing (unitFor) perform no division on,
 	// and make no copy of, the Config: RowBytes/AccessBytes, BanksPerUnit.
@@ -309,7 +311,7 @@ func newPCH(cfg *Config, id int) *PseudoChannel {
 
 // AttachPIM connects the execution layer. It must be called before any
 // AB-PIM activity on a PIM-enabled configuration.
-func (p *PseudoChannel) AttachPIM(e PIMExecutor) { p.exec = e }
+func (p *PseudoChannel) AttachPIM(e PIMExecutor) { p.exec = e; p.prove() }
 
 // AttachFault connects a fault injector to the readout path (nil
 // detaches it). With no injector attached the read path is unchanged.
@@ -375,6 +377,17 @@ func (p *PseudoChannel) switchMode(m Mode, at int64) {
 	}
 	p.mode = m
 	p.stats.ModeSwitches++
+	p.prove()
+}
+
+// prove renews pimReady after every row command, mode switch and
+// executor attach: AB-PIM mode, an executor, every bank active, bank 0 on
+// an array row and the SBMR bank not on the mode row. A column command to
+// bank 0 or 1 of group 0 is then a broadcast trigger on an array row.
+func (p *PseudoChannel) prove() {
+	_, conf := p.cfg.confSpace(p.banks[0].openRow)
+	p.pimReady = p.mode == ModeABPIM && p.exec != nil && p.activeBanks == len(p.banks) &&
+		!conf && p.cfg.BanksPerGroup > sbmrBank && p.banks[sbmrBank].openRow != p.numRows-1
 }
 
 // flat returns the flat bank index for a command address.
@@ -459,12 +472,6 @@ func (p *PseudoChannel) earliest(cmd *Command, now int64) (int64, bool, error) {
 		return maxi64(t, p.aggPreNow()), broadcast, nil
 
 	case CmdRD, CmdWR:
-		t = maxi64(t, p.colAllowedS)
-		if cmd.Kind == CmdWR {
-			t = maxi64(t, p.wrAllowed)
-		} else {
-			t = maxi64(t, p.rdAllowedS)
-		}
 		if broadcast {
 			if p.activeBanks != len(p.banks) {
 				// Error path only: rescan to name the first idle bank.
@@ -474,14 +481,13 @@ func (p *PseudoChannel) earliest(cmd *Command, now int64) (int64, bool, error) {
 					}
 				}
 			}
-			t = maxi64(t, p.aggColL)
-			if cmd.Kind == CmdRD {
-				t = maxi64(t, maxi64(p.aggRdL, p.rdFloorL))
-				t = maxi64(t, p.aggRD)
-			} else {
-				t = maxi64(t, p.aggWR)
-			}
-			return t, broadcast, nil
+			return p.broadcastColumnAt(cmd.Kind, t), broadcast, nil
+		}
+		t = maxi64(t, p.colAllowedS)
+		if cmd.Kind == CmdWR {
+			t = maxi64(t, p.wrAllowed)
+		} else {
+			t = maxi64(t, p.rdAllowedS)
 		}
 		t = maxi64(t, p.colAllowedL[cmd.BG])
 		if cmd.Kind == CmdRD {
@@ -505,6 +511,17 @@ func (p *PseudoChannel) earliest(cmd *Command, now int64) (int64, bool, error) {
 		return maxi64(t, p.aggACT), broadcast, nil
 	}
 	return 0, false, fmt.Errorf("hbm: unknown command kind %d", cmd.Kind)
+}
+
+// broadcastColumnAt returns the earliest cycle at or after t of a
+// broadcast column command of kind, every bank active: the channel's and
+// every bank's column timers, read from their running maxima.
+func (p *PseudoChannel) broadcastColumnAt(kind CmdKind, t int64) int64 {
+	t = maxi64(t, maxi64(p.colAllowedS, p.aggColL))
+	if kind == CmdRD {
+		return maxi64(t, maxi64(maxi64(p.rdAllowedS, p.aggRD), maxi64(p.aggRdL, p.rdFloorL)))
+	}
+	return maxi64(t, maxi64(p.wrAllowed, p.aggWR))
 }
 
 // aggPreNow returns the maximum effective preAllowed over active banks,
@@ -623,12 +640,21 @@ func (p *PseudoChannel) isModeHandshake(cmd *Command) bool {
 // timing and counts stand, and the commands after it never issue. The run
 // fills *run with the commands that issued and, for a RD run that returns
 // data, the burst each returned; an error is the command's after them.
+// While prove's proof stands, a column run on bank 0 or 1 of group 0 that
+// ends inside the row skips earliest's and columnRun's checks and goes
+// straight to the broadcast trigger path.
 func (p *PseudoChannel) IssueRun(cmd *Command, n int, data [][]byte, now, stop int64, run *Run) error {
 	*run = Run{Stride: p.colStride}
 	if n <= 0 {
 		return nil
 	}
 	column := cmd.Kind.IsColumn()
+	if p.pimReady && column && cmd.BG == 0 && uint(cmd.Bank) <= sbmrBank && cmd.Col < p.numCols && n <= int(p.numCols-cmd.Col) {
+		run.First = p.broadcastColumnAt(cmd.Kind, maxi64(now, p.busyUntil))
+		var err error
+		run.N, err = p.triggerRun(cmd, p.cut(n, run.First, stop), data, run.First)
+		return err
+	}
 	if !column && n > 1 {
 		return fmt.Errorf("hbm: %s issues alone, not as a run of %d", cmd.Kind, n)
 	}
@@ -638,6 +664,7 @@ func (p *PseudoChannel) IssueRun(cmd *Command, n int, data [][]byte, now, stop i
 	}
 	if !column {
 		p.apply(cmd, first, broadcast)
+		p.prove()
 		run.First, run.N = first, 1
 		return nil
 	}
@@ -807,21 +834,12 @@ func (p *PseudoChannel) updateColumnTiming(kind CmdKind, bg int, at int64, broad
 // (broadcast is its verdict), as IssueRun describes. A RD run's data is
 // appended to runViews.
 func (p *PseudoChannel) columnRun(cmd *Command, n int, data [][]byte, first int64, broadcast bool, stop int64, run *Run) error {
-	s := p.colStride
-	*run = Run{First: first, Stride: s}
-	// Command i > 0 has bus cycle first + (i-1)*s + 1, which must come
-	// before stop; a command past the last column is an address error.
-	legal := int(p.numCols - cmd.Col) // earliest checked cmd.Col
-	k := min(n, legal)
-	room := stop - first - 1
-	if room <= 0 {
-		k = 1
-	} else if int64(k-2)*s >= room {
-		k = 2 + int((room-1)/s)
-	}
-	past := -1
-	if k == legal && legal < n && room > 0 && int64(legal-1)*s < room {
-		past = legal
+	*run = Run{First: first, Stride: p.colStride}
+	// past is where the run reaches an address error, the row's end,
+	// before stop (earliest checked cmd.Col).
+	k, past := p.cut(n, first, stop), -1
+	if legal := int(p.numCols - cmd.Col); k > legal {
+		k, past = legal, legal
 	}
 	idx := 0 // the addressed bank; a broadcast's row is bank 0's
 	if !broadcast {
@@ -834,28 +852,18 @@ func (p *PseudoChannel) columnRun(cmd *Command, n int, data [][]byte, first int6
 
 	var done int
 	var err error
-	offChip := true // SB and plain AB commands carry their burst across the I/O PHY
-	switch {
+	switch { // SB and plain AB bursts cross the I/O PHY
 	case conf:
 		done, err = p.registerRun(cmd, space, broadcast, idx, k, data, first)
-		offChip = !broadcast
+		p.bookRun(cmd, idx, broadcast, first, done, err, !broadcast)
 	case broadcast && p.mode == ModeABPIM:
 		done, err = p.triggerRun(cmd, k, data, first)
-		offChip = false // counted per retired trigger
 	case broadcast:
 		done, err = p.broadcastRun(cmd, k, data)
+		p.bookRun(cmd, idx, broadcast, first, done, err, true)
 	default:
 		done, err = p.bankRun(cmd, idx, k, data)
-	}
-	issued := done
-	if err != nil {
-		issued++
-	}
-	if issued > 0 {
-		p.bookColumns(cmd.Kind, cmd.BG, idx, broadcast, first+int64(issued-1)*s, int64(issued))
-		if offChip {
-			p.stats.OffChipBytes += int64(issued * p.cfg.AccessBytes)
-		}
+		p.bookRun(cmd, idx, broadcast, first, done, err, true)
 	}
 	run.N = done
 	if err == nil && done == past {
@@ -865,21 +873,48 @@ func (p *PseudoChannel) columnRun(cmd *Command, n int, data [][]byte, first int6
 	return err
 }
 
-// bookColumns books issued column commands of kind, the last at cycle
-// last: the bus occupancy and turnarounds (updateColumnTiming), the
-// precharge fence and the command counts. Every timer a column command
-// raises it raises to its own cycle plus a constant, so the last
-// command's raises cover the others'.
-func (p *PseudoChannel) bookColumns(kind CmdKind, bg, idx int, broadcast bool, last, issued int64) {
-	p.updateColumnTiming(kind, bg, last, broadcast)
+// cut returns how many of n column commands, the first at cycle first,
+// issue before stop: command i > 0 has bus cycle first + (i-1)*stride + 1,
+// which must come before stop, and the first always issues.
+func (p *PseudoChannel) cut(n int, first, stop int64) int {
+	room := stop - first - 1
+	if room <= 0 {
+		return 1
+	}
+	if int64(n-2)*p.colStride >= room {
+		return 2 + int((room-1)/p.colStride)
+	}
+	return n
+}
+
+// bookRun books a column run's commands from cycle first: the done that
+// completed and the failing one after an error (its timing and counts
+// stand), with their bursts across the I/O PHY when offChip. The bus
+// occupancy and turnarounds (updateColumnTiming), the precharge fence and
+// the counts are booked once, with the last command's cycle: every timer
+// a column command raises it raises to its own cycle plus a constant, so
+// the last command's raises cover the others'.
+func (p *PseudoChannel) bookRun(cmd *Command, idx int, broadcast bool, first int64, done int, err error, offChip bool) {
+	issued := int64(done)
+	if err != nil {
+		issued++
+	}
+	if issued == 0 {
+		return
+	}
+	if offChip {
+		p.stats.OffChipBytes += issued * int64(p.cfg.AccessBytes)
+	}
+	last := first + (issued-1)*p.colStride
+	p.updateColumnTiming(cmd.Kind, cmd.BG, last, broadcast)
 	if broadcast {
-		p.broadcastColumn(kind, last, issued)
+		p.broadcastColumn(cmd.Kind, last, issued)
 		return
 	}
 	b := &p.banks[idx]
-	b.column(kind, last, &p.cfg.Timing)
+	b.column(cmd.Kind, last, &p.cfg.Timing)
 	p.aggPre = maxi64(p.aggPre, b.preAllowed) // bank is active (legality)
-	if kind == CmdRD {
+	if cmd.Kind == CmdRD {
 		p.stats.RD += issued
 		p.bankOps[idx].RD += issued
 	} else {
@@ -947,13 +982,16 @@ func payload(data [][]byte, i int) []byte {
 	return data[i]
 }
 
-// triggerRun hands k PIM triggers, the first at cycle first, to the
-// executor in one call and counts what it retired: the off-chip payload
-// of each retired WR and the PIM statistics. It returns how many
-// commands retired; an error is the command's after them.
+// triggerRun is the one AB-PIM broadcast trigger path, columnRun's and
+// IssueRun's proven one: it hands k PIM triggers, the first at cycle
+// first, to the executor in one call, counts what it retired and books
+// the commands that issued. It returns how many retired; an error is the
+// command's after them.
 func (p *PseudoChannel) triggerRun(cmd *Command, k int, data [][]byte, first int64) (int, error) {
 	if p.exec == nil {
-		return 0, fmt.Errorf("hbm: AB-PIM column with no PIM executor attached")
+		err := fmt.Errorf("hbm: AB-PIM column with no PIM executor attached")
+		p.bookRun(cmd, 0, true, first, 0, err, false)
+		return 0, err
 	}
 	// The reusable context's Access was filled at construction.
 	tc := &p.trig
@@ -972,6 +1010,7 @@ func (p *PseudoChannel) triggerRun(cmd *Command, k int, data [][]byte, first int
 	p.stats.PIMInstr += int64(info.Instructions)
 	p.stats.PIMArith += int64(info.Arithmetic)
 	p.stats.PIMMove += int64(info.DataMoves)
+	p.bookRun(cmd, 0, true, first, info.Triggers, err, false)
 	return info.Triggers, err
 }
 

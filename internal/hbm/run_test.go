@@ -16,7 +16,9 @@ import (
 // timing state, statistics and per-bank counts after it. Every Fig. 14
 // variant and every DRAM family preset, single-bank and broadcast runs
 // (array rows, register rows, AB-PIM triggers), RD and WR, runs cut by a
-// refresh deadline and runs past the last column.
+// refresh deadline and runs past the last column. A third channel issues
+// the run with the trigger path's proof withdrawn (pimReady), so through
+// earliest and columnRun, and must leave what the first does.
 
 // runPresets are the device descriptions the property covers.
 func runPresets() map[string]Config {
@@ -60,8 +62,8 @@ func TestRunMatchesBruteForce(t *testing.T) {
 // issues one run on the first and its commands one at a time on the
 // second, and compares them. It returns the run's mode and kind.
 func runAgainstBrute(t *testing.T, cfg Config, seed int64) string {
-	var p [2]*PseudoChannel
-	var now [2]int64
+	var p [3]*PseudoChannel
+	var now [3]int64
 	for i := range p {
 		p[i] = MustNewDevice(cfg).PCH(0)
 		if cfg.PIMUnits > 0 {
@@ -77,12 +79,14 @@ func runAgainstBrute(t *testing.T, cfg Config, seed int64) string {
 			t.Fatalf("seed %d: preparing %s: %v", seed, label, err)
 		}
 	}
-	if now[1] != now[0] {
-		t.Fatalf("seed %d: the two channels diverged before the run", seed)
+	if now[1] != now[0] || now[2] != now[0] {
+		t.Fatalf("seed %d: the channels diverged before the run", seed)
 	}
 
-	var run Run
+	var run, generic Run
 	runErr := p[0].IssueRun(&cmd, n, nil, now[0], stop, &run)
+	p[2].pimReady = false
+	genericErr := p[2].IssueRun(&cmd, n, nil, now[2], stop, &generic)
 
 	var cycles []int64
 	var refErr error
@@ -111,6 +115,12 @@ func runAgainstBrute(t *testing.T, cfg Config, seed int64) string {
 	}
 	if a, b := timingState(p[0]), timingState(p[1]); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: state after the run\n%+v\none at a time\n%+v", where, a, b)
+	}
+	if fmt.Sprint(genericErr) != fmt.Sprint(runErr) || generic.First != run.First || generic.N != run.N {
+		t.Fatalf("%s: run %+v error %v, without the proof %+v error %v", where, run, runErr, generic, genericErr)
+	}
+	if a, b := timingState(p[0]), timingState(p[2]); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: state after the run\n%+v\nwithout the proof\n%+v", where, a, b)
 	}
 	return label
 }

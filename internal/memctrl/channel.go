@@ -195,8 +195,10 @@ func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int
 	c.read = c.read[:0]
 	col0 := cmd.Col
 	for done := 0; done < n; {
-		if err := c.maybeRefresh(); err != nil {
-			return c.read, done, err
+		if c.now >= c.nextRefresh {
+			if err := c.maybeRefresh(); err != nil {
+				return c.read, done, err
+			}
 		}
 		cmd.Col = col0 + uint32(done)
 		var d [][]byte
@@ -204,7 +206,9 @@ func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int
 			d = data[done:n]
 		}
 		err := c.issue(&cmd, n-done, d)
-		c.read = append(c.read, c.run.Data...)
+		if len(c.run.Data) > 0 {
+			c.read = append(c.read, c.run.Data...)
+		}
 		if c.run.N > 0 {
 			c.trackState(&cmd)
 		}
@@ -214,6 +218,52 @@ func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int
 		}
 	}
 	return c.read, n, nil
+}
+
+// Trigger is one entry of a trigger packet, the AAM windows a kernel plan
+// compiles for a row visit: N column commands of kind Kind at columns
+// Col, Col+1, ... on bank select Bank (0 even, 1 odd), a WR carrying
+// payloads Data, Data+1, ... of the packet's list, then a fence if Fence.
+type Trigger struct {
+	Kind  hbm.CmdKind
+	Fence bool
+	Col   uint32
+	Bank  int
+	N     int
+	Data  int
+}
+
+// PacketRun reports how far IssuePacket got.
+type PacketRun struct {
+	Entries int   // entries issued whole, each with its fence
+	Issued  int   // after an error: the failing entry's commands that issued
+	Cycles  int64 // the clock the whole entries took, their fences excluded
+}
+
+// IssuePacket issues a trigger packet in one call: each entry as IssueRun
+// issues its commands (split only at a refresh deadline, and by a Delay
+// hook), then its fence. A WR entry carries data[e.Data:e.Data+e.N] when
+// data is non-nil. An error stops the packet in the failing entry.
+func (c *Channel) IssuePacket(pk []Trigger, data [][]byte) (PacketRun, error) {
+	var pr PacketRun
+	for ; pr.Entries < len(pk); pr.Entries++ {
+		e := &pk[pr.Entries]
+		var d [][]byte
+		if data != nil && e.Kind == hbm.CmdWR {
+			d = data[e.Data : e.Data+e.N]
+		}
+		start := c.now
+		_, done, err := c.IssueRun(hbm.Command{Kind: e.Kind, Bank: e.Bank, Col: e.Col}, e.N, d)
+		if err != nil {
+			pr.Issued = done
+			return pr, err
+		}
+		pr.Cycles += c.now - start
+		if e.Fence {
+			c.Fence()
+		}
+	}
+	return pr, nil
 }
 
 // issue is the channel's one path to the device, the refresh machinery's

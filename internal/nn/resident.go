@@ -35,6 +35,15 @@ type Resident struct {
 	// operands stream through the modeled PIM datapath.
 	h, c [][]fp16.Vector
 
+	// The bias add runs on the burst kernels: bias holds each layer's
+	// bias encoded as one burst at load, and a slot's gate
+	// pre-activations are encoded for it into zbuf, viewed as the burst
+	// z[0].
+	bias   [][]byte
+	zbuf   []byte
+	z      [1][]byte
+	resume [fp16.MaxBurstUnits]int32
+
 	unloaded bool
 }
 
@@ -80,6 +89,8 @@ func Load(rt *runtime.Runtime, p *Plan) (*Resident, error) {
 	r.h = make([][]fp16.Vector, len(p.W.Layers))
 	r.c = make([][]fp16.Vector, len(p.W.Layers))
 	for l, lw := range p.W.Layers {
+		r.bias = append(r.bias, lw.B.Bytes())
+		r.zbuf = make([]byte, max(len(r.zbuf), 2*4*lw.H))
 		r.h[l] = make([]fp16.Vector, r.slots)
 		r.c[l] = make([]fp16.Vector, r.slots)
 		for s := 0; s < r.slots; s++ {
@@ -253,7 +264,13 @@ func (r *Resident) StepSlots(rt *runtime.Runtime, xs []fp16.Vector) ([]fp16.Vect
 			if xs[s] == nil {
 				continue
 			}
-			z := fp16.AddVec(zs[s], zs[s], lw.B)
+			// z += b, as one burst: AddVecBursts runs the whole blocks on
+			// the SIMD kernel and the tail of fewer than 16 lanes portably.
+			z := zs[s]
+			r.z[0] = r.zbuf[:2*len(z)]
+			z.PutBytes(r.z[0])
+			fp16.AddVecBursts(r.z[:], r.z[:], r.bias[l:l+1], &r.resume)
+			z.DecodeBytes(r.z[0])
 			hN := fp16.NewVector(H)
 			cN := fp16.NewVector(H)
 			for j := 0; j < H; j++ {

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
+	"pimsim/internal/memctrl"
 )
 
 // driveOnePhaseRound runs a minimal mode-enter / program / trigger / exit
@@ -31,13 +33,7 @@ func driveOnePhaseRound(t *testing.T, rt *Runtime) {
 	if err := rt.SetPIMMode(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.OpenRow(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.TriggerRDRun(0, 0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.CloseRows(0); err != nil {
+	if err := rt.IssuePacket(0, 0, []memctrl.Trigger{{Kind: hbm.CmdRD, N: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.SetPIMMode(0, false); err != nil {

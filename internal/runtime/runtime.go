@@ -4,9 +4,10 @@
 // manager that lays operands out across banks in a PIM-friendly way, and
 // the preprocessor that decides which operations are worth offloading.
 // Every command it issues is one memctrl.Channel.IssueRun: a row command
-// alone, and each column sequence (a trigger window, ZeroGRF, CRF and SRF
-// programming, a unit's GRF unload, an SB bank-row access) as one run,
-// its phase noted once.
+// alone, and each column sequence (ZeroGRF, CRF and SRF programming, a
+// unit's GRF unload, an SB bank-row access) as one run, its phase noted
+// once. A kernel's trigger windows and fences on one open row are one
+// packet, issued in one memctrl.Channel.IssuePacket call.
 package runtime
 
 import (
@@ -188,6 +189,9 @@ func (r *Runtime) run(ch int, cmd hbm.Command, n int, data [][]byte) ([][]byte, 
 	return read, nil
 }
 
+// preA closes every bank.
+var preA = hbm.Command{Kind: hbm.CmdPREA}
+
 // cmdBufs is one channel's buffers for the column runs the runtime builds
 // itself: wr holds a burst per CRF column for the register-space writes
 // (PIM_OP_MODE, SRF, CRF words), and cols the column views of a
@@ -213,49 +217,43 @@ func (r *Runtime) wrBufs(ch, n int) [][]byte {
 }
 
 // EnterAB performs the ABMR handshake on a channel.
-func (r *Runtime) EnterAB(ch int) error {
-	start := r.Chans[ch].Now()
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.ABMRBank, Row: r.Cfg.ModeRow()}, 1, nil); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}, 1, nil); err != nil {
-		return err
-	}
-	r.notePhase(ch, PhaseMode, 1, start)
-	return nil
-}
+func (r *Runtime) EnterAB(ch int) error { return r.modeRow(ch, hbm.ABMRBank, nil) }
 
 // ExitToSB performs the SBMR handshake (all banks must be precharged).
-func (r *Runtime) ExitToSB(ch int) error {
-	start := r.Chans[ch].Now()
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.SBMRBank, Row: r.Cfg.ModeRow()}, 1, nil); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.SBMRBank}, 1, nil); err != nil {
-		return err
-	}
-	r.notePhase(ch, PhaseMode, 1, start)
-	return nil
-}
+func (r *Runtime) ExitToSB(ch int) error { return r.modeRow(ch, hbm.SBMRBank, nil) }
 
 // SetPIMMode writes PIM_OP_MODE through the mode row.
 func (r *Runtime) SetPIMMode(ch int, on bool) error {
-	start := r.Chans[ch].Now()
 	data := r.wrBufs(ch, 1)
 	clear(data[0])
 	if on {
 		data[0][0] = 1
 	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: 0, Bank: hbm.ABMRBank, Row: r.Cfg.ModeRow()}, 1, nil); err != nil {
+	return r.modeRow(ch, hbm.ABMRBank, data)
+}
+
+// modeRow opens the mode row of bank group 0's bank, writes data, if any,
+// to its PIM_OP_MODE column and precharges the bank.
+func (r *Runtime) modeRow(ch, bank int, data [][]byte) error {
+	return r.confRun(ch, PhaseMode, hbm.Command{Kind: hbm.CmdACT, Bank: bank, Row: r.Cfg.ModeRow()},
+		hbm.Command{Kind: hbm.CmdWR, Bank: bank, Col: hbm.ColPIMOpMode}, data, hbm.Command{Kind: hbm.CmdPRE, Bank: bank})
+}
+
+// confRun is one configuration-row access, booked once as phase ph: act,
+// the writes like wr at consecutive columns as one run, write i carrying
+// data[i] (none without data), then pre.
+func (r *Runtime) confRun(ch int, ph KernelPhase, act, wr hbm.Command, data [][]byte, pre hbm.Command) error {
+	start := r.Chans[ch].Now()
+	if _, err := r.run(ch, act, 1, nil); err != nil {
 		return err
 	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, BG: 0, Bank: hbm.ABMRBank, Col: hbm.ColPIMOpMode}, 1, data); err != nil {
+	if _, err := r.run(ch, wr, len(data), data); err != nil {
 		return err
 	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: 0, Bank: hbm.ABMRBank}, 1, nil); err != nil {
+	if _, err := r.run(ch, pre, 1, nil); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseMode, 1, start)
+	r.notePhase(ch, ph, 1, start)
 	return nil
 }
 
@@ -278,12 +276,7 @@ func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
 		return fmt.Errorf("runtime: program of %d words overflows the %d-entry CRF",
 			len(words), isa.CRFEntries)
 	}
-	start := r.Chans[ch].Now()
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.CRFRow()}, 1, nil); err != nil {
-		return err
-	}
-	cols := (len(words) + 7) / 8
-	bufs := r.wrBufs(ch, cols)
+	bufs := r.wrBufs(ch, (len(words)+7)/8)
 	for col, buf := range bufs {
 		clear(buf)
 		for i := 0; i < 8 && col*8+i < len(words); i++ {
@@ -291,14 +284,7 @@ func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
 			buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
 		}
 	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR}, cols, bufs); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
-		return err
-	}
-	r.notePhase(ch, PhaseCRF, 1, start)
-	return nil
+	return r.confRun(ch, PhaseCRF, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.CRFRow()}, hbm.Command{Kind: hbm.CmdWR}, bufs, preA)
 }
 
 // ProgramSRF broadcasts the scalar registers: m fills SRF_M[0..7], a fills
@@ -310,22 +296,11 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 		return fmt.Errorf("runtime: SRF payload %d/%d scalars overflows the %d-entry halves",
 			len(m), len(a), isa.SRFEntries)
 	}
-	start := r.Chans[ch].Now()
 	srf := r.wrBufs(ch, 1)
 	clear(srf[0])
 	fp16.Vector(m).PutBytes(srf[0])
 	fp16.Vector(a).PutBytes(srf[0][2*isa.SRFEntries:])
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.SRFRow()}, 1, nil); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR}, 1, srf); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
-		return err
-	}
-	r.notePhase(ch, PhaseSRF, 1, start)
-	return nil
+	return r.confRun(ch, PhaseSRF, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.SRFRow()}, hbm.Command{Kind: hbm.CmdWR}, srf, preA)
 }
 
 // ZeroGRF broadcasts zeros into all of GRF_B of every unit (accumulator
@@ -334,32 +309,10 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 // register columns that end where GRF_B ends: both halves of the
 // product's GRF, GRF_B alone when the halves are twice as deep.
 func (r *Runtime) ZeroGRF(ch int) error {
-	start := r.Chans[ch].Now()
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()}, 1, nil); err != nil {
-		return err
-	}
 	end := 2 * r.Cfg.GRFDepth()
 	col := end - 2*isa.GRFEntries
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdWR, Col: uint32(col)}, end-col, r.zeros[:end-col]); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
-		return err
-	}
-	r.notePhase(ch, PhaseGRF, 1, start)
-	return nil
-}
-
-// OpenRow broadcast-activates a row on a channel (AB/AB-PIM modes).
-func (r *Runtime) OpenRow(ch int, row uint32) error {
-	_, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: row}, 1, nil)
-	return err
-}
-
-// CloseRows precharges all banks of a channel.
-func (r *Runtime) CloseRows(ch int) error {
-	_, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil)
-	return err
+	return r.confRun(ch, PhaseGRF, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()},
+		hbm.Command{Kind: hbm.CmdWR, Col: uint32(col)}, r.zeros[:end-col], preA)
 }
 
 // Recover restores a channel to single-bank mode with every bank
@@ -370,7 +323,7 @@ func (r *Runtime) CloseRows(ch int) error {
 // and cheap on an already-clean channel: PREA, then unwind whatever mode
 // the channel is still in.
 func (r *Runtime) Recover(ch int) error {
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
+	if _, err := r.run(ch, preA, 1, nil); err != nil {
 		return err
 	}
 	if r.Chans[ch].PCH().Mode() == hbm.ModeABPIM {
@@ -384,32 +337,28 @@ func (r *Runtime) Recover(ch int) error {
 	return nil
 }
 
-// TriggerRDRun issues n PIM-triggering column reads at consecutive
-// columns col0..col0+n-1 — one AAM batch — as one memctrl run, its phase
-// booked once. bankSel 0 drives the even banks, 1 the odd banks.
-func (r *Runtime) TriggerRDRun(ch, bankSel int, col0 uint32, n int) error {
-	return r.triggerRun(ch, hbm.CmdRD, bankSel, col0, n, nil)
-}
-
-// TriggerWRRun issues n PIM-triggering column writes at consecutive
-// columns col0..col0+n-1 as one memctrl run. When data is non-nil,
-// data[i] rides the i-th write datapath (functional operand loading); a
-// nil data is the timing-only form.
-func (r *Runtime) TriggerWRRun(ch, bankSel int, col0 uint32, n int, data [][]byte) error {
-	return r.triggerRun(ch, hbm.CmdWR, bankSel, col0, n, data)
-}
-
-func (r *Runtime) triggerRun(ch int, kind hbm.CmdKind, bankSel int, col0 uint32, n int, data [][]byte) error {
-	start := r.Chans[ch].Now()
-	if _, err := r.run(ch, hbm.Command{Kind: kind, Bank: bankSel, Col: col0}, n, data); err != nil {
+// IssuePacket visits row on channel ch in AB-PIM mode: ACT, the packet's
+// AAM windows and fences in one memctrl.Channel.IssuePacket call (WR
+// payloads from data, nil on a timing-only device), PREA. The trigger
+// phase is booked once, for the windows that issued whole, fences
+// excluded; an error is worded as the failing command's.
+func (r *Runtime) IssuePacket(ch int, row uint32, pk []memctrl.Trigger, data [][]byte) error {
+	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: row}, 1, nil); err != nil {
 		return err
 	}
-	r.notePhase(ch, PhaseTrigger, n, start)
-	return nil
+	pr, err := r.Chans[ch].IssuePacket(pk, data)
+	l := &r.chs[ch].phases
+	for _, e := range pk[:pr.Entries] {
+		l.Count[PhaseTrigger] += int64(e.N)
+	}
+	l.Cycles[PhaseTrigger] += pr.Cycles
+	if err != nil {
+		e := &pk[pr.Entries]
+		return fmt.Errorf("runtime: ch%d %s: %w", ch, hbm.Command{Kind: e.Kind, Bank: e.Bank, Col: e.Col + uint32(pr.Issued)}, err)
+	}
+	_, err = r.run(ch, preA, 1, nil)
+	return err
 }
-
-// Fence orders the preceding commands (one AAM window boundary).
-func (r *Runtime) Fence(ch int) { r.Chans[ch].Fence() }
 
 // WriteBankSB writes consecutive columns col0, col0+1, ... of one bank
 // row in SB mode: ACT, one column run, PRE. data holds AccessBytes per
@@ -495,7 +444,7 @@ func (r *Runtime) ReadGRFRowSB(ch, half, regs int, fold func(unit int, bursts []
 }
 
 // Payloads returns channel ch's WR payload buffer cut as n payloads of
-// AccessBytes each, for a kernel to fill and hand to TriggerWRRun. The
+// AccessBytes each, for a kernel to fill and hand to IssuePacket. The
 // buffer keeps what the last user wrote, grows to the longest run the
 // channel has seen and is reused by every later call, so the payloads are
 // valid until the channel's next Payloads call. That is safe because

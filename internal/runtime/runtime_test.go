@@ -10,6 +10,7 @@ import (
 	"pimsim/internal/fp16"
 	"pimsim/internal/hbm"
 	"pimsim/internal/isa"
+	"pimsim/internal/memctrl"
 )
 
 func newRT(t *testing.T, channels int) *Runtime {
@@ -267,13 +268,17 @@ func TestErrorPropagation(t *testing.T) {
 	if err := rt.SetPIMMode(0, true); err == nil {
 		t.Error("PIM_OP_MODE accepted in SB mode")
 	}
-	// CloseRows with nothing open is fine (PREA is idempotent)...
-	if err := rt.CloseRows(0); err != nil {
+	// PREA with nothing open is fine (it is idempotent)...
+	if _, err := rt.run(0, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
 		t.Errorf("PREA on idle banks: %v", err)
 	}
-	// ...but a trigger outside AB-PIM hits an idle-bank error.
-	if err := rt.TriggerRDRun(0, 0, 0, 1); err == nil {
+	// ...but a trigger outside AB-PIM is a plain column command: in SB
+	// mode the row visit opens bank 0 alone, and bank 1 is idle.
+	if err := rt.IssuePacket(0, 0, []memctrl.Trigger{{Kind: hbm.CmdRD, Bank: 1, N: 1}}, nil); err == nil {
 		t.Error("trigger accepted in SB mode with idle banks")
+	}
+	if err := rt.Recover(0); err != nil {
+		t.Fatal(err)
 	}
 	// Oversized CRF program.
 	long := make([]isa.Instruction, isa.CRFEntries+1)
