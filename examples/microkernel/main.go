@@ -36,9 +36,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	words, err := isa.EncodeProgram(prog)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("microkernel:")
 	for i, in := range prog {
-		fmt.Printf("  CRF[%d]  %#08x  %s\n", i, isa.MustEncode(in), in)
+		fmt.Printf("  CRF[%d]  %#08x  %s\n", i, words[i], in)
 	}
 
 	// Seed the even bank of unit 0 with a mix of signs.
@@ -60,10 +64,10 @@ func main() {
 		}
 	}
 	must(rt.EnterAB(0))
-	must(rt.ProgramCRF(0, prog))
+	must(rt.ProgramCRF(0, words))
 	must(rt.SetPIMMode(0, true))
 	// One packet visits the row (ACT, the AAM windows, each fenced, PREA).
-	must(rt.IssuePacket(0, row, []memctrl.Trigger{
+	must(rt.IssuePacket(0, row, []memctrl.Entry{
 		{Kind: hbm.CmdRD, Bank: 0, Col: 0, N: 8, Fence: true}, // even-bank loads: columns 0..7
 		{Kind: hbm.CmdWR, Bank: 1, Col: 0, N: 8, Fence: true}, // odd-bank stores
 	}, nil))

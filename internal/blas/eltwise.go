@@ -102,7 +102,9 @@ type eltPlan struct {
 	// columns, the fenced windows of the microkernel's batches (load,
 	// compute, store; one fewer when the compute reads its operand
 	// itself). Every visit issues it whole.
-	visit []memctrl.Trigger
+	visit []memctrl.Entry
+
+	crf invocations // the encoded microkernel, one pass a row visit
 }
 
 func planElt(rt *runtime.Runtime, op eltOp, n int) (*eltPlan, error) {
@@ -131,12 +133,12 @@ func planElt(rt *runtime.Runtime, op eltOp, n int) (*eltPlan, error) {
 	p.visits = ceilDiv(n, p.perVisit*p.C*p.U)
 	selB, offB := p.srcB()
 	selD, offD := p.dst()
-	p.visit = make([]memctrl.Trigger, 0, 3*p.chunksPerVisit)
+	p.visit = make([]memctrl.Entry, 0, 3*p.chunksPerVisit)
 	for c := 0; c < p.chunksPerVisit; c++ {
 		// Load a (unary: load and compute), compute with b, store.
-		load := memctrl.Trigger{Kind: hbm.CmdRD, Col: uint32(c * p.G), N: p.G, Fence: true}
-		compute := memctrl.Trigger{Kind: hbm.CmdRD, Bank: selB, Col: offB + load.Col, N: p.G, Fence: true}
-		store := memctrl.Trigger{Kind: hbm.CmdWR, Bank: selD, Col: offD + load.Col, N: p.G, Fence: true}
+		load := memctrl.Entry{Kind: hbm.CmdRD, Col: uint32(c * p.G), N: p.G, Fence: true}
+		compute := memctrl.Entry{Kind: hbm.CmdRD, Bank: selB, Col: offB + load.Col, N: p.G, Fence: true}
+		store := memctrl.Entry{Kind: hbm.CmdWR, Bank: selD, Col: offD + load.Col, N: p.G, Fence: true}
 		switch {
 		case !op.binary():
 			p.visit = append(p.visit, load, store)
@@ -145,6 +147,13 @@ func planElt(rt *runtime.Runtime, op eltOp, n int) (*eltPlan, error) {
 		default:
 			p.visit = append(p.visit, load, compute, store)
 		}
+	}
+	twoBank := rt.Cfg.TriggerBanks() == 2 && op.binary()
+	var err error
+	if p.crf, err = encodeInvocations(p.visits, func(k int) []isa.Instruction {
+		return eltProgram(op, p.G, p.chunksPerVisit, k, twoBank)
+	}); err != nil {
+		return nil, err
 	}
 	base, err := rt.Drv.AllocPIMRows(p.visits)
 	if err != nil {
@@ -292,10 +301,8 @@ func runElt(rt *runtime.Runtime, op eltOp, n int, a, b fp16.Vector, gamma, beta 
 		}
 		for lo := 0; lo < plan.visits; lo += maxPassesPerInvocation {
 			hi := min(lo+maxPassesPerInvocation, plan.visits)
-			if lo == 0 || hi-lo < maxPassesPerInvocation { // the program's length changed
-				if err := rt.ProgramCRF(ch, eltProgram(op, plan.G, plan.chunksPerVisit, hi-lo, twoBank)); err != nil {
-					return err
-				}
+			if err := plan.crf.program(rt, ch, lo, hi); err != nil {
+				return err
 			}
 			if err := rt.SetPIMMode(ch, true); err != nil {
 				return err

@@ -53,17 +53,15 @@ type gemvPlan struct {
 	// own input vector and a batch maps one request per channel.
 	replicated bool
 
-	// crf is the encoded microkernel, by invocation length: [0] for the
-	// invocations of min(passes, maxPassesPerInvocation) passes, [1] for a
-	// shorter last one when passes is not a multiple. Every tile of every
-	// channel of every launch programs these same words.
-	crf [2][]uint32
+	// crf is the encoded microkernel of every invocation: every tile of
+	// every channel of every launch programs these same words.
+	crf invocations
 
 	// row is the trigger packet of a whole weight row: per pass j of the
 	// row, the fenced WR window of its G input splats (payloads j*G.. of
 	// the row's first pass) and, without SRW, the fenced RD (MAC) window.
 	// A row visit issues the entries of the passes it runs.
-	row []memctrl.Trigger
+	row []memctrl.Entry
 }
 
 func planGemv(rt *runtime.Runtime, M, K int) (*gemvPlan, error) {
@@ -97,20 +95,15 @@ func planGemvLayout(rt *runtime.Runtime, M, K int, replicated bool) (*gemvPlan, 
 	p.rowsPerMacro = ceilDiv(p.passes, p.passesPerRow)
 	srw := rt.Cfg.WROperand()
 	var err error
-	if p.crf[0], err = isa.EncodeProgram(gemvProgram(p.G, min(p.passes, maxPassesPerInvocation), srw)); err != nil {
+	if p.crf, err = encodeInvocations(p.passes, func(k int) []isa.Instruction { return gemvProgram(p.G, k, srw) }); err != nil {
 		return nil, err
 	}
-	if tail := p.passes % maxPassesPerInvocation; tail != 0 && p.passes > maxPassesPerInvocation {
-		if p.crf[1], err = isa.EncodeProgram(gemvProgram(p.G, tail, srw)); err != nil {
-			return nil, err
-		}
-	}
-	p.row = make([]memctrl.Trigger, 0, 2*p.passesPerRow)
+	p.row = make([]memctrl.Entry, 0, 2*p.passesPerRow)
 	for j := 0; j < p.passesPerRow; j++ {
 		col := uint32(j * p.G)
-		p.row = append(p.row, memctrl.Trigger{Kind: hbm.CmdWR, Col: col, N: p.G, Data: j * p.G, Fence: true})
+		p.row = append(p.row, memctrl.Entry{Kind: hbm.CmdWR, Col: col, N: p.G, Data: j * p.G, Fence: true})
 		if !srw {
-			p.row = append(p.row, memctrl.Trigger{Kind: hbm.CmdRD, Col: col, N: p.G, Fence: true})
+			p.row = append(p.row, memctrl.Entry{Kind: hbm.CmdRD, Col: col, N: p.G, Fence: true})
 		}
 	}
 	base, err := rt.Drv.AllocPIMRows(p.macros * p.rowsPerMacro)
@@ -261,6 +254,34 @@ func gemvProgram(g, n int, srw bool) []isa.Instruction {
 // maxPassesPerInvocation is bounded by the 7-bit JUMP iteration field.
 const maxPassesPerInvocation = isa.MaxLoopIter + 1
 
+// invocations is a microkernel encoded once per plan, by invocation
+// length: [0] for the invocations of min(n, maxPassesPerInvocation)
+// passes of a kernel of n, [1] for a shorter last one when n is not a
+// multiple.
+type invocations [2][]uint32
+
+// encodeInvocations encodes prog(k) for each invocation length k of a
+// kernel of n passes.
+func encodeInvocations(n int, prog func(k int) []isa.Instruction) (inv invocations, err error) {
+	if inv[0], err = isa.EncodeProgram(prog(min(n, maxPassesPerInvocation))); err != nil {
+		return inv, err
+	}
+	if tail := n % maxPassesPerInvocation; tail != 0 && n > maxPassesPerInvocation {
+		inv[1], err = isa.EncodeProgram(prog(tail))
+	}
+	return inv, err
+}
+
+// program programs channel ch's CRF for the invocation of passes [lo, hi)
+// unless it runs the previous invocation's program: only the first and a
+// shorter last one program.
+func (inv *invocations) program(rt *runtime.Runtime, ch, lo, hi int) error {
+	if lo > 0 && hi-lo == maxPassesPerInvocation {
+		return nil
+	}
+	return rt.ProgramCRF(ch, inv[min(lo, 1)])
+}
+
 // PimGemv runs y = W*x on the PIM execution units. In functional mode
 // (device Config.Functional) W and x must be provided and the numeric
 // result is returned; in timing-only mode pass nil operands and only
@@ -335,14 +356,8 @@ func (p *gemvPlan) runChannel(rt *runtime.Runtime, ch int, xdata [][]byte, y fp1
 		}
 		for lo := 0; lo < p.passes; lo += maxPassesPerInvocation {
 			hi := min(lo+maxPassesPerInvocation, p.passes)
-			if lo == 0 || hi-lo < maxPassesPerInvocation {
-				words := p.crf[0]
-				if lo > 0 {
-					words = p.crf[1] // the shorter last invocation
-				}
-				if err := rt.ProgramCRFWords(ch, words); err != nil {
-					return err
-				}
+			if err := p.crf.program(rt, ch, lo, hi); err != nil {
+				return err
 			}
 			if err := rt.SetPIMMode(ch, true); err != nil {
 				return err

@@ -267,6 +267,12 @@ func TestEncodeProgramBounds(t *testing.T) {
 	if len(words) != CRFEntries {
 		t.Fatalf("got %d words", len(words))
 	}
+	// An invalid instruction (a bank destination of an arithmetic op) is
+	// refused with its index, before any program reaches a CRF.
+	bad := []Instruction{Nop(), {Op: MUL, Dst: EvenBank, Src0: GRFA, Src1: GRFB}}
+	if _, err := EncodeProgram(bad); err == nil || !strings.Contains(err.Error(), "instruction 1") {
+		t.Errorf("EncodeProgram of an invalid instruction: %v", err)
+	}
 }
 
 func TestDecodeProgramStopsAtExit(t *testing.T) {

@@ -2,14 +2,15 @@
 // address mapping, a JEDEC-compliant per-channel command generator with
 // FR-FCFS transaction scheduling (the reordering that motivates Section
 // IV-C), memory fences, and refresh management. PIM-HBM is driven through
-// this controller with standard commands only. A run of column commands
-// of one kind at consecutive columns (a PIM kernel's AAM window, a
-// register-file load or unload, a bank-row access) is one
-// Channel.IssueRun: the device takes it as one run in closed form, split
-// only where a refresh falls due (or into single commands under a Delay
-// hook), and the channel books and logs it once, with its last command.
-// Every command is such a run: Channel.Issue is a run of one, and the
-// refresh machinery's commands take the same path to the device.
+// this controller with standard commands only, through one issue form:
+// Channel.IssuePacket takes a packet of entries, each a row command or a
+// run of column commands of one kind at consecutive columns (a PIM
+// kernel's AAM window, a register-file load or unload, a bank-row access)
+// with an optional fence after it. The device takes each column run as
+// one run in closed form, split only where a refresh falls due (or into
+// single commands under a Delay hook), and the channel books and logs it
+// once, with its last command. Channel.Issue is a packet of one command,
+// and the refresh machinery's commands take the same path to the device.
 package memctrl
 
 import "fmt"

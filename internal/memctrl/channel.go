@@ -49,8 +49,8 @@ type Channel struct {
 	Delay    Delayer
 	delaySeq int64 // commands seen by Delay (its deterministic clock)
 
-	// run and read are IssueRun's reusable results: the device's report of
-	// its last run and the bursts a RD run read.
+	// run and read are IssuePacket's reusable results: the device's report
+	// of its last run and the bursts the packet's RD entries read.
 	run  hbm.Run
 	read [][]byte
 }
@@ -159,110 +159,106 @@ func (c *Channel) Refreshes() int64 { return c.st.Refreshes }
 func (c *Channel) PCH() *hbm.PseudoChannel { return c.pch }
 
 // Issue sends one command at its earliest legal cycle at or after the
-// channel clock, advancing the clock to the issue cycle: IssueRun's run of
-// one, a WR carrying cmd.Data. Refresh deadlines are honoured
-// transparently, including mid-burst in PIM modes.
+// channel clock, advancing the clock to the issue cycle: IssuePacket's
+// packet of one entry of one command, a WR carrying cmd.Data. Refresh
+// deadlines are honoured transparently, including mid-burst in PIM modes.
 func (c *Channel) Issue(cmd hbm.Command) (hbm.IssueResult, error) {
 	one := [1][]byte{cmd.Data}
 	data := one[:]
 	if cmd.Data == nil {
 		data = nil
 	}
-	read, _, err := c.IssueRun(cmd, 1, data)
+	pk := [1]Entry{{Kind: cmd.Kind, BG: cmd.BG, Bank: cmd.Bank, Row: cmd.Row, Col: cmd.Col, N: 1}}
+	pr, err := c.IssuePacket(pk[:], data)
 	if err != nil {
 		return hbm.IssueResult{}, err
 	}
 	res := hbm.IssueResult{Cycle: c.run.First}
-	if len(read) > 0 {
-		res.Data = read[0]
+	if len(pr.Read) > 0 {
+		res.Data = pr.Read[0]
 	}
 	return res, nil
 }
 
-// IssueRun sends n commands like cmd — a row command or a REF alone, or
-// column commands at consecutive columns cmd.Col, cmd.Col+1, ..., command
-// i carrying data[i] (nil data: no payloads; cmd.Data is not read): an AAM
-// window of PIM triggers, a register-file load or unload, a run of one
-// bank row's columns — each at its earliest legal cycle at or after the
-// channel clock, a refresh that falls due before it serviced first. The
-// device takes the commands between refresh deadlines as one run
-// (hbm.PseudoChannel.IssueRun), and the channel books and logs each run
-// once. It returns the bursts a RD run read (one per issued command,
-// where the device returns data), valid until the channel's next command,
-// and how many commands issued; an error is the command's after them, and
-// the ones after it never issue.
-func (c *Channel) IssueRun(cmd hbm.Command, n int, data [][]byte) ([][]byte, int, error) {
-	c.read = c.read[:0]
-	col0 := cmd.Col
-	for done := 0; done < n; {
-		if c.now >= c.nextRefresh {
-			if err := c.maybeRefresh(); err != nil {
-				return c.read, done, err
-			}
-		}
-		cmd.Col = col0 + uint32(done)
-		var d [][]byte
-		if data != nil {
-			d = data[done:n]
-		}
-		err := c.issue(&cmd, n-done, d)
-		if len(c.run.Data) > 0 {
-			c.read = append(c.read, c.run.Data...)
-		}
-		if c.run.N > 0 {
-			c.trackState(&cmd)
-		}
-		done += c.run.N
-		if err != nil {
-			return c.read, done, err
-		}
-	}
-	return c.read, n, nil
-}
-
-// Trigger is one entry of a trigger packet, the AAM windows a kernel plan
-// compiles for a row visit: N column commands of kind Kind at columns
-// Col, Col+1, ... on bank select Bank (0 even, 1 odd), a WR carrying
-// payloads Data, Data+1, ... of the packet's list, then a fence if Fence.
-type Trigger struct {
+// Entry is one entry of a packet: N commands of kind Kind on bank group
+// BG, bank Bank, a row command (N = 1) opening row Row, or column commands
+// at columns Col, Col+1, ... (an AAM window of PIM triggers, a
+// register-file load or unload, a run of one bank row's columns), a WR
+// carrying payloads Data, Data+1, ... of the packet's list; then a fence
+// if Fence. A PIM trigger's Bank is its bank select (0 even, 1 odd).
+type Entry struct {
 	Kind  hbm.CmdKind
 	Fence bool
-	Col   uint32
+	BG    int
 	Bank  int
+	Row   uint32
+	Col   uint32
 	N     int
 	Data  int
 }
 
-// PacketRun reports how far IssuePacket got.
-type PacketRun struct {
-	Entries int   // entries issued whole, each with its fence
-	Issued  int   // after an error: the failing entry's commands that issued
-	Cycles  int64 // the clock the whole entries took, their fences excluded
+// Command returns command i of the entry, without its payload.
+func (e *Entry) Command(i int) hbm.Command {
+	return hbm.Command{Kind: e.Kind, BG: e.BG, Bank: e.Bank, Row: e.Row, Col: e.Col + uint32(i)}
 }
 
-// IssuePacket issues a trigger packet in one call: each entry as IssueRun
-// issues its commands (split only at a refresh deadline, and by a Delay
-// hook), then its fence. A WR entry carries data[e.Data:e.Data+e.N] when
-// data is non-nil. An error stops the packet in the failing entry.
-func (c *Channel) IssuePacket(pk []Trigger, data [][]byte) (PacketRun, error) {
+// PacketRun reports how far IssuePacket got.
+type PacketRun struct {
+	Entries int      // entries issued whole, each with its fence
+	Issued  int      // after an error: the failing entry's commands that issued
+	Cycles  int64    // the clock the whole entries took, their fences excluded
+	Read    [][]byte // the bursts the RD entries read, valid until the channel's next packet
+}
+
+// IssuePacket issues a packet of command sequences in one call, the
+// channel's one issue form: each entry's commands at their earliest legal
+// cycles at or after the channel clock, a refresh that falls due before
+// one serviced first, then the entry's fence. The device takes an entry's
+// commands between refresh deadlines as one run
+// (hbm.PseudoChannel.IssueRun; a Delay hook splits it into single
+// commands), and the channel books and logs each run once. A WR entry
+// carries data[e.Data:e.Data+e.N] when data is non-nil. The bursts the RD
+// entries read are collected in the result, one per issued command where
+// the device returns data. An error stops the packet in the failing
+// entry: it is that command's, after the ones the result counts, and the
+// ones after it never issue.
+func (c *Channel) IssuePacket(pk []Entry, data [][]byte) (PacketRun, error) {
+	c.read = c.read[:0]
 	var pr PacketRun
 	for ; pr.Entries < len(pk); pr.Entries++ {
 		e := &pk[pr.Entries]
-		var d [][]byte
-		if data != nil && e.Kind == hbm.CmdWR {
-			d = data[e.Data : e.Data+e.N]
-		}
 		start := c.now
-		_, done, err := c.IssueRun(hbm.Command{Kind: e.Kind, Bank: e.Bank, Col: e.Col}, e.N, d)
-		if err != nil {
-			pr.Issued = done
-			return pr, err
+		for done := 0; done < e.N; {
+			if c.now >= c.nextRefresh {
+				if err := c.maybeRefresh(); err != nil {
+					pr.Issued, pr.Read = done, c.read
+					return pr, err
+				}
+			}
+			cmd := e.Command(done)
+			var d [][]byte
+			if data != nil && e.Kind == hbm.CmdWR {
+				d = data[e.Data+done : e.Data+e.N]
+			}
+			err := c.issue(&cmd, e.N-done, d)
+			if len(c.run.Data) > 0 {
+				c.read = append(c.read, c.run.Data...)
+			}
+			if c.run.N > 0 {
+				c.trackState(&cmd)
+			}
+			done += c.run.N
+			if err != nil {
+				pr.Issued, pr.Read = done, c.read
+				return pr, err
+			}
 		}
 		pr.Cycles += c.now - start
 		if e.Fence {
 			c.Fence()
 		}
 	}
+	pr.Read = c.read
 	return pr, nil
 }
 
@@ -271,13 +267,13 @@ func (c *Channel) IssuePacket(pk []Trigger, data [][]byte) (PacketRun, error) {
 // channel clock through hbm.PseudoChannel.IssueRun, a column run stopping
 // at the next refresh deadline, and books what issued into c.run, the
 // clock and the log. A Delay hook pushes each command past its earliest
-// legal cycle (the floor IssueRun takes), so with one set a run issues
-// one command per call.
+// legal cycle (the floor the device's IssueRun takes), so with one set a
+// run issues one command per call.
 func (c *Channel) issue(cmd *hbm.Command, n int, data [][]byte) error {
 	now := c.now
 	if c.Delay != nil {
-		// A command refused here is refused again by IssueRun, with the
-		// same error, before the delayer counts it.
+		// A command refused here is refused again by the device's
+		// IssueRun, with the same error, before the delayer counts it.
 		if at, err := c.pch.EarliestIssue(*cmd, now); err == nil {
 			c.delaySeq++
 			now, n = at+max(0, c.Delay.ExtraIssueCycles(c.id, c.delaySeq, at)), 1

@@ -61,11 +61,11 @@ func BenchmarkPacket(b *testing.B) {
 
 		g := cfg.GRFDepth()
 		passes := cfg.ColumnsPerRow() / g
-		var row []Trigger
+		var row []Entry
 		for j := 0; j < passes; j++ {
 			col := uint32(j * g)
-			row = append(row, Trigger{Kind: hbm.CmdWR, Col: col, N: g, Fence: true},
-				Trigger{Kind: hbm.CmdRD, Col: col, N: g, Fence: true})
+			row = append(row, Entry{Kind: hbm.CmdWR, Col: col, N: g, Fence: true},
+				Entry{Kind: hbm.CmdRD, Col: col, N: g, Fence: true})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

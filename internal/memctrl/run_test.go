@@ -73,10 +73,11 @@ type runRig struct {
 	exec *pim.Executor
 	log  *obs.Log
 
-	midWindow bool     // the stream failed after its window's first command
-	midRun    bool     // a refresh fell due inside one IssueRun
+	issued    int      // commands the stream issued
+	midWindow bool     // the stream failed after its entry's first command
+	midRun    bool     // a refresh fell due inside a packet entry's column run
 	columns   int64    // broadcast column commands the device counted before the stream
-	read      []string // the bursts the column stream's RD runs returned
+	read      []string // the bursts the column stream's RD entries returned
 }
 
 func newRunRig(t *testing.T, rc runCase) *runRig {
@@ -181,10 +182,52 @@ func (r *runRig) pimOp(on bool) {
 	r.must(hbm.Command{Kind: hbm.CmdPRE, Bank: hbm.ABMRBank})
 }
 
-// stream issues the kernel's trigger windows, each as one IssueRun or as
-// single Issue calls, fencing after each, until one fails. The last
-// window runs tail commands past the program's EXIT.
-func (r *runRig) stream(runs bool, tail int) (issued int, err error) {
+// send issues pk as one IssuePacket call, or as its commands through one
+// Issue call each with a Fence after each fenced entry, and records the
+// commands that issued, the bursts the RD entries read, and whether a
+// failure came after its entry's first command.
+func (r *runRig) send(packet bool, pk []Entry, data [][]byte) error {
+	if packet {
+		before := len(r.log.TraceEvents())
+		pr, err := r.ch.IssuePacket(pk, data)
+		for _, e := range pk[:pr.Entries] {
+			r.issued += e.N
+		}
+		r.issued += pr.Issued
+		r.midWindow = err != nil && pr.Issued > 0
+		r.midRun = r.midRun || refreshMidRun(r.log.TraceEvents()[before:])
+		for _, b := range pr.Read {
+			r.read = append(r.read, fmt.Sprintf("%x", b))
+		}
+		return err
+	}
+	for _, e := range pk {
+		for i := 0; i < e.N; i++ {
+			cmd := e.Command(i)
+			if data != nil && e.Kind == hbm.CmdWR {
+				cmd.Data = data[e.Data+i]
+			}
+			res, err := r.ch.Issue(cmd)
+			if err != nil {
+				r.midWindow = i > 0
+				return err
+			}
+			if res.Data != nil {
+				r.read = append(r.read, fmt.Sprintf("%x", res.Data))
+			}
+			r.issued++
+		}
+		if e.Fence {
+			r.ch.Fence()
+		}
+	}
+	return nil
+}
+
+// stream issues the kernel's trigger windows, each pass's three fenced
+// windows as one packet or as single Issue calls and fences, until one
+// fails. The last window runs tail commands past the program's EXIT.
+func (r *runRig) stream(packets bool, tail int) (issued int, err error) {
 	payloads := make([][]byte, 8+tail)
 	for i := range payloads {
 		payloads[i] = make([]byte, 32)
@@ -193,55 +236,33 @@ func (r *runRig) stream(runs bool, tail int) (issued int, err error) {
 		}
 		payloads[i][1] &= 0x3f // finite, modest
 	}
-	window := func(kind hbm.CmdKind, bank int, col0 uint32, n int, data [][]byte) error {
-		if runs {
-			_, done, err := r.ch.IssueRun(hbm.Command{Kind: kind, Bank: bank, Col: col0}, n, data)
-			issued += done
-			return err
-		}
-		for i := 0; i < n; i++ {
-			cmd := hbm.Command{Kind: kind, Bank: bank, Col: col0 + uint32(i)}
-			if data != nil {
-				cmd.Data = data[i]
-			}
-			if _, err := r.ch.Issue(cmd); err != nil {
-				return err
-			}
-			issued++
-		}
-		return nil
-	}
 	for pass := 0; pass < runPasses; pass++ {
 		col0 := uint32(pass % 4 * 8)
 		store := 8
 		if pass == runPasses-1 {
 			store += tail
 		}
-		for _, w := range []struct {
-			kind hbm.CmdKind
-			bank int
-			n    int
-			data [][]byte
-		}{{hbm.CmdWR, 0, 8, payloads[:8]}, {hbm.CmdRD, 0, 8, nil}, {hbm.CmdWR, 1, store, payloads[:store]}} {
-			start := issued
-			if err := window(w.kind, w.bank, col0, w.n, w.data); err != nil {
-				r.midWindow = issued > start
-				return issued, err
-			}
-			r.ch.Fence()
+		pk := []Entry{
+			{Kind: hbm.CmdWR, Col: col0, N: 8, Fence: true},
+			{Kind: hbm.CmdRD, Col: col0, N: 8, Fence: true},
+			{Kind: hbm.CmdWR, Bank: 1, Col: col0, N: store, Fence: true},
+		}
+		if err := r.send(packets, pk, payloads); err != nil {
+			return r.issued, err
 		}
 	}
-	return issued, nil
+	return r.issued, nil
 }
 
 // columnStream issues what the runtime issues outside its trigger
 // windows, in rounds: in AB mode a ZeroGRF (16 register writes of zeros),
-// a CRF program (4 writes) and a GRF_A load (8 writes); in SB mode the
-// unload of GRF_A from every unit (8 register reads a unit), a 32-column
-// write of one bank row and a 32-column read of unit 5's even bank's
-// kernel row. Each column sequence is one IssueRun, or single Issue
-// calls; it stops at the first error.
-func (r *runRig) columnStream(runs bool) (issued int, err error) {
+// a CRF program (4 writes) and a GRF_A load (8 writes), each between its
+// row's ACT and a PREA; the SBMR handshake; in SB mode the unload of
+// GRF_A from every unit (8 register reads a unit), a 32-column write of
+// one bank row and a 32-column read of unit 5's even bank's kernel row,
+// each between its row's ACT and PRE; the ABMR handshake. Each row access
+// is one packet, or single Issue calls; it stops at the first error.
+func (r *runRig) columnStream(packets bool) (issued int, err error) {
 	cfg := r.cfg
 	payloads := make([][]byte, 32)
 	for i := range payloads {
@@ -255,43 +276,15 @@ func (r *runRig) columnStream(runs bool) (issued int, err error) {
 	for i := range zeros {
 		zeros[i] = make([]byte, 32)
 	}
-	run := func(cmd hbm.Command, n int, data [][]byte) error {
-		start := issued
-		var read [][]byte
-		if runs {
-			before := len(r.log.TraceEvents())
-			var done int
-			read, done, err = r.ch.IssueRun(cmd, n, data)
-			issued += done
-			r.midRun = r.midRun || refreshMidRun(r.log.TraceEvents()[before:])
-		} else {
-			for i := 0; i < n; i++ {
-				one := cmd
-				one.Col += uint32(i)
-				if data != nil {
-					one.Data = data[i]
-				}
-				var res hbm.IssueResult
-				if res, err = r.ch.Issue(one); err != nil {
-					break
-				}
-				if res.Data != nil {
-					read = append(read, res.Data)
-				}
-				issued++
-			}
+	access := func(bg, bank int, row uint32, kind hbm.CmdKind, col uint32, n int, pre hbm.CmdKind) []Entry {
+		return []Entry{
+			{Kind: hbm.CmdACT, BG: bg, Bank: bank, Row: row, N: 1},
+			{Kind: kind, BG: bg, Bank: bank, Col: col, N: n},
+			{Kind: pre, BG: bg, Bank: bank, N: 1},
 		}
-		for _, b := range read {
-			r.read = append(r.read, fmt.Sprintf("%x", b))
-		}
-		if err != nil {
-			r.midWindow = issued > start
-		}
-		return err
 	}
-	handshake := func(bank int) {
-		r.must(hbm.Command{Kind: hbm.CmdACT, Bank: bank, Row: cfg.ModeRow()})
-		r.must(hbm.Command{Kind: hbm.CmdPRE, Bank: bank})
+	handshake := func(bank int) error {
+		return r.send(packets, access(0, bank, cfg.ModeRow(), hbm.CmdWR, 0, 0, hbm.CmdPRE), nil)
 	}
 	r.must(hbm.Command{Kind: hbm.CmdPREA})
 	r.pimOp(false)
@@ -306,20 +299,18 @@ func (r *runRig) columnStream(runs bool) (issued int, err error) {
 			{cfg.CRFRow(), 0, payloads[round%4 : round%4+4]},
 			{cfg.GRFRow(), 0, payloads[round : round+8]},
 		} {
-			r.must(hbm.Command{Kind: hbm.CmdACT, Row: w.row})
-			if err := run(hbm.Command{Kind: hbm.CmdWR, Col: uint32(w.col)}, len(w.data), w.data); err != nil {
-				return issued, err
+			if err := r.send(packets, access(0, 0, w.row, hbm.CmdWR, uint32(w.col), len(w.data), hbm.CmdPREA), w.data); err != nil {
+				return r.issued, err
 			}
-			r.must(hbm.Command{Kind: hbm.CmdPREA})
 		}
-		handshake(hbm.SBMRBank)
+		if err := handshake(hbm.SBMRBank); err != nil {
+			return r.issued, err
+		}
 		for u := 0; u < cfg.PIMUnits; u++ {
 			bg, b := cfg.BankOf(u * bpu)
-			r.must(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: cfg.GRFRow()})
-			if err := run(hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b}, 8, nil); err != nil {
-				return issued, err
+			if err := r.send(packets, access(bg, b, cfg.GRFRow(), hbm.CmdRD, 0, 8, hbm.CmdPRE), nil); err != nil {
+				return r.issued, err
 			}
-			r.must(hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
 		}
 		for _, w := range []struct {
 			flat int
@@ -332,27 +323,30 @@ func (r *runRig) columnStream(runs bool) (issued int, err error) {
 			{5 * bpu, hbm.CmdRD, runRow, nil},
 		} {
 			bg, b := cfg.BankOf(w.flat)
-			r.must(hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: w.row})
-			if err := run(hbm.Command{Kind: w.kind, BG: bg, Bank: b}, 32, w.data); err != nil {
-				return issued, err
+			if err := r.send(packets, access(bg, b, w.row, w.kind, 0, 32, hbm.CmdPRE), w.data); err != nil {
+				return r.issued, err
 			}
-			r.must(hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b})
 		}
-		handshake(hbm.ABMRBank)
+		if err := handshake(hbm.ABMRBank); err != nil {
+			return r.issued, err
+		}
 	}
-	return issued, nil
+	return r.issued, nil
 }
 
 // refreshMidRun reports whether a refresh came between two column
-// commands of the events one IssueRun recorded.
+// commands of the events one packet recorded.
 func refreshMidRun(events []trace.Event) bool {
-	column := false
+	column, ref := false, false
 	for _, e := range events {
 		switch {
 		case e.Kind.IsColumn():
+			if ref {
+				return true
+			}
 			column = true
 		case e.Kind == hbm.CmdREF && column:
-			return true
+			ref = true
 		}
 	}
 	return false
@@ -423,9 +417,10 @@ func (r *runRig) observe(issued int, err error) observed {
 }
 
 // TestIssueRunMatchesSingles issues one kernel's trigger windows, or the
-// register and bank column runs around them (columnStream), into two
-// identical channels with Trace and timeline armed, as one IssueRun per
-// window and as one Issue per command, and requires the same of
+// register and bank row accesses around them (columnStream), into two
+// identical channels with Trace and timeline armed, as packets (one per
+// pass, one per row access) and as one Issue per command with the same
+// fences, and requires the same of
 // everything either leaves observable: commands issued and the error, the
 // data the reads returned, the channel clock and refreshes, the device's
 // statistics and per-bank counts, the trace and timeline events, the
@@ -451,15 +446,15 @@ func TestIssueRunMatchesSingles(t *testing.T) {
 		t.Run(rc.name, func(t *testing.T) {
 			var got [2]observed
 			var columnsBefore int64
-			for i, runs := range []bool{true, false} {
+			for i, packets := range []bool{true, false} {
 				r := newRunRig(t, rc)
 				columnsBefore = r.columns
 				if rc.columns {
-					got[i] = r.observe(r.columnStream(runs))
+					got[i] = r.observe(r.columnStream(packets))
 				} else {
-					got[i] = r.observe(r.stream(runs, rc.tail))
+					got[i] = r.observe(r.stream(packets, rc.tail))
 				}
-				if runs && rc.refi > 0 && rc.columns && !r.midRun {
+				if packets && rc.refi > 0 && rc.columns && !r.midRun {
 					t.Error("no refresh fell due inside a column run")
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/isa"
 	"pimsim/internal/memctrl"
 )
 
@@ -13,14 +12,11 @@ import (
 // sequence on channel 0 so every phase but SRF fires at least once.
 func driveOnePhaseRound(t *testing.T, rt *Runtime) {
 	t.Helper()
-	prog, err := isa.Assemble(`
+	prog := assemble(t, `
 		MOV(AAM) GRF_A, EVEN_BANK
 		JUMP -1, 7
 		EXIT
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := rt.EnterAB(0); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +29,7 @@ func driveOnePhaseRound(t *testing.T, rt *Runtime) {
 	if err := rt.SetPIMMode(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.IssuePacket(0, 0, []memctrl.Trigger{{Kind: hbm.CmdRD, N: 1}}, nil); err != nil {
+	if err := rt.IssuePacket(0, 0, []memctrl.Entry{{Kind: hbm.CmdRD, N: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.SetPIMMode(0, false); err != nil {

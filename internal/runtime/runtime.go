@@ -3,11 +3,12 @@
 // (mode transitions, CRF/SRF programming, triggers, fences), the memory
 // manager that lays operands out across banks in a PIM-friendly way, and
 // the preprocessor that decides which operations are worth offloading.
-// Every command it issues is one memctrl.Channel.IssueRun: a row command
-// alone, and each column sequence (ZeroGRF, CRF and SRF programming, a
-// unit's GRF unload, an SB bank-row access) as one run, its phase noted
-// once. A kernel's trigger windows and fences on one open row are one
-// packet, issued in one memctrl.Channel.IssuePacket call.
+// Every command sequence it issues is one memctrl.Channel.IssuePacket
+// call: a configuration-row access (a mode handshake, PIM_OP_MODE, CRF
+// and SRF programming, ZeroGRF) is [ACT, WR run, PRE or PREA], its phase
+// noted once; an SB bank-row access and each unit's GRF unload are [ACT,
+// RD or WR run, PRE]; a kernel's trigger windows and fences on one open
+// row are one plan-compiled packet between the row's ACT and PREA.
 package runtime
 
 import (
@@ -81,7 +82,9 @@ type chanState struct {
 	// channel's runs can share them.
 	bufs cmdBufs
 
-	payloads payloadRun // the Payloads buffer
+	// payloads is the Payloads buffer: the payload views, cut once from
+	// one backing array when the channel first needs that many.
+	payloads [][]byte
 }
 
 // UseEngine installs the execution engine that ForEachChannel dispatches
@@ -175,22 +178,20 @@ func NewStack(cfg hbm.Config, n int) (*Runtime, []*hbm.Device, error) {
 // NumChannels returns the number of pseudo channels.
 func (r *Runtime) NumChannels() int { return len(r.Chans) }
 
-// run issues n commands like cmd as one memctrl run: a row command alone
-// (n = 1), or column commands at consecutive columns cmd.Col, cmd.Col+1,
-// ..., command i carrying data[i]. It returns the bursts a RD run read,
-// valid until the channel's next command; an error is worded as the
-// failing command's.
-func (r *Runtime) run(ch int, cmd hbm.Command, n int, data [][]byte) ([][]byte, error) {
-	read, done, err := r.Chans[ch].IssueRun(cmd, n, data)
+// packet issues pk on channel ch as one memctrl packet, WR payloads from
+// data, and reports how far it got; an error is worded as the failing
+// command's.
+func (r *Runtime) packet(ch int, pk []memctrl.Entry, data [][]byte) (memctrl.PacketRun, error) {
+	pr, err := r.Chans[ch].IssuePacket(pk, data)
 	if err != nil {
-		cmd.Col += uint32(done)
-		return nil, fmt.Errorf("runtime: ch%d %s: %w", ch, cmd, err)
+		return pr, fmt.Errorf("runtime: ch%d %s: %w", ch, pk[pr.Entries].Command(pr.Issued), err)
 	}
-	return read, nil
+	return pr, nil
 }
 
-// preA closes every bank.
-var preA = hbm.Command{Kind: hbm.CmdPREA}
+// preA closes every bank: a packet of one, and the last entry of a
+// broadcast configuration-row access.
+var preA = [1]memctrl.Entry{{Kind: hbm.CmdPREA, N: 1}}
 
 // cmdBufs is one channel's buffers for the column runs the runtime builds
 // itself: wr holds a burst per CRF column for the register-space writes
@@ -235,43 +236,35 @@ func (r *Runtime) SetPIMMode(ch int, on bool) error {
 // modeRow opens the mode row of bank group 0's bank, writes data, if any,
 // to its PIM_OP_MODE column and precharges the bank.
 func (r *Runtime) modeRow(ch, bank int, data [][]byte) error {
-	return r.confRun(ch, PhaseMode, hbm.Command{Kind: hbm.CmdACT, Bank: bank, Row: r.Cfg.ModeRow()},
-		hbm.Command{Kind: hbm.CmdWR, Bank: bank, Col: hbm.ColPIMOpMode}, data, hbm.Command{Kind: hbm.CmdPRE, Bank: bank})
+	return r.confRun(ch, PhaseMode, bank, r.Cfg.ModeRow(), hbm.ColPIMOpMode, data,
+		memctrl.Entry{Kind: hbm.CmdPRE, Bank: bank, N: 1})
 }
 
-// confRun is one configuration-row access, booked once as phase ph: act,
-// the writes like wr at consecutive columns as one run, write i carrying
-// data[i] (none without data), then pre.
-func (r *Runtime) confRun(ch int, ph KernelPhase, act, wr hbm.Command, data [][]byte, pre hbm.Command) error {
+// confRun is one configuration-row access, one packet booked once as
+// phase ph: the ACT of row on bank group 0's bank, the writes to
+// consecutive columns from col, write i carrying data[i] (none without
+// data), then pre.
+func (r *Runtime) confRun(ch int, ph KernelPhase, bank int, row, col uint32, data [][]byte, pre memctrl.Entry) error {
 	start := r.Chans[ch].Now()
-	if _, err := r.run(ch, act, 1, nil); err != nil {
-		return err
+	pk := [3]memctrl.Entry{
+		{Kind: hbm.CmdACT, Bank: bank, Row: row, N: 1},
+		{Kind: hbm.CmdWR, Bank: bank, Col: col, N: len(data)},
+		pre,
 	}
-	if _, err := r.run(ch, wr, len(data), data); err != nil {
-		return err
-	}
-	if _, err := r.run(ch, pre, 1, nil); err != nil {
+	if _, err := r.packet(ch, pk[:], data); err != nil {
 		return err
 	}
 	r.notePhase(ch, ph, 1, start)
 	return nil
 }
 
-// ProgramCRF broadcasts a microkernel into every unit of a channel. The
-// channel must be in AB mode with all banks precharged. Programs longer
-// than the CRF are rejected up front (by the encoder).
-func (r *Runtime) ProgramCRF(ch int, prog []isa.Instruction) error {
-	words, err := isa.EncodeProgram(prog)
-	if err != nil {
-		return err
-	}
-	return r.ProgramCRFWords(ch, words)
-}
-
-// ProgramCRFWords is ProgramCRF for a microkernel encoded ahead of time
-// (isa.EncodeProgram): a kernel that launches the same program on every
-// tile of every channel encodes it once.
-func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
+// ProgramCRF broadcasts a microkernel, encoded ahead of time
+// (isa.EncodeProgram, which rejects an invalid instruction), into every
+// unit of a channel: a kernel that launches the same program on every tile
+// of every channel encodes it once. The channel must be in AB mode with
+// all banks precharged. Programs longer than the CRF are rejected before
+// any command issues.
+func (r *Runtime) ProgramCRF(ch int, words []uint32) error {
 	if len(words) > isa.CRFEntries {
 		return fmt.Errorf("runtime: program of %d words overflows the %d-entry CRF",
 			len(words), isa.CRFEntries)
@@ -284,7 +277,7 @@ func (r *Runtime) ProgramCRFWords(ch int, words []uint32) error {
 			buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
 		}
 	}
-	return r.confRun(ch, PhaseCRF, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.CRFRow()}, hbm.Command{Kind: hbm.CmdWR}, bufs, preA)
+	return r.confRun(ch, PhaseCRF, 0, r.Cfg.CRFRow(), 0, bufs, preA[0])
 }
 
 // ProgramSRF broadcasts the scalar registers: m fills SRF_M[0..7], a fills
@@ -300,7 +293,7 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 	clear(srf[0])
 	fp16.Vector(m).PutBytes(srf[0])
 	fp16.Vector(a).PutBytes(srf[0][2*isa.SRFEntries:])
-	return r.confRun(ch, PhaseSRF, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.SRFRow()}, hbm.Command{Kind: hbm.CmdWR}, srf, preA)
+	return r.confRun(ch, PhaseSRF, 0, r.Cfg.SRFRow(), 0, srf, preA[0])
 }
 
 // ZeroGRF broadcasts zeros into all of GRF_B of every unit (accumulator
@@ -311,8 +304,7 @@ func (r *Runtime) ProgramSRF(ch int, m, a []fp16.F16) error {
 func (r *Runtime) ZeroGRF(ch int) error {
 	end := 2 * r.Cfg.GRFDepth()
 	col := end - 2*isa.GRFEntries
-	return r.confRun(ch, PhaseGRF, hbm.Command{Kind: hbm.CmdACT, Row: r.Cfg.GRFRow()},
-		hbm.Command{Kind: hbm.CmdWR, Col: uint32(col)}, r.zeros[:end-col], preA)
+	return r.confRun(ch, PhaseGRF, 0, r.Cfg.GRFRow(), uint32(col), r.zeros[:end-col], preA[0])
 }
 
 // Recover restores a channel to single-bank mode with every bank
@@ -323,7 +315,7 @@ func (r *Runtime) ZeroGRF(ch int) error {
 // and cheap on an already-clean channel: PREA, then unwind whatever mode
 // the channel is still in.
 func (r *Runtime) Recover(ch int) error {
-	if _, err := r.run(ch, preA, 1, nil); err != nil {
+	if _, err := r.packet(ch, preA[:], nil); err != nil {
 		return err
 	}
 	if r.Chans[ch].PCH().Mode() == hbm.ModeABPIM {
@@ -337,32 +329,33 @@ func (r *Runtime) Recover(ch int) error {
 	return nil
 }
 
-// IssuePacket visits row on channel ch in AB-PIM mode: ACT, the packet's
-// AAM windows and fences in one memctrl.Channel.IssuePacket call (WR
-// payloads from data, nil on a timing-only device), PREA. The trigger
-// phase is booked once, for the windows that issued whole, fences
-// excluded; an error is worded as the failing command's.
-func (r *Runtime) IssuePacket(ch int, row uint32, pk []memctrl.Trigger, data [][]byte) error {
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, Row: row}, 1, nil); err != nil {
+// IssuePacket visits row on channel ch in AB-PIM mode: the row's ACT, a
+// packet of one; the trigger packet pk, the AAM windows and fences of the
+// visit (WR payloads from data, nil on a timing-only device); the PREA,
+// a packet of one. The trigger phase is booked once, for the windows that
+// issued whole, fences excluded; an error is worded as the failing
+// command's.
+func (r *Runtime) IssuePacket(ch int, row uint32, pk []memctrl.Entry, data [][]byte) error {
+	act := [1]memctrl.Entry{{Kind: hbm.CmdACT, Row: row, N: 1}}
+	if _, err := r.packet(ch, act[:], nil); err != nil {
 		return err
 	}
-	pr, err := r.Chans[ch].IssuePacket(pk, data)
+	pr, err := r.packet(ch, pk, data)
 	l := &r.chs[ch].phases
 	for _, e := range pk[:pr.Entries] {
 		l.Count[PhaseTrigger] += int64(e.N)
 	}
 	l.Cycles[PhaseTrigger] += pr.Cycles
 	if err != nil {
-		e := &pk[pr.Entries]
-		return fmt.Errorf("runtime: ch%d %s: %w", ch, hbm.Command{Kind: e.Kind, Bank: e.Bank, Col: e.Col + uint32(pr.Issued)}, err)
+		return err
 	}
-	_, err = r.run(ch, preA, 1, nil)
+	_, err = r.packet(ch, preA[:], nil)
 	return err
 }
 
 // WriteBankSB writes consecutive columns col0, col0+1, ... of one bank
-// row in SB mode: ACT, one column run, PRE. data holds AccessBytes per
-// column, end to end.
+// row in SB mode: one packet of ACT, the column run, PRE. data holds
+// AccessBytes per column, end to end.
 func (r *Runtime) WriteBankSB(ch, flatBank int, row, col0 uint32, data []byte) error {
 	size := r.Cfg.AccessBytes
 	if len(data)%size != 0 {
@@ -376,46 +369,46 @@ func (r *Runtime) WriteBankSB(ch, flatBank int, row, col0 uint32, data []byte) e
 		cols = append(cols, data[o:o+size:o+size])
 	}
 	r.chs[ch].bufs.cols = cols
-	err := r.bankRun(ch, flatBank, row, hbm.Command{Kind: hbm.CmdWR, Col: col0}, len(cols), cols, nil)
+	_, err := r.bankRun(ch, flatBank, row, hbm.CmdWR, col0, len(cols), cols)
 	clear(cols) // the views must not keep the caller's payload alive
 	return err
 }
 
 // ReadBankSB reads n consecutive columns col0, col0+1, ... of one bank row
-// in SB mode: ACT, one column run, PRE. It returns a fresh n*AccessBytes
-// slice, the columns end to end (zeros on a timing-only device, which
-// moves no data).
+// in SB mode: one packet of ACT, the column run, PRE. It returns a fresh
+// n*AccessBytes slice, the columns end to end (zeros on a timing-only
+// device, which moves no data).
 func (r *Runtime) ReadBankSB(ch, flatBank int, row, col0 uint32, n int) ([]byte, error) {
-	out := make([]byte, n*r.Cfg.AccessBytes)
-	if err := r.bankRun(ch, flatBank, row, hbm.Command{Kind: hbm.CmdRD, Col: col0}, n, nil, out); err != nil {
+	read, err := r.bankRun(ch, flatBank, row, hbm.CmdRD, col0, n, nil)
+	if err != nil {
 		return nil, err
+	}
+	out := make([]byte, n*r.Cfg.AccessBytes)
+	for i, burst := range read {
+		copy(out[i*r.Cfg.AccessBytes:], burst)
 	}
 	return out, nil
 }
 
-// bankRun issues n column commands like cmd on one bank row in SB mode,
-// the row's ACT before them and its PRE after: command i of a WR run
-// carries data[i], and a RD run's bursts are copied into out, end to end.
-func (r *Runtime) bankRun(ch, flatBank int, row uint32, cmd hbm.Command, n int, data [][]byte, out []byte) error {
-	cmd.BG, cmd.Bank = r.Cfg.BankOf(flatBank)
-	if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: cmd.BG, Bank: cmd.Bank, Row: row}, 1, nil); err != nil {
-		return err
+// bankRun issues n column commands of kind at columns col0, col0+1, ...
+// of one bank row in SB mode as one packet, the row's ACT before them and
+// its PRE after, command i of a WR run carrying data[i]. It returns the
+// bursts a RD run read, the channel's run slots.
+func (r *Runtime) bankRun(ch, flatBank int, row uint32, kind hbm.CmdKind, col0 uint32, n int, data [][]byte) ([][]byte, error) {
+	bg, b := r.Cfg.BankOf(flatBank)
+	pk := [3]memctrl.Entry{
+		{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: row, N: 1},
+		{Kind: kind, BG: bg, Bank: b, Col: col0, N: n},
+		{Kind: hbm.CmdPRE, BG: bg, Bank: b, N: 1},
 	}
-	read, err := r.run(ch, cmd, n, data)
-	if err != nil {
-		return err
-	}
-	for i, burst := range read {
-		copy(out[i*r.Cfg.AccessBytes:], burst)
-	}
-	_, err = r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: cmd.BG, Bank: cmd.Bank}, 1, nil)
-	return err
+	pr, err := r.packet(ch, pk[:], data)
+	return pr.Read, err
 }
 
 // ReadGRFRowSB reads the first regs GRF registers of one half (0 = GRF_A,
-// 1 = GRF_B) of every unit through the SB register space, with one row
-// activation and one column run per unit, and hands each unit's bursts,
-// one per register, to fold in unit order. A GEMV unloads its partial sums
+// 1 = GRF_B) of every unit through the SB register space, one packet per
+// unit (the GRF row's ACT, one column run, PRE), and hands each unit's
+// bursts, one per register, to fold in unit order. A GEMV unloads its partial sums
 // through here once per macro tile, on every channel of every launch, so
 // nothing is decoded or kept: the bursts are the channel's run slots, valid
 // only during the call (the next unit's run reuses them), and fold adds
@@ -425,19 +418,12 @@ func (r *Runtime) ReadGRFRowSB(ch, half, regs int, fold func(unit int, bursts []
 	banksPerUnit := r.Cfg.BanksPerUnit()
 	col := uint32(half * r.Cfg.GRFDepth())
 	for u := 0; u < r.Cfg.PIMUnits; u++ {
-		bg, b := r.Cfg.BankOf(u * banksPerUnit)
-		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdACT, BG: bg, Bank: b, Row: r.Cfg.GRFRow()}, 1, nil); err != nil {
-			return err
-		}
-		read, err := r.run(ch, hbm.Command{Kind: hbm.CmdRD, BG: bg, Bank: b, Col: col}, regs, nil)
+		read, err := r.bankRun(ch, u*banksPerUnit, r.Cfg.GRFRow(), hbm.CmdRD, col, regs, nil)
 		if err != nil {
 			return err
 		}
 		if fold != nil {
 			fold(u, read)
-		}
-		if _, err := r.run(ch, hbm.Command{Kind: hbm.CmdPRE, BG: bg, Bank: b}, 1, nil); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -451,24 +437,15 @@ func (r *Runtime) ReadGRFRowSB(ch, half, regs int, fold func(unit int, bursts []
 // nothing downstream keeps a payload: hbm has consumed a WR's data by the
 // time the run returns.
 func (r *Runtime) Payloads(ch, n int) [][]byte {
-	return r.chs[ch].payloads.cut(n, r.Cfg.AccessBytes)
-}
-
-// payloadRun is one channel's Payloads buffer: the payload views, cut
-// once from one backing array when the channel first needs that many.
-type payloadRun struct {
-	views [][]byte
-}
-
-func (p *payloadRun) cut(n, size int) [][]byte {
-	if len(p.views) < n {
+	p := &r.chs[ch].payloads
+	if size := r.Cfg.AccessBytes; len(*p) < n {
 		buf := make([]byte, n*size)
-		p.views = make([][]byte, n)
-		for k := range p.views {
-			p.views[k] = buf[k*size : (k+1)*size : (k+1)*size]
+		*p = make([][]byte, n)
+		for k := range *p {
+			(*p)[k] = buf[k*size : (k+1)*size : (k+1)*size]
 		}
 	}
-	return p.views[:n]
+	return (*p)[:n]
 }
 
 // regionMark is one channel's kernel-region snapshot.

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,6 +28,20 @@ func newRT(t *testing.T, channels int) *Runtime {
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// assemble assembles and encodes a microkernel, as a kernel plan does.
+func assemble(t testing.TB, src string) []uint32 {
+	t.Helper()
+	prog, err := isa.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, err := isa.EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return words
 }
 
 func TestModeSequences(t *testing.T) {
@@ -63,14 +79,11 @@ func TestModeSequences(t *testing.T) {
 
 func TestProgramCRFRoundTrip(t *testing.T) {
 	rt := newRT(t, 1)
-	prog, err := isa.Assemble(`
+	prog := assemble(t, `
 		MOV(AAM) GRF_A, EVEN_BANK
 		JUMP -1, 7
 		EXIT
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := rt.EnterAB(0); err != nil {
 		t.Fatal(err)
 	}
@@ -269,32 +282,24 @@ func TestErrorPropagation(t *testing.T) {
 		t.Error("PIM_OP_MODE accepted in SB mode")
 	}
 	// PREA with nothing open is fine (it is idempotent)...
-	if _, err := rt.run(0, hbm.Command{Kind: hbm.CmdPREA}, 1, nil); err != nil {
+	if _, err := rt.packet(0, preA[:], nil); err != nil {
 		t.Errorf("PREA on idle banks: %v", err)
 	}
 	// ...but a trigger outside AB-PIM is a plain column command: in SB
 	// mode the row visit opens bank 0 alone, and bank 1 is idle.
-	if err := rt.IssuePacket(0, 0, []memctrl.Trigger{{Kind: hbm.CmdRD, Bank: 1, N: 1}}, nil); err == nil {
+	if err := rt.IssuePacket(0, 0, []memctrl.Entry{{Kind: hbm.CmdRD, Bank: 1, N: 1}}, nil); err == nil {
 		t.Error("trigger accepted in SB mode with idle banks")
 	}
 	if err := rt.Recover(0); err != nil {
 		t.Fatal(err)
 	}
-	// Oversized CRF program.
-	long := make([]isa.Instruction, isa.CRFEntries+1)
-	for i := range long {
-		long[i] = isa.Nop()
-	}
+	// Oversized CRF program (an invalid instruction never reaches the
+	// runtime: isa.EncodeProgram refuses it, TestEncodeProgramBounds).
 	if err := rt.EnterAB(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.ProgramCRF(0, long); err == nil {
+	if err := rt.ProgramCRF(0, make([]uint32, isa.CRFEntries+1)); err == nil {
 		t.Error("oversized program accepted")
-	}
-	// Invalid instruction in a program.
-	bad := []isa.Instruction{{Op: isa.MUL, Dst: isa.EvenBank, Src0: isa.GRFA, Src1: isa.GRFB}}
-	if err := rt.ProgramCRF(0, bad); err == nil {
-		t.Error("invalid instruction accepted")
 	}
 }
 
@@ -407,12 +412,8 @@ func TestProgramCRFOverflow(t *testing.T) {
 	if err := rt.EnterAB(0); err != nil {
 		t.Fatal(err)
 	}
-	prog := make([]isa.Instruction, isa.CRFEntries+1)
-	for i := range prog {
-		prog[i] = isa.Instruction{Op: isa.NOP}
-	}
 	before := rt.Chans[0].Now()
-	if err := rt.ProgramCRF(0, prog); err == nil {
+	if err := rt.ProgramCRF(0, make([]uint32, isa.CRFEntries+1)); err == nil {
 		t.Error("oversized CRF program accepted")
 	}
 	if rt.Chans[0].Now() != before {
@@ -420,13 +421,12 @@ func TestProgramCRFOverflow(t *testing.T) {
 	}
 }
 
-// TestProgramCRFWordsIsProgramCRF: a program encoded ahead of time lands in
-// the CRF as the same words, in the same cycles and commands, as the same
-// program handed over as instructions; and the payload buffer a channel's
-// register writes share carries nothing from one write into the next (a
-// mode write after a CRF write, zeros after a mode-on).
-func TestProgramCRFWordsIsProgramCRF(t *testing.T) {
-	prog, err := isa.Assemble(`
+// TestProgramCRFPayloads: an encoded program lands in every unit's CRF as
+// its words, the last column zero-padded past the program; and the payload
+// buffer a channel's register writes share carries nothing from one write
+// into the next (a mode write after a CRF write, zeros after a mode-on).
+func TestProgramCRFPayloads(t *testing.T) {
+	words := assemble(t, `
 		MOV(AAM) GRF_A, EVEN_BANK
 		JUMP -1, 7
 		MAC(AAM) GRF_B, GRF_A, EVEN_BANK
@@ -437,48 +437,31 @@ func TestProgramCRFWordsIsProgramCRF(t *testing.T) {
 		NOP
 		NOP
 	`) // nine words: two CRF columns, the second mostly padding
-	if err != nil {
+	b := newRT(t, 1)
+	if err := b.EnterAB(0); err != nil {
 		t.Fatal(err)
 	}
-	words, err := isa.EncodeProgram(prog)
-	if err != nil {
+	// The buffer first holds a longer program's second column.
+	if err := b.ProgramCRF(0, make([]uint32, 16)); err != nil {
 		t.Fatal(err)
 	}
-	a, b := newRT(t, 1), newRT(t, 1)
-	for _, rt := range []*Runtime{a, b} {
-		if err := rt.EnterAB(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.ProgramCRF(0, prog); err != nil {
+	if err := b.ProgramCRF(0, words); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ProgramCRFWords(0, words); err != nil {
-		t.Fatal(err)
-	}
-	if a.Now(0) != b.Now(0) || a.Chans[0].PCH().Stats() != b.Chans[0].PCH().Stats() {
-		t.Errorf("instructions: cycle %d %+v; words: cycle %d %+v",
-			a.Now(0), a.Chans[0].PCH().Stats(), b.Now(0), b.Chans[0].PCH().Stats())
-	}
-	for col := uint32(0); col < 2; col++ {
-		bufA, bufB := make([]byte, 32), make([]byte, 32)
-		for u := 0; u < a.Cfg.PIMUnits; u++ {
-			if _, err := a.Execs[0].RegisterRead(u, 1, hbm.RegCRF, col, [][]byte{bufA}); err != nil {
+	buf := make([]byte, 32)
+	for u := 0; u < b.Cfg.PIMUnits; u++ {
+		var back []uint32
+		for col := uint32(0); col < 2; col++ {
+			if _, err := b.Execs[0].RegisterRead(u, 1, hbm.RegCRF, col, [][]byte{buf}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.Execs[0].RegisterRead(u, 1, hbm.RegCRF, col, [][]byte{bufB}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bufA, bufB) {
-				t.Fatalf("unit %d CRF column %d: %x != %x", u, col, bufA, bufB)
+			for i := 0; i < 32; i += 4 {
+				back = append(back, binary.LittleEndian.Uint32(buf[i:]))
 			}
 		}
-		if col == 1 && !bytes.Equal(bufA[4:], make([]byte, 28)) {
-			t.Errorf("CRF column 1 carries column 0's words past the program: %x", bufA)
+		if !slices.Equal(back[:len(words)], words) || !slices.Equal(back[len(words):], make([]uint32, 16-len(words))) {
+			t.Fatalf("unit %d CRF holds %x, want %x then zeros", u, back, words)
 		}
-	}
-	if err := b.ProgramCRFWords(0, make([]uint32, isa.CRFEntries+1)); err == nil {
-		t.Error("oversized word program accepted")
 	}
 
 	// The shared buffer now holds CRF words: the mode and zero payloads
