@@ -36,7 +36,9 @@ race:
 # engine (the op of bench/'s seq_closed without the server).
 # -p 1: the packages run one after another, so none times the others.
 # Record it on a quiet host with AVX + F16C, or the simd row is missing.
-# The README's "Simulator performance" table is regenerated from this file.
+# The README's "Simulator performance" table is this file's rows as
+# recorded; copy them over with each new recording, and put the change's
+# before/after measurements in CHANGES.md, not the README.
 bench:
 	$(GO) test -p 1 -run '^$$' -bench 'Gemv$$|^BenchmarkMACVecBursts$$|^BenchmarkTrigger$$|^BenchmarkPacket$$|^BenchmarkStepSlots$$' -benchmem . ./internal/fp16 ./internal/pim ./internal/memctrl ./internal/nn \
 	| $(GO) run ./tools/benchjson -out BENCH_gemv.json
@@ -109,19 +111,24 @@ benchmark-check:
 # (cmd/pimserve: Set never panics, an accepted lane has a positive weight
 # and its String form parses back to the same lane) for ten seconds.
 # -fuzzminimizetime 1s: the default minute of minimising would leave the
-# ten seconds no executions.
+# ten seconds no executions. Each target's anchored name is first checked
+# with scripts/test_selection.sh: `go test -fuzz` on a name that matches
+# no target in the package fuzzes nothing and still passes, so a renamed
+# target would drop out of the run unnoticed.
+fuzz = GO=$(GO) bash scripts/test_selection.sh '^$(1)$$' $(2) && \
+	$(GO) test -run '^$$' -fuzz '^$(1)$$' -fuzztime 10s -fuzzminimizetime 1s $(2)
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzTriggerDifferential -fuzztime 10s -fuzzminimizetime 1s ./internal/pim
-	$(GO) test -run '^$$' -fuzz FuzzTriggerPacket -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime
-	$(GO) test -run '^$$' -fuzz FuzzMACVec -fuzztime 10s -fuzzminimizetime 1s ./internal/fp16
-	$(GO) test -run '^$$' -fuzz FuzzISARoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
-	$(GO) test -run '^$$' -fuzz FuzzInferBody -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzParseObjective -fuzztime 10s -fuzzminimizetime 1s ./internal/slo
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/ecc
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzParseVariant -fuzztime 10s -fuzzminimizetime 1s ./internal/hbm
-	$(GO) test -run '^$$' -fuzz FuzzPrometheusRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
-	$(GO) test -run '^$$' -fuzz FuzzTenantFlag -fuzztime 10s -fuzzminimizetime 1s ./cmd/pimserve
+	$(call fuzz,FuzzTriggerDifferential,./internal/pim)
+	$(call fuzz,FuzzTriggerPacket,./internal/runtime)
+	$(call fuzz,FuzzMACVec,./internal/fp16)
+	$(call fuzz,FuzzISARoundTrip,./internal/isa)
+	$(call fuzz,FuzzInferBody,./internal/serve)
+	$(call fuzz,FuzzParseObjective,./internal/slo)
+	$(call fuzz,FuzzDecode,./internal/ecc)
+	$(call fuzz,FuzzParse,./internal/trace)
+	$(call fuzz,FuzzParseVariant,./internal/hbm)
+	$(call fuzz,FuzzPrometheusRoundTrip,./internal/metrics)
+	$(call fuzz,FuzzTenantFlag,./cmd/pimserve)
 
 # examples-smoke builds every examples/* main and runs it under a 60 s
 # timeout; a nonzero exit or a timeout fails the target, and only a

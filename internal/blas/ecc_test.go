@@ -32,8 +32,8 @@ func TestPimGemvWithECCCorrectsInjectedFaults(t *testing.T) {
 	W := randVec(rng, M*K)
 	x := randVec(rng, K)
 
-	// Clean run establishes the expected result. FreeAllPIMRows inside
-	// PimGemv means the next run reuses the same weight rows.
+	// Clean run establishes the expected result. PimGemv frees its rows,
+	// so the next run reuses the same weight rows (first fit).
 	clean, _, err := PimGemv(rt, W, M, K, x)
 	if err != nil {
 		t.Fatal(err)

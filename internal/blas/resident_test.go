@@ -87,7 +87,7 @@ func TestResidentGemvRepeatedRuns(t *testing.T) {
 
 // TestResidentGemvCoexistsWithAdHocKernels pins the allocator contract
 // the serving layer depends on: an ad-hoc PimGemv between batched runs
-// must not clobber resident weights (scoped frees, not FreeAllPIMRows).
+// must not clobber resident weights (each kernel frees only its own rows).
 func TestResidentGemvCoexistsWithAdHocKernels(t *testing.T) {
 	rt := testRuntime(t, 2, true)
 	const M, K = 32, 64

@@ -1,8 +1,9 @@
-// Package driver models the PIM device driver of Section V-A. At boot it
-// reserves the PIM configuration rows, carves the physical address space
-// into a cacheable host region and an uncacheable PIM region, and hands
-// out physically contiguous allocations so PIM kernels never need
-// virtual-to-physical translation mid-kernel.
+// Package driver models the PIM-row half of the device driver of Section
+// V-A. At boot it reserves the PIM configuration rows and the PIM operand
+// rows of every bank, then hands out runs of consecutive operand rows, so
+// a PIM kernel's operands sit at the same rows in every bank and never
+// need virtual-to-physical translation mid-kernel. Rows with
+// uncorrectable faults are quarantined out of the free list for good.
 package driver
 
 import (
@@ -10,32 +11,15 @@ import (
 	"sync"
 
 	"pimsim/internal/hbm"
-	"pimsim/internal/memctrl"
 	"pimsim/internal/obs"
 )
 
-// Region is one physically contiguous allocation.
-type Region struct {
-	Addr  uint64
-	Bytes uint64
-	// Uncacheable regions bypass the LLC: the host issues a DRAM command
-	// for every access (required for PIM operands, Section V-A).
-	Uncacheable bool
-}
-
-// End returns the first address past the region.
-func (r Region) End() uint64 { return r.Addr + r.Bytes }
-
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr uint64) bool { return addr >= r.Addr && addr < r.End() }
-
-// Driver owns the physical address space of the memory system. All
-// allocation methods are safe for concurrent use; note however that one
-// Driver belongs to one Runtime (one simulated device shard), so
-// independent shards never share allocator state.
+// Driver owns the PIM rows of the memory system. All allocation methods
+// are safe for concurrent use; note however that one Driver belongs to one
+// Runtime (one simulated device shard), so independent shards never share
+// allocator state.
 type Driver struct {
 	cfg hbm.Config
-	m   memctrl.AddrMap
 
 	mu sync.Mutex
 
@@ -55,11 +39,6 @@ type Driver struct {
 	pimAlloc    map[uint32]uint32 // base row -> span length
 	quarantined []rowSpan         // rows retired by QuarantinePIMRows (sorted)
 
-	hostNext  uint64 // bump allocator for host regions (address space)
-	hostLimit uint64
-
-	regions []Region
-
 	// Obs, when set, records PIM-row allocator activity (allocations,
 	// frees, quarantines) as instant events in the flight recorder,
 	// labelled ObsName (the serving layer sets "shardN"). Nil costs one
@@ -77,15 +56,12 @@ type rowSpan struct {
 // PIM operand layouts at boot.
 const PIMRowFraction = 0.5
 
-// New boots the driver for a memory system of `channels` pseudo channels
-// with the device geometry cfg.
-func New(cfg hbm.Config, channels int) (*Driver, error) {
+// New boots the driver for a memory system with the device geometry cfg.
+func New(cfg hbm.Config) (*Driver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := memctrl.NewAddrMap(channels, cfg.BankGroups, cfg.BanksPerGroup,
-		cfg.Rows, cfg.ColumnsPerRow(), cfg.AccessBytes)
-	d := &Driver{cfg: cfg, m: m}
+	d := &Driver{cfg: cfg}
 	if cfg.PIMUnits > 0 {
 		d.confRowBase = uint32(cfg.Rows - hbm.NumConfRows)
 		d.pimRowBase = uint32(float64(cfg.Rows) * (1 - PIMRowFraction))
@@ -100,48 +76,11 @@ func New(cfg hbm.Config, channels int) (*Driver, error) {
 	if d.confRowBase > d.pimRowBase {
 		d.pimFree = []rowSpan{{Base: d.pimRowBase, N: d.confRowBase - d.pimRowBase}}
 	}
-	// Host space covers every address whose row is below the PIM region.
-	d.hostLimit = m.Capacity() / uint64(cfg.Rows) * uint64(d.pimRowBase)
 	return d, nil
 }
 
-// Map returns the system address map.
-func (d *Driver) Map() memctrl.AddrMap { return d.m }
-
-// HostCapacity returns the bytes available to cacheable host allocations.
-func (d *Driver) HostCapacity() uint64 { return d.hostLimit }
-
 // PIMRows returns the row range reserved for PIM operand layouts.
 func (d *Driver) PIMRows() (base, limit uint32) { return d.pimRowBase, d.confRowBase }
-
-// AllocHost returns a physically contiguous cacheable region.
-func (d *Driver) AllocHost(bytes uint64) (Region, error) {
-	return d.alloc(bytes, false)
-}
-
-// AllocUncacheable returns a physically contiguous uncacheable region for
-// PIM-visible host buffers (inputs pushed over the write datapath,
-// results read back).
-func (d *Driver) AllocUncacheable(bytes uint64) (Region, error) {
-	return d.alloc(bytes, true)
-}
-
-func (d *Driver) alloc(bytes uint64, uncacheable bool) (Region, error) {
-	if bytes == 0 {
-		return Region{}, fmt.Errorf("driver: zero-byte allocation")
-	}
-	// 32-byte alignment: one DRAM access granule.
-	bytes = (bytes + uint64(d.cfg.AccessBytes) - 1) &^ uint64(d.cfg.AccessBytes-1)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.hostNext+bytes > d.hostLimit {
-		return Region{}, fmt.Errorf("driver: out of host memory (%d of %d used)", d.hostNext, d.hostLimit)
-	}
-	r := Region{Addr: d.hostNext, Bytes: bytes, Uncacheable: uncacheable}
-	d.hostNext += bytes
-	d.regions = append(d.regions, r)
-	return r, nil
-}
 
 // AllocPIMRows reserves n consecutive rows (the same row indices in every
 // bank of every channel) for a PIM operand layout and returns the base
@@ -223,7 +162,7 @@ func (d *Driver) FreePIMRows(base uint32) error {
 // with uncorrectable (stuck multi-bit) faults. The rows must currently
 // be free: a model still resident on a faulty row is unloaded first,
 // then its row quarantined, then the model reloaded (first-fit skips
-// the hole). Quarantined rows never return, not even via FreeAllPIMRows.
+// the hole). Quarantined rows never return.
 func (d *Driver) QuarantinePIMRows(base uint32, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("driver: non-positive quarantine count")
@@ -281,29 +220,6 @@ func (d *Driver) PIMRowsQuarantined() int {
 	return int(n)
 }
 
-// FreeAllPIMRows releases every PIM row reservation (system teardown).
-// Kernels and model handles free their own spans with FreePIMRows; this
-// remains for tests and full resets only — on a live serving shard it
-// would yank resident model weights out from under the serving scheduler.
-func (d *Driver) FreeAllPIMRows() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pimAlloc = make(map[uint32]uint32)
-	d.pimFree = nil
-	// Quarantined rows stay retired across a full reset: re-carve the
-	// holes (d.quarantined is sorted and disjoint by construction).
-	next := d.pimRowBase
-	for _, q := range d.quarantined {
-		if q.Base > next {
-			d.pimFree = append(d.pimFree, rowSpan{Base: next, N: q.Base - next})
-		}
-		next = q.Base + q.N
-	}
-	if d.confRowBase > next {
-		d.pimFree = append(d.pimFree, rowSpan{Base: next, N: d.confRowBase - next})
-	}
-}
-
 // PIMRowsFree returns the number of currently unallocated PIM rows.
 func (d *Driver) PIMRowsFree() int {
 	d.mu.Lock()
@@ -328,18 +244,3 @@ func (d *Driver) PIMRowsLive() int {
 	}
 	return int(live)
 }
-
-// Uncacheable reports whether addr lives in an uncacheable region.
-func (d *Driver) Uncacheable(addr uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, r := range d.regions {
-		if r.Uncacheable && r.Contains(addr) {
-			return true
-		}
-	}
-	return false
-}
-
-// Decode translates a physical address through the system map.
-func (d *Driver) Decode(addr uint64) (memctrl.Loc, error) { return d.m.Decode(addr) }

@@ -8,7 +8,7 @@ import (
 
 func newDrv(t *testing.T) *Driver {
 	t.Helper()
-	d, err := New(hbm.PIMHBMConfig(1000), 64)
+	d, err := New(hbm.PIMHBMConfig(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,62 +22,11 @@ func TestBootPartitioning(t *testing.T) {
 	if limit != uint32(cfg.Rows-hbm.NumConfRows) {
 		t.Errorf("PIM row limit %d, want below the %d conf rows", limit, hbm.NumConfRows)
 	}
-	if base >= limit {
-		t.Error("empty PIM row region")
+	if base == 0 || base >= limit {
+		t.Errorf("PIM rows [%d, %d): want a nonempty region above the host rows", base, limit)
 	}
-	if d.HostCapacity() == 0 || d.HostCapacity() >= d.Map().Capacity() {
-		t.Errorf("host capacity %d of %d", d.HostCapacity(), d.Map().Capacity())
-	}
-	// Host space must not reach into PIM rows: the last host address's row
-	// is below the PIM base.
-	loc, err := d.Decode(d.HostCapacity() - 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc.Row >= base {
-		t.Errorf("host space reaches PIM row %d (base %d)", loc.Row, base)
-	}
-}
-
-func TestAllocContiguousAligned(t *testing.T) {
-	d := newDrv(t)
-	a, err := d.AllocHost(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Bytes%32 != 0 || a.Bytes < 100 {
-		t.Errorf("allocation rounded to %d", a.Bytes)
-	}
-	b, err := d.AllocHost(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Addr != a.End() {
-		t.Errorf("allocations not contiguous: %d vs %d", b.Addr, a.End())
-	}
-	if _, err := d.AllocHost(0); err == nil {
-		t.Error("zero allocation accepted")
-	}
-}
-
-func TestUncacheable(t *testing.T) {
-	d := newDrv(t)
-	c, err := d.AllocHost(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := d.AllocUncacheable(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Uncacheable(c.Addr) {
-		t.Error("cacheable region flagged uncacheable")
-	}
-	if !d.Uncacheable(u.Addr) || !d.Uncacheable(u.End()-1) {
-		t.Error("uncacheable region not flagged")
-	}
-	if d.Uncacheable(u.End()) {
-		t.Error("flag leaks past region end")
+	if got := d.PIMRowsFree(); got != int(limit-base) {
+		t.Errorf("free rows at boot = %d, want %d", got, limit-base)
 	}
 }
 
@@ -102,13 +51,17 @@ func TestPIMRowAllocator(t *testing.T) {
 	if _, err := d.AllocPIMRows(int(limit-base) + 1); err == nil {
 		t.Error("over-allocation accepted")
 	}
-	d.FreeAllPIMRows()
+	for _, r := range []uint32{r1, r2} {
+		if err := d.FreePIMRows(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	r3, err := d.AllocPIMRows(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r3 != base {
-		t.Error("FreeAllPIMRows did not reset")
+		t.Error("freed rows not reused from the base")
 	}
 	if _, err := d.AllocPIMRows(0); err == nil {
 		t.Error("zero rows accepted")
@@ -116,28 +69,15 @@ func TestPIMRowAllocator(t *testing.T) {
 }
 
 func TestPlainHBMHasNoPIMRows(t *testing.T) {
-	d, err := New(hbm.HBM2Config(1000), 64)
+	d, err := New(hbm.HBM2Config(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.AllocPIMRows(1); err == nil {
 		t.Error("PIM rows allocated on a plain HBM2 system")
 	}
-	if d.HostCapacity() != d.Map().Capacity() {
-		t.Error("plain HBM2 should expose the full capacity to the host")
-	}
-}
-
-func TestHostExhaustion(t *testing.T) {
-	d := newDrv(t)
-	if _, err := d.AllocHost(d.HostCapacity() + 32); err == nil {
-		t.Error("oversized allocation accepted")
-	}
-	if _, err := d.AllocHost(d.HostCapacity()); err != nil {
-		t.Errorf("exact-fit allocation rejected: %v", err)
-	}
-	if _, err := d.AllocHost(32); err == nil {
-		t.Error("allocation beyond capacity accepted")
+	if base, limit := d.PIMRows(); base != limit {
+		t.Errorf("plain HBM2 reserves PIM rows [%d, %d); want none", base, limit)
 	}
 }
 

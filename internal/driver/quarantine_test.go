@@ -53,23 +53,3 @@ func TestQuarantineRejectsLiveAndForeignRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuarantineSurvivesFullReset(t *testing.T) {
-	d := newDrv(t)
-	base, limit := d.PIMRows()
-	total := int(limit - base)
-	if err := d.QuarantinePIMRows(base+3, 2); err != nil {
-		t.Fatal(err)
-	}
-	d.FreeAllPIMRows()
-	if got := d.PIMRowsFree(); got != total-2 {
-		t.Fatalf("free after reset = %d, want %d (quarantine must persist)", got, total-2)
-	}
-	if got := d.PIMRowsQuarantined(); got != 2 {
-		t.Fatalf("quarantined after reset = %d, want 2", got)
-	}
-	// The hole is still skipped.
-	if got, err := d.AllocPIMRows(5); err != nil || got != base+5 {
-		t.Fatalf("AllocPIMRows(5) = %d, %v; want %d", got, err, base+5)
-	}
-}

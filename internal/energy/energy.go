@@ -37,33 +37,6 @@ func (b Breakdown) Total() float64 {
 		b.IOPHY + b.PIMFPU + b.Refresh + b.Background
 }
 
-// Dynamic sums everything except background (pJ).
-func (b Breakdown) Dynamic() float64 { return b.Total() - b.Background }
-
-// Add returns the componentwise sum.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		Cell:       b.Cell + o.Cell,
-		IOSA:       b.IOSA + o.IOSA,
-		Activate:   b.Activate + o.Activate,
-		GlobalBus:  b.GlobalBus + o.GlobalBus,
-		BufferIO:   b.BufferIO + o.BufferIO,
-		IOPHY:      b.IOPHY + o.IOPHY,
-		PIMFPU:     b.PIMFPU + o.PIMFPU,
-		Refresh:    b.Refresh + o.Refresh,
-		Background: b.Background + o.Background,
-	}
-}
-
-// Scale returns the breakdown multiplied by k.
-func (b Breakdown) Scale(k float64) Breakdown {
-	return Breakdown{
-		Cell: k * b.Cell, IOSA: k * b.IOSA, Activate: k * b.Activate,
-		GlobalBus: k * b.GlobalBus, BufferIO: k * b.BufferIO, IOPHY: k * b.IOPHY,
-		PIMFPU: k * b.PIMFPU, Refresh: k * b.Refresh, Background: k * b.Background,
-	}
-}
-
 // Compute derives the energy breakdown for activity stats accumulated over
 // `cycles` device clocks. banksPerACT is how many banks one broadcast ACT
 // opens (Config.Banks()); pchs is how many pseudo channels the background
@@ -108,15 +81,6 @@ func Compute(st hbm.Stats, cycles int64, cfg hbm.Config, p Params, pchs int) Bre
 	return b
 }
 
-// Power converts a breakdown accumulated over `cycles` into average watts.
-func Power(b Breakdown, cycles int64, t hbm.Timing) float64 {
-	sec := t.CyclesToSec(cycles)
-	if sec <= 0 {
-		return 0
-	}
-	return b.Total() * 1e-12 / sec
-}
-
 // PowerBreakdown converts each component into average watts.
 type PowerBreakdown struct {
 	Cell, IOSA, Activate, GlobalBus, BufferIO, IOPHY, PIMFPU, Refresh, Background float64
@@ -140,12 +104,4 @@ func ToPower(b Breakdown, cycles int64, t hbm.Timing) (PowerBreakdown, error) {
 func (p PowerBreakdown) Total() float64 {
 	return p.Cell + p.IOSA + p.Activate + p.GlobalBus + p.BufferIO +
 		p.IOPHY + p.PIMFPU + p.Refresh + p.Background
-}
-
-// EnergyPerBit returns pJ/bit for the given breakdown and payload bytes.
-func EnergyPerBit(b Breakdown, bytes int64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return b.Total() / (8 * float64(bytes))
 }

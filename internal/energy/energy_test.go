@@ -10,21 +10,20 @@ import (
 )
 
 func TestBreakdownArithmetic(t *testing.T) {
-	a := Breakdown{Cell: 1, IOSA: 2, Background: 3}
-	b := Breakdown{Cell: 10, PIMFPU: 5}
-	sum := a.Add(b)
-	if sum.Cell != 11 || sum.IOSA != 2 || sum.PIMFPU != 5 || sum.Background != 3 {
-		t.Errorf("Add: %+v", sum)
-	}
-	if got := sum.Total(); got != 21 {
+	b := Breakdown{Cell: 11, IOSA: 2, PIMFPU: 5, Background: 3}
+	if got := b.Total(); got != 21 {
 		t.Errorf("Total = %v", got)
 	}
-	if got := sum.Dynamic(); got != 18 {
-		t.Errorf("Dynamic = %v", got)
+}
+
+// watts is the average power of b over cycles.
+func watts(t *testing.T, b Breakdown, cycles int64, tm hbm.Timing) float64 {
+	t.Helper()
+	p, err := ToPower(b, cycles, tm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sum.Scale(2).Total(); got != 42 {
-		t.Errorf("Scale = %v", got)
-	}
+	return p.Total()
 }
 
 func TestBackgroundUnits(t *testing.T) {
@@ -36,18 +35,8 @@ func TestBackgroundUnits(t *testing.T) {
 		t.Errorf("background = %v pJ, want 1e5", b.Background)
 	}
 	// Power back-conversion: 1e5 pJ over 1 us = 0.1 W.
-	if w := Power(b, 1000, cfg.Timing); math.Abs(w-0.1) > 1e-9 {
+	if w := watts(t, b, 1000, cfg.Timing); math.Abs(w-0.1) > 1e-9 {
 		t.Errorf("power = %v W, want 0.1", w)
-	}
-}
-
-func TestEnergyPerBit(t *testing.T) {
-	b := Breakdown{Cell: 800}
-	if got := EnergyPerBit(b, 100); got != 1 {
-		t.Errorf("pJ/bit = %v, want 1", got)
-	}
-	if got := EnergyPerBit(b, 0); got != 0 {
-		t.Errorf("zero bytes: %v", got)
 	}
 }
 
@@ -144,8 +133,8 @@ func TestFig11PowerAnchors(t *testing.T) {
 
 	hb := Compute(hs, hcyc, hcfg, params, 1)
 	pb := Compute(ps, pcyc, pcfg, params, 1)
-	hw := Power(hb, hcyc, hcfg.Timing)
-	pw := Power(pb, pcyc, pcfg.Timing)
+	hw := watts(t, hb, hcyc, hcfg.Timing)
+	pw := watts(t, pb, pcyc, pcfg.Timing)
 
 	// Anchor 1: PIM-HBM power ~5.4% above HBM (Fig. 11). Allow 2-9%.
 	ratio := pw / hw
@@ -155,7 +144,7 @@ func TestFig11PowerAnchors(t *testing.T) {
 
 	// Anchor 2: removing the buffer-die I/O toggle would put PIM below
 	// HBM (the ~10% note).
-	pNoBuf := Power(Breakdown{
+	pNoBuf := watts(t, Breakdown{
 		Cell: pb.Cell, IOSA: pb.IOSA, Activate: pb.Activate,
 		GlobalBus: pb.GlobalBus, IOPHY: pb.IOPHY, PIMFPU: pb.PIMFPU,
 		Refresh: pb.Refresh, Background: pb.Background,

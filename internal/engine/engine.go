@@ -9,8 +9,8 @@
 //
 // The join point at the end of Run is the cycle barrier: no caller
 // observes channel state until every channel's stream has quiesced, so
-// cross-channel reads (SyncChannels, metrics collection, result
-// readout) always see a consistent frontier.
+// cross-channel reads (metrics collection, result readout) always see a
+// consistent frontier.
 package engine
 
 import (

@@ -256,9 +256,6 @@ func New(cfg Config) *Injector {
 	return in
 }
 
-// Config returns the profile the injector was built from.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Counters snapshots the injection counts.
 func (in *Injector) Counters() Counters {
 	return Counters{

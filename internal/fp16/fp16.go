@@ -101,14 +101,10 @@ type F16 uint16
 
 // Special values.
 const (
-	PosInf  F16 = 0x7C00
-	NegInf  F16 = 0xFC00
-	NaN     F16 = 0x7E00 // a quiet NaN
-	Zero    F16 = 0x0000
-	NegZero F16 = 0x8000
-	One     F16 = 0x3C00
-	MaxVal  F16 = 0x7BFF // 65504
-	MinPos  F16 = 0x0001 // smallest positive subnormal, 2^-24
+	PosInf F16 = 0x7C00
+	NegInf F16 = 0xFC00
+	Zero   F16 = 0x0000
+	One    F16 = 0x3C00
 )
 
 const (
@@ -163,7 +159,7 @@ func fromFloat32Ref(f float32) F16 {
 			return F16(sign | expMask) // rounded up to infinity
 		}
 		return F16(sign | uint16(out))
-	case e >= -25: // subnormal binary16 range (including rounding up to MinPos)
+	case e >= -25: // subnormal binary16 range (including rounding up to the smallest subnormal)
 		// Denormalize: significand is shifted right by (-14 - e) extra bits.
 		sig := uint64(frac | 0x800000)
 		shift := uint32(13 + (-14 - e))
@@ -266,30 +262,11 @@ func (h F16) IsInf(sign int) bool {
 // IsZero reports whether h is +0 or -0.
 func (h F16) IsZero() bool { return h&^signMask == 0 }
 
-// IsSubnormal reports whether h is a nonzero subnormal.
-func (h F16) IsSubnormal() bool { return h&expMask == 0 && h&fracMask != 0 }
-
-// Sign reports the sign bit: true when negative (including -0 and -NaN).
-func (h F16) Signbit() bool { return h&signMask != 0 }
-
-// Neg returns h with the sign flipped (including for NaN, matching IEEE
-// negate semantics).
-func (h F16) Neg() F16 { return h ^ signMask }
-
-// Abs returns h with the sign cleared.
-func (h F16) Abs() F16 { return h &^ signMask }
-
 // Add returns the correctly rounded binary16 sum a+b.
 func Add(a, b F16) F16 { return FromFloat32(a.Float32() + b.Float32()) }
 
-// Sub returns the correctly rounded binary16 difference a-b.
-func Sub(a, b F16) F16 { return FromFloat32(a.Float32() - b.Float32()) }
-
 // Mul returns the correctly rounded binary16 product a*b.
 func Mul(a, b F16) F16 { return FromFloat32(a.Float32() * b.Float32()) }
-
-// Div returns the correctly rounded binary16 quotient a/b.
-func Div(a, b F16) F16 { return FromFloat32(a.Float32() / b.Float32()) }
 
 // MAC returns acc + a*b the way the PIM pipeline computes it: the MULT
 // stage rounds the product to binary16, then the ADD stage rounds the sum
@@ -364,19 +341,8 @@ func Eq(a, b F16) bool {
 	return a == b
 }
 
-// Less reports a < b under IEEE ordering (false if either is NaN).
-func Less(a, b F16) bool {
-	if a.IsNaN() || b.IsNaN() {
-		return false
-	}
-	return a.Float32() < b.Float32()
-}
-
 // Bits returns the raw 16-bit encoding.
 func (h F16) Bits() uint16 { return uint16(h) }
-
-// FromBits builds an F16 from its raw encoding.
-func FromBits(b uint16) F16 { return F16(b) }
 
 // String renders the value in decimal (via float32).
 func (h F16) String() string {

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// Special values the tests name; the package itself needs none of them.
+const (
+	nan     F16 = 0x7E00 // a quiet NaN
+	negZero F16 = 0x8000
+	maxVal  F16 = 0x7BFF // 65504
+	minPos  F16 = 0x0001 // smallest positive subnormal, 2^-24
+)
+
 func TestRoundTripAllValues(t *testing.T) {
 	// Every binary16 bit pattern except NaNs must survive a round trip
 	// through float32 unchanged.
@@ -23,7 +31,7 @@ func TestRoundTripAllValues(t *testing.T) {
 }
 
 func TestNaNRoundTrip(t *testing.T) {
-	for _, h := range []F16{NaN, 0x7C01, 0xFE00, 0xFFFF} {
+	for _, h := range []F16{nan, 0x7C01, 0xFE00, 0xFFFF} {
 		if !h.IsNaN() {
 			t.Fatalf("0x%04x should be NaN", uint16(h))
 		}
@@ -41,7 +49,7 @@ func TestNaNRoundTrip(t *testing.T) {
 // all finite encodings, breaking ties toward the even significand.
 func nearestRef(f float32) F16 {
 	if math.IsNaN(float64(f)) {
-		return NaN
+		return nan
 	}
 	best := F16(0)
 	bestDiff := math.Inf(1)
@@ -62,9 +70,9 @@ func nearestRef(f float32) F16 {
 			}
 		}
 	}
-	// Values at or beyond the halfway point past MaxVal round to infinity:
+	// Values at or beyond the halfway point past maxVal round to infinity:
 	// the tie candidate 65536 has an even significand, so RNE rounds up.
-	limit := MaxVal.Float64() + (MaxVal.Float64()-F16(0x7BFE).Float64())/2
+	limit := maxVal.Float64() + (maxVal.Float64()-F16(0x7BFE).Float64())/2
 	if float64(f) >= limit {
 		return PosInf
 	}
@@ -79,7 +87,7 @@ func nearestRef(f float32) F16 {
 	}
 	// Preserve the sign of zero.
 	if best.IsZero() && math.Signbit(float64(f)) {
-		return NegZero
+		return negZero
 	}
 	return best
 }
@@ -144,12 +152,12 @@ func TestOverflowUnderflow(t *testing.T) {
 		{float32(math.Inf(1)), PosInf},
 		{float32(math.Inf(-1)), NegInf},
 		{1e-10, Zero},
-		{-1e-10, NegZero},
-		{float32(math.Ldexp(1, -24)), MinPos},          // smallest subnormal exactly
+		{-1e-10, negZero},
+		{float32(math.Ldexp(1, -24)), minPos},          // smallest subnormal exactly
 		{float32(math.Ldexp(1, -25)), Zero},            // halfway to zero: ties to even -> 0
-		{float32(math.Ldexp(1, -25)) * 1.0001, MinPos}, // just above halfway
-		{65504, MaxVal},
-		{65519, MaxVal}, // just below the rounding boundary to Inf
+		{float32(math.Ldexp(1, -25)) * 1.0001, minPos}, // just above halfway
+		{65504, maxVal},
+		{65519, maxVal}, // just below the rounding boundary to Inf
 		{65520, PosInf}, // exactly halfway; 0x7BFF is odd so ties round up to Inf
 	}
 	for _, c := range cases {
@@ -162,16 +170,13 @@ func TestOverflowUnderflow(t *testing.T) {
 func TestSubnormals(t *testing.T) {
 	for i := 1; i <= 0x3FF; i++ {
 		h := F16(i)
-		if !h.IsSubnormal() {
-			t.Fatalf("0x%04x should be subnormal", i)
-		}
 		want := float64(i) * math.Ldexp(1, -24)
 		if got := h.Float64(); got != want {
 			t.Fatalf("subnormal 0x%04x = %g, want %g", i, got, want)
 		}
 	}
-	if F16(0x400).IsSubnormal() {
-		t.Fatal("0x0400 is the smallest normal, not subnormal")
+	if got := F16(0x400).Float64(); got != math.Ldexp(1, -14) {
+		t.Fatalf("0x0400 = %g, want the smallest normal 2^-14", got)
 	}
 }
 
@@ -183,12 +188,6 @@ func TestArithmeticBasics(t *testing.T) {
 	}
 	if got := Mul(two, three); got.Float32() != 6 {
 		t.Errorf("2*3 = %v", got)
-	}
-	if got := Sub(two, three); got.Float32() != -1 {
-		t.Errorf("2-3 = %v", got)
-	}
-	if got := Div(three, two); got.Float32() != 1.5 {
-		t.Errorf("3/2 = %v", got)
 	}
 	if got := MAC(One, two, three); got.Float32() != 7 {
 		t.Errorf("1+2*3 = %v", got)
@@ -232,15 +231,6 @@ func TestSpecialArithmetic(t *testing.T) {
 	if got := Add(PosInf, One); got != PosInf {
 		t.Errorf("Inf + 1 = %v", got)
 	}
-	if got := Div(One, Zero); got != PosInf {
-		t.Errorf("1/0 = %v", got)
-	}
-	if got := Div(One.Neg(), Zero); got != NegInf {
-		t.Errorf("-1/0 = %v", got)
-	}
-	if !Div(Zero, Zero).IsNaN() {
-		t.Error("0/0 should be NaN")
-	}
 }
 
 func TestReLU(t *testing.T) {
@@ -250,11 +240,11 @@ func TestReLU(t *testing.T) {
 		{FromFloat32(3.5), FromFloat32(3.5)},
 		{FromFloat32(-3.5), Zero},
 		{Zero, Zero},
-		{NegZero, Zero}, // sign-bit mux: -0 -> +0
+		{negZero, Zero}, // sign-bit mux: -0 -> +0
 		{PosInf, PosInf},
 		{NegInf, Zero},
-		{NaN, NaN},             // positive NaN passes through the mux
-		{NaN | signMask, Zero}, // negative NaN is squashed by the sign bit
+		{nan, nan},             // positive NaN passes through the mux
+		{nan | signMask, Zero}, // negative NaN is squashed by the sign bit
 	}
 	for _, c := range cases {
 		if got := ReLU(c.in); got != c.want {
@@ -299,21 +289,12 @@ func TestQuickProperties(t *testing.T) {
 			return true
 		}
 		got := Add(a, Zero)
-		if a == NegZero {
+		if a == negZero {
 			return got == Zero
 		}
 		return got == a
 	}
 	if err := quick.Check(ident, cfg); err != nil {
-		t.Error(err)
-	}
-
-	// Neg is an involution and Abs clears the sign.
-	neg := func(x uint16) bool {
-		a := F16(x)
-		return a.Neg().Neg() == a && !a.Abs().Signbit()
-	}
-	if err := quick.Check(neg, cfg); err != nil {
 		t.Error(err)
 	}
 
@@ -335,7 +316,7 @@ func TestQuickProperties(t *testing.T) {
 			x, y = y, x
 		}
 		hx, hy := FromFloat32(x), FromFloat32(y)
-		return !Less(hy, hx)
+		return hx.Float32() <= hy.Float32()
 	}
 	if err := quick.Check(mono, cfg); err != nil {
 		t.Error(err)
@@ -352,17 +333,14 @@ func TestPredicates(t *testing.T) {
 	if One.IsInf(0) || One.IsNaN() || One.IsZero() {
 		t.Error("One predicates wrong")
 	}
-	if !Zero.IsZero() || !NegZero.IsZero() {
+	if !Zero.IsZero() || !negZero.IsZero() {
 		t.Error("zero predicates wrong")
 	}
-	if !Eq(Zero, NegZero) {
+	if !Eq(Zero, negZero) {
 		t.Error("+0 must equal -0")
 	}
-	if Eq(NaN, NaN) {
+	if Eq(nan, nan) {
 		t.Error("NaN must not equal NaN")
-	}
-	if !Less(One.Neg(), One) || Less(One, One) {
-		t.Error("Less wrong")
 	}
 }
 
@@ -375,7 +353,7 @@ func TestStrings(t *testing.T) {
 		{FromFloat32(-2.5), "-2.5"},
 		{PosInf, "+Inf"},
 		{NegInf, "-Inf"},
-		{NaN, "NaN"},
+		{nan, "NaN"},
 	}
 	for _, c := range cases {
 		if got := c.h.String(); got != c.want {

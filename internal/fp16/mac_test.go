@@ -90,7 +90,7 @@ func forAllPairs(t *testing.T, check func(x, y F16) bool) {
 // business, whichever expression computes it.
 func TestExhaustiveMulStage(t *testing.T) {
 	forAllPairs(t, func(a, b F16) bool {
-		got, want := MAC(NegZero, a, b), fromFloat32Ref(f16to32[a]*f16to32[b])
+		got, want := MAC(negZero, a, b), fromFloat32Ref(f16to32[a]*f16to32[b])
 		if got != want && !(got.IsNaN() && want.IsNaN()) {
 			t.Errorf("MAC(-0, 0x%04x, 0x%04x) = 0x%04x, reference product 0x%04x",
 				uint16(a), uint16(b), uint16(got), uint16(want))
@@ -236,10 +236,10 @@ func splatVec(h F16, n int) Vector {
 // unit u's bank operand position (SRC0 of MAD, so its product is y*x
 // there).
 func TestExhaustiveMulStageVec(t *testing.T) {
-	negZeroBurst := splatVec(NegZero, Lanes).Bytes()
+	negZeroBurst := splatVec(negZero, Lanes).Bytes()
 	addends := make([]F16, blockUnits)
 	for u := range addends {
-		addends[u] = NegZero
+		addends[u] = negZero
 	}
 	forAllBlocks(t,
 		func(x, y F16) F16 { return fromFloat32Ref(f16to32[x] * f16to32[y]) },
@@ -402,17 +402,17 @@ func TestMACDirected(t *testing.T) {
 		// 65504*2 overflows at the MULT stage, so the ADD stage sees Inf - Inf:
 		// the two-rounding pipeline's answer, where a fused MAC would say -Inf.
 		{"overflowing product meets -Inf", NegInf, 0x7BFF, 0x4000, anyNaN},
-		{"product exactly 65504", Zero, One, MaxVal, MaxVal},
-		{"product 65517.9 rounds to 65504", Zero, 0x3C11, 0x7BDE, MaxVal},
+		{"product exactly 65504", Zero, One, maxVal, maxVal},
+		{"product 65517.9 rounds to 65504", Zero, 0x3C11, 0x7BDE, maxVal},
 		{"product 65520 ties to Inf", Zero, 0x3C10, 0x7BE0, PosInf},
 		{"product 65535.9 overflows", Zero, 0x3C01, 0x7BFE, PosInf},
 		{"negative overflow", Zero, 0xBC01, 0x7BFE, NegInf},
-		{"sum overflows", MaxVal, 0x7000, 0x4000, PosInf}, // 65504 + 8192*2
-		{"sum 65519 stays finite", MaxVal, 0x4B80, One, MaxVal},
-		{"product below half MinPos", Zero, 0x0401, 0x0401, Zero},
-		{"product ties at half MinPos to zero", Zero, 0x0800, 0x0C00, Zero},
-		{"product just above half MinPos", Zero, 0x0401, 0x0FFF, MinPos},
-		{"product ties at 1.5 MinPos to even", Zero, 0x0600, 0x1400, 0x0002},
+		{"sum overflows", maxVal, 0x7000, 0x4000, PosInf}, // 65504 + 8192*2
+		{"sum 65519 stays finite", maxVal, 0x4B80, One, maxVal},
+		{"product below half minPos", Zero, 0x0401, 0x0401, Zero},
+		{"product ties at half minPos to zero", Zero, 0x0800, 0x0C00, Zero},
+		{"product just above half minPos", Zero, 0x0401, 0x0FFF, minPos},
+		{"product ties at 1.5 minPos to even", Zero, 0x0600, 0x1400, 0x0002},
 		{"inexact subnormal product", Zero, 0x0401, 0x37FF, 0x0200},
 		{"subnormal operand, normal product", Zero, 0x0001, 0x6400, 0x0400},
 		{"product tie, odd quotient rounds up", Zero, 0x3C01, 0x3E00, 0x3E02},
@@ -422,10 +422,10 @@ func TestMACDirected(t *testing.T) {
 		{"sum tie to even, down", 0x6800, One, One, 0x6800},               // 2048 + 1
 		{"sum tie to even, up", 0x6801, One, One, 0x6802},                 // 2050 + 1
 		{"exact cancellation is +0", 0xBC00, One, One, Zero},
-		{"-0 + -0", NegZero, NegZero, One, NegZero},
-		{"+0 + -0", Zero, NegZero, One, Zero},
-		{"-0 acc, +0 product", NegZero, Zero, One, Zero},
-		{"underflowing negative product is -0", NegZero, 0x8001, 0x0001, NegZero},
+		{"-0 + -0", negZero, negZero, One, negZero},
+		{"+0 + -0", Zero, negZero, One, Zero},
+		{"-0 acc, +0 product", negZero, Zero, One, Zero},
+		{"underflowing negative product is -0", negZero, 0x8001, 0x0001, negZero},
 	}
 	eachPath(t, func(t *testing.T) {
 		for _, c := range cases {
@@ -440,7 +440,7 @@ func TestMACDirected(t *testing.T) {
 			}
 			checkMAC(t, c.acc, c.a, c.b)
 			checkMAC(t, c.acc, c.b, c.a)
-			checkMAC(t, c.acc.Neg(), c.a.Neg(), c.b)
+			checkMAC(t, c.acc^signMask, c.a^signMask, c.b)
 		}
 	})
 }

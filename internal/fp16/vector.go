@@ -259,16 +259,6 @@ func ReLUVec(dst, a Vector) Vector {
 	return dst
 }
 
-// ReduceAdd sums the vector left to right in binary16 (the reduction order
-// the host uses when folding GRF partial sums).
-func (v Vector) ReduceAdd() F16 {
-	acc := Zero
-	for _, h := range v {
-		acc = Add(acc, h)
-	}
-	return acc
-}
-
 // Bytes serializes the vector little-endian, 2 bytes per lane, the DRAM
 // burst layout.
 func (v Vector) Bytes() []byte {

@@ -210,14 +210,14 @@ func TestVecMixedBlock(t *testing.T) {
 	needSIMD(t, simd)
 	defer func() { simd = true }()
 	special := Vector{0x7E01, PosInf, 0x0001, One, 0xFE02, NegInf, 0x83FF, 0x3555,
-		Zero, 0x7C01, MaxVal, NegZero, 0x0400, 0xFBFF, 0x7F03, 0x4200}
+		Zero, 0x7C01, maxVal, negZero, 0x0400, 0xFBFF, 0x7F03, 0x4200}
 	rng := rand.New(rand.NewSource(13))
 	a, b, acc := randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5)
 	for i, h := range special {
 		a[i], b[(i+5)%Lanes], acc[(i+11)%Lanes] = h, h, h
 		a[Lanes+i], acc[Lanes+i] = finite(h), finite(special[(i+3)%Lanes])
 	}
-	a[Lanes+1], b[Lanes+1] = MaxVal, MaxVal // overflows to Inf in the kernel
+	a[Lanes+1], b[Lanes+1] = maxVal, maxVal // overflows to Inf in the kernel
 	acc[Lanes+2], a[Lanes+2], b[Lanes+2] = PosInf, One, One
 	for _, op := range vecOps {
 		var got [2]Vector
@@ -244,25 +244,13 @@ func TestVecNoAllocs(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))
 		a, b, dst := randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5), randVec(rng, 2*Lanes+5)
-		a[3] = NaN // one block through the fallback
+		a[3] = nan // one block through the fallback
 		for _, op := range vecOps {
 			if n := testing.AllocsPerRun(100, func() { op.vec(dst, a, b, One) }); n != 0 {
 				t.Errorf("%s: %v allocations per call, want 0", op.name, n)
 			}
 		}
 	})
-}
-
-func TestReduceAddOrder(t *testing.T) {
-	// Left-to-right order matters in fp16; verify against explicit folding.
-	v := FromFloat32s([]float32{1000, 1, 1, 1, 1, 1, 1, 1})
-	acc := Zero
-	for _, h := range v {
-		acc = Add(acc, h)
-	}
-	if got := v.ReduceAdd(); got != acc {
-		t.Fatalf("ReduceAdd = %v, want %v", got, acc)
-	}
 }
 
 func TestFromFloat32sRoundTrip(t *testing.T) {

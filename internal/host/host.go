@@ -7,11 +7,7 @@
 // runs have no host model either).
 package host
 
-import (
-	"fmt"
-
-	"pimsim/internal/cache"
-)
+import "fmt"
 
 // Processor is the host's performance/power envelope.
 type Processor struct {
@@ -61,15 +57,6 @@ type Cost struct {
 	Flops       float64
 	LLCMissRate float64 // fraction of LLC lookups that went to DRAM
 	ProcWatts   float64 // package power while this kernel runs
-}
-
-// Energy returns the processor energy for this kernel in joules.
-func (c Cost) Energy(p Processor) float64 {
-	w := c.ProcWatts
-	if w == 0 {
-		w = p.BusyWatts
-	}
-	return w * c.NS * 1e-9
 }
 
 // memNs converts a DRAM byte count into time at an efficiency factor.
@@ -162,12 +149,6 @@ func (p Processor) Conv(flops, bytes float64, batch int) (Cost, error) {
 	cost := Cost{DRAMBytes: b, Flops: f, LLCMissRate: convMissRate, ProcWatts: p.BusyWatts}
 	cost.NS = maxf(p.compNs(f, convEfficiency(batch)), p.memNs(b, streamEfficiency)) + p.KernelLaunchNs
 	return cost, nil
-}
-
-// NewLLC builds an LLC simulator matching this processor, for callers that
-// want trace-driven miss rates instead of the analytic model.
-func (p Processor) NewLLC() *cache.Cache {
-	return cache.MustNew(p.LLCBytes, 64, 16)
 }
 
 func maxf(a, b float64) float64 {

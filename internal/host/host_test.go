@@ -111,14 +111,6 @@ func TestWithMemoryScales(t *testing.T) {
 	}
 }
 
-func TestCostEnergy(t *testing.T) {
-	p := Default()
-	c := Cost{NS: 1e9} // one second
-	if got := c.Energy(p); got != p.BusyWatts {
-		t.Errorf("energy %v, want %v J", got, p.BusyWatts)
-	}
-}
-
 func TestInvalidArgs(t *testing.T) {
 	p := Default()
 	if _, err := p.Gemv(0, 8, 1); err == nil {
@@ -129,14 +121,6 @@ func TestInvalidArgs(t *testing.T) {
 	}
 	if _, err := p.Conv(0, 10, 1); err == nil {
 		t.Error("zero flops accepted")
-	}
-}
-
-func TestNewLLCMatchesConfig(t *testing.T) {
-	p := Default()
-	llc := p.NewLLC()
-	if llc.Capacity() != p.LLCBytes {
-		t.Errorf("LLC capacity %d", llc.Capacity())
 	}
 }
 

@@ -82,15 +82,6 @@ func src2Field(in Instruction) Src {
 	}
 }
 
-// MustEncode is Encode panicking on error, for statically known programs.
-func MustEncode(in Instruction) uint32 {
-	w, err := Encode(in)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Decode parses a 32-bit CRF word back into an Instruction. Invalid
 // opcodes or operand combinations are rejected.
 func Decode(w uint32) (Instruction, error) {

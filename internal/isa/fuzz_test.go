@@ -23,7 +23,11 @@ func FuzzISARoundTrip(f *testing.F) {
 		if err != nil {
 			f.Fatalf("seed %q: %v", line, err)
 		}
-		f.Add(MustEncode(in), line)
+		w, err := Encode(in)
+		if err != nil {
+			f.Fatalf("seed %q: %v", line, err)
+		}
+		f.Add(w, line)
 	}
 	f.Add(uint32(0x20000048), "MAC(AAM) GRF_B[3], GRF_A, EVEN_BANK")
 	f.Fuzz(func(t *testing.T, w uint32, line string) {

@@ -15,10 +15,7 @@
 // entry within tolerance.
 package macmodel
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Format describes a MAC unit's number format.
 type Format struct {
@@ -130,13 +127,4 @@ func TableI() []TableIRow {
 		})
 	}
 	return rows
-}
-
-// Paper returns the published (area, energy) pair for a format.
-func Paper(f Format) (area, energy float64, err error) {
-	p, ok := paperTableI[f.Name]
-	if !ok {
-		return 0, 0, fmt.Errorf("macmodel: %q is not a Table I format", f.Name)
-	}
-	return p[0], p[1], nil
 }

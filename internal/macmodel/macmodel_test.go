@@ -70,16 +70,6 @@ func TestMonotonicity(t *testing.T) {
 	}
 }
 
-func TestPaperLookup(t *testing.T) {
-	a, e, err := Paper(FP16)
-	if err != nil || a != 1.32 || e != 1.21 {
-		t.Errorf("Paper(FP16) = %v, %v, %v", a, e, err)
-	}
-	if _, _, err := Paper(Format{Name: "INT4"}); err == nil {
-		t.Error("unknown format accepted")
-	}
-}
-
 func TestTableIRowOrder(t *testing.T) {
 	rows := TableI()
 	if len(rows) != 6 {

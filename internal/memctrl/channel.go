@@ -30,10 +30,7 @@ type Channel struct {
 	// controller.
 	FenceCycles int
 
-	openABRow   uint32 // currently open broadcast row (PIM bursts)
-	abRowOpen   bool
-	lastDataEnd int64  // completion cycle of the latest column data transfer
-	modeRow     uint32 // cfg.ModeRow(), cached off the per-command path
+	lastDataEnd int64 // completion cycle of the latest column data transfer
 
 	st Stats
 	id int // the channel's index in its system
@@ -84,7 +81,6 @@ func NewChannel(pch *hbm.PseudoChannel, cfg hbm.Config, id int) *Channel {
 		cfg:         cfg,
 		nextRefresh: int64(cfg.Timing.REFI),
 		FenceCycles: DefaultFenceCycles,
-		modeRow:     cfg.ModeRow(),
 		id:          id,
 	}
 }
@@ -94,19 +90,6 @@ func (c *Channel) Stats() Stats { return c.st }
 
 // Now returns the channel clock.
 func (c *Channel) Now() int64 { return c.now }
-
-// AdvanceTo moves the channel clock forward (host-side idle time).
-// Advancing to the current cycle is a no-op; a target behind the clock
-// is surfaced as an error — under a parallel engine a backwards advance
-// means a cross-channel join computed a stale frontier (a scheduler
-// bug), and swallowing it would let the two clocks silently diverge.
-func (c *Channel) AdvanceTo(t int64) error {
-	if t < c.now {
-		return fmt.Errorf("memctrl: AdvanceTo(%d) behind channel clock %d (non-monotonic advance)", t, c.now)
-	}
-	c.now = t
-	return nil
-}
 
 // NextEvent returns the next cycle at which this channel's state can
 // change without a new command arriving: the minimum of the next refresh
@@ -244,9 +227,6 @@ func (c *Channel) IssuePacket(pk []Entry, data [][]byte) (PacketRun, error) {
 			if len(c.run.Data) > 0 {
 				c.read = append(c.read, c.run.Data...)
 			}
-			if c.run.N > 0 {
-				c.trackState(&cmd)
-			}
 			done += c.run.N
 			if err != nil {
 				pr.Issued, pr.Read = done, c.read
@@ -310,23 +290,6 @@ func (c *Channel) issued(cmd *hbm.Command, first, stride int64, n int, before hb
 	}
 }
 
-// trackState remembers the open broadcast row so refresh can restore it.
-func (c *Channel) trackState(cmd *hbm.Command) {
-	if c.pch.Mode() == hbm.ModeSB {
-		c.abRowOpen = false
-		return
-	}
-	switch cmd.Kind {
-	case hbm.CmdACT:
-		if cmd.Row < c.modeRow {
-			c.openABRow = cmd.Row
-			c.abRowOpen = true
-		}
-	case hbm.CmdPREA:
-		c.abRowOpen = false
-	}
-}
-
 // maybeRefresh issues due refreshes. In SB mode the caller's open rows are
 // the scheduler's responsibility, so refresh only fires when all banks are
 // idle and is otherwise postponed (up to the JEDEC limit). In AB/AB-PIM
@@ -337,6 +300,10 @@ func (c *Channel) maybeRefresh() error {
 	for c.now >= c.nextRefresh {
 		deficit := c.now - c.nextRefresh
 		force := c.refreshDebt >= RefreshPostponeLimit
+		// In AB and AB-PIM modes a broadcast ACT opens its row in every
+		// bank: bank 0's open data row is the one to reopen.
+		abRow, abOpen := c.pch.OpenRow(0, 0)
+		abOpen = abOpen && abRow < c.cfg.ModeRow() && c.pch.Mode() != hbm.ModeSB
 		// Snapshot an in-flight mode-row handshake before closing rows so
 		// it can be restored: refresh must be transparent to the runtime's
 		// command sequences.
@@ -388,8 +355,8 @@ func (c *Channel) maybeRefresh() error {
 		if c.refreshDebt > 0 {
 			c.refreshDebt--
 		}
-		if c.abRowOpen && c.pch.Mode() != hbm.ModeSB {
-			if err := c.issue(&hbm.Command{Kind: hbm.CmdACT, Row: c.openABRow}, 1, nil); err != nil {
+		if abOpen {
+			if err := c.issue(&hbm.Command{Kind: hbm.CmdACT, Row: abRow}, 1, nil); err != nil {
 				return fmt.Errorf("memctrl: refresh reopen: %w", err)
 			}
 		}

@@ -122,9 +122,6 @@ func (s *Scheduler) Reordered() int64 { return s.ch.st.Reordered }
 // Completed returns the number of serviced transactions.
 func (s *Scheduler) Completed() int64 { return s.ch.st.Completed }
 
-// Forwarded returns reads satisfied from the write buffer.
-func (s *Scheduler) Forwarded() int64 { return s.ch.st.Forwarded }
-
 // AheadOpens returns speculative activates issued on idle banks.
 func (s *Scheduler) AheadOpens() int64 { return s.ch.st.AheadOpens }
 

@@ -99,6 +99,3 @@ func (s *Scheduler) FlushWrites() error {
 	}
 	return s.drainWrites(0)
 }
-
-// PendingWrites returns the buffered write count.
-func (s *Scheduler) PendingWrites() int { return s.wqueue.len() }

@@ -91,8 +91,8 @@ func TestStoreToLoadForwarding(t *testing.T) {
 			t.Fatalf("forwarded read byte %d = %x, want %x", i, rd.Data[i], payload[i])
 		}
 	}
-	if s.Forwarded() != 1 {
-		t.Errorf("forwarded = %d", s.Forwarded())
+	if s.ch.st.Forwarded != 1 {
+		t.Errorf("forwarded = %d", s.ch.st.Forwarded)
 	}
 
 	// And the write really landed in DRAM after the drain.
@@ -121,21 +121,21 @@ func TestWriteBufferWatermarks(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		s.Enqueue(true, Loc{BG: i % 4, Row: uint32(i), Col: 0}, nil)
 	}
-	if s.PendingWrites() != 12 {
-		t.Fatalf("pending = %d", s.PendingWrites())
+	if s.wqueue.len() != 12 {
+		t.Fatalf("pending = %d", s.wqueue.len())
 	}
 	// Writes complete immediately from the host's perspective.
 	s.Enqueue(false, Loc{BG: 0, Bank: 3, Row: 99, Col: 0}, nil)
 	if _, err := s.step(); err != nil { // triggers the high-watermark drain
 		t.Fatal(err)
 	}
-	if got := s.PendingWrites(); got != 2 {
+	if got := s.wqueue.len(); got != 2 {
 		t.Errorf("after drain: %d buffered writes, want the low watermark 2", got)
 	}
 	if err := s.FlushWrites(); err != nil {
 		t.Fatal(err)
 	}
-	if s.PendingWrites() != 0 {
+	if s.wqueue.len() != 0 {
 		t.Error("flush left writes behind")
 	}
 	// Degenerate watermarks are normalized.

@@ -32,7 +32,6 @@ import (
 // Registry holds the named metrics of one simulated system.
 type Registry struct {
 	mu         sync.RWMutex
-	clock      Clock
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
@@ -52,16 +51,6 @@ func New() *Registry {
 		winCounts: make(map[string]*WindowCounter),
 		help:      make(map[string]string),
 	}
-}
-
-// SetClock installs the time source used by windowed metrics built after
-// the call (per-metric WindowOpts.Clock still wins). Tests install a fake
-// clock here before wiring the serving layer so every window in the
-// system rolls over deterministically.
-func (r *Registry) SetClock(c Clock) {
-	r.mu.Lock()
-	r.clock = c
-	r.mu.Unlock()
 }
 
 // SetHelp records a # HELP line for a metric base name (label suffixes
@@ -146,7 +135,7 @@ func (r *Registry) WindowHistogram(name string, bounds []int64, o WindowOpts) *W
 			panic(fmt.Sprintf("metrics: window histogram %q bounds not ascending", name))
 		}
 	}
-	o.applyDefaults(r.clock)
+	o.applyDefaults()
 	h := newWindowHistogram(name, bounds, o)
 	r.winHists[name] = h
 	return h
@@ -163,7 +152,7 @@ func (r *Registry) WindowCounter(name string, o WindowOpts) *WindowCounter {
 		return c
 	}
 	r.checkKind(name, "window-counter")
-	o.applyDefaults(r.clock)
+	o.applyDefaults()
 	c := newWindowCounter(name, o)
 	r.winCounts[name] = c
 	return c
@@ -271,9 +260,6 @@ type Counter struct {
 	v    atomic.Int64
 }
 
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
-
 // Inc adds one to the count.
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -288,9 +274,6 @@ type Gauge struct {
 	name string
 	v    atomic.Int64
 }
-
-// Name returns the registered name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set stores the level.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
@@ -310,9 +293,6 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 }
-
-// Name returns the registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {

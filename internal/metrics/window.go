@@ -29,23 +29,19 @@ import (
 type Clock func() time.Time
 
 // WindowOpts sizes a sliding-window metric. Zero values take defaults:
-// Width 60s, Slots 30, Clock time.Now (or the registry's clock when the
-// metric is registry-built after SetClock).
+// Width 60s, Slots 30, Clock time.Now.
 type WindowOpts struct {
 	Width time.Duration
 	Slots int
 	Clock Clock
 }
 
-func (o *WindowOpts) applyDefaults(fallback Clock) {
+func (o *WindowOpts) applyDefaults() {
 	if o.Width <= 0 {
 		o.Width = 60 * time.Second
 	}
 	if o.Slots <= 0 {
 		o.Slots = 30
-	}
-	if o.Clock == nil {
-		o.Clock = fallback
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -88,9 +84,6 @@ func newWindowHistogram(name string, bounds []int64, o WindowOpts) *WindowHistog
 	}
 	return h
 }
-
-// Name returns the registered name.
-func (h *WindowHistogram) Name() string { return h.name }
 
 // Width returns the total history the ring retains.
 func (h *WindowHistogram) Width() time.Duration {
@@ -187,9 +180,6 @@ func newWindowCounter(name string, o WindowOpts) *WindowCounter {
 	}
 	return c
 }
-
-// Name returns the registered name.
-func (c *WindowCounter) Name() string { return c.name }
 
 // Width returns the total history the ring retains.
 func (c *WindowCounter) Width() time.Duration {

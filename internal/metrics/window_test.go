@@ -134,16 +134,15 @@ func TestWindowCounterRollover(t *testing.T) {
 	}
 }
 
-// TestRegistryWindows checks registry integration: clock inheritance,
-// idempotent registration, kind collisions, and snapshot folding into the
-// ordinary export maps.
+// TestRegistryWindows checks registry integration: idempotent
+// registration, kind collisions, and snapshot folding into the ordinary
+// export maps.
 func TestRegistryWindows(t *testing.T) {
 	clk := newFakeClock()
 	r := New()
-	r.SetClock(clk.Now)
 
-	h := r.WindowHistogram("win_lat_us", []int64{10, 100}, WindowOpts{Width: 10 * time.Second, Slots: 5})
-	c := r.WindowCounter("win_reqs", WindowOpts{Width: 10 * time.Second, Slots: 5})
+	h := r.WindowHistogram("win_lat_us", []int64{10, 100}, WindowOpts{Width: 10 * time.Second, Slots: 5, Clock: clk.Now})
+	c := r.WindowCounter("win_reqs", WindowOpts{Width: 10 * time.Second, Slots: 5, Clock: clk.Now})
 	if r.WindowHistogram("win_lat_us", nil, WindowOpts{}) != h {
 		t.Fatal("re-registration returned a new window histogram")
 	}

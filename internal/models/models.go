@@ -82,19 +82,6 @@ type Model struct {
 	Layers []Layer
 }
 
-// MemoryBoundLayers returns the layers the paper offloads to PIM: LSTMs,
-// FCs and the elementwise band (BN / ReLU / Residual / Attention).
-func (m Model) MemoryBoundLayers() []Layer {
-	var out []Layer
-	for _, l := range m.Layers {
-		switch l.Kind {
-		case FC, LSTM, BN, ReLU, Residual, Attention:
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Validate checks dimensional sanity.
 func (m Model) Validate() error {
 	if len(m.Layers) == 0 {

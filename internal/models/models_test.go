@@ -171,19 +171,6 @@ func TestResNet50Structure(t *testing.T) {
 	}
 }
 
-func TestMemoryBoundLayers(t *testing.T) {
-	ds2 := DS2()
-	mb := ds2.MemoryBoundLayers()
-	for _, l := range mb {
-		if l.Kind == Conv || l.Kind == Softmax {
-			t.Errorf("%s classified memory-bound", l.Name)
-		}
-	}
-	if len(mb) != 7 { // 6 LSTM + 1 FC
-		t.Errorf("DS2 memory-bound layers = %d, want 7", len(mb))
-	}
-}
-
 func TestValidateCatchesBadLayers(t *testing.T) {
 	bad := []Model{
 		{Name: "empty"},

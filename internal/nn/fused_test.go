@@ -296,7 +296,7 @@ func TestStepLaunchCensus(t *testing.T) {
 	defer r.Unload(rt)
 	// 8 passes a row: layer 0 (24 passes) is 3 rows a tile, layers 1-5
 	// (28) 4 rows, the projection (14) 2.
-	if got, want := r.WeightRows(), 4*3+5*4*4+2; got != want {
+	if got, want := weightRows(r), 4*3+5*4*4+2; got != want {
 		t.Errorf("weight rows %d, want %d", got, want)
 	}
 

@@ -315,6 +315,15 @@ func TestImportStateRejects(t *testing.T) {
 	}
 }
 
+// weightRows is the PIM rows r's weight layouts occupy (per bank).
+func weightRows(r *Resident) int {
+	n := 0
+	for _, g := range r.gemv {
+		n += g.Rows()
+	}
+	return n
+}
+
 func TestLoadUnloadRowAccounting(t *testing.T) {
 	rt := newNNRT(t, 2)
 	liveBefore := rt.Drv.PIMRowsLive()
@@ -331,7 +340,7 @@ func TestLoadUnloadRowAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLive := r.WeightRows() + r.StateRows()
+	wantLive := weightRows(r) + r.stateRows
 	if got := rt.Drv.PIMRowsLive() - liveBefore; got != wantLive {
 		t.Errorf("live rows grew by %d, resident accounts %d", got, wantLive)
 	}
@@ -381,11 +390,11 @@ func TestZeroLayerPlanIsAGemv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.StateRows() != 0 {
-		t.Errorf("state rows = %d, want 0", r.StateRows())
+	if r.stateRows != 0 {
+		t.Errorf("state rows = %d, want 0", r.stateRows)
 	}
-	if got := freeBefore - rt.Drv.PIMRowsFree(); got != r.WeightRows() || got != g.Rows() {
-		t.Errorf("load took %d rows, want the GEMV's %d (resident accounts %d)", got, g.Rows(), r.WeightRows())
+	if got := freeBefore - rt.Drv.PIMRowsFree(); got != weightRows(r) || got != g.Rows() {
+		t.Errorf("load took %d rows, want the GEMV's %d (resident accounts %d)", got, g.Rows(), weightRows(r))
 	}
 
 	grf := blas.GRFDepth(rt)

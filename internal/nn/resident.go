@@ -104,18 +104,6 @@ func Load(rt *runtime.Runtime, p *Plan) (*Resident, error) {
 // Slots returns the number of sequence slots (one per pseudo channel).
 func (r *Resident) Slots() int { return r.slots }
 
-// WeightRows returns the PIM rows the weight layouts occupy (per bank).
-func (r *Resident) WeightRows() int {
-	n := 0
-	for _, g := range r.gemv {
-		n += g.Rows()
-	}
-	return n
-}
-
-// StateRows returns the rows reserved for recurrent state.
-func (r *Resident) StateRows() int { return r.stateRows }
-
 // OwnsRow reports whether a device row belongs to this model's resident
 // spans — how the serving layer maps an uncorrectable error's row back
 // to the model that must relocate.

@@ -29,7 +29,7 @@ func TestZeroHandleAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c := h.Child("sub").WithShard(1)
 		c.End()
-		h.EndErr(nil)
+		h.End()
 		_ = h.Enabled()
 	}); n != 0 {
 		t.Errorf("zero SpanHandle path allocates %.1f per op, want 0", n)

@@ -198,7 +198,7 @@ func TestWriteSpansSchema(t *testing.T) {
 	ex := root.Child("exec").WithShard(1)
 	ex.EndWith(11486, "batch=2", nil)
 	tr.Event("req-7", "redispatch", "attempt=1")
-	root.EndErr(nil)
+	root.End()
 
 	var buf bytes.Buffer
 	if err := WriteSpans(&buf, tr.Snapshot()); err != nil {

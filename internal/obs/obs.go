@@ -215,9 +215,6 @@ type SpanHandle struct {
 // skip building attribute strings when tracing is off.
 func (h SpanHandle) Enabled() bool { return h.t != nil }
 
-// Req returns the request ID the span belongs to.
-func (h SpanHandle) Req() string { return h.req }
-
 // Child opens a sub-span under h with the same request ID.
 func (h SpanHandle) Child(name string) SpanHandle {
 	if h.t == nil {
@@ -242,9 +239,6 @@ func (h SpanHandle) WithShard(shard int) SpanHandle {
 
 // End closes the span cleanly.
 func (h SpanHandle) End() { h.finish(0, "", nil) }
-
-// EndErr closes the span with an error (nil err behaves like End).
-func (h SpanHandle) EndErr(err error) { h.finish(0, "", err) }
 
 // EndWith closes the span with a simulated-cycle cost and detail attrs.
 func (h SpanHandle) EndWith(cycles int64, attrs string, err error) {

@@ -126,7 +126,7 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 	c := h.Child("sub").WithShard(2)
 	c.End()
-	h.EndErr(nil)
+	h.End()
 	if tr.Snapshot() != nil || tr.Total() != 0 || tr.Tree("r") != nil {
 		t.Error("nil tracer retained state")
 	}

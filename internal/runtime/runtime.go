@@ -140,7 +140,7 @@ func New(devs []*hbm.Device) (*Runtime, error) {
 			r.chs = append(r.chs, new(chanState))
 		}
 	}
-	drv, err := driver.New(cfg, len(r.Chans))
+	drv, err := driver.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -473,31 +473,6 @@ func (r *Runtime) EndRegion() (cycles, fences int64) {
 
 // Now returns a channel's clock.
 func (r *Runtime) Now(ch int) int64 { return r.Chans[ch].Now() }
-
-// MaxNow returns the latest clock across channels (kernel completion).
-func (r *Runtime) MaxNow() int64 {
-	var m int64
-	for _, c := range r.Chans {
-		if c.Now() > m {
-			m = c.Now()
-		}
-	}
-	return m
-}
-
-// SyncChannels advances every channel to the global maximum (a host-side
-// join across thread groups). It runs at the engine's result-join
-// barrier, so every clock is quiescent and at most MaxNow; a backwards
-// advance here would mean a channel ticked during the join, which is a
-// scheduler invariant violation worth crashing on.
-func (r *Runtime) SyncChannels() {
-	m := r.MaxNow()
-	for i, c := range r.Chans {
-		if err := c.AdvanceTo(m); err != nil {
-			panic(fmt.Sprintf("runtime: SyncChannels ch%d: %v", i, err))
-		}
-	}
-}
 
 // SetGuaranteeOrder toggles the in-order PIM mode study (Section VII-B)
 // on every channel.

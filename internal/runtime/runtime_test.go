@@ -260,20 +260,6 @@ func TestEffectiveChannels(t *testing.T) {
 	}
 }
 
-func TestSyncChannels(t *testing.T) {
-	rt := newRT(t, 2)
-	if err := rt.EnterAB(0); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Now(0) <= rt.Now(1) {
-		t.Fatal("channel 0 did not advance")
-	}
-	rt.SyncChannels()
-	if rt.Now(0) != rt.Now(1) || rt.MaxNow() != rt.Now(0) {
-		t.Error("SyncChannels did not align clocks")
-	}
-}
-
 func TestErrorPropagation(t *testing.T) {
 	rt := newRT(t, 1)
 	// SetPIMMode in SB mode is an illegal register write: the error must

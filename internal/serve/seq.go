@@ -247,9 +247,7 @@ func (s *Server) step(m *model, sh *shard, t *slotTable, last bool) *shard {
 		st.steps.Inc()
 		st.slots.Observe(int64(n))
 		st.cycles.Observe(ks.Cycles)
-		if st.window != nil {
-			st.window.Observe(int64(n))
-		}
+		s.winBatch.Observe(int64(n))
 		s.deviceCycles.Add(ks.Cycles)
 		share := ks.Cycles / int64(n)
 		for i, sl := range t.slots {

@@ -107,6 +107,38 @@ func TestSeqInferCorrectness(t *testing.T) {
 	}
 }
 
+// TestDebugOpsCountsSequenceSteps: on a server holding only a sequence
+// model, every step is a batch of the windowed occupancy /debug/ops and
+// pimtop read, its slots the live sequences of that step.
+func TestDebugOpsCountsSequenceSteps(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1, Channels: 4, SeqModels: []models.Config{tinySeq}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for i, n := range []int{6, 3, 5} {
+		wg.Add(1)
+		go func(i, n int) {
+			defer wg.Done()
+			_, f64 := seqFrames(int64(300+i), n, tinySeq.Input)
+			if resp, body := postInfer(t, ts, seqBody(t, "tinyseq", f64, nil)); resp.StatusCode != 200 {
+				t.Errorf("seq %d: status %d: %s", i, resp.StatusCode, body)
+			}
+		}(i, n)
+	}
+	wg.Wait()
+
+	steps := s.seqSteps.Value()
+	occ := s.Metrics().Snapshot().Histograms["serve_seq_occupancy"]
+	w := s.opsReport().Window
+	if steps == 0 || w.Batches != steps {
+		t.Fatalf("ops window batches = %d, want the %d sequence steps", w.Batches, steps)
+	}
+	if want := float64(occ.Sum) / float64(occ.Count); w.MeanBatch != want {
+		t.Errorf("ops window mean batch = %v, want the mean slot occupancy %v", w.MeanBatch, want)
+	}
+}
+
 // TestSeqContinuousBatching: concurrent sequences of different lengths
 // share the step loop — occupancy exceeds one — and every response stays
 // bit-exact against its own oracle.

@@ -367,16 +367,16 @@ const (
 
 // kindSeries are the metric series a model's steps feed, bound once per
 // kind in New: a GEMV model's steps count as batches, a sequence model's
-// as steps. window and done are nil where the kind has no such series.
+// as steps. done is nil for a GEMV model. Both kinds' steps also feed the
+// server's windowed batch occupancy (serve_window_batch_size).
 type kindSeries struct {
-	admitted *metrics.Counter         // serve_admitted_total | serve_seq_admitted_total
-	steps    *metrics.Counter         // serve_batches_total | serve_seq_steps_total
-	slots    *metrics.Histogram       // serve_batch_size | serve_seq_occupancy
-	cycles   *metrics.Histogram       // serve_kernel_cycles | serve_seq_step_cycles
-	window   *metrics.WindowHistogram // serve_window_batch_size | -
-	done     *metrics.Counter         // - | serve_seq_completed_total
-	moved    *metrics.Counter         // serve_redispatch_requests_total | serve_seq_migrations_total
-	retry    string                   // trace event of a re-run step: redispatch | migrate
+	admitted *metrics.Counter   // serve_admitted_total | serve_seq_admitted_total
+	steps    *metrics.Counter   // serve_batches_total | serve_seq_steps_total
+	slots    *metrics.Histogram // serve_batch_size | serve_seq_occupancy
+	cycles   *metrics.Histogram // serve_kernel_cycles | serve_seq_step_cycles
+	done     *metrics.Counter   // - | serve_seq_completed_total
+	moved    *metrics.Counter   // serve_redispatch_requests_total | serve_seq_migrations_total
+	retry    string             // trace event of a re-run step: redispatch | migrate
 }
 
 // request is one admitted unit of work on its way to a shard: a GEMV
@@ -544,7 +544,7 @@ func New(cfg Config) (*Server, error) {
 	gemv := &kindSeries{admitted: s.admitted, steps: s.batches,
 		slots:  s.reg.Histogram("serve_batch_size", linearBuckets(1, cfg.Channels)),
 		cycles: s.reg.Histogram("serve_kernel_cycles", metrics.ExpBuckets(64, 2, 24)),
-		window: s.winBatch, moved: s.redispatched, retry: "redispatch"}
+		moved:  s.redispatched, retry: "redispatch"}
 	seq := &kindSeries{admitted: s.seqAdmitted, steps: s.seqSteps,
 		slots:  s.reg.Histogram("serve_seq_occupancy", linearBuckets(1, cfg.Channels)),
 		cycles: s.reg.Histogram("serve_seq_step_cycles", metrics.ExpBuckets(64, 2, 26)),
@@ -732,10 +732,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Models returns the served GEMV specs; GET /v1/models lists both kinds.
 func (s *Server) Models() []ModelSpec { return append([]ModelSpec(nil), s.cfg.Models...) }
-
-// Tracer returns the flight recorder the server was built with (nil when
-// tracing is disabled).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // admit pushes one request into its model's fair queue. On rejection it
 // returns the HTTP status the caller should surface (400/404/429/503;

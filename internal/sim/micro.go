@@ -55,12 +55,6 @@ type MicroResult struct {
 	PimProcJ, PimDevJ   float64
 }
 
-// EnergyEffGain returns (host energy)/(PIM energy): how much less energy
-// the PIM system spends on the same work.
-func (r MicroResult) EnergyEffGain() float64 {
-	return (r.HostProcJ + r.HostDevJ) / (r.PimProcJ + r.PimDevJ)
-}
-
 // RunMicro evaluates one microbenchmark at one batch size on a PIM system
 // and a host system.
 func RunMicro(pim, hostSys *System, spec MicroSpec, batch int) (MicroResult, error) {

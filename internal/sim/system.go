@@ -10,7 +10,6 @@ import (
 
 	"pimsim/internal/blas"
 	"pimsim/internal/energy"
-	"pimsim/internal/engine"
 	"pimsim/internal/hbm"
 	"pimsim/internal/host"
 	"pimsim/internal/runtime"
@@ -95,16 +94,6 @@ func NewHostSystem(memScale float64) *System {
 		Proc:     host.Default().WithMemory(memScale),
 		Params:   energy.DefaultParams(),
 		MemScale: memScale,
-	}
-}
-
-// UseEngine installs a channel-execution engine on the system's runtime
-// (see internal/engine). The Section VII experiments simulate one
-// symmetric channel — channel parallelism gains them nothing — but
-// functional multi-channel studies built on a System can opt in.
-func (s *System) UseEngine(e engine.Engine) {
-	if s.RT != nil {
-		s.RT.UseEngine(e)
 	}
 }
 

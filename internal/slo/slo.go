@@ -685,20 +685,6 @@ func (e *Engine) Status() []SeriesStatus {
 	return out
 }
 
-// Exemplars returns one series' exemplar ring, oldest first.
-func (e *Engine) Exemplars(tenant, model string) []Exemplar {
-	if e == nil {
-		return nil
-	}
-	e.mu.RLock()
-	s := e.series[seriesKey{tenant, model}]
-	e.mu.RUnlock()
-	if s == nil {
-		return nil
-	}
-	return s.copyExemplars()
-}
-
 func (s *series) copyExemplars() []Exemplar {
 	s.mu.Lock()
 	defer s.mu.Unlock()

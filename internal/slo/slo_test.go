@@ -90,7 +90,7 @@ func TestSlowRefinement(t *testing.T) {
 	if total != 2 || bad != 1 {
 		t.Fatalf("total=%d bad=%d, want 2/1", total, bad)
 	}
-	ex := e.Exemplars("t", "m")
+	ex := e.getSeries("t", "m").copyExemplars()
 	if len(ex) != 1 || ex[0].ReqID != "slow-req" || ex[0].Outcome != "slow" {
 		t.Fatalf("exemplars = %+v, want the slow request only", ex)
 	}
@@ -107,7 +107,7 @@ func TestExemplarRingWraps(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.RecordRequest("t", "m", time.Second, OutcomeError, fmt.Sprintf("r%d", i))
 	}
-	ex := e.Exemplars("t", "m")
+	ex := e.getSeries("t", "m").copyExemplars()
 	if len(ex) != 4 {
 		t.Fatalf("got %d exemplars, want 4", len(ex))
 	}
@@ -158,9 +158,6 @@ func TestNilEngineSafe(t *testing.T) {
 	}
 	if b := e.Burning(); b != nil {
 		t.Fatal("nil Burning returned series")
-	}
-	if x := e.Exemplars("t", "m"); x != nil {
-		t.Fatal("nil Exemplars returned data")
 	}
 	if tr := e.Transitions(); tr != nil {
 		t.Fatal("nil Transitions returned data")

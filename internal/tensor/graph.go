@@ -9,10 +9,10 @@ import (
 	"pimsim/internal/runtime"
 )
 
-// OpKind enumerates the supported graph operations. MatVec, Add, Mul,
-// ReLU and BN have PIM implementations (the six custom ops of Section V-A
-// minus LSTM, which is composed from these); the activations are
-// host-only, and Slice and Concat are host-side views.
+// OpKind enumerates the supported graph operations. MatVec, Add, Mul and
+// ReLU have PIM implementations (the custom ops of Section V-A an LSTM
+// step is composed from); the activations are host-only, and Slice and
+// Concat are host-side views.
 type OpKind int
 
 const (
@@ -22,14 +22,13 @@ const (
 	OpAdd
 	OpMul
 	OpReLU
-	OpBN // y = gamma*x + beta (folded inference BN)
 	OpSigmoid
 	OpTanh
 	OpSlice
 	OpConcat
 )
 
-var opNames = [...]string{"Input", "Const", "MatVec", "Add", "Mul", "ReLU", "BN", "Sigmoid", "Tanh", "Slice", "Concat"}
+var opNames = [...]string{"Input", "Const", "MatVec", "Add", "Mul", "ReLU", "Sigmoid", "Tanh", "Slice", "Concat"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opNames) {
@@ -45,9 +44,8 @@ type Node struct {
 	Inputs []*Node
 
 	// Parameters.
-	W           *Tensor  // MatVec weights (M x K)
-	Value       *Tensor  // Const value
-	Gamma, Beta fp16.F16 // BN scalars
+	W     *Tensor // MatVec weights (M x K)
+	Value *Tensor // Const value
 
 	// Slice bounds.
 	Off, Len int
@@ -95,12 +93,6 @@ func (g *Graph) Mul(name string, a, b *Node) *Node {
 // ReLU is elementwise max(x, 0).
 func (g *Graph) ReLU(name string, x *Node) *Node {
 	return g.add(&Node{Kind: OpReLU, Name: name, Inputs: []*Node{x}})
-}
-
-// BN is the folded inference batch-norm gamma*x + beta.
-func (g *Graph) BN(name string, x *Node, gamma, beta float32) *Node {
-	return g.add(&Node{Kind: OpBN, Name: name, Inputs: []*Node{x},
-		Gamma: fp16.FromFloat32(gamma), Beta: fp16.FromFloat32(beta)})
 }
 
 // Sigmoid is elementwise 1/(1+e^-x) (host only).
@@ -165,7 +157,7 @@ func (s *Session) eligible(n *Node) bool {
 	switch n.Kind {
 	case OpMatVec:
 		bytes = 2 * n.W.Numel()
-	case OpAdd, OpMul, OpReLU, OpBN:
+	case OpAdd, OpMul, OpReLU:
 		bytes = 0 // sized at run time from the input tensor
 		return true
 	default:
@@ -307,15 +299,6 @@ func (s *Session) execute(n *Node, ins []*Tensor) (*Tensor, error) {
 			return &Tensor{Shape: ins[0].Shape, Data: out}, nil
 		}
 		return &Tensor{Shape: ins[0].Shape, Data: blas.RefReLU(ins[0].Data)}, nil
-	case OpBN:
-		if onPIM {
-			out, _, err := blas.PimBN(s.RT, ins[0].Data, ins[0].Numel(), n.Gamma, n.Beta)
-			if err != nil {
-				return nil, err
-			}
-			return &Tensor{Shape: ins[0].Shape, Data: out}, nil
-		}
-		return &Tensor{Shape: ins[0].Shape, Data: blas.RefBN(ins[0].Data, n.Gamma, n.Beta)}, nil
 	case OpSlice:
 		return executeSlice(n, ins[0])
 	case OpConcat:

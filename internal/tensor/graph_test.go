@@ -78,7 +78,7 @@ func TestSameGraphHostAndPIM(t *testing.T) {
 		if where == "pim" {
 			pimOps++
 			switch n.Kind {
-			case OpMatVec, OpAdd, OpMul, OpReLU, OpBN:
+			case OpMatVec, OpAdd, OpMul, OpReLU:
 			default:
 				t.Errorf("op %s placed on PIM without a kernel", n.Kind)
 			}
@@ -100,15 +100,14 @@ func TestEltwisePIMExactlyMatchesHost(t *testing.T) {
 	sum := g.Add("sum", an, bn)
 	prod := g.Mul("prod", an, bn)
 	act := g.ReLU("relu", sum)
-	norm := g.BN("bn", prod, 1.5, -0.25)
 
-	host, err := NewHostSession().Run(nil, sum, prod, act, norm)
+	host, err := NewHostSession().Run(nil, sum, prod, act)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := NewPIMSession(pimRT(t))
 	sess.OffloadThreshold = 1
-	pim, err := sess.Run(nil, sum, prod, act, norm)
+	pim, err := sess.Run(nil, sum, prod, act)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestGraphErrors(t *testing.T) {
 	if _, err := NewHostSession().Run(nil, y); err == nil {
 		t.Error("unfed input accepted")
 	}
-	w, _ := FromSlice(make([]float32, 12), 3, 4)
+	w := New(3, 4)
 	mv := g.MatVec("m", w, g.Const("c", New(5)))
 	if _, err := NewHostSession().Run(nil, mv); err == nil {
 		t.Error("dimension mismatch accepted")
@@ -178,17 +177,11 @@ func TestGraphErrors(t *testing.T) {
 }
 
 func TestTensorBasics(t *testing.T) {
-	if _, err := FromSlice([]float32{1, 2, 3}, 2, 2); err == nil {
-		t.Error("wrong element count accepted")
-	}
-	tt, err := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tt := &Tensor{Shape: []int{2, 2}, Data: fp16.FromFloat32s([]float32{1, 2, 3, 4})}
 	if tt.Numel() != 4 {
 		t.Error("numel")
 	}
-	got := tt.Float32s()
+	got := tt.Data.Float32s()
 	if got[3] != 4 {
 		t.Error("round trip")
 	}

@@ -9,7 +9,8 @@ import (
 // Slice and Concat support and the LSTM composition. The paper ships six
 // PIM custom ops — ADD, MUL, ReLU, LSTM, GEMV, BN (Section V-A); here LSTM
 // is composed from the primitive graph ops, with its one fused GEMV
-// eligible for PIM placement and the gate math on host-only activation ops.
+// eligible for PIM placement and the gate math on host-only activation
+// ops, and BN is a blas kernel (blas.PimBN) no graph op lowers to.
 
 // Slice extracts elements [off, off+n) of a vector (a host-side view; it
 // moves no DRAM data).

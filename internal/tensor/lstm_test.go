@@ -101,14 +101,14 @@ func TestBuildLSTMStepValidation(t *testing.T) {
 }
 
 func TestConcatOp(t *testing.T) {
-	a, _ := FromSlice([]float32{1, 2, 3}, 3)
-	b, _ := FromSlice([]float32{4, 5}, 2)
+	a := &Tensor{Shape: []int{3}, Data: fp16.FromFloat32s([]float32{1, 2, 3})}
+	b := &Tensor{Shape: []int{2}, Data: fp16.FromFloat32s([]float32{4, 5})}
 	var g Graph
 	out, err := NewHostSession().Run(nil, g.Concat("ab", g.Const("a", a), g.Const("b", b)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out[0].Float32s()
+	got := out[0].Data.Float32s()
 	if len(got) != 5 || out[0].Shape[0] != 5 || got[0] != 1 || got[2] != 3 || got[3] != 4 || got[4] != 5 {
 		t.Fatalf("concat = %v shape %v, want [1 2 3 4 5]", got, out[0].Shape)
 	}
@@ -118,17 +118,14 @@ func TestConcatOp(t *testing.T) {
 }
 
 func TestSliceOp(t *testing.T) {
-	v, err := FromSlice([]float32{1, 2, 3, 4, 5}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := &Tensor{Shape: []int{5}, Data: fp16.FromFloat32s([]float32{1, 2, 3, 4, 5})}
 	var g Graph
 	s := g.Slice("mid", g.Const("v", v), 1, 3)
 	out, err := NewHostSession().Run(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out[0].Float32s()
+	got := out[0].Data.Float32s()
 	if len(got) != 3 || got[0] != 2 || got[2] != 4 {
 		t.Fatalf("slice = %v", got)
 	}

@@ -33,14 +33,11 @@ func TestSessionErrorShapeMismatchMidGraph(t *testing.T) {
 	// The mismatch sits two ops deep: both inputs are fed correctly, the
 	// Add of a 4-vector and a MatVec output of 3 rows is what breaks.
 	var g Graph
-	w, err := FromSlice(make([]float32, 12), 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := New(3, 4)
 	x := g.Input("x")
 	mv := g.MatVec("proj", w, x)
 	bad := g.Add("residual", mv, x) // 3 + 4 elements
-	_, err = NewHostSession().Run(map[string]*Tensor{"x": New(4)}, bad)
+	_, err := NewHostSession().Run(map[string]*Tensor{"x": New(4)}, bad)
 	if err == nil {
 		t.Fatal("mid-graph shape mismatch accepted")
 	}

@@ -6,11 +6,7 @@
 // custom ops (Fig. 7) force explicit offload.
 package tensor
 
-import (
-	"fmt"
-
-	"pimsim/internal/fp16"
-)
+import "pimsim/internal/fp16"
 
 // Tensor is a dense FP16 tensor.
 type Tensor struct {
@@ -23,19 +19,8 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: shape, Data: fp16.NewVector(numel(shape))}
 }
 
-// FromSlice builds a tensor from float32 data.
-func FromSlice(data []float32, shape ...int) (*Tensor, error) {
-	if len(data) != numel(shape) {
-		return nil, fmt.Errorf("tensor: %d values for shape %v", len(data), shape)
-	}
-	return &Tensor{Shape: shape, Data: fp16.FromFloat32s(data)}, nil
-}
-
 // Numel returns the element count.
 func (t *Tensor) Numel() int { return numel(t.Shape) }
-
-// Float32s converts the data.
-func (t *Tensor) Float32s() []float32 { return t.Data.Float32s() }
 
 // SameShape reports shape equality.
 func (t *Tensor) SameShape(o *Tensor) bool {
